@@ -1,15 +1,19 @@
 // Local GEMM scaling (google-benchmark), the dense sibling of
 // bench_spmm_local: the paper reports local GEMM under "misc", and the 2D/
 // 3D partitions make the dense operands skinny (f/sqrt(P) or f/P^(1/3)
-// columns), so both the blocked-kernel rate and its thread scaling matter.
+// columns), so both the kernel rate and its thread scaling matter.
 //
 //   1. GFlop/s vs matrix shape: the partial-SUMMA shapes (tall-skinny
-//      times small-square) and the weight-gradient shape (skinny^T times
-//      tall) at paper-like widths.
+//      times small-square), the weight-gradient shape (skinny^T times
+//      tall) at paper-like widths, and the GCN's first layer (128 input
+//      features to 16 hidden), whose weight gradient runs on a dense or a
+//      post-ReLU (half-zero) operand.
 //   2. Thread scaling of the row-block-parallel kernel at fixed shape
 //      (explicit counts override the automatic budget, like the SpMM
 //      bench). "speedup_vs_1t" is serial seconds / per-iteration seconds.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 #include "src/dense/gemm.hpp"
 #include "src/dense/matrix.hpp"
@@ -67,6 +71,57 @@ void BM_GemmGradientShape(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_GemmGradientShape)->Arg(4)->Arg(16)->Arg(64)->Arg(300);
+
+// (1c) Layer 1's forward product T (n x 128) * W (128 x 16), one thread.
+void BM_GemmLayer1Forward(benchmark::State& state) {
+  const Index n = 16384;
+  const Index f = 128;
+  const Index h = 16;
+  const Matrix t = random_matrix(n, f, 27);
+  const Matrix w = random_matrix(f, h, 28);
+  Matrix z(n, h);
+  override_thread_budget(1);
+  for (auto _ : state) {
+    gemm(Trans::kNo, Trans::kNo, Real{1}, t, w, Real{0}, z);
+    benchmark::DoNotOptimize(z.data());
+    benchmark::ClobberMemory();
+  }
+  override_thread_budget(0);
+  const double flops = 2.0 * static_cast<double>(n) *
+                       static_cast<double>(f) * static_cast<double>(h);
+  state.counters["GFlop/s"] = benchmark::Counter(
+      flops * static_cast<double>(state.iterations()) * 1e-9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_GemmLayer1Forward);
+
+// (1d) Layer 1's weight gradient H^T U, H (n x 128), U (n x 16), one
+// thread. Arg 1 clamps H's negative entries to zero, as ReLU leaves the
+// activations of the deeper layers: about half of H is exactly zero.
+void BM_GemmLayer1Gradient(benchmark::State& state) {
+  const Index n = 16384;
+  const Index f = 128;
+  const Index h = 16;
+  Matrix hidden = random_matrix(n, f, 29);
+  if (state.range(0) != 0) {
+    for (Real& v : hidden.flat()) v = std::max(v, Real{0});
+  }
+  const Matrix u = random_matrix(n, h, 30);
+  Matrix y(f, h);
+  override_thread_budget(1);
+  for (auto _ : state) {
+    gemm(Trans::kYes, Trans::kNo, Real{1}, hidden, u, Real{0}, y);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  override_thread_budget(0);
+  const double flops = 2.0 * static_cast<double>(n) *
+                       static_cast<double>(f) * static_cast<double>(h);
+  state.counters["GFlop/s"] = benchmark::Counter(
+      flops * static_cast<double>(state.iterations()) * 1e-9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_GemmLayer1Gradient)->ArgName("half_zero")->Arg(0)->Arg(1);
 
 // (2) Thread scaling at a fixed forward shape via the budget override.
 double serial_gemm_seconds(const Matrix& t, const Matrix& w, Matrix& z) {

@@ -10,8 +10,9 @@ enum class Trans { kNo, kYes };
 
 /// C = alpha * op(A) * op(B) + beta * C.
 ///
-/// op(A) is (m x k), op(B) is (k x n), C must be (m x n). Cache-blocked
-/// i-k-j ordering so the innermost loop streams rows of B and C.
+/// op(A) is (m x k), op(B) is (k x n), C must be (m x n) and must not be A
+/// or B (an aliased call throws Error). i-k-j ordering so the innermost
+/// loop streams rows of B and C.
 void gemm(Trans trans_a, Trans trans_b, Real alpha, const Matrix& a,
           const Matrix& b, Real beta, Matrix& c);
 

@@ -93,6 +93,7 @@ void Csr::spmm(const Matrix& x, Matrix& y, bool accumulate) const {
                                       x.shape_string());
   CAGNET_CHECK(y.rows() == rows_ && y.cols() == x.cols(),
                "spmm: bad output shape " + y.shape_string());
+  CAGNET_CHECK(&x != &y, "spmm: output must not alias the dense operand");
   spmm_csr_kernel<Real>(rows_, row_ptr_.data(), col_idx_.data(), vals_.data(),
                         x.data(), x.cols(), y.data(), accumulate);
 }

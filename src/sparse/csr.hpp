@@ -53,7 +53,8 @@ class Csr {
   /// Number of structural nonzeros in row i.
   Index row_degree(Index i) const { return row_ptr_[i + 1] - row_ptr_[i]; }
 
-  /// y = A * x (or y += if accumulate), where x is (cols() x f).
+  /// y = A * x (or y += if accumulate), where x is (cols() x f). `y` must
+  /// not be `x` (an aliased call throws Error).
   void spmm(const Matrix& x, Matrix& y, bool accumulate = false) const;
 
   /// Allocating convenience form of spmm.

@@ -1,9 +1,15 @@
 // Raw CSR x dense kernel, templated on the value type.
 //
 // This is the workhorse the paper offloads to cuSPARSE csrmm2; here it is a
-// portable CPU kernel whose inner loop is a contiguous axpy over the dense
-// operand's row (length f), which vectorizes. Templating lets the local-SpMM
-// bench (E6) measure both fp32 (the paper's GPU precision) and fp64.
+// portable CPU kernel whose inner loop runs over contiguous dense rows
+// (length f), which vectorizes. Each pass over an output row folds four
+// nonzeros into a register accumulator and stores once: a quarter of the
+// output-row loads and stores of a one-nonzero-per-pass loop, with four
+// input-row gathers in flight. Every output element still adds its
+// products one at a time in ascending nonzero order (no FMA, no
+// reassociation), so the result is bitwise identical to the one-product-
+// at-a-time loop. Templating lets the local-SpMM bench (E6) measure both
+// fp32 (the paper's GPU precision) and fp64.
 //
 // The kernel is parallelized over contiguous row blocks on the persistent
 // process-wide pool (src/util/parallel.hpp): each chunk owns a disjoint
@@ -28,16 +34,38 @@ namespace detail {
 /// Flops below which threading overhead outweighs the kernel itself.
 inline constexpr double kSpmmMinFlopsPerThread = 1 << 18;
 
-/// Serial row-range body shared by the serial and threaded paths.
+/// Serial row-range body shared by the serial and threaded paths. `y` must
+/// not share storage with `x` (it is declared __restrict).
 template <typename T>
 void spmm_rows(Index r0, Index r1, const Index* row_ptr, const Index* col_idx,
-               const T* vals, const T* x, Index f, T* y, bool accumulate) {
+               const T* vals, const T* x, Index f, T* __restrict y,
+               bool accumulate) {
   for (Index i = r0; i < r1; ++i) {
     T* yrow = y + i * f;
     if (!accumulate) {
       for (Index j = 0; j < f; ++j) yrow[j] = T{0};
     }
-    for (Index p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
+    Index p = row_ptr[i];
+    const Index end = row_ptr[i + 1];
+    for (; p + 4 <= end; p += 4) {
+      const T v0 = vals[p];
+      const T v1 = vals[p + 1];
+      const T v2 = vals[p + 2];
+      const T v3 = vals[p + 3];
+      const T* x0 = x + col_idx[p] * f;
+      const T* x1 = x + col_idx[p + 1] * f;
+      const T* x2 = x + col_idx[p + 2] * f;
+      const T* x3 = x + col_idx[p + 3] * f;
+      for (Index j = 0; j < f; ++j) {
+        T acc = yrow[j];
+        acc += v0 * x0[j];
+        acc += v1 * x1[j];
+        acc += v2 * x2[j];
+        acc += v3 * x3[j];
+        yrow[j] = acc;
+      }
+    }
+    for (; p < end; ++p) {
       const T v = vals[p];
       const T* xrow = x + col_idx[p] * f;
       for (Index j = 0; j < f; ++j) yrow[j] += v * xrow[j];
@@ -49,7 +77,9 @@ void spmm_rows(Index r0, Index r1, const Index* row_ptr, const Index* col_idx,
 
 /// y[i,:] (+)= sum_k a(i,k) * x[k,:] for a CSR matrix a of shape
 /// (rows x anything), x with `f` columns, y with `f` columns.
-/// If `accumulate` is false, y rows are overwritten.
+/// If `accumulate` is false, y rows are overwritten. `y` must not share
+/// storage with `x`: rows of y are written while x rows are still being
+/// read (Csr::spmm rejects an aliased call with an Error).
 ///
 /// `num_threads` <= 0 selects automatically: up to
 /// available_thread_budget() chunks, scaled down so each keeps at least

@@ -1,9 +1,12 @@
 // Unit tests for src/dense: Matrix container, GEMM against a naive
-// reference over all transpose combinations, activations and their
-// derivatives (checked numerically), and the NLL loss.
+// reference over all transpose combinations and bit for bit against the
+// loops it replaced, activations and their derivatives (checked
+// numerically), and the NLL loss.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -40,6 +43,45 @@ Matrix naive_matmul(const Matrix& a, const Matrix& b, Trans ta, Trans tb) {
     }
   }
   return c;
+}
+
+// The one-product-at-a-time loops gemm's no-transpose and transposed-A
+// paths replaced, with the same beta pass: every C element adds its
+// products (alpha * A element) * B element in ascending k order, one load
+// and store of C per product; the transposed-A form skips zero A elements
+// as the replaced loop did. gemm must match them bit for bit.
+void reference_gemm(Trans ta, Real alpha, const Matrix& a, const Matrix& b,
+                    Real beta, Matrix& c) {
+  const Index m = c.rows();
+  const Index n = c.cols();
+  const Index k = b.rows();
+  if (beta == Real{0}) {
+    c.fill(Real{0});
+  } else if (beta != Real{1}) {
+    for (Real& v : c.flat()) v *= beta;
+  }
+  if (ta == Trans::kNo) {
+    for (Index i = 0; i < m; ++i) {
+      for (Index p = 0; p < k; ++p) {
+        const Real av = alpha * a(i, p);
+        for (Index j = 0; j < n; ++j) c(i, j) += av * b(p, j);
+      }
+    }
+    return;
+  }
+  for (Index p = 0; p < k; ++p) {
+    for (Index i = 0; i < m; ++i) {
+      const Real av = alpha * a(p, i);
+      if (av == Real{0}) continue;
+      for (Index j = 0; j < n; ++j) c(i, j) += av * b(p, j);
+    }
+  }
+}
+
+bool same_bits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.size()) * sizeof(Real)) == 0;
 }
 
 TEST(Matrix, ConstructZeroInitialized) {
@@ -389,8 +431,10 @@ TEST(MatrixWorkspace, BlockIntoMatchesBlock) {
 
 TEST(Gemm, ThreadedMatchesSerialBitwise) {
   // The row-block partition must not change any result bit, for every
-  // trans combination (each picks a different kernel path). Shapes are
-  // large enough that the automatic plan genuinely chunks at budget 8.
+  // trans combination (each picks a different kernel path), and the
+  // chunked no-transpose and transposed-A paths must still equal the
+  // reference loops. Shapes are large enough that the automatic plan
+  // genuinely chunks at budget 8.
   Rng rng(92);
   const Index m = 2003, k = 64, n = 31;
   Matrix a(m, k);
@@ -412,7 +456,64 @@ TEST(Gemm, ThreadedMatchesSerialBitwise) {
     gemm(ta, tb, Real{1.25}, aa, bb, Real{0}, threaded);
     override_thread_budget(0);
     EXPECT_EQ(Matrix::max_abs_diff(serial, threaded), 0.0);
+    if (tb == Trans::kNo) {
+      Matrix expected(m, n);
+      reference_gemm(ta, Real{1.25}, aa, bb, Real{0}, expected);
+      EXPECT_TRUE(same_bits(expected, threaded));
+    }
   }
+}
+
+TEST(Gemm, MatchesReferenceBitwise) {
+  // k at every remainder of the four-step fold, short and long, m not a
+  // multiple of 4, n around the vector lengths, every beta-pass branch, on
+  // both paths, with a dense A and a post-ReLU A whose entries are about
+  // half exactly zero (the transposed-A reference skips their products;
+  // gemm adds them, which leaves every bit alone while C holds no -0 and B
+  // is finite).
+  Rng rng(93);
+  const Real alpha = 1.25;
+  for (Trans ta : {Trans::kNo, Trans::kYes}) {
+    for (bool half_zero : {false, true}) {
+      for (Index k : {1, 3, 4, 5, 63, 64, 65, 130}) {
+        for (Index m : {1, 7, 37}) {
+          for (Index n : {1, 8, 16, 17}) {
+            Matrix a = ta == Trans::kNo ? random_matrix(m, k, rng)
+                                        : random_matrix(k, m, rng);
+            if (half_zero) {
+              for (Real& v : a.flat()) v = std::max(v, Real{0});
+            }
+            const Matrix b = random_matrix(k, n, rng);
+            const Matrix c0 = random_matrix(m, n, rng);
+            for (Real beta : {0.0, 0.5, 1.0}) {
+              Matrix expected = c0;
+              reference_gemm(ta, alpha, a, b, beta, expected);
+              Matrix got = c0;
+              gemm(ta, Trans::kNo, alpha, a, b, beta, got);
+              EXPECT_TRUE(same_bits(expected, got))
+                  << "trans_a=" << (ta == Trans::kYes)
+                  << " half_zero=" << half_zero << " m=" << m << " k=" << k
+                  << " n=" << n << " beta=" << beta;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Gemm, RejectsAliasedOutput) {
+  Rng rng(96);
+  Matrix a = random_matrix(4, 4, rng);
+  Matrix b = random_matrix(4, 4, rng);
+  const Matrix a_before = a;
+  const Matrix b_before = b;
+  EXPECT_THROW(gemm(Trans::kNo, Trans::kNo, 1.0, a, b, 0.0, a), Error);
+  EXPECT_THROW(gemm(Trans::kNo, Trans::kNo, 1.0, a, b, 1.0, b), Error);
+  EXPECT_THROW(gemm(Trans::kYes, Trans::kNo, 1.0, a, a, 0.0, a), Error);
+  EXPECT_THROW(gemm(Trans::kNo, Trans::kYes, 1.0, a, b, 0.0, b), Error);
+  EXPECT_EQ(Matrix::max_abs_diff(a_before, a), 0.0);  // rejected untouched
+  EXPECT_EQ(Matrix::max_abs_diff(b_before, b), 0.0);
 }
 
 }  // namespace

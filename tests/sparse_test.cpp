@@ -1,7 +1,10 @@
 // Unit tests for src/sparse: COO operations, CSR construction/transpose/
-// blocking, SpMM against dense reference, generators, and sparsity stats.
+// blocking, SpMM against a dense reference and bit for bit against the
+// one-product-at-a-time loop, generators, and sparsity stats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "src/dense/gemm.hpp"
@@ -24,6 +27,33 @@ Coo random_coo(Index rows, Index cols, Index nnz, Rng& rng) {
   }
   coo.sort_and_combine();
   return coo;
+}
+
+// The one-product-at-a-time row loop the SpMM kernel replaced: every
+// output element adds its products in ascending nonzero order, one load
+// and store of the output row per nonzero. The kernel must match it bit
+// for bit.
+template <typename T>
+void reference_spmm(Index rows, const Index* row_ptr, const Index* col_idx,
+                    const T* vals, const T* x, Index f, T* y,
+                    bool accumulate) {
+  for (Index i = 0; i < rows; ++i) {
+    T* yrow = y + i * f;
+    if (!accumulate) {
+      for (Index j = 0; j < f; ++j) yrow[j] = T{0};
+    }
+    for (Index p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
+      const T v = vals[p];
+      const T* xrow = x + col_idx[p] * f;
+      for (Index j = 0; j < f; ++j) yrow[j] += v * xrow[j];
+    }
+  }
+}
+
+template <typename T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
 }
 
 TEST(Coo, SortAndCombineSumsDuplicates) {
@@ -490,6 +520,76 @@ TEST(SpmmKernel, MoreThreadsThanRowsIsSafe) {
                         /*accumulate=*/false, /*num_threads=*/16);
   const Matrix reference = a.multiply(x);
   EXPECT_EQ(Matrix::max_abs_diff(reference, y), 0.0);
+}
+
+// Rows with 0-9 nonzeros (every remainder of the kernel's four-nonzero
+// fold, each several times), random sorted columns and values, at widths
+// around the vector lengths; the kernel must equal the reference bit for
+// bit at every thread count, overwriting and accumulating.
+template <typename T>
+void check_spmm_matches_reference_bitwise(std::uint64_t seed) {
+  Rng rng(seed);
+  const Index rows = 230;
+  const Index cols = 97;
+  std::vector<Index> row_ptr{0};
+  std::vector<Index> col_idx;
+  std::vector<T> vals;
+  for (Index i = 0; i < rows; ++i) {
+    const Index degree = (i * 7) % 10;  // 0..9, scattered over the rows
+    std::vector<Index> picked;
+    while (static_cast<Index>(picked.size()) < degree) {
+      const auto c = static_cast<Index>(rng.next_below(cols));
+      if (std::find(picked.begin(), picked.end(), c) == picked.end()) {
+        picked.push_back(c);
+      }
+    }
+    std::sort(picked.begin(), picked.end());
+    for (Index c : picked) {
+      col_idx.push_back(c);
+      vals.push_back(static_cast<T>(rng.next_double(-1, 1)));
+    }
+    row_ptr.push_back(static_cast<Index>(col_idx.size()));
+  }
+  for (Index f : {1, 2, 3, 7, 8, 16, 64, 128, 301}) {
+    std::vector<T> x(static_cast<std::size_t>(cols * f));
+    for (T& v : x) v = static_cast<T>(rng.next_double(-1, 1));
+    std::vector<T> y0(static_cast<std::size_t>(rows * f));
+    for (T& v : y0) v = static_cast<T>(rng.next_double(-1, 1));
+    for (bool accumulate : {false, true}) {
+      std::vector<T> expected = y0;
+      reference_spmm<T>(rows, row_ptr.data(), col_idx.data(), vals.data(),
+                        x.data(), f, expected.data(), accumulate);
+      for (int threads : {1, 3, 8}) {
+        std::vector<T> got = y0;
+        spmm_csr_kernel<T>(rows, row_ptr.data(), col_idx.data(), vals.data(),
+                           x.data(), f, got.data(), accumulate, threads);
+        EXPECT_TRUE(same_bits(expected, got))
+            << "f=" << f << " accumulate=" << accumulate
+            << " threads=" << threads;
+      }
+    }
+  }
+}
+
+TEST(SpmmKernel, MatchesReferenceBitwiseDouble) {
+  check_spmm_matches_reference_bitwise<double>(71);
+}
+
+TEST(SpmmKernel, MatchesReferenceBitwiseFloat) {
+  check_spmm_matches_reference_bitwise<float>(72);
+}
+
+TEST(Csr, SpmmRejectsAliasedOutput) {
+  // A square A with x as its own output would overwrite rows of x that
+  // later rows still read.
+  Rng rng(73);
+  const Csr a = Csr::from_coo(random_coo(6, 6, 14, rng));
+  Matrix x(6, 3);
+  x.fill_uniform(rng, -1, 1);
+  const Matrix before = x;
+  EXPECT_THROW(a.spmm(x, x), Error);
+  EXPECT_THROW(a.spmm(x, x, /*accumulate=*/true), Error);
+  EXPECT_EQ(Matrix::max_abs_diff(before, x), 0.0);  // rejected untouched
 }
 
 TEST(Csr, ResizePartsDeserializationRoundTrip) {
