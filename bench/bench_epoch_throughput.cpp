@@ -163,8 +163,8 @@ int run(int argc, char** argv) {
       }
     }
   } else {
-    // The large worlds (2d@16, 3d@27) are where the overlap runtime pays
-    // most: barrier overhead grows with P, and P is the paper's regime.
+    // The large worlds (2d@16, 3d@27) are the paper's regime, where the
+    // per-stage prefetch has the most stages to hide.
     configs = {{"1d", 1},  {"1d", 4},  {"1.5d-c2", 4}, {"2d", 1},
                {"2d", 4},  {"2d", 16}, {"3d", 1},      {"3d", 8},
                {"3d", 27}};
@@ -292,10 +292,10 @@ int run(int argc, char** argv) {
         long local_epochs = 0;
         // Every rank runs the same loop (collectives are lock-step), so
         // the continue/stop decision must be rank-uniform: rank 0 decides
-        // and broadcasts the verdict as control traffic. In overlap mode
-        // the harness uses the nonblocking broadcast so its own pacing
-        // does not re-serialize the ranks each epoch; the persistent flag
-        // buffers are released by the engine's epoch-start quiesce.
+        // and broadcasts the verdict as control traffic. The harness uses
+        // the nonblocking broadcast so its own pacing does not
+        // re-serialize the ranks each epoch; the persistent flag buffers
+        // are released by the engine's epoch-start quiesce.
         bool keep_going = true;
         std::array<Index, 1> flag_src = {0};
         std::array<Index, 1> flag_dst = {0};
@@ -307,25 +307,17 @@ int run(int argc, char** argv) {
                                         timer.seconds() < seconds_per_config
                                     ? Index{1}
                                     : Index{0};
-          if (dist::overlap_enabled() && world.size() > 1) {
-            flag_src[0] = verdict;
-            PendingOp op =
-                world.rank() == 0
-                    ? world.ibroadcast_from(
-                          std::span<const Index>(flag_src),
-                          std::span<Index>{}, 0, CommCategory::kControl)
-                    : world.ibroadcast_from(std::span<const Index>{},
-                                            std::span<Index>(flag_dst), 0,
-                                            CommCategory::kControl);
-            op.wait();
-            keep_going =
-                (world.rank() == 0 ? flag_src[0] : flag_dst[0]) == 1;
-          } else {
-            std::array<Index, 1> flag = {verdict};
-            world.broadcast(std::span<Index>(flag), 0,
-                            CommCategory::kControl);
-            keep_going = flag[0] == 1;
-          }
+          flag_src[0] = verdict;
+          PendingOp op =
+              world.rank() == 0
+                  ? world.ibroadcast_from(std::span<const Index>(flag_src),
+                                          std::span<Index>{}, 0,
+                                          CommCategory::kControl)
+                  : world.ibroadcast_from(std::span<const Index>{},
+                                          std::span<Index>(flag_dst), 0,
+                                          CommCategory::kControl);
+          op.wait();
+          keep_going = (world.rank() == 0 ? flag_src[0] : flag_dst[0]) == 1;
         }
         world.barrier();
         const double elapsed = timer.seconds();
@@ -353,7 +345,7 @@ int run(int argc, char** argv) {
           measured_seconds > 0 ? static_cast<double>(epochs) / measured_seconds
                                : 0.0;
       std::printf(
-          "{\"schema_version\":4,"
+          "{\"schema_version\":5,"
           "\"bench\":\"epoch_throughput\",\"algebra\":\"%s\","
           "\"world\":%d,\"threads\":%ld,\"n\":%lld,\"degree\":%lld,"
           "\"f\":%lld,\"hidden\":%lld,\"epochs\":%ld,\"seconds\":%.4f,"
@@ -366,7 +358,7 @@ int run(int argc, char** argv) {
           "\"fanouts\":\"%s\",\"batch_size\":%lld,"
           "\"sampled_words\":%.1f,"
           "\"latency_units\":%.1f,"
-          "\"overlap\":%d,\"overlap_regions\":%.0f,"
+          "\"overlap_regions\":%.0f,"
           "\"overlap_saved_modeled_s\":%.6f,"
           "\"phase_misc\":%.5f,\"phase_trpose\":%.5f,\"phase_dcomm\":%.5f,"
           "\"phase_scomm\":%.5f,\"phase_spmm\":%.5f,"
@@ -383,7 +375,7 @@ int run(int argc, char** argv) {
           fanouts_str.c_str(),
           static_cast<long long>(sample ? batch_size : 0),
           sample ? halo_words : 0.0, latency_units,
-          dist::overlap_enabled() ? 1 : 0, overlap_regions, overlap_saved,
+          overlap_regions, overlap_saved,
           phase_seconds[0], phase_seconds[1], phase_seconds[2],
           phase_seconds[3], phase_seconds[4], phase_seconds[5],
           phase_seconds[6]);

@@ -9,16 +9,16 @@
 // DESIGN.md) on a scale-free graph.
 //
 // The second half closes the loop between the study and the trainer: it
-// runs real 1D epochs per registered partitioner x overlap mode —
-// broadcast path and sparsity-aware halo path — and prints the metered
+// runs real 1D epochs per registered partitioner — broadcast path and
+// sparsity-aware halo path — and prints the metered
 // words next to the predicted edgecut_P(A) * f plus measured
 // epochs/sec, in the same JSON shape BENCH_EPOCH_THROUGHPUT.json tracks.
 // Timing uses the best of --epoch-reps measured epochs so one scheduler
 // hiccup cannot invert a comparison.
 //
 // The run *fails* (nonzero exit, clear message) if the halo path loses
-// on wall clock despite a words_reduction > 1 in overlap mode — the
-// pipelined exchange regressing to "fewer words, same critical path" is
+// on wall clock despite a words_reduction > 1 — the pipelined exchange
+// regressing to "fewer words, same critical path" is
 // exactly the regression class this bench exists to catch.
 //
 // Epoch-run flags: --epoch-parts 16, --features 16, --hidden 16,
@@ -125,97 +125,92 @@ int main(int argc, char** argv) {
     sum_f_in += gnn.dims[l];
   }
 
-  std::printf("\n=== 1D epochs at P=%d: broadcast vs halo, per partitioner "
-              "x overlap mode ===\n\n", epoch_parts);
-  std::printf("%-12s %3s %12s %14s %14s %9s %9s %9s\n", "partitioner",
-              "ovl", "max_remote", "metered halo", "bcast dense",
-              "reduction", "bcast eps", "halo eps");
+  std::printf("\n=== 1D epochs at P=%d: broadcast vs halo, per "
+              "partitioner ===\n\n", epoch_parts);
+  std::printf("%-12s %12s %14s %14s %9s %9s %9s\n", "partitioner",
+              "max_remote", "metered halo", "bcast dense", "reduction",
+              "bcast eps", "halo eps");
   const int epoch_reps =
       std::max(1, static_cast<int>(args.get_int("epoch-reps", 5)));
   const bool halo_was = dist::halo_enabled();
-  const bool overlap_was = dist::overlap_enabled();
   std::vector<std::string> regressions;
   for (const PartitionerSpec& spec : partitioner_registry()) {
     const DistProblem problem =
         DistProblem::prepare(g, epoch_parts, spec.name);
-    for (int overlap = 1; overlap >= 0; --overlap) {
-      dist::set_overlap_enabled(overlap != 0);
-      double words[2] = {0, 0};       // total non-control words per mode
-      double halo_words = 0;
-      double eps[2] = {0, 0};
-      double overlap_regions = 0;
-      double phase_hpack = 0;
-      for (int halo = 0; halo <= 1; ++halo) {
-        dist::set_halo_enabled(halo != 0);
-        run_world(epoch_parts, [&](Comm& world) {
-          auto trainer = make_dist_trainer("1d", problem, gnn, world);
-          trainer->train_epoch();  // warm-up (plan + buffers)
-          // Best-of-reps epoch time: one preempted epoch on an
-          // oversubscribed host must not invert the comparison.
-          double best = 0;
-          for (int rep = 0; rep < epoch_reps; ++rep) {
-            world.barrier();
-            WallTimer timer;
-            trainer->train_epoch();
-            world.barrier();
-            const double elapsed = timer.seconds();
-            if (rep == 0 || elapsed < best) best = elapsed;
+    double words[2] = {0, 0};       // total non-control words per mode
+    double halo_words = 0;
+    double eps[2] = {0, 0};
+    double overlap_regions = 0;
+    double phase_hpack = 0;
+    for (int halo = 0; halo <= 1; ++halo) {
+      dist::set_halo_enabled(halo != 0);
+      run_world(epoch_parts, [&](Comm& world) {
+        auto trainer = make_dist_trainer("1d", problem, gnn, world);
+        trainer->train_epoch();  // warm-up (plan + buffers)
+        // Best-of-reps epoch time: one preempted epoch on an
+        // oversubscribed host must not invert the comparison.
+        double best = 0;
+        for (int rep = 0; rep < epoch_reps; ++rep) {
+          world.barrier();
+          WallTimer timer;
+          trainer->train_epoch();
+          world.barrier();
+          const double elapsed = timer.seconds();
+          if (rep == 0 || elapsed < best) best = elapsed;
+        }
+        const EpochStats stats = trainer->reduce_epoch_stats();
+        if (world.rank() == 0) {
+          words[halo] = stats.comm.total_words();
+          eps[halo] = best > 0 ? 1.0 / best : 0;
+          if (halo == 1) {
+            halo_words = stats.comm.words(CommCategory::kHalo);
+            overlap_regions = stats.comm.overlap_regions();
+            phase_hpack = stats.profiler.seconds(Phase::kHaloPack);
           }
-          const EpochStats stats = trainer->reduce_epoch_stats();
-          if (world.rank() == 0) {
-            words[halo] = stats.comm.total_words();
-            eps[halo] = best > 0 ? 1.0 / best : 0;
-            if (halo == 1) {
-              halo_words = stats.comm.words(CommCategory::kHalo);
-              overlap_regions = stats.comm.overlap_regions();
-              phase_hpack = stats.profiler.seconds(Phase::kHaloPack);
-            }
-          }
-        });
-      }
-      const double predicted =
-          static_cast<double>(problem.edgecut.max_remote_rows_per_part) *
-          static_cast<double>(sum_f_in);
-      const double reduction = words[1] > 0 ? words[0] / words[1] : 0.0;
-      std::printf("%-12s %3d %12lld %14.0f %14.0f %8.2fx %9.3f %9.3f\n",
-                  spec.name.c_str(), overlap,
-                  static_cast<long long>(
-                      problem.edgecut.max_remote_rows_per_part),
-                  halo_words, words[0], reduction, eps[0], eps[1]);
-      std::printf("{\"schema_version\":2,"
-                  "\"bench\":\"partition_edgecut_epoch\",\"partitioner\":"
-                  "\"%s\",\"world\":%d,\"n\":%lld,\"f\":%lld,"
-                  "\"max_remote_rows\":%lld,\"predicted_halo_words\":%.0f,"
-                  "\"halo_words\":%.0f,\"broadcast_total_words\":%.0f,"
-                  "\"halo_total_words\":%.0f,\"words_reduction\":%.3f,"
-                  "\"overlap\":%d,\"overlap_regions\":%.0f,"
-                  "\"phase_hpack\":%.5f,"
-                  "\"bcast_eps\":%.3f,\"halo_eps\":%.3f}\n",
-                  spec.name.c_str(), epoch_parts,
-                  static_cast<long long>(g.adjacency.rows()),
-                  static_cast<long long>(f),
-                  static_cast<long long>(
-                      problem.edgecut.max_remote_rows_per_part),
-                  predicted, halo_words, words[0], words[1], reduction,
-                  overlap, overlap_regions, phase_hpack, eps[0], eps[1]);
-      if (overlap == 1 && reduction > 1.0 && eps[1] < eps[0]) {
-        regressions.push_back(
-            spec.name + ": halo " + std::to_string(eps[1]) +
-            " eps < broadcast " + std::to_string(eps[0]) +
-            " eps despite a " + std::to_string(reduction) +
-            "x words reduction");
-      }
+        }
+      });
+    }
+    const double predicted =
+        static_cast<double>(problem.edgecut.max_remote_rows_per_part) *
+        static_cast<double>(sum_f_in);
+    const double reduction = words[1] > 0 ? words[0] / words[1] : 0.0;
+    std::printf("%-12s %12lld %14.0f %14.0f %8.2fx %9.3f %9.3f\n",
+                spec.name.c_str(),
+                static_cast<long long>(
+                    problem.edgecut.max_remote_rows_per_part),
+                halo_words, words[0], reduction, eps[0], eps[1]);
+    std::printf("{\"schema_version\":3,"
+                "\"bench\":\"partition_edgecut_epoch\",\"partitioner\":"
+                "\"%s\",\"world\":%d,\"n\":%lld,\"f\":%lld,"
+                "\"max_remote_rows\":%lld,\"predicted_halo_words\":%.0f,"
+                "\"halo_words\":%.0f,\"broadcast_total_words\":%.0f,"
+                "\"halo_total_words\":%.0f,\"words_reduction\":%.3f,"
+                "\"overlap_regions\":%.0f,"
+                "\"phase_hpack\":%.5f,"
+                "\"bcast_eps\":%.3f,\"halo_eps\":%.3f}\n",
+                spec.name.c_str(), epoch_parts,
+                static_cast<long long>(g.adjacency.rows()),
+                static_cast<long long>(f),
+                static_cast<long long>(
+                    problem.edgecut.max_remote_rows_per_part),
+                predicted, halo_words, words[0], words[1], reduction,
+                overlap_regions, phase_hpack, eps[0], eps[1]);
+    if (reduction > 1.0 && eps[1] < eps[0]) {
+      regressions.push_back(
+          spec.name + ": halo " + std::to_string(eps[1]) +
+          " eps < broadcast " + std::to_string(eps[0]) +
+          " eps despite a " + std::to_string(reduction) +
+          "x words reduction");
     }
   }
   dist::set_halo_enabled(halo_was);
-  dist::set_overlap_enabled(overlap_was);
   std::printf("\nmetered halo words equal the predicted edgecut_P(A) * f\n"
               "exactly (the IV-A.8 request-and-send volume); the broadcast\n"
               "path pays the n(P-1)/P bound regardless of partitioner.\n");
   if (!regressions.empty()) {
     std::fprintf(stderr,
                  "\nFAIL: the halo path lost on wall clock despite moving "
-                 "fewer words (overlap mode).\nThe pipelined exchange has "
+                 "fewer words.\nThe pipelined exchange has "
                  "regressed to \"fewer words, same critical path\":\n");
     for (const std::string& r : regressions) {
       std::fprintf(stderr, "  - %s\n", r.c_str());

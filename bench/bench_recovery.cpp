@@ -1,5 +1,5 @@
 // Chaos/recovery drill harness: sweep deterministic fault injections
-// across the algebra families, overlap modes, and wire codecs, drive each
+// across the algebra families and wire codecs, drive each
 // interrupted run through the checkpoint/restart supervision loop
 // (src/core/recovery.hpp), and record the recovery overhead as JSON lines
 // (bench "recovery_drill", appended to BENCH_RECOVERY.json by the repo
@@ -98,8 +98,6 @@ int run(int argc, char** argv) {
     }
   }
 
-  std::vector<long> overlap_modes =
-      args.get_int_list("overlap", {1, 0});
   std::vector<CompressMode> compress_modes;
   for (const std::string& name :
        split_csv(args.get("compress", "off,int8"))) {
@@ -123,104 +121,98 @@ int run(int argc, char** argv) {
       (std::filesystem::temp_directory_path() / "cagnet_bench_recovery.bin")
           .string();
 
-  const bool saved_overlap = dist::overlap_enabled();
   const CompressMode saved_compress = compress_mode();
   std::uint64_t cell = 0;
 
   for (const AlgebraCase& a : algebras) {
-    for (long overlap : overlap_modes) {
-      for (CompressMode cmode : compress_modes) {
-        dist::set_overlap_enabled(overlap != 0);
-        set_compress_mode(cmode);
+    for (CompressMode cmode : compress_modes) {
+      set_compress_mode(cmode);
 
-        // Uninterrupted baseline: same supervision-loop code path, no
-        // fault and no periodic checkpoints, so the drill's extra wall
-        // time is attributable to recovery alone.
+      // Uninterrupted baseline: same supervision-loop code path, no
+      // fault and no periodic checkpoints, so the drill's extra wall
+      // time is attributable to recovery alone.
+      clear_fault_plan();
+      RecoveryOptions base_opt;
+      base_opt.ckpt_path = ckpt;
+      base_opt.ckpt_every = 0;
+      WallTimer base_timer;
+      const RecoveryReport baseline = train_with_recovery(
+          a.algebra, problem, config, a.p, epochs, base_opt);
+      const double baseline_seconds = base_timer.seconds();
+
+      for (const InjectionPoint& pt : points) {
+        ++cell;
+        // Rank 1 exists in every swept world; nth lands mid-schedule
+        // so restarts genuinely retrain lost epochs.
+        const std::uint64_t nth = seeded_nth(seed + cell, 5, 60);
+        auto plan = std::make_shared<FaultPlan>();
+        FaultTrigger trigger;
+        trigger.action = pt.action;
+        trigger.rank = 1;
+        trigger.any_category = true;
+        trigger.site = pt.site;
+        trigger.nth = nth;
+        plan->add(trigger);
+        set_fault_plan(plan);
+
+        RecoveryOptions opt;
+        opt.ckpt_path = ckpt;
+        opt.ckpt_every = every;
+        opt.max_restarts = 3;
+        bool recovered = true;
+        RecoveryReport report;
+        WallTimer timer;
+        try {
+          report = train_with_recovery(a.algebra, problem, config, a.p,
+                                       epochs, opt);
+        } catch (const CommAborted& e) {
+          recovered = false;
+          report.last_abort = e;
+        }
+        const double drill_seconds = timer.seconds();
         clear_fault_plan();
-        RecoveryOptions base_opt;
-        base_opt.ckpt_path = ckpt;
-        base_opt.ckpt_every = 0;
-        WallTimer base_timer;
-        const RecoveryReport baseline = train_with_recovery(
-            a.algebra, problem, config, a.p, epochs, base_opt);
-        const double baseline_seconds = base_timer.seconds();
 
-        for (const InjectionPoint& pt : points) {
-          ++cell;
-          // Rank 1 exists in every swept world; nth lands mid-schedule
-          // so restarts genuinely retrain lost epochs.
-          const std::uint64_t nth = seeded_nth(seed + cell, 5, 60);
-          auto plan = std::make_shared<FaultPlan>();
-          FaultTrigger trigger;
-          trigger.action = pt.action;
-          trigger.rank = 1;
-          trigger.any_category = true;
-          trigger.site = pt.site;
-          trigger.nth = nth;
-          plan->add(trigger);
-          set_fault_plan(plan);
-
-          RecoveryOptions opt;
-          opt.ckpt_path = ckpt;
-          opt.ckpt_every = every;
-          opt.max_restarts = 3;
-          bool recovered = true;
-          RecoveryReport report;
-          WallTimer timer;
-          try {
-            report = train_with_recovery(a.algebra, problem, config, a.p,
-                                         epochs, opt);
-          } catch (const CommAborted& e) {
-            recovered = false;
-            report.last_abort = e;
-          }
-          const double drill_seconds = timer.seconds();
-          clear_fault_plan();
-
-          bool bitwise = recovered;
-          if (recovered) {
-            if (report.losses != baseline.losses ||
-                report.weights.size() != baseline.weights.size()) {
-              bitwise = false;
-            } else {
-              for (std::size_t l = 0; l < report.weights.size(); ++l) {
-                if (Matrix::max_abs_diff(report.weights[l],
-                                         baseline.weights[l]) > Real{0}) {
-                  bitwise = false;
-                  break;
-                }
+        bool bitwise = recovered;
+        if (recovered) {
+          if (report.losses != baseline.losses ||
+              report.weights.size() != baseline.weights.size()) {
+            bitwise = false;
+          } else {
+            for (std::size_t l = 0; l < report.weights.size(); ++l) {
+              if (Matrix::max_abs_diff(report.weights[l],
+                                       baseline.weights[l]) > Real{0}) {
+                bitwise = false;
+                break;
               }
             }
           }
-
-          std::printf(
-              "{\"schema_version\":1,\"bench\":\"recovery_drill\","
-              "\"algebra\":\"%s\",\"world\":%d,\"overlap\":%d,"
-              "\"compress\":\"%s\",\"action\":\"%s\",\"site\":\"%s\","
-              "\"category\":\"any\",\"nth\":%llu,\"epochs\":%d,"
-              "\"ckpt_every\":%d,\"restarts\":%d,\"retrained_epochs\":%d,"
-              "\"checkpoints_written\":%d,"
-              "\"checkpoint_write_seconds\":%.6f,\"recovered\":%s,"
-              "\"bitwise_identical\":%s,\"seconds\":%.4f,"
-              "\"baseline_seconds\":%.4f,\"recovery_overhead_s\":%.4f}\n",
-              a.algebra.c_str(), a.p, overlap != 0 ? 1 : 0,
-              compress_mode_name(cmode), fault_action_name(pt.action),
-              fault_site_name(pt.site),
-              static_cast<unsigned long long>(nth), epochs, every,
-              report.restarts, report.retrained_epochs,
-              report.checkpoints_written, report.checkpoint_write_seconds,
-              recovered ? "true" : "false", bitwise ? "true" : "false",
-              drill_seconds, baseline_seconds,
-              drill_seconds - baseline_seconds);
-          std::fflush(stdout);
         }
+
+        std::printf(
+            "{\"schema_version\":2,\"bench\":\"recovery_drill\","
+            "\"algebra\":\"%s\",\"world\":%d,"
+            "\"compress\":\"%s\",\"action\":\"%s\",\"site\":\"%s\","
+            "\"category\":\"any\",\"nth\":%llu,\"epochs\":%d,"
+            "\"ckpt_every\":%d,\"restarts\":%d,\"retrained_epochs\":%d,"
+            "\"checkpoints_written\":%d,"
+            "\"checkpoint_write_seconds\":%.6f,\"recovered\":%s,"
+            "\"bitwise_identical\":%s,\"seconds\":%.4f,"
+            "\"baseline_seconds\":%.4f,\"recovery_overhead_s\":%.4f}\n",
+            a.algebra.c_str(), a.p, compress_mode_name(cmode),
+            fault_action_name(pt.action), fault_site_name(pt.site),
+            static_cast<unsigned long long>(nth), epochs, every,
+            report.restarts, report.retrained_epochs,
+            report.checkpoints_written, report.checkpoint_write_seconds,
+            recovered ? "true" : "false", bitwise ? "true" : "false",
+            drill_seconds, baseline_seconds,
+            drill_seconds - baseline_seconds);
+        std::fflush(stdout);
       }
     }
   }
 
   std::remove(ckpt.c_str());
   std::remove((ckpt + ".tmp").c_str());
-  dist::set_overlap_enabled(saved_overlap);
   set_compress_mode(saved_compress);
   return 0;
 }

@@ -707,16 +707,19 @@ void run_world(int p, const std::function<void(Comm&)>& fn,
     });
   }
   for (auto& t : threads) t.join();
+  // Each checked state holds the hub strongly, so the hub's strong refs
+  // to them form a cycle: move them out (on the abort path too) and the
+  // whole communicator tree dies with this frame.
+  std::vector<std::shared_ptr<detail::CommState>> checked;
+  {
+    std::lock_guard<std::mutex> lock(hub->mutex);
+    checked.swap(hub->checked_states);
+  }
   if (first_error) std::rethrow_exception(first_error);
   // Teardown audit (contract checker armed, non-abort path only — a
   // poisoned world tears down mid-op by design): every communicator this
   // world created, splits included, must have retired all its posted ops.
-  {
-    std::lock_guard<std::mutex> lock(hub->mutex);
-    for (const auto& checked : hub->checked_states) {
-      checked->checker->verify_teardown();
-    }
-  }
+  for (const auto& st : checked) st->checker->verify_teardown();
   if (meters_out) *meters_out = std::move(meters);
 }
 

@@ -140,7 +140,9 @@ struct AbortHub {
   std::shared_ptr<FaultPlan> fault;
   /// Strong refs to every state carrying a contract checker, so run_world
   /// can audit split sub-communicators at teardown even after the rank
-  /// threads dropped theirs. Empty when the checker is disabled.
+  /// threads dropped theirs. Empty when the checker is disabled; run_world
+  /// moves them out after the join (each state holds the hub strongly, so
+  /// leaving them here would leak the communicator tree).
   std::vector<std::shared_ptr<CommState>> checked_states;
 
   void register_state(const std::shared_ptr<CommState>& state);  // comm.cpp

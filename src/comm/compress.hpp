@@ -76,7 +76,7 @@ constexpr std::size_t kCompressChunk = 256;
 /// is roughly (8/P) x the codec ratio: int8 pays up to P ~ 7, 1-bit far
 /// beyond, fp16 never. Callers fall back to the exact reduce-scatter when
 /// compression would inflate the wire; the gate is a pure function of
-/// (mode, n, p), so it is rank-uniform and overlap-mode invariant.
+/// (mode, n, p), so it is rank-uniform.
 bool reduce_scatter_compression_pays(CompressMode mode, std::size_t n, int p);
 
 /// Encoded byte count for n values. kOff reports the uncompressed

@@ -54,13 +54,12 @@ class CostMeter {
   // ---- Overlap accounting (nonblocking runtime) ----
   //
   // An *overlapped region* is one compute block that ran while previously
-  // posted nonblocking collectives were in flight. The runtime charges
-  // words/latency identically whether or not overlap is on — volumes are
-  // the paper's measurements and never change — but for each region the
-  // meter additionally records the region's modeled comm seconds c (the
-  // alpha-beta value of the charges attributed to it) and compute seconds
-  // w, accumulating both the serialized reading c + w and the overlapped
-  // reading max(c, w). The difference is the modeled time the overlap
+  // posted nonblocking collectives were in flight. Regions do not change
+  // what is charged — words/latency are the paper's measurements — but
+  // for each region the meter additionally records the region's modeled
+  // comm seconds c (the alpha-beta value of the charges attributed to it)
+  // and compute seconds w, accumulating both the serialized reading c + w
+  // and the overlapped reading max(c, w). The difference is the modeled time the overlap
   // hides; EpochStats::modeled_seconds_overlap subtracts it.
 
   /// Open a region: charges added until end_overlap_region are attributed

@@ -20,6 +20,7 @@ Algebra15D::Algebra15D(const DistProblem& problem, Comm world,
   g_ = world_.rank() / c_;
   team_ = world_.split(/*color=*/g_, /*key=*/t_);
   slice_ = world_.split(/*color=*/t_, /*key=*/g_);
+  grad_comm_ = slice_.split(/*color=*/0, /*key=*/slice_.rank());
 
   n_ = problem.graph->num_vertices();
   row_starts_ = dist::row_starts(problem, groups_);
@@ -103,7 +104,7 @@ void Algebra15D::begin_epoch(int epoch) {
 
 void Algebra15D::spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) {
   const Index f = h.cols();
-  if (dist::overlap_enabled() && c_ > 1) {
+  if (c_ > 1) {
     // Release point for the previous layer's deferred team reduction:
     // team peers read this rank's T chunks at their waits, and `t` is
     // rewritten below. Readers drained a whole layer ago.
@@ -141,20 +142,10 @@ void Algebra15D::spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) {
     dist::halo_spmm_pipeline(
         h, (g_ % c_) == t_ ? &at_stripe_.at(g_) : nullptr, g_, slice_,
         halo_, CommCategory::kHalo, machine(), stats, t);
-  } else if (!(dist::overlap_enabled() && slice_.size() > 1 &&
-               !stages.empty())) {
-    for (int j : stages) {
-      const Matrix* hj = nullptr;
-      {
-        ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-        hj = dist::broadcast_dense_stage(h, hj_recv_, stage_rows(j), f, j,
-                                         slice_, CommCategory::kDense);
-      }
-      spmm_stage(j, hj);
-    }
   } else {
-    // Overlapped: the next stripe stage's H panel is in flight while this
-    // stage's SpMM accumulates (H is stable for the whole epoch).
+    // The next stripe stage's H panel is in flight while this stage's
+    // SpMM accumulates (H is stable for the whole epoch). A member whose
+    // stripe has no stage (t >= G) posts nothing.
     dist::overlapped_dense_stages(
         static_cast<int>(stages.size()),
         [&](int s, dist::PendingDenseStage& dn, Matrix& recv) {
@@ -170,17 +161,12 @@ void Algebra15D::spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) {
   }
 
   // Team all-reduce completes the contraction and leaves T replicated
-  // across the c team members (the 1.5D replication cost in flight).
+  // across the c team members (the 1.5D replication cost in flight). It
+  // is deferred as row-chunked nonblocking ops; the times_weight override
+  // drains them interleaved with its GEMM. Chunk charges telescope over
+  // cumulative bytes so their sum is bitwise the one-shot all-reduce
+  // charge (per-chunk integer division would not be).
   if (c_ == 1) return;
-  if (!dist::overlap_enabled()) {
-    ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-    team_.allreduce_sum(t.flat(), CommCategory::kDense);
-    return;
-  }
-  // Overlap mode: defer the reduction as row-chunked nonblocking ops; the
-  // times_weight override drains them interleaved with its GEMM. Chunk
-  // charges telescope over cumulative bytes so their sum is bitwise the
-  // blocking all-reduce charge (per-chunk integer division would not be).
   ScopedPhase scope(stats.profiler, Phase::kDenseComm);
   const Index rows = t.rows();
   t_reduced_.resize(rows, f);
@@ -255,7 +241,7 @@ void Algebra15D::times_weight(const Matrix& t, const Matrix& w, Matrix& z,
 void Algebra15D::spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) {
   const Index f = g.cols();
 
-  if (dist::overlap_enabled()) {
+  {
     // Release points: slice peers read this rank's u_partial_ (previous
     // layer's reduce-scatter; the halo backward manages its own pack
     // staging instead) and team peers read u (previous layer's replica
@@ -310,21 +296,7 @@ void Algebra15D::spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) {
         std::span<const Index>(halo_.send_rows),
         std::span<const std::size_t>(halo_.send_row_offsets), g_, slice_,
         halo_, CommCategory::kDense, machine(), stats, u);
-    ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-    if (dist::overlap_enabled()) {
-      const std::span<const Real> src =
-          keeper ? std::span<const Real>(u.flat()) : std::span<const Real>{};
-      team_
-          .ibroadcast_from(src, keeper ? std::span<Real>{} : u.flat(),
-                           g_ % c_, CommCategory::kDense)
-          .wait();
-    } else if (keeper) {
-      team_.broadcast_from(std::span<const Real>(u.flat()),
-                           std::span<Real>{}, g_ % c_, CommCategory::kDense);
-    } else {
-      team_.broadcast_from(std::span<const Real>{}, u.flat(), g_ % c_,
-                           CommCategory::kDense);
-    }
+    broadcast_to_team(keeper, u, stats);
     return;
   }
 
@@ -341,46 +313,24 @@ void Algebra15D::spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) {
     // Lossy-coded slice reduce-scatter (the op times itself); the exact
     // team broadcast then replicates the keeper's decoded block, so all
     // replicas stay bitwise identical.
-    if (dist::overlap_enabled()) {
-      PendingCompressedReduce op = slice_.ireduce_scatter_sum_compressed(
-          std::span<const Real>(u_partial_.flat()),
-          keeper ? u.flat() : std::span<Real>{}, rmode, u_cbuf_,
-          &stats.profiler);
-      u_release_ticket_ = op.ticket();
-      has_u_release_ = true;
-      op.wait();
-      ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-      const std::span<const Real> src =
-          keeper ? std::span<const Real>(u.flat()) : std::span<const Real>{};
-      team_
-          .ibroadcast_from(src, keeper ? std::span<Real>{} : u.flat(),
-                           g_ % c_, CommCategory::kDense)
-          .wait();
-      return;
-    }
-    slice_.reduce_scatter_sum_compressed(
+    PendingCompressedReduce op = slice_.ireduce_scatter_sum_compressed(
         std::span<const Real>(u_partial_.flat()),
         keeper ? u.flat() : std::span<Real>{}, rmode, u_cbuf_,
         &stats.profiler);
-    ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-    if (keeper) {
-      team_.broadcast_from(std::span<const Real>(u.flat()),
-                           std::span<Real>{}, g_ % c_, CommCategory::kDense);
-    } else {
-      team_.broadcast_from(std::span<const Real>{}, u.flat(), g_ % c_,
-                           CommCategory::kDense);
-    }
+    u_release_ticket_ = op.ticket();
+    has_u_release_ = true;
+    op.wait();
+    broadcast_to_team(keeper, u, stats);
     return;
   }
 
   // Reduce-scatter within the slice: slice rank j' keeps U[R_j'] when
   // j' ≡ t (mod c), nothing otherwise (chunk order is ascending j, which
   // is ascending slice rank). The keeper's chunk lands directly in u.
-  // Then a team broadcast from the member holding this group's block:
-  // group g's reduced block landed on team member g mod c (the keeper).
-  // In overlap mode both use the nonblocking forms — identical charges,
-  // no trailing rendezvous (the sources' release is the quiesce above).
-  if (dist::overlap_enabled()) {
+  // Then a team broadcast from the member holding this group's block.
+  // Both are nonblocking forms with no trailing rendezvous (the sources'
+  // release is the quiesce above).
+  {
     ScopedPhase scope(stats.profiler, Phase::kDenseComm);
     PendingOp reduce_op = slice_.ireduce_scatter_sum(
         std::span<const Real>(u_partial_.flat()),
@@ -388,50 +338,30 @@ void Algebra15D::spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) {
     u_release_ticket_ = reduce_op.ticket();
     has_u_release_ = true;
     reduce_op.wait();
-    const std::span<const Real> src =
-        keeper ? std::span<const Real>(u.flat()) : std::span<const Real>{};
-    team_
-        .ibroadcast_from(src, keeper ? std::span<Real>{} : u.flat(),
-                         g_ % c_, CommCategory::kDense)
-        .wait();
-    return;
   }
-  {
-    ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-    slice_.reduce_scatter_sum(std::span<const Real>(u_partial_.flat()),
-                              keeper ? u.flat() : std::span<Real>{},
-                              CommCategory::kDense);
-  }
-  {
-    ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-    if (keeper) {
-      team_.broadcast_from(std::span<const Real>(u.flat()),
-                           std::span<Real>{}, g_ % c_, CommCategory::kDense);
-    } else {
-      team_.broadcast_from(std::span<const Real>{}, u.flat(), g_ % c_,
-                           CommCategory::kDense);
-    }
-  }
+  broadcast_to_team(keeper, u, stats);
 }
 
-void Algebra15D::reduce_gradients(Matrix& y_partial, Index f_in, Index f_out,
-                                  Matrix& y_full, EpochStats& stats) {
-  // Rows whole: y_partial is the group's (f_in x f_out) contribution,
-  // summed over groups within the slice (each slice forms the identical
-  // full sum independently, keeping Y replicated without cross-team
-  // traffic).
-  dist::allreduce_weight_gradient(y_partial, f_in, f_out, slice_,
-                                  stats.profiler, grad_pending_, y_full);
+void Algebra15D::broadcast_to_team(bool keeper, Matrix& u,
+                                   EpochStats& stats) {
+  // Group g's reduced block landed on team member g mod c (the keeper).
+  ScopedPhase scope(stats.profiler, Phase::kDenseComm);
+  const std::span<const Real> src =
+      keeper ? std::span<const Real>(u.flat()) : std::span<const Real>{};
+  team_
+      .ibroadcast_from(src, keeper ? std::span<Real>{} : u.flat(), g_ % c_,
+                       CommCategory::kDense)
+      .wait();
 }
 
 void Algebra15D::begin_reduce_gradients(Matrix& y_partial, Index f_in,
                                         Index f_out, Matrix& y_full,
                                         EpochStats& stats) {
-  if (!dist::overlap_enabled() || slice_.size() == 1) {
-    reduce_gradients(y_partial, f_in, f_out, y_full, stats);
-    return;
-  }
-  dist::begin_allreduce_weight_gradient(y_partial, f_in, f_out, slice_,
+  // Rows whole: y_partial is the group's (f_in x f_out) contribution,
+  // summed over groups within the slice (each slice forms the identical
+  // full sum independently, keeping Y replicated without cross-team
+  // traffic).
+  dist::begin_allreduce_weight_gradient(y_partial, f_in, f_out, grad_comm_,
                                         stats.profiler, grad_pending_,
                                         y_full);
 }

@@ -51,22 +51,21 @@ class Algebra15D final : public DistSpmmAlgebra {
   /// mode, a no-op when CAGNET_STALE is off or halo mode is inactive.
   void begin_epoch(int epoch) override;
 
-  /// With overlap enabled, spmm_at defers the team (replica) all-reduce of
-  /// T as row-chunked nonblocking ops, and this override interleaves their
+  /// For c > 1, spmm_at defers the team (replica) all-reduce of T as
+  /// row-chunked nonblocking ops, and this override interleaves their
   /// waits with the local Z = T W GEMM chunk by chunk — the reduction of
-  /// chunk c+1 is in flight while chunk c multiplies. Results and metered
-  /// charges are bitwise identical to the blocking form.
+  /// chunk c+1 is in flight while chunk c multiplies. The chunk charges
+  /// sum bitwise to the one-shot all-reduce's.
   void times_weight(const Matrix& t, const Matrix& w, Matrix& z,
                     EpochStats& stats) override;
 
-  void reduce_gradients(Matrix& y_partial, Index f_in, Index f_out,
-                        Matrix& y_full, EpochStats& stats) override;
   void begin_reduce_gradients(Matrix& y_partial, Index f_in, Index f_out,
                               Matrix& y_full, EpochStats& stats) override;
   void finish_gradients(EpochStats& stats) override;
   void drain() noexcept override {
     dist::drain_comm(slice_);
     dist::drain_comm(team_);
+    dist::drain_comm(grad_comm_);
   }
 
   int replication() const { return c_; }
@@ -88,9 +87,16 @@ class Algebra15D final : public DistSpmmAlgebra {
   Comm& gather_comm() override { return slice_; }
 
  private:
+  /// Replicate this group's reduced U block from the keeper (team member
+  /// g mod c) to the other team members. Collective over the team.
+  void broadcast_to_team(bool keeper, Matrix& u, EpochStats& stats);
+
   Comm world_;
   Comm team_;   ///< the c replicas of this group's dense blocks
   Comm slice_;  ///< the G ranks sharing this team index t
+  /// The slice again, as a communicator of its own for the deferred Y
+  /// reductions (see dist::PendingGradReduce).
+  Comm grad_comm_;
 
   int c_ = 1;       ///< replication factor
   int groups_ = 1;  ///< G = P / c
@@ -119,13 +125,13 @@ class Algebra15D final : public DistSpmmAlgebra {
   std::map<int, Csr> a_stripe_;
 
   Matrix hj_recv_;    ///< broadcast-stage receive buffer (reused)
-  Matrix hj_recv2_;   ///< double-buffer partner (overlapped prefetch)
+  Matrix hj_recv2_;   ///< double-buffer partner (next stage's prefetch)
   Matrix u_partial_;  ///< stacked stripe outer-product partial (reused)
 
-  /// Deferred team (replica) all-reduce of T, posted by spmm_at in overlap
-  /// mode and drained chunk-by-chunk in times_weight. The chunk charges
-  /// telescope (cumulative-bytes differences) so their sum is bitwise the
-  /// blocking all-reduce charge for any team size.
+  /// Deferred team (replica) all-reduce of T, posted by spmm_at and
+  /// drained chunk-by-chunk in times_weight. The chunk charges telescope
+  /// (cumulative-bytes differences) so their sum is bitwise the one-shot
+  /// all-reduce charge for any team size.
   struct DeferredTeamReduce {
     bool active = false;
     std::vector<PendingOp> ops;                       ///< one per row chunk

@@ -19,9 +19,9 @@
 // Halo mode (CAGNET_HALO / dist::set_halo_enabled) implements the IV-A.8
 // request-and-send instead: a HaloPlan built once from the local A^T
 // sparsity exchanges exactly the remote H rows each rank needs (kHalo,
-// edgecut_P(A) * f words per layer), pipelined behind the stage SpMMs in
-// overlap mode (the self block multiplies while remote rows are in
-// flight; each peer's rows are drained zero-copy as they land), and the
+// edgecut_P(A) * f words per layer), pipelined behind the stage SpMMs
+// (the self block multiplies while remote rows are in flight; each peer's
+// rows are drained zero-copy as they land), and the
 // backward outer product sends only its structurally nonzero
 // contribution rows when the halo_backward_profitable gate passes (a
 // random partition keeps the reduce-scatter) — with losses and weights
@@ -68,12 +68,13 @@ class Algebra1D final : public DistSpmmAlgebra {
   /// mirrored contribution exchange (halo mode and the
   /// dist::halo_backward_profitable gate passed at construction).
   bool backward_halo_active() const { return use_halo_ && use_bwd_halo_; }
-  void reduce_gradients(Matrix& y_partial, Index f_in, Index f_out,
-                        Matrix& y_full, EpochStats& stats) override;
   void begin_reduce_gradients(Matrix& y_partial, Index f_in, Index f_out,
                               Matrix& y_full, EpochStats& stats) override;
   void finish_gradients(EpochStats& stats) override;
-  void drain() noexcept override { dist::drain_comm(world_); }
+  void drain() noexcept override {
+    dist::drain_comm(world_);
+    dist::drain_comm(grad_comm_);
+  }
 
  protected:
   Comm& gather_comm() override { return world_; }
@@ -82,6 +83,9 @@ class Algebra1D final : public DistSpmmAlgebra {
   void spmm_a_halo(const Matrix& g, Matrix& u, EpochStats& stats);
 
   Comm world_;
+  /// The world again, as a communicator of its own for the deferred Y
+  /// reductions (see dist::PendingGradReduce).
+  Comm grad_comm_;
 
   Index n_ = 0;
   Index row_lo_ = 0;
@@ -101,7 +105,7 @@ class Algebra1D final : public DistSpmmAlgebra {
   dist::HaloPlan halo_;    ///< built once, replayed every epoch/layer
 
   Matrix hj_recv_;    ///< broadcast-stage receive buffer (reused)
-  Matrix hj_recv2_;   ///< double-buffer partner (overlapped prefetch)
+  Matrix hj_recv2_;   ///< double-buffer partner (next stage's prefetch)
   Matrix u_partial_;  ///< O(nf) outer-product partial (reused)
   dist::PendingGradReduce grad_pending_;  ///< deferred Y reductions
   /// Codec staging of the compressed U reduce-scatter (CAGNET_COMPRESS

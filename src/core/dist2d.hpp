@@ -56,8 +56,6 @@ class Algebra2D final : public DistSpmmAlgebra {
                     EpochStats& stats) override;
   void gather_feature_rows(const Matrix& local, Index f, Matrix& full,
                            EpochStats& stats) override;
-  void reduce_gradients(Matrix& y_partial, Index f_in, Index f_out,
-                        Matrix& y_full, EpochStats& stats) override;
   void begin_reduce_gradients(Matrix& y_partial, Index f_in, Index f_out,
                               Matrix& y_full, EpochStats& stats) override;
   void finish_gradients(EpochStats& stats) override;
@@ -71,6 +69,7 @@ class Algebra2D final : public DistSpmmAlgebra {
   void drain() noexcept override {
     dist::drain_comm(grid_.row);
     dist::drain_comm(grid_.col);
+    dist::drain_comm(grad_comm_);
   }
 
   int grid_dim() const { return grid_.pr; }
@@ -90,6 +89,10 @@ class Algebra2D final : public DistSpmmAlgebra {
                   const Matrix& my_dense, Matrix& t, EpochStats& stats);
 
   Grid2D grid_;
+  /// The process column again, as a communicator of its own for the
+  /// deferred Y reductions: the column also carries every SUMMA dense
+  /// panel (see dist::PendingGradReduce).
+  Comm grad_comm_;
 
   Index n_ = 0;
   Index row_lo_ = 0, row_hi_ = 0;  ///< vertex rows of process row i

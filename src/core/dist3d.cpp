@@ -29,9 +29,9 @@ void Algebra3D::split3d_spmm(const Csr& my_sparse,
   const Index w = my_dense.cols();
   // The pre-reduction partial: (n/q x f/q), the P^(1/3)-replicated
   // intermediate of Section IV-D.1. The shared loop double-buffers the
-  // per-layer SUMMA stages when overlap is enabled and replays the cached
-  // sparse charges in cached epochs.
-  if (dist::overlap_enabled()) {
+  // per-layer SUMMA stages and replays the cached sparse charges in cached
+  // epochs.
+  {
     // Release points for this rank's earlier sources: fiber peers read
     // t_partial_ (previous reduce-scatter), row peers read the partial-
     // SUMMA T panels and gathered feature rows — all rewritten below or
@@ -52,26 +52,17 @@ void Algebra3D::split3d_spmm(const Csr& my_sparse,
       q, t_partial_, machine(), stats, ws_);
 
   // Fiber reduce-scatter: sum layer partials, splitting C_i into its fine
-  // slabs F_{i,kk}; fiber rank kk keeps slab kk. In overlap mode the
-  // nonblocking form computes this rank's slab as soon as all partials
-  // are posted and skips the trailing rendezvous — the release of
-  // t_partial_ is deferred to the quiesce at the next call — so the rest
-  // of the layer (partial SUMMA, gathers) proceeds without waiting for
-  // fiber stragglers.
+  // slabs F_{i,kk}; fiber rank kk keeps slab kk. The nonblocking form
+  // computes this rank's slab as soon as all partials are posted and
+  // skips the trailing rendezvous — the release of t_partial_ is deferred
+  // to the quiesce at the next call — so the rest of the layer (partial
+  // SUMMA, gathers) proceeds without waiting for fiber stragglers.
   out.resize(fine_hi_ - fine_lo_, w);
-  {
-    ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-    if (dist::overlap_enabled()) {
-      grid_.fiber
-          .ireduce_scatter_sum(std::span<const Real>(t_partial_.flat()),
-                               out.flat(), CommCategory::kDense)
-          .wait();
-    } else {
-      grid_.fiber.reduce_scatter_sum(
-          std::span<const Real>(t_partial_.flat()), out.flat(),
-          CommCategory::kDense);
-    }
-  }
+  ScopedPhase scope(stats.profiler, Phase::kDenseComm);
+  grid_.fiber
+      .ireduce_scatter_sum(std::span<const Real>(t_partial_.flat()),
+                           out.flat(), CommCategory::kDense)
+      .wait();
 }
 
 Csr Algebra3D::transpose_3d(const Csr& my_block) {
@@ -129,22 +120,11 @@ void Algebra3D::gather_feature_rows(const Matrix& local, Index f,
                                ws_, full);
 }
 
-void Algebra3D::reduce_gradients(Matrix& y_partial, Index f_in, Index f_out,
-                                 Matrix& y_full, EpochStats& stats) {
-  // Reduction over the j-plane (all fine row blocks sharing this feature
-  // slice), then row all-gather to replicate Y (IV-D.4).
-  dist::assemble_weight_gradient(y_partial, f_in, f_out, grid_.q, jplane_,
-                                 grid_.row, stats.profiler, ws_,
-                                 grad_pending_, y_full);
-}
-
 void Algebra3D::begin_reduce_gradients(Matrix& y_partial, Index f_in,
                                        Index f_out, Matrix& y_full,
                                        EpochStats& stats) {
-  if (!dist::overlap_enabled()) {
-    reduce_gradients(y_partial, f_in, f_out, y_full, stats);
-    return;
-  }
+  // Reduction over the j-plane (all fine row blocks sharing this feature
+  // slice), then (at finish) row all-gather to replicate Y (IV-D.4).
   dist::begin_assemble_weight_gradient(y_partial, f_in, f_out, jplane_,
                                        stats.profiler, grad_pending_,
                                        y_full);

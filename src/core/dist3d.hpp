@@ -54,8 +54,6 @@ class Algebra3D final : public DistSpmmAlgebra {
                     EpochStats& stats) override;
   void gather_feature_rows(const Matrix& local, Index f, Matrix& full,
                            EpochStats& stats) override;
-  void reduce_gradients(Matrix& y_partial, Index f_in, Index f_out,
-                        Matrix& y_full, EpochStats& stats) override;
   void begin_reduce_gradients(Matrix& y_partial, Index f_in, Index f_out,
                               Matrix& y_full, EpochStats& stats) override;
   void finish_gradients(EpochStats& stats) override;
@@ -91,7 +89,10 @@ class Algebra3D final : public DistSpmmAlgebra {
   Csr transpose_3d(const Csr& my_block);
 
   Grid3D grid_;
-  Comm jplane_;  ///< ranks sharing j, ordered by (i, k): Y reduction/gather
+  /// Ranks sharing j, ordered by (i, k): the deferred Y reductions' own
+  /// communicator (nothing else posts on it during an epoch; see
+  /// dist::PendingGradReduce) and the output gather.
+  Comm jplane_;
 
   Index n_ = 0;
   Index coarse_lo_ = 0, coarse_hi_ = 0;  ///< C_i

@@ -134,18 +134,6 @@ namespace {
 /// Not atomic on purpose: flip only between run_world invocations.
 bool g_epoch_cache_enabled = true;
 
-bool overlap_default_from_env() {
-  const char* v = std::getenv("CAGNET_OVERLAP");
-  if (v == nullptr) return true;
-  const std::string s(v);
-  return !(s == "0" || s == "off" || s == "OFF" || s == "false" ||
-           s == "FALSE");
-}
-
-/// Same discipline as the epoch cache: flip only between run_world
-/// invocations. Preset once from CAGNET_OVERLAP.
-bool g_overlap_enabled = overlap_default_from_env();
-
 bool halo_default_from_env() {
   const char* v = std::getenv("CAGNET_HALO");
   if (v == nullptr) return false;
@@ -153,8 +141,8 @@ bool halo_default_from_env() {
   return s == "1" || s == "on" || s == "ON" || s == "true" || s == "TRUE";
 }
 
-/// Same discipline again: flip only between run_world invocations.
-/// Preset once from CAGNET_HALO (default off — Algorithm 1's broadcasts
+/// Same discipline as the epoch cache: flip only between run_world
+/// invocations. Preset once from CAGNET_HALO (default off — Algorithm 1's broadcasts
 /// remain the reference semantics; see DESIGN.md).
 bool g_halo_enabled = halo_default_from_env();
 
@@ -259,9 +247,6 @@ bool g_preagg_enabled = preagg_default_from_env();
 bool epoch_cache_enabled() { return g_epoch_cache_enabled; }
 void set_epoch_cache_enabled(bool on) { g_epoch_cache_enabled = on; }
 
-bool overlap_enabled() { return g_overlap_enabled; }
-void set_overlap_enabled(bool on) { g_overlap_enabled = on; }
-
 bool halo_enabled() { return g_halo_enabled; }
 void set_halo_enabled(bool on) { g_halo_enabled = on; }
 
@@ -315,7 +300,7 @@ void drain_comm(const Comm& comm) noexcept {
 EpochResult reduce_loss_accuracy(const Matrix& local_log_probs, Index row_lo,
                                  const std::vector<Index>& labels,
                                  Index labeled_count, Comm& comm,
-                                 std::array<double, 4>* scratch) {
+                                 std::array<double, 4>& scratch) {
   double loss_sum = 0;
   double hits = 0;
   for (Index r = 0; r < local_log_probs.rows(); ++r) {
@@ -327,26 +312,21 @@ EpochResult reduce_loss_accuracy(const Matrix& local_log_probs, Index row_lo,
         std::max_element(row.begin(), row.end()) - row.begin());
     if (pred == label) hits += 1;
   }
-  std::array<double, 2> acc = {loss_sum, hits};
-  if (scratch != nullptr) {
-    // Nonblocking (overlap-mode) form: one lock-free rendezvous instead
-    // of four barrier phases. The caller owns the scratch lifetime and
-    // quiesces `comm` before reusing it.
-    (*scratch)[0] = acc[0];
-    (*scratch)[1] = acc[1];
-    comm.iallreduce_sum(std::span<const double>(scratch->data(), 2),
-                        std::span<double>(scratch->data() + 2, 2),
-                        CommCategory::kControl)
-        .wait();
-    acc = {(*scratch)[2], (*scratch)[3]};
-  } else {
-    comm.allreduce_sum(std::span<double>(acc), CommCategory::kControl);
-  }
+  // One lock-free rendezvous (no barrier phases). The caller owns the
+  // scratch lifetime and quiesces `comm` before reusing it.
+  scratch[0] = loss_sum;
+  scratch[1] = hits;
+  comm.iallreduce_sum(std::span<const double>(scratch.data(), 2),
+                      std::span<double>(scratch.data() + 2, 2),
+                      CommCategory::kControl)
+      .wait();
   EpochResult result;
-  result.loss = labeled_count > 0 ? acc[0] / static_cast<double>(labeled_count)
-                                  : 0.0;
-  result.accuracy =
-      labeled_count > 0 ? acc[1] / static_cast<double>(labeled_count) : 0.0;
+  result.loss = labeled_count > 0
+                    ? scratch[2] / static_cast<double>(labeled_count)
+                    : 0.0;
+  result.accuracy = labeled_count > 0
+                        ? scratch[3] / static_cast<double>(labeled_count)
+                        : 0.0;
   return result;
 }
 
@@ -368,42 +348,6 @@ double block_degree(const Csr& block) {
              ? static_cast<double>(block.nnz()) /
                    static_cast<double>(block.rows())
              : 0.0;
-}
-
-const Matrix* broadcast_dense_stage(const Matrix& mine, Matrix& recv,
-                                    Index rows, Index cols, int root,
-                                    Comm& comm, CommCategory cat) {
-  if (comm.rank() == root) {
-    CAGNET_CHECK(mine.rows() == rows && mine.cols() == cols,
-                 "broadcast_dense_stage: root block shape mismatch");
-    comm.broadcast_from(std::span<const Real>(mine.flat()),
-                        std::span<Real>{}, root, cat);
-    return &mine;
-  }
-  recv.resize(rows, cols);
-  comm.broadcast_from(std::span<const Real>{}, recv.flat(), root, cat);
-  return &recv;
-}
-
-void allreduce_weight_gradient(Matrix& y_partial, Index f_in, Index f_out,
-                               Comm& comm, Profiler& profiler,
-                               PendingGradReduce& pending, Matrix& y_full) {
-  CAGNET_CHECK(y_partial.rows() == f_in && y_partial.cols() == f_out,
-               "reduce_gradients: unexpected partial shape");
-  std::swap(y_partial, y_full);
-  const CompressMode gmode = gradient_compress_mode();
-  if (gmode != CompressMode::kOff) {
-    // Layer order is the call order, so ccount indexes this layer's
-    // residual slot; finish_gradients (called unconditionally per epoch)
-    // resets it. The op times itself (encode/decode under kCompressPack,
-    // wire under kDenseComm) — no outer ScopedPhase.
-    comm.allreduce_sum_compressed(y_full.flat(), gmode,
-                                  pending.compress_slot(pending.ccount++),
-                                  &profiler);
-    return;
-  }
-  ScopedPhase scope(profiler, Phase::kDenseComm);
-  comm.allreduce_sum(y_full.flat(), CommCategory::kDense);
 }
 
 void PendingDenseStage::post(const Matrix& mine, Matrix& recv, Index rows,
@@ -492,6 +436,7 @@ void overlapped_dense_stages(
     const std::function<void(int, const Matrix*)>& compute_stage,
     Matrix& recv0, Matrix& recv1, CostMeter& meter, const WorkMeter& work,
     const MachineModel& machine, Profiler& profiler) {
+  if (stages == 0) return;
   PendingDenseStage dn[2];
   Matrix* recv[2] = {&recv0, &recv1};
   {
@@ -553,42 +498,10 @@ void summa_stage_loop(const Csr& my_sparse, SparseStageCache& cache,
                : &cache.blocks[static_cast<std::size_t>(s)];
   };
 
-  if (!overlap_enabled() || stages == 1) {
-    // Blocking (synchronous) loop: stage s's blocks arrive, then stage s
-    // computes — each stage's communication is fully latency-exposed.
-    for (int s = 0; s < stages; ++s) {
-      const Csr* a = nullptr;
-      if (use_cache) {
-        a = cached_block(s);
-      } else {
-        ScopedPhase scope(stats.profiler, Phase::kSparseComm);
-        CostMeter before = meter;
-        a = broadcast_csr(sparse_comm.rank() == s ? &my_sparse : nullptr,
-                          cache.blocks[static_cast<std::size_t>(s)], s,
-                          sparse_comm, CommCategory::kSparse);
-        CostMeter delta = meter;
-        delta.subtract(before);
-        cache.charges.merge_sum(delta);
-        cache.own_stage[static_cast<std::size_t>(s)] = a == &my_sparse;
-      }
-      const Matrix* d = nullptr;
-      {
-        ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-        d = broadcast_dense_stage(my_dense, ws.stage_recv, stage_rows(s), w,
-                                  s, dense_comm, CommCategory::kDense);
-      }
-      spmm_stage(a, d);
-    }
-    cache.ready = epoch_cache_enabled();
-    return;
-  }
-
-  // Overlapped loop: stage s+1's sparse payloads and dense panel are in
-  // flight while stage s's SpMM runs; the CSR header travels one stage
-  // further ahead so the payloads can be sized and posted on time. The
-  // charge order per category is identical to the blocking loop (header s,
-  // payloads s, header s+1, ...), so metered totals are bitwise equal.
-  const bool live_sparse = !use_cache;
+  // Stage s+1's sparse payloads and dense panel are in flight while stage
+  // s's SpMM runs; the CSR header travels one stage further ahead so the
+  // payloads can be sized and posted on time. Per category the charges
+  // land in stage order (header s, payloads s, header s+1, ...).
   const auto sparse_section = [&](auto&& fn) {
     ScopedPhase scope(stats.profiler, Phase::kSparseComm);
     CostMeter before = meter;
@@ -604,12 +517,14 @@ void summa_stage_loop(const Csr& my_sparse, SparseStageCache& cache,
   PendingCsrBcast sp[2];
   PendingDenseStage dn[2];
   Matrix* recv[2] = {&ws.stage_recv, &ws.stage_recv2};
-  if (live_sparse) {
+  if (!use_cache) {
     sparse_section([&] {
       sp[0].post_header(root_block(0), cache.blocks[0], cache.headers[0], 0,
                         sparse_comm, CommCategory::kSparse);
-      sp[1].post_header(root_block(1), cache.blocks[1], cache.headers[1], 1,
-                        sparse_comm, CommCategory::kSparse);
+      if (stages > 1) {
+        sp[1].post_header(root_block(1), cache.blocks[1], cache.headers[1],
+                          1, sparse_comm, CommCategory::kSparse);
+      }
       sp[0].post_parts();
     });
   }
@@ -639,7 +554,7 @@ void summa_stage_loop(const Csr& my_sparse, SparseStageCache& cache,
     }
     region.close();  // stage s's arrivals were in flight behind compute s-1
     if (s + 1 < stages) {
-      if (live_sparse) {
+      if (!use_cache) {
         sparse_section([&] {
           if (s + 2 < stages) {
             sp[cur].post_header(root_block(s + 2),
@@ -659,33 +574,6 @@ void summa_stage_loop(const Csr& my_sparse, SparseStageCache& cache,
   }
   region.close();
   cache.ready = epoch_cache_enabled();
-}
-
-const Csr* broadcast_csr(const Csr* mine, Csr& recv, int root, Comm& comm,
-                         CommCategory cat) {
-  const bool is_root = comm.rank() == root;
-  std::array<Index, 3> header = {0, 0, 0};
-  if (is_root) {
-    CAGNET_CHECK(mine != nullptr, "broadcast_csr: root must supply a block");
-    header = {mine->rows(), mine->cols(), mine->nnz()};
-  }
-  comm.broadcast(std::span<Index>(header), root, cat);
-  if (is_root) {
-    // The root publishes straight from its block's arrays — no staging
-    // copy, no deserialization, and the caller keeps using `mine`.
-    comm.broadcast_from(mine->row_ptr(), std::span<Index>{}, root, cat);
-    comm.broadcast_from(mine->col_idx(), std::span<Index>{}, root, cat);
-    comm.broadcast_from(std::span<const Real>(mine->values()),
-                        std::span<Real>{}, root, cat);
-    return mine;
-  }
-  recv.resize_parts(header[0], header[1], header[2]);
-  comm.broadcast_from(std::span<const Index>{}, recv.row_ptr_mut(), root,
-                      cat);
-  comm.broadcast_from(std::span<const Index>{}, recv.col_idx_mut(), root,
-                      cat);
-  comm.broadcast_from(std::span<const Real>{}, recv.values(), root, cat);
-  return &recv;
 }
 
 Csr exchange_csr(const Csr& mine, int peer, Comm& comm, CommCategory cat) {
@@ -725,21 +613,7 @@ void partial_summa_times_weight(const Matrix& t, const Matrix& w, int parts,
     return fm1 - fm0;
   };
 
-  if (!overlap_enabled() || parts == 1) {
-    for (int m = 0; m < parts; ++m) {
-      const Matrix* t_m = nullptr;
-      {
-        ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-        t_m = broadcast_dense_stage(t, ws.stage_recv, local_rows,
-                                    stage_cols(m), m, row_comm,
-                                    CommCategory::kDense);
-      }
-      gemm_stage(m, t_m);
-    }
-    return;
-  }
-
-  // Overlapped: the stage-m+1 T panel is in flight while the stage-m GEMM
+  // The stage-m+1 T panel is in flight while the stage-m GEMM
   // accumulates. Source-release contract: peers may still be copying this
   // rank's T panels after we return; the caller quiesces row_comm before
   // T is next rewritten (the 2D/3D algebras do it at their stage-loop
@@ -758,19 +632,13 @@ void allgather_feature_rows(const Matrix& local, Index full_cols, int parts,
                             Comm& row_comm, Profiler& profiler,
                             DistWorkspace& ws, Matrix& full) {
   {
-    // In overlap mode the nonblocking form (posted and waited in place)
-    // replaces the blocking one: same movement and identical charge, but
-    // a single lock-free rendezvous instead of two barrier phases.
+    // Posted and waited in place: a single lock-free rendezvous instead of
+    // two barrier phases.
     ScopedPhase scope(profiler, Phase::kDenseComm);
-    if (overlap_enabled()) {
-      row_comm
-          .iallgatherv_into(std::span<const Real>(local.flat()), ws.gathered,
-                            CommCategory::kDense)
-          .wait();
-    } else {
-      row_comm.allgatherv_into(std::span<const Real>(local.flat()),
-                               ws.gathered, CommCategory::kDense);
-    }
+    row_comm
+        .iallgatherv_into(std::span<const Real>(local.flat()), ws.gathered,
+                          CommCategory::kDense)
+        .wait();
   }
   full.resize(local.rows(), full_cols);
   for (int jj = 0; jj < parts; ++jj) {
@@ -787,42 +655,6 @@ void allgather_feature_rows(const Matrix& local, Index full_cols, int parts,
   }
 }
 
-void assemble_weight_gradient(Matrix& y_slice, Index f_in, Index f_out,
-                              int parts, Comm& reduce_comm, Comm& row_comm,
-                              Profiler& profiler, DistWorkspace& ws,
-                              PendingGradReduce& pending, Matrix& y) {
-  // Always the blocking form: in overlap mode the engine routes gradient
-  // assembly through begin_/finish_assemble_weight_gradient instead,
-  // whose per-layer staging gives every nonblocking source a stable
-  // lifetime (a workspace-backed nonblocking variant here would race a
-  // lagging row peer against the next call's buffer resize).
-  const CompressMode gmode = gradient_compress_mode();
-  if (gmode != CompressMode::kOff) {
-    // Only the slice sum is lossy-coded; the row all-gather below moves
-    // already-reduced slices and stays exact, so every rank unpacks the
-    // same decoded values.
-    reduce_comm.allreduce_sum_compressed(
-        y_slice.flat(), gmode, pending.compress_slot(pending.ccount++),
-        &profiler);
-  } else {
-    ScopedPhase scope(profiler, Phase::kDenseComm);
-    reduce_comm.allreduce_sum(y_slice.flat(), CommCategory::kDense);
-  }
-  {
-    ScopedPhase scope(profiler, Phase::kDenseComm);
-    row_comm.allgatherv_into(std::span<const Real>(y_slice.flat()),
-                             ws.gathered, CommCategory::kDense);
-  }
-  y.resize(f_in, f_out);
-  for (int jj = 0; jj < parts; ++jj) {
-    const auto [r0, r1] = block_range(f_in, parts, jj);
-    const auto chunk = ws.gathered.chunk(jj);
-    CAGNET_CHECK(chunk.size() == static_cast<std::size_t>((r1 - r0) * f_out),
-                 "assemble_weight_gradient: slice size mismatch");
-    std::copy(chunk.begin(), chunk.end(), y.data() + r0 * f_out);
-  }
-}
-
 namespace {
 
 /// Grow-once access to pending-reduction slot `i`.
@@ -831,6 +663,13 @@ T& pending_slot(std::vector<T>& v, std::size_t i) {
   if (v.size() <= i) v.resize(i + 1);
   return v[i];
 }
+
+/// Deferred reductions one cycle keeps in flight: half the channel ring.
+/// A deeper model completes layer i - kInFlight's reduction before it
+/// posts layer i's, so any depth stays inside the ring (a 17th pending op
+/// would have to wait for a channel that only the finish frees).
+constexpr std::size_t kInFlight =
+    static_cast<std::size_t>(detail::kAsyncChannels) / 2;
 
 }  // namespace
 
@@ -843,18 +682,15 @@ void begin_allreduce_weight_gradient(Matrix& y_partial, Index f_in,
                "reduce_gradients: unexpected partial shape");
   const CompressMode gmode = gradient_compress_mode();
   if (gmode != CompressMode::kOff) {
-    if (pending.count + pending.ccount == 0 && pending.has_release) {
+    if (pending.count + pending.ccount == 0) {
       ScopedPhase scope(profiler, Phase::kDenseComm);
-      // Release last cycle's encoded sends. Targeted (not a full
-      // quiesce): unrelated ops may legitimately still be in flight
-      // here — see PendingGradReduce::release_ticket.
-      comm.quiesce_op(pending.release_ticket);
-      pending.has_release = false;
+      comm.quiesce();  // release last cycle's encoded sends
     }
     // The encode IS the staging copy: peers read the stable buf.send of
     // the layer's CompressBuf, so y_partial is free immediately and no
     // pending.src slot is needed. The op times itself.
     const std::size_t i = pending.ccount++;
+    if (i >= kInFlight) pending.cops[i - kInFlight].wait();
     y_full.resize(f_in, f_out);
     pending_slot(pending.cops, i) = comm.iallreduce_sum_compressed(
         std::span<const Real>(y_partial.flat()), y_full.flat(), gmode,
@@ -862,14 +698,11 @@ void begin_allreduce_weight_gradient(Matrix& y_partial, Index f_in,
     return;
   }
   ScopedPhase scope(profiler, Phase::kDenseComm);
-  if (pending.count + pending.ccount == 0 && pending.has_release) {
-    // Release point for last cycle's staged partials (peers read them at
-    // their finish waits); long drained by now. Targeted, so ops posted
-    // after that cycle's waits stay untouched.
-    comm.quiesce_op(pending.release_ticket);
-    pending.has_release = false;
-  }
+  // Release point for last cycle's staged partials (peers read them at
+  // their finish waits); long drained by now.
+  if (pending.count + pending.ccount == 0) comm.quiesce();
   const std::size_t i = pending.count++;
+  if (i >= kInFlight) pending.ops[i - kInFlight].wait();
   Matrix& src = pending_slot(pending.src, i);
   src.resize(f_in, f_out);
   std::copy(y_partial.flat().begin(), y_partial.flat().end(),
@@ -885,23 +718,13 @@ void finish_allreduce_weight_gradient(Profiler& profiler,
   {
     ScopedPhase scope(profiler, Phase::kDenseComm);
     for (std::size_t i = 0; i < pending.count; ++i) {
-      if (pending.ops[i].pending()) {
-        pending.release_ticket = pending.ops[i].ticket();
-        pending.has_release = true;
-      }
-      pending.ops[i].wait();
+      if (pending.ops[i].pending()) pending.ops[i].wait();
     }
   }
   // Compressed ops time themselves (wire wait under kDenseComm, decode
-  // under kCompressPack). The size guard covers blocking mode, where
-  // ccount counts residual slots but no op was stored.
-  for (std::size_t i = 0; i < pending.ccount && i < pending.cops.size();
-       ++i) {
-    if (pending.cops[i].pending()) {
-      pending.release_ticket = pending.cops[i].ticket();
-      pending.has_release = true;
-    }
-    pending.cops[i].wait();
+  // under kCompressPack). Ops a begin already completed are skipped.
+  for (std::size_t i = 0; i < pending.ccount; ++i) {
+    if (pending.cops[i].pending()) pending.cops[i].wait();
   }
   pending.count = 0;
   pending.ccount = 0;
@@ -923,6 +746,7 @@ void begin_assemble_weight_gradient(Matrix& y_slice, Index f_in,
     // copy (peers read the layer buf's stable send bytes), so y_slice is
     // free on return. The op times itself.
     const std::size_t i = pending.ccount++;
+    if (i >= kInFlight) pending.cops[i - kInFlight].wait();
     Matrix& reduced = pending_slot(pending.reduced, i);
     reduced.resize(y_slice.rows(), y_slice.cols());
     pending_slot(pending.cops, i) = reduce_comm.iallreduce_sum_compressed(
@@ -935,6 +759,7 @@ void begin_assemble_weight_gradient(Matrix& y_slice, Index f_in,
   ScopedPhase scope(profiler, Phase::kDenseComm);
   if (pending.count == 0) reduce_comm.quiesce();  // release last epoch's
   const std::size_t i = pending.count++;
+  if (i >= kInFlight) pending.ops[i - kInFlight].wait();
   Matrix& src = pending_slot(pending.src, i);
   src.resize(y_slice.rows(), y_slice.cols());
   std::copy(y_slice.flat().begin(), y_slice.flat().end(),
@@ -951,36 +776,7 @@ void begin_assemble_weight_gradient(Matrix& y_slice, Index f_in,
 void finish_assemble_weight_gradient(int parts, Comm& row_comm,
                                      Profiler& profiler,
                                      PendingGradReduce& pending) {
-  // Complete each layer's reduction and launch its slice all-gather
-  // before touching the next, so later layers' gathers are in flight
-  // while earlier layers unpack.
-  {
-    ScopedPhase scope(profiler, Phase::kDenseComm);
-    for (std::size_t i = 0; i < pending.count; ++i) {
-      pending.ops[i].wait();
-      auto& gathered = pending_slot(pending.gathered, i);
-      if (!gathered) gathered = std::make_unique<Gathered<Real>>();
-      pending_slot(pending.gather_ops, i) = row_comm.iallgatherv_into(
-          std::span<const Real>(pending.reduced[i].flat()), *gathered,
-          CommCategory::kDense);
-    }
-  }
-  // Compressed layers: complete each lossy slice sum (the op times its
-  // own wait/decode) and launch its exact row gather. The size guard
-  // covers blocking mode, where ccount counts residual slots but no op
-  // was stored. Modes never mix within an epoch, so slot indices of the
-  // two families both start at 0 and never collide.
-  const std::size_t cposted = std::min(pending.ccount, pending.cops.size());
-  for (std::size_t i = 0; i < cposted; ++i) {
-    pending.cops[i].wait();
-    ScopedPhase scope(profiler, Phase::kDenseComm);
-    auto& gathered = pending_slot(pending.gathered, i);
-    if (!gathered) gathered = std::make_unique<Gathered<Real>>();
-    pending_slot(pending.gather_ops, i) = row_comm.iallgatherv_into(
-        std::span<const Real>(pending.reduced[i].flat()), *gathered,
-        CommCategory::kDense);
-  }
-  for (std::size_t i = 0; i < pending.count + cposted; ++i) {
+  const auto unpack = [&](std::size_t i) {
     {
       ScopedPhase scope(profiler, Phase::kDenseComm);
       pending.gather_ops[i].wait();
@@ -996,6 +792,34 @@ void finish_assemble_weight_gradient(int parts, Comm& row_comm,
                    "finish_assemble_weight_gradient: slice size mismatch");
       std::copy(chunk.begin(), chunk.end(), y.data() + r0 * f_out);
     }
+  };
+  // Complete each layer's reduction (unless a begin already did) and
+  // launch its slice all-gather before touching the next, so later
+  // layers' gathers are in flight while earlier layers unpack; at most
+  // kInFlight gathers are pending at once. Modes never mix within an
+  // epoch, so one of count / ccount is 0 and the slot indices of the two
+  // families never collide. Compressed ops time themselves (wire wait
+  // under kDenseComm, decode under kCompressPack).
+  const std::size_t n = pending.count + pending.ccount;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (pending.count > 0) {
+      ScopedPhase scope(profiler, Phase::kDenseComm);
+      if (pending.ops[i].pending()) pending.ops[i].wait();
+    } else if (pending.cops[i].pending()) {
+      pending.cops[i].wait();
+    }
+    {
+      ScopedPhase scope(profiler, Phase::kDenseComm);
+      auto& gathered = pending_slot(pending.gathered, i);
+      if (!gathered) gathered = std::make_unique<Gathered<Real>>();
+      pending_slot(pending.gather_ops, i) = row_comm.iallgatherv_into(
+          std::span<const Real>(pending.reduced[i].flat()), *gathered,
+          CommCategory::kDense);
+    }
+    if (i >= kInFlight) unpack(i - kInFlight);
+  }
+  for (std::size_t i = n > kInFlight ? n - kInFlight : 0; i < n; ++i) {
+    unpack(i);
   }
   pending.count = 0;
   pending.ccount = 0;
@@ -1074,54 +898,37 @@ namespace {
 /// skip_source'd (no rendezvous), anything else is awaited zero-copy and
 /// size-checked against the plan; the overlap region is closed (pairing
 /// the drained charges with the compute that just ran) and reopened for
-/// the next stage. Blocking mode reads the already-exchanged chunk from
-/// plan.recv. Under a lossy row codec (`rmode` != off) the wire carries
-/// codec bytes — size-checked against encoded_size_bytes and decoded
-/// into `decode_dst` (Phase::kCompressPack); both modes decode the same
-/// bytes, so the sweeps stay bitwise identical across overlap modes.
-/// Returns the peer's rows, or nullptr when nothing landed.
-const Real* drain_halo_peer(PendingOp& op, const HaloPlan& plan, int peer,
-                            std::size_t expected_elems, bool pipelined,
-                            CompressMode rmode, Real* decode_dst,
-                            OverlapScope& region, Profiler& profiler) {
+/// the next stage. Under a lossy row codec (`rmode` != off) the wire
+/// carries codec bytes — size-checked against encoded_size_bytes and
+/// decoded into `decode_dst` (Phase::kCompressPack). Returns the peer's
+/// rows, or nullptr when nothing landed.
+const Real* drain_halo_peer(PendingOp& op, int peer,
+                            std::size_t expected_elems, CompressMode rmode,
+                            Real* decode_dst, OverlapScope& region,
+                            Profiler& profiler) {
+  const Real* exact_rows = nullptr;
   const std::uint8_t* bytes = nullptr;
-  if (!pipelined) {
-    if (rmode == CompressMode::kOff) {
-      return plan.recv.data.data() +
-             plan.recv.offsets[static_cast<std::size_t>(peer)];
+  {
+    ScopedPhase scope(profiler, Phase::kDenseComm);
+    if (expected_elems == 0) {
+      op.skip_source(peer);
+    } else if (rmode == CompressMode::kOff) {
+      const std::span<const Real> chunk = op.await_source<Real>(peer);
+      CAGNET_CHECK(chunk.size() == expected_elems,
+                   "halo drain: unexpected chunk size");
+      exact_rows = chunk.data();
+    } else {
+      const std::span<const std::uint8_t> chunk =
+          op.await_source<std::uint8_t>(peer);
+      CAGNET_CHECK(chunk.size() == encoded_size_bytes(rmode, expected_elems),
+                   "halo drain: unexpected compressed chunk size");
+      bytes = chunk.data();
     }
-    const std::size_t b0 =
-        plan.recv_bytes.offsets[static_cast<std::size_t>(peer)];
-    const std::size_t b1 =
-        plan.recv_bytes.offsets[static_cast<std::size_t>(peer) + 1];
-    CAGNET_CHECK(b1 - b0 == encoded_size_bytes(rmode, expected_elems),
-                 "halo drain: unexpected compressed chunk size");
-    bytes = plan.recv_bytes.data.data() + b0;
-  } else {
-    const Real* exact_rows = nullptr;
-    {
-      ScopedPhase scope(profiler, Phase::kDenseComm);
-      if (expected_elems == 0) {
-        op.skip_source(peer);
-      } else if (rmode == CompressMode::kOff) {
-        const std::span<const Real> chunk = op.await_source<Real>(peer);
-        CAGNET_CHECK(chunk.size() == expected_elems,
-                     "halo drain: unexpected chunk size");
-        exact_rows = chunk.data();
-      } else {
-        const std::span<const std::uint8_t> chunk =
-            op.await_source<std::uint8_t>(peer);
-        CAGNET_CHECK(
-            chunk.size() == encoded_size_bytes(rmode, expected_elems),
-            "halo drain: unexpected compressed chunk size");
-        bytes = chunk.data();
-      }
-    }
-    region.close();
-    region.open();
-    if (rmode == CompressMode::kOff) return exact_rows;
   }
-  if (expected_elems == 0 || bytes == nullptr) return nullptr;
+  region.close();
+  region.open();
+  if (rmode == CompressMode::kOff) return exact_rows;
+  if (bytes == nullptr) return nullptr;
   ScopedPhase scope(profiler, Phase::kCompressPack);
   compress_decode(rmode, bytes, expected_elems, decode_dst);
   return decode_dst;
@@ -1581,61 +1388,44 @@ PendingOp halo_exchange_begin(const Matrix& src, std::span<const Index> rows,
     // destination encoding guarantees) and ship the byte buffer instead.
     // No error feedback — halo rows are fresh activations each layer, not
     // an accumulating signal, so a residual would mix unrelated rows.
-    {
-      ScopedPhase scope(profiler, Phase::kCompressPack);
-      buf.send_byte_offsets.resize(static_cast<std::size_t>(p) + 1);
-      buf.send_byte_offsets[0] = 0;
-      for (std::size_t j = 0; j < static_cast<std::size_t>(p); ++j) {
-        const std::size_t elems =
-            buf.send_elem_offsets[j + 1] - buf.send_elem_offsets[j];
-        buf.send_byte_offsets[j + 1] =
-            buf.send_byte_offsets[j] + encoded_size_bytes(rmode, elems);
-      }
-      buf.send_bytes.resize(
-          buf.send_byte_offsets[static_cast<std::size_t>(p)]);
-      for (std::size_t j = 0; j < static_cast<std::size_t>(p); ++j) {
-        const std::size_t e0 = buf.send_elem_offsets[j];
-        const std::size_t e1 = buf.send_elem_offsets[j + 1];
-        if (e0 == e1) continue;
-        compress_encode(
-            rmode,
-            std::span<const Real>(buf.send_buf.data() + e0, e1 - e0),
-            buf.send_bytes.data() + buf.send_byte_offsets[j],
-            /*residual=*/nullptr);
-      }
+    ScopedPhase scope(profiler, Phase::kCompressPack);
+    buf.send_byte_offsets.resize(static_cast<std::size_t>(p) + 1);
+    buf.send_byte_offsets[0] = 0;
+    for (std::size_t j = 0; j < static_cast<std::size_t>(p); ++j) {
+      const std::size_t elems =
+          buf.send_elem_offsets[j + 1] - buf.send_elem_offsets[j];
+      buf.send_byte_offsets[j + 1] =
+          buf.send_byte_offsets[j] + encoded_size_bytes(rmode, elems);
     }
-    ScopedPhase scope(profiler, Phase::kDenseComm);
-    if (overlap_enabled()) {
-      PendingOp op = comm.ialltoallv_post(
-          std::span<const std::uint8_t>(buf.send_bytes),
-          std::span<const std::size_t>(buf.send_byte_offsets),
-          CommCategory::kCompressed);
-      buf.release_ticket = op.ticket();
-      buf.has_release = true;
-      return op;
+    buf.send_bytes.resize(
+        buf.send_byte_offsets[static_cast<std::size_t>(p)]);
+    for (std::size_t j = 0; j < static_cast<std::size_t>(p); ++j) {
+      const std::size_t e0 = buf.send_elem_offsets[j];
+      const std::size_t e1 = buf.send_elem_offsets[j + 1];
+      if (e0 == e1) continue;
+      compress_encode(
+          rmode,
+          std::span<const Real>(buf.send_buf.data() + e0, e1 - e0),
+          buf.send_bytes.data() + buf.send_byte_offsets[j],
+          /*residual=*/nullptr);
     }
-    comm.alltoallv_into(std::span<const std::uint8_t>(buf.send_bytes),
-                        std::span<const std::size_t>(buf.send_byte_offsets),
-                        plan.recv_bytes, CommCategory::kCompressed);
-    return PendingOp{};
   }
+  // Post-only: the caller drains each peer's chunk exactly when the stage
+  // that consumes it runs, and wait()s the op once all stages are done.
+  // Charges (applied per drain) sum bitwise to a one-shot alltoallv's.
   ScopedPhase scope(profiler, Phase::kDenseComm);
-  if (overlap_enabled()) {
-    // Post-only: the caller drains each peer's chunk exactly when the
-    // stage that consumes it runs, and wait()s the op once all stages are
-    // done. Charges (applied per drain) sum bitwise to the blocking
-    // form's.
-    PendingOp op = comm.ialltoallv_post(
-        std::span<const Real>(buf.send_buf.flat()),
-        std::span<const std::size_t>(buf.send_elem_offsets), cat);
-    buf.release_ticket = op.ticket();
-    buf.has_release = true;
-    return op;
-  }
-  comm.alltoallv_into(std::span<const Real>(buf.send_buf.flat()),
-                      std::span<const std::size_t>(buf.send_elem_offsets),
-                      plan.recv, cat);
-  return PendingOp{};
+  PendingOp op =
+      rmode != CompressMode::kOff
+          ? comm.ialltoallv_post(
+                std::span<const std::uint8_t>(buf.send_bytes),
+                std::span<const std::size_t>(buf.send_byte_offsets),
+                CommCategory::kCompressed)
+          : comm.ialltoallv_post(
+                std::span<const Real>(buf.send_buf.flat()),
+                std::span<const std::size_t>(buf.send_elem_offsets), cat);
+  buf.release_ticket = op.ticket();
+  buf.has_release = true;
+  return op;
 }
 
 void halo_spmm_pipeline(const Matrix& h, const Csr* self_block, int self,
@@ -1684,7 +1474,6 @@ void halo_spmm_sweep(PendingOp& op, const Matrix& h, const Csr* self_block,
                      Matrix& t) {
   const int p = comm.size();
   const Index f = h.cols();
-  const bool pipelined = op.pending();
   HaloPlan::StaleState& st = plan.stale;
   const bool stale_on = st.active;
   const bool adaptive = stale_on && stale_k() == kStaleAdaptive;
@@ -1721,7 +1510,7 @@ void halo_spmm_sweep(PendingOp& op, const Matrix& h, const Csr* self_block,
   // SpMM is the pipeline's headline overlap, so the region opens before
   // the sweep.
   OverlapScope region(comm.meter(), stats.work, machine);
-  if (pipelined) region.open();
+  region.open();
   for (int j = 0; j < p; ++j) {
     const auto js = static_cast<std::size_t>(j);
     if (j == self) {
@@ -1740,14 +1529,12 @@ void halo_spmm_sweep(PendingOp& op, const Matrix& h, const Csr* self_block,
       // lockstep; the peer shipped a zero-length chunk by the same
       // want-flag) and replay the cached landed rows through the
       // identical accumulation, crediting the avoided exact words.
-      if (pipelined) {
-        {
-          ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-          op.skip_source(j);
-        }
-        region.close();
-        region.open();
+      {
+        ScopedPhase scope(stats.profiler, Phase::kDenseComm);
+        op.skip_source(j);
       }
+      region.close();
+      region.open();
       if (base_rows == 0) continue;
       comm.notify_event(CommCategory::kHalo, "halo stale skip");
       comm.meter().add_stale_saved(static_cast<double>(base_rows) *
@@ -1764,9 +1551,8 @@ void halo_spmm_sweep(PendingOp& op, const Matrix& h, const Csr* self_block,
             ? nullptr
             : plan.recv_decode.data() +
                   roff[js] * static_cast<std::size_t>(f);
-    const Real* rows_j = drain_halo_peer(op, plan, j, expect, pipelined,
-                                         rmode, decode_dst, region,
-                                         stats.profiler);
+    const Real* rows_j = drain_halo_peer(op, j, expect, rmode, decode_dst,
+                                         region, stats.profiler);
     if (stale_on && expect > 0 && rows_j != nullptr) {
       // Refresh this peer's cache slice (and, in adaptive mode, fold the
       // serial L2 delta against the old slice before overwriting it —
@@ -1797,10 +1583,8 @@ void halo_spmm_sweep(PendingOp& op, const Matrix& h, const Csr* self_block,
     halo_accumulate_peer(plan, j, rows_j, f, machine, stats, t);
   }
   region.close();
-  if (pipelined) {
-    ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-    op.wait();  // every source drained; this just releases the channel
-  }
+  ScopedPhase scope(stats.profiler, Phase::kDenseComm);
+  op.wait();  // every source drained; this just releases the channel
 }
 
 void halo_exchange_contributions(
@@ -1814,7 +1598,6 @@ void halo_exchange_contributions(
                                      comm, plan, cat, stats.profiler);
   const int p = comm.size();
   const Index f = partial.cols();
-  const bool pipelined = op.pending();
   const CompressMode rmode =
       p > 1 ? row_compress_mode() : CompressMode::kOff;
   // A rank that accumulates nothing (a 1.5D non-keeper: no self term and
@@ -1824,13 +1607,11 @@ void halo_exchange_contributions(
   if (!self_partial &&
       land_row_offsets[static_cast<std::size_t>(p)] ==
           land_row_offsets[0]) {
-    if (pipelined) {
-      ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-      for (int r = 0; r < p; ++r) {
-        if (r != self) op.skip_source(r);
-      }
-      op.wait();
+    ScopedPhase scope(stats.profiler, Phase::kDenseComm);
+    for (int r = 0; r < p; ++r) {
+      if (r != self) op.skip_source(r);
     }
+    op.wait();
     return;
   }
   {
@@ -1849,7 +1630,7 @@ void halo_exchange_contributions(
   // so the first drain's charges pair with the accumulation that
   // precedes it.
   OverlapScope region(comm.meter(), stats.work, machine);
-  if (pipelined) region.open();
+  region.open();
   for (int r = 0; r < p; ++r) {
     if (r == self) {
       if (self_partial) {
@@ -1873,9 +1654,8 @@ void halo_exchange_contributions(
             ? nullptr
             : plan.recv_decode.data() + k0 * static_cast<std::size_t>(f);
     const Real* src =
-        drain_halo_peer(op, plan, r, (k1 - k0) * static_cast<std::size_t>(f),
-                        pipelined, rmode, decode_dst, region,
-                        stats.profiler);
+        drain_halo_peer(op, r, (k1 - k0) * static_cast<std::size_t>(f),
+                        rmode, decode_dst, region, stats.profiler);
     if (k0 == k1) continue;
     // Scatter-add this peer's landed rows (distinct within a peer, so
     // row chunks write disjoint outputs and threading is deterministic).
@@ -1895,10 +1675,8 @@ void halo_exchange_contributions(
         });
   }
   region.close();
-  if (pipelined) {
-    ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-    op.wait();  // every source drained; this just releases the channel
-  }
+  ScopedPhase scope(stats.profiler, Phase::kDenseComm);
+  op.wait();  // every source drained; this just releases the channel
 }
 
 Csr route_csr(const Csr& mine, int dest, Comm& comm, CommCategory cat) {

@@ -155,18 +155,6 @@ namespace dist {
 bool epoch_cache_enabled();
 void set_epoch_cache_enabled(bool on);
 
-/// Process-global switch for compute/communication overlap (default on;
-/// the CAGNET_OVERLAP env var, read once at startup, can preset it — "0",
-/// "off", or "false" disable). When on, the SUMMA-style loops
-/// double-buffer their stage broadcasts through the nonblocking layer and
-/// the 1.5D replica reduction is overlapped with the next local multiply.
-/// Losses, embeddings, and metered words/latency are bitwise identical in
-/// both modes (tests/dist_test.cpp asserts it); only wall time and the
-/// overlap accounting change. Not per-trainer state: flip it only between
-/// run_world invocations.
-bool overlap_enabled();
-void set_overlap_enabled(bool on);
-
 /// Process-global switch for the sparsity-aware halo exchange of the 1D /
 /// 1.5D families (default off; the CAGNET_HALO env var, read once at
 /// startup, can preset it — "1", "on", or "true" enable). When on, the
@@ -174,8 +162,8 @@ void set_overlap_enabled(bool on);
 /// stages with an individualized request-and-send of exactly the remote
 /// H rows the local A^T sparsity touches (metered as kHalo:
 /// edgecut_P(A) * f words instead of n(P-1)/P * f), pipelined behind the
-/// stage SpMMs in overlap mode (per-source drains; see
-/// halo_spmm_pipeline), and the 1D / 1.5D backwards replace their
+/// stage SpMMs (per-source drains; see halo_spmm_pipeline), and the
+/// 1D / 1.5D backwards replace their
 /// reduce-scatters with the symmetric contribution exchange when the
 /// halo_backward_profitable gate passes. Losses, weights, and accuracy
 /// are bitwise identical to the broadcast path (tests/halo_test.cpp
@@ -259,9 +247,9 @@ void set_preagg_enabled(bool on);
 /// The helpers never nest, so sharing the buffers between them is safe.
 struct DistWorkspace {
   Matrix stage_recv;        ///< per-stage dense broadcast receive buffer
-  Matrix stage_recv2;       ///< double-buffer partner of stage_recv (the
-                            ///< overlapped loops receive stage k+1 here
-                            ///< while stage k is still being consumed)
+  Matrix stage_recv2;       ///< double-buffer partner of stage_recv (stage
+                            ///< k+1 lands here while stage k is still
+                            ///< being consumed)
   Matrix w_block;           ///< partial-SUMMA weight sub-block
   Gathered<Real> gathered;  ///< all-gather staging
 };
@@ -319,7 +307,7 @@ void drain_comm(const Comm& comm) noexcept;
 ///      mirrored — contributions travel along need-rows and land on
 ///      send-rows. Nothing is rebuilt; the staging buffers are reused
 ///      allocation-free.
-///   3. *Pipeline + release*: in overlap mode the exchange posts through
+///   3. *Pipeline + release*: the exchange posts through
 ///      ialltoallv_post and each peer's rows are drained — zero-copy,
 ///      straight from the peer's pack buffer — exactly when the stage
 ///      that multiplies them runs (PendingOp::await_source), so the
@@ -327,9 +315,7 @@ void drain_comm(const Comm& comm) noexcept;
 ///      peers' rows are still in flight. Pack staging is double-buffered:
 ///      exchange k packs into buffer k % 2 after quiescing the op that
 ///      used that buffer two exchanges ago (quiesce_op) — a release peers
-///      finished a whole layer earlier, off the critical path. Blocking
-///      mode needs no release (barrier phases separate the accesses) and
-///      keeps the one-shot alltoallv_into.
+///      finished a whole layer earlier, off the critical path.
 struct HaloPlan {
   bool ready = false;
   /// Forward receives: rows obtained from each source, ascending peer
@@ -365,8 +351,6 @@ struct HaloPlan {
   };
   std::array<PackBuf, 2> pack;
   int next_pack = 0;          ///< which PackBuf the next exchange claims
-  Gathered<Real> recv;        ///< blocking-mode receive staging
-  Gathered<std::uint8_t> recv_bytes;  ///< compressed blocking staging
   /// Decode target for compressed halo rows: the forward decodes each
   /// peer's chunk at recv_row_offsets[j]*f; the backward at
   /// land_row_offsets[r]*f. Sized by the caller before the sweep.
@@ -497,12 +481,10 @@ bool halo_backward_profitable(std::size_t landed_rows, double rs_rows,
 /// Begin one halo exchange: claim the plan's next pack buffer (quiescing
 /// the op that last used it — two exchanges stale, so the release has
 /// left the critical path), pack the rows of `src` listed in (`rows`,
-/// `row_offsets`) on the persistent pool (Phase::kHaloPack), and ship
-/// them. In overlap mode the exchange is posted through ialltoallv_post
-/// and the returned pending op is the drain handle (per-source zero-copy
-/// views; the caller must wait() it after draining). In blocking mode the
-/// exchange completes here into plan.recv and the returned op is empty.
-/// Charges are identical either way, applied to `cat`.
+/// `row_offsets`) on the persistent pool (Phase::kHaloPack), and post
+/// them through ialltoallv_post. The returned pending op is the drain
+/// handle (per-source zero-copy views; the caller must wait() it after
+/// draining). Charges land on `cat` at the drains.
 PendingOp halo_exchange_begin(const Matrix& src, std::span<const Index> rows,
                               std::span<const std::size_t> row_offsets,
                               Comm& comm, HaloPlan& plan, CommCategory cat,
@@ -515,8 +497,8 @@ PendingOp halo_exchange_begin(const Matrix& src, std::span<const Index> rows,
 /// uncompacted block (`self_block`; null when this rank's block is not a
 /// stage, as for 1.5D non-keepers) against `h` and waits on nothing;
 /// each remote stage drains exactly its peer's packed rows as they land
-/// (overlap mode: zero-copy from the peer's staging, charges applied at
-/// the drain) and multiplies the plan's compacted block. Every drain is
+/// (zero-copy from the peer's staging, charges applied at the drain) and
+/// multiplies the plan's compacted block. Every drain is
 /// recorded as one CostMeter overlap region paired against the previous
 /// stage's SpMM, so halo mode reports nonzero overlap_regions. Shared by
 /// the 1D (comm = world) and 1.5D (comm = slice) forwards.
@@ -526,8 +508,8 @@ void halo_spmm_pipeline(const Matrix& h, const Csr* self_block, int self,
                         Matrix& t);
 
 /// The stage sweep of halo_spmm_pipeline alone, against an exchange the
-/// caller already began (`op` from halo_exchange_begin on the same plan;
-/// empty in blocking mode, where the rows sit in plan.recv). Splitting
+/// caller already began (`op` from halo_exchange_begin on the same plan).
+/// Splitting
 /// the begin from the sweep lets the sampled minibatch trainer post the
 /// next batch's feature exchange a whole compute phase early while
 /// keeping the drain/accumulation discipline — ascending peer order,
@@ -547,8 +529,8 @@ void halo_spmm_sweep(PendingOp& op, const Matrix& h, const Csr* self_block,
 /// keepers); remote peers' landed rows scatter-add onto `land_rows`
 /// (chunked by `land_row_offsets`), threaded on the pool — rows within a
 /// peer are distinct, so chunked writes stay disjoint and deterministic.
-/// Overlap mode drains per peer with the same chunk-drain overlap
-/// accounting as the forward. Shared by the 1D (full plan mirror) and
+/// Drains per peer with the same chunk-drain overlap accounting as the
+/// forward. Shared by the 1D (full plan mirror) and
 /// 1.5D (stripe-stacked pack rows) backwards.
 void halo_exchange_contributions(
     const Matrix& partial, std::span<const Index> pack_rows,
@@ -560,15 +542,14 @@ void halo_exchange_contributions(
 
 /// Global mean NLL loss and accuracy from a local row block of output
 /// log-probabilities. `row_lo` is the first global row of the block.
-/// Reduces (loss_sum, hits, labeled) across ranks as control traffic.
-/// In overlap mode pass `scratch` — persistent storage (e.g. engine-owned)
-/// for the nonblocking reduction's (src, dst) pairs — and quiesce `comm`
-/// before the next call overwrites it; with scratch == nullptr the
-/// reduction is the blocking all-reduce. Charges are identical.
+/// Reduces (loss_sum, hits) across ranks as control traffic through one
+/// nonblocking all-reduce whose (src, dst) pairs live in `scratch` —
+/// persistent storage (e.g. engine-owned) that peers read at their own
+/// waits, so quiesce `comm` before the next call overwrites it.
 EpochResult reduce_loss_accuracy(const Matrix& local_log_probs, Index row_lo,
                                  const std::vector<Index>& labels,
                                  Index labeled_count, Comm& comm,
-                                 std::array<double, 4>* scratch = nullptr);
+                                 std::array<double, 4>& scratch);
 
 /// dL/d(H^L) for the local row block under global-mean NLL.
 Matrix local_nll_gradient(const Matrix& local_log_probs, Index row_lo,
@@ -578,30 +559,14 @@ Matrix local_nll_gradient(const Matrix& local_log_probs, Index row_lo,
 /// Average degree of a CSR block (nnz / rows), guarding empty blocks.
 double block_degree(const Csr& block);
 
-/// Broadcast a CSR block from `root` within `comm` without staging
-/// copies: the root publishes straight from `mine`'s arrays and returns
-/// `mine`; every other rank receives into `recv` (reusing its buffers,
-/// non-roots pass nullptr for `mine`) and returns `&recv`. Traffic
-/// (indices + values) is charged to `cat`; this is the SUMMA
-/// sparse-broadcast primitive.
-const Csr* broadcast_csr(const Csr* mine, Csr& recv, int root, Comm& comm,
-                         CommCategory cat);
-
-/// One dense SUMMA broadcast stage without staging copies: the stage root
-/// (comm rank `root`) publishes `mine` directly and returns it; every
-/// other rank receives a (rows x cols) block into `recv` (storage reused)
-/// and gets `&recv`. Shared by every dense broadcast loop (1D stages,
-/// 1.5D stripes, 2D/3D SUMMA stages, partial SUMMA).
-const Matrix* broadcast_dense_stage(const Matrix& mine, Matrix& recv,
-                                    Index rows, Index cols, int root,
-                                    Comm& comm, CommCategory cat);
-
-/// Nonblocking counterpart of broadcast_dense_stage: post() ships the
-/// stage without a staging copy and without blocking; wait() completes the
-/// receive and returns the usable block (the root's own `mine`, or
-/// `recv`). Charges are identical to the blocking form, applied at wait.
-/// `mine` (root) and `recv` (everyone else) must stay valid and unmodified
-/// until every rank of `comm` has waited.
+/// One dense broadcast stage without staging copies, shared by every
+/// dense stage loop (1D stages, 1.5D stripes, 2D/3D SUMMA stages, partial
+/// SUMMA): post() ships the stage root's (comm rank `root`) block `mine`
+/// without blocking; wait() completes the receive and returns the usable
+/// (rows x cols) block — the root's own `mine`, or `recv` (storage
+/// reused) everywhere else. Charges lg(P) latency and the block's words
+/// to `cat` at wait. `mine` (root) and `recv` (everyone else) must stay
+/// valid and unmodified until every rank of `comm` has waited.
 class PendingDenseStage {
  public:
   void post(const Matrix& mine, Matrix& recv, Index rows, Index cols,
@@ -613,15 +578,17 @@ class PendingDenseStage {
   const Matrix* result_ = nullptr;
 };
 
-/// Nonblocking counterpart of broadcast_csr, pipelined in two steps
-/// because the receivers cannot size their buffers until the (rows, cols,
-/// nnz) header lands: post_header() ships the header; post_parts() —
-/// which first completes the header — sizes `recv` and posts the
-/// row_ptr/col_idx/values payloads; wait() completes them and returns the
-/// usable block (the root's `mine`, or `recv`). The SUMMA loops post the
-/// header two stages ahead and the payloads one stage ahead, so the bulk
-/// arrays are always in flight behind a whole local SpMM. Charges are
-/// identical to broadcast_csr, applied as each piece is waited.
+/// The SUMMA sparse-broadcast primitive: a CSR block travels from `root`
+/// without staging copies (the root publishes straight from its block's
+/// arrays), pipelined in two steps because the receivers cannot size
+/// their buffers until the (rows, cols, nnz) header lands: post_header()
+/// ships the header; post_parts() — which first completes the header —
+/// sizes `recv` and posts the row_ptr/col_idx/values payloads; wait()
+/// completes them and returns the usable block (the root's `mine`, or
+/// `recv`). The SUMMA loops post the header two stages ahead and the
+/// payloads one stage ahead, so the bulk arrays are always in flight
+/// behind a whole local SpMM. Header, indices and values are charged to
+/// `cat` as each piece is waited.
 class PendingCsrBcast {
  public:
   /// `mine` non-null exactly on the root; `recv` is the receive block
@@ -686,13 +653,14 @@ class OverlapScope {
   bool open_ = false;
 };
 
-/// The generic dense double-buffer pipeline behind every overlapped
-/// broadcast-stage loop: posts stage 0, then for each stage waits its
+/// The generic dense double-buffer pipeline behind every broadcast-stage
+/// loop: posts stage 0, then for each stage waits its
 /// panel, closes the overlap region (so the charges of the waits are
 /// paired with the previous stage's compute), posts stage s+1 into the
 /// other receive buffer, reopens the region, and runs `compute_stage`.
 /// `post_stage(s, dn, recv)` must post stage s's broadcast on `dn`
 /// receiving into `recv`; `compute_stage(s, block)` consumes the stage.
+/// `stages` may be 0 (a 1.5D member with no stripe stage): nothing posts.
 /// Keeping the close/post/open ordering in one place keeps the overlap
 /// accounting invariant from drifting between the loops. (The 2D/3D
 /// summa_stage_loop keeps its own interleaved variant because sparse
@@ -709,31 +677,17 @@ void overlapped_dense_stages(
 /// (kSparse; received into and cached by `cache`, replayed from it in
 /// cached epochs) and the stage-root's dense block — (stage_rows(s) x
 /// my_dense.cols()), root s — travels along `dense_comm` (kDense); the
-/// local SpMM accumulates into `acc`. With overlap enabled, stage s+1's
-/// sparse payloads and dense panel are posted through the nonblocking
-/// layer before stage s's SpMM runs (the CSR header travels two stages
-/// ahead), cached blocks are served from the same buffers the prefetch
-/// lands in, and every stage is recorded as one overlap region. Metered
-/// charges are identical in both modes, in the same per-category order.
+/// local SpMM accumulates into `acc`. Stage s+1's sparse payloads and
+/// dense panel are posted through the nonblocking layer before stage s's
+/// SpMM runs (the CSR header travels two stages ahead), cached blocks are
+/// served from the same buffers the prefetch lands in, and every stage is
+/// recorded as one overlap region.
 void summa_stage_loop(const Csr& my_sparse, SparseStageCache& cache,
                       Comm& sparse_comm, const Matrix& my_dense,
                       Comm& dense_comm,
                       const std::function<Index(int)>& stage_rows,
                       int stages, Matrix& acc, const MachineModel& machine,
                       EpochStats& stats, DistWorkspace& ws);
-
-struct PendingGradReduce;
-
-/// Complete a rows-whole weight gradient: move the (f_in x f_out) local
-/// partial into `y_full` (buffer swap, no copy) and all-reduce it over
-/// `comm`, leaving Y replicated. Shared by the 1D and 1.5D algebras.
-/// Under CAGNET_COMPRESS != off the all-reduce runs through the lossy
-/// codec with error feedback; `pending` owns the per-layer residual
-/// stores (layer order is the call order within an epoch, so each
-/// layer's residual is continuous across epochs).
-void allreduce_weight_gradient(Matrix& y_partial, Index f_in, Index f_out,
-                               Comm& comm, Profiler& profiler,
-                               PendingGradReduce& pending, Matrix& y_full);
 
 /// Pairwise CSR exchange with `peer` (the distributed-transpose primitive:
 /// rank (i,j) swaps blocks with rank (j,i) and locally transposes).
@@ -751,22 +705,25 @@ void allgather_feature_rows(const Matrix& local, Index full_cols, int parts,
                             Comm& row_comm, Profiler& profiler,
                             DistWorkspace& ws, Matrix& full);
 
-/// Complete a weight gradient from per-rank slice partials: sum `y_slice`
-/// (a feat_slice(f_in) x f_out partial, consumed as scratch) over
-/// `reduce_comm`, then all-gather the reduced slices along `row_comm`
-/// (`parts` ranks, rank j holding block_range(f_in, parts, j)) into the
-/// fully replicated (f_in x f_out) gradient `y` (storage reused). Shared
-/// by the 2D and 3D families.
-void assemble_weight_gradient(Matrix& y_slice, Index f_in, Index f_out,
-                              int parts, Comm& reduce_comm, Comm& row_comm,
-                              Profiler& profiler, DistWorkspace& ws,
-                              PendingGradReduce& pending, Matrix& y);
-
-/// Per-epoch state of the deferred (overlap-mode) gradient reductions:
-/// one entry per layer, all storage reused across epochs. The begin_/
-/// finish_ helpers below implement DistSpmmAlgebra::begin_reduce_gradients
-/// / finish_gradients for the two layout families, so the reductions are
-/// in flight behind the remaining backward layers.
+/// Per-epoch state of the deferred gradient reductions: one entry per
+/// layer, all storage reused across epochs. The begin_/finish_ helpers
+/// below implement DistSpmmAlgebra::begin_reduce_gradients /
+/// finish_gradients for the two layout families, so the reductions are
+/// in flight behind the remaining backward layers. A channel is reused
+/// only after every rank finished its previous generation, so a pending
+/// op blocks the 16th post after it on its communicator. Hence the
+/// reductions run on a communicator that carries nothing else during the
+/// backward (otherwise the 2D column's SUMMA panels at q >= 8, or the 1D
+/// world's per-layer exchanges in a deep network, would wait forever on a
+/// reduction that is waited only at finish): each algebra passes one of
+/// its own, a split of the reduction group with unchanged rank order, so
+/// sums and charges are the group's. And the helpers keep at most 8
+/// reductions (and, at finish, 8 row gathers) in flight, completing the
+/// oldest first, so a model of any depth fits the ring. Under
+/// CAGNET_COMPRESS != off the sums run through the lossy codec with error
+/// feedback, one residual store per layer (layer order is the call order
+/// within an epoch, so each layer's residual is continuous across
+/// epochs).
 struct PendingGradReduce {
   std::vector<Matrix> src;                 ///< staged partials (per layer)
   std::vector<Matrix> reduced;             ///< slice-family reduce targets
@@ -785,16 +742,6 @@ struct PendingGradReduce {
   std::vector<std::unique_ptr<CompressBuf>> cbufs;
   std::vector<PendingCompressedReduce> cops;  ///< in-flight compressed ops
   std::size_t ccount = 0;                  ///< compressed layers posted
-  /// Targeted release of the previous cycle's staged sends: the ticket of
-  /// the last op waited at finish. Every rank waits its cycle's ops in
-  /// posting order, so that op being globally finished implies every
-  /// rank's reads of every staged src / encoded send of the cycle are
-  /// done. quiesce_op on it at the next cycle's first begin releases the
-  /// slots without waiting unrelated in-flight ops (the sampled trainer
-  /// deliberately keeps the next minibatch's feature exchange pending
-  /// across this point; a global quiesce would deadlock on it).
-  std::uint64_t release_ticket = 0;
-  bool has_release = false;
 
   /// Grow-once residual slot for layer `i` (error feedback enabled).
   CompressBuf& compress_slot(std::size_t i) {
@@ -809,8 +756,9 @@ struct PendingGradReduce {
 
 /// Rows-whole family (1D / 1.5D) deferred gradient reduction: stage a
 /// copy of `y_partial` (releasing it immediately) and post its
-/// nonblocking all-reduce straight into `y_full`; the finish form waits
-/// every posted op. Charges are identical to allreduce_weight_gradient.
+/// nonblocking all-reduce over `comm` straight into `y_full`, leaving the
+/// (f_in x f_out) gradient replicated; the finish form waits every posted
+/// op.
 void begin_allreduce_weight_gradient(Matrix& y_partial, Index f_in,
                                      Index f_out, Comm& comm,
                                      Profiler& profiler,
@@ -820,10 +768,12 @@ void finish_allreduce_weight_gradient(Profiler& profiler,
                                       PendingGradReduce& pending);
 
 /// Slice family (2D / 3D) deferred gradient assembly: stage a copy of
-/// `y_slice` and post its nonblocking sum over `reduce_comm`; the finish
-/// form completes each reduction, all-gathers the reduced slices along
-/// `row_comm`, and unpacks into the recorded y_full targets. Charges are
-/// identical to assemble_weight_gradient.
+/// `y_slice` (a feat_slice(f_in) x f_out partial) and post its
+/// nonblocking sum over `reduce_comm`; the finish form completes each
+/// reduction, all-gathers the reduced slices along `row_comm` (`parts`
+/// ranks, rank j holding block_range(f_in, parts, j)), and unpacks the
+/// fully replicated (f_in x f_out) gradients into the recorded y_full
+/// targets.
 void begin_assemble_weight_gradient(Matrix& y_slice, Index f_in,
                                     Index f_out, Comm& reduce_comm,
                                     Profiler& profiler,

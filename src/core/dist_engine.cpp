@@ -205,8 +205,8 @@ void DistEngine::backward() {
   }
 
   algebra_->end_backward(stats_);
-  // Deferred (overlap-mode) gradient reductions complete here, having
-  // flown behind the backward recurrence; the optimizer step needs them.
+  // The deferred gradient reductions complete here, having flown behind
+  // the backward recurrence; the optimizer step needs them.
   algebra_->finish_gradients(stats_);
 }
 
@@ -247,13 +247,10 @@ EpochResult DistEngine::train_epoch() {
   const CostMeter before = world.meter();
   stats_ = EpochStats{};
 
-  const bool overlap = dist::overlap_enabled() && world.size() > 1;
-  if (overlap) {
-    // Release point for the previous epoch's nonblocking loss reduction:
-    // peers read this rank's loss scratch at their waits, and it is
-    // rewritten below. A handful of atomic loads when already drained.
-    world.quiesce();
-  }
+  // Release point for the previous epoch's nonblocking loss reduction:
+  // peers read this rank's loss scratch at their waits, and it is
+  // rewritten below. A handful of atomic loads when already drained.
+  world.quiesce();
 
   // Arm the algebra's adaptive-rate state (bounded-staleness halo
   // refresh) for this epoch. No-op unless CAGNET_STALE selects a lossy
@@ -266,8 +263,7 @@ EpochResult DistEngine::train_epoch() {
   const Matrix empty(0, config_.dims.back());
   stats_.result = dist::reduce_loss_accuracy(
       algebra_->owns_loss_rows() ? output_rows_ : empty, algebra_->row_lo(),
-      problem_.graph->labels, problem_.labeled_count, world,
-      overlap ? &loss_scratch_ : nullptr);
+      problem_.graph->labels, problem_.labeled_count, world, loss_scratch_);
   backward();
   step();
 

@@ -102,10 +102,9 @@ class DistSpmmAlgebra {
   /// Charges: the family's broadcast/reduction stages — kSparse for
   /// adjacency blocks (2D/3D SUMMA stages; replayed from the epoch cache
   /// after epoch 1), kDense for activation panels and the completing
-  /// reductions. With overlap enabled, stage k+1's blocks are in flight
-  /// behind stage k's local SpMM, and (1.5D) the team reduction of T may
-  /// be left pending for times_weight to drain — charges and results are
-  /// bitwise identical either way.
+  /// reductions. Stage k+1's blocks are in flight behind stage k's local
+  /// SpMM, and (1.5D, c > 1) the team reduction of T is left pending for
+  /// times_weight to drain.
   virtual void spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) = 0;
 
   /// Backward propagation U = A G: `g` is the local block of G^l, `u`
@@ -117,9 +116,9 @@ class DistSpmmAlgebra {
   /// Z = T W with W replicated: `t` is the local block of T, `z` receives
   /// the local block of Z. Default: purely local GEMM (rows-whole
   /// layouts; charges nothing); the 2D/3D families override with their
-  /// partial-SUMMA row broadcasts (kDense), and 1.5D overrides in overlap
-  /// mode to drain the deferred team reduction of T chunk-by-chunk behind
-  /// the GEMM. Collective whenever communication is involved.
+  /// partial-SUMMA row broadcasts (kDense), and 1.5D overrides to drain
+  /// the deferred team reduction of T chunk-by-chunk behind the GEMM.
+  /// Collective whenever communication is involved.
   virtual void times_weight(const Matrix& t, const Matrix& w, Matrix& z,
                             EpochStats& stats);
 
@@ -132,31 +131,22 @@ class DistSpmmAlgebra {
   virtual void gather_feature_rows(const Matrix& local, Index f,
                                    Matrix& full, EpochStats& stats);
 
-  /// Complete the weight gradient Y^l = (H^(l-1))^T (A G^l): `y_partial`
-  /// is this rank's partial (feat_slice(f_in) width x f_out), consumed as
-  /// reduction scratch; `y_full` receives the fully replicated
-  /// (f_in x f_out) gradient on every rank. Collective; charges kDense
-  /// for the all-reduce (and, 2D/3D, the slice all-gather).
-  virtual void reduce_gradients(Matrix& y_partial, Index f_in, Index f_out,
-                                Matrix& y_full, EpochStats& stats) = 0;
-
-  /// Overlap-mode split of reduce_gradients: begin posts the reduction of
-  /// this layer's partial through the nonblocking layer (staging a copy,
-  /// so `y_partial` is released immediately) and returns; finish — called
-  /// once per epoch, after the backward recurrence — completes every
-  /// posted reduction into its `y_full`. The reductions are therefore in
-  /// flight behind the remaining backward layers' compute. Charges are
-  /// identical to reduce_gradients (every charge value is an integer
-  /// count of bytes over the 8-byte word — an exactly-representable
-  /// dyadic — so per-category sums are order-independent and bitwise
-  /// equal). Default: synchronous fallback (begin == reduce_gradients,
-  /// finish == no-op), which is also the blocking-mode behavior.
+  /// Complete the weight gradient Y^l = (H^(l-1))^T (A G^l), split in
+  /// two so the reductions fly behind the remaining backward layers'
+  /// compute. begin posts the reduction of this layer's partial
+  /// `y_partial` (feat_slice(f_in) width x f_out) through the nonblocking
+  /// layer, staging a copy so `y_partial` is released immediately, and
+  /// returns; finish — called once per epoch, after the backward
+  /// recurrence — completes every posted reduction, leaving the fully
+  /// replicated (f_in x f_out) gradient in each layer's `y_full` on every
+  /// rank. Collective; charges kDense for the all-reduce (and, 2D/3D, the
+  /// slice all-gather). Every charge value is an integer count of bytes
+  /// over the 8-byte word — an exactly-representable dyadic — so
+  /// per-category sums are order-independent.
   virtual void begin_reduce_gradients(Matrix& y_partial, Index f_in,
                                       Index f_out, Matrix& y_full,
-                                      EpochStats& stats) {
-    reduce_gradients(y_partial, f_in, f_out, y_full, stats);
-  }
-  virtual void finish_gradients(EpochStats& stats) { (void)stats; }
+                                      EpochStats& stats) = 0;
+  virtual void finish_gradients(EpochStats& stats) = 0;
 
   /// Assemble the full (n x f) output on every rank from the full-row local
   /// output block (parity tests and inference). Default: rank-ordered
@@ -294,8 +284,8 @@ class DistEngine : public DistTrainer {
   Matrix y_buf_;       ///< weight-gradient slice partial
   Matrix w_rows_buf_;  ///< feat-sliced rows of W for the G recurrence
 
-  /// Persistent (src, dst) pairs of the overlap-mode nonblocking loss
-  /// reduction; released by the quiesce at the next epoch's start.
+  /// Persistent (src, dst) pairs of the nonblocking loss reduction;
+  /// released by the quiesce at the next epoch's start.
   std::array<double, 4> loss_scratch_ = {};
 
   /// Sampled minibatch state (dist::SampledRunner), constructed lazily on

@@ -34,6 +34,15 @@ SampledRunner::SampledRunner(const DistProblem& problem,
   }
   CAGNET_CHECK(options_.batch_size > 0,
                "sampled training: batch size must be positive");
+  // The next batch's layer-0 exchange stays posted across this batch's
+  // backward, which posts one contribution exchange per layer on the same
+  // communicator. A channel is reused only after every rank finished its
+  // previous generation, so a 16th layer would wait forever.
+  CAGNET_CHECK(layers < detail::kAsyncChannels,
+               "sampled training: at most " +
+                   std::to_string(detail::kAsyncChannels - 1) +
+                   " layers (the prefetched exchange must fit the "
+                   "communicator's channel ring)");
 
   const int p = comm_.size();
   row_lo_ = algebra_.row_lo();
@@ -311,9 +320,8 @@ void SampledRunner::build_batch(Slot& slot, int epoch, Index batch,
   }
 
   // ---- Compact features and post the level-0 exchange: the ialltoallv
-  // flies behind the current batch's backward + step (overlap mode) and
-  // is drained inside the next forward's first-layer sweep. Blocking mode
-  // completes it here — identical collective order either way.
+  // flies behind the current batch's backward + step and is drained
+  // inside the next forward's first-layer sweep.
   Level& l0 = slot.levels[0];
   {
     ScopedPhase scope(stats.profiler, Phase::kHaloPack);
@@ -480,8 +488,8 @@ void SampledRunner::backward_batch(Slot& slot,
         e.plan, CommCategory::kHalo, machine_, stats, u_buf_);
 
     // Y^k = (H^(k-1))^T U over the compact rows; the replicated reduction
-    // is the algebra's own (deferred in overlap mode, so it flies behind
-    // the remaining layers — same discipline as full-batch).
+    // is the algebra's own (deferred, so it flies behind the remaining
+    // layers — same discipline as full-batch).
     {
       ScopedPhase scope(stats.profiler, Phase::kMisc);
       y_buf_.resize(f_in, f_out);

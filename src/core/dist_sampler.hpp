@@ -107,7 +107,7 @@ class SampledRunner {
   struct Slot {
     std::vector<Level> levels;
     std::vector<Exchange> exch;
-    PendingOp h0_op;  ///< in-flight feature exchange (overlap mode)
+    PendingOp h0_op;  ///< in-flight feature exchange
   };
 
   /// Sample batch `batch` of `epoch` into `slot`: seeds, per-hop Floyd

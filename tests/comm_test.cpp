@@ -986,16 +986,20 @@ TEST(Nonblocking, ComputeBetweenPostAndWaitSeesNoInterference) {
 }
 
 TEST(Nonblocking, TooManyOutstandingOpsDiagnosed) {
+  // The buffers outlive the world: rank 1 unwinds from the diagnosed post
+  // by completing its pending ops in their destructors, which read rank
+  // 0's source after rank 0 (a passive root) may have left its frame.
+  std::vector<std::vector<Real>> src(2, std::vector<Real>(2, 1.0));
+  std::vector<std::vector<Real>> dst(2, std::vector<Real>(2, 0.0));
   EXPECT_THROW(
       run_world(2,
-                [](Comm& comm) {
-                  std::vector<Real> src(2, 1.0);
-                  std::vector<Real> dst(2, 0.0);
+                [&](Comm& comm) {
+                  const auto r = static_cast<std::size_t>(comm.rank());
                   std::vector<PendingOp> ops;
                   for (int i = 0; i < 17; ++i) {  // cap is 16 in flight
                     ops.push_back(comm.ibroadcast_from(
-                        std::span<const Real>(src), std::span<Real>(dst), 0,
-                        CommCategory::kDense));
+                        std::span<const Real>(src[r]),
+                        std::span<Real>(dst[r]), 0, CommCategory::kDense));
                   }
                 }),
       Error);

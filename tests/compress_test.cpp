@@ -31,23 +31,19 @@ std::vector<Real> wave(std::size_t n, int salt) {
   return v;
 }
 
-/// Restore the process-global compression mode (and the runtime toggles)
-/// on scope exit, so these tests behave identically whatever ambient
+/// Restore the process-global compression mode (and the halo toggle) on
+/// scope exit, so these tests behave identically whatever ambient
 /// CAGNET_COMPRESS the suite was launched under.
 class ModeGuard {
  public:
-  ModeGuard()
-      : mode_(compress_mode()), overlap_(dist::overlap_enabled()),
-        halo_(dist::halo_enabled()) {}
+  ModeGuard() : mode_(compress_mode()), halo_(dist::halo_enabled()) {}
   ~ModeGuard() {
     set_compress_mode(mode_);
-    dist::set_overlap_enabled(overlap_);
     dist::set_halo_enabled(halo_);
   }
 
  private:
   CompressMode mode_;
-  bool overlap_;
   bool halo_;
 };
 
@@ -464,9 +460,10 @@ TEST(LossyTraining, MeteredGradientBytesShrinkOnWire) {
   }
 }
 
-TEST(LossyTraining, CompressedOverlapMatchesBlockingBitwise) {
-  // Within one lossy mode the overlap toggle must stay bitwise-neutral,
-  // halo path included — same contract the exact runtime upholds.
+TEST(LossyTraining, CompressedHaloBitwiseAcrossThreadBudgets) {
+  // Within one lossy mode the codec and the pipelined halo drains stay
+  // bitwise deterministic whatever the thread budget — same contract the
+  // exact runtime upholds.
   ModeGuard guard;
   const Graph g = learnable_graph(180, 9, 10, 3, 41);
   const GnnConfig config = GnnConfig::three_layer(10, 3, 8);
@@ -474,24 +471,25 @@ TEST(LossyTraining, CompressedOverlapMatchesBlockingBitwise) {
   dist::set_halo_enabled(true);
   set_compress_mode(CompressMode::kInt8);
 
-  dist::set_overlap_enabled(true);
-  const TrainRun pipelined = run_trainer("1d", problem, config, 4, 3);
-  dist::set_overlap_enabled(false);
-  const TrainRun blocking = run_trainer("1d", problem, config, 4, 3);
+  override_thread_budget(1);
+  const TrainRun one = run_trainer("1d", problem, config, 4, 3);
+  override_thread_budget(8);
+  const TrainRun eight = run_trainer("1d", problem, config, 4, 3);
+  override_thread_budget(0);
 
-  ASSERT_EQ(pipelined.losses.size(), blocking.losses.size());
-  for (std::size_t e = 0; e < pipelined.losses.size(); ++e) {
-    EXPECT_EQ(pipelined.losses[e], blocking.losses[e]) << "epoch " << e;
+  ASSERT_EQ(one.losses.size(), eight.losses.size());
+  for (std::size_t e = 0; e < one.losses.size(); ++e) {
+    EXPECT_EQ(one.losses[e], eight.losses[e]) << "epoch " << e;
   }
-  ASSERT_EQ(pipelined.weights.size(), blocking.weights.size());
-  for (std::size_t l = 0; l < pipelined.weights.size(); ++l) {
-    EXPECT_LE(Matrix::max_abs_diff(pipelined.weights[l],
-                                   blocking.weights[l]),
+  ASSERT_EQ(one.weights.size(), eight.weights.size());
+  for (std::size_t l = 0; l < one.weights.size(); ++l) {
+    EXPECT_LE(Matrix::max_abs_diff(one.weights[l],
+                                   eight.weights[l]),
               Real{0})
         << "layer " << l;
   }
-  EXPECT_EQ(pipelined.stats.comm.words(CommCategory::kCompressed),
-            blocking.stats.comm.words(CommCategory::kCompressed));
+  EXPECT_EQ(one.stats.comm.words(CommCategory::kCompressed),
+            eight.stats.comm.words(CommCategory::kCompressed));
 }
 
 TEST(LossyTraining, LossyModesReachExactAccuracyWithinTolerance) {

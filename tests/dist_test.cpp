@@ -6,8 +6,10 @@
 // the Section IV closed forms.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "src/comm/compress.hpp"
@@ -31,8 +33,8 @@ constexpr Real kParityTol = 1e-8;
 // reductions through quantized payloads, ambient bounded staleness
 // (CAGNET_STALE >= 2 or adaptive) replays cached halo rows, and ambient
 // pre-aggregation (CAGNET_PREAGG) reassociates the halo sums — so these
-// comparisons only hold in exact mode. Within-mode parity suites
-// (OverlapParity) keep running.
+// comparisons only hold in exact mode. MeterPin sets exact mode itself and
+// keeps running.
 #define SKIP_IF_AMBIENT_LOSSY()                                           \
   do {                                                                    \
     if (compress_mode() != CompressMode::kOff) {                          \
@@ -248,6 +250,46 @@ TEST(DistParity, DeepNetworkMatchesOn3D) {
   const RunOutcome serial = run_serial(g, config, 2);
   const RunOutcome dist = run_distributed("3d", g, config, 27, 2);
   EXPECT_LE(Matrix::max_abs_diff(dist.output, serial.output), kParityTol);
+}
+
+TEST(DistParity, DeeperThanChannelRingMatchesSerial) {
+  // Each layer's weight-gradient reduction stays pending behind the rest
+  // of the backward. Twenty layers outnumber the 16 channels of a
+  // communicator, so the deferred reductions must retire early enough to
+  // keep posting (a hang here, not a mismatch, is the failure mode).
+  SKIP_IF_AMBIENT_LOSSY();
+  const Graph g = test_graph(64, 6, 3, 54);
+  GnnConfig config;
+  config.dims.assign(21, 6);
+  config.dims.back() = 3;
+  const RunOutcome serial = run_serial(g, config, 2);
+  for (const auto& [algebra, p] :
+       {std::pair<std::string, int>{"1d", 4},
+        {"1.5d-c2", 4},
+        {"2d", 4},
+        {"3d", 8}}) {
+    const RunOutcome dist = run_distributed(algebra, g, config, p, 2);
+    EXPECT_LE(Matrix::max_abs_diff(dist.output, serial.output), kParityTol)
+        << algebra;
+    for (std::size_t e = 0; e < serial.losses.size(); ++e) {
+      EXPECT_NEAR(dist.losses[e], serial.losses[e], kParityTol) << algebra;
+    }
+  }
+}
+
+TEST(DistParity, TwoDOnAnEightByEightGridMatchesSerial) {
+  // At q = 8 the process column carries 16 SUMMA panels in one backward
+  // layer, more than the channel ring holds, while the column's gradient
+  // reductions are still pending; they must not share its channels.
+  SKIP_IF_AMBIENT_LOSSY();
+  const Graph g = test_graph(128, 8, 4, 55);
+  const GnnConfig config = GnnConfig::three_layer(8, 4, 8);
+  const RunOutcome serial = run_serial(g, config, 2);
+  const RunOutcome dist = run_distributed("2d", g, config, 64, 2);
+  EXPECT_LE(Matrix::max_abs_diff(dist.output, serial.output), kParityTol);
+  for (std::size_t e = 0; e < serial.losses.size(); ++e) {
+    EXPECT_NEAR(dist.losses[e], serial.losses[e], kParityTol);
+  }
 }
 
 TEST(DistParity, ConfigGraphMismatchThrowsInWorld) {
@@ -543,27 +585,26 @@ TEST_P(RandomizedDifferential, AllFamiliesMatchSerial) {
 INSTANTIATE_TEST_SUITE_P(Trials, RandomizedDifferential,
                          ::testing::Range(0, 8));
 
-// ---- Overlap mode vs blocking mode ----
-// With CAGNET_OVERLAP=1 the SUMMA-style loops double-buffer their stage
-// broadcasts and the 1.5D replica reduction is drained behind the Z = T W
-// GEMM, but losses, embeddings, weights, and metered words/latency must be
-// *bitwise* identical to blocking mode for every algebra and world size —
-// overlap may only move wall time, never results or modeled volumes.
+// ---- The overlapped schedule ----
+// Every world size runs one schedule: the SUMMA-style loops double-buffer
+// their stage broadcasts, the 1.5D replica reduction drains behind the
+// Z = T W GEMM, and the weight-gradient reductions fly behind the backward
+// recurrence. Which words move is fixed by the algorithm, not by that
+// schedule, so MeterPin pins every category's charges as literals.
 
-struct OverlapRun {
+struct MeteredRun {
   std::vector<Real> losses;
-  std::vector<Matrix> weights;
-  Matrix output;
   std::vector<std::vector<double>> epoch_meters;  // rank 0, per epoch
   double overlap_regions = 0;
   double overlap_saved = 0;
+  double modeled = 0;          // rank 0, final epoch, serialized
+  double modeled_overlap = 0;  // rank 0, final epoch, overlap-folded
 };
 
-OverlapRun run_for_overlap_compare(const std::string& algebra,
-                                   const DistProblem& problem,
-                                   const GnnConfig& config, int p,
-                                   int epochs) {
-  OverlapRun run;
+MeteredRun run_metered(const std::string& algebra,
+                       const DistProblem& problem, const GnnConfig& config,
+                       int p, int epochs) {
+  MeteredRun run;
   std::mutex mutex;
   run_world(p, [&](Comm& world) {
     auto trainer = make_dist_trainer(algebra, problem, config, world);
@@ -580,100 +621,188 @@ OverlapRun run_for_overlap_compare(const std::string& algebra,
       }
       meters.push_back(std::move(row));
     }
-    Matrix out = trainer->gather_output();
     if (world.rank() == 0) {
       std::lock_guard<std::mutex> lock(mutex);
-      const CostMeter& m = trainer->last_epoch_stats().comm;
+      const EpochStats& stats = trainer->last_epoch_stats();
       run.losses = std::move(losses);
-      run.weights = trainer->weights();
-      run.output = std::move(out);
       run.epoch_meters = std::move(meters);
-      run.overlap_regions = m.overlap_regions();
-      run.overlap_saved = m.overlap_saved_seconds();
+      run.overlap_regions = stats.comm.overlap_regions();
+      run.overlap_saved = stats.comm.overlap_saved_seconds();
+      run.modeled = stats.modeled_seconds(MachineModel::summit());
+      run.modeled_overlap =
+          stats.modeled_seconds_overlap(MachineModel::summit());
     }
   });
   return run;
 }
 
-TEST(OverlapParity, BitwiseIdenticalToBlockingAcrossAlgebras) {
-  const Graph g = test_graph(96, 10, 4, 77);
-  const DistProblem problem = DistProblem::prepare(g);
-  GnnConfig config = GnnConfig::three_layer(10, 4, 8);
-  const int epochs = 3;
-  const bool was_enabled = dist::overlap_enabled();
-  // The overlap-regions assertions below are about the double-buffered
-  // broadcast loops; pin the halo exchange off so a CAGNET_HALO=1
-  // environment cannot replace them (halo x overlap parity is covered by
-  // tests/halo_test.cpp).
-  const bool halo_was = dist::halo_enabled();
-  dist::set_halo_enabled(false);
-
-  for (const auto& [algebra, p] :
-       {std::pair<std::string, int>{"1d", 4},
-        {"1.5d-c2", 4},
-        {"1.5d-c2", 8},
-        {"1.5d-c4", 4},
-        {"2d", 4},
-        {"2d", 9},
-        {"3d", 8}}) {
-    dist::set_overlap_enabled(true);
-    const OverlapRun overlapped =
-        run_for_overlap_compare(algebra, problem, config, p, epochs);
-    dist::set_overlap_enabled(false);
-    const OverlapRun blocking =
-        run_for_overlap_compare(algebra, problem, config, p, epochs);
-
-    const std::string label = algebra + " p=" + std::to_string(p);
-    ASSERT_EQ(overlapped.losses.size(), blocking.losses.size()) << label;
-    for (std::size_t e = 0; e < overlapped.losses.size(); ++e) {
-      EXPECT_EQ(overlapped.losses[e], blocking.losses[e])
-          << label << " loss, epoch " << e;
-    }
-    ASSERT_EQ(overlapped.weights.size(), blocking.weights.size()) << label;
-    for (std::size_t l = 0; l < overlapped.weights.size(); ++l) {
-      EXPECT_LE(Matrix::max_abs_diff(overlapped.weights[l],
-                                     blocking.weights[l]),
-                Real{0})
-          << label << " weights, layer " << l;
-    }
-    EXPECT_LE(Matrix::max_abs_diff(overlapped.output, blocking.output),
-              Real{0})
-        << label << " output";
-    // Metered words and latency units: bitwise equal per epoch/category.
-    ASSERT_EQ(overlapped.epoch_meters.size(), blocking.epoch_meters.size());
-    for (std::size_t e = 0; e < overlapped.epoch_meters.size(); ++e) {
-      for (std::size_t i = 0; i < overlapped.epoch_meters[e].size(); ++i) {
-        EXPECT_EQ(overlapped.epoch_meters[e][i], blocking.epoch_meters[e][i])
-            << label << " epoch " << e << " meter slot " << i;
-      }
-    }
-    // Overlap mode actually recorded overlapped regions (p > 1 SUMMA-style
-    // loops always have at least one per layer); blocking recorded none.
-    EXPECT_GT(overlapped.overlap_regions, 0.0) << label;
-    EXPECT_GE(overlapped.overlap_saved, 0.0) << label;
-    EXPECT_DOUBLE_EQ(blocking.overlap_regions, 0.0) << label;
+/// Pins the exact full-batch mode for the body — halo off, staleness,
+/// pre-aggregation, compression and sampling off — whatever the ambient
+/// CAGNET_* environment selects, and restores the knobs afterwards.
+class ExactModeGuard {
+ public:
+  ExactModeGuard()
+      : halo_(dist::halo_enabled()), stale_(dist::stale_k()),
+        preagg_(dist::preagg_enabled()), sample_(dist::sample_enabled()),
+        compress_(compress_mode()) {
+    dist::set_halo_enabled(false);
+    dist::set_stale_k(0);
+    dist::set_preagg_enabled(false);
+    dist::set_sample_enabled(false);
+    set_compress_mode(CompressMode::kOff);
   }
-  dist::set_overlap_enabled(was_enabled);
-  dist::set_halo_enabled(halo_was);
+  ~ExactModeGuard() {
+    dist::set_halo_enabled(halo_);
+    dist::set_stale_k(stale_);
+    dist::set_preagg_enabled(preagg_);
+    dist::set_sample_enabled(sample_);
+    set_compress_mode(compress_);
+  }
+  ExactModeGuard(const ExactModeGuard&) = delete;
+  ExactModeGuard& operator=(const ExactModeGuard&) = delete;
+
+ private:
+  bool halo_;
+  int stale_;
+  bool preagg_;
+  bool sample_;
+  CompressMode compress_;
+};
+
+/// One pinned configuration. `parts` > 0 selects the halo exchange on a
+/// greedy-bfs partition of the community graph into `parts` row blocks;
+/// 0 selects the identity layout of the R-MAT graph.
+struct MeterPin {
+  std::string algebra;
+  int p = 0;
+  int parts = 0;
+  /// Rank 0's {latency units, words} per CommCategory, in enum order
+  /// (dense, sparse, trpose, halo, compressed, control). Each of the three
+  /// epochs charges exactly these values: the 2D/3D epoch caches replay
+  /// epoch 1's sparse and transpose charges.
+  std::array<double, 2 * CostMeter::kNumCategories> meter;
+};
+
+std::vector<MeterPin> meter_pins() {
+  return {
+      {"1d", 4, 0, {42, 4200, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3}},
+      {"1.5d-c2", 4, 0, {21, 4112, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3}},
+      {"1.5d-c2", 8, 0, {39, 3336, 0, 0, 0, 0, 0, 0, 0, 0, 6, 3.5}},
+      {"1.5d-c4", 4, 0, {18, 5664, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3}},
+      {"2d", 4, 0, {31, 4208, 48, 5352, 0, 0, 0, 0, 0, 0, 4, 3}},
+      {"2d", 9, 0, {80, 2751.875, 144, 3936, 0, 0, 0, 0, 0, 0, 8, 3.5}},
+      {"3d", 8, 0, {43, 2788, 48, 2508, 8, 220, 0, 0, 0, 0, 6, 3.5}},
+      {"1d", 4, 4, {18, 4044, 0, 0, 0, 0, 9, 2340, 0, 0, 4, 3}},
+      {"1.5d-c2", 8, 4, {27, 5084, 0, 0, 0, 0, 9, 676, 0, 0, 6, 3.5}},
+  };
 }
 
-TEST(OverlapParity, CachedEpochsStillReplayExactlyUnderOverlap) {
-  // Epoch cache x overlap: cached blocks are served from the prefetch
-  // buffers and the replayed charges must still match the uncached path
-  // bitwise while overlap is on.
+Graph community_graph(Index n, Index communities, Index f, Index classes,
+                      std::uint64_t seed) {
+  Rng rng(seed);
+  Graph g;
+  g.name = "dist-test-communities";
+  g.adjacency = gcn_normalize(
+      planted_partition(n, communities, 10.0, 1.0, rng,
+                        /*hub_fraction=*/0.0),
+      /*symmetrize=*/true);
+  g.features = Matrix(n, f);
+  g.features.fill_uniform(rng, -1, 1);
+  g.num_classes = classes;
+  g.labels.resize(static_cast<std::size_t>(n));
+  for (auto& label : g.labels) {
+    label = static_cast<Index>(
+        rng.next_below(static_cast<std::uint64_t>(classes)));
+  }
+  return g;
+}
+
+TEST(MeterPin, ExactChargesMatchRecordedValues) {
+  // Every exact-mode charge is a whole number of bytes over the 8-byte
+  // word, so the literals are exact doubles and compare with ==. They
+  // were recorded when a synchronous schedule still ran beside the
+  // overlapped one, and both charged these values bit for bit.
+  ExactModeGuard guard;
+  const Graph rmat_graph = test_graph(96, 10, 4, 77);
+  const DistProblem identity = DistProblem::prepare(rmat_graph);
+  const GnnConfig config = GnnConfig::three_layer(10, 4, 8);
+  const Graph communities = community_graph(252, 12, 10, 4, 97);
+  GnnConfig halo_config = config;
+  halo_config.learning_rate = 0.1;
+
+  for (const MeterPin& pin : meter_pins()) {
+    const bool halo = pin.parts > 0;
+    dist::set_halo_enabled(halo);
+    const DistProblem partitioned =
+        halo ? DistProblem::prepare(communities, pin.parts, "greedy-bfs")
+             : DistProblem();
+    const MeteredRun run = run_metered(
+        pin.algebra, halo ? partitioned : identity,
+        halo ? halo_config : config, pin.p, 3);
+    const std::string label = pin.algebra + " p=" + std::to_string(pin.p) +
+                              (halo ? " halo" : "");
+    ASSERT_EQ(run.epoch_meters.size(), 3u) << label;
+    for (std::size_t e = 0; e < run.epoch_meters.size(); ++e) {
+      ASSERT_EQ(run.epoch_meters[e].size(), pin.meter.size()) << label;
+      for (std::size_t i = 0; i < pin.meter.size(); ++i) {
+        EXPECT_EQ(run.epoch_meters[e][i], pin.meter[i])
+            << label << " epoch " << e << " "
+            << comm_category_name(static_cast<CommCategory>(i / 2))
+            << (i % 2 == 0 ? " latency" : " words");
+      }
+    }
+  }
+}
+
+TEST(Overlap, EveryAlgebraRecordsRegions) {
+  ExactModeGuard guard;
+  const Graph g = test_graph(96, 10, 4, 77);
+  const DistProblem problem = DistProblem::prepare(g);
+  const GnnConfig config = GnnConfig::three_layer(10, 4, 8);
+  for (const MeterPin& pin : meter_pins()) {
+    if (pin.parts > 0) continue;  // halo regions: tests/halo_test.cpp
+    const MeteredRun run =
+        run_metered(pin.algebra, problem, config, pin.p, 3);
+    const std::string label = pin.algebra + " p=" + std::to_string(pin.p);
+    // p > 1 SUMMA-style loops record at least one region per layer.
+    EXPECT_GT(run.overlap_regions, 0.0) << label;
+    EXPECT_GE(run.overlap_saved, 0.0) << label;
+  }
+}
+
+TEST(Overlap, SingleRankRegionsSaveNothing) {
+  // A single rank runs the same overlapped loops as larger worlds, each
+  // with one stage. Every region pairs zero communication with its
+  // compute, so the overlap-folded modeled time equals the serialized one
+  // bit for bit.
+  ExactModeGuard guard;
+  const Graph g = test_graph(64, 6, 3, 48);
+  const DistProblem problem = DistProblem::prepare(g);
+  const GnnConfig config = GnnConfig::three_layer(6, 3, 4);
+  for (const char* algebra : {"1d", "2d", "3d"}) {
+    const MeteredRun run =
+        run_metered(algebra, problem, config, 1, 2);
+    const std::string label = algebra;
+    EXPECT_GT(run.overlap_regions, 0.0) << label;
+    EXPECT_EQ(run.overlap_saved, 0.0) << label;
+    EXPECT_EQ(run.modeled_overlap, run.modeled) << label;
+  }
+}
+
+TEST(EpochCache, CachedEpochsReplayChargesExactly) {
+  // Cached blocks are served from the prefetch buffers and the replayed
+  // charges must match the uncached path bitwise.
   const Graph g = test_graph(80, 8, 3, 78);
   const DistProblem problem = DistProblem::prepare(g);
   GnnConfig config = GnnConfig::three_layer(8, 3, 6);
-  const bool was_enabled = dist::overlap_enabled();
-  dist::set_overlap_enabled(true);
   for (const auto& [algebra, p] :
        {std::pair<std::string, int>{"2d", 4}, {"3d", 8}}) {
     dist::set_epoch_cache_enabled(true);
-    const OverlapRun cached =
-        run_for_overlap_compare(algebra, problem, config, p, 3);
+    const MeteredRun cached =
+        run_metered(algebra, problem, config, p, 3);
     dist::set_epoch_cache_enabled(false);
-    const OverlapRun uncached =
-        run_for_overlap_compare(algebra, problem, config, p, 3);
+    const MeteredRun uncached =
+        run_metered(algebra, problem, config, p, 3);
     dist::set_epoch_cache_enabled(true);
     for (std::size_t e = 0; e < cached.epoch_meters.size(); ++e) {
       for (std::size_t i = 0; i < cached.epoch_meters[e].size(); ++i) {
@@ -685,7 +814,6 @@ TEST(OverlapParity, CachedEpochsStillReplayExactlyUnderOverlap) {
       EXPECT_EQ(cached.losses[e], uncached.losses[e]) << algebra;
     }
   }
-  dist::set_overlap_enabled(was_enabled);
 }
 
 TEST(DistStats, ProfilerCoversAllPhasesFor2D) {

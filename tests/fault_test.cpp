@@ -71,17 +71,6 @@ class CompressModeGuard {
   CompressMode mode_;
 };
 
-class OverlapGuard {
- public:
-  explicit OverlapGuard(bool on) : was_(dist::overlap_enabled()) {
-    dist::set_overlap_enabled(on);
-  }
-  ~OverlapGuard() { dist::set_overlap_enabled(was_); }
-
- private:
-  bool was_;
-};
-
 Graph small_graph(Index n, Index communities, Index f, Index classes,
                   std::uint64_t seed) {
   Rng rng(seed);
@@ -414,7 +403,7 @@ TEST(FaultAbort, WorldIsImmediatelyRelaunchableAfterAbort) {
 
 // ---- Recovery drills: checkpoint/restart closes the loop ----
 
-TEST(RecoveryDrill, RestartIsBitwiseAcrossAlgebrasAndOverlapModes) {
+TEST(RecoveryDrill, RestartIsBitwiseAcrossAlgebras) {
   ExactModeGuard exact;
   const Graph g = small_graph(160, 8, 8, 4, 77);
   GnnConfig config = GnnConfig::three_layer(8, 4, 6);
@@ -427,46 +416,42 @@ TEST(RecoveryDrill, RestartIsBitwiseAcrossAlgebrasAndOverlapModes) {
     int p;
   } cases[] = {{"1d", 4}, {"1.5d-c2", 4}, {"2d", 4}, {"3d", 8}};
 
-  for (const bool overlap : {true, false}) {
-    OverlapGuard overlap_guard(overlap);
-    for (const auto& c : cases) {
-      SCOPED_TRACE(std::string(c.algebra) + (overlap ? "/overlap" : "/sync"));
-      const Trace oracle =
-          train_oracle(c.algebra, problem, config, c.p, epochs);
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.algebra);
+    const Trace oracle =
+        train_oracle(c.algebra, problem, config, c.p, epochs);
 
-      const std::string path =
-          temp_path(std::string("cagnet_drill_") + c.algebra +
-                    (overlap ? "_ov" : "_sync") + ".ckpt");
-      RecoveryOptions options;
-      options.ckpt_path = path;
-      options.ckpt_every = 2;
-      RecoveryReport report;
-      {
-        // Kill rank 1 at its 40th publication of any category: lands
-        // mid-training, after checkpoints have started landing.
-        FaultPlanGuard guard(
-            FaultPlan().kill_any(1, FaultSite::kPost, 40));
-        report = train_with_recovery(c.algebra, problem, config, c.p,
-                                     epochs, options);
-      }
-      EXPECT_GE(report.restarts, 1);
-      ASSERT_TRUE(report.last_abort.has_value());
-      EXPECT_EQ(report.last_abort->rank(), 1);
-      EXPECT_GE(report.checkpoints_written, 1);
-
-      // The recovered run is indistinguishable from the oracle: same
-      // per-epoch losses, bitwise-identical final weights.
-      EXPECT_EQ(report.losses, oracle.losses);
-      ASSERT_EQ(report.weights.size(), oracle.weights.size());
-      for (std::size_t l = 0; l < oracle.weights.size(); ++l) {
-        EXPECT_LE(Matrix::max_abs_diff(report.weights[l], oracle.weights[l]),
-                  Real{0})
-            << "layer " << l;
-      }
-      // Atomic writes: no half-written temp file survives.
-      EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
-      std::remove(path.c_str());
+    const std::string path =
+        temp_path(std::string("cagnet_drill_") + c.algebra + ".ckpt");
+    RecoveryOptions options;
+    options.ckpt_path = path;
+    options.ckpt_every = 2;
+    RecoveryReport report;
+    {
+      // Kill rank 1 at its 40th publication of any category: lands
+      // mid-training, after checkpoints have started landing.
+      FaultPlanGuard guard(
+          FaultPlan().kill_any(1, FaultSite::kPost, 40));
+      report = train_with_recovery(c.algebra, problem, config, c.p,
+                                   epochs, options);
     }
+    EXPECT_GE(report.restarts, 1);
+    ASSERT_TRUE(report.last_abort.has_value());
+    EXPECT_EQ(report.last_abort->rank(), 1);
+    EXPECT_GE(report.checkpoints_written, 1);
+
+    // The recovered run is indistinguishable from the oracle: same
+    // per-epoch losses, bitwise-identical final weights.
+    EXPECT_EQ(report.losses, oracle.losses);
+    ASSERT_EQ(report.weights.size(), oracle.weights.size());
+    for (std::size_t l = 0; l < oracle.weights.size(); ++l) {
+      EXPECT_LE(Matrix::max_abs_diff(report.weights[l], oracle.weights[l]),
+                Real{0})
+          << "layer " << l;
+    }
+    // Atomic writes: no half-written temp file survives.
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+    std::remove(path.c_str());
   }
 }
 

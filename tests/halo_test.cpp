@@ -1,9 +1,9 @@
 // Partition-aware layouts and the sparsity-aware halo exchange.
 //
 // The HaloParity suite is the contract of dist::set_halo_enabled: for every
-// rows-whole algebra, world size, partitioner, and CAGNET_OVERLAP mode, the
-// halo path must reproduce the broadcast path's losses, accuracy, weights,
-// and embeddings *bitwise* while metering strictly less traffic. The exact
+// rows-whole algebra, world size, and partitioner, the halo path must
+// reproduce the broadcast path's losses, accuracy, weights, and embeddings
+// *bitwise* while metering strictly less traffic. The exact
 // words test pins the acceptance claim of Section IV-A.8: on a
 // community-structured graph the 1D halo volume equals
 // max_remote_rows_per_part * f exactly and beats the broadcast bound by a
@@ -35,8 +35,8 @@ constexpr Real kParityTol = 1e-8;
 /// contract of exact traffic: an ambient lossy codec (CAGNET_COMPRESS)
 /// re-encodes the halo payload but not the broadcasts, so the paths
 /// legitimately diverge. Those tests skip themselves under a lossy mode;
-/// within-mode parity (overlap vs blocking under the same codec) still
-/// runs and must stay bitwise. Lossy-mode accuracy is compress_test's.
+/// within-mode parity (thread budgets under the same codec) still runs
+/// and must stay bitwise. Lossy-mode accuracy is compress_test's.
 #define SKIP_IF_AMBIENT_LOSSY()                                           \
   do {                                                                    \
     if (compress_mode() != CompressMode::kOff) {                          \
@@ -111,23 +111,18 @@ HaloRun run_trainer(const std::string& algebra, const DistProblem& problem,
   return run;
 }
 
-/// Flip both runtime toggles around a body, restoring them afterwards.
+/// Flip the halo toggle around a body, restoring it afterwards.
 class ToggleGuard {
  public:
-  ToggleGuard()
-      : overlap_(dist::overlap_enabled()), halo_(dist::halo_enabled()) {}
-  ~ToggleGuard() {
-    dist::set_overlap_enabled(overlap_);
-    dist::set_halo_enabled(halo_);
-  }
+  ToggleGuard() : halo_(dist::halo_enabled()) {}
+  ~ToggleGuard() { dist::set_halo_enabled(halo_); }
 
  private:
-  bool overlap_;
   bool halo_;
 };
 
 // ---- HaloParity: broadcast vs halo, bitwise, across the matrix of
-// algebras x world sizes x partitioners x overlap modes ----
+// algebras x world sizes x partitioners ----
 
 struct HaloCase {
   std::string algebra;
@@ -160,46 +155,40 @@ TEST_P(HaloParity, BitwiseMatchesBroadcastPath) {
       DistProblem::prepare(g, c.partition_parts, partitioner);
 
   ToggleGuard guard;
-  for (bool overlap : {true, false}) {
-    dist::set_overlap_enabled(overlap);
-    dist::set_halo_enabled(false);
-    const HaloRun bcast =
-        run_trainer(c.algebra, problem, config, c.p, epochs);
-    dist::set_halo_enabled(true);
-    const HaloRun halo =
-        run_trainer(c.algebra, problem, config, c.p, epochs);
+  dist::set_halo_enabled(false);
+  const HaloRun bcast = run_trainer(c.algebra, problem, config, c.p, epochs);
+  dist::set_halo_enabled(true);
+  const HaloRun halo = run_trainer(c.algebra, problem, config, c.p, epochs);
 
-    const std::string label = c.algebra + " p=" + std::to_string(c.p) +
-                              " " + partitioner +
-                              (overlap ? " overlap" : " blocking");
-    ASSERT_EQ(halo.losses.size(), bcast.losses.size()) << label;
-    for (std::size_t e = 0; e < halo.losses.size(); ++e) {
-      EXPECT_EQ(halo.losses[e], bcast.losses[e]) << label << " epoch " << e;
-      EXPECT_EQ(halo.accuracies[e], bcast.accuracies[e])
-          << label << " epoch " << e;
-    }
-    ASSERT_EQ(halo.weights.size(), bcast.weights.size()) << label;
-    for (std::size_t l = 0; l < halo.weights.size(); ++l) {
-      EXPECT_LE(Matrix::max_abs_diff(halo.weights[l], bcast.weights[l]),
-                Real{0})
-          << label << " weights layer " << l;
-    }
-    EXPECT_LE(Matrix::max_abs_diff(halo.output, bcast.output), Real{0})
-        << label << " output";
-
-    // The halo path moves its forward traffic as kHalo and strictly less
-    // dense data; the broadcast path never charges kHalo.
-    EXPECT_GT(halo.stats.comm.words(CommCategory::kHalo), 0.0) << label;
-    EXPECT_DOUBLE_EQ(bcast.stats.comm.words(CommCategory::kHalo), 0.0)
-        << label;
-    EXPECT_LT(halo.stats.comm.words(CommCategory::kDense),
-              bcast.stats.comm.words(CommCategory::kDense))
-        << label;
-    // The halo never moves more than the broadcasts; under a random
-    // partition it can tie exactly (every remote row is touched).
-    EXPECT_LE(halo.stats.comm.total_words(), bcast.stats.comm.total_words())
-        << label;
+  const std::string label =
+      c.algebra + " p=" + std::to_string(c.p) + " " + partitioner;
+  ASSERT_EQ(halo.losses.size(), bcast.losses.size()) << label;
+  for (std::size_t e = 0; e < halo.losses.size(); ++e) {
+    EXPECT_EQ(halo.losses[e], bcast.losses[e]) << label << " epoch " << e;
+    EXPECT_EQ(halo.accuracies[e], bcast.accuracies[e])
+        << label << " epoch " << e;
   }
+  ASSERT_EQ(halo.weights.size(), bcast.weights.size()) << label;
+  for (std::size_t l = 0; l < halo.weights.size(); ++l) {
+    EXPECT_LE(Matrix::max_abs_diff(halo.weights[l], bcast.weights[l]),
+              Real{0})
+        << label << " weights layer " << l;
+  }
+  EXPECT_LE(Matrix::max_abs_diff(halo.output, bcast.output), Real{0})
+      << label << " output";
+
+  // The halo path moves its forward traffic as kHalo and strictly less
+  // dense data; the broadcast path never charges kHalo.
+  EXPECT_GT(halo.stats.comm.words(CommCategory::kHalo), 0.0) << label;
+  EXPECT_DOUBLE_EQ(bcast.stats.comm.words(CommCategory::kHalo), 0.0)
+      << label;
+  EXPECT_LT(halo.stats.comm.words(CommCategory::kDense),
+            bcast.stats.comm.words(CommCategory::kDense))
+      << label;
+  // The halo never moves more than the broadcasts; under a random
+  // partition it can tie exactly (every remote row is touched).
+  EXPECT_LE(halo.stats.comm.total_words(), bcast.stats.comm.total_words())
+      << label;
 }
 
 std::string halo_case_name(
@@ -220,13 +209,13 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values("block", "random", "greedy-bfs")),
     halo_case_name);
 
-// ---- Pipelined-path parity: halo x overlap vs halo x blocking, bitwise,
-// across world sizes x partitioners x thread counts ----
+// ---- The pipelined halo path: bitwise across thread budgets, overlap
+// regions recorded, across world sizes x partitioners ----
 
-class HaloOverlapParity
+class HaloPipelineParity
     : public ::testing::TestWithParam<std::tuple<HaloCase, std::string>> {};
 
-TEST_P(HaloOverlapParity, PipelinedPathBitwiseMatchesBlocking) {
+TEST_P(HaloPipelineParity, BitwiseAcrossThreadBudgetsAndRecordsRegions) {
   const auto [c, partitioner] = GetParam();
   const Graph g = community_graph(252, 12, 10, 4, 97);
   GnnConfig config = GnnConfig::three_layer(10, 4, 8);
@@ -237,66 +226,52 @@ TEST_P(HaloOverlapParity, PipelinedPathBitwiseMatchesBlocking) {
 
   ToggleGuard guard;
   dist::set_halo_enabled(true);
-  for (int threads : {1, 8}) {
-    override_thread_budget(threads);
-    dist::set_overlap_enabled(true);
-    const HaloRun pipelined =
-        run_trainer(c.algebra, problem, config, c.p, epochs);
-    dist::set_overlap_enabled(false);
-    const HaloRun blocking =
-        run_trainer(c.algebra, problem, config, c.p, epochs);
-    override_thread_budget(0);
+  override_thread_budget(1);
+  const HaloRun one = run_trainer(c.algebra, problem, config, c.p, epochs);
+  override_thread_budget(8);
+  const HaloRun eight = run_trainer(c.algebra, problem, config, c.p, epochs);
+  override_thread_budget(0);
 
-    const std::string label = c.algebra + " p=" + std::to_string(c.p) +
-                              " " + partitioner + " threads=" +
-                              std::to_string(threads);
-    ASSERT_EQ(pipelined.losses.size(), blocking.losses.size()) << label;
-    for (std::size_t e = 0; e < pipelined.losses.size(); ++e) {
-      EXPECT_EQ(pipelined.losses[e], blocking.losses[e])
-          << label << " epoch " << e;
-      EXPECT_EQ(pipelined.accuracies[e], blocking.accuracies[e])
-          << label << " epoch " << e;
-    }
-    ASSERT_EQ(pipelined.weights.size(), blocking.weights.size()) << label;
-    for (std::size_t l = 0; l < pipelined.weights.size(); ++l) {
-      EXPECT_LE(
-          Matrix::max_abs_diff(pipelined.weights[l], blocking.weights[l]),
-          Real{0})
-          << label << " weights layer " << l;
-    }
-    EXPECT_LE(Matrix::max_abs_diff(pipelined.output, blocking.output),
-              Real{0})
-        << label << " output";
-    // Metered words and latency: bitwise equal per category (the
-    // per-source drain charges must telescope to the blocking
-    // alltoallv's).
-    for (std::size_t i = 0;
-         i < static_cast<std::size_t>(CommCategory::kCount); ++i) {
-      const auto cat = static_cast<CommCategory>(i);
-      EXPECT_EQ(pipelined.stats.comm.words(cat),
-                blocking.stats.comm.words(cat))
-          << label << " words " << comm_category_name(cat);
-      EXPECT_EQ(pipelined.stats.comm.latency_units(cat),
-                blocking.stats.comm.latency_units(cat))
-          << label << " latency " << comm_category_name(cat);
-    }
-    // The regression this PR fixes: the pipelined halo path must engage
-    // the overlap machinery (one region per drained peer stage), where it
-    // used to collapse to zero. Under ambient bounded staleness the
-    // metered epoch may be a cache-replay epoch that elides the exchange
-    // entirely (in both modes — the bitwise comparisons above still
-    // bite), so the engagement assertion only applies on an exact
-    // refresh schedule.
-    if (dist::stale_k() == 0 || dist::stale_k() == 1) {
-      EXPECT_GT(pipelined.stats.comm.overlap_regions(), 0.0) << label;
-    }
-    EXPECT_GE(pipelined.stats.comm.overlap_saved_seconds(), 0.0) << label;
-    EXPECT_DOUBLE_EQ(blocking.stats.comm.overlap_regions(), 0.0) << label;
+  const std::string label =
+      c.algebra + " p=" + std::to_string(c.p) + " " + partitioner;
+  ASSERT_EQ(one.losses.size(), eight.losses.size()) << label;
+  for (std::size_t e = 0; e < one.losses.size(); ++e) {
+    EXPECT_EQ(one.losses[e], eight.losses[e]) << label << " epoch " << e;
+    EXPECT_EQ(one.accuracies[e], eight.accuracies[e])
+        << label << " epoch " << e;
   }
+  ASSERT_EQ(one.weights.size(), eight.weights.size()) << label;
+  for (std::size_t l = 0; l < one.weights.size(); ++l) {
+    EXPECT_LE(Matrix::max_abs_diff(one.weights[l], eight.weights[l]),
+              Real{0})
+        << label << " weights layer " << l;
+  }
+  EXPECT_LE(Matrix::max_abs_diff(one.output, eight.output), Real{0})
+      << label << " output";
+  // Metered words and latency: bitwise equal per category (the threaded
+  // pack/scatter must not change what the drains charge).
+  for (std::size_t i = 0;
+       i < static_cast<std::size_t>(CommCategory::kCount); ++i) {
+    const auto cat = static_cast<CommCategory>(i);
+    EXPECT_EQ(one.stats.comm.words(cat), eight.stats.comm.words(cat))
+        << label << " words " << comm_category_name(cat);
+    EXPECT_EQ(one.stats.comm.latency_units(cat),
+              eight.stats.comm.latency_units(cat))
+        << label << " latency " << comm_category_name(cat);
+  }
+  // The pipelined halo path engages the overlap machinery (one region per
+  // drained peer stage). Under ambient bounded staleness the metered
+  // epoch may be a cache-replay epoch that elides the exchange entirely,
+  // so the engagement assertion only applies on an exact refresh
+  // schedule.
+  if (dist::stale_k() == 0 || dist::stale_k() == 1) {
+    EXPECT_GT(one.stats.comm.overlap_regions(), 0.0) << label;
+  }
+  EXPECT_GE(one.stats.comm.overlap_saved_seconds(), 0.0) << label;
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllCases, HaloOverlapParity,
+    AllCases, HaloPipelineParity,
     ::testing::Combine(::testing::ValuesIn(halo_cases()),
                        ::testing::Values("block", "random", "greedy-bfs")),
     halo_case_name);
@@ -304,27 +279,25 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(HaloOverlap, ThreadedPackParityOnLargePipelinedExchange) {
   // Large enough that the pool pack/scatter actually splits into multiple
   // chunks (rows * f beyond the per-chunk minimum): the threaded pipeline
-  // must stay bitwise the single-threaded blocking path.
+  // must stay bitwise the single-threaded one.
   const Graph g = community_graph(4096, 32, 32, 8, 98);
   GnnConfig config = GnnConfig::three_layer(32, 8, 16);
   const DistProblem problem = DistProblem::prepare(g, 4, "random");
 
   ToggleGuard guard;
   dist::set_halo_enabled(true);
-  dist::set_overlap_enabled(true);
   override_thread_budget(8);
-  const HaloRun pipelined = run_trainer("1d", problem, config, 4, 2);
+  const HaloRun threaded = run_trainer("1d", problem, config, 4, 2);
   override_thread_budget(1);
-  dist::set_overlap_enabled(false);
-  const HaloRun blocking = run_trainer("1d", problem, config, 4, 2);
+  const HaloRun serial = run_trainer("1d", problem, config, 4, 2);
   override_thread_budget(0);
 
-  for (std::size_t e = 0; e < pipelined.losses.size(); ++e) {
-    EXPECT_EQ(pipelined.losses[e], blocking.losses[e]) << "epoch " << e;
+  for (std::size_t e = 0; e < threaded.losses.size(); ++e) {
+    EXPECT_EQ(threaded.losses[e], serial.losses[e]) << "epoch " << e;
   }
-  EXPECT_LE(Matrix::max_abs_diff(pipelined.output, blocking.output), Real{0});
+  EXPECT_LE(Matrix::max_abs_diff(threaded.output, serial.output), Real{0});
   if (dist::stale_k() == 0 || dist::stale_k() == 1) {
-    EXPECT_GT(pipelined.stats.comm.overlap_regions(), 0.0);
+    EXPECT_GT(threaded.stats.comm.overlap_regions(), 0.0);
   }
 }
 
@@ -338,7 +311,7 @@ TEST(HaloBackward15D, EngagesUnderLocalityPartitionAndGatesUnderRandom) {
   // Locality partition: the busiest rank's landed contribution rows stay
   // far under the reduce-scatter charge, so the mirrored backward
   // exchange must engage (this is the path the backward-parity cases in
-  // HaloParity/HaloOverlapParity then exercise).
+  // HaloParity/HaloPipelineParity then exercise).
   {
     const DistProblem problem = DistProblem::prepare(g, 4, "greedy-bfs");
     run_world(8, [&](Comm& world) {

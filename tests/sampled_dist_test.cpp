@@ -1,11 +1,10 @@
 // Distributed sampled-training tests: the CAGNET_SAMPLE minibatch path's
 // acceptance contract. An uncapped fanout with a whole-graph batch must
 // reproduce the full-batch epoch bitwise (per algebra and world size);
-// sampled epochs are bitwise-deterministic across thread budgets and
-// overlap modes; finite fanouts still reach the exact run's accuracy
-// floor; restart (set_start_epoch, train_with_recovery) resumes the
-// epoch-keyed sample streams exactly; unsupported algebras fail with a
-// typed Error.
+// sampled epochs are bitwise-deterministic across thread budgets; finite
+// fanouts still reach the exact run's accuracy floor; restart
+// (set_start_epoch, train_with_recovery) resumes the epoch-keyed sample
+// streams exactly; unsupported algebras fail with a typed Error.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -34,10 +33,10 @@ namespace {
 class SampleModeGuard {
  public:
   SampleModeGuard()
-      : mode_(compress_mode()), overlap_(dist::overlap_enabled()),
-        halo_(dist::halo_enabled()), sample_(dist::sample_enabled()),
-        fanouts_(dist::sample_fanouts()), batch_(dist::sample_batch_size()),
-        stale_(dist::stale_k()), preagg_(dist::preagg_enabled()) {
+      : mode_(compress_mode()), halo_(dist::halo_enabled()),
+        sample_(dist::sample_enabled()), fanouts_(dist::sample_fanouts()),
+        batch_(dist::sample_batch_size()), stale_(dist::stale_k()),
+        preagg_(dist::preagg_enabled()) {
     // The sampled-vs-full-batch oracles need an exact full-batch side:
     // ambient bounded staleness / pre-aggregation would make the
     // full-batch run lossy while sampled epochs never arm them (they
@@ -47,7 +46,6 @@ class SampleModeGuard {
   }
   ~SampleModeGuard() {
     set_compress_mode(mode_);
-    dist::set_overlap_enabled(overlap_);
     dist::set_halo_enabled(halo_);
     dist::set_sample_enabled(sample_);
     dist::set_sample_fanouts(fanouts_);
@@ -58,7 +56,6 @@ class SampleModeGuard {
 
  private:
   CompressMode mode_;
-  bool overlap_;
   bool halo_;
   bool sample_;
   std::vector<Index> fanouts_;
@@ -175,7 +172,7 @@ TEST(SampledTraining, InfiniteFanoutMatchesFullBatchBitwise) {
   // Uncapped fanouts and a batch covering every labeled vertex make the
   // sampled epoch the full-batch epoch masked to (all) receptive-field
   // rows: same ordered sums, so losses and weights agree bitwise at any
-  // world size and in both overlap modes.
+  // world size.
   SampleModeGuard guard;
   set_compress_mode(CompressMode::kOff);
   dist::set_halo_enabled(true);
@@ -187,17 +184,13 @@ TEST(SampledTraining, InfiniteFanoutMatchesFullBatchBitwise) {
   dist::set_sample_fanouts({kSampleAll, kSampleAll, kSampleAll});
   dist::set_sample_batch_size(g.num_vertices());
 
-  for (const bool overlap : {true, false}) {
-    dist::set_overlap_enabled(overlap);
-    for (const int p : {1, 2, 4}) {
-      SCOPED_TRACE(std::string(overlap ? "overlap" : "sync") + "/p=" +
-                   std::to_string(p));
-      dist::set_sample_enabled(false);
-      const TrainRun full = run_trainer("1d", problem, config, p, epochs);
-      dist::set_sample_enabled(true);
-      const TrainRun sampled = run_trainer("1d", problem, config, p, epochs);
-      expect_bitwise_equal(full, sampled);
-    }
+  for (const int p : {1, 2, 4}) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    dist::set_sample_enabled(false);
+    const TrainRun full = run_trainer("1d", problem, config, p, epochs);
+    dist::set_sample_enabled(true);
+    const TrainRun sampled = run_trainer("1d", problem, config, p, epochs);
+    expect_bitwise_equal(full, sampled);
   }
 }
 
@@ -207,7 +200,6 @@ TEST(SampledTraining, InfiniteFanoutParityHoldsOnGreedyBfsPartition) {
   SampleModeGuard guard;
   set_compress_mode(CompressMode::kOff);
   dist::set_halo_enabled(true);
-  dist::set_overlap_enabled(true);
   const Graph g = learnable_graph(180, 9, 10, 3, 43);
   const GnnConfig config = GnnConfig::three_layer(10, 3, 8);
   const DistProblem problem = DistProblem::prepare(g, 4, "greedy-bfs");
@@ -229,7 +221,6 @@ TEST(SampledTraining, FiniteFanoutDeterministicAcrossThreadBudgets) {
   SampleModeGuard guard;
   const int budget_before = thread_budget();
   set_compress_mode(CompressMode::kOff);
-  dist::set_overlap_enabled(true);
   const Graph g = learnable_graph(160, 8, 10, 4, 47);
   const GnnConfig config = GnnConfig::three_layer(10, 4, 8);
   const DistProblem problem = DistProblem::prepare(g);
@@ -251,12 +242,12 @@ TEST(SampledTraining, FiniteFanoutDeterministicAcrossThreadBudgets) {
   EXPECT_GT(runs[0].stats.comm.words(CommCategory::kControl), 0.0);
 }
 
-TEST(SampledTraining, OverlapToggleIsBitwiseNeutral) {
-  // CAGNET_OVERLAP=0 turns every posted exchange into its blocking
-  // equivalent at the same schedule point; the sampled trainer must not
-  // care. Multiple batches per epoch so the cross-batch pipeline (build
-  // b+1 behind backward b) is genuinely exercised.
+TEST(SampledTraining, MultiBatchPipelineBitwiseAcrossThreadBudgets) {
+  // Multiple batches per epoch on a greedy-bfs partition, so the
+  // cross-batch pipeline (build b+1 behind backward b) is genuinely
+  // exercised; the thread budget must not change a bit.
   SampleModeGuard guard;
+  const int budget_before = thread_budget();
   set_compress_mode(CompressMode::kOff);
   const Graph g = learnable_graph(180, 9, 10, 3, 53);
   const GnnConfig config = GnnConfig::three_layer(10, 3, 8);
@@ -266,13 +257,14 @@ TEST(SampledTraining, OverlapToggleIsBitwiseNeutral) {
   dist::set_sample_fanouts({8, 5, 3});
   dist::set_sample_batch_size(12);
 
-  dist::set_overlap_enabled(true);
-  const TrainRun pipelined = run_trainer("1d", problem, config, 4, 4);
-  dist::set_overlap_enabled(false);
-  const TrainRun blocking = run_trainer("1d", problem, config, 4, 4);
-  expect_bitwise_equal(pipelined, blocking);
-  EXPECT_EQ(pipelined.stats.comm.words(CommCategory::kHalo),
-            blocking.stats.comm.words(CommCategory::kHalo));
+  override_thread_budget(1);
+  const TrainRun one = run_trainer("1d", problem, config, 4, 4);
+  override_thread_budget(8);
+  const TrainRun eight = run_trainer("1d", problem, config, 4, 4);
+  override_thread_budget(budget_before);
+  expect_bitwise_equal(one, eight);
+  EXPECT_EQ(one.stats.comm.words(CommCategory::kHalo),
+            eight.stats.comm.words(CommCategory::kHalo));
 }
 
 TEST(SampledTraining, FiniteFanoutReachesExactAccuracyFloor) {
@@ -283,7 +275,6 @@ TEST(SampledTraining, FiniteFanoutReachesExactAccuracyFloor) {
   SampleModeGuard guard;
   set_compress_mode(CompressMode::kOff);
   dist::set_halo_enabled(true);
-  dist::set_overlap_enabled(true);
   const Graph g = learnable_graph(240, 8, 12, 4, 51);
   GnnConfig config = GnnConfig::three_layer(12, 4, 16);
   config.learning_rate = 0.3;
@@ -360,6 +351,16 @@ TEST(SampledTraining, InvalidSampleOptionsThrowTypedError) {
     EXPECT_THROW(trainer->train_epoch(), Error);
   });
   EXPECT_THROW(dist::set_sample_batch_size(0), Error);
+  // Sixteen layers would keep the prefetched exchange pending past the
+  // channel ring: a typed Error, not a hang.
+  GnnConfig deep;
+  deep.dims.assign(17, 4);  // 16 layers, 4 classes
+  deep.dims.front() = 8;    // the graph's feature width
+  dist::set_sample_fanouts(std::vector<Index>(16, 2));
+  run_world(2, [&](Comm& world) {
+    auto trainer = make_dist_trainer("1d", problem, deep, world);
+    EXPECT_THROW(trainer->train_epoch(), Error);
+  });
 }
 
 TEST(SampledTraining, SetStartEpochResumesSampleStreamsBitwise) {
@@ -368,7 +369,6 @@ TEST(SampledTraining, SetStartEpochResumesSampleStreamsBitwise) {
   // continues exactly where the uninterrupted run would be.
   SampleModeGuard guard;
   set_compress_mode(CompressMode::kOff);
-  dist::set_overlap_enabled(true);
   const Graph g = learnable_graph(160, 8, 10, 4, 71);
   const GnnConfig config = GnnConfig::three_layer(10, 4, 8);
   const DistProblem problem = DistProblem::prepare(g);
@@ -413,7 +413,6 @@ TEST(SampledRecoveryDrill, FaultedSampledRunRecoversBitwise) {
   // epoch-keyed — finish bitwise-identical to the unfaulted run.
   SampleModeGuard guard;
   set_compress_mode(CompressMode::kOff);
-  dist::set_overlap_enabled(true);
   const Graph g = learnable_graph(128, 8, 8, 4, 77);
   GnnConfig config = GnnConfig::three_layer(8, 4, 6);
   config.learning_rate = 0.1;

@@ -11,16 +11,15 @@
 //     exact kHalo words minus stale kHalo words equals stale_saved_words
 //     (compression off). Accuracy on a learnable graph stays within a
 //     small floor of the exact run's.
-//   - Within a stale mode, overlap and blocking runs stay bitwise equal
-//     (losses, weights, meters) — the skip charges telescope the same
-//     way the drain charges do.
+//   - Within a stale mode, runs stay bitwise equal across thread budgets
+//     (losses, weights, meters).
 //   - Adaptive mode (CAGNET_STALE=adaptive) respects the
 //     CAGNET_STALE_MIN/MAX interval bounds, skips at least some
 //     exchanges on a slowly-changing graph, and converges.
 //   - Pre-aggregation ships pre-reduced rows for pairs where that is
 //     structurally smaller, so metered kHalo words drop below the exact
-//     exchange on a hub-heavy graph; it is deterministic across overlap
-//     modes.
+//     exchange on a hub-heavy graph; it is deterministic across thread
+//     budgets.
 //   - The stale cache is per-run transient state (like the compression
 //     error-feedback residual): a restart rebuilds it, refreshes on the
 //     first resumed epoch, and keeps converging — but is NOT bitwise the
@@ -50,10 +49,9 @@ namespace {
 class StaleGuard {
  public:
   StaleGuard()
-      : mode_(compress_mode()), overlap_(dist::overlap_enabled()),
-        halo_(dist::halo_enabled()), stale_(dist::stale_k()),
-        stale_min_(dist::stale_min_k()), stale_max_(dist::stale_max_k()),
-        preagg_(dist::preagg_enabled()) {
+      : mode_(compress_mode()), halo_(dist::halo_enabled()),
+        stale_(dist::stale_k()), stale_min_(dist::stale_min_k()),
+        stale_max_(dist::stale_max_k()), preagg_(dist::preagg_enabled()) {
     set_compress_mode(CompressMode::kOff);
     dist::set_stale_k(0);
     dist::set_preagg_enabled(false);
@@ -61,7 +59,6 @@ class StaleGuard {
   }
   ~StaleGuard() {
     set_compress_mode(mode_);
-    dist::set_overlap_enabled(overlap_);
     dist::set_halo_enabled(halo_);
     dist::set_stale_k(stale_);
     dist::set_stale_bounds(stale_min_, stale_max_);
@@ -70,7 +67,6 @@ class StaleGuard {
 
  private:
   CompressMode mode_;
-  bool overlap_;
   bool halo_;
   int stale_;
   int stale_min_;
@@ -205,27 +201,23 @@ TEST(StaleParity, OffAndKOneBitwiseMatchExactPath) {
     for (const char* partitioner : {"block", "greedy-bfs"}) {
       const DistProblem problem =
           DistProblem::prepare(g, c.partition_parts, partitioner);
-      for (const bool overlap : {false, true}) {
-        dist::set_overlap_enabled(overlap);
-        const std::string label = c.algebra + "/" + partitioner +
-                                  (overlap ? "/overlap" : "/sync");
+      const std::string label = c.algebra + "/" + partitioner;
 
-        dist::set_stale_k(0);
-        const StaleRun exact =
-            run_trainer(c.algebra, problem, config, c.p, epochs);
-        dist::set_stale_k(1);
-        const StaleRun k1 =
-            run_trainer(c.algebra, problem, config, c.p, epochs);
-        dist::set_stale_k(0);
+      dist::set_stale_k(0);
+      const StaleRun exact =
+          run_trainer(c.algebra, problem, config, c.p, epochs);
+      dist::set_stale_k(1);
+      const StaleRun k1 =
+          run_trainer(c.algebra, problem, config, c.p, epochs);
+      dist::set_stale_k(0);
 
-        expect_bitwise_equal(exact, k1, label);
-        EXPECT_DOUBLE_EQ(exact.stale_saved, 0.0) << label;
-        EXPECT_DOUBLE_EQ(k1.stale_saved, 0.0) << label;
-        EXPECT_DOUBLE_EQ(exact.final_stats.comm.stale_saved_words(), 0.0)
-            << label;
-        EXPECT_DOUBLE_EQ(k1.final_stats.comm.stale_saved_words(), 0.0)
-            << label;
-      }
+      expect_bitwise_equal(exact, k1, label);
+      EXPECT_DOUBLE_EQ(exact.stale_saved, 0.0) << label;
+      EXPECT_DOUBLE_EQ(k1.stale_saved, 0.0) << label;
+      EXPECT_DOUBLE_EQ(exact.final_stats.comm.stale_saved_words(), 0.0)
+          << label;
+      EXPECT_DOUBLE_EQ(k1.final_stats.comm.stale_saved_words(), 0.0)
+          << label;
     }
   }
 }
@@ -240,37 +232,30 @@ TEST(StaleTraffic, FixedKCutsHaloWordsAndCreditsSavingsExactly) {
   const int epochs = 12;
   const DistProblem problem = DistProblem::prepare(g, 4, "greedy-bfs");
 
-  for (const bool overlap : {false, true}) {
-    dist::set_overlap_enabled(overlap);
-    const std::string label = overlap ? "overlap" : "sync";
+  dist::set_stale_k(0);
+  const StaleRun exact = run_trainer("1d", problem, config, 4, epochs);
+  dist::set_stale_k(4);
+  const StaleRun stale = run_trainer("1d", problem, config, 4, epochs);
+  dist::set_stale_k(0);
 
-    dist::set_stale_k(0);
-    const StaleRun exact = run_trainer("1d", problem, config, 4, epochs);
-    dist::set_stale_k(4);
-    const StaleRun stale = run_trainer("1d", problem, config, 4, epochs);
-    dist::set_stale_k(0);
+  ASSERT_GT(exact.halo_words, 0.0);
+  // 12 epochs at k=4 refresh on epochs 0, 4, 8: a 4x word cut (the
+  // acceptance floor is 2x).
+  EXPECT_GE(exact.halo_words, 2.0 * stale.halo_words);
+  EXPECT_GT(exact.halo_latency, stale.halo_latency);
+  // The skipped words are credited exactly: rank 0's exact halo words
+  // minus its stale halo words is its stale_saved_words (uncompressed
+  // wire, so words are element counts on both sides).
+  EXPECT_DOUBLE_EQ(exact.halo_words - stale.halo_words, stale.stale_saved);
+  EXPECT_DOUBLE_EQ(exact.stale_saved, 0.0);
 
-    ASSERT_GT(exact.halo_words, 0.0) << label;
-    // 12 epochs at k=4 refresh on epochs 0, 4, 8: a 4x word cut (the
-    // acceptance floor is 2x).
-    EXPECT_GE(exact.halo_words, 2.0 * stale.halo_words) << label;
-    EXPECT_GT(exact.halo_latency, stale.halo_latency) << label;
-    // The skipped words are credited exactly: rank 0's exact halo words
-    // minus its stale halo words is its stale_saved_words (uncompressed
-    // wire, so words are element counts on both sides).
-    EXPECT_DOUBLE_EQ(exact.halo_words - stale.halo_words, stale.stale_saved)
-        << label;
-    EXPECT_DOUBLE_EQ(exact.stale_saved, 0.0) << label;
-
-    // Bounded staleness is lossy but bounded: the run still converges to
-    // within a small floor of the exact run's training accuracy.
-    EXPECT_LT(stale.losses.back(), stale.losses.front()) << label;
-    EXPECT_GE(stale.accuracies.back(), exact.accuracies.back() - 0.1)
-        << label;
-  }
+  // Bounded staleness is lossy but bounded: the run still converges to
+  // within a small floor of the exact run's training accuracy.
+  EXPECT_LT(stale.losses.back(), stale.losses.front());
+  EXPECT_GE(stale.accuracies.back(), exact.accuracies.back() - 0.1);
 }
 
-TEST(StaleTraffic, OverlapAndBlockingStayBitwiseWithinStaleMode) {
+TEST(StaleTraffic, ThreadBudgetsStayBitwiseWithinStaleMode) {
   StaleGuard guard;
   const Graph g = learnable_graph(240, 12, 10, 4, 93);
   GnnConfig config = GnnConfig::three_layer(10, 4, 8);
@@ -281,15 +266,16 @@ TEST(StaleTraffic, OverlapAndBlockingStayBitwiseWithinStaleMode) {
     const DistProblem problem =
         DistProblem::prepare(g, c.partition_parts, "greedy-bfs");
     dist::set_stale_k(3);
-    dist::set_overlap_enabled(true);
-    const StaleRun pipelined =
+    override_thread_budget(1);
+    const StaleRun one =
         run_trainer(c.algebra, problem, config, c.p, epochs);
-    dist::set_overlap_enabled(false);
-    const StaleRun blocking =
+    override_thread_budget(8);
+    const StaleRun eight =
         run_trainer(c.algebra, problem, config, c.p, epochs);
+    override_thread_budget(0);
     dist::set_stale_k(0);
-    expect_bitwise_equal(pipelined, blocking, c.algebra + "/k=3");
-    EXPECT_EQ(pipelined.stale_saved, blocking.stale_saved) << c.algebra;
+    expect_bitwise_equal(one, eight, c.algebra + "/k=3");
+    EXPECT_EQ(one.stale_saved, eight.stale_saved) << c.algebra;
   }
 }
 
@@ -354,10 +340,10 @@ TEST(PreAgg, CutsHaloWordsOnHubGraphAndStaysDeterministic) {
   const StaleRun exact = run_trainer("1d", problem, config, 4, epochs);
 
   dist::set_preagg_enabled(true);
-  dist::set_overlap_enabled(true);
   const StaleRun agg = run_trainer("1d", problem, config, 4, epochs);
-  dist::set_overlap_enabled(false);
-  const StaleRun agg_blocking = run_trainer("1d", problem, config, 4, epochs);
+  override_thread_budget(8);
+  const StaleRun agg_eight = run_trainer("1d", problem, config, 4, epochs);
+  override_thread_budget(0);
   dist::set_preagg_enabled(false);
 
   ASSERT_GT(exact.halo_words, 0.0);
@@ -365,8 +351,8 @@ TEST(PreAgg, CutsHaloWordsOnHubGraphAndStaysDeterministic) {
   // Lossy only in floating-point association order: same convergence.
   EXPECT_LT(agg.losses.back(), agg.losses.front());
   EXPECT_GE(agg.accuracies.back(), exact.accuracies.back() - 0.1);
-  // Deterministic within the mode: overlap and blocking bitwise agree.
-  expect_bitwise_equal(agg, agg_blocking, "preagg overlap-vs-blocking");
+  // Deterministic within the mode: thread budgets bitwise agree.
+  expect_bitwise_equal(agg, agg_eight, "preagg thread budgets");
 }
 
 TEST(PreAgg, ComposesWithStale) {

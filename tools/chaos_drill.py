@@ -9,8 +9,8 @@ contract"):
   * never a hang (per-run wall-clock timeout) and never a crash
     (non-zero exit, sanitizer report).
 
-The binary already sweeps algebras x overlap x compress x injection
-points internally; this driver shards the sweep into one process per
+The binary already sweeps algebras x compress x injection points
+internally; this script shards the sweep into one process per
 algebra so a hang in one cell cannot mask the others, applies the
 timeout, and validates every emitted record.
 
@@ -26,8 +26,12 @@ from pathlib import Path
 
 ALGEBRAS = ["1d", "1.5d-c2", "2d", "3d"]
 
+# The recovery_drill schema_version bench_recovery emits today (kept in
+# step with tools/check_bench_schema.py).
+SCHEMA_VERSION = 2
+
 REQUIRED_FIELDS = {
-    "schema_version", "bench", "algebra", "world", "overlap", "compress",
+    "schema_version", "bench", "algebra", "world", "compress",
     "action", "site", "category", "nth", "epochs", "ckpt_every",
     "restarts", "retrained_epochs", "checkpoints_written",
     "checkpoint_write_seconds", "recovered", "bitwise_identical",
@@ -53,12 +57,15 @@ def run_shard(binary: Path, algebra: str, smoke: bool, timeout: float):
 
 def validate(records, errors):
     for r in records:
-        where = (f"{r.get('algebra')}/overlap={r.get('overlap')}/"
-                 f"{r.get('compress')}/{r.get('action')}@{r.get('site')}")
+        where = (f"{r.get('algebra')}/{r.get('compress')}/"
+                 f"{r.get('action')}@{r.get('site')}")
         missing = REQUIRED_FIELDS - r.keys()
         if missing:
             errors.append(f"{where}: missing fields {sorted(missing)}")
             continue
+        if r["schema_version"] != SCHEMA_VERSION:
+            errors.append(f"{where}: schema_version "
+                          f"{r['schema_version']!r} != {SCHEMA_VERSION}")
         if not r["recovered"]:
             # A typed abort after exhausted restarts is an acceptable
             # outcome, but with max_restarts=3 and one-shot triggers it

@@ -33,23 +33,21 @@ SCHEMAS = {
         "halo_words", "compress", "compressed_words", "stale_k",
         "stale_words_saved", "preagg", "partition", "halo",
         "max_remote_rows", "fanouts", "batch_size", "sampled_words",
-        "latency_units", "overlap", "overlap_regions",
-        "overlap_saved_modeled_s", "phase_misc", "phase_trpose",
-        "phase_dcomm", "phase_scomm", "phase_spmm", "phase_hpack",
-        "phase_cpack",
+        "latency_units", "overlap_regions", "overlap_saved_modeled_s",
+        "phase_misc", "phase_trpose", "phase_dcomm", "phase_scomm",
+        "phase_spmm", "phase_hpack", "phase_cpack",
     },
     "partition_edgecut_epoch": {
         "schema_version", "bench", "partitioner", "world", "n", "f",
         "max_remote_rows", "predicted_halo_words", "halo_words",
         "broadcast_total_words", "halo_total_words", "words_reduction",
-        "overlap", "overlap_regions", "phase_hpack", "bcast_eps",
-        "halo_eps",
+        "overlap_regions", "phase_hpack", "bcast_eps", "halo_eps",
     },
     # bench/bench_recovery.cpp — the chaos/recovery drill harness.
     "recovery_drill": {
-        "schema_version", "bench", "algebra", "world", "overlap",
-        "compress", "action", "site", "category", "nth", "epochs",
-        "ckpt_every", "restarts", "retrained_epochs",
+        "schema_version", "bench", "algebra", "world", "compress",
+        "action", "site", "category", "nth", "epochs", "ckpt_every",
+        "restarts", "retrained_epochs",
         "checkpoints_written", "checkpoint_write_seconds", "recovered",
         "bitwise_identical", "seconds", "baseline_seconds",
         "recovery_overhead_s",
@@ -59,9 +57,9 @@ SCHEMAS = {
 # The schema_version each bench emits today. A record carrying a stale
 # version means the tracked file was not regenerated after a schema bump.
 SCHEMA_VERSIONS = {
-    "epoch_throughput": 4,
-    "partition_edgecut_epoch": 2,
-    "recovery_drill": 1,
+    "epoch_throughput": 5,
+    "partition_edgecut_epoch": 3,
+    "recovery_drill": 2,
 }
 
 # Values the "compress" field may take (the CAGNET_COMPRESS codec names).

@@ -20,6 +20,10 @@ Each rule pins a convention the runtime's correctness story depends on
   knob-docs        every env knob (a quoted "CAGNET_*" string in src/)
                    has a row in README.md's knob table and a mention in
                    DESIGN.md — an undocumented knob is an untestable one.
+                   Conversely, every CAGNET_* name in the first cell of a
+                   README table row, or set in .github/workflows/ci.yml,
+                   is read in src/ — a retired knob left in a CI step
+                   silently re-runs the default suite.
   bench-schema     the JSON fields each bench emits equal the field set
                    pinned in tools/check_bench_schema.py — drift in
                    either direction makes the tracked trajectory files
@@ -182,6 +186,18 @@ def check_hot_path_alloc(root):
 # ---- rule: knob-docs ---------------------------------------------------
 
 KNOB_RE = re.compile(r'"(CAGNET_[A-Z_]+)"')
+# A knob assigned in a workflow: `CAGNET_X=v cmd` or an `env:` key.
+KNOB_SET_RE = re.compile(r"\b(CAGNET_[A-Z_]+)\s*[=:]")
+
+
+def knob_table_names(readme):
+    """CAGNET_* names in the first cell of README table rows."""
+    names = set()
+    for line in readme.splitlines():
+        cells = line.strip().split("|")
+        if line.lstrip().startswith("|") and len(cells) > 2:
+            names.update(re.findall(r"CAGNET_[A-Z_]+", cells[1]))
+    return names
 
 
 def check_knob_docs(root):
@@ -206,6 +222,16 @@ def check_knob_docs(root):
             violations.append(
                 f"DESIGN.md: knob-docs: env knob {knob} (read in src/) is "
                 f"never mentioned in DESIGN.md")
+    for knob in sorted(knob_table_names(readme) - knobs):
+        violations.append(
+            f"README.md: knob-docs: {knob} has a row in the README knob "
+            f"table but src/ never reads it")
+    ci_path = root / ".github/workflows/ci.yml"
+    ci = ci_path.read_text() if ci_path.is_file() else ""
+    for knob in sorted(set(KNOB_SET_RE.findall(ci)) - knobs):
+        violations.append(
+            f".github/workflows/ci.yml: knob-docs: {knob} is set in CI but "
+            f"src/ never reads it, so the step re-runs the default suite")
     return violations
 
 
@@ -313,12 +339,19 @@ def build_seeded_tree(tmp):
     # hot-path-alloc: a marked function that allocates.
     cpp_parts.append(
         "// [[hot-path]]\nvoid hot() { auto* p = new int(1); (void)p; }\n")
-    # knob-docs: a knob read in src/ but absent from README/DESIGN.
+    # knob-docs: a knob read in src/ but absent from README/DESIGN, and
+    # the other direction — a retired knob still in the README knob table
+    # and set in a CI step.
     cpp_parts.append(
-        'void knob() { (void)std::getenv("CAGNET_UNDOCUMENTED"); }\n')
+        'void knob() { (void)std::getenv("CAGNET_UNDOCUMENTED"); }\n'
+        'void documented() { (void)std::getenv("CAGNET_DOCUMENTED"); }\n')
     (tmp / "src/comm/comm.cpp").write_text("\n".join(cpp_parts))
-    (tmp / "README.md").write_text("| `CAGNET_DOCUMENTED` | ... |\n")
+    (tmp / "README.md").write_text("| `CAGNET_DOCUMENTED` | ... |\n"
+                                   "| `CAGNET_RETIRED` | ... |\n")
     (tmp / "DESIGN.md").write_text("CAGNET_DOCUMENTED\n")
+    (tmp / ".github/workflows").mkdir(parents=True)
+    (tmp / ".github/workflows/ci.yml").write_text(
+        "        run: CAGNET_RETIRED=0 ctest\n")
     # bench-schema: emits a field the schema does not pin.
     (tmp / "bench/bench_fake.cpp").write_text(
         'printf("{\\"schema_version\\":1,\\"bench\\":\\"fake\\","'
@@ -333,16 +366,23 @@ def self_test():
     try:
         schemas = build_seeded_tree(tmp)
         failures = []
+        # (label, substring the violation must contain, rule)
         expectations = [
-            ("seam-funnel", lambda: check_seam_funnel(tmp)),
-            ("naked-thread", lambda: check_naked_thread(tmp)),
-            ("hot-path-alloc", lambda: check_hot_path_alloc(tmp)),
-            ("knob-docs", lambda: check_knob_docs(tmp)),
-            ("bench-schema",
+            ("seam-funnel", "seam-funnel", lambda: check_seam_funnel(tmp)),
+            ("naked-thread", "naked-thread",
+             lambda: check_naked_thread(tmp)),
+            ("hot-path-alloc", "hot-path-alloc",
+             lambda: check_hot_path_alloc(tmp)),
+            ("knob-docs", "has no row", lambda: check_knob_docs(tmp)),
+            ("knob-docs (unread, README)", "README knob table but",
+             lambda: check_knob_docs(tmp)),
+            ("knob-docs (unread, CI)", "set in CI but",
+             lambda: check_knob_docs(tmp)),
+            ("bench-schema", "bench-schema",
              lambda: check_bench_schema_sync(tmp, schemas)),
         ]
-        for name, rule in expectations:
-            found = [v for v in rule() if name in v]
+        for name, marker, rule in expectations:
+            found = [v for v in rule() if marker in v]
             if not found:
                 failures.append(name)
                 print(f"self-test: rule {name} FAILED to flag its seeded "
@@ -353,8 +393,8 @@ def self_test():
             print(f"lint_invariants --self-test: {len(failures)} rule(s) "
                   f"dead: {', '.join(failures)}")
             return 1
-        print(f"lint_invariants --self-test: OK ({len(expectations)} rules "
-              f"fire on seeded violations)")
+        print(f"lint_invariants --self-test: OK ({len(expectations)} "
+              f"seeded violations flagged)")
         return 0
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
