@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <exception>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -41,42 +42,33 @@ double ceil_log2(int p) {
 
 namespace detail {
 
-const char* op_kind_name(OpKind kind) {
-  switch (kind) {
-    case OpKind::kNone:
-      return "none";
-    case OpKind::kBcast:
-      return "ibroadcast_from";
-    case OpKind::kReduceScatter:
-      return "ireduce_scatter_sum";
-    case OpKind::kAllgatherv:
-      return "iallgatherv_into";
-    case OpKind::kAllreduce:
-      return "iallreduce_sum";
-    case OpKind::kAlltoallv:
-      return "ialltoallv";
-  }
-  return "?";
+std::string order_mismatch(const OpContext& ctx, int peer, const char* got) {
+  return "ranks disagree on op order: rank " + std::to_string(ctx.rank) +
+         " waiting on " + ctx.op + " [" + comm_category_name(ctx.cat) +
+         "], rank " + std::to_string(peer) + " posted " + got;
 }
 
-void throw_peer_aborted(const OpContext& ctx, FaultSite site) {
-  throw CommAborted(ctx.rank, ctx.op, ctx.cat, site, "a peer rank failed");
+std::string op_error(const OpContext& ctx, const std::string& what) {
+  return std::string(ctx.op) + " [" + comm_category_name(ctx.cat) +
+         "]: " + what;
 }
 
-std::string order_mismatch(const OpContext& ctx, OpKind want, int peer,
-                           OpKind got) {
-  std::string msg = "nonblocking collective: ranks disagree on op order: "
-                    "rank ";
-  msg += std::to_string(ctx.rank);
-  msg += " waiting on ";
-  msg += op_kind_name(want);
-  msg += " [";
-  msg += comm_category_name(ctx.cat);
-  msg += "], rank ";
-  msg += std::to_string(peer);
-  msg += " posted ";
-  msg += op_kind_name(got);
-  return msg;
+std::string size_mismatch(const OpContext& ctx, int a, std::size_t len_a,
+                          int b, std::size_t len_b) {
+  return op_error(ctx, "ranks disagree on element count (rank " +
+                           std::to_string(a) + " passed " +
+                           std::to_string(len_a) + ", rank " +
+                           std::to_string(b) + " passed " +
+                           std::to_string(len_b) + ")");
+}
+
+std::string scatter_mismatch(const OpContext& ctx, std::size_t contrib,
+                             std::size_t outputs) {
+  return op_error(ctx, "contribution length != sum of outputs (rank " +
+                           std::to_string(ctx.rank) + " passed " +
+                           std::to_string(contrib) +
+                           ", the ranks' outputs sum to " +
+                           std::to_string(outputs) + ")");
 }
 
 void AbortHub::register_state(const std::shared_ptr<CommState>& state) {
@@ -94,13 +86,9 @@ void AbortHub::poison() {
   for (const auto& weak : states) {
     const auto state = weak.lock();
     if (!state) continue;
-    // Any value change wakes parked waiters; they observe the flag and
-    // unwind. The counters are meaningless once the world is dead. The
-    // phase gate bump is what releases peers parked in a *blocking*
-    // collective's rendezvous — including on split sub-communicators,
-    // which std::barrier could never unblock from outside.
-    state->gate.released.fetch_add(1, std::memory_order_release);
-    state->gate.released.notify_all();
+    // Any value change wakes parked waiters — on split sub-communicators
+    // too; they observe the flag and unwind. The counters are meaningless
+    // once the world is dead.
     for (const auto& channel : state->channels) {
       channel->posted.fetch_add(1, std::memory_order_release);
       channel->posted.notify_all();
@@ -114,20 +102,78 @@ void AbortHub::poison() {
   }
 }
 
+namespace {
+
+/// Block until no region (see CollectiveWindow) is open on any
+/// communicator of the world — the calling thread must have closed its
+/// own. Abort path only; must not throw (it runs inside unwinds, so an
+/// allocation failure here terminates like any failure mid-unwind).
+/// World-wide because a rank's published buffers may be read through any
+/// communicator it belongs to. Terminates because every open region exits
+/// in bounded time once the world is poisoned: parked readers are woken by
+/// the poison bumps and throw at their abort checks, active readers throw
+/// at their next await, and each region exit under an aborted world
+/// notifies this waiter.
+void await_world_drain(AbortHub& hub) noexcept {
+  std::vector<std::shared_ptr<CommState>> states;
+  {
+    std::lock_guard<std::mutex> lock(hub.mutex);
+    for (const auto& weak : hub.states) {
+      if (auto state = weak.lock()) states.push_back(std::move(state));
+    }
+  }
+  for (const auto& state : states) {
+    for (auto& depth : state->in_collective) {
+      // The acquire load pairs with the region exit's release decrement:
+      // everything the reader did inside the region happens-before this
+      // rank's subsequent buffer frees.
+      int cur = depth.load(std::memory_order_acquire);
+      while (cur > 0) {
+        depth.wait(cur, std::memory_order_acquire);
+        cur = depth.load(std::memory_order_acquire);
+      }
+    }
+  }
+}
+
+/// Regions never nest, so a rank with none open on `st` has none open
+/// anywhere: nothing else will hold its unwind, so drain here.
+void drain_if_outside_region(const CommState& st, int rank) noexcept {
+  if (st.in_collective[static_cast<std::size_t>(rank)].load(
+          std::memory_order_relaxed) == 0) {
+    await_world_drain(*st.hub);
+  }
+}
+
+[[noreturn]] void throw_peer_aborted(const CommState& st,
+                                     const OpContext& ctx) {
+  drain_if_outside_region(st, ctx.rank);
+  throw CommAborted(ctx.rank, ctx.op, ctx.cat, FaultSite::kWait,
+                    "a peer rank failed");
+}
+
+}  // namespace
+
+void abort_at_seam(const CommState& st, int rank) noexcept {
+  st.hub->poison();
+  drain_if_outside_region(st, rank);
+}
+
 // [[hot-path]]
 void await_counter(const std::atomic<std::uint64_t>& counter,
                    std::atomic<int>& waiters, std::uint64_t target,
-                   const std::atomic<bool>& aborted, const OpContext& ctx) {
+                   const CommState& st, const OpContext& ctx) {
   // Fast path: the double-buffered loops post a whole compute stage before
   // they wait, so the counter usually already covers the target. When it
   // does not, park on the counter's futex — on an oversubscribed host the
   // cycles a spinning waiter would burn are cycles the rank it waits on
   // needs, and a sleep loop pays its wake-up latency on every sync.
+  const std::atomic<bool>& aborted = st.hub->aborted;
   std::uint64_t cur = counter.load(std::memory_order_acquire);
   int spins = 0;
   while (cur < target) {
     if (aborted.load(std::memory_order_relaxed)) {
-      throw_peer_aborted(ctx, FaultSite::kWait);
+      throw_peer_aborted(st, ctx);
     }
     if (++spins <= 4) {
       std::this_thread::yield();  // let the posting rank run first
@@ -139,38 +185,16 @@ void await_counter(const std::atomic<std::uint64_t>& counter,
     cur = counter.load(std::memory_order_acquire);
   }
   if (aborted.load(std::memory_order_relaxed)) {
-    throw_peer_aborted(ctx, FaultSite::kWait);
+    throw_peer_aborted(st, ctx);
   }
 }
-
-namespace {
-
-/// Block until every rank but `rank` has left its slot-reading regions.
-/// Abort-path only; must not throw (it runs inside unwinds). Terminates
-/// because every open region exits in bounded time once the world is
-/// poisoned: parked readers are woken by the poison bumps and throw at
-/// their abort checks, active readers throw at their next await, and each
-/// region exit under an aborted world notifies this waiter.
-void await_window_drain(CommState& st, int rank) noexcept {
-  for (int r = 0; r < st.size; ++r) {
-    if (r == rank) continue;
-    auto& depth = st.in_collective[static_cast<std::size_t>(r)];
-    // The acquire load pairs with the region exit's release decrement:
-    // everything the reader did inside the region happens-before this
-    // rank's subsequent buffer frees.
-    int cur = depth.load(std::memory_order_acquire);
-    while (cur > 0) {
-      depth.wait(cur, std::memory_order_acquire);
-      cur = depth.load(std::memory_order_acquire);
-    }
-  }
-}
-
-}  // namespace
 
 CollectiveWindow::~CollectiveWindow() {
-  const bool unwinding = std::uncaught_exceptions() > entry_exceptions_;
-  if (unwinding) {
+  // An exception in flight means this rank's frames are unwinding and
+  // about to free the sources it published — whether the exception
+  // escaped this region or an unwinding destructor opened it to complete
+  // a still-pending op.
+  if (std::uncaught_exceptions() > 0) {
     // Poison before closing the region: once the flag is up (seq_cst, as
     // is the region entry), no peer can pass an abort check and start a
     // new read of this rank's published buffers — any later region entry
@@ -186,7 +210,7 @@ CollectiveWindow::~CollectiveWindow() {
     // ranks dying at once drain each other without a cycle. Only after
     // every straggling reader left may the unwind free this rank's
     // published sources.
-    await_window_drain(st_, rank_);
+    await_world_drain(*st_.hub);
   }
 }
 
@@ -194,7 +218,22 @@ CollectiveWindow::~CollectiveWindow() {
 
 void Comm::barrier() {
   check_valid("barrier");
-  phase({rank_, CommCategory::kControl, "barrier"});
+  rendezvous("barrier");
+}
+
+void Comm::rendezvous(const char* op) const {
+  post_async(detail::OpKind::kBarrier, op, nullptr, 0, /*root=*/0,
+             CommCategory::kControl, /*charged=*/false,
+             &PendingOp::complete_impl<unsigned char>, nullptr, 0, 0,
+             nullptr)
+      .wait();
+}
+
+void Comm::finish_blocking(PendingOp op) const {
+  const std::uint64_t ticket = op.ticket_;
+  const detail::OpContext ctx = op.context();
+  op.wait();
+  await_finished(ticket, ctx);
 }
 
 void Comm::quiesce() const {
@@ -211,14 +250,17 @@ void Comm::quiesce() const {
         (n - 1 - c) / static_cast<std::uint64_t>(detail::kAsyncChannels) + 1;
     detail::await_counter(
         st.channels[c]->finished, st.channels[c]->waiters,
-        static_cast<std::uint64_t>(st.size) * ops_on_channel,
-        st.hub->aborted, ctx);
+        static_cast<std::uint64_t>(st.size) * ops_on_channel, st, ctx);
   }
 }
 
 void Comm::quiesce_op(std::uint64_t ticket) const {
   check_valid("quiesce_op");
-  const detail::OpContext ctx{rank_, CommCategory::kControl, "quiesce_op"};
+  await_finished(ticket, {rank_, CommCategory::kControl, "quiesce_op"});
+}
+
+void Comm::await_finished(std::uint64_t ticket,
+                          const detail::OpContext& ctx) const {
   auto& st = *state_;
   if (auto* ck = st.checker.get()) ck->on_release(rank_, ticket, ctx.op);
   // Generations on a channel complete strictly in order (the recycle gate
@@ -229,82 +271,50 @@ void Comm::quiesce_op(std::uint64_t ticket) const {
   const std::uint64_t gen =
       ticket / static_cast<std::uint64_t>(detail::kAsyncChannels);
   detail::await_counter(ch.finished, ch.waiters,
-                        static_cast<std::uint64_t>(st.size) * (gen + 1),
-                        st.hub->aborted, ctx);
+                        static_cast<std::uint64_t>(st.size) * (gen + 1), st,
+                        ctx);
 }
 
-void Comm::phase(const detail::OpContext& ctx) const {
-  // One rendezvous on the poison-wakeable PhaseGate. Arrivals count
-  // cumulatively; arrival a belongs to phase (a-1)/P and the P-th arrival
-  // of a phase releases the rest. The acq_rel arrival RMW chains with the
-  // release on `released`, so slot writes before the barrier
-  // happen-before slot reads after it on every rank, exactly like the
-  // std::barrier it replaces — but a dead rank's absence no longer parks
-  // peers forever: AbortHub::poison bumps `released` and everyone
-  // unwinds through the abort checks in await_counter.
-  auto& st = *state_;
-  const std::atomic<bool>& aborted = st.hub->aborted;
-  if (aborted.load(std::memory_order_relaxed)) {
-    detail::throw_peer_aborted(ctx, FaultSite::kWait);
-  }
-  const std::uint64_t a =
-      st.gate.arrived.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (a % st.gate.size == 0) {
-    detail::bump_counter(st.gate.released, st.gate.waiters);
-    if (aborted.load(std::memory_order_relaxed)) {
-      detail::throw_peer_aborted(ctx, FaultSite::kWait);
-    }
-  } else {
-    detail::await_counter(st.gate.released, st.gate.waiters,
-                          (a - 1) / st.gate.size + 1, aborted, ctx);
-  }
-}
-
-void Comm::sync_sizes(std::size_t n, const detail::OpContext& ctx) const {
-  auto& st = *state_;
-  st.slot_len[static_cast<std::size_t>(rank_)] = n;
-  phase(ctx);
-  for (int r = 0; r < st.size; ++r) {
-    CAGNET_CHECK(st.slot_len[static_cast<std::size_t>(r)] == n,
-                 std::string(ctx.op) + " [" + comm_category_name(ctx.cat) +
-                     "]: ranks disagree on element count (rank " +
-                     std::to_string(rank_) + " passed " + std::to_string(n) +
-                     ", rank " + std::to_string(r) + " passed " +
-                     std::to_string(
-                         st.slot_len[static_cast<std::size_t>(r)]) +
-                     ")");
-  }
-  phase(ctx);
-}
-
-PendingOp Comm::post_async(detail::OpKind kind, const void* publish_ptr,
-                           std::size_t publish_len, int root,
-                           CommCategory cat, bool charged,
+PendingOp Comm::post_async(detail::OpKind kind, const char* op,
+                           const void* publish_ptr, std::size_t publish_len,
+                           int root, CommCategory cat, bool charged,
                            void (*complete)(PendingOp&), void* out,
                            std::size_t out_len, std::size_t src_len,
-                           void* gathered, const void* publish_ptr2) {
+                           void* gathered, const void* publish_ptr2) const {
   auto& st = *state_;
   const auto rank = static_cast<std::size_t>(rank_);
-  const detail::OpContext ctx{rank_, cat, detail::op_kind_name(kind)};
-  CAGNET_CHECK(
-      st.outstanding[rank] < detail::kAsyncChannels,
-      "too many posted-but-unwaited nonblocking collectives on one "
-      "communicator (max 16 in flight per rank); wait() some first");
+  const detail::OpContext ctx{rank_, cat, op};
+  const std::uint64_t ticket = st.next_ticket[rank];
+  const std::uint64_t c =
+      ticket % static_cast<std::uint64_t>(detail::kAsyncChannels);
+  const std::uint32_t bit = std::uint32_t{1} << c;
+  if ((st.unwaited[rank] & bit) != 0) {
+    // The recycle gate below waits for every rank to finish the channel's
+    // previous op — this rank's own, which it cannot wait while blocked
+    // here. Nothing is claimed, so the communicator stays usable.
+    throw ContractViolation(
+        rank_, op, cat,
+        "posting op ticket " + std::to_string(ticket) +
+            " would wait forever: its channel " + std::to_string(c) +
+            " still holds this rank's own unwaited op (ticket " +
+            std::to_string(ticket - detail::kAsyncChannels) +
+            "); wait() that op first (at most " +
+            std::to_string(detail::kAsyncChannels) +
+            " ops may be in flight per rank per communicator)");
+  }
   detail::seam_event(st, ctx, FaultSite::kPost);
-  const std::uint64_t ticket = st.next_ticket[rank]++;
-  auto& ch = *st.channels[ticket % static_cast<std::uint64_t>(
-                                       detail::kAsyncChannels)];
+  st.next_ticket[rank]++;
+  auto& ch = *st.channels[c];
   const std::uint64_t gen =
       ticket / static_cast<std::uint64_t>(detail::kAsyncChannels);
   // Recycle gate: every rank must have finished the channel's previous
   // generation before its slots may be overwritten.
   detail::await_counter(ch.finished, ch.waiters,
-                        static_cast<std::uint64_t>(st.size) * gen,
-                        st.hub->aborted, ctx);
+                        static_cast<std::uint64_t>(st.size) * gen, st, ctx);
   if (auto* ck = st.checker.get()) {
     // Re-assert the gate with the value this rank just observed, and audit
     // ticket issuance, before any slot is overwritten.
-    ck->on_post(rank_, ticket, ctx.op, cat,
+    ck->on_post(rank_, ticket, op, cat,
                 ch.finished.load(std::memory_order_acquire),
                 static_cast<std::uint64_t>(st.size) * gen);
   }
@@ -312,28 +322,30 @@ PendingOp Comm::post_async(detail::OpKind kind, const void* publish_ptr,
   ch.ptr2[rank] = publish_ptr2;
   ch.len[rank] = publish_len;
   ch.kind[rank] = kind;
+  ch.op[rank] = op;
   ch.root[rank] = root;
   // Per-rank counter first: a per-source drainer that sees it also sees
   // the slot writes above (release/acquire through the counter).
   detail::bump_counter(ch.posted_by[rank], ch.waiters);
   detail::bump_counter(ch.posted, ch.waiters);
-  st.outstanding[rank]++;
+  st.unwaited[rank] |= bit;
 
-  PendingOp op;
-  op.state_ = state_;
-  op.rank_ = rank_;
-  op.meter_ = meter_;
-  op.ticket_ = ticket;
-  op.cat_ = cat;
-  op.root_ = root;
-  op.charged_ = charged;
-  op.kind_ = kind;
-  op.out_ = out;
-  op.out_len_ = out_len;
-  op.src_len_ = src_len;
-  op.gathered_ = gathered;
-  op.complete_ = complete;
-  return op;
+  PendingOp handle;
+  handle.state_ = state_;
+  handle.rank_ = rank_;
+  handle.meter_ = meter_;
+  handle.ticket_ = ticket;
+  handle.cat_ = cat;
+  handle.root_ = root;
+  handle.charged_ = charged;
+  handle.kind_ = kind;
+  handle.op_ = op;
+  handle.out_ = out;
+  handle.out_len_ = out_len;
+  handle.src_len_ = src_len;
+  handle.gathered_ = gathered;
+  handle.complete_ = complete;
+  return handle;
 }
 
 void PendingOp::wait() {
@@ -343,8 +355,7 @@ void PendingOp::wait() {
     // diagnosed misuse (it usually means two owners think they complete
     // the same op).
     if (waited_) {
-      contract::diagnose_double_wait(rank_, detail::op_kind_name(kind_),
-                                     cat_);
+      contract::diagnose_double_wait(rank_, op_, cat_);
     }
     return;
   }
@@ -355,15 +366,16 @@ void PendingOp::wait() {
   const std::shared_ptr<detail::CommState> keep = state_;
   auto& st = *keep;
   detail::CollectiveWindow window(st, rank_);
-  auto& ch = *st.channels[ticket_ % static_cast<std::uint64_t>(
-                                        detail::kAsyncChannels)];
+  const std::uint64_t c =
+      ticket_ % static_cast<std::uint64_t>(detail::kAsyncChannels);
+  auto& ch = *st.channels[c];
   const std::uint64_t gen =
       ticket_ / static_cast<std::uint64_t>(detail::kAsyncChannels);
   // A broadcast root moves no data and reads no peer slot at its own
   // wait: it completes passively (charge + bookkeeping) without awaiting
   // peers' posts, so stage roots never stall on stragglers. Its source —
   // like every op source — stays readable until the communicator's
-  // release point (quiesce / quiesce_op / a blocking rendezvous).
+  // release point (quiesce / quiesce_op / a later blocking collective).
   // Per-source-drain alltoallvs likewise skip the aggregate await: their
   // completer awaits exactly the sources still undrained, so a rank that
   // drained or skipped every source never stalls on peers it needs
@@ -372,16 +384,16 @@ void PendingOp::wait() {
       kind_ == detail::OpKind::kBcast && rank_ == root_;
   const bool per_source_drain =
       kind_ == detail::OpKind::kAlltoallv && gathered_ == nullptr;
-  const detail::OpContext ctx{rank_, cat_, detail::op_kind_name(kind_)};
+  const detail::OpContext ctx = context();
   detail::seam_event(st, ctx, FaultSite::kWait);
   if (!passive_root && !per_source_drain) {
     detail::await_counter(ch.posted, ch.waiters,
-                          static_cast<std::uint64_t>(st.size) * (gen + 1),
-                          st.hub->aborted, ctx);
+                          static_cast<std::uint64_t>(st.size) * (gen + 1), st,
+                          ctx);
   }
   complete_(*this);
   detail::bump_counter(ch.finished, ch.waiters);
-  st.outstanding[static_cast<std::size_t>(rank_)]--;
+  st.unwaited[static_cast<std::size_t>(rank_)] &= ~(std::uint32_t{1} << c);
   if (auto* ck = st.checker.get()) ck->on_complete(rank_);
   waited_ = true;
   state_.reset();
@@ -401,17 +413,16 @@ struct SplitContext {
 
 Comm Comm::split(int color, int key) const {
   CAGNET_CHECK(valid(), "split on an invalid communicator");
-  const detail::OpContext op_ctx{rank_, CommCategory::kControl, "split"};
   auto& st = *state_;
 
   if (rank_ == 0) st.split_ctx = std::make_shared<SplitContext>();
-  phase(op_ctx);
+  rendezvous("split");
   auto* ctx = static_cast<SplitContext*>(st.split_ctx.get());
   {
     std::lock_guard<std::mutex> lock(ctx->mutex);
     ctx->groups[color].push_back({key, rank_});
   }
-  phase(op_ctx);
+  rendezvous("split");
 
   // Membership is frozen now; reads below need no lock.
   std::vector<std::pair<int, int>> group = ctx->groups.at(color);
@@ -422,52 +433,75 @@ Comm Comm::split(int color, int key) const {
 
   if (new_rank == 0) {
     // The sub-communicator registers with the world's abort hub so
-    // failures anywhere wake its parked nonblocking waiters too.
+    // failures anywhere wake its parked waiters too.
     auto new_state = std::make_shared<detail::CommState>(
         static_cast<int>(group.size()), st.hub);
     st.hub->register_state(new_state);
     std::lock_guard<std::mutex> lock(ctx->mutex);
     ctx->states[color] = new_state;
   }
-  phase(op_ctx);
+  rendezvous("split");
 
   std::shared_ptr<detail::CommState> new_state;
   {
     std::lock_guard<std::mutex> lock(ctx->mutex);
     new_state = ctx->states.at(color);
   }
-  phase(op_ctx);
+  rendezvous("split");
   if (rank_ == 0) st.split_ctx.reset();
   return Comm(std::move(new_state), new_rank, meter_);
 }
 
 void PendingCompressedReduce::wait() {
   if (!pending()) return;
-  // Take the communicator state locally: op_.wait() drops the inner op's
-  // own reference, and the decode epilogue below still needs the checker
-  // for charge attribution. Declared before the blocking scope so the
-  // checker outlives the scope's exit hook.
-  const std::shared_ptr<detail::CommState> st = std::move(state_);
-  contract::Checker* ck = st ? st->checker.get() : nullptr;
-  const char* op_name = scatter_ ? "ireduce_scatter_sum_compressed"
-                                 : "iallreduce_sum_compressed";
-  contract::BlockingScope contract_scope(ck, rank_, op_name,
-                                         CommCategory::kCompressed);
   CompressBuf& buf = *buf_;
   buf_ = nullptr;
+  // op_.wait() drops the op's reference; the epilogue's window needs it.
+  const std::shared_ptr<detail::CommState> st = op_.state_;
+  const detail::OpContext ctx = op_.context();
+  const int p = size_;
+  const std::size_t enc = encoded_size_bytes(mode_, n_);
+  // Reduce-scatter wire format per rank: [u64 out-length][encoded full
+  // contribution]. The headers give every rank the chunk boundaries (the
+  // out sizes may differ per rank); each rank decodes only its own slice
+  // of every contribution.
+  const std::size_t chunk_bytes =
+      scatter_ ? sizeof(std::uint64_t) + enc : enc;
+  // Charged while the byte gather is still open, so the contract checker
+  // attributes the charge to it. The bytes follow from p and the chunk
+  // size alone: every gathered chunk is checked below to be exactly that.
+  if (auto* ck = st->checker.get()) {
+    ck->on_charge(rank_, ctx.op, CommCategory::kCompressed);
+  }
+  if (scatter_) {
+    meter_->add(CommCategory::kCompressed, ceil_log2(p),
+                static_cast<double>(static_cast<std::size_t>(p) *
+                                    chunk_bytes) *
+                    (p - 1) / p / sizeof(Real));
+  } else {
+    meter_->add(CommCategory::kCompressed, 2.0 * ceil_log2(p),
+                2.0 * static_cast<double>(enc) * (p - 1) / p / sizeof(Real));
+  }
   {
     MaybePhase scope(profiler_, Phase::kDenseComm);
     op_.wait();
   }
-  const int p = size_;
-  const std::size_t enc = encoded_size_bytes(mode_, n_);
+  // Peers may still be reading buf.send: a mismatch thrown below must
+  // drain their reads before the unwind frees it.
+  detail::CollectiveWindow window(*st, rank_);
   MaybePhase scope(profiler_, Phase::kCompressPack);
+  for (int r = 0; r < p; ++r) {
+    const std::size_t got = buf.recv.chunk(r).size();
+    CAGNET_CHECK(got == chunk_bytes,
+                 detail::op_error(
+                     ctx, "ranks disagree on element count (rank " +
+                              std::to_string(rank_) + " encoded " +
+                              std::to_string(n_) + " elements into " +
+                              std::to_string(chunk_bytes) + " bytes, rank " +
+                              std::to_string(r) + " sent " +
+                              std::to_string(got) + ")"));
+  }
   if (!scatter_) {
-    for (int r = 0; r < p; ++r) {
-      CAGNET_CHECK(
-          buf.recv.chunk(r).size() == enc,
-          "iallreduce_sum_compressed: ranks disagree on element count");
-    }
     // Decode-sum in ascending rank order (matching the exact all-reduce's
     // per-element accumulation order), identically on every rank.
     buf.scratch.resize(n_);
@@ -480,31 +514,17 @@ void PendingCompressedReduce::wait() {
         for (std::size_t i = 0; i < n_; ++i) out_[i] += buf.scratch[i];
       }
     }
-    if (ck != nullptr) {
-      ck->on_charge(rank_, op_name, CommCategory::kCompressed);
-    }
-    meter_->add(CommCategory::kCompressed, 2.0 * ceil_log2(p),
-                2.0 * static_cast<double>(enc) * (p - 1) / p / sizeof(Real));
     return;
   }
-  // Reduce-scatter wire format per rank: [u64 out-length][encoded full
-  // contribution]. The headers give every rank the chunk boundaries (the
-  // out sizes may differ per rank); each rank decodes only its own slice
-  // of every contribution.
   std::size_t my_lo = 0;
   std::size_t total_out = 0;
   for (int r = 0; r < p; ++r) {
-    const auto chunk = buf.recv.chunk(r);
-    CAGNET_CHECK(
-        chunk.size() == sizeof(std::uint64_t) + enc,
-        "ireduce_scatter_sum_compressed: ranks disagree on element count");
     std::uint64_t out_len = 0;
-    std::memcpy(&out_len, chunk.data(), sizeof(out_len));
+    std::memcpy(&out_len, buf.recv.chunk(r).data(), sizeof(out_len));
     if (r == rank_) my_lo = total_out;
     total_out += static_cast<std::size_t>(out_len);
   }
-  CAGNET_CHECK(total_out == n_,
-               "reduce_scatter: contribution length != sum of outputs");
+  CAGNET_CHECK(total_out == n_, detail::scatter_mismatch(ctx, n_, total_out));
   // Zero, then accumulate ranks ascending — the exact form's order.
   std::fill(out_, out_ + out_len_, Real{0});
   buf.scratch.resize(out_len_);
@@ -514,108 +534,96 @@ void PendingCompressedReduce::wait() {
                           n_, my_lo, my_lo + out_len_, buf.scratch.data());
     for (std::size_t i = 0; i < out_len_; ++i) out_[i] += buf.scratch[i];
   }
-  if (ck != nullptr) ck->on_charge(rank_, op_name, CommCategory::kCompressed);
-  meter_->add(CommCategory::kCompressed, ceil_log2(p),
-              static_cast<double>(buf.recv.data.size()) * (p - 1) / p /
-                  sizeof(Real));
+}
+
+PendingCompressedReduce Comm::post_compressed(std::span<const Real> contrib,
+                                              std::span<Real> out,
+                                              CompressMode mode,
+                                              CompressBuf& buf,
+                                              Profiler* profiler,
+                                              bool scatter, const char* op) {
+  const detail::OpContext ctx{rank_, CommCategory::kCompressed, op};
+  CAGNET_CHECK(mode != CompressMode::kOff,
+               detail::op_error(ctx, "mode must be a lossy codec (use the "
+                                     "uncompressed form for exact traffic)"));
+  if (!scatter) {
+    CAGNET_CHECK(contrib.size() == out.size(),
+                 detail::op_error(ctx, "contrib/out length mismatch"));
+  }
+  rebind_compress_buf(buf, contrib.size());
+  PendingCompressedReduce pending;
+  pending.meter_ = meter_;
+  pending.profiler_ = profiler;
+  pending.mode_ = mode;
+  pending.scatter_ = scatter;
+  pending.out_ = out.data();
+  pending.out_len_ = out.size();
+  pending.n_ = contrib.size();
+  pending.rank_ = rank_;
+  pending.size_ = size();
+  if (size() == 1) {
+    CAGNET_CHECK(out.size() == contrib.size(),
+                 detail::scatter_mismatch(ctx, contrib.size(), out.size()));
+    if (!out.empty() && out.data() != contrib.data()) {
+      std::memcpy(out.data(), contrib.data(), out.size() * sizeof(Real));
+    }
+    return pending;  // exact self-reduction; nothing pending, nothing charged
+  }
+  {
+    MaybePhase scope(profiler, Phase::kCompressPack);
+    const std::size_t header = scatter ? sizeof(std::uint64_t) : 0;
+    buf.send.resize(header + encoded_size_bytes(mode, contrib.size()));
+    if (scatter) {
+      const std::uint64_t out_len = out.size();
+      std::memcpy(buf.send.data(), &out_len, sizeof(out_len));
+    }
+    compress_encode(mode, contrib, buf.send.data() + header,
+                    buf.error_feedback ? &buf.residual : nullptr);
+  }
+  pending.op_ = post_allgatherv(std::span<const std::uint8_t>(buf.send),
+                                buf.recv, CommCategory::kCompressed,
+                                /*charged=*/false, op);
+  pending.buf_ = &buf;
+  return pending;
+}
+
+void Comm::finish_compressed(PendingCompressedReduce op,
+                             Profiler* profiler) const {
+  if (!op.pending()) return;
+  const std::uint64_t ticket = op.ticket();
+  const detail::OpContext ctx = op.op_.context();
+  op.wait();
+  // Release hold: the blocking contract lets the caller rewrite buf.send
+  // (e.g. the next layer's encode) immediately, so wait until every peer
+  // has copied this one.
+  MaybePhase scope(profiler, Phase::kDenseComm);
+  await_finished(ticket, ctx);
 }
 
 PendingCompressedReduce Comm::iallreduce_sum_compressed(
     std::span<const Real> contrib, std::span<Real> out, CompressMode mode,
     CompressBuf& buf, Profiler* profiler) {
   check_valid("iallreduce_sum_compressed");
-  CAGNET_CHECK(mode != CompressMode::kOff,
-               "iallreduce_sum_compressed: mode must be a lossy codec (use "
-               "iallreduce_sum for exact traffic)");
-  CAGNET_CHECK(contrib.size() == out.size(),
-               "iallreduce_sum_compressed: contrib/out length mismatch");
-  rebind_compress_buf(buf, contrib.size());
-  PendingCompressedReduce op;
-  op.meter_ = meter_;
-  op.profiler_ = profiler;
-  op.mode_ = mode;
-  op.out_ = out.data();
-  op.out_len_ = out.size();
-  op.n_ = contrib.size();
-  op.rank_ = rank_;
-  op.size_ = size();
-  if (size() == 1) {
-    if (!out.empty() && out.data() != contrib.data()) {
-      std::memcpy(out.data(), contrib.data(), out.size() * sizeof(Real));
-    }
-    return op;  // exact self-reduction; nothing pending, nothing charged
-  }
-  {
-    MaybePhase scope(profiler, Phase::kCompressPack);
-    buf.send.resize(encoded_size_bytes(mode, contrib.size()));
-    compress_encode(mode, contrib, buf.send.data(),
-                    buf.error_feedback ? &buf.residual : nullptr);
-  }
-  op.op_ = iallgatherv_into(std::span<const std::uint8_t>(buf.send),
-                            buf.recv, CommCategory::kCompressed,
-                            /*charged=*/false);
-  op.state_ = state_;
-  op.buf_ = &buf;
-  return op;
+  return post_compressed(contrib, out, mode, buf, profiler, /*scatter=*/false,
+                         "iallreduce_sum_compressed");
 }
 
 PendingCompressedReduce Comm::ireduce_scatter_sum_compressed(
     std::span<const Real> contrib, std::span<Real> out, CompressMode mode,
     CompressBuf& buf, Profiler* profiler) {
   check_valid("ireduce_scatter_sum_compressed");
-  CAGNET_CHECK(mode != CompressMode::kOff,
-               "ireduce_scatter_sum_compressed: mode must be a lossy codec "
-               "(use ireduce_scatter_sum for exact traffic)");
-  rebind_compress_buf(buf, contrib.size());
-  PendingCompressedReduce op;
-  op.meter_ = meter_;
-  op.profiler_ = profiler;
-  op.mode_ = mode;
-  op.scatter_ = true;
-  op.out_ = out.data();
-  op.out_len_ = out.size();
-  op.n_ = contrib.size();
-  op.rank_ = rank_;
-  op.size_ = size();
-  if (size() == 1) {
-    CAGNET_CHECK(out.size() == contrib.size(),
-                 "reduce_scatter: contribution length != sum of outputs");
-    if (!out.empty() && out.data() != contrib.data()) {
-      std::memcpy(out.data(), contrib.data(), out.size() * sizeof(Real));
-    }
-    return op;
-  }
-  {
-    MaybePhase scope(profiler, Phase::kCompressPack);
-    const std::size_t enc = encoded_size_bytes(mode, contrib.size());
-    buf.send.resize(sizeof(std::uint64_t) + enc);
-    const std::uint64_t out_len = out.size();
-    std::memcpy(buf.send.data(), &out_len, sizeof(out_len));
-    compress_encode(mode, contrib, buf.send.data() + sizeof(std::uint64_t),
-                    buf.error_feedback ? &buf.residual : nullptr);
-  }
-  op.op_ = iallgatherv_into(std::span<const std::uint8_t>(buf.send),
-                            buf.recv, CommCategory::kCompressed,
-                            /*charged=*/false);
-  op.state_ = state_;
-  op.buf_ = &buf;
-  return op;
+  return post_compressed(contrib, out, mode, buf, profiler, /*scatter=*/true,
+                         "ireduce_scatter_sum_compressed");
 }
 
 void Comm::allreduce_sum_compressed(std::span<Real> data, CompressMode mode,
                                     CompressBuf& buf, Profiler* profiler) {
   check_valid("allreduce_sum_compressed");
-  PendingCompressedReduce op = iallreduce_sum_compressed(
-      std::span<const Real>(data.data(), data.size()), data, mode, buf,
+  finish_compressed(
+      post_compressed(std::span<const Real>(data.data(), data.size()), data,
+                      mode, buf, profiler, /*scatter=*/false,
+                      "allreduce_sum_compressed"),
       profiler);
-  if (!op.pending()) return;
-  const std::uint64_t ticket = op.ticket();
-  op.wait();
-  // Trailing release rendezvous: the blocking contract lets the caller
-  // rewrite buf.send (e.g. the next layer's encode) immediately, so wait
-  // until every peer has copied this one.
-  MaybePhase scope(profiler, Phase::kDenseComm);
-  quiesce_op(ticket);
 }
 
 void Comm::reduce_scatter_sum_compressed(std::span<const Real> contrib,
@@ -623,13 +631,10 @@ void Comm::reduce_scatter_sum_compressed(std::span<const Real> contrib,
                                          CompressMode mode, CompressBuf& buf,
                                          Profiler* profiler) {
   check_valid("reduce_scatter_sum_compressed");
-  PendingCompressedReduce op =
-      ireduce_scatter_sum_compressed(contrib, out, mode, buf, profiler);
-  if (!op.pending()) return;
-  const std::uint64_t ticket = op.ticket();
-  op.wait();
-  MaybePhase scope(profiler, Phase::kDenseComm);
-  quiesce_op(ticket);
+  finish_compressed(post_compressed(contrib, out, mode, buf, profiler,
+                                    /*scatter=*/true,
+                                    "reduce_scatter_sum_compressed"),
+                    profiler);
 }
 
 namespace {
@@ -697,11 +702,10 @@ void run_world(int p, const std::function<void(Comm&)>& fn,
           }
         }
         // Poison every registered communicator state: the abort flag goes
-        // up, then every channel counter and phase gate is bumped and
-        // notified, so peers parked anywhere — nonblocking waits,
-        // per-source drains, or blocking collectives' rendezvous, on the
-        // world or any split sub-communicator — wake, observe the flag,
-        // and unwind with a typed CommAborted.
+        // up, then every channel counter is bumped and notified, so peers
+        // parked anywhere — waits, per-source drains, or release holds, on
+        // the world or any split sub-communicator — wake, observe the
+        // flag, and unwind with a typed CommAborted.
         hub->poison();
       }
     });

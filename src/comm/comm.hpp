@@ -4,28 +4,32 @@
 // DESIGN.md, "Substitutions"). A *world* of P ranks runs as P threads in one
 // process. A Comm exposes MPI-flavoured collectives whose semantics match
 // the operations the paper's algorithms are written in terms of: broadcast,
-// all-reduce, reduce-scatter, all-gather(v), and pairwise exchange. Data is
-// genuinely moved between rank-private buffers (so algorithm correctness is
-// real), and every operation charges its textbook alpha-beta cost to the
-// rank's CostMeter (so communication volumes are real too).
+// all-reduce, reduce-scatter, all-gather(v), all-to-all(v), and a
+// permutation route. Data is genuinely moved between rank-private buffers
+// (so algorithm correctness is real), and every operation charges its
+// textbook alpha-beta cost to the rank's CostMeter (so communication
+// volumes are real too).
 //
 // Contract (same as MPI): a collective must be invoked by every member of
 // the communicator, in the same program order. All spans must stay alive
 // until the call returns.
 //
-// Nonblocking layer: the i-prefixed collectives (ibroadcast_from,
-// ireduce_scatter_sum, iallgatherv_into, iallreduce_sum) post immediately
-// and return a PendingOp whose wait() completes the data movement and the
+// One transport carries every collective: a ring of lock-free channels.
+// The i-prefixed forms (ibroadcast_from, ireduce_scatter_sum,
+// iallgatherv_into, iallreduce_sum, ialltoallv_*) post immediately and
+// return a PendingOp whose wait() completes the data movement and the
 // meter charge. Posts must follow the same program order on every rank;
 // waits may be out of order. Between post and wait a rank may compute and
-// may run other collectives (blocking or nonblocking) on any communicator —
-// this is what the SUMMA double-buffering in src/core/ exploits. See
-// DESIGN.md, "Nonblocking runtime and overlap accounting".
+// may run other collectives on any communicator — this is what the SUMMA
+// double-buffering in src/core/ exploits. A blocking form is the same op
+// posted, waited, and held until every member has completed it
+// (quiesce_op), so it returns with every buffer free, exactly like torch's
+// blocking call = async op + wait(). See DESIGN.md, "Nonblocking runtime
+// and overlap accounting".
 #pragma once
 
 #include <atomic>
 #include <cstring>
-#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
@@ -51,48 +55,45 @@ double ceil_log2(int p);
 
 namespace detail {
 
-/// Channels per communicator for nonblocking collectives; also the cap on
-/// posted-but-unwaited operations per rank (posting more is diagnosed, not
-/// deadlocked).
+/// Channels per communicator. A channel is reused only after every rank
+/// finished its previous op, so a rank may hold at most this many posted
+/// but unwaited ops per communicator; a post onto a channel that still
+/// holds the poster's own unwaited op is a ContractViolation, not a hang.
 inline constexpr int kAsyncChannels = 16;
 
-/// Which nonblocking collective a channel generation carries; published
-/// per rank so mismatched program order is diagnosed at wait().
+/// Which collective a channel generation carries; published per rank so
+/// mismatched program order is diagnosed at wait().
 enum class OpKind : std::uint8_t {
   kNone = 0,
   kBcast,
   kReduceScatter,
   kAllgatherv,
   kAllreduce,
+  kAllreduceMax,
   kAlltoallv,
+  kRoute,
+  kBarrier,
 };
 
-/// Display name of a nonblocking op kind (diagnostics and CommAborted).
-const char* op_kind_name(OpKind kind);
-
 /// Identity of the operation a seam event or abort belongs to: the
-/// observing rank, the traffic category, and the op's display name. Built
-/// once per collective call and threaded through the publish/await/charge
-/// hooks and every abort throw, so a CommAborted always names rank, phase,
-/// and op kind no matter where the unwind started.
+/// observing rank, the traffic category, and the op's caller-facing name.
+/// Built once per collective call and threaded through the publish/await/
+/// charge hooks and every abort throw, so a CommAborted always names rank,
+/// phase, and op no matter where the unwind started.
 struct OpContext {
   int rank;
   CommCategory cat;
   const char* op;
 };
 
-/// Throw the peer-failure form of CommAborted: the world died under this
-/// rank while it was inside `ctx`'s operation.
-[[noreturn]] void throw_peer_aborted(const OpContext& ctx, FaultSite site);
-
-/// Rendezvous state of one nonblocking-collective channel. Channels are
-/// recycled in generations: the op with ticket T uses channel T % K at
-/// generation T / K. `posted` and `finished` count cumulatively across
-/// generations; generation G's payload is readable once posted reaches
-/// size*(G+1), and the channel is recyclable for G+1 once finished reaches
-/// size*(G+1). Slot writes happen-before the posting increment (release)
-/// and slot reads happen-before the finishing increment, so recycling
-/// never races with a straggling reader.
+/// Rendezvous state of one channel. Channels are recycled in generations:
+/// the op with ticket T uses channel T % K at generation T / K. `posted`
+/// and `finished` count cumulatively across generations; generation G's
+/// payload is readable once posted reaches size*(G+1), and the channel is
+/// recyclable for G+1 once finished reaches size*(G+1). Slot writes
+/// happen-before the posting increment (release) and slot reads
+/// happen-before the finishing increment, so recycling never races with a
+/// straggling reader.
 struct AsyncChannel {
   explicit AsyncChannel(int n)
       : posted_by(static_cast<std::size_t>(n)),
@@ -100,6 +101,7 @@ struct AsyncChannel {
         ptr2(static_cast<std::size_t>(n), nullptr),
         len(static_cast<std::size_t>(n), 0),
         kind(static_cast<std::size_t>(n), OpKind::kNone),
+        op(static_cast<std::size_t>(n), nullptr),
         root(static_cast<std::size_t>(n), -1) {}
 
   std::atomic<std::uint64_t> posted{0};
@@ -117,9 +119,11 @@ struct AsyncChannel {
   std::atomic<int> waiters{0};
   std::vector<const void*> ptr;  ///< per-rank published source
   std::vector<const void*> ptr2; ///< secondary publication (alltoallv: the
-                                 ///< per-destination offsets array)
+                                 ///< per-destination offsets array;
+                                 ///< route: the destination rank)
   std::vector<std::size_t> len;  ///< per-rank published element count
   std::vector<OpKind> kind;      ///< per-rank op kind (order validation)
+  std::vector<const char*> op;   ///< per-rank caller-facing op name
   std::vector<int> root;         ///< per-rank root (order validation)
 };
 
@@ -127,10 +131,9 @@ struct CommState;
 
 /// World-wide abort fan-out shared by a world and every communicator split
 /// off it. A failing rank sets the flag and poisons every registered
-/// state's channels and phase gates (bump + notify), so waiters parked on
-/// futexes anywhere in the communicator tree — nonblocking waits AND
-/// blocking-collective rendezvous, including on split sub-communicators —
-/// wake, observe the flag, and unwind.
+/// state's channels (bump + notify), so waiters parked on futexes anywhere
+/// in the communicator tree — including on split sub-communicators — wake,
+/// observe the flag, and unwind.
 struct AbortHub {
   std::atomic<bool> aborted{false};
   std::mutex mutex;
@@ -149,37 +152,15 @@ struct AbortHub {
   void poison();  // comm.cpp
 };
 
-/// Abortable phase barrier (replaces std::barrier, which only a
-/// participant can drop: a rank that died elsewhere would leave peers
-/// parked in a blocking collective forever). Arrivals are a cumulative
-/// counter; the last arrival of a phase bumps `released` and wakes the
-/// rest, who park on it futex-style. AbortHub::poison bumps `released`
-/// too, so every parked arrival wakes, observes the flag, and unwinds —
-/// the unwind guarantee now covers blocking collectives on split
-/// sub-communicators as well.
-struct PhaseGate {
-  explicit PhaseGate(int n) : size(static_cast<std::uint64_t>(n)) {}
-
-  const std::uint64_t size;
-  std::atomic<std::uint64_t> arrived{0};
-  std::atomic<std::uint64_t> released{0};  ///< completed phases
-  std::atomic<int> waiters{0};
-};
-
-/// Shared state of one communicator: a phase barrier plus per-rank
-/// publication slots for the blocking collectives, and a ring of
-/// AsyncChannels for the nonblocking ones. All blocking slot accesses are
-/// separated by barrier phases, which provide the necessary happens-before
-/// edges; the channels carry their own ordering (see AsyncChannel).
+/// Shared state of one communicator: the ring of channels every
+/// collective runs on, plus per-rank bookkeeping that only the owning rank
+/// touches. The channels carry their own ordering (see AsyncChannel).
 struct CommState {
   CommState(int n, std::shared_ptr<AbortHub> abort_hub)
-      : size(n), gate(n),
-        slot_ptr(static_cast<std::size_t>(n), nullptr),
-        slot_ptr2(static_cast<std::size_t>(n), nullptr),
-        slot_len(static_cast<std::size_t>(n), 0),
-        slot_dest(static_cast<std::size_t>(n), -1),
+      : size(n),
         next_ticket(static_cast<std::size_t>(n), 0),
-        outstanding(static_cast<std::size_t>(n), 0),
+        unwaited(static_cast<std::size_t>(n), 0),
+        stage(static_cast<std::size_t>(n)),
         in_collective(static_cast<std::size_t>(n)),
         hub(std::move(abort_hub)) {
     channels.reserve(kAsyncChannels);
@@ -199,32 +180,30 @@ struct CommState {
   /// dead world. The uid is never recycled, so a binding check against it
   /// always detects a new communicator.
   const std::uint64_t uid = next_uid();
-  PhaseGate gate;
-  std::vector<const void*> slot_ptr;
-  std::vector<const void*> slot_ptr2; // alltoallv per-destination offsets
-  std::vector<std::size_t> slot_len;  // element counts, payload-defined units
-  std::vector<int> slot_dest;         // route() destination per rank
-  std::vector<unsigned char> scratch; // reduction workspace (rank 0 resizes)
   std::vector<std::unique_ptr<AsyncChannel>> channels;
   std::vector<std::uint64_t> next_ticket;  // per rank; owner-written only
-  std::vector<int> outstanding;            // per-rank posted-unwaited count
-  /// Per-rank count of open slot-reading regions (blocking collective
-  /// bodies, nonblocking waits, per-source drains). On the abort path a
-  /// dying rank drains these before its unwind frees the buffers it
-  /// published — see CollectiveWindow.
+  /// Per rank, bit c set while channel c holds this rank's own posted but
+  /// unwaited op (owner-written only).
+  std::vector<std::uint32_t> unwaited;
+  static_assert(kAsyncChannels <= 32, "unwaited is a 32-bit channel mask");
+  /// Per rank, where an in-place all-reduce lands its total: peers read
+  /// the rank's data until every member completed the op, so the total is
+  /// copied back only after the release (owner-written only).
+  std::vector<std::vector<unsigned char>> stage;
+  /// Per-rank count of open slot-reading regions (waits and per-source
+  /// drains). On the abort path a dying rank drains these before its
+  /// unwind frees the buffers it published — see CollectiveWindow.
   std::vector<std::atomic<int>> in_collective;
   /// Lifecycle auditor (null unless contract::enabled() held at
   /// construction); split sub-communicators build their own.
   std::unique_ptr<contract::Checker> checker;
-  std::mutex mutex;
   /// Transient rendezvous of an in-flight split(). Owned here (not by the
   /// splitting ranks) so a rank failure mid-split cannot leak it: it is
-  /// released at the split's final phase, by the next split, or with this
-  /// state.
+  /// released at the split's final barrier, by the next split, or with
+  /// this state.
   std::shared_ptr<void> split_ctx;
   /// Shared with every communicator split off this one, so a rank failure
-  /// anywhere in the world also unblocks nonblocking waits on
-  /// sub-communicators.
+  /// anywhere in the world also unblocks waits on sub-communicators.
   std::shared_ptr<AbortHub> hub;
 
  private:
@@ -238,13 +217,16 @@ struct CommState {
 /// `target`: a few yields for the near-miss case, then a futex park
 /// (atomic wait) that burns no cycles — on an oversubscribed host the
 /// rank being waited on needs them. Throws CommAborted (naming `ctx`'s
-/// rank/op/category) as soon as the world aborts: AbortHub::poison bumps
-/// and notifies every counter, so parked waiters wake. Posts precede
+/// rank/op/category) as soon as `st`'s world aborts: AbortHub::poison
+/// bumps and notifies every counter, so parked waiters wake. Outside a
+/// CollectiveWindow the throw first waits until no region is open
+/// anywhere in the world, since nothing else would hold this rank's
+/// unwind until peers finished reading what it published. Posts precede
 /// waits by a whole compute stage in the double-buffered loops, so the
 /// fast path is a single load.
 void await_counter(const std::atomic<std::uint64_t>& counter,
                    std::atomic<int>& waiters, std::uint64_t target,
-                   const std::atomic<bool>& aborted, const OpContext& ctx);
+                   const CommState& st, const OpContext& ctx);
 
 /// Counter bump + conditional wake, the posting half of await_counter's
 /// protocol.
@@ -254,6 +236,16 @@ inline void bump_counter(std::atomic<std::uint64_t>& counter,
   counter.fetch_add(1, std::memory_order_seq_cst);
   if (waiters.load(std::memory_order_seq_cst) != 0) counter.notify_all();
 }
+
+/// A fault fired at `rank`'s seam on `st`: poison the world at throw
+/// time, not at run_world's catch — the dying rank's own stack unwind
+/// completes in-flight ops, and those completions block on peers who in
+/// turn block on this rank, a mutual wait that only resolves if the abort
+/// flag is already up world-wide when the unwind's awaits run. Outside a
+/// CollectiveWindow (a post, a skipped source, a notify_event) it then
+/// waits until no region is open anywhere in the world; inside one, the
+/// region's exit does. Out-of-line, abort path only.
+void abort_at_seam(const CommState& st, int rank) noexcept;
 
 /// The transport seam: every payload publication, completion await, and
 /// meter charge in the runtime reports itself here. With no fault plan
@@ -268,45 +260,65 @@ inline void seam_event(const CommState& st, const OpContext& ctx,
     try {
       plan->on_event(ctx.rank, ctx.cat, site, ctx.op);
     } catch (...) {
-      // Poison at throw time, not at run_world's catch: the dying rank's
-      // own stack unwind completes in-flight ops, and those completions
-      // block on peers who in turn block on this rank — a mutual wait
-      // that only resolves if the abort flag is already up world-wide
-      // when the unwind's awaits run.
-      st.hub->poison();
+      abort_at_seam(st, ctx.rank);
       throw;
     }
   }
 }
 
 /// Program-order mismatch diagnostic naming this rank, the op it is
-/// waiting on (kind + category), the offending peer, and what that peer
+/// waiting on (name + category), the offending peer, and the op that peer
 /// posted instead. Out-of-line (comm.cpp) — built only on the failure
 /// path.
-std::string order_mismatch(const OpContext& ctx, OpKind want, int peer,
-                           OpKind got);
+std::string order_mismatch(const OpContext& ctx, int peer, const char* got);
 
-/// RAII bracket around one slot-reading region (a blocking collective
-/// body, a nonblocking wait, a per-source drain). Healthy worlds pay two
-/// uncontended atomic RMWs. Its real job is the abort path: a rank whose
-/// exception escapes the region poisons the world immediately (so no peer
-/// starts a new read of this rank's published buffers) and then blocks
-/// until every other rank's open regions drain, because a peer that
-/// passed its await before the poison landed may still be mid-read of a
-/// buffer this rank's unwind is about to free. Peers exit their regions
-/// in bounded time — parked ones are poison-woken and throw, active ones
-/// throw at their next await — and each dying rank closes its own region
-/// before waiting on the others', so mutual aborts cannot cycle.
-/// ThreadSanitizer found the use-after-free window this closes (a killed
-/// rank's teardown racing a straggling reader); the acquire/release pair
-/// on the region counter is also the happens-before edge that orders the
-/// reader's last load before the dying rank's free.
+/// "<op> [<cat>]: <what>", the shape every channel-op diagnostic takes.
+/// Out-of-line, failure path only (like the two below).
+std::string op_error(const OpContext& ctx, const std::string& what);
+
+/// Element-count mismatch diagnostic naming the op, its category, and
+/// both ranks with the counts they passed.
+std::string size_mismatch(const OpContext& ctx, int a, std::size_t len_a,
+                          int b, std::size_t len_b);
+
+/// Reduce-scatter diagnostic: this rank's contribution length is not the
+/// sum of every rank's output length.
+std::string scatter_mismatch(const OpContext& ctx, std::size_t contrib,
+                             std::size_t outputs);
+
+/// Diagnose `peer` having posted a different op (kind or root) than this
+/// rank's on the channel: the ranks disagree on program order.
+inline void check_same_op(const AsyncChannel& ch, int peer, OpKind kind,
+                          int root, const OpContext& ctx) {
+  const auto r = static_cast<std::size_t>(peer);
+  CAGNET_CHECK(ch.kind[r] == kind && ch.root[r] == root,
+               order_mismatch(ctx, peer, ch.op[r]));
+}
+
+/// RAII bracket around one region in which a rank reads peer slots (a
+/// wait, a per-source drain) or may throw while its own sources are still
+/// published (the compressed decode). Healthy worlds pay two uncontended
+/// atomic RMWs. Its real job is the abort path: a rank that leaves the
+/// region while an exception is in flight — one escaping the region, or
+/// an unwind that completes a still-pending op in its handle's destructor
+/// — poisons the world immediately (so no peer starts a new read of this
+/// rank's published buffers) and then blocks until no region is open on
+/// any communicator of the world, because a peer that passed its await
+/// before the poison landed may still be mid-read — through any
+/// communicator the two share — of a buffer this rank's unwind is about
+/// to free. A runtime throw outside any region drains the same way first
+/// (abort_at_seam, await_counter). Peers exit their regions in bounded
+/// time — parked ones are poison-woken and throw, active ones throw at
+/// their next await — and a dying rank drains only once its own region is
+/// closed. Regions never nest, so it then has none open anywhere and
+/// mutual aborts cannot cycle. ThreadSanitizer found the use-after-free
+/// window this closes (a killed rank's teardown racing a straggling
+/// reader); the acquire/release pair on the region counter is also the
+/// happens-before edge that orders the reader's last load before the
+/// dying rank's free.
 class CollectiveWindow {
  public:
-  CollectiveWindow(CommState& st, int rank)
-      : st_(st),
-        rank_(rank),
-        entry_exceptions_(std::uncaught_exceptions()) {
+  CollectiveWindow(CommState& st, int rank) : st_(st), rank_(rank) {
     st_.in_collective[static_cast<std::size_t>(rank)].fetch_add(
         1, std::memory_order_seq_cst);
   }
@@ -318,7 +330,6 @@ class CollectiveWindow {
  private:
   CommState& st_;
   int rank_;
-  int entry_exceptions_;  ///< uncaught count at entry; more at exit = unwind
 };
 
 }  // namespace detail
@@ -355,55 +366,17 @@ struct CompressBuf {
   std::size_t bound_n = 0;       ///< bound element count
 };
 
-namespace detail {
-
-/// Shared unpack of the blocking and nonblocking alltoallv: computes the
-/// per-source offsets from each rank's published (send, offsets) pair,
-/// copies this rank's chunks into `out`, and returns the self-chunk
-/// element count (which the charge excludes). One copy keeps the two
-/// paths' movement and charge arithmetic in lockstep.
-template <typename T>
-std::size_t alltoallv_unpack(int p, int rank,
-                             const std::vector<const void*>& ptr,
-                             const std::vector<const void*>& ptr2,
-                             Gathered<T>& out) {
-  const auto me = static_cast<std::size_t>(rank);
-  out.offsets.resize(static_cast<std::size_t>(p) + 1);
-  out.offsets[0] = 0;
-  std::size_t self_chunk = 0;
-  for (int r = 0; r < p; ++r) {
-    const auto* offs =
-        static_cast<const std::size_t*>(ptr2[static_cast<std::size_t>(r)]);
-    const std::size_t len = offs[me + 1] - offs[me];
-    if (r == rank) self_chunk = len;
-    out.offsets[static_cast<std::size_t>(r) + 1] =
-        out.offsets[static_cast<std::size_t>(r)] + len;
-  }
-  out.data.resize(out.offsets.back());
-  for (int r = 0; r < p; ++r) {
-    const auto* offs =
-        static_cast<const std::size_t*>(ptr2[static_cast<std::size_t>(r)]);
-    const std::size_t len = offs[me + 1] - offs[me];
-    if (len == 0) continue;
-    std::memcpy(out.data.data() + out.offsets[static_cast<std::size_t>(r)],
-                static_cast<const T*>(ptr[static_cast<std::size_t>(r)]) +
-                    offs[me],
-                len * sizeof(T));
-  }
-  return self_chunk;
-}
-
-}  // namespace detail
-
-/// Handle to a posted-but-possibly-incomplete nonblocking collective.
-/// Move-only. wait() blocks until every member has posted the matching op,
-/// performs this rank's data movement, charges the meter exactly as the
-/// blocking form would, and releases the channel; a second wait() is a
-/// no-op, diagnosed as a ContractViolation when the contract checker is
-/// armed (gate repeat waits on pending()). A
-/// PendingOp that is destroyed while still pending completes itself first
-/// (like a blocking wait), swallowing abort errors so unwinding a failed
-/// world never terminates.
+/// Handle to a posted-but-possibly-incomplete collective. Move-only.
+/// wait() blocks until every member has posted the matching op, performs
+/// this rank's data movement, charges the meter, and releases the channel;
+/// a second wait() is a no-op, diagnosed as a ContractViolation when the
+/// contract checker is armed (gate repeat waits on pending()). A PendingOp
+/// that is destroyed while still pending completes itself first (like a
+/// blocking wait), swallowing abort errors so unwinding a failed world
+/// never terminates. Destroyed by an unwind, it also aborts the world and
+/// drains the peers' reads before the frame frees the op's sources (see
+/// detail::CollectiveWindow): an exception escaping a pending op is fatal
+/// to the world.
 ///
 /// Caller contract: every span passed to the posting call must stay valid
 /// and unmodified until *every* rank has waited the op (sources are read by
@@ -425,6 +398,7 @@ class PendingOp {
       root_ = other.root_;
       charged_ = other.charged_;
       kind_ = other.kind_;
+      op_ = other.op_;
       out_ = other.out_;
       out_len_ = other.out_len_;
       src_len_ = other.src_len_;
@@ -492,12 +466,9 @@ class PendingOp {
         ticket_ / static_cast<std::uint64_t>(detail::kAsyncChannels);
     if (src != rank_) {
       detail::await_counter(ch.posted_by[static_cast<std::size_t>(src)],
-                            ch.waiters, gen + 1, state_->hub->aborted, ctx);
+                            ch.waiters, gen + 1, *state_, ctx);
     }
-    CAGNET_CHECK(ch.kind[static_cast<std::size_t>(src)] == kind_ &&
-                     ch.root[static_cast<std::size_t>(src)] == root_,
-                 detail::order_mismatch(
-                     ctx, kind_, src, ch.kind[static_cast<std::size_t>(src)]));
+    detail::check_same_op(ch, src, kind_, root_, ctx);
     const auto* offs = static_cast<const std::size_t*>(
         ch.ptr2[static_cast<std::size_t>(src)]);
     const auto me = static_cast<std::size_t>(rank_);
@@ -517,7 +488,7 @@ class PendingOp {
   /// progress to that peer's schedule. Safe because publication slots are
   /// per-rank and the counters cumulative — the skipped peer's eventual
   /// post conflicts with nothing. Charges still telescope bitwise to the
-  /// blocking form's (1 latency unit, zero words).
+  /// gathered form's (1 latency unit, zero words).
   void skip_source(int src) {
     CAGNET_CHECK(pending(), "skip_source on a non-pending op");
     CAGNET_CHECK(kind_ == detail::OpKind::kAlltoallv && gathered_ == nullptr,
@@ -532,6 +503,7 @@ class PendingOp {
 
  private:
   friend class Comm;
+  friend class PendingCompressedReduce;  // charges against the open op
 
   void complete_for_destroy() noexcept {
     if (!pending()) return;
@@ -544,15 +516,13 @@ class PendingOp {
     }
   }
 
+  detail::OpContext context() const { return {rank_, cat_, op_}; }
+
   // [[hot-path]]
   void charge(double latency_units, std::size_t bytes) {
     if (!charged_) return;
-    detail::seam_event(
-        *state_, {rank_, cat_, detail::op_kind_name(kind_)},
-        FaultSite::kCharge);
-    if (auto* ck = state_->checker.get()) {
-      ck->on_charge(rank_, detail::op_kind_name(kind_), cat_);
-    }
+    detail::seam_event(*state_, context(), FaultSite::kCharge);
+    if (auto* ck = state_->checker.get()) ck->on_charge(rank_, op_, cat_);
     meter_->add(cat_, latency_units,
                 static_cast<double>(bytes) / sizeof(Real));
   }
@@ -579,13 +549,8 @@ class PendingOp {
         continue;
       }
       detail::await_counter(ch.posted_by[static_cast<std::size_t>(r)],
-                            ch.waiters, gen + 1, op.state_->hub->aborted,
-                            ctx);
-      CAGNET_CHECK(ch.kind[static_cast<std::size_t>(r)] == op.kind_ &&
-                       ch.root[static_cast<std::size_t>(r)] == op.root_,
-                   detail::order_mismatch(
-                       ctx, op.kind_, r,
-                       ch.kind[static_cast<std::size_t>(r)]));
+                            ch.waiters, gen + 1, *op.state_, ctx);
+      detail::check_same_op(ch, r, op.kind_, op.root_, ctx);
       const auto* offs = static_cast<const std::size_t*>(
           ch.ptr2[static_cast<std::size_t>(r)]);
       const auto me = static_cast<std::size_t>(op.rank_);
@@ -601,10 +566,12 @@ class PendingOp {
   int root_ = -1;
   bool charged_ = true;
   detail::OpKind kind_ = detail::OpKind::kNone;
+  const char* op_ = nullptr;     ///< caller-facing name (seam, aborts, errors)
   void* out_ = nullptr;          ///< this rank's destination (kind-specific)
   std::size_t out_len_ = 0;      ///< destination element count
   std::size_t src_len_ = 0;      ///< this rank's contribution element count
-  void* gathered_ = nullptr;     ///< Gathered<T>* for iallgatherv_into
+  void* gathered_ = nullptr;     ///< Gathered<T>* (allgatherv, alltoallv) or
+                                 ///< std::vector<T>* (route)
   std::uint64_t drained_mask_ = 0;  ///< await_source ledger (bit per rank)
   bool waited_ = false;  ///< completed by an explicit wait (double-wait check)
   void (*complete_)(PendingOp&) = nullptr;  ///< typed movement + charge
@@ -632,7 +599,6 @@ class PendingCompressedReduce {
     if (this != &other) {
       complete_for_destroy();
       op_ = std::move(other.op_);
-      state_ = std::move(other.state_);
       buf_ = other.buf_;
       meter_ = other.meter_;
       profiler_ = other.profiler_;
@@ -662,7 +628,7 @@ class PendingCompressedReduce {
   /// Comm::quiesce_op.
   std::uint64_t ticket() const { return op_.ticket(); }
 
-  /// Complete: block for all posts, decode + sum, charge kCompressed.
+  /// Complete: charge kCompressed, block for all posts, decode + sum.
   void wait();  // comm.cpp
 
  private:
@@ -674,14 +640,10 @@ class PendingCompressedReduce {
       wait();
     } catch (...) {
       buf_ = nullptr;  // unwinding a failed world; nothing left to finish
-      state_.reset();
     }
   }
 
-  PendingOp op_;
-  /// Kept alongside op_ (which drops its own ref at wait) so the decode
-  /// epilogue can reach the contract checker for charge attribution.
-  std::shared_ptr<detail::CommState> state_;
+  PendingOp op_;  ///< the byte all-gather, posted under the caller's name
   CompressBuf* buf_ = nullptr;
   CostMeter* meter_ = nullptr;
   Profiler* profiler_ = nullptr;
@@ -716,7 +678,11 @@ class Comm {
     return *meter_;
   }
 
-  /// Synchronize all members (one barrier phase; charges nothing).
+  /// Synchronize all members: a channel op that completes once every
+  /// member has posted it. Everything each member did before its call
+  /// happens-before everything any member does after its return, so the
+  /// sources of every op waited before it are released. Charges nothing;
+  /// reports at the seam under kControl.
   void barrier();
 
   /// Report a named zero-cost protocol event at the transport seam
@@ -731,11 +697,11 @@ class Comm {
     detail::seam_event(*state_, {rank_, cat, op}, FaultSite::kCharge);
   }
 
-  /// Block until every member has completed (waited) every nonblocking op
-  /// posted so far on this communicator — the release point after which
-  /// the source buffers of those ops may be modified or freed. Unlike
-  /// barrier() this is not a phase: it costs a handful of atomic loads
-  /// when peers have already drained, and it charges nothing. The
+  /// Block until every member has completed (waited) every op posted so
+  /// far on this communicator — the release point after which the source
+  /// buffers of those ops may be modified or freed. Unlike barrier() this
+  /// posts nothing: it costs a handful of atomic loads when peers have
+  /// already drained, and it charges nothing. The
   /// double-buffered loops call it before reusing a broadcast source.
   /// CAUTION: quiescing while an op that peers deliberately wait *later*
   /// (e.g. a deferred gradient reduction) is outstanding deadlocks; use
@@ -755,7 +721,14 @@ class Comm {
   /// and the world's abort flag.
   Comm split(int color, int key) const;
 
-  // ---- Collectives. `cat` selects the CostMeter category. ----
+  // ---- Collectives. `cat` selects the CostMeter category. Each blocking
+  // form posts its channel op, waits it, and holds until every member has
+  // completed it, so it returns with every buffer free; the i-prefixed
+  // forms return the posted op, charged at its wait() exactly like the
+  // blocking form. `charged = false` suppresses the automatic charge for
+  // callers that account the traffic themselves (e.g. an op split into
+  // chunks whose per-chunk integer charges would not sum to the unsplit
+  // op's). ----
 
   /// In-place broadcast from `root` to all members. Charges lg(P) latency
   /// units and data.size() words to every rank (nothing when P == 1).
@@ -763,22 +736,8 @@ class Comm {
   void broadcast(std::span<T> data, int root, CommCategory cat) {
     check_valid("broadcast");
     check_member(root);
-    const detail::OpContext ctx{rank_, cat, "broadcast"};
-    detail::CollectiveWindow window(*state_, rank_);
-    contract::BlockingScope contract_scope(state_->checker.get(),
-                                           rank_, ctx.op, cat);
-    sync_sizes(data.size(), ctx);
-    detail::seam_event(*state_, ctx, FaultSite::kPost);
-    state_->slot_ptr[static_cast<std::size_t>(rank_)] = data.data();
-    phase(ctx);
-    detail::seam_event(*state_, ctx, FaultSite::kWait);
-    if (rank_ != root && !data.empty()) {
-      std::memcpy(data.data(),
-                  state_->slot_ptr[static_cast<std::size_t>(root)],
-                  data.size() * sizeof(T));
-    }
-    phase(ctx);
-    if (size() > 1) charge(ctx, ceil_log2(size()), data.size() * sizeof(T));
+    finish_blocking(post_bcast(std::span<const T>(data), data, root, cat,
+                               true, "broadcast"));
   }
 
   /// Broadcast that reads directly from the root's existing buffer: the
@@ -792,24 +751,18 @@ class Comm {
                       CommCategory cat) {
     check_valid("broadcast_from");
     check_member(root);
-    const detail::OpContext ctx{rank_, cat, "broadcast_from"};
-    detail::CollectiveWindow window(*state_, rank_);
-    contract::BlockingScope contract_scope(state_->checker.get(),
-                                           rank_, ctx.op, cat);
-    const std::size_t n = rank_ == root ? src.size() : dst.size();
-    sync_sizes(n, ctx);
-    detail::seam_event(*state_, ctx, FaultSite::kPost);
-    state_->slot_ptr[static_cast<std::size_t>(rank_)] =
-        rank_ == root ? static_cast<const void*>(src.data()) : nullptr;
-    phase(ctx);
-    detail::seam_event(*state_, ctx, FaultSite::kWait);
-    if (rank_ != root && n > 0) {
-      std::memcpy(dst.data(),
-                  state_->slot_ptr[static_cast<std::size_t>(root)],
-                  n * sizeof(T));
-    }
-    phase(ctx);
-    if (size() > 1) charge(ctx, ceil_log2(size()), n * sizeof(T));
+    finish_blocking(post_bcast(src, dst, root, cat, true, "broadcast_from"));
+  }
+
+  /// Nonblocking broadcast_from: the root posts `src` (left untouched and
+  /// readable by peers until every rank has waited); every other rank
+  /// receives into `dst` at its own wait().
+  template <typename T>
+  PendingOp ibroadcast_from(std::span<const T> src, std::span<T> dst,
+                            int root, CommCategory cat, bool charged = true) {
+    check_valid("ibroadcast_from");
+    check_member(root);
+    return post_bcast(src, dst, root, cat, charged, "ibroadcast_from");
   }
 
   /// In-place elementwise sum over all members; every rank ends with the
@@ -818,7 +771,8 @@ class Comm {
   template <typename T>
   void allreduce_sum(std::span<T> data, CommCategory cat) {
     check_valid("allreduce_sum");
-    reduce_impl(data, cat, /*is_max=*/false, "allreduce_sum");
+    allreduce_in_place(data, cat, detail::OpKind::kAllreduce,
+                       "allreduce_sum");
   }
 
   /// In-place elementwise max over all members. Charged like
@@ -826,50 +780,48 @@ class Comm {
   template <typename T>
   void allreduce_max(std::span<T> data, CommCategory cat) {
     check_valid("allreduce_max");
-    reduce_impl(data, cat, /*is_max=*/true, "allreduce_max");
+    allreduce_in_place(data, cat, detail::OpKind::kAllreduceMax,
+                       "allreduce_max");
+  }
+
+  /// Nonblocking *out-of-place* all-reduce sum: every rank posts `contrib`
+  /// (stable until all ranks waited) and receives the elementwise total
+  /// into `out` (same length, must not alias any contribution). The
+  /// out-of-place form is what allows peers to complete at different
+  /// times without a trailing rendezvous.
+  template <typename T>
+  PendingOp iallreduce_sum(std::span<const T> contrib, std::span<T> out,
+                           CommCategory cat, bool charged = true) {
+    check_valid("iallreduce_sum");
+    CAGNET_CHECK(contrib.size() == out.size(),
+                 "iallreduce_sum: contrib/out length mismatch");
+    return post_async(detail::OpKind::kAllreduce, "iallreduce_sum",
+                      contrib.data(), contrib.size(), /*root=*/0, cat,
+                      charged, &PendingOp::complete_impl<T>, out.data(),
+                      out.size(), contrib.size(), nullptr);
   }
 
   /// Reduce-scatter with sum: `contrib` (same length on every rank) is the
   /// full-length vector of partial sums; rank r receives the reduced slice
   /// [chunk_offset(r), chunk_offset(r)+out.size()) into `out`, where chunk
-  /// boundaries are the concatenation of every rank's out.size(). Charges
-  /// lg(P) latency units and total (P-1)/P words.
+  /// boundaries are the concatenation of every rank's out.size(). `out`
+  /// must not alias any rank's `contrib`. Charges lg(P) latency units and
+  /// total (P-1)/P words.
   template <typename T>
   void reduce_scatter_sum(std::span<const T> contrib, std::span<T> out,
                           CommCategory cat) {
     check_valid("reduce_scatter_sum");
-    const detail::OpContext ctx{rank_, cat, "reduce_scatter_sum"};
-    detail::CollectiveWindow window(*state_, rank_);
-    contract::BlockingScope contract_scope(state_->checker.get(),
-                                           rank_, ctx.op, cat);
-    const int p = size();
-    detail::seam_event(*state_, ctx, FaultSite::kPost);
-    state_->slot_ptr[static_cast<std::size_t>(rank_)] = contrib.data();
-    state_->slot_len[static_cast<std::size_t>(rank_)] = out.size();
-    phase(ctx);
-    detail::seam_event(*state_, ctx, FaultSite::kWait);
-    std::size_t offset = 0;
-    std::size_t total = 0;
-    for (int r = 0; r < p; ++r) {
-      if (r == rank_) offset = total;
-      total += state_->slot_len[static_cast<std::size_t>(r)];
-    }
-    CAGNET_CHECK(contrib.size() == total,
-                 "reduce_scatter: contribution length != sum of outputs");
-    // Chunk-by-chunk with contiguous inner loops so the accumulation
-    // vectorizes like the other collectives. The per-element order (zero,
-    // then ranks ascending) matches the per-element form exactly, so the
-    // result is bitwise identical.
-    std::fill(out.begin(), out.end(), T{});
-    for (int r = 0; r < p; ++r) {
-      const T* src = static_cast<const T*>(
-                         state_->slot_ptr[static_cast<std::size_t>(r)]) +
-                     offset;
-      for (std::size_t i = 0; i < out.size(); ++i) out[i] += src[i];
-    }
-    phase(ctx);
-    charge(ctx, ceil_log2(p),
-           total * sizeof(T) * (p - 1) / std::max(p, 1));
+    finish_blocking(post_reduce_scatter(contrib, out, cat, true,
+                                        "reduce_scatter_sum"));
+  }
+
+  /// Nonblocking reduce_scatter_sum (same chunking contract).
+  template <typename T>
+  PendingOp ireduce_scatter_sum(std::span<const T> contrib, std::span<T> out,
+                                CommCategory cat, bool charged = true) {
+    check_valid("ireduce_scatter_sum");
+    return post_reduce_scatter(contrib, out, cat, charged,
+                               "ireduce_scatter_sum");
   }
 
   /// All-gather of equal-size chunks: every rank contributes `mine`, and
@@ -877,8 +829,14 @@ class Comm {
   template <typename T>
   std::vector<T> allgather(std::span<const T> mine, CommCategory cat) {
     check_valid("allgather");
-    sync_sizes(mine.size(), {rank_, cat, "allgather"});
-    return allgatherv(mine, cat).data;
+    Gathered<T> all = allgatherv(mine, cat);
+    for (int r = 0; r < size(); ++r) {
+      CAGNET_CHECK(all.chunk(r).size() == mine.size(),
+                   detail::size_mismatch({rank_, cat, "allgather"}, rank_,
+                                         mine.size(), r,
+                                         all.chunk(r).size()));
+    }
+    return std::move(all.data);
   }
 
   /// All-gather of variable-size chunks. Charges lg(P) latency units and
@@ -897,100 +855,35 @@ class Comm {
   void allgatherv_into(std::span<const T> mine, Gathered<T>& out,
                        CommCategory cat) {
     check_valid("allgatherv_into");
-    const detail::OpContext ctx{rank_, cat, "allgatherv_into"};
-    detail::CollectiveWindow window(*state_, rank_);
-    contract::BlockingScope contract_scope(state_->checker.get(),
-                                           rank_, ctx.op, cat);
-    const int p = size();
-    detail::seam_event(*state_, ctx, FaultSite::kPost);
-    state_->slot_ptr[static_cast<std::size_t>(rank_)] = mine.data();
-    state_->slot_len[static_cast<std::size_t>(rank_)] = mine.size();
-    phase(ctx);
-    detail::seam_event(*state_, ctx, FaultSite::kWait);
-    out.offsets.resize(static_cast<std::size_t>(p) + 1);
-    out.offsets[0] = 0;
-    for (int r = 0; r < p; ++r) {
-      out.offsets[static_cast<std::size_t>(r) + 1] =
-          out.offsets[static_cast<std::size_t>(r)] +
-          state_->slot_len[static_cast<std::size_t>(r)];
-    }
-    out.data.resize(out.offsets.back());
-    for (int r = 0; r < p; ++r) {
-      const auto len = state_->slot_len[static_cast<std::size_t>(r)];
-      if (len == 0) continue;
-      std::memcpy(out.data.data() + out.offsets[static_cast<std::size_t>(r)],
-                  state_->slot_ptr[static_cast<std::size_t>(r)],
-                  len * sizeof(T));
-    }
-    phase(ctx);
-    charge(ctx, ceil_log2(p), (out.data.size() - mine.size()) * sizeof(T));
+    finish_blocking(
+        post_allgatherv(mine, out, cat, true, "allgatherv_into"));
   }
 
-  /// Pairwise exchange: send `send` to `peer` and receive its message.
-  /// Both sides must name each other; peer == rank() is a local copy.
-  /// Charges 1 latency unit and the received words (nothing for self).
+  /// Nonblocking allgatherv_into. `out` (resized at wait) must outlive the
+  /// op and `mine` must not alias `out.data`.
   template <typename T>
-  std::vector<T> exchange(std::span<const T> send, int peer,
-                          CommCategory cat) {
-    check_valid("exchange");
-    check_member(peer);
-    const detail::OpContext ctx{rank_, cat, "exchange"};
-    detail::CollectiveWindow window(*state_, rank_);
-    contract::BlockingScope contract_scope(state_->checker.get(),
-                                           rank_, ctx.op, cat);
-    detail::seam_event(*state_, ctx, FaultSite::kPost);
-    state_->slot_ptr[static_cast<std::size_t>(rank_)] = send.data();
-    state_->slot_len[static_cast<std::size_t>(rank_)] = send.size();
-    phase(ctx);
-    detail::seam_event(*state_, ctx, FaultSite::kWait);
-    const auto len = state_->slot_len[static_cast<std::size_t>(peer)];
-    std::vector<T> recv(len);
-    if (len > 0) {
-      std::memcpy(recv.data(),
-                  state_->slot_ptr[static_cast<std::size_t>(peer)],
-                  len * sizeof(T));
-    }
-    phase(ctx);
-    if (peer != rank_) charge(ctx, 1.0, len * sizeof(T));
-    return recv;
+  PendingOp iallgatherv_into(std::span<const T> mine, Gathered<T>& out,
+                             CommCategory cat, bool charged = true) {
+    check_valid("iallgatherv_into");
+    return post_allgatherv(mine, out, cat, charged, "iallgatherv_into");
   }
 
   /// Permutation all-to-all: every rank sends one message to `dest`; the
   /// destinations across ranks must form a permutation (each rank receives
-  /// exactly one message). This is the redistribution primitive of the 3D
-  /// distributed transpose. dest == rank() is a local copy. Charges 1
-  /// latency unit and the received words (nothing for self-delivery).
+  /// exactly one message). This is the redistribution primitive of the
+  /// distributed transposes; a pairwise swap is the involution case.
+  /// dest == rank() is a local copy. Charges 1 latency unit and the
+  /// received words (nothing for self-delivery).
   template <typename T>
   std::vector<T> route(std::span<const T> send, int dest, CommCategory cat) {
     check_valid("route");
     check_member(dest);
-    const detail::OpContext ctx{rank_, cat, "route"};
-    detail::CollectiveWindow window(*state_, rank_);
-    contract::BlockingScope contract_scope(state_->checker.get(),
-                                           rank_, ctx.op, cat);
-    detail::seam_event(*state_, ctx, FaultSite::kPost);
-    state_->slot_ptr[static_cast<std::size_t>(rank_)] = send.data();
-    state_->slot_len[static_cast<std::size_t>(rank_)] = send.size();
-    state_->slot_dest[static_cast<std::size_t>(rank_)] = dest;
-    phase(ctx);
-    detail::seam_event(*state_, ctx, FaultSite::kWait);
-    int src = -1;
-    for (int r = 0; r < size(); ++r) {
-      if (state_->slot_dest[static_cast<std::size_t>(r)] == rank_) {
-        src = r;
-        break;
-      }
-    }
-    CAGNET_CHECK(src >= 0, "route: destinations do not form a permutation");
-    const auto len = state_->slot_len[static_cast<std::size_t>(src)];
-    std::vector<T> recv(len);
-    if (len > 0) {
-      std::memcpy(recv.data(),
-                  state_->slot_ptr[static_cast<std::size_t>(src)],
-                  len * sizeof(T));
-    }
-    phase(ctx);
-    if (src != rank_) charge(ctx, 1.0, len * sizeof(T));
+    std::vector<T> recv;
+    // `dest` lives in this frame until every member completed the op.
+    finish_blocking(post_async(detail::OpKind::kRoute, "route", send.data(),
+                               send.size(), /*root=*/0, cat, true,
+                               &PendingOp::complete_impl<T>, nullptr, 0,
+                               send.size(), &recv, &dest));
     return recv;
   }
 
@@ -1007,143 +900,22 @@ class Comm {
                       std::span<const std::size_t> send_offsets,
                       Gathered<T>& out, CommCategory cat) {
     check_valid("alltoallv_into");
-    check_offsets(send.size(), send_offsets, "alltoallv_into");
-    const detail::OpContext ctx{rank_, cat, "alltoallv_into"};
-    detail::CollectiveWindow window(*state_, rank_);
-    contract::BlockingScope contract_scope(state_->checker.get(),
-                                           rank_, ctx.op, cat);
-    const int p = size();
-    detail::seam_event(*state_, ctx, FaultSite::kPost);
-    state_->slot_ptr[static_cast<std::size_t>(rank_)] = send.data();
-    state_->slot_ptr2[static_cast<std::size_t>(rank_)] = send_offsets.data();
-    phase(ctx);
-    detail::seam_event(*state_, ctx, FaultSite::kWait);
-    const std::size_t self_chunk = detail::alltoallv_unpack<T>(
-        p, rank_, state_->slot_ptr, state_->slot_ptr2, out);
-    phase(ctx);
-    charge(ctx, p > 1 ? static_cast<double>(p - 1) : 0.0,
-           (out.data.size() - self_chunk) * sizeof(T));
-  }
-
-  /// Gather to root (rank-ordered concatenation at root; empty elsewhere).
-  /// Charges lg(P) latency units; the root is charged the received words,
-  /// everyone else their sent words.
-  template <typename T>
-  Gathered<T> gather(std::span<const T> mine, int root, CommCategory cat) {
-    check_valid("gather");
-    check_member(root);
-    const detail::OpContext ctx{rank_, cat, "gather"};
-    detail::CollectiveWindow window(*state_, rank_);
-    contract::BlockingScope contract_scope(state_->checker.get(),
-                                           rank_, ctx.op, cat);
-    const int p = size();
-    detail::seam_event(*state_, ctx, FaultSite::kPost);
-    state_->slot_ptr[static_cast<std::size_t>(rank_)] = mine.data();
-    state_->slot_len[static_cast<std::size_t>(rank_)] = mine.size();
-    phase(ctx);
-    detail::seam_event(*state_, ctx, FaultSite::kWait);
-    Gathered<T> result;
-    if (rank_ == root) {
-      result.offsets.resize(static_cast<std::size_t>(p) + 1, 0);
-      for (int r = 0; r < p; ++r) {
-        result.offsets[static_cast<std::size_t>(r) + 1] =
-            result.offsets[static_cast<std::size_t>(r)] +
-            state_->slot_len[static_cast<std::size_t>(r)];
-      }
-      result.data.resize(result.offsets.back());
-      for (int r = 0; r < p; ++r) {
-        const auto len = state_->slot_len[static_cast<std::size_t>(r)];
-        if (len == 0) continue;
-        std::memcpy(
-            result.data.data() + result.offsets[static_cast<std::size_t>(r)],
-            state_->slot_ptr[static_cast<std::size_t>(r)], len * sizeof(T));
-      }
-    }
-    phase(ctx);
-    charge(ctx, ceil_log2(p),
-           rank_ == root ? (result.data.size() - mine.size()) * sizeof(T)
-                         : mine.size() * sizeof(T));
-    return result;
-  }
-
-  // ---- Nonblocking collectives. Posts are nonblocking (no barrier
-  // phase); data moves and the meter is charged at PendingOp::wait(),
-  // with charges identical to the blocking forms. `charged = false`
-  // suppresses the automatic charge for callers that account the traffic
-  // themselves (e.g. an op split into chunks whose per-chunk integer
-  // charges would not sum to the unsplit op's). ----
-
-  /// Nonblocking broadcast_from: the root posts `src` (left untouched and
-  /// readable by peers until every rank has waited); every other rank
-  /// receives into `dst` at its own wait(). Charged like broadcast.
-  template <typename T>
-  PendingOp ibroadcast_from(std::span<const T> src, std::span<T> dst,
-                            int root, CommCategory cat, bool charged = true) {
-    check_valid("ibroadcast_from");
-    check_member(root);
-    const bool is_root = rank_ == root;
-    return post_async(detail::OpKind::kBcast,
-                      is_root ? static_cast<const void*>(src.data()) : nullptr,
-                      is_root ? src.size() : dst.size(), root, cat, charged,
-                      &PendingOp::complete_impl<T>, dst.data(), dst.size(),
-                      src.size(), nullptr);
-  }
-
-  /// Nonblocking reduce_scatter_sum (same chunking contract as the
-  /// blocking form). `out` must not alias any rank's `contrib`. Charged
-  /// like reduce_scatter_sum.
-  template <typename T>
-  PendingOp ireduce_scatter_sum(std::span<const T> contrib, std::span<T> out,
-                                CommCategory cat, bool charged = true) {
-    check_valid("ireduce_scatter_sum");
-    return post_async(detail::OpKind::kReduceScatter, contrib.data(),
-                      out.size(), /*root=*/0, cat, charged,
-                      &PendingOp::complete_impl<T>, out.data(), out.size(),
-                      contrib.size(), nullptr);
-  }
-
-  /// Nonblocking allgatherv_into. `out` (resized at wait) must outlive the
-  /// op and `mine` must not alias `out.data`. Charged like allgatherv.
-  template <typename T>
-  PendingOp iallgatherv_into(std::span<const T> mine, Gathered<T>& out,
-                             CommCategory cat, bool charged = true) {
-    check_valid("iallgatherv_into");
-    return post_async(detail::OpKind::kAllgatherv, mine.data(), mine.size(),
-                      /*root=*/0, cat, charged, &PendingOp::complete_impl<T>,
-                      nullptr, 0, mine.size(), &out);
-  }
-
-  /// Nonblocking *out-of-place* all-reduce sum: every rank posts `contrib`
-  /// (stable until all ranks waited) and receives the elementwise total
-  /// into `out` (same length, must not alias any contribution). The
-  /// out-of-place form is what allows peers to complete at different
-  /// times without a trailing rendezvous. Charged like allreduce_sum.
-  template <typename T>
-  PendingOp iallreduce_sum(std::span<const T> contrib, std::span<T> out,
-                           CommCategory cat, bool charged = true) {
-    check_valid("iallreduce_sum");
-    CAGNET_CHECK(contrib.size() == out.size(),
-                 "iallreduce_sum: contrib/out length mismatch");
-    return post_async(detail::OpKind::kAllreduce, contrib.data(),
-                      contrib.size(), /*root=*/0, cat, charged,
-                      &PendingOp::complete_impl<T>, out.data(), out.size(),
-                      contrib.size(), nullptr);
+    finish_blocking(post_alltoallv(send, send_offsets, out, cat, true,
+                                   "alltoallv_into"));
   }
 
   /// Nonblocking alltoallv_into. `send` AND `send_offsets` must stay valid
   /// and unmodified until every rank has waited (peers read both at their
   /// own waits); `out` (resized at wait) must outlive the op and must not
-  /// alias any rank's send buffer. Charged like alltoallv_into.
+  /// alias any rank's send buffer.
   template <typename T>
   PendingOp ialltoallv_into(std::span<const T> send,
                             std::span<const std::size_t> send_offsets,
                             Gathered<T>& out, CommCategory cat,
                             bool charged = true) {
     check_valid("ialltoallv_into");
-    check_offsets(send.size(), send_offsets, "ialltoallv_into");
-    return post_async(detail::OpKind::kAlltoallv, send.data(), send.size(),
-                      /*root=*/0, cat, charged, &PendingOp::complete_impl<T>,
-                      nullptr, 0, send.size(), &out, send_offsets.data());
+    return post_alltoallv(send, send_offsets, out, cat, charged,
+                          "ialltoallv_into");
   }
 
   /// Nonblocking alltoallv without a gathered destination, made for
@@ -1151,11 +923,11 @@ class Comm {
   /// PendingOp::await_source — zero-copy views into the peers' send
   /// buffers, available as soon as *that* peer has posted — and the final
   /// wait() awaits + charges any sources left undrained, so total charges
-  /// are bitwise the blocking alltoallv_into's regardless of how many
-  /// chunks the caller consumed. `send` and `send_offsets` obey the same
-  /// lifetime contract as ialltoallv_into. This is the halo pipeline's
-  /// primitive (remote rows are multiplied as they land; see
-  /// dist_common.cpp). At most 64 ranks (the drain ledger is a bitmask).
+  /// are bitwise the gathered form's regardless of how many chunks the
+  /// caller consumed. `send` and `send_offsets` obey the same lifetime
+  /// contract as ialltoallv_into. This is the halo pipeline's primitive
+  /// (remote rows are multiplied as they land; see dist_common.cpp). At
+  /// most 64 ranks (the drain ledger is a bitmask).
   template <typename T>
   PendingOp ialltoallv_post(std::span<const T> send,
                             std::span<const std::size_t> send_offsets,
@@ -1165,8 +937,8 @@ class Comm {
     CAGNET_CHECK(size() <= 64,
                  "ialltoallv_post: per-source drain supports at most 64 "
                  "ranks; use ialltoallv_into");
-    return post_async(detail::OpKind::kAlltoallv, send.data(), send.size(),
-                      /*root=*/0, cat, charged,
+    return post_async(detail::OpKind::kAlltoallv, "ialltoallv_post",
+                      send.data(), send.size(), /*root=*/0, cat, charged,
                       &PendingOp::complete_drain_impl<T>, nullptr, 0,
                       send.size(), nullptr, send_offsets.data());
   }
@@ -1183,9 +955,10 @@ class Comm {
   // exact collectives. ----
 
   /// Blocking in-place lossy all-reduce sum. Implemented as an all-gather
-  /// of encoded bytes plus a local decode-sum; returns after a trailing
-  /// release rendezvous, so `buf` may be reused immediately. Charges
-  /// 2 lg(P) latency units and 2 E (P-1)/P bytes, E the encoded size.
+  /// of encoded bytes plus a local decode-sum; returns after the release
+  /// hold every blocking form ends with, so `buf` may be reused at once.
+  /// Charges 2 lg(P) latency units and 2 E (P-1)/P bytes, E the encoded
+  /// size.
   void allreduce_sum_compressed(std::span<Real> data, CompressMode mode,
                                 CompressBuf& buf,
                                 Profiler* profiler = nullptr);
@@ -1237,16 +1010,6 @@ class Comm {
                      "from run_world or split)");
   }
 
-  /// One barrier phase with abort propagation: unwinds with a CommAborted
-  /// naming `ctx` as soon as the world dies, even while parked (the
-  /// PhaseGate is poison-wakeable). Const because it only touches the
-  /// shared state, never this rank's identity.
-  void phase(const detail::OpContext& ctx) const;
-
-  /// Debug-style guard: all ranks must pass matching sizes to size-uniform
-  /// collectives (cheap, and catches the classic SUMMA off-by-one).
-  void sync_sizes(std::size_t n, const detail::OpContext& ctx) const;
-
   /// Purely local alltoallv offsets validation: size()+1 monotone entries
   /// spanning exactly the send buffer.
   void check_offsets(std::size_t send_len,
@@ -1262,16 +1025,6 @@ class Comm {
     }
   }
 
-  void charge(const detail::OpContext& ctx, double latency_units,
-              std::size_t bytes) {
-    detail::seam_event(*state_, ctx, FaultSite::kCharge);
-    if (auto* ck = state_->checker.get()) {
-      ck->on_charge(ctx.rank, ctx.op, ctx.cat);
-    }
-    meter_->add(ctx.cat, latency_units,
-                static_cast<double>(bytes) / sizeof(Real));
-  }
-
   /// Bind `buf` to this communicator and element count; a change of
   /// either resets the error-feedback residual (feedback accumulated on
   /// another communicator or buffer shape must not leak into this one).
@@ -1284,55 +1037,102 @@ class Comm {
   }
 
   /// Claim the next ticket, publish this rank's slot on its channel, and
-  /// hand back the armed PendingOp. Out-of-line (comm.cpp).
-  PendingOp post_async(detail::OpKind kind, const void* publish_ptr,
-                       std::size_t publish_len, int root, CommCategory cat,
-                       bool charged, void (*complete)(PendingOp&), void* out,
+  /// hand back the armed PendingOp. `op` is the caller-facing name the
+  /// seam, aborts, and diagnostics report. Throws ContractViolation when
+  /// the channel still holds this rank's own unwaited op (waiting for its
+  /// recycling could never end). Out-of-line (comm.cpp).
+  PendingOp post_async(detail::OpKind kind, const char* op,
+                       const void* publish_ptr, std::size_t publish_len,
+                       int root, CommCategory cat, bool charged,
+                       void (*complete)(PendingOp&), void* out,
                        std::size_t out_len, std::size_t src_len,
-                       void* gathered, const void* publish_ptr2 = nullptr);
+                       void* gathered,
+                       const void* publish_ptr2 = nullptr) const;
+
+  /// The blocking tail: wait `op`, then hold until every member has
+  /// completed it, so its sources — and those of every op this rank
+  /// waited before it — are free on return.
+  void finish_blocking(PendingOp op) const;
+
+  /// Block until every member completed the op with `ticket`; aborts
+  /// report `ctx`. A rank the poison wakes here is outside any region, so
+  /// its throw first drains the world (see detail::await_counter): peers
+  /// may still be copying the sources its unwind is about to free.
+  void await_finished(std::uint64_t ticket,
+                      const detail::OpContext& ctx) const;
+
+  /// Encode `contrib` into buf.send and post the byte all-gather under
+  /// the caller-facing name `op` (P == 1: the exact copy, nothing
+  /// pending). Out-of-line (comm.cpp).
+  PendingCompressedReduce post_compressed(std::span<const Real> contrib,
+                                          std::span<Real> out,
+                                          CompressMode mode, CompressBuf& buf,
+                                          Profiler* profiler, bool scatter,
+                                          const char* op);
+
+  /// The blocking compressed tail: wait, then hold like finish_blocking,
+  /// so buf.send may be rewritten on return.
+  void finish_compressed(PendingCompressedReduce op,
+                         Profiler* profiler) const;
+
+  /// barrier() under the caller-facing name `op` (split reports "split").
+  void rendezvous(const char* op) const;
 
   template <typename T>
-  void reduce_impl(std::span<T> data, CommCategory cat, bool is_max,
-                   const char* op) {
-    const detail::OpContext ctx{rank_, cat, op};
-    detail::CollectiveWindow window(*state_, rank_);
-    contract::BlockingScope contract_scope(state_->checker.get(),
-                                           rank_, ctx.op, cat);
-    const int p = size();
-    detail::seam_event(*state_, ctx, FaultSite::kPost);
-    state_->slot_ptr[static_cast<std::size_t>(rank_)] = data.data();
-    phase(ctx);
-    detail::seam_event(*state_, ctx, FaultSite::kWait);
-    if (rank_ == 0) state_->scratch.resize(data.size() * sizeof(T));
-    phase(ctx);
-    T* scratch = reinterpret_cast<T*>(state_->scratch.data());
-    // Rank r reduces its chunk across all publishers (reduce-scatter step).
-    const std::size_t lo = data.size() * static_cast<std::size_t>(rank_) /
-                           static_cast<std::size_t>(p);
-    const std::size_t hi = data.size() *
-                           (static_cast<std::size_t>(rank_) + 1) /
-                           static_cast<std::size_t>(p);
-    for (std::size_t i = lo; i < hi; ++i) {
-      T acc = static_cast<const T*>(state_->slot_ptr[0])[i];
-      for (int r = 1; r < p; ++r) {
-        const T v =
-            static_cast<const T*>(state_->slot_ptr[static_cast<std::size_t>(r)])[i];
-        if (is_max) {
-          if (v > acc) acc = v;
-        } else {
-          acc += v;
-        }
-      }
-      scratch[i] = acc;
-    }
-    phase(ctx);
-    // All-gather step: everyone copies the full reduced vector.
-    if (!data.empty()) {
-      std::memcpy(data.data(), scratch, data.size() * sizeof(T));
-    }
-    phase(ctx);
-    charge(ctx, 2.0 * ceil_log2(p),
-           2 * data.size() * sizeof(T) * (p - 1) / std::max(p, 1));
+  PendingOp post_bcast(std::span<const T> src, std::span<T> dst, int root,
+                       CommCategory cat, bool charged, const char* op) {
+    const bool is_root = rank_ == root;
+    return post_async(detail::OpKind::kBcast, op,
+                      is_root ? static_cast<const void*>(src.data()) : nullptr,
+                      is_root ? src.size() : dst.size(), root, cat, charged,
+                      &PendingOp::complete_impl<T>, dst.data(), dst.size(),
+                      src.size(), nullptr);
+  }
+
+  template <typename T>
+  PendingOp post_reduce_scatter(std::span<const T> contrib, std::span<T> out,
+                                CommCategory cat, bool charged,
+                                const char* op) {
+    return post_async(detail::OpKind::kReduceScatter, op, contrib.data(),
+                      out.size(), /*root=*/0, cat, charged,
+                      &PendingOp::complete_impl<T>, out.data(), out.size(),
+                      contrib.size(), nullptr);
+  }
+
+  template <typename T>
+  PendingOp post_allgatherv(std::span<const T> mine, Gathered<T>& out,
+                            CommCategory cat, bool charged, const char* op) {
+    return post_async(detail::OpKind::kAllgatherv, op, mine.data(),
+                      mine.size(), /*root=*/0, cat, charged,
+                      &PendingOp::complete_impl<T>, nullptr, 0, mine.size(),
+                      &out);
+  }
+
+  template <typename T>
+  PendingOp post_alltoallv(std::span<const T> send,
+                           std::span<const std::size_t> send_offsets,
+                           Gathered<T>& out, CommCategory cat, bool charged,
+                           const char* op) {
+    check_offsets(send.size(), send_offsets, op);
+    return post_async(detail::OpKind::kAlltoallv, op, send.data(),
+                      send.size(), /*root=*/0, cat, charged,
+                      &PendingOp::complete_impl<T>, nullptr, 0, send.size(),
+                      &out, send_offsets.data());
+  }
+
+  /// Peers read `data` until every member completed the op, so the total
+  /// lands in this rank's stage and is copied back after the release.
+  template <typename T>
+  void allreduce_in_place(std::span<T> data, CommCategory cat,
+                          detail::OpKind kind, const char* op) {
+    auto& stage = state_->stage[static_cast<std::size_t>(rank_)];
+    stage.resize(data.size() * sizeof(T));
+    T* total = reinterpret_cast<T*>(stage.data());
+    finish_blocking(post_async(kind, op, data.data(), data.size(),
+                               /*root=*/0, cat, true,
+                               &PendingOp::complete_impl<T>, total,
+                               data.size(), data.size(), nullptr));
+    if (!data.empty()) std::memcpy(data.data(), total, data.size() * sizeof(T));
   }
 
   std::shared_ptr<detail::CommState> state_;
@@ -1346,31 +1146,27 @@ void PendingOp::complete_impl(PendingOp& op) {
                                   static_cast<std::uint64_t>(
                                       detail::kAsyncChannels)];
   const int p = op.state_->size;
+  const auto slot = [&](int r) { return static_cast<std::size_t>(r); };
   if (op.kind_ == detail::OpKind::kBcast && op.rank_ == op.root_) {
     // Passive root completion: peers may not have posted yet (wait()
     // skipped the await), so validate nothing and charge from this
-    // rank's own published length — identical to the blocking charge.
+    // rank's own published length.
     if (p > 1) op.charge(ceil_log2(p), op.src_len_ * sizeof(T));
     return;
   }
+  const detail::OpContext ctx = op.context();
   for (int r = 0; r < p; ++r) {
-    CAGNET_CHECK(ch.kind[static_cast<std::size_t>(r)] == op.kind_ &&
-                     ch.root[static_cast<std::size_t>(r)] == op.root_,
-                 detail::order_mismatch(
-                     {op.rank_, op.cat_, detail::op_kind_name(op.kind_)},
-                     op.kind_, r, ch.kind[static_cast<std::size_t>(r)]));
+    detail::check_same_op(ch, r, op.kind_, op.root_, ctx);
   }
   switch (op.kind_) {
     case detail::OpKind::kBcast: {
-      const std::size_t n = ch.len[static_cast<std::size_t>(op.root_)];
+      const std::size_t n = ch.len[slot(op.root_)];
       for (int r = 0; r < p; ++r) {
-        CAGNET_CHECK(ch.len[static_cast<std::size_t>(r)] == n,
-                     "ibroadcast_from: ranks disagree on element count");
+        CAGNET_CHECK(ch.len[slot(r)] == n,
+                     detail::size_mismatch(ctx, r, ch.len[slot(r)],
+                                           op.root_, n));
       }
-      if (n > 0) {
-        std::memcpy(op.out_, ch.ptr[static_cast<std::size_t>(op.root_)],
-                    n * sizeof(T));
-      }
+      if (n > 0) std::memcpy(op.out_, ch.ptr[slot(op.root_)], n * sizeof(T));
       if (p > 1) op.charge(ceil_log2(p), n * sizeof(T));
       break;
     }
@@ -1379,16 +1175,15 @@ void PendingOp::complete_impl(PendingOp& op) {
       std::size_t total = 0;
       for (int r = 0; r < p; ++r) {
         if (r == op.rank_) offset = total;
-        total += ch.len[static_cast<std::size_t>(r)];
+        total += ch.len[slot(r)];
       }
       CAGNET_CHECK(op.src_len_ == total,
-                   "ireduce_scatter: contribution length != sum of outputs");
+                   detail::scatter_mismatch(ctx, op.src_len_, total));
+      // Zero, then ranks ascending: every element's add order is fixed.
       T* out = static_cast<T*>(op.out_);
       std::fill(out, out + op.out_len_, T{});
       for (int r = 0; r < p; ++r) {
-        const T* src =
-            static_cast<const T*>(ch.ptr[static_cast<std::size_t>(r)]) +
-            offset;
+        const T* src = static_cast<const T*>(ch.ptr[slot(r)]) + offset;
         for (std::size_t i = 0; i < op.out_len_; ++i) out[i] += src[i];
       }
       op.charge(ceil_log2(p),
@@ -1398,37 +1193,43 @@ void PendingOp::complete_impl(PendingOp& op) {
     }
     case detail::OpKind::kAllgatherv: {
       auto& out = *static_cast<Gathered<T>*>(op.gathered_);
-      out.offsets.resize(static_cast<std::size_t>(p) + 1);
+      out.offsets.resize(slot(p) + 1);
       out.offsets[0] = 0;
       for (int r = 0; r < p; ++r) {
-        out.offsets[static_cast<std::size_t>(r) + 1] =
-            out.offsets[static_cast<std::size_t>(r)] +
-            ch.len[static_cast<std::size_t>(r)];
+        out.offsets[slot(r) + 1] = out.offsets[slot(r)] + ch.len[slot(r)];
       }
       out.data.resize(out.offsets.back());
       for (int r = 0; r < p; ++r) {
-        const auto len = ch.len[static_cast<std::size_t>(r)];
-        if (len == 0) continue;
-        std::memcpy(out.data.data() +
-                        out.offsets[static_cast<std::size_t>(r)],
-                    ch.ptr[static_cast<std::size_t>(r)], len * sizeof(T));
+        if (ch.len[slot(r)] == 0) continue;
+        std::memcpy(out.data.data() + out.offsets[slot(r)], ch.ptr[slot(r)],
+                    ch.len[slot(r)] * sizeof(T));
       }
       op.charge(ceil_log2(p), (out.data.size() - op.src_len_) * sizeof(T));
       break;
     }
-    case detail::OpKind::kAllreduce: {
+    case detail::OpKind::kAllreduce:
+    case detail::OpKind::kAllreduceMax: {
       const std::size_t n = op.out_len_;
       for (int r = 0; r < p; ++r) {
-        CAGNET_CHECK(ch.len[static_cast<std::size_t>(r)] == n,
-                     "iallreduce_sum: ranks disagree on element count");
+        CAGNET_CHECK(ch.len[slot(r)] == n,
+                     detail::size_mismatch(ctx, op.rank_, n, r,
+                                           ch.len[slot(r)]));
       }
+      // Ranks ascending per element, identically on every rank.
       T* out = static_cast<T*>(op.out_);
-      for (std::size_t i = 0; i < n; ++i) {
-        T acc = static_cast<const T*>(ch.ptr[0])[i];
-        for (int r = 1; r < p; ++r) {
-          acc += static_cast<const T*>(ch.ptr[static_cast<std::size_t>(r)])[i];
+      const auto fold = [&](auto combine) {
+        for (std::size_t i = 0; i < n; ++i) {
+          T acc = static_cast<const T*>(ch.ptr[0])[i];
+          for (int r = 1; r < p; ++r) {
+            acc = combine(acc, static_cast<const T*>(ch.ptr[slot(r)])[i]);
+          }
+          out[i] = acc;
         }
-        out[i] = acc;
+      };
+      if (op.kind_ == detail::OpKind::kAllreduce) {
+        fold([](T acc, T v) { return acc + v; });
+      } else {
+        fold([](T acc, T v) { return v > acc ? v : acc; });
       }
       op.charge(2.0 * ceil_log2(p),
                 2 * n * sizeof(T) * (p - 1) /
@@ -1436,13 +1237,53 @@ void PendingOp::complete_impl(PendingOp& op) {
       break;
     }
     case detail::OpKind::kAlltoallv: {
+      // Rank r's chunk for this rank is [offs_r[me], offs_r[me + 1]) of its
+      // send buffer; the self chunk moves but is not charged.
       auto& out = *static_cast<Gathered<T>*>(op.gathered_);
-      const std::size_t self_chunk = detail::alltoallv_unpack<T>(
-          p, op.rank_, ch.ptr, ch.ptr2, out);
+      const auto me = slot(op.rank_);
+      const auto offs = [&](int r) {
+        return static_cast<const std::size_t*>(ch.ptr2[slot(r)]);
+      };
+      out.offsets.resize(slot(p) + 1);
+      out.offsets[0] = 0;
+      for (int r = 0; r < p; ++r) {
+        out.offsets[slot(r) + 1] =
+            out.offsets[slot(r)] + offs(r)[me + 1] - offs(r)[me];
+      }
+      out.data.resize(out.offsets.back());
+      for (int r = 0; r < p; ++r) {
+        const std::size_t len = out.offsets[slot(r) + 1] - out.offsets[slot(r)];
+        if (len == 0) continue;
+        std::memcpy(out.data.data() + out.offsets[slot(r)],
+                    static_cast<const T*>(ch.ptr[slot(r)]) + offs(r)[me],
+                    len * sizeof(T));
+      }
+      const std::size_t self_chunk = out.offsets[me + 1] - out.offsets[me];
       op.charge(p > 1 ? static_cast<double>(p - 1) : 0.0,
                 (out.data.size() - self_chunk) * sizeof(T));
       break;
     }
+    case detail::OpKind::kRoute: {
+      // ptr2 carries each rank's destination; exactly one names this rank.
+      int src = -1;
+      for (int r = 0; r < p && src < 0; ++r) {
+        if (*static_cast<const int*>(ch.ptr2[slot(r)]) == op.rank_) src = r;
+      }
+      CAGNET_CHECK(src >= 0, detail::op_error(
+                                 ctx,
+                                 "destinations do not form a permutation "
+                                 "(no rank sends to rank " +
+                                     std::to_string(op.rank_) + ")"));
+      auto& out = *static_cast<std::vector<T>*>(op.gathered_);
+      out.resize(ch.len[slot(src)]);
+      if (!out.empty()) {
+        std::memcpy(out.data(), ch.ptr[slot(src)], out.size() * sizeof(T));
+      }
+      if (src != op.rank_) op.charge(1.0, out.size() * sizeof(T));
+      break;
+    }
+    case detail::OpKind::kBarrier:
+      break;
     case detail::OpKind::kNone:
       CAGNET_CHECK(false, "completing an unarmed PendingOp");
   }
@@ -1450,12 +1291,11 @@ void PendingOp::complete_impl(PendingOp& op) {
 
 /// Launch a world of `p` ranks, each running `fn(comm)` on its own thread.
 /// Rethrows the first rank exception after joining all threads. Peers
-/// blocked anywhere — nonblocking waits, per-source drains, or blocking
-/// collectives' barrier phases, on the world or any split
-/// sub-communicator — are released by the abort machinery (the PhaseGate
-/// and channel counters are poison-wakeable) and unwind with a typed
-/// CommAborted naming their rank, op, and category. The thread pool and
-/// the process-wide knobs are untouched by an abort, so the caller may
+/// blocked anywhere — waits, per-source drains, or release holds, on the
+/// world or any split sub-communicator — are released by the abort
+/// machinery (the channel counters are poison-wakeable) and unwind with a
+/// typed CommAborted naming their rank, op, and category. The thread pool
+/// and the process-wide knobs are untouched by an abort, so the caller may
 /// immediately launch a fresh world (the recovery driver in
 /// src/core/recovery.hpp does). The world consults the process-global
 /// fault plan (src/comm/fault.hpp) at entry; with none installed the

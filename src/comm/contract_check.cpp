@@ -79,17 +79,6 @@ const Checker::PerRank& Checker::at(int rank) const {
   return ranks_[static_cast<std::size_t>(rank)];
 }
 
-void Checker::on_blocking_begin(int rank, const char* op, CommCategory cat) {
-  PerRank& pr = at(rank);
-  pr.blocking_depth.fetch_add(1, std::memory_order_relaxed);
-  pr.last_op.store(op, std::memory_order_relaxed);
-  pr.last_cat.store(static_cast<int>(cat), std::memory_order_relaxed);
-}
-
-void Checker::on_blocking_end(int rank) noexcept {
-  at(rank).blocking_depth.fetch_sub(1, std::memory_order_relaxed);
-}
-
 void Checker::on_post(int rank, std::uint64_t ticket, const char* op,
                       CommCategory cat, std::uint64_t finished_count,
                       std::uint64_t recycle_target) {
@@ -123,17 +112,15 @@ void Checker::on_complete(int rank) {
 }
 
 void Checker::on_charge(int rank, const char* op, CommCategory cat) {
-  PerRank& pr = at(rank);
-  if (pr.blocking_depth.load(std::memory_order_relaxed) > 0) return;
+  const PerRank& pr = at(rank);
   if (pr.posted.load(std::memory_order_relaxed) >
       pr.completed.load(std::memory_order_relaxed)) {
     return;
   }
   throw ContractViolation(
       rank, op, cat,
-      "meter charge issued with no open op (no blocking collective in "
-      "scope and no posted-but-uncompleted nonblocking op to attribute "
-      "it to)");
+      "meter charge issued with no open op (no posted-but-uncompleted op "
+      "to attribute it to)");
 }
 
 void Checker::on_release(int rank, std::uint64_t ticket, const char* op) {
@@ -156,11 +143,6 @@ void Checker::verify_teardown() const {
     if (op == nullptr) op = "comm";
     const auto cat =
         static_cast<CommCategory>(pr.last_cat.load(std::memory_order_relaxed));
-    if (pr.blocking_depth.load(std::memory_order_relaxed) != 0) {
-      throw ContractViolation(
-          r, op, cat,
-          "communicator torn down with a blocking collective still open");
-    }
     const std::uint64_t posted = pr.posted.load(std::memory_order_relaxed);
     const std::uint64_t completed =
         pr.completed.load(std::memory_order_relaxed);
@@ -169,7 +151,7 @@ void Checker::verify_teardown() const {
           r, op, cat,
           "communicator torn down with " +
               std::to_string(posted - completed) +
-              " posted-but-unwaited nonblocking op(s); wait() or quiesce "
+              " posted-but-unwaited op(s); wait() or quiesce "
               "them before the world ends");
     }
   }

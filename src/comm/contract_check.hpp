@@ -1,6 +1,6 @@
 // Runtime contract checker for the comm runtime.
 //
-// The nonblocking layer has a documented lifecycle discipline (DESIGN.md,
+// The channel transport has a documented lifecycle discipline (DESIGN.md,
 // "Nonblocking runtime and overlap accounting"): every posted PendingOp is
 // waited or quiesced before its communicator is torn down, a channel slot
 // is never republished before every rank has retired the previous
@@ -22,7 +22,7 @@
 // identity of metered runs with the checker on and off).
 //
 // Scope note: the checker audits charges issued *by the comm runtime*
-// (Comm::charge, PendingOp::charge, the compressed waits). Core-layer
+// (PendingOp::charge and the compressed waits). Core-layer
 // cache replays that add to a CostMeter directly (the bounded-staleness
 // epoch replay) are deliberate bypasses of the runtime and are outside
 // its jurisdiction — see DESIGN.md, "Correctness tooling".
@@ -86,19 +86,11 @@ class Checker {
   Checker(const Checker&) = delete;
   Checker& operator=(const Checker&) = delete;
 
-  /// A blocking collective entered (see BlockingScope). Charges are legal
-  /// while at least one blocking op is open on the rank.
-  void on_blocking_begin(int rank, const char* op, CommCategory cat);
-  /// The matching exit; noexcept so unwinding an aborted collective
-  /// rebalances the depth without masking the original error.
-  void on_blocking_end(int rank) noexcept;
-
-  /// A nonblocking post claimed `ticket` and is about to publish its
-  /// channel slots. Validates monotone ticket issuance and re-asserts the
-  /// recycle gate: `finished_count` (the channel's cumulative finished
-  /// counter as observed by the poster) must have reached
-  /// `recycle_target`, or the slot overwrite could race a parked reader
-  /// of the previous generation.
+  /// A post claimed `ticket` and is about to publish its channel slots.
+  /// Validates monotone ticket issuance and re-asserts the recycle gate:
+  /// `finished_count` (the channel's cumulative finished counter as
+  /// observed by the poster) must have reached `recycle_target`, or the
+  /// slot overwrite could race a parked reader of the previous generation.
   void on_post(int rank, std::uint64_t ticket, const char* op,
                CommCategory cat, std::uint64_t finished_count,
                std::uint64_t recycle_target);
@@ -107,8 +99,7 @@ class Checker {
   void on_complete(int rank);
 
   /// A meter charge is being issued. Legal only while the rank has an
-  /// open op: a blocking collective in scope or a posted-but-uncompleted
-  /// nonblocking op.
+  /// open op: a posted-but-uncompleted one.
   void on_charge(int rank, const char* op, CommCategory cat);
 
   /// A release request (quiesce_op) named `ticket`. The ticket must have
@@ -117,8 +108,7 @@ class Checker {
 
   /// End-of-world audit, called after every rank thread joined (and only
   /// on the non-abort path — a poisoned world tears down mid-op by
-  /// design). Every posted op must be completed and no blocking
-  /// collective may still be open.
+  /// design). Every posted op must be completed.
   void verify_teardown() const;
 
  private:
@@ -126,9 +116,8 @@ class Checker {
     std::atomic<std::uint64_t> posted{0};
     std::atomic<std::uint64_t> completed{0};
     std::atomic<std::uint64_t> next_ticket{0};
-    std::atomic<int> blocking_depth{0};
-    /// Display name of the most recent post/blocking entry, for teardown
-    /// diagnostics. Points at string literals / static storage only.
+    /// Display name of the most recent post, for teardown diagnostics.
+    /// Points at string literals / static storage only.
     std::atomic<const char*> last_op{nullptr};
     std::atomic<int> last_cat{0};
   };
@@ -138,27 +127,6 @@ class Checker {
 
   int size_;
   std::unique_ptr<PerRank[]> ranks_;
-};
-
-/// RAII bracket for one blocking collective on one rank. Null checker
-/// (disabled, or a Release build with CAGNET_CHECK unset) makes both ends
-/// free.
-class BlockingScope {
- public:
-  BlockingScope(Checker* checker, int rank, const char* op, CommCategory cat)
-      : checker_(checker), rank_(rank) {
-    if (checker_ != nullptr) checker_->on_blocking_begin(rank, op, cat);
-  }
-  ~BlockingScope() {
-    if (checker_ != nullptr) checker_->on_blocking_end(rank_);
-  }
-
-  BlockingScope(const BlockingScope&) = delete;
-  BlockingScope& operator=(const BlockingScope&) = delete;
-
- private:
-  Checker* checker_;
-  int rank_;
 };
 
 }  // namespace contract

@@ -44,8 +44,8 @@ namespace cagnet {
 
 /// Where in an operation's lifecycle a seam event fires.
 enum class FaultSite : std::uint8_t {
-  kPost = 0,  ///< a payload publication (blocking publish or async post)
-  kWait,      ///< a completion await (blocking rendezvous, wait, drain)
+  kPost = 0,  ///< a payload publication (a collective's post)
+  kWait,      ///< a completion await (wait, per-source drain)
   kCharge,    ///< a meter charge (the op's accounting point)
 };
 
@@ -73,7 +73,7 @@ class CommAborted : public Error {
 
   /// The rank that observed (or caused) the abort.
   int rank() const { return rank_; }
-  /// Op kind the rank was executing ("broadcast", "ialltoallv", ...).
+  /// Op the rank was executing ("broadcast", "ialltoallv_into", ...).
   const std::string& op() const { return op_; }
   /// Traffic category of that op.
   CommCategory category() const { return cat_; }

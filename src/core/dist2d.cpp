@@ -93,8 +93,8 @@ void Algebra2D::begin_backward(EpochStats& stats) {
   }
   const int transpose_peer = grid_.j * grid_.pr + grid_.i;
   CostMeter before = grid_.world.meter();
-  a_block_ = dist::exchange_csr(at_block_, transpose_peer, grid_.world,
-                                CommCategory::kTranspose)
+  a_block_ = dist::route_csr(at_block_, transpose_peer, grid_.world,
+                             CommCategory::kTranspose)
                  .transposed();
   trpose_cache_.begin_charges = grid_.world.meter();
   trpose_cache_.begin_charges.subtract(before);
@@ -110,9 +110,8 @@ void Algebra2D::end_backward(EpochStats& stats) {
   }
   const int transpose_peer = grid_.j * grid_.pr + grid_.i;
   CostMeter before = grid_.world.meter();
-  const Csr restored = dist::exchange_csr(a_block_, transpose_peer,
-                                          grid_.world,
-                                          CommCategory::kTranspose)
+  const Csr restored = dist::route_csr(a_block_, transpose_peer, grid_.world,
+                                       CommCategory::kTranspose)
                            .transposed();
   CAGNET_CHECK(restored.nnz() == at_block_.nnz(),
                "transpose round-trip changed the block");

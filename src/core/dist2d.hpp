@@ -14,8 +14,9 @@
 //                            all-gather (Section IV-C.2).
 //   backward U = A G^l     : SUMMA SpMM on the transposed adjacency. A is
 //                            obtained from A^T by a distributed transpose
-//                            (pairwise exchange (i,j) <-> (j,i) + local
-//                            transpose) — the paper's "trpose" phase.
+//                            (pairwise swap (i,j) <-> (j,i), routed as a
+//                            permutation, + local transpose) — the
+//                            paper's "trpose" phase.
 //            G^(l-1)       : U (W^l)^T ⊙ relu'(Z^(l-1)); U is re-used from
 //                            the row-wise all-gather performed for Y.
 //            Y^l           : (H^(l-1))^T (A G^l) via row all-gather of U,

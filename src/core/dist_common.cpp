@@ -312,8 +312,8 @@ EpochResult reduce_loss_accuracy(const Matrix& local_log_probs, Index row_lo,
         std::max_element(row.begin(), row.end()) - row.begin());
     if (pred == label) hits += 1;
   }
-  // One lock-free rendezvous (no barrier phases). The caller owns the
-  // scratch lifetime and quiesces `comm` before reusing it.
+  // Posted and waited without the blocking form's release hold: the
+  // caller owns the scratch and quiesces `comm` before reusing it.
   scratch[0] = loss_sum;
   scratch[1] = hits;
   comm.iallreduce_sum(std::span<const double>(scratch.data(), 2),
@@ -576,17 +576,6 @@ void summa_stage_loop(const Csr& my_sparse, SparseStageCache& cache,
   cache.ready = epoch_cache_enabled();
 }
 
-Csr exchange_csr(const Csr& mine, int peer, Comm& comm, CommCategory cat) {
-  const std::array<Index, 3> my_header = {mine.rows(), mine.cols(),
-                                          mine.nnz()};
-  const auto header = comm.exchange(std::span<const Index>(my_header), peer, cat);
-  auto row_ptr = comm.exchange(mine.row_ptr(), peer, cat);
-  auto col_idx = comm.exchange(mine.col_idx(), peer, cat);
-  auto vals = comm.exchange(std::span<const Real>(mine.values()), peer, cat);
-  return Csr::from_parts(header[0], header[1], std::move(row_ptr),
-                         std::move(col_idx), std::move(vals));
-}
-
 void partial_summa_times_weight(const Matrix& t, const Matrix& w, int parts,
                                 int my_col, Comm& row_comm,
                                 const MachineModel& machine,
@@ -632,8 +621,8 @@ void allgather_feature_rows(const Matrix& local, Index full_cols, int parts,
                             Comm& row_comm, Profiler& profiler,
                             DistWorkspace& ws, Matrix& full) {
   {
-    // Posted and waited in place: a single lock-free rendezvous instead of
-    // two barrier phases.
+    // Posted and waited in place: the blocking form would add a release
+    // hold on every member here.
     ScopedPhase scope(profiler, Phase::kDenseComm);
     row_comm
         .iallgatherv_into(std::span<const Real>(local.flat()), ws.gathered,

@@ -689,11 +689,9 @@ void summa_stage_loop(const Csr& my_sparse, SparseStageCache& cache,
                       int stages, Matrix& acc, const MachineModel& machine,
                       EpochStats& stats, DistWorkspace& ws);
 
-/// Pairwise CSR exchange with `peer` (the distributed-transpose primitive:
-/// rank (i,j) swaps blocks with rank (j,i) and locally transposes).
-Csr exchange_csr(const Csr& mine, int peer, Comm& comm, CommCategory cat);
-
-/// Permutation-route a CSR block to `dest` (see Comm::route).
+/// Permutation-route a CSR block to `dest` (see Comm::route): the
+/// distributed-transpose primitive. In 2D rank (i,j) swaps blocks with
+/// rank (j,i) and locally transposes; 3D routes along its own permutation.
 Csr route_csr(const Csr& mine, int dest, Comm& comm, CommCategory cat);
 
 /// Row-wise all-gather of feature slices into full rows: `local` is this
@@ -710,12 +708,12 @@ void allgather_feature_rows(const Matrix& local, Index full_cols, int parts,
 /// below implement DistSpmmAlgebra::begin_reduce_gradients /
 /// finish_gradients for the two layout families, so the reductions are
 /// in flight behind the remaining backward layers. A channel is reused
-/// only after every rank finished its previous generation, so a pending
-/// op blocks the 16th post after it on its communicator. Hence the
-/// reductions run on a communicator that carries nothing else during the
-/// backward (otherwise the 2D column's SUMMA panels at q >= 8, or the 1D
-/// world's per-layer exchanges in a deep network, would wait forever on a
-/// reduction that is waited only at finish): each algebra passes one of
+/// only after every rank finished its previous generation, so the 16th
+/// post after a pending op on its communicator is a ContractViolation.
+/// Hence the reductions run on a communicator that carries nothing else
+/// during the backward (otherwise the 2D column's SUMMA panels at q >= 8,
+/// or the 1D world's per-layer exchanges in a deep network, would land on
+/// a reduction that is waited only at finish): each algebra passes one of
 /// its own, a split of the reduction group with unchanged rank order, so
 /// sums and charges are the group's. And the helpers keep at most 8
 /// reductions (and, at finish, 8 row gathers) in flight, completing the

@@ -37,7 +37,9 @@ SampledRunner::SampledRunner(const DistProblem& problem,
   // The next batch's layer-0 exchange stays posted across this batch's
   // backward, which posts one contribution exchange per layer on the same
   // communicator. A channel is reused only after every rank finished its
-  // previous generation, so a 16th layer would wait forever.
+  // previous generation, so a 16th layer's post would land on the
+  // exchange's own channel: a ContractViolation mid-batch, after which
+  // the engine's teardown quiesce would hang on that same exchange.
   CAGNET_CHECK(layers < detail::kAsyncChannels,
                "sampled training: at most " +
                    std::to_string(detail::kAsyncChannels - 1) +

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cmath>
 #include <numeric>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -109,46 +110,18 @@ TEST_P(CollectivesAcrossP, AllgathervConcatenatesInRankOrder) {
   });
 }
 
-TEST_P(CollectivesAcrossP, GatherCollectsAtRootOnly) {
-  const int p = GetParam();
-  run_world(p, [&](Comm& comm) {
-    std::vector<Real> mine = {static_cast<Real>(comm.rank() * 10)};
-    const auto g =
-        comm.gather(std::span<const Real>(mine), 0, CommCategory::kControl);
-    if (comm.rank() == 0) {
-      ASSERT_EQ(g.data.size(), static_cast<std::size_t>(p));
-      for (int r = 0; r < p; ++r) {
-        ASSERT_DOUBLE_EQ(g.data[static_cast<std::size_t>(r)],
-                         static_cast<Real>(r * 10));
-      }
-    } else {
-      ASSERT_TRUE(g.data.empty());
-    }
-  });
-}
-
 INSTANTIATE_TEST_SUITE_P(WorldSizes, CollectivesAcrossP,
                          ::testing::Values(1, 2, 3, 4, 7, 8, 16));
 
-TEST(Comm, ExchangeSwapsBuffersPairwise) {
+TEST(Comm, RouteSwapsBuffersPairwise) {
   run_world(4, [](Comm& comm) {
-    const int peer = comm.rank() ^ 1;  // 0<->1, 2<->3
+    const int peer = comm.rank() ^ 1;  // 0<->1, 2<->3: an involution
     std::vector<Real> send(static_cast<std::size_t>(comm.rank()) + 2,
                            static_cast<Real>(comm.rank()));
     const auto recv =
-        comm.exchange(std::span<const Real>(send), peer, CommCategory::kTranspose);
+        comm.route(std::span<const Real>(send), peer, CommCategory::kTranspose);
     ASSERT_EQ(recv.size(), static_cast<std::size_t>(peer) + 2);
     for (Real v : recv) ASSERT_DOUBLE_EQ(v, static_cast<Real>(peer));
-  });
-}
-
-TEST(Comm, ExchangeWithSelfCopies) {
-  run_world(2, [](Comm& comm) {
-    std::vector<Real> send = {1.0, 2.0, static_cast<Real>(comm.rank())};
-    const auto recv = comm.exchange(std::span<const Real>(send), comm.rank(),
-                                    CommCategory::kTranspose);
-    ASSERT_EQ(recv.size(), 3u);
-    ASSERT_DOUBLE_EQ(recv[2], static_cast<Real>(comm.rank()));
   });
 }
 
@@ -252,12 +225,12 @@ TEST(Comm, AllgatherMismatchedSizesDetected) {
       Error);
 }
 
-TEST(Comm, ExchangeMeterChargesReceivedWords) {
+TEST(Comm, RouteSwapChargesReceivedWords) {
   std::vector<CostMeter> meters;
   run_world(2, [](Comm& comm) {
     std::vector<Real> send(static_cast<std::size_t>(comm.rank()) + 5, 1.0);
-    comm.exchange(std::span<const Real>(send), 1 - comm.rank(),
-                  CommCategory::kTranspose);
+    comm.route(std::span<const Real>(send), 1 - comm.rank(),
+               CommCategory::kTranspose);
   }, &meters);
   // Rank 0 receives rank 1's 6 words; rank 1 receives 5.
   EXPECT_DOUBLE_EQ(meters[0].words(CommCategory::kTranspose), 6.0);
@@ -608,14 +581,8 @@ TEST(InvalidComm, CollectivesFailWithDiagnostic) {
   EXPECT_THROW(comm.allgatherv_into(std::span<const Real>(data), gathered,
                                     CommCategory::kDense),
                Error);
-  EXPECT_THROW(comm.exchange(std::span<const Real>(data), 0,
-                             CommCategory::kDense),
-               Error);
   EXPECT_THROW(comm.route(std::span<const Real>(data), 0,
                           CommCategory::kDense),
-               Error);
-  EXPECT_THROW(comm.gather(std::span<const Real>(data), 0,
-                           CommCategory::kDense),
                Error);
   EXPECT_THROW(comm.ibroadcast_from(std::span<const Real>(data),
                                     std::span<Real>{}, 0,
@@ -1003,6 +970,49 @@ TEST(Nonblocking, TooManyOutstandingOpsDiagnosed) {
                   }
                 }),
       Error);
+}
+
+TEST(Nonblocking, PostOntoOwnUnwaitedOpThrowsTyped) {
+  // A channel is reused only after every rank finished its previous op.
+  // With ticket 0 still pending here, ticket 16 lands on its channel, and
+  // the post would wait forever for this rank's own wait(). It must be a
+  // typed error instead — with the checker on or off — and must claim
+  // nothing, so the communicator runs on once the held op is waited.
+  run_world(2, [](Comm& comm) {
+    std::vector<Real> held_in(4, Real{1});
+    std::vector<Real> held_out(4);
+    PendingOp held = comm.iallreduce_sum(std::span<const Real>(held_in),
+                                         std::span<Real>(held_out),
+                                         CommCategory::kDense);
+    std::vector<Real> in(4, Real{2});
+    std::vector<Real> out(4);
+    for (int i = 0; i < 15; ++i) {
+      comm.iallreduce_sum(std::span<const Real>(in), std::span<Real>(out),
+                          CommCategory::kDense)
+          .wait();
+    }
+    try {
+      comm.iallreduce_sum(std::span<const Real>(in), std::span<Real>(out),
+                          CommCategory::kDense)
+          .wait();
+      ADD_FAILURE() << "post onto the rank's own unwaited op did not throw";
+    } catch (const ContractViolation& e) {
+      EXPECT_EQ(e.rank(), comm.rank());
+      EXPECT_STREQ(e.op(), "iallreduce_sum");
+      EXPECT_EQ(e.category(), CommCategory::kDense);
+      EXPECT_NE(std::string(e.what()).find("own unwaited op"),
+                std::string::npos)
+          << e.what();
+    }
+    // The blocking form posts on the same channel and is refused alike.
+    EXPECT_THROW(comm.allreduce_sum(std::span<Real>(in), CommCategory::kDense),
+                 ContractViolation);
+    held.wait();
+    comm.allreduce_sum(std::span<Real>(in), CommCategory::kDense);
+    EXPECT_DOUBLE_EQ(in[0], 4.0);
+    EXPECT_DOUBLE_EQ(held_out[0], 2.0);
+    comm.quiesce();
+  });
 }
 
 TEST(Nonblocking, RankFailureReleasesPendingWaiters) {
@@ -1535,6 +1545,247 @@ TEST(Abort, PeerFailureMidSourceDrainUnwinds) {
   }
 }
 
+// ---- Blocking calls return with every buffer free ----
+//
+// A blocking collective posts its op, waits it, and holds until every
+// member has completed it. Each case below rewrites this rank's send
+// buffer the moment the call returns, for 200 rounds at P = 4; a wrapper
+// that returned while a peer still read the buffer would hand that peer
+// the overwrite instead of the round's values. Mismatches are counted,
+// not asserted, so a failing rank still takes part in every later round.
+
+constexpr int kBlockingRounds = 200;
+constexpr Real kClobber = -7.0;
+
+/// Rank r's round-k element i: distinct per rank, round and slot, and
+/// exact under the sums below.
+Real payload(int r, int k, std::size_t i) {
+  return static_cast<Real>(r * 1000 + k) + 0.5 * static_cast<Real>(i);
+}
+
+void fill_payload(std::vector<Real>& v, int r, int k, std::size_t base = 0) {
+  for (std::size_t i = 0; i < v.size(); ++i) v[i] = payload(r, k, base + i);
+}
+
+void clobber(std::vector<Real>& v) { std::fill(v.begin(), v.end(), kClobber); }
+
+/// Runs one blocking wrapper for kBlockingRounds rounds; returns this
+/// rank's count of wrong received values.
+using BlockingRounds = int (*)(Comm&);
+
+int broadcast_rounds(Comm& comm) {
+  int bad = 0;
+  std::vector<Real> data(5);
+  for (int k = 0; k < kBlockingRounds; ++k) {
+    const int root = k % comm.size();
+    if (comm.rank() == root) fill_payload(data, root, k);
+    comm.broadcast(std::span<Real>(data), root, CommCategory::kDense);
+    const std::vector<Real> got = data;
+    clobber(data);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      bad += got[i] != payload(root, k, i);
+    }
+  }
+  return bad;
+}
+
+int broadcast_from_rounds(Comm& comm) {
+  int bad = 0;
+  std::vector<Real> src(5);
+  std::vector<Real> dst(5);
+  for (int k = 0; k < kBlockingRounds; ++k) {
+    const int root = k % comm.size();
+    const bool is_root = comm.rank() == root;
+    if (is_root) fill_payload(src, root, k);
+    comm.broadcast_from(
+        is_root ? std::span<const Real>(src) : std::span<const Real>{},
+        is_root ? std::span<Real>{} : std::span<Real>(dst), root,
+        CommCategory::kDense);
+    clobber(src);
+    if (is_root) continue;
+    for (std::size_t i = 0; i < dst.size(); ++i) {
+      bad += dst[i] != payload(root, k, i);
+    }
+  }
+  return bad;
+}
+
+template <bool kMax>
+int allreduce_rounds(Comm& comm) {
+  int bad = 0;
+  std::vector<Real> data(5);
+  for (int k = 0; k < kBlockingRounds; ++k) {
+    fill_payload(data, comm.rank(), k);
+    if (kMax) {
+      comm.allreduce_max(std::span<Real>(data), CommCategory::kDense);
+    } else {
+      comm.allreduce_sum(std::span<Real>(data), CommCategory::kDense);
+    }
+    const std::vector<Real> got = data;
+    clobber(data);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      Real want = 0;
+      for (int r = 0; r < comm.size(); ++r) {
+        want = kMax ? payload(r, k, i) : want + payload(r, k, i);
+      }
+      bad += got[i] != want;
+    }
+  }
+  return bad;
+}
+
+int reduce_scatter_rounds(Comm& comm) {
+  int bad = 0;
+  const std::size_t chunk = 3;
+  std::vector<Real> contrib(chunk * static_cast<std::size_t>(comm.size()));
+  std::vector<Real> out(chunk);
+  for (int k = 0; k < kBlockingRounds; ++k) {
+    fill_payload(contrib, comm.rank(), k);
+    comm.reduce_scatter_sum(std::span<const Real>(contrib),
+                            std::span<Real>(out), CommCategory::kDense);
+    clobber(contrib);
+    const std::size_t lo = static_cast<std::size_t>(comm.rank()) * chunk;
+    for (std::size_t i = 0; i < chunk; ++i) {
+      Real want = 0;
+      for (int r = 0; r < comm.size(); ++r) want += payload(r, k, lo + i);
+      bad += out[i] != want;
+    }
+  }
+  return bad;
+}
+
+int allgather_rounds(Comm& comm) {
+  int bad = 0;
+  std::vector<Real> mine(4);
+  for (int k = 0; k < kBlockingRounds; ++k) {
+    fill_payload(mine, comm.rank(), k);
+    const std::vector<Real> all =
+        comm.allgather(std::span<const Real>(mine), CommCategory::kDense);
+    clobber(mine);
+    for (std::size_t j = 0; j < all.size(); ++j) {
+      bad += all[j] != payload(static_cast<int>(j / 4), k, j % 4);
+    }
+  }
+  return bad;
+}
+
+template <bool kInto>
+int allgatherv_rounds(Comm& comm) {
+  int bad = 0;
+  std::vector<Real> mine(static_cast<std::size_t>(comm.rank()) + 1);
+  Gathered<Real> reused;
+  for (int k = 0; k < kBlockingRounds; ++k) {
+    fill_payload(mine, comm.rank(), k);
+    if (kInto) {
+      comm.allgatherv_into(std::span<const Real>(mine), reused,
+                           CommCategory::kDense);
+    } else {
+      reused = comm.allgatherv(std::span<const Real>(mine),
+                               CommCategory::kDense);
+    }
+    clobber(mine);
+    for (int r = 0; r < comm.size(); ++r) {
+      const auto got = reused.chunk(r);
+      bad += got.size() != static_cast<std::size_t>(r) + 1;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        bad += got[i] != payload(r, k, i);
+      }
+    }
+  }
+  return bad;
+}
+
+int route_rounds(Comm& comm) {
+  int bad = 0;
+  const int p = comm.size();
+  std::vector<Real> send(4);
+  for (int k = 0; k < kBlockingRounds; ++k) {
+    const int shift = 1 + k % (p - 1);  // a cyclic shift is a permutation
+    fill_payload(send, comm.rank(), k);
+    const std::vector<Real> recv =
+        comm.route(std::span<const Real>(send), (comm.rank() + shift) % p,
+                   CommCategory::kDense);
+    clobber(send);
+    const int src = (comm.rank() + p - shift) % p;
+    bad += recv.size() != send.size();
+    for (std::size_t i = 0; i < recv.size(); ++i) {
+      bad += recv[i] != payload(src, k, i);
+    }
+  }
+  return bad;
+}
+
+int alltoallv_rounds(Comm& comm) {
+  // Rank s sends (s + d) % 3 + 1 elements to rank d: payload(s, k, 8d + i).
+  int bad = 0;
+  const int p = comm.size();
+  const auto len = [](int s, int d) {
+    return static_cast<std::size_t>((s + d) % 3 + 1);
+  };
+  std::vector<std::size_t> offsets(static_cast<std::size_t>(p) + 1, 0);
+  for (int d = 0; d < p; ++d) {
+    offsets[static_cast<std::size_t>(d) + 1] =
+        offsets[static_cast<std::size_t>(d)] + len(comm.rank(), d);
+  }
+  std::vector<Real> send(offsets.back());
+  Gathered<Real> recv;
+  for (int k = 0; k < kBlockingRounds; ++k) {
+    for (int d = 0; d < p; ++d) {
+      for (std::size_t i = 0; i < len(comm.rank(), d); ++i) {
+        send[offsets[static_cast<std::size_t>(d)] + i] =
+            payload(comm.rank(), k, 8 * static_cast<std::size_t>(d) + i);
+      }
+    }
+    comm.alltoallv_into(std::span<const Real>(send),
+                        std::span<const std::size_t>(offsets), recv,
+                        CommCategory::kHalo);
+    clobber(send);
+    for (int s = 0; s < p; ++s) {
+      const auto got = recv.chunk(s);
+      bad += got.size() != len(s, comm.rank());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        bad += got[i] !=
+               payload(s, k, 8 * static_cast<std::size_t>(comm.rank()) + i);
+      }
+    }
+  }
+  return bad;
+}
+
+struct BlockingCase {
+  const char* name;
+  BlockingRounds rounds;
+};
+
+std::ostream& operator<<(std::ostream& os, const BlockingCase& c) {
+  return os << c.name;
+}
+
+class BlockingReturn : public ::testing::TestWithParam<BlockingCase> {};
+
+TEST_P(BlockingReturn, EveryBufferIsFreeOnReturn) {
+  const BlockingRounds rounds = GetParam().rounds;
+  std::atomic<int> bad{0};
+  run_world(4, [&](Comm& comm) { bad += rounds(comm); });
+  EXPECT_EQ(bad.load(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Wrappers, BlockingReturn,
+    ::testing::Values(BlockingCase{"broadcast", &broadcast_rounds},
+                      BlockingCase{"broadcast_from", &broadcast_from_rounds},
+                      BlockingCase{"allreduce_sum", &allreduce_rounds<false>},
+                      BlockingCase{"allreduce_max", &allreduce_rounds<true>},
+                      BlockingCase{"reduce_scatter_sum",
+                                   &reduce_scatter_rounds},
+                      BlockingCase{"allgather", &allgather_rounds},
+                      BlockingCase{"allgatherv", &allgatherv_rounds<false>},
+                      BlockingCase{"allgatherv_into",
+                                   &allgatherv_rounds<true>},
+                      BlockingCase{"route", &route_rounds},
+                      BlockingCase{"alltoallv_into", &alltoallv_rounds}),
+    [](const auto& info) { return std::string(info.param.name); });
+
 // ---- Diagnostics: message shapes name rank, op kind, and category ----
 
 TEST(Diagnostics, OrderMismatchNamesRanksOpsAndCategory) {
@@ -1559,26 +1810,104 @@ TEST(Diagnostics, OrderMismatchNamesRanksOpsAndCategory) {
     const std::string what = e.what();
     EXPECT_NE(what.find("disagree on op order"), std::string::npos) << what;
     // Whichever rank reports first, the message names the waiting rank,
-    // both op kinds, and the traffic category.
+    // both ops by name, and the traffic category.
     EXPECT_NE(what.find("rank"), std::string::npos) << what;
     EXPECT_NE(what.find("waiting on"), std::string::npos) << what;
     EXPECT_NE(what.find("[dense]"), std::string::npos) << what;
     EXPECT_NE(what.find("posted"), std::string::npos) << what;
+    EXPECT_NE(what.find("iallreduce_sum"), std::string::npos) << what;
+    EXPECT_NE(what.find("iallgatherv_into"), std::string::npos) << what;
   }
 }
 
-TEST(Diagnostics, SizeMismatchNamesOpCategoryAndBothRanks) {
+TEST(Diagnostics, BlockingAndNonblockingOutOfOrderDiagnosed) {
+  // Blocking calls ride the same channels as the nonblocking ones, so a
+  // rank in a blocking all-reduce and a peer in a nonblocking all-gather
+  // meet on one channel and see each other's op.
   try {
     run_world(2, [](Comm& comm) {
-      std::vector<Real> data(comm.rank() == 0 ? 4 : 5, Real{1});
-      comm.broadcast(std::span<Real>(data), 0, CommCategory::kDense);
+      std::vector<Real> a(4, Real{1});
+      if (comm.rank() == 0) {
+        comm.allreduce_sum(std::span<Real>(a), CommCategory::kDense);
+      } else {
+        Gathered<Real> g;
+        comm.iallgatherv_into(std::span<const Real>(a), g,
+                              CommCategory::kDense)
+            .wait();
+      }
+      comm.quiesce();
+    });
+    FAIL() << "blocking/nonblocking order mismatch was not diagnosed";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("disagree on op order"), std::string::npos) << what;
+    EXPECT_NE(what.find("allreduce_sum"), std::string::npos) << what;
+    EXPECT_NE(what.find("iallgatherv_into"), std::string::npos) << what;
+    EXPECT_NE(what.find("[dense]"), std::string::npos) << what;
+  }
+}
+
+class SizeMismatchDiagnostics : public ::testing::TestWithParam<std::string> {
+};
+
+TEST_P(SizeMismatchDiagnostics, NamesOpCategoryAndBothRanks) {
+  const std::string op = GetParam();
+  try {
+    run_world(2, [&](Comm& comm) {
+      const bool root = comm.rank() == 0;
+      std::vector<Real> data(root ? 4 : 5, Real{1});
+      std::vector<Real> out(data.size());
+      if (op == "broadcast") {
+        comm.broadcast(std::span<Real>(data), 0, CommCategory::kDense);
+      } else if (op == "ibroadcast_from") {
+        comm.ibroadcast_from(
+                root ? std::span<const Real>(data) : std::span<const Real>{},
+                root ? std::span<Real>{} : std::span<Real>(out), 0,
+                CommCategory::kDense)
+            .wait();
+      } else if (op == "allreduce_sum") {
+        comm.allreduce_sum(std::span<Real>(data), CommCategory::kDense);
+      } else {
+        comm.iallreduce_sum(std::span<const Real>(data),
+                            std::span<Real>(out), CommCategory::kDense)
+            .wait();
+      }
+      comm.quiesce();
     });
     FAIL() << "size mismatch was not diagnosed";
   } catch (const Error& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("broadcast"), std::string::npos) << what;
-    EXPECT_NE(what.find("[dense]"), std::string::npos) << what;
-    EXPECT_NE(what.find("disagree on element count"), std::string::npos)
+    EXPECT_NE(what.find(op + " [dense]: ranks disagree on element count"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("rank 0 passed 4"), std::string::npos) << what;
+    EXPECT_NE(what.find("rank 1 passed 5"), std::string::npos) << what;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Ops, SizeMismatchDiagnostics,
+                         ::testing::Values("broadcast", "ibroadcast_from",
+                                           "allreduce_sum",
+                                           "iallreduce_sum"),
+                         [](const auto& info) { return info.param; });
+
+TEST(Diagnostics, CompressedSizeMismatchNamesOpCategoryAndBothRanks) {
+  // The byte gather is posted under the caller's name, and the decode's
+  // chunk check reports both ranks (int8: 4 elements encode to 8 bytes, 5
+  // to 9).
+  try {
+    run_world(2, [](Comm& comm) {
+      std::vector<Real> data(comm.rank() == 0 ? 4 : 5, Real{1});
+      CompressBuf buf;
+      comm.allreduce_sum_compressed(std::span<Real>(data),
+                                    CompressMode::kInt8, buf);
+    });
+    FAIL() << "size mismatch was not diagnosed";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("allreduce_sum_compressed [compressed]: ranks "
+                        "disagree on element count"),
+              std::string::npos)
         << what;
     EXPECT_NE(what.find("rank 0"), std::string::npos) << what;
     EXPECT_NE(what.find("rank 1"), std::string::npos) << what;

@@ -217,7 +217,7 @@ TEST(FaultAbort, PeersUnwindWithTypedPeerFailure) {
 TEST(FaultAbort, KillInsideSplitCollectiveDoesNotHangOtherGroups) {
   // Regression for the old std::barrier limitation: a rank dying while
   // OTHER split groups are parked inside their own blocking collectives
-  // must poison-wake everyone. Before the PhaseGate rework this hung.
+  // must poison-wake everyone.
   // Trigger ranks are communicator-local, so sub-rank 2 names the last
   // member of whichever 3-rank split group reaches the 5th post first.
   FaultPlanGuard guard(
@@ -234,6 +234,37 @@ TEST(FaultAbort, KillInsideSplitCollectiveDoesNotHangOtherGroups) {
   } catch (const CommAborted& e) {
     EXPECT_EQ(e.rank(), 2);
     EXPECT_EQ(e.cause(), "injected rank kill");
+  }
+}
+
+TEST(FaultAbort, BarrierAndSplitReportAtTheSeamUnderControl) {
+  // barrier() is a channel op and split() rendezvous on it, so both are
+  // injection points, named by their caller-facing op.
+  {
+    FaultPlanGuard guard(
+        FaultPlan().kill(1, CommCategory::kControl, FaultSite::kPost, 1));
+    try {
+      run_world(2, [](Comm& comm) { comm.barrier(); });
+      FAIL() << "injected kill did not abort the world";
+    } catch (const CommAborted& e) {
+      EXPECT_EQ(e.rank(), 1);
+      EXPECT_EQ(e.op(), "barrier");
+      EXPECT_EQ(e.category(), CommCategory::kControl);
+      EXPECT_EQ(e.site(), FaultSite::kPost);
+    }
+  }
+  {
+    FaultPlanGuard guard(
+        FaultPlan().kill(0, CommCategory::kControl, FaultSite::kWait, 2));
+    try {
+      run_world(3, [](Comm& comm) { comm.split(comm.rank() % 2, 0); });
+      FAIL() << "injected kill did not abort the world";
+    } catch (const CommAborted& e) {
+      EXPECT_EQ(e.rank(), 0);
+      EXPECT_EQ(e.op(), "split");
+      EXPECT_EQ(e.site(), FaultSite::kWait);
+      EXPECT_EQ(e.cause(), "injected rank kill");
+    }
   }
 }
 
@@ -293,6 +324,41 @@ TEST(FaultAbort, KillMidSourceDrain) {
   }
 }
 
+TEST(FaultAbort, KillWhilePeerHoldsInBlockingCall) {
+  // Rank 0 completes first and parks in the release hold. Rank 1, delayed
+  // at its wait seam, is still reading rank 0's buffer when rank 2,
+  // delayed a little longer, is killed at its own wait seam. The poison
+  // wakes rank 0 in its hold; its unwind must drain rank 1's read before
+  // it frees the buffer (and, for route, the stack slot publishing its
+  // destination) — ASan reports a use-after-free and TSan a race if not.
+  const std::size_t n = std::size_t{1} << 20;
+  for (const std::string op : {"allreduce_sum", "route"}) {
+    FaultPlanGuard guard(
+        FaultPlan()
+            .delay(1, CommCategory::kDense, FaultSite::kWait, 1, 20)
+            .delay(2, CommCategory::kDense, FaultSite::kWait, 1, 22)
+            .kill(2, CommCategory::kDense, FaultSite::kWait, 1));
+    try {
+      run_world(3, [&](Comm& comm) {
+        std::vector<Real> data(n, static_cast<Real>(comm.rank() + 1));
+        if (op == "allreduce_sum") {
+          comm.allreduce_sum(std::span<Real>(data), CommCategory::kDense);
+        } else {
+          // Rank 1 receives rank 0's buffer.
+          comm.route(std::span<const Real>(data), (comm.rank() + 1) % 3,
+                     CommCategory::kDense);
+        }
+      });
+      FAIL() << op << ": injected kill did not abort the world";
+    } catch (const CommAborted& e) {
+      EXPECT_EQ(e.rank(), 2) << op;
+      EXPECT_EQ(e.op(), op);
+      EXPECT_EQ(e.site(), FaultSite::kWait) << op;
+      EXPECT_EQ(e.cause(), "injected rank kill") << op;
+    }
+  }
+}
+
 TEST(FaultAbort, CompressedCollectiveAborts) {
   FaultPlanGuard guard(
       FaultPlan().kill(1, CommCategory::kCompressed, FaultSite::kWait, 1));
@@ -306,6 +372,7 @@ TEST(FaultAbort, CompressedCollectiveAborts) {
     FAIL() << "injected kill did not abort the world";
   } catch (const CommAborted& e) {
     EXPECT_EQ(e.rank(), 1);
+    EXPECT_EQ(e.op(), "allreduce_sum_compressed");
     EXPECT_EQ(e.category(), CommCategory::kCompressed);
     EXPECT_EQ(e.cause(), "injected rank kill");
   }
@@ -319,8 +386,8 @@ TEST(FaultDelay, ResultsAndMetersStayBitwise) {
     std::vector<Real> data(32, static_cast<Real>(comm.rank() + 1) * 0.5);
     comm.allreduce_sum(std::span<Real>(data), CommCategory::kDense);
     std::vector<Real> swapped =
-        comm.exchange(std::span<const Real>(data), 1 - comm.rank(),
-                      CommCategory::kHalo);
+        comm.route(std::span<const Real>(data), 1 - comm.rank(),
+                   CommCategory::kHalo);
     PendingOp op = comm.iallreduce_sum(std::span<const Real>(swapped),
                                        std::span<Real>(data),
                                        CommCategory::kSparse);
@@ -365,8 +432,8 @@ TEST(FaultPoison, PoisonedPayloadIsTypedAbort) {
   try {
     run_world(2, [](Comm& comm) {
       std::vector<Real> data(16, static_cast<Real>(comm.rank()));
-      comm.exchange(std::span<const Real>(data), 1 - comm.rank(),
-                    CommCategory::kHalo);
+      comm.route(std::span<const Real>(data), 1 - comm.rank(),
+                 CommCategory::kHalo);
     });
     FAIL() << "poisoned payload did not abort the world";
   } catch (const CommAborted& e) {

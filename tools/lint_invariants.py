@@ -4,10 +4,10 @@
 Each rule pins a convention the runtime's correctness story depends on
 (see DESIGN.md, "Correctness tooling"):
 
-  seam-funnel      every collective entry point in the comm runtime calls
-                   detail::seam_event — an op that bypasses the transport
-                   seam is invisible to fault injection and to the
-                   contract checker.
+  seam-funnel      every function that touches channel state (post,
+                   wait, per-source drain) calls detail::seam_event — an
+                   op that bypasses the transport seam is invisible to
+                   fault injection and to the contract checker.
   naked-thread     no `std::thread` outside src/util/parallel.* — ad-hoc
                    threads escape the pool's budget accounting and the
                    TSan-annotated handoff paths. run_world's rank threads
@@ -45,22 +45,13 @@ BENCH = REPO / "bench"
 
 # ---- rule: seam-funnel -------------------------------------------------
 
-# Collective entry points that publish or read channel/slot state
-# directly. Wrappers that only delegate (allgather -> allgatherv,
-# allreduce_sum -> reduce_impl, the i-collectives -> post_async) are
-# covered through their callee.
+# The functions that touch channel state: every collective posts through
+# post_async and completes through PendingOp::wait (the blocking forms are
+# post + wait + release), and per-source drains read a peer's slots in
+# await_source. Everything else is covered through these callees.
 SEAM_ANCHORS = {
     "src/comm/comm.hpp": [
-        "void broadcast(",
-        "void broadcast_from(",
-        "void reduce_scatter_sum(",
-        "void allgatherv_into(",
-        "std::vector<T> exchange(",
-        "std::vector<T> route(",
-        "void alltoallv_into(",
-        "Gathered<T> gather(",
         "std::span<const T> await_source(",
-        "void reduce_impl(",
     ],
     "src/comm/comm.cpp": [
         "PendingOp Comm::post_async(",
@@ -99,17 +90,17 @@ def check_seam_funnel(root):
             at = text.find(anchor)
             if at < 0:
                 violations.append(
-                    f"{rel}: collective `{anchor.rstrip('(')}` not found "
+                    f"{rel}: `{anchor.rstrip('(')}` not found "
                     f"(renamed? update SEAM_ANCHORS)")
                 continue
             body = function_body(text, at)
             if body is None or "seam_event(" not in body:
                 line = text.count("\n", 0, at) + 1
                 violations.append(
-                    f"{rel}:{line}: seam-funnel: collective "
-                    f"`{anchor.rstrip('(')}` does not call "
-                    f"detail::seam_event — it is invisible to fault "
-                    f"injection and the contract checker")
+                    f"{rel}:{line}: seam-funnel: "
+                    f"`{anchor.rstrip('(')}` touches channel state but "
+                    f"does not call detail::seam_event — it is invisible "
+                    f"to fault injection and the contract checker")
     return violations
 
 
@@ -324,11 +315,12 @@ def build_seeded_tree(tmp):
     (tmp / "src/comm").mkdir(parents=True)
     (tmp / "src/util").mkdir(parents=True)
     (tmp / "bench").mkdir()
-    # seam-funnel: both anchor files exist but broadcast never calls
+    # seam-funnel: both anchor files exist but await_source never calls
     # seam_event; the rest of the anchors are present and clean.
     hpp_parts = []
     for anchor in SEAM_ANCHORS["src/comm/comm.hpp"]:
-        body = "{}" if anchor == "void broadcast(" else "{ seam_event(x); }"
+        body = ("{}" if anchor == "std::span<const T> await_source("
+                else "{ seam_event(x); }")
         hpp_parts.append(f"template <typename T>\n{anchor}) {body}\n")
     (tmp / "src/comm/comm.hpp").write_text("\n".join(hpp_parts))
     cpp_parts = []
