@@ -7,7 +7,7 @@
 //       the smallest perimeter") and keeps to square grids. The table
 //       shows where a rectangular grid *would* pay off: d >> f.
 //   (b) 1.5D replication (Section IV-B): metered words and per-rank memory
-//       of Dist15D at c in {1, 2, 4, 8}, on one world size. Communication
+//       of Algebra15D at c in {1, 2, 4, 8}, on one world size. Communication
 //       falls ~1/c while the dense memory grows c-fold — the trade the
 //       paper deems unattractive for GNNs (d = O(f)), visible here.
 #include <cstdio>
@@ -65,6 +65,7 @@ int main(int argc, char** argv) {
   const GnnConfig config =
       GnnConfig::three_layer(g.feature_dim(), g.num_classes);
   const DistProblem problem = DistProblem::prepare(g);
+  const RunConfig run = RunConfig::from_env();
   const MachineModel summit = MachineModel::summit();
   const double n = static_cast<double>(g.num_vertices());
   const double f = static_cast<double>(g.feature_dim());
@@ -76,7 +77,10 @@ int main(int argc, char** argv) {
     double ms = 0;
     Real loss = 0;
     run_world(16, [&](Comm& world) {
-      Dist15D trainer(problem, config, world, c);
+      DistEngine trainer(problem, config,
+                         std::make_unique<Algebra15D>(
+                             problem, world, c, run,
+                             MachineModel::summit()));
       EpochResult r{};
       for (int e = 0; e < 2; ++e) r = trainer.train_epoch();
       const EpochStats s =

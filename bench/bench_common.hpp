@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "src/core/dist2d.hpp"
+#include "src/core/algebra_registry.hpp"
 #include "src/graph/datasets.hpp"
 #include "src/util/cli.hpp"
 #include "src/util/timer.hpp"
@@ -68,6 +68,7 @@ inline Fig2Point run_2d(const ScaledDataset& data, int procs, int epochs,
   const GnnConfig config =
       GnnConfig::three_layer(graph.feature_dim(), graph.num_classes, hidden);
   const DistProblem problem = DistProblem::prepare(graph);
+  const RunConfig run = RunConfig::from_env();
   const MachineModel summit = MachineModel::summit();
 
   Fig2Point point;
@@ -77,11 +78,11 @@ inline Fig2Point run_2d(const ScaledDataset& data, int procs, int epochs,
 
   WallTimer wall;
   run_world(procs, [&](Comm& world) {
-    Dist2D trainer(problem, config, world);
+    const auto trainer = make_dist_trainer("2d", problem, config, world, run);
     EpochResult r{};
-    for (int e = 0; e < epochs; ++e) r = trainer.train_epoch();
+    for (int e = 0; e < epochs; ++e) r = trainer->train_epoch();
     const EpochStats s =
-        trainer.reduce_epoch_stats();
+        trainer->reduce_epoch_stats();
     if (world.rank() == 0) {
       point.stats = s;
       point.loss = r.loss;

@@ -10,8 +10,8 @@
 #include <cstdio>
 
 #include "bench/bench_common.hpp"
+#include "src/core/algebra_registry.hpp"
 #include "src/core/costmodel.hpp"
-#include "src/core/dist1d.hpp"
 
 using namespace cagnet;
 
@@ -68,16 +68,17 @@ int main(int argc, char** argv) {
                  g.num_classes};
   const double favg = static_cast<double>(g.feature_dim());
   const DistProblem problem = DistProblem::prepare(g);
+  const RunConfig run = RunConfig::from_env();
 
   std::printf("%-5s %4s %14s %14s %8s\n", "algo", "P", "metered dense",
               "predicted", "ratio");
   for (long p : {4L, 8L, 16L}) {
     double metered = 0;
     run_world(static_cast<int>(p), [&](Comm& world) {
-      Dist1D trainer(problem, config, world);
-      trainer.train_epoch();
+      const auto trainer = make_dist_trainer("1d", problem, config, world, run);
+      trainer->train_epoch();
       const EpochStats s =
-          trainer.reduce_epoch_stats();
+          trainer->reduce_epoch_stats();
       if (world.rank() == 0) metered = s.comm.words(CommCategory::kDense);
     });
     const CostInputs in = CostInputs::from_random(
@@ -91,10 +92,11 @@ int main(int argc, char** argv) {
       bench::Fig2Point out;
       const MachineModel summit = MachineModel::summit();
       run_world(static_cast<int>(p), [&](Comm& world) {
-        Dist2D trainer(problem, config, world);
-        trainer.train_epoch();
+        const auto trainer =
+            make_dist_trainer("2d", problem, config, world, run);
+        trainer->train_epoch();
         const EpochStats s =
-            trainer.reduce_epoch_stats();
+            trainer->reduce_epoch_stats();
         if (world.rank() == 0) {
           out.stats = s;
           out.modeled_epoch_seconds = s.modeled_seconds(summit);

@@ -96,13 +96,13 @@ std::vector<std::string> split_csv(const std::string& list) {
 /// positive refresh interval.
 int parse_stale_mode(const std::string& name) {
   if (name == "off") return 0;
-  if (name == "adaptive") return dist::kStaleAdaptive;
+  if (name == "adaptive") return kStaleAdaptive;
   return static_cast<int>(std::stol(name));
 }
 
 std::string stale_mode_label(int k) {
   if (k == 0) return "off";
-  if (k == dist::kStaleAdaptive) return "adaptive";
+  if (k == kStaleAdaptive) return "adaptive";
   return std::to_string(k);
 }
 
@@ -183,41 +183,43 @@ int run(int argc, char** argv) {
     std::fprintf(stderr, "unknown partitioner: %s\n", partition.c_str());
     return 1;
   }
-  const std::vector<long> halo_modes = args.get_int_list(
-      "halo", {dist::halo_enabled() ? 1L : 0L});
+  // The CAGNET_* modes are the defaults the flags below override.
+  const RunConfig env_run = RunConfig::from_env();
+  const std::vector<long> halo_modes =
+      args.get_int_list("halo", {env_run.halo ? 1L : 0L});
   const bool any_halo =
       std::find(halo_modes.begin(), halo_modes.end(), 1L) !=
       halo_modes.end();
   std::vector<CompressMode> compress_modes;
   for (const std::string& name : split_csv(
-           args.get("compress", compress_mode_name(compress_mode())))) {
+           args.get("compress", compress_mode_name(env_run.compress)))) {
     compress_modes.push_back(parse_compress_mode(name));
   }
   if (compress_modes.empty()) compress_modes.push_back(CompressMode::kOff);
   std::vector<int> stale_modes;
   for (const std::string& name :
-       split_csv(args.get("stale", stale_mode_label(dist::stale_k())))) {
+       split_csv(args.get("stale", stale_mode_label(env_run.stale_k)))) {
     stale_modes.push_back(parse_stale_mode(name));
   }
   if (stale_modes.empty()) stale_modes.push_back(0);
-  const std::vector<long> preagg_modes = args.get_int_list(
-      "preagg", {dist::preagg_enabled() ? 1L : 0L});
+  const std::vector<long> preagg_modes =
+      args.get_int_list("preagg", {env_run.preagg ? 1L : 0L});
 
   const bool sample = args.has("sample");
   const std::vector<long> fanout_args =
       args.get_int_list("fanouts", {15, 10, 5});
   const Index batch_size = args.get_int("batch-size", 64);
   std::string fanouts_str;
+  RunConfig base_run = env_run;
+  base_run.sample = sample;
   if (sample) {
-    std::vector<Index> fanouts(fanout_args.begin(), fanout_args.end());
-    dist::set_sample_fanouts(fanouts);
-    dist::set_sample_batch_size(batch_size);
-    for (std::size_t i = 0; i < fanouts.size(); ++i) {
+    base_run.sample_fanouts.assign(fanout_args.begin(), fanout_args.end());
+    base_run.sample_batch = batch_size;
+    for (std::size_t i = 0; i < fanout_args.size(); ++i) {
       if (i > 0) fanouts_str += ',';
-      fanouts_str += std::to_string(fanouts[i]);
+      fanouts_str += std::to_string(fanout_args[i]);
     }
   }
-  dist::set_sample_enabled(sample);
 
   const std::string topology = args.get("graph", "rmat");
   const Index communities =
@@ -267,10 +269,11 @@ int run(int argc, char** argv) {
     for (int stale_mode : swept_stales) {
     for (long preagg_mode : swept_preaggs) {
       const bool halo = halo_mode != 0;
-      dist::set_halo_enabled(halo);
-      set_compress_mode(cmode);
-      dist::set_stale_k(stale_mode);
-      dist::set_preagg_enabled(preagg_mode != 0);
+      RunConfig run = base_run;
+      run.halo = halo;
+      run.compress = cmode;
+      run.stale_k = stale_mode;
+      run.preagg = preagg_mode != 0;
       override_thread_budget(static_cast<int>(threads));
       double warm_seconds = 0;
       double measured_seconds = 0;
@@ -283,7 +286,7 @@ int run(int argc, char** argv) {
       double phase_seconds[Profiler::kNumPhases] = {};
       run_world(config.world, [&](Comm& world) {
         auto trainer =
-            make_dist_trainer(config.algebra, active, gnn, world);
+            make_dist_trainer(config.algebra, active, gnn, world, run);
         WallTimer warm;
         trainer->train_epoch();  // warm-up: caches fill, buffers size
         world.barrier();

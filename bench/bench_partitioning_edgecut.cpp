@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
               "bcast eps", "halo eps");
   const int epoch_reps =
       std::max(1, static_cast<int>(args.get_int("epoch-reps", 5)));
-  const bool halo_was = dist::halo_enabled();
+  RunConfig run = RunConfig::from_env();
   std::vector<std::string> regressions;
   for (const PartitionerSpec& spec : partitioner_registry()) {
     const DistProblem problem =
@@ -143,9 +143,9 @@ int main(int argc, char** argv) {
     double overlap_regions = 0;
     double phase_hpack = 0;
     for (int halo = 0; halo <= 1; ++halo) {
-      dist::set_halo_enabled(halo != 0);
+      run.halo = halo != 0;
       run_world(epoch_parts, [&](Comm& world) {
-        auto trainer = make_dist_trainer("1d", problem, gnn, world);
+        auto trainer = make_dist_trainer("1d", problem, gnn, world, run);
         trainer->train_epoch();  // warm-up (plan + buffers)
         // Best-of-reps epoch time: one preempted epoch on an
         // oversubscribed host must not invert the comparison.
@@ -203,7 +203,6 @@ int main(int argc, char** argv) {
           "x words reduction");
     }
   }
-  dist::set_halo_enabled(halo_was);
   std::printf("\nmetered halo words equal the predicted edgecut_P(A) * f\n"
               "exactly (the IV-A.8 request-and-send volume); the broadcast\n"
               "path pays the n(P-1)/P bound regardless of partitioner.\n");

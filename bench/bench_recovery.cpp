@@ -121,12 +121,13 @@ int run(int argc, char** argv) {
       (std::filesystem::temp_directory_path() / "cagnet_bench_recovery.bin")
           .string();
 
-  const CompressMode saved_compress = compress_mode();
+  // The CAGNET_* modes, with the swept codec on top.
+  RunConfig run = RunConfig::from_env();
   std::uint64_t cell = 0;
 
   for (const AlgebraCase& a : algebras) {
     for (CompressMode cmode : compress_modes) {
-      set_compress_mode(cmode);
+      run.compress = cmode;
 
       // Uninterrupted baseline: same supervision-loop code path, no
       // fault and no periodic checkpoints, so the drill's extra wall
@@ -135,6 +136,7 @@ int run(int argc, char** argv) {
       RecoveryOptions base_opt;
       base_opt.ckpt_path = ckpt;
       base_opt.ckpt_every = 0;
+      base_opt.run = run;
       WallTimer base_timer;
       const RecoveryReport baseline = train_with_recovery(
           a.algebra, problem, config, a.p, epochs, base_opt);
@@ -159,6 +161,7 @@ int run(int argc, char** argv) {
         opt.ckpt_path = ckpt;
         opt.ckpt_every = every;
         opt.max_restarts = 3;
+        opt.run = run;
         bool recovered = true;
         RecoveryReport report;
         WallTimer timer;
@@ -213,7 +216,6 @@ int run(int argc, char** argv) {
 
   std::remove(ckpt.c_str());
   std::remove((ckpt + ".tmp").c_str());
-  set_compress_mode(saved_compress);
   return 0;
 }
 

@@ -11,7 +11,7 @@
 // accuracy for a bounded memory footprint.
 #include <cstdio>
 
-#include "src/core/dist2d.hpp"
+#include "src/core/algebra_registry.hpp"
 #include "src/dense/ops.hpp"
 #include "src/gnn/checkpoint.hpp"
 #include "src/gnn/sampling.hpp"
@@ -62,10 +62,11 @@ int main(int argc, char** argv) {
 
   // 2. Full-batch distributed (the paper's 2D algorithm).
   const DistProblem problem = DistProblem::prepare(g);
+  const RunConfig run = RunConfig::from_env();
   run_world(procs, [&](Comm& world) {
-    Dist2D trainer(problem, config, world);
+    const auto trainer = make_dist_trainer("2d", problem, config, world, run);
     EpochResult r{};
-    for (int e = 0; e < epochs; ++e) r = trainer.train_epoch();
+    for (int e = 0; e < epochs; ++e) r = trainer->train_epoch();
     if (world.rank() == 0) {
       std::printf("full-batch 2D (P=%d)   : loss %.4f  accuracy %.3f  "
                   "(matches serial: |delta|=%.1e)\n",

@@ -10,7 +10,7 @@
 // time with its Fig. 3-style breakdown.
 #include <cstdio>
 
-#include "src/core/dist2d.hpp"
+#include "src/core/algebra_registry.hpp"
 #include "src/graph/datasets.hpp"
 #include "src/sparse/stats.hpp"
 #include "src/util/cli.hpp"
@@ -46,18 +46,19 @@ int main(int argc, char** argv) {
   GnnConfig config = GnnConfig::three_layer(graph.feature_dim(),
                                             graph.num_classes, hidden);
   const DistProblem problem = DistProblem::prepare(graph);
+  const RunConfig run = RunConfig::from_env();
   const MachineModel summit = MachineModel::summit();
 
   std::printf("training %d epochs on a %dx%d simulated grid...\n", epochs,
               exact_sqrt(procs), exact_sqrt(procs));
   WallTimer wall;
   run_world(procs, [&](Comm& world) {
-    Dist2D trainer(problem, config, world);
+    const auto trainer = make_dist_trainer("2d", problem, config, world, run);
     EpochResult r{};
     for (int e = 0; e < epochs; ++e) {
-      r = trainer.train_epoch();
+      r = trainer->train_epoch();
       const EpochStats s =
-          trainer.reduce_epoch_stats();
+          trainer->reduce_epoch_stats();
       if (world.rank() == 0) {
         std::printf("  epoch %d: loss %.4f | modeled Summit epoch %.3f s "
                     "(comm %.3f s, spmm %.3f s, gemm %.3f s)\n",

@@ -9,7 +9,7 @@
 // world, and a distributed trainer with its metered communication stats.
 #include <cstdio>
 
-#include "src/core/dist2d.hpp"
+#include "src/core/algebra_registry.hpp"
 #include "src/gnn/serial_trainer.hpp"
 #include "src/graph/graph.hpp"
 #include "src/sparse/generate.hpp"
@@ -67,12 +67,13 @@ int main(int argc, char** argv) {
   //    model.
   std::printf("\ndistributed 2D training on %d simulated processes:\n", procs);
   const DistProblem problem = DistProblem::prepare(graph);
+  const RunConfig run = RunConfig::from_env();
   run_world(procs, [&](Comm& world) {
-    Dist2D trainer(problem, config, world);
+    const auto trainer = make_dist_trainer("2d", problem, config, world, run);
     EpochResult r{};
-    for (int e = 0; e < epochs; ++e) r = trainer.train_epoch();
+    for (int e = 0; e < epochs; ++e) r = trainer->train_epoch();
     const EpochStats stats =
-        trainer.reduce_epoch_stats();
+        trainer->reduce_epoch_stats();
     if (world.rank() == 0) {
       std::printf("  final loss %.6f  train-acc %.3f\n", r.loss, r.accuracy);
       std::printf("  per-epoch traffic (busiest rank): dense %.0f words, "

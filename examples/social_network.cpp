@@ -9,10 +9,7 @@
 #include <cstdio>
 #include <memory>
 
-#include "src/core/dist15d.hpp"
-#include "src/core/dist1d.hpp"
-#include "src/core/dist2d.hpp"
-#include "src/core/dist3d.hpp"
+#include "src/core/algebra_registry.hpp"
 #include "src/graph/datasets.hpp"
 #include "src/util/cli.hpp"
 
@@ -29,14 +26,13 @@ struct Row {
   double loss;
 };
 
-template <typename MakeTrainer>
-Row run_one(const char* name, const DistProblem& problem,
-            const GnnConfig& config, int procs, int epochs,
-            MakeTrainer make_trainer) {
+Row run_one(const char* name, const char* algebra, const DistProblem& problem,
+            const GnnConfig& config, const RunConfig& run, int procs,
+            int epochs) {
   const MachineModel summit = MachineModel::summit();
   Row row{name, procs, 0, 0, 0, 0};
   run_world(procs, [&](Comm& world) {
-    auto trainer = make_trainer(world);
+    auto trainer = make_dist_trainer(algebra, problem, config, world, run);
     EpochResult r{};
     for (int e = 0; e < epochs; ++e) r = trainer->train_epoch();
     const EpochStats s =
@@ -72,20 +68,14 @@ int main(int argc, char** argv) {
   GnnConfig config = GnnConfig::three_layer(graph.feature_dim(),
                                             graph.num_classes);
   const DistProblem problem = DistProblem::prepare(graph);
+  const RunConfig run = RunConfig::from_env();
 
   std::vector<Row> rows;
-  rows.push_back(run_one("1D   ", problem, config, 16, epochs, [&](Comm& w) {
-    return std::make_unique<Dist1D>(problem, config, w);
-  }));
-  rows.push_back(run_one("1.5D ", problem, config, 16, epochs, [&](Comm& w) {
-    return std::make_unique<Dist15D>(problem, config, w, 4);
-  }));
-  rows.push_back(run_one("2D   ", problem, config, 16, epochs, [&](Comm& w) {
-    return std::make_unique<Dist2D>(problem, config, w);
-  }));
-  rows.push_back(run_one("3D   ", problem, config, 27, epochs, [&](Comm& w) {
-    return std::make_unique<Dist3D>(problem, config, w);
-  }));
+  rows.push_back(run_one("1D   ", "1d", problem, config, run, 16, epochs));
+  rows.push_back(
+      run_one("1.5D ", "1.5d-c4", problem, config, run, 16, epochs));
+  rows.push_back(run_one("2D   ", "2d", problem, config, run, 16, epochs));
+  rows.push_back(run_one("3D   ", "3d", problem, config, run, 27, epochs));
 
   std::printf("%-6s %5s %14s %14s %12s %10s\n", "algo", "P", "dense words",
               "sparse words", "modeled ms", "loss");

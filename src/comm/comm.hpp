@@ -943,7 +943,7 @@ class Comm {
                       send.size(), nullptr, send_offsets.data());
   }
 
-  // ---- Compressed collectives (the CAGNET_COMPRESS paths). All charge
+  // ---- Compressed collectives (the RunConfig::compress paths). All charge
   // CommCategory::kCompressed with the ACTUAL post-compression bytes
   // (converted to Real-sized words, hence fractional values appear), and
   // time codec work under Phase::kCompressPack when given a profiler —

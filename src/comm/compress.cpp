@@ -4,10 +4,10 @@
 #include <array>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #include "src/util/error.hpp"
+#include "src/util/knob.hpp"
 #include "src/util/parallel.hpp"
 
 namespace cagnet {
@@ -199,19 +199,6 @@ void decode_chunk(CompressMode mode, const std::uint8_t* in, std::size_t len,
   CAGNET_CHECK(false, "decode_chunk: bad mode");
 }
 
-CompressMode compress_default_from_env() {
-  const char* value = std::getenv("CAGNET_COMPRESS");
-  if (value == nullptr || *value == '\0') return CompressMode::kOff;
-  return parse_compress_mode(value);
-}
-
-/// Lazily initialized (unlike the bool knobs) so an unknown env value
-/// throws a catchable Error at first use, not during static init.
-CompressMode& compress_mode_ref() {
-  static CompressMode mode = compress_default_from_env();
-  return mode;
-}
-
 }  // namespace
 
 const char* compress_mode_name(CompressMode mode) {
@@ -233,18 +220,7 @@ CompressMode parse_compress_mode(const std::string& name) {
   if (name == "fp16") return CompressMode::kFp16;
   if (name == "int8") return CompressMode::kInt8;
   if (name == "1bit") return CompressMode::k1Bit;
-  CAGNET_CHECK(false, "unknown CAGNET_COMPRESS value \"" + name +
-                          "\" (expected off, fp16, int8, or 1bit)");
-  return CompressMode::kOff;
-}
-
-CompressMode compress_mode() { return compress_mode_ref(); }
-
-void set_compress_mode(CompressMode mode) { compress_mode_ref() = mode; }
-
-CompressMode row_compress_mode() {
-  const CompressMode mode = compress_mode();
-  return mode == CompressMode::k1Bit ? CompressMode::kOff : mode;
+  knob::reject("CAGNET_COMPRESS", name, "off, fp16, int8, 1bit");
 }
 
 bool reduce_scatter_compression_pays(CompressMode mode, std::size_t n,

@@ -36,7 +36,7 @@
 
 namespace cagnet {
 
-/// Wire codecs selectable via CAGNET_COMPRESS.
+/// Wire codecs (RunConfig::compress, the CAGNET_COMPRESS knob).
 enum class CompressMode : std::uint8_t {
   kOff = 0,  ///< exact Real payloads (today's paths, bitwise unchanged)
   kFp16,     ///< IEEE half precision, 4x
@@ -49,22 +49,6 @@ const char* compress_mode_name(CompressMode mode);
 
 /// Parse a CAGNET_COMPRESS value; throws Error on an unknown string.
 CompressMode parse_compress_mode(const std::string& name);
-
-/// Process-global compression mode (default off; the CAGNET_COMPRESS env
-/// var, read once at first use, can preset it). Like the other runtime
-/// knobs this is not per-trainer state: flip it only between run_world
-/// invocations.
-CompressMode compress_mode();
-void set_compress_mode(CompressMode mode);
-
-/// Mode for the weight-gradient all-reduce: every codec is eligible.
-inline CompressMode gradient_compress_mode() { return compress_mode(); }
-
-/// Mode for row payloads (halo rows, feature reduce-scatters): fp16/int8
-/// only. 1-bit collapses activations to two values per chunk, which the
-/// aggregation cannot absorb the way the error-feedback gradient loop
-/// can, so k1Bit leaves row traffic exact.
-CompressMode row_compress_mode();
 
 /// Values per codec chunk. Fixed so the encoded layout is independent of
 /// the thread budget (bitwise-deterministic pack/unpack).

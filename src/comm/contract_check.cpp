@@ -1,7 +1,8 @@
 #include "src/comm/contract_check.hpp"
 
-#include <cstdlib>
 #include <sstream>
+
+#include "src/util/knob.hpp"
 
 namespace cagnet {
 
@@ -34,16 +35,14 @@ namespace {
 std::atomic<int> g_forced{-1};
 
 bool env_default() {
-  const char* v = std::getenv("CAGNET_CHECK");
-  if (v == nullptr || *v == '\0') {
-#ifdef NDEBUG
-    return false;  // Release: opt in with CAGNET_CHECK=1
-#else
-    return true;   // Debug: on unless CAGNET_CHECK=0
-#endif
+  if (const std::optional<std::string> v = knob::env("CAGNET_CHECK")) {
+    return knob::parse_flag("CAGNET_CHECK", *v);
   }
-  const std::string s(v);
-  return !(s == "0" || s == "off" || s == "OFF");
+#ifdef NDEBUG
+  return false;  // Release: opt in with CAGNET_CHECK=1
+#else
+  return true;   // Debug: on unless CAGNET_CHECK=0
+#endif
 }
 
 }  // namespace

@@ -59,8 +59,9 @@ class ContractViolation : public Error {
 namespace contract {
 
 /// Whether the checker is armed for newly created communicators: the
-/// CAGNET_CHECK env knob when set ("0"/"off" disables, anything else
-/// enables), otherwise on in Debug builds (!NDEBUG) and off in Release.
+/// CAGNET_CHECK flag knob when set (a value outside the flag grammar
+/// throws Error), otherwise on in Debug builds (!NDEBUG) and off in
+/// Release.
 bool enabled();
 
 /// Test hook: force the checker on (1), off (0), or back to the

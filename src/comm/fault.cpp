@@ -1,10 +1,13 @@
 #include "src/comm/fault.hpp"
 
+#include <charconv>
 #include <chrono>
-#include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <sstream>
 #include <thread>
+
+#include "src/util/knob.hpp"
 
 namespace cagnet {
 
@@ -96,6 +99,9 @@ FaultPlan& FaultPlan::poison(int rank, CommCategory cat, FaultSite site,
 
 namespace {
 
+constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
+constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+
 [[noreturn]] void bad_spec(const std::string& spec, const std::string& why) {
   throw Error("CAGNET_FAULT: malformed spec \"" + spec + "\": " + why +
               " (grammar: action:rank:category:site:nth[:millis] entries "
@@ -138,12 +144,17 @@ FaultSite parse_site(const std::string& spec, const std::string& s) {
 }
 
 std::uint64_t parse_uint(const std::string& spec, const std::string& s,
-                         const char* what) {
-  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos) {
+                         const char* what, std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* last = s.data() + s.size();
+  const auto [end, ec] = std::from_chars(s.data(), last, value);
+  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos ||
+      ec != std::errc() || end != last || value > max) {
     bad_spec(spec, std::string(what) + " \"" + s +
-                       "\" is not a non-negative integer");
+                       "\" is not an integer from 0 to " +
+                       std::to_string(max));
   }
-  return std::stoull(s);
+  return value;
 }
 
 std::vector<std::string> split_on(const std::string& s, char sep) {
@@ -166,20 +177,22 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
     }
     FaultTrigger t;
     t.action = parse_action(spec, f[0]);
-    t.rank = static_cast<int>(parse_uint(spec, f[1], "rank"));
+    t.rank = static_cast<int>(parse_uint(spec, f[1], "rank", kIntMax));
     t.any_category = parse_category(spec, f[2], t.category);
     t.site = parse_site(spec, f[3]);
     if (!f[4].empty() && f[4][0] == 's') {
-      t.nth = seeded_nth(parse_uint(spec, f[4].substr(1), "seed"), 1, 8);
+      t.nth = seeded_nth(parse_uint(spec, f[4].substr(1), "seed", kU64Max),
+                         1, 8);
     } else {
-      t.nth = parse_uint(spec, f[4], "nth");
+      t.nth = parse_uint(spec, f[4], "nth", kU64Max);
       if (t.nth == 0) bad_spec(spec, "nth must be 1-based");
     }
     if (f.size() == 6) {
       if (t.action != FaultAction::kDelay) {
         bad_spec(spec, "millis field is only valid for delay entries");
       }
-      t.delay_millis = static_cast<int>(parse_uint(spec, f[5], "millis"));
+      t.delay_millis =
+          static_cast<int>(parse_uint(spec, f[5], "millis", kIntMax));
     }
     plan.add(t);
   }
@@ -232,9 +245,8 @@ std::shared_ptr<FaultPlan> fault_plan() {
   if (!g.initialized) {
     // Lazy env read so a malformed CAGNET_FAULT surfaces as a catchable
     // Error at first use (the compress-knob idiom), not a startup crash.
-    const char* env = std::getenv("CAGNET_FAULT");
-    if (env != nullptr && env[0] != '\0') {
-      auto parsed = std::make_shared<FaultPlan>(FaultPlan::parse(env));
+    if (const std::optional<std::string> env = knob::env("CAGNET_FAULT")) {
+      auto parsed = std::make_shared<FaultPlan>(FaultPlan::parse(*env));
       g.plan = parsed->trigger_count() > 0 ? parsed : nullptr;
     }
     g.initialized = true;

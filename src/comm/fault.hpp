@@ -160,7 +160,7 @@ class FaultPlan {
 /// Process-global fault plan (null = faults disabled; the fast path of
 /// the transport seam). The CAGNET_FAULT env var, parsed once at first
 /// use, can arm it; a malformed spec throws a catchable Error at that
-/// first use. Like the other runtime knobs this is not per-world state:
+/// first use. The plan is process-wide by design (not per-world state):
 /// install or clear plans only between run_world invocations.
 std::shared_ptr<FaultPlan> fault_plan();
 void set_fault_plan(std::shared_ptr<FaultPlan> plan);

@@ -29,7 +29,8 @@ struct AlgebraSpec {
 
   /// Collective factory: call on every rank of `world`.
   std::function<std::unique_ptr<DistSpmmAlgebra>(
-      const DistProblem& problem, Comm& world, MachineModel machine)>
+      const DistProblem& problem, Comm& world, const RunConfig& run,
+      MachineModel machine)>
       make;
 };
 
@@ -39,11 +40,20 @@ const std::vector<AlgebraSpec>& algebra_registry();
 /// Lookup by name; nullptr when unknown.
 const AlgebraSpec* find_algebra(const std::string& name);
 
-/// Build the shared engine over the named algebra. Collective: call on
-/// every rank of `world`. Throws on an unknown name or an invalid world
-/// size for that algebra.
+/// Build the shared engine over the named algebra with the modes of
+/// `run`. Collective: call on every rank of `world` with the same `run`.
+/// Throws on an unknown name, an invalid world size for that algebra, or
+/// modes the algebra cannot run (RunConfig::validate, sampling off 1D).
 std::unique_ptr<DistTrainer> make_dist_trainer(
     const std::string& name, const DistProblem& problem, GnnConfig config,
-    Comm& world, MachineModel machine = MachineModel::summit());
+    Comm& world, const RunConfig& run,
+    MachineModel machine = MachineModel::summit());
+
+/// make_dist_trainer with RunConfig::from_env(): the process
+/// environment's modes, for programs that take them from CAGNET_* knobs
+/// alone.
+std::unique_ptr<DistTrainer> make_dist_trainer(const std::string& name,
+                                               const DistProblem& problem,
+                                               GnnConfig config, Comm& world);
 
 }  // namespace cagnet

@@ -11,8 +11,10 @@
 namespace cagnet {
 
 Algebra15D::Algebra15D(const DistProblem& problem, Comm world,
-                       int replication, MachineModel machine)
-    : DistSpmmAlgebra(machine), world_(std::move(world)), c_(replication) {
+                       int replication, const RunConfig& run,
+                       MachineModel machine)
+    : DistSpmmAlgebra(run, machine), world_(std::move(world)),
+      c_(replication) {
   CAGNET_CHECK(c_ >= 1 && world_.size() % c_ == 0,
                "replication factor must divide world size");
   groups_ = world_.size() / c_;
@@ -39,8 +41,10 @@ Algebra15D::Algebra15D(const DistProblem& problem, Comm world,
   // exactly the remote H rows the stripe blocks touch. Off-stripe slice
   // peers hold rows this rank never reads (their stages do not exist),
   // so the plan requests nothing from them.
-  use_halo_ = dist::halo_enabled() && groups_ > 1;
+  grad_pending_.codec = run.compress;
+  use_halo_ = run.halo && groups_ > 1;
   if (use_halo_) {
+    halo_.codec = run.row_compress();
     dist::build_halo_plan(
         [&](int j) {
           const auto it = at_stripe_.find(j);
@@ -80,7 +84,7 @@ Algebra15D::Algebra15D(const DistProblem& problem, Comm world,
         static_cast<double>(stripe_rows) *
             static_cast<double>(groups_ - 1) / static_cast<double>(groups_),
         slice_);
-    if (dist::preagg_enabled()) {
+    if (run.preagg) {
       // Aggregation-before-communication over the slice: a destination
       // group d only requests rows from g when (g, d)'s coupling block
       // sits on d's stripe, and both endpoints see the same block of the
@@ -99,7 +103,7 @@ Algebra15D::Algebra15D(const DistProblem& problem, Comm world,
 }
 
 void Algebra15D::begin_epoch(int epoch) {
-  dist::halo_begin_epoch(epoch, use_halo_, slice_, halo_);
+  dist::halo_begin_epoch(epoch, use_halo_, run(), slice_, halo_);
 }
 
 void Algebra15D::spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) {
@@ -304,7 +308,7 @@ void Algebra15D::spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) {
   // an all-gather of full encoded contributions, a win only when the
   // codec ratio beats the slice size.
   CompressMode rmode =
-      slice_.size() > 1 ? row_compress_mode() : CompressMode::kOff;
+      slice_.size() > 1 ? run().row_compress() : CompressMode::kOff;
   if (!reduce_scatter_compression_pays(rmode, u_partial_.flat().size(),
                                        slice_.size())) {
     rmode = CompressMode::kOff;
@@ -369,11 +373,5 @@ void Algebra15D::begin_reduce_gradients(Matrix& y_partial, Index f_in,
 void Algebra15D::finish_gradients(EpochStats& stats) {
   dist::finish_allreduce_weight_gradient(stats.profiler, grad_pending_);
 }
-
-Dist15D::Dist15D(const DistProblem& problem, GnnConfig config, Comm world,
-                 int replication, MachineModel machine)
-    : DistEngine(problem, std::move(config),
-                 std::make_unique<Algebra15D>(problem, std::move(world),
-                                              replication, machine)) {}
 
 }  // namespace cagnet

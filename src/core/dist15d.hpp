@@ -36,7 +36,7 @@ class Algebra15D final : public DistSpmmAlgebra {
  public:
   /// Collective constructor; replication must divide the world size.
   Algebra15D(const DistProblem& problem, Comm world, int replication,
-             MachineModel machine);
+             const RunConfig& run, MachineModel machine);
 
   const char* name() const override { return "1.5d"; }
   Comm& world() override { return world_; }
@@ -48,7 +48,7 @@ class Algebra15D final : public DistSpmmAlgebra {
   void spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) override;
   /// Arm the slice halo plan's bounded-staleness state for this epoch
   /// (dist::halo_begin_epoch); collective over the slice in adaptive
-  /// mode, a no-op when CAGNET_STALE is off or halo mode is inactive.
+  /// mode, a no-op when run().stale_k is off or halo mode is inactive.
   void begin_epoch(int epoch) override;
 
   /// For c > 1, spmm_at defers the team (replica) all-reduce of T as
@@ -71,7 +71,7 @@ class Algebra15D final : public DistSpmmAlgebra {
   int replication() const { return c_; }
   int groups() const { return groups_; }
   /// True when the sparsity-aware halo exchange replaces the stripe
-  /// broadcasts (dist::halo_enabled() at construction and G > 1).
+  /// broadcasts (run().halo and G > 1).
   bool halo_active() const { return use_halo_; }
   /// True when the backward slice reduce-scatter is also replaced by the
   /// mirrored contribution exchange. Gated at construction: the exchange
@@ -148,14 +148,6 @@ class Algebra15D final : public DistSpmmAlgebra {
   Matrix t_reduced_;   ///< out-of-place reduced T (reused)
   Matrix t_chunk_;     ///< reduced-T row chunk staged for the GEMM (reused)
   Matrix z_chunk_;     ///< per-chunk GEMM output (reused)
-};
-
-/// The 1.5D trainer: the shared engine driven by Algebra15D.
-class Dist15D final : public DistEngine {
- public:
-  /// Collective constructor; replication must divide the world size.
-  Dist15D(const DistProblem& problem, GnnConfig config, Comm world,
-          int replication, MachineModel machine = MachineModel::summit());
 };
 
 }  // namespace cagnet

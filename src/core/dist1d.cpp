@@ -7,8 +7,8 @@
 namespace cagnet {
 
 Algebra1D::Algebra1D(const DistProblem& problem, Comm world,
-                     MachineModel machine)
-    : DistSpmmAlgebra(machine), world_(std::move(world)),
+                     const RunConfig& run, MachineModel machine)
+    : DistSpmmAlgebra(run, machine), world_(std::move(world)),
       grad_comm_(world_.split(/*color=*/0, /*key=*/world_.rank())) {
   n_ = problem.graph->num_vertices();
   const int p = world_.size();
@@ -30,8 +30,10 @@ Algebra1D::Algebra1D(const DistProblem& problem, Comm world,
   // Halo mode: precompute, from the A^T block sparsity, exactly which
   // remote H rows this rank needs (and, via the plan's request exchange,
   // which of its rows each peer needs). Built once; replayed every layer.
-  use_halo_ = dist::halo_enabled() && p > 1;
+  grad_pending_.codec = run.compress;
+  use_halo_ = run.halo && p > 1;
   if (use_halo_) {
+    halo_.codec = run.row_compress();
     dist::build_halo_plan(
         [&](int j) { return &at_blocks_[static_cast<std::size_t>(j)]; },
         world_.rank(),
@@ -46,7 +48,7 @@ Algebra1D::Algebra1D(const DistProblem& problem, Comm world,
         static_cast<double>(n_) * static_cast<double>(p - 1) /
             static_cast<double>(p),
         world_);
-    if (dist::preagg_enabled()) {
+    if (run.preagg) {
       // Aggregation-before-communication side tables: purely local (both
       // endpoints of a pair inspect the same A^T coupling block), built
       // once next to the halo plan.
@@ -63,7 +65,7 @@ Algebra1D::Algebra1D(const DistProblem& problem, Comm world,
 }
 
 void Algebra1D::begin_epoch(int epoch) {
-  dist::halo_begin_epoch(epoch, use_halo_, world_, halo_);
+  dist::halo_begin_epoch(epoch, use_halo_, run(), world_, halo_);
 }
 
 void Algebra1D::spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) {
@@ -148,7 +150,7 @@ void Algebra1D::spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) {
   // exact wire when coding would inflate the bytes (fp16 always, int8
   // beyond P ~ 7). The gate is rank-uniform: same (mode, n, P) everywhere.
   CompressMode rmode =
-      world_.size() > 1 ? row_compress_mode() : CompressMode::kOff;
+      world_.size() > 1 ? run().row_compress() : CompressMode::kOff;
   if (!reduce_scatter_compression_pays(rmode, u_partial_.flat().size(),
                                        world_.size())) {
     rmode = CompressMode::kOff;
@@ -212,11 +214,5 @@ void Algebra1D::begin_reduce_gradients(Matrix& y_partial, Index f_in,
 void Algebra1D::finish_gradients(EpochStats& stats) {
   dist::finish_allreduce_weight_gradient(stats.profiler, grad_pending_);
 }
-
-Dist1D::Dist1D(const DistProblem& problem, GnnConfig config, Comm world,
-               MachineModel machine)
-    : DistEngine(problem, std::move(config),
-                 std::make_unique<Algebra1D>(problem, std::move(world),
-                                             machine)) {}
 
 }  // namespace cagnet

@@ -16,7 +16,7 @@
 // broadcast-based bound; Algorithm 1 broadcasts rather than doing
 // individualized request-and-send, exactly as the paper argues in IV-A.8).
 //
-// Halo mode (CAGNET_HALO / dist::set_halo_enabled) implements the IV-A.8
+// Halo mode (RunConfig::halo) implements the IV-A.8
 // request-and-send instead: a HaloPlan built once from the local A^T
 // sparsity exchanges exactly the remote H rows each rank needs (kHalo,
 // edgecut_P(A) * f words per layer), pipelined behind the stage SpMMs
@@ -45,7 +45,8 @@ namespace cagnet {
 class Algebra1D final : public DistSpmmAlgebra {
  public:
   /// Collective constructor: call on every rank of `world`.
-  Algebra1D(const DistProblem& problem, Comm world, MachineModel machine);
+  Algebra1D(const DistProblem& problem, Comm world, const RunConfig& run,
+            MachineModel machine);
 
   const char* name() const override { return "1d"; }
   Comm& world() override { return world_; }
@@ -59,10 +60,10 @@ class Algebra1D final : public DistSpmmAlgebra {
   void spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) override;
   /// Arm the halo plan's bounded-staleness state for this epoch
   /// (dist::halo_begin_epoch); collective in adaptive mode, a no-op when
-  /// CAGNET_STALE is off or halo mode is inactive.
+  /// run().stale_k is off or halo mode is inactive.
   void begin_epoch(int epoch) override;
   /// True when the sparsity-aware halo exchange replaces the broadcasts
-  /// (dist::halo_enabled() at construction and P > 1). Purely local.
+  /// (run().halo and P > 1). Purely local.
   bool halo_active() const { return use_halo_; }
   /// True when the backward reduce-scatter is also replaced by the
   /// mirrored contribution exchange (halo mode and the
@@ -108,20 +109,12 @@ class Algebra1D final : public DistSpmmAlgebra {
   Matrix hj_recv2_;   ///< double-buffer partner (next stage's prefetch)
   Matrix u_partial_;  ///< O(nf) outer-product partial (reused)
   dist::PendingGradReduce grad_pending_;  ///< deferred Y reductions
-  /// Codec staging of the compressed U reduce-scatter (CAGNET_COMPRESS
-  /// row modes). Error feedback stays off: U is a fresh activation
-  /// gradient each layer, not an accumulating signal.
+  /// Codec staging of the compressed U reduce-scatter
+  /// (RunConfig::row_compress()). Error feedback stays off: U is a fresh
+  /// activation gradient each layer, not an accumulating signal.
   CompressBuf u_cbuf_;
   std::uint64_t u_release_ticket_ = 0;  ///< last u reduce-scatter (release)
   bool has_u_release_ = false;
-};
-
-/// The 1D trainer: the shared engine driven by Algebra1D.
-class Dist1D final : public DistEngine {
- public:
-  /// Collective constructor: call on every rank of `world`.
-  Dist1D(const DistProblem& problem, GnnConfig config, Comm world,
-         MachineModel machine = MachineModel::summit());
 };
 
 }  // namespace cagnet

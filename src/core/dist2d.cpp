@@ -5,8 +5,8 @@
 namespace cagnet {
 
 Algebra2D::Algebra2D(const DistProblem& problem, Comm world,
-                     MachineModel machine)
-    : DistSpmmAlgebra(machine),
+                     const RunConfig& run, MachineModel machine)
+    : DistSpmmAlgebra(run, machine),
       grid_(Grid2D::create_square(world)),
       grad_comm_(grid_.col.split(/*color=*/0, /*key=*/grid_.col.rank())) {
   n_ = problem.graph->num_vertices();
@@ -15,6 +15,9 @@ Algebra2D::Algebra2D(const DistProblem& problem, Comm world,
   std::tie(col_lo_, col_hi_) = block_range(n_, q, grid_.j);
 
   at_block_ = problem.at.block(row_lo_, row_hi_, col_lo_, col_hi_);
+  grad_pending_.codec = run.compress;
+  at_cache_.enabled = run.epoch_cache;
+  a_cache_.enabled = run.epoch_cache;
 }
 
 void Algebra2D::summa_spmm(const Csr& my_sparse,
@@ -86,7 +89,7 @@ void Algebra2D::finish_gradients(EpochStats& stats) {
 
 void Algebra2D::begin_backward(EpochStats& stats) {
   ScopedPhase scope(stats.profiler, Phase::kTranspose);
-  if (trpose_cache_.ready && dist::epoch_cache_enabled()) {
+  if (trpose_cache_.ready) {
     // a_block_ is still materialized from epoch 1; replay the charges.
     grid_.world.meter().merge_sum(trpose_cache_.begin_charges);
     return;
@@ -104,7 +107,7 @@ void Algebra2D::end_backward(EpochStats& stats) {
   // Transpose back (A -> A^T), restoring the forward orientation; together
   // with begin_backward this is the paper's twice-per-epoch cost.
   ScopedPhase scope(stats.profiler, Phase::kTranspose);
-  if (trpose_cache_.ready && dist::epoch_cache_enabled()) {
+  if (trpose_cache_.ready) {
     grid_.world.meter().merge_sum(trpose_cache_.end_charges);
     return;
   }
@@ -117,17 +120,11 @@ void Algebra2D::end_backward(EpochStats& stats) {
                "transpose round-trip changed the block");
   trpose_cache_.end_charges = grid_.world.meter();
   trpose_cache_.end_charges.subtract(before);
-  if (dist::epoch_cache_enabled()) {
+  if (run().epoch_cache) {
     trpose_cache_.ready = true;  // keep a_block_ for the next epoch
   } else {
     a_block_ = Csr();
   }
 }
-
-Dist2D::Dist2D(const DistProblem& problem, GnnConfig config, Comm world,
-               MachineModel machine)
-    : DistEngine(problem, std::move(config),
-                 std::make_unique<Algebra2D>(problem, std::move(world),
-                                             machine)) {}
 
 }  // namespace cagnet

@@ -39,7 +39,8 @@ namespace cagnet {
 class Algebra2D final : public DistSpmmAlgebra {
  public:
   /// Collective constructor; world size must be a perfect square.
-  Algebra2D(const DistProblem& problem, Comm world, MachineModel machine);
+  Algebra2D(const DistProblem& problem, Comm world, const RunConfig& run,
+            MachineModel machine);
 
   const char* name() const override { return "2d"; }
   Comm& world() override { return grid_.world; }
@@ -108,14 +109,6 @@ class Algebra2D final : public DistSpmmAlgebra {
   dist::SparseStageCache at_cache_;  ///< forward-SUMMA received A^T blocks
   dist::SparseStageCache a_cache_;   ///< backward-SUMMA received A blocks
   dist::TransposeCache trpose_cache_;
-};
-
-/// The 2D trainer: the shared engine driven by Algebra2D.
-class Dist2D final : public DistEngine {
- public:
-  /// Collective constructor; world size must be a perfect square.
-  Dist2D(const DistProblem& problem, GnnConfig config, Comm world,
-         MachineModel machine = MachineModel::summit());
 };
 
 }  // namespace cagnet

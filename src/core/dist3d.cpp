@@ -5,8 +5,11 @@
 namespace cagnet {
 
 Algebra3D::Algebra3D(const DistProblem& problem, Comm world,
-                     MachineModel machine)
-    : DistSpmmAlgebra(machine), grid_(Grid3D::create_cube(world)) {
+                     const RunConfig& run, MachineModel machine)
+    : DistSpmmAlgebra(run, machine), grid_(Grid3D::create_cube(world)) {
+  grad_pending_.codec = run.compress;
+  at_cache_.enabled = run.epoch_cache;
+  a_cache_.enabled = run.epoch_cache;
   n_ = problem.graph->num_vertices();
   const int q = grid_.q;
 
@@ -137,7 +140,7 @@ void Algebra3D::finish_gradients(EpochStats& stats) {
 
 void Algebra3D::begin_backward(EpochStats& stats) {
   ScopedPhase scope(stats.profiler, Phase::kTranspose);
-  if (trpose_cache_.ready && dist::epoch_cache_enabled()) {
+  if (trpose_cache_.ready) {
     // a_block_ is still materialized from epoch 1; replay the charges.
     grid_.world.meter().merge_sum(trpose_cache_.begin_charges);
     return;
@@ -150,7 +153,7 @@ void Algebra3D::begin_backward(EpochStats& stats) {
 
 void Algebra3D::end_backward(EpochStats& stats) {
   ScopedPhase scope(stats.profiler, Phase::kTranspose);
-  if (trpose_cache_.ready && dist::epoch_cache_enabled()) {
+  if (trpose_cache_.ready) {
     grid_.world.meter().merge_sum(trpose_cache_.end_charges);
     return;
   }
@@ -160,17 +163,11 @@ void Algebra3D::end_backward(EpochStats& stats) {
                "3D transpose round-trip changed the block");
   trpose_cache_.end_charges = grid_.world.meter();
   trpose_cache_.end_charges.subtract(before);
-  if (dist::epoch_cache_enabled()) {
+  if (run().epoch_cache) {
     trpose_cache_.ready = true;  // keep a_block_ for the next epoch
   } else {
     a_block_ = Csr();
   }
 }
-
-Dist3D::Dist3D(const DistProblem& problem, GnnConfig config, Comm world,
-               MachineModel machine)
-    : DistEngine(problem, std::move(config),
-                 std::make_unique<Algebra3D>(problem, std::move(world),
-                                             machine)) {}
 
 }  // namespace cagnet

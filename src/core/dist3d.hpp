@@ -36,7 +36,8 @@ namespace cagnet {
 class Algebra3D final : public DistSpmmAlgebra {
  public:
   /// Collective constructor; world size must be a perfect cube.
-  Algebra3D(const DistProblem& problem, Comm world, MachineModel machine);
+  Algebra3D(const DistProblem& problem, Comm world, const RunConfig& run,
+            MachineModel machine);
 
   const char* name() const override { return "3d"; }
   Comm& world() override { return grid_.world; }
@@ -108,14 +109,6 @@ class Algebra3D final : public DistSpmmAlgebra {
   dist::SparseStageCache at_cache_;  ///< forward received A^T blocks
   dist::SparseStageCache a_cache_;   ///< backward received A blocks
   dist::TransposeCache trpose_cache_;
-};
-
-/// The 3D trainer: the shared engine driven by Algebra3D.
-class Dist3D final : public DistEngine {
- public:
-  /// Collective constructor; world size must be a perfect cube.
-  Dist3D(const DistProblem& problem, GnnConfig config, Comm world,
-         MachineModel machine = MachineModel::summit());
 };
 
 }  // namespace cagnet

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdlib>
-#include <limits>
 #include <string>
 #include <utility>
 
@@ -130,164 +128,6 @@ EpochStats EpochStats::reduce_max(const EpochStats& mine, Comm& comm) {
 
 namespace dist {
 
-namespace {
-/// Not atomic on purpose: flip only between run_world invocations.
-bool g_epoch_cache_enabled = true;
-
-bool halo_default_from_env() {
-  const char* v = std::getenv("CAGNET_HALO");
-  if (v == nullptr) return false;
-  const std::string s(v);
-  return s == "1" || s == "on" || s == "ON" || s == "true" || s == "TRUE";
-}
-
-/// Same discipline as the epoch cache: flip only between run_world
-/// invocations. Preset once from CAGNET_HALO (default off — Algorithm 1's broadcasts
-/// remain the reference semantics; see DESIGN.md).
-bool g_halo_enabled = halo_default_from_env();
-
-bool sample_default_from_env() {
-  const char* v = std::getenv("CAGNET_SAMPLE");
-  if (v == nullptr) return false;
-  const std::string s(v);
-  return s == "1" || s == "on" || s == "ON" || s == "true" || s == "TRUE";
-}
-
-std::vector<Index> sample_fanouts_from_env() {
-  const char* v = std::getenv("CAGNET_SAMPLE_FANOUT");
-  if (v == nullptr || v[0] == '\0') return {15, 10, 5};
-  std::vector<Index> fanouts;
-  std::string s(v);
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    std::size_t comma = s.find(',', start);
-    if (comma == std::string::npos) comma = s.size();
-    const std::string tok = s.substr(start, comma - start);
-    if (tok == "inf" || tok == "all") {
-      fanouts.push_back(std::numeric_limits<Index>::max());
-    } else {
-      CAGNET_CHECK(!tok.empty() &&
-                       tok.find_first_not_of("0123456789") ==
-                           std::string::npos,
-                   "CAGNET_SAMPLE_FANOUT: \"" + tok +
-                       "\" is not a positive integer, \"inf\", or \"all\"");
-      const long value = std::atol(tok.c_str());
-      CAGNET_CHECK(value > 0, "CAGNET_SAMPLE_FANOUT: fanouts must be "
-                              "positive");
-      fanouts.push_back(static_cast<Index>(value));
-    }
-    start = comma + 1;
-  }
-  return fanouts;
-}
-
-Index sample_batch_from_env() {
-  const char* v = std::getenv("CAGNET_SAMPLE_BATCH");
-  if (v == nullptr || v[0] == '\0') return 64;
-  const std::string s(v);
-  CAGNET_CHECK(s.find_first_not_of("0123456789") == std::string::npos,
-               "CAGNET_SAMPLE_BATCH: \"" + s +
-                   "\" is not a positive integer");
-  const long value = std::atol(s.c_str());
-  CAGNET_CHECK(value > 0, "CAGNET_SAMPLE_BATCH must be positive");
-  return static_cast<Index>(value);
-}
-
-/// Same discipline again: flip only between run_world invocations.
-/// Preset once from CAGNET_SAMPLE / CAGNET_SAMPLE_FANOUT /
-/// CAGNET_SAMPLE_BATCH.
-bool g_sample_enabled = sample_default_from_env();
-std::vector<Index> g_sample_fanouts = sample_fanouts_from_env();
-Index g_sample_batch = sample_batch_from_env();
-
-int stale_k_from_env() {
-  const char* v = std::getenv("CAGNET_STALE");
-  if (v == nullptr || v[0] == '\0') return 0;
-  const std::string s(v);
-  if (s == "off" || s == "OFF" || s == "0") return 0;
-  if (s == "adaptive" || s == "ADAPTIVE") return kStaleAdaptive;
-  CAGNET_CHECK(s.find_first_not_of("0123456789") == std::string::npos,
-               "CAGNET_STALE: \"" + s +
-                   "\" is not \"off\", \"adaptive\", or a positive integer");
-  const long value = std::atol(s.c_str());
-  CAGNET_CHECK(value > 0, "CAGNET_STALE refresh interval must be positive");
-  return static_cast<int>(value);
-}
-
-int stale_bound_from_env(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || v[0] == '\0') return fallback;
-  const std::string s(v);
-  CAGNET_CHECK(s.find_first_not_of("0123456789") == std::string::npos,
-               std::string(name) + ": \"" + s +
-                   "\" is not a positive integer");
-  const long value = std::atol(s.c_str());
-  CAGNET_CHECK(value > 0,
-               std::string(name) + " refresh interval must be positive");
-  return static_cast<int>(value);
-}
-
-bool preagg_default_from_env() {
-  const char* v = std::getenv("CAGNET_PREAGG");
-  if (v == nullptr) return false;
-  const std::string s(v);
-  return s == "1" || s == "on" || s == "ON" || s == "true" || s == "TRUE";
-}
-
-/// Same discipline again: flip only between run_world invocations.
-/// Preset once from CAGNET_STALE / CAGNET_STALE_MIN / CAGNET_STALE_MAX /
-/// CAGNET_PREAGG (all default off/exact; see DESIGN.md "Adaptive
-/// communication rates contract").
-int g_stale_k = stale_k_from_env();
-int g_stale_min = stale_bound_from_env("CAGNET_STALE_MIN", 1);
-int g_stale_max = stale_bound_from_env("CAGNET_STALE_MAX", 8);
-bool g_preagg_enabled = preagg_default_from_env();
-}  // namespace
-
-bool epoch_cache_enabled() { return g_epoch_cache_enabled; }
-void set_epoch_cache_enabled(bool on) { g_epoch_cache_enabled = on; }
-
-bool halo_enabled() { return g_halo_enabled; }
-void set_halo_enabled(bool on) { g_halo_enabled = on; }
-
-bool sample_enabled() { return g_sample_enabled; }
-void set_sample_enabled(bool on) { g_sample_enabled = on; }
-
-const std::vector<Index>& sample_fanouts() { return g_sample_fanouts; }
-void set_sample_fanouts(std::vector<Index> fanouts) {
-  CAGNET_CHECK(!fanouts.empty(), "set_sample_fanouts: empty fanout list");
-  for (Index fanout : fanouts) {
-    CAGNET_CHECK(fanout > 0, "set_sample_fanouts: fanouts must be positive");
-  }
-  g_sample_fanouts = std::move(fanouts);
-}
-
-Index sample_batch_size() { return g_sample_batch; }
-void set_sample_batch_size(Index batch) {
-  CAGNET_CHECK(batch > 0, "set_sample_batch_size: batch must be positive");
-  g_sample_batch = batch;
-}
-
-int stale_k() { return g_stale_k; }
-void set_stale_k(int k) {
-  CAGNET_CHECK(k >= 0 || k == kStaleAdaptive,
-               "set_stale_k: interval must be >= 0 or kStaleAdaptive");
-  g_stale_k = k;
-}
-
-int stale_min_k() { return g_stale_min; }
-int stale_max_k() { return g_stale_max; }
-void set_stale_bounds(int min_k, int max_k) {
-  CAGNET_CHECK(min_k >= 1, "set_stale_bounds: floor must be >= 1");
-  CAGNET_CHECK(max_k >= min_k,
-               "set_stale_bounds: ceiling must be >= floor");
-  g_stale_min = min_k;
-  g_stale_max = max_k;
-}
-
-bool preagg_enabled() { return g_preagg_enabled; }
-void set_preagg_enabled(bool on) { g_preagg_enabled = on; }
-
 void drain_comm(const Comm& comm) noexcept {
   if (!comm.valid()) return;
   try {
@@ -328,19 +168,6 @@ EpochResult reduce_loss_accuracy(const Matrix& local_log_probs, Index row_lo,
                         ? scratch[3] / static_cast<double>(labeled_count)
                         : 0.0;
   return result;
-}
-
-Matrix local_nll_gradient(const Matrix& local_log_probs, Index row_lo,
-                          const std::vector<Index>& labels,
-                          Index labeled_count) {
-  Matrix grad(local_log_probs.rows(), local_log_probs.cols());
-  if (labeled_count == 0) return grad;
-  const Real scale = Real{-1} / static_cast<Real>(labeled_count);
-  for (Index r = 0; r < local_log_probs.rows(); ++r) {
-    const Index label = labels[static_cast<std::size_t>(row_lo + r)];
-    if (label >= 0) grad(r, label) = scale;
-  }
-  return grad;
 }
 
 double block_degree(const Csr& block) {
@@ -471,7 +298,7 @@ void summa_stage_loop(const Csr& my_sparse, SparseStageCache& cache,
                       EpochStats& stats, DistWorkspace& ws) {
   const Index w = my_dense.cols();
   CostMeter& meter = sparse_comm.meter();
-  const bool use_cache = cache.ready && epoch_cache_enabled();
+  const bool use_cache = cache.ready;
   if (use_cache) {
     // The adjacency blocks are epoch-invariant: replay the recorded
     // epoch-1 sparse charges instead of re-broadcasting identical bytes.
@@ -573,7 +400,7 @@ void summa_stage_loop(const Csr& my_sparse, SparseStageCache& cache,
     spmm_stage(a, d);
   }
   region.close();
-  cache.ready = epoch_cache_enabled();
+  cache.ready = cache.enabled;
 }
 
 void partial_summa_times_weight(const Matrix& t, const Matrix& w, int parts,
@@ -669,7 +496,7 @@ void begin_allreduce_weight_gradient(Matrix& y_partial, Index f_in,
                                      Matrix& y_full) {
   CAGNET_CHECK(y_partial.rows() == f_in && y_partial.cols() == f_out,
                "reduce_gradients: unexpected partial shape");
-  const CompressMode gmode = gradient_compress_mode();
+  const CompressMode gmode = pending.codec;
   if (gmode != CompressMode::kOff) {
     if (pending.count + pending.ccount == 0) {
       ScopedPhase scope(profiler, Phase::kDenseComm);
@@ -724,7 +551,7 @@ void begin_assemble_weight_gradient(Matrix& y_slice, Index f_in,
                                     Profiler& profiler,
                                     PendingGradReduce& pending,
                                     Matrix& y_full) {
-  const CompressMode gmode = gradient_compress_mode();
+  const CompressMode gmode = pending.codec;
   if (gmode != CompressMode::kOff) {
     if (pending.count + pending.ccount == 0) {
       ScopedPhase scope(profiler, Phase::kDenseComm);
@@ -1130,12 +957,12 @@ bool halo_backward_profitable(std::size_t landed_rows, double rs_rows,
   return landed[0] <= 0.5 * rs_rows;
 }
 
-void halo_begin_epoch(int epoch, bool halo_active, Comm& comm,
-                      HaloPlan& plan) {
+void halo_begin_epoch(int epoch, bool halo_active, const RunConfig& run,
+                      Comm& comm, HaloPlan& plan) {
   HaloPlan::StaleState& st = plan.stale;
   st.layer = 0;
   st.cur_slot = 0;
-  const int mode = stale_k();
+  const int mode = run.stale_k;
   const int p = comm.size();
   if (epoch < 0 || !halo_active || !plan.ready || p <= 1 || mode == 0 ||
       mode == 1) {
@@ -1143,11 +970,13 @@ void halo_begin_epoch(int epoch, bool halo_active, Comm& comm,
     // cache machinery stays disarmed entirely (bitwise parity, incl.
     // per-category meters; tests/stale_test.cpp pins it).
     st.active = false;
+    st.adaptive = false;
     st.epoch_skip = false;
     st.use_eff = false;
     return;
   }
   st.active = true;
+  st.adaptive = mode == kStaleAdaptive;
   const int self = comm.rank();
   const auto np = static_cast<std::size_t>(p);
   if (st.recv_fresh.size() != np) {
@@ -1189,12 +1018,12 @@ void halo_begin_epoch(int epoch, bool halo_active, Comm& comm,
       if (plan.recv_row_offsets[js + 1] == plan.recv_row_offsets[js]) {
         continue;
       }
-      int kj = stale_min_k();
+      int kj = run.stale_min;
       if (st.delta_sq[js] >= 0.0) {
         const double rel =
             std::sqrt(st.delta_sq[js] / (st.norm_sq[js] + 1e-30));
-        kj = rel > 0.0 ? static_cast<int>(kStaleTau / rel) : stale_max_k();
-        kj = std::clamp(kj, stale_min_k(), stale_max_k());
+        kj = rel > 0.0 ? static_cast<int>(kStaleTau / rel) : run.stale_max;
+        kj = std::clamp(kj, run.stale_min, run.stale_max);
       }
       st.next_refresh[js] = st.prev_epoch + kj;
     }
@@ -1370,7 +1199,7 @@ PendingOp halo_exchange_begin(const Matrix& src, std::span<const Index> rows,
     }
   }
   const CompressMode rmode =
-      p > 1 ? row_compress_mode() : CompressMode::kOff;
+      p > 1 ? plan.codec : CompressMode::kOff;
   if (rmode != CompressMode::kOff) {
     // Lossy row payload: re-encode the exact pack per destination chunk
     // (chunk boundaries must fall on codec-chunk starts, which per-
@@ -1465,13 +1294,13 @@ void halo_spmm_sweep(PendingOp& op, const Matrix& h, const Csr* self_block,
   const Index f = h.cols();
   HaloPlan::StaleState& st = plan.stale;
   const bool stale_on = st.active;
-  const bool adaptive = stale_on && stale_k() == kStaleAdaptive;
+  const bool adaptive = stale_on && st.adaptive;
   const auto slot = static_cast<std::size_t>(st.cur_slot);
   // Landed-row offsets of this exchange: the preagg plan's effective
   // layout when aggregation is armed, the raw plan's otherwise.
   const std::vector<std::size_t>& roff = fwd_recv_offsets(plan);
   const CompressMode rmode =
-      p > 1 ? row_compress_mode() : CompressMode::kOff;
+      p > 1 ? plan.codec : CompressMode::kOff;
   if (rmode != CompressMode::kOff) {
     // Decode staging for every peer's landed rows, laid out at the
     // exchange's recv row offsets so each stage decodes into its own
@@ -1588,7 +1417,7 @@ void halo_exchange_contributions(
   const int p = comm.size();
   const Index f = partial.cols();
   const CompressMode rmode =
-      p > 1 ? row_compress_mode() : CompressMode::kOff;
+      p > 1 ? plan.codec : CompressMode::kOff;
   // A rank that accumulates nothing (a 1.5D non-keeper: no self term and
   // every land chunk empty — its u arrives whole with the team broadcast)
   // only owes the drain bookkeeping: skip every source without touching u

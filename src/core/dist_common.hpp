@@ -9,6 +9,7 @@
 #include "src/comm/comm.hpp"
 #include "src/comm/grid.hpp"
 #include "src/comm/machine.hpp"
+#include "src/core/run_config.hpp"
 #include "src/gnn/model.hpp"
 #include "src/graph/graph.hpp"
 #include "src/graph/partition.hpp"
@@ -147,101 +148,6 @@ class DistTrainer {
 /// Helpers shared by the trainer implementations.
 namespace dist {
 
-/// Process-global switch for the epoch-invariant adjacency caches
-/// (default on). When off, every epoch re-runs the epoch-1 communication
-/// path; tests flip it to compare the cached and uncached paths
-/// in-process. Not per-trainer state: flip it only between run_world
-/// invocations.
-bool epoch_cache_enabled();
-void set_epoch_cache_enabled(bool on);
-
-/// Process-global switch for the sparsity-aware halo exchange of the 1D /
-/// 1.5D families (default off; the CAGNET_HALO env var, read once at
-/// startup, can preset it — "1", "on", or "true" enable). When on, the
-/// rows-whole forward SpMM replaces Algorithm 1's P dense broadcast
-/// stages with an individualized request-and-send of exactly the remote
-/// H rows the local A^T sparsity touches (metered as kHalo:
-/// edgecut_P(A) * f words instead of n(P-1)/P * f), pipelined behind the
-/// stage SpMMs (per-source drains; see halo_spmm_pipeline), and the
-/// 1D / 1.5D backwards replace their
-/// reduce-scatters with the symmetric contribution exchange when the
-/// halo_backward_profitable gate passes. Losses, weights, and accuracy
-/// are bitwise identical to the broadcast path (tests/halo_test.cpp
-/// asserts it); only the metered volume drops. Not per-trainer state:
-/// flip it only between run_world invocations.
-bool halo_enabled();
-void set_halo_enabled(bool on);
-
-/// Process-global switch for sampled mini-batch training (default off;
-/// the CAGNET_SAMPLE env var, read once at startup, can preset it — "1",
-/// "on", or "true" enable). When on, DistEngine::train_epoch runs the
-/// GraphSAGE-style sampled epoch (per-epoch shuffler, per-hop fanout
-/// sampling from the local A^T stripe, minibatch halo exchanges of only
-/// the sampled rows) instead of the full-batch epoch. Requires a
-/// row-partitioned algebra exposing sample_comm(); others raise a typed
-/// Error. Not per-trainer state: flip it only between run_world
-/// invocations.
-bool sample_enabled();
-void set_sample_enabled(bool on);
-
-/// Per-hop sampling fanouts, outermost hop first (default 15/10/5; the
-/// CAGNET_SAMPLE_FANOUT env var can preset a comma list, with "inf" or
-/// "all" for an uncapped hop). The sampled trainer validates the length
-/// against the model's layer count. Flip only between run_world
-/// invocations.
-const std::vector<Index>& sample_fanouts();
-void set_sample_fanouts(std::vector<Index> fanouts);
-
-/// Sampled minibatch size over the labeled training vertices (default
-/// 64; the CAGNET_SAMPLE_BATCH env var can preset it). Must be positive.
-/// Flip only between run_world invocations.
-Index sample_batch_size();
-void set_sample_batch_size(Index batch);
-
-/// stale_k() value selecting the adaptive per-peer refresh policy.
-inline constexpr int kStaleAdaptive = -1;
-
-/// Process-global bounded-staleness refresh interval of the halo forward
-/// (default 0 = off; the CAGNET_STALE env var, read once at startup, can
-/// preset it — a positive integer k, "adaptive", or "off"). k >= 2 keeps
-/// each peer's received halo rows in a per-plan cache and re-exchanges
-/// them every k epochs; skipped epochs replay the cached rows
-/// allocation-free, charging zero kHalo latency/words (the avoided words
-/// are credited to CostMeter::stale_saved_words). kStaleAdaptive tracks
-/// the L2 delta of each peer's row block between refreshes and refreshes
-/// fast-changing peers more often, inside [stale_min_k, stale_max_k].
-/// 0 and 1 are the exact path verbatim — bitwise identical losses,
-/// weights, and per-category meters (tests/stale_test.cpp asserts it).
-/// Lossy for k >= 2: forward activations use rows up to k-1 epochs old
-/// (the backward stays the exact gradient of that stale forward). The
-/// cache is per-run transient state — never checkpointed; a restart
-/// refreshes every peer on its first epoch (DESIGN.md "Adaptive
-/// communication rates contract"). Requires CAGNET_HALO. Not per-trainer
-/// state: flip it only between run_world invocations.
-int stale_k();
-void set_stale_k(int k);
-
-/// Floor / ceiling of the adaptive per-peer refresh interval (defaults
-/// 1 / 8; the CAGNET_STALE_MIN / CAGNET_STALE_MAX env vars can preset
-/// them). Flip only between run_world invocations.
-int stale_min_k();
-int stale_max_k();
-void set_stale_bounds(int min_k, int max_k);
-
-/// Process-global switch for aggregation-before-communication on the halo
-/// forward (default off; the CAGNET_PREAGG env var can preset it — "1",
-/// "on", or "true" enable). When on, each (source, dest) pair whose A^T
-/// coupling block has fewer distinct nonzero output rows than requested
-/// source rows pre-reduces the requested rows through that block on the
-/// sender, so one aggregated contribution row per (dest, out-row) crosses
-/// the wire instead of every raw source row (the ABC pattern). Lossy only
-/// in floating-point association order — deterministic for a fixed world,
-/// but not bitwise the exact path. Composes with CAGNET_COMPRESS and
-/// CAGNET_STALE. Requires CAGNET_HALO. Flip only between run_world
-/// invocations.
-bool preagg_enabled();
-void set_preagg_enabled(bool on);
-
 /// Reusable dense/staging buffers for the shared SUMMA helpers. One per
 /// algebra instance; after the first epoch the hot path stops allocating.
 /// The helpers never nest, so sharing the buffers between them is safe.
@@ -264,6 +170,7 @@ struct DistWorkspace {
 /// measurements — are therefore unchanged while the data movement,
 /// deserialization, and allocation disappear.
 struct SparseStageCache {
+  bool enabled = true;  ///< RunConfig::epoch_cache, fixed at construction
   bool ready = false;
   std::vector<Csr> blocks;      ///< per stage; unused when own_stage[k]
   std::vector<char> own_stage;  ///< stage roots keep using their own block
@@ -339,7 +246,7 @@ struct HaloPlan {
   struct PackBuf {
     Matrix send_buf;
     std::vector<std::size_t> send_elem_offsets;  ///< P+1, rebuilt per use
-    /// Compressed-payload staging (CAGNET_COMPRESS=fp16/int8): the exact
+    /// Compressed-payload staging (RunConfig::row_compress()): the exact
     /// pack above is re-encoded per destination chunk into send_bytes,
     /// and the byte offsets replace the element offsets on the wire.
     /// Same release discipline as send_buf (peers read it at their
@@ -351,12 +258,15 @@ struct HaloPlan {
   };
   std::array<PackBuf, 2> pack;
   int next_pack = 0;          ///< which PackBuf the next exchange claims
+  /// Codec of the row payloads (RunConfig::row_compress(); kOff = exact
+  /// rows), fixed by the plan's owner at construction.
+  CompressMode codec = CompressMode::kOff;
   /// Decode target for compressed halo rows: the forward decodes each
   /// peer's chunk at recv_row_offsets[j]*f; the backward at
   /// land_row_offsets[r]*f. Sized by the caller before the sweep.
   std::vector<Real> recv_decode;
 
-  /// Bounded-staleness refresh state (CAGNET_STALE; armed per epoch by
+  /// Bounded-staleness refresh state (RunConfig::stale_k; armed per epoch by
   /// halo_begin_epoch, consumed by halo_spmm_pipeline). The cache holds
   /// the *landed* rows of each forward exchange — one slot per forward
   /// layer, laid out at the exchange's effective receive offsets — so a
@@ -366,6 +276,7 @@ struct HaloPlan {
   /// epoch).
   struct StaleState {
     bool active = false;      ///< cache machinery armed for this epoch
+    bool adaptive = false;    ///< armed in the adaptive policy
     bool epoch_skip = false;  ///< fixed mode: replay every peer, no exchange
     bool use_eff = false;     ///< adaptive: ship the thinned send set
     int cur_slot = 0;         ///< forward-exchange slot of the current call
@@ -394,7 +305,7 @@ struct HaloPlan {
   };
   StaleState stale;
 
-  /// Aggregation-before-communication plan (CAGNET_PREAGG; built once by
+  /// Aggregation-before-communication plan (RunConfig::preagg; built once by
   /// build_preagg_plan next to the halo plan). Both endpoints of a
   /// (source, dest) pair derive the same structural decision from the
   /// same A^T coupling block — aggregate exactly when the block has
@@ -441,7 +352,8 @@ void build_halo_plan(const std::function<const Csr*(int)>& block_of,
 
 /// Arm (or disarm) the plan's bounded-staleness state for one epoch,
 /// called by the algebra's begin_epoch hook before the first forward
-/// exchange. Fixed mode (stale_k() >= 2) decides refresh-vs-replay from
+/// exchange, with the trainer's `run` modes. Fixed mode (run.stale_k >= 2)
+/// decides refresh-vs-replay from
 /// the absolute epoch and the plan's last refresh epoch — both evolve
 /// identically on every rank, so skip epochs can elide the collective
 /// entirely. Adaptive mode folds the previous refresh's L2 deltas into
@@ -451,8 +363,8 @@ void build_halo_plan(const std::function<const Csr*(int)>& block_of,
 /// zero-length chunks for skipped pairs. epoch < 0 disarms (exact path;
 /// used by out-of-band forwards like gather_output). No-op state when
 /// stale is off, k == 1, the plan is not ready, or p == 1.
-void halo_begin_epoch(int epoch, bool halo_active, Comm& comm,
-                      HaloPlan& plan);
+void halo_begin_epoch(int epoch, bool halo_active, const RunConfig& run,
+                      Comm& comm, HaloPlan& plan);
 
 /// Build the plan's aggregation-before-communication side tables from the
 /// global A^T (`at`): `peer_rows(j)` returns peer j's [row_lo, row_hi)
@@ -550,11 +462,6 @@ EpochResult reduce_loss_accuracy(const Matrix& local_log_probs, Index row_lo,
                                  const std::vector<Index>& labels,
                                  Index labeled_count, Comm& comm,
                                  std::array<double, 4>& scratch);
-
-/// dL/d(H^L) for the local row block under global-mean NLL.
-Matrix local_nll_gradient(const Matrix& local_log_probs, Index row_lo,
-                          const std::vector<Index>& labels,
-                          Index labeled_count);
 
 /// Average degree of a CSR block (nnz / rows), guarding empty blocks.
 double block_degree(const Csr& block);
@@ -717,12 +624,14 @@ void allgather_feature_rows(const Matrix& local, Index full_cols, int parts,
 /// its own, a split of the reduction group with unchanged rank order, so
 /// sums and charges are the group's. And the helpers keep at most 8
 /// reductions (and, at finish, 8 row gathers) in flight, completing the
-/// oldest first, so a model of any depth fits the ring. Under
-/// CAGNET_COMPRESS != off the sums run through the lossy codec with error
+/// oldest first, so a model of any depth fits the ring. Under a `codec`
+/// other than kOff the sums run through the lossy codec with error
 /// feedback, one residual store per layer (layer order is the call order
 /// within an epoch, so each layer's residual is continuous across
 /// epochs).
 struct PendingGradReduce {
+  /// Gradient codec (RunConfig::compress), fixed at construction.
+  CompressMode codec = CompressMode::kOff;
   std::vector<Matrix> src;                 ///< staged partials (per layer)
   std::vector<Matrix> reduced;             ///< slice-family reduce targets
   /// Slice-family gather staging. unique_ptr: in-flight gathers hold the
@@ -733,7 +642,7 @@ struct PendingGradReduce {
   std::vector<Matrix*> targets;            ///< y_full per layer
   std::vector<std::pair<Index, Index>> dims;  ///< (f_in, f_out) per layer
   std::size_t count = 0;                   ///< layers posted this epoch
-  /// Compressed-path state (CAGNET_COMPRESS != off). One CompressBuf per
+  /// Compressed-path state (codec != kOff). One CompressBuf per
   /// layer, error feedback on: the residual store is the codec's memory
   /// across epochs, so slot i must always serve the same layer.
   /// unique_ptr for address stability while in-flight ops hold the slot.

@@ -60,6 +60,14 @@ DistEngine::DistEngine(const DistProblem& problem, GnnConfig config,
   CAGNET_CHECK(config_.dims.front() == g.feature_dim(),
                "input dim must match graph features");
 
+  if (algebra_->run().sample) {
+    CAGNET_CHECK(algebra_->sample_comm() != nullptr,
+                 std::string("sampled training requires a row-partitioned "
+                             "algebra exposing sample_comm(); '") +
+                     algebra_->name() + "' cannot run RunConfig::sample");
+    dist::SampledRunner::check(config_, algebra_->run());
+  }
+
   weights_ = make_weights(config_);
   optimizer_.emplace(config_.optimizer, config_.learning_rate, weights_);
   gradients_.resize(weights_.size());
@@ -218,17 +226,9 @@ void DistEngine::step() {
 void DistEngine::set_start_epoch(int epoch) { epoch_ = epoch; }
 
 EpochResult DistEngine::train_epoch_sampled() {
-  Comm* sample = algebra_->sample_comm();
-  CAGNET_CHECK(sample != nullptr,
-               std::string("sampled training requires a row-partitioned "
-                           "algebra exposing sample_comm(); '") +
-                   algebra_->name() + "' does not support CAGNET_SAMPLE");
   if (sampler_ == nullptr) {
-    MiniBatchOptions options;
-    options.fanouts = dist::sample_fanouts();
-    options.batch_size = dist::sample_batch_size();
     sampler_ = std::make_unique<dist::SampledRunner>(
-        problem_, config_, *algebra_, *sample, std::move(options));
+        problem_, config_, *algebra_, *algebra_->sample_comm());
   }
   Comm& world = algebra_->world();
   const CostMeter before = world.meter();
@@ -242,7 +242,7 @@ EpochResult DistEngine::train_epoch_sampled() {
 }
 
 EpochResult DistEngine::train_epoch() {
-  if (dist::sample_enabled()) return train_epoch_sampled();
+  if (algebra_->run().sample) return train_epoch_sampled();
   Comm& world = algebra_->world();
   const CostMeter before = world.meter();
   stats_ = EpochStats{};
@@ -253,7 +253,7 @@ EpochResult DistEngine::train_epoch() {
   world.quiesce();
 
   // Arm the algebra's adaptive-rate state (bounded-staleness halo
-  // refresh) for this epoch. No-op unless CAGNET_STALE selects a lossy
+  // refresh) for this epoch. No-op unless run().stale_k selects a lossy
   // mode; collective in adaptive mode, so it runs in lockstep here.
   algebra_->begin_epoch(epoch_);
 
@@ -278,7 +278,7 @@ EpochStats DistEngine::reduce_epoch_stats() const {
 }
 
 Matrix DistEngine::gather_output() {
-  if (dist::sample_enabled()) {
+  if (algebra_->run().sample) {
     // Sampled epochs never materialize the full-graph output; inference
     // runs one full-batch forward with the current weights first — with
     // the staleness machinery disarmed (inference is exact; the cache

@@ -39,7 +39,11 @@ class SampledRunner;
 /// 2D/3D families split features across process columns.
 class DistSpmmAlgebra {
  public:
-  explicit DistSpmmAlgebra(MachineModel machine) : machine_(machine) {}
+  /// Throws Error when `run` fails RunConfig::validate.
+  DistSpmmAlgebra(const RunConfig& run, MachineModel machine)
+      : machine_(machine), run_(run) {
+    run_.validate();
+  }
   virtual ~DistSpmmAlgebra() = default;
 
   DistSpmmAlgebra(const DistSpmmAlgebra&) = delete;
@@ -56,6 +60,10 @@ class DistSpmmAlgebra {
   /// Target machine for modeled local-kernel work and for folding overlap
   /// regions (CostMeter overlap accounting). Purely local.
   const MachineModel& machine() const { return machine_; }
+
+  /// The run's modes, fixed at construction (identical on every rank).
+  /// The engine and the sampled runner read theirs here. Purely local.
+  const RunConfig& run() const { return run_; }
 
   // ---- Local layout (all purely local queries) ----
 
@@ -161,7 +169,7 @@ class DistSpmmAlgebra {
   /// inference). The 1D/1.5D families arm their halo plan's adaptive-rate
   /// state here (dist::halo_begin_epoch); collective in adaptive stale
   /// mode (the per-epoch want-flag exchange runs inside), a purely local
-  /// decision otherwise. A no-op by default and whenever CAGNET_STALE is
+  /// decision otherwise. A no-op by default and whenever run().stale_k is
   /// off.
   virtual void begin_epoch(int epoch) { (void)epoch; }
 
@@ -190,6 +198,7 @@ class DistSpmmAlgebra {
 
  private:
   MachineModel machine_;
+  RunConfig run_;
 };
 
 /// The single shared trainer: one full-batch GCN epoch (forward, loss,
@@ -199,6 +208,9 @@ class DistSpmmAlgebra {
 class DistEngine : public DistTrainer {
  public:
   /// Collective constructor: call on every rank of the algebra's world.
+  /// The modes are the algebra's run(); a sampled run on an algebra
+  /// without sample_comm(), or with fanouts that do not fit the model,
+  /// throws Error here.
   DistEngine(const DistProblem& problem, GnnConfig config,
              std::unique_ptr<DistSpmmAlgebra> algebra);
 

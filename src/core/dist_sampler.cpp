@@ -15,25 +15,13 @@ namespace cagnet {
 
 namespace dist {
 
-SampledRunner::SampledRunner(const DistProblem& problem,
-                             const GnnConfig& config,
-                             DistSpmmAlgebra& algebra, Comm& comm,
-                             MiniBatchOptions options)
-    : problem_(problem), config_(config), algebra_(algebra), comm_(comm),
-      machine_(algebra.machine()), options_(std::move(options)) {
-  const Index layers = config_.num_layers();
-  CAGNET_CHECK(static_cast<Index>(options_.fanouts.size()) == layers,
+void SampledRunner::check(const GnnConfig& config, const RunConfig& run) {
+  const Index layers = config.num_layers();
+  CAGNET_CHECK(static_cast<Index>(run.sample_fanouts.size()) == layers,
                "sampled training: fanouts length (" +
-                   std::to_string(options_.fanouts.size()) +
+                   std::to_string(run.sample_fanouts.size()) +
                    ") must equal the model's layer count (" +
                    std::to_string(layers) + ")");
-  for (Index fanout : options_.fanouts) {
-    CAGNET_CHECK(fanout > 0,
-                 "sampled training: fanouts must be positive (use "
-                 "kSampleAll for an uncapped hop)");
-  }
-  CAGNET_CHECK(options_.batch_size > 0,
-               "sampled training: batch size must be positive");
   // The next batch's layer-0 exchange stays posted across this batch's
   // backward, which posts one contribution exchange per layer on the same
   // communicator. A channel is reused only after every rank finished its
@@ -45,6 +33,17 @@ SampledRunner::SampledRunner(const DistProblem& problem,
                    std::to_string(detail::kAsyncChannels - 1) +
                    " layers (the prefetched exchange must fit the "
                    "communicator's channel ring)");
+}
+
+SampledRunner::SampledRunner(const DistProblem& problem,
+                             const GnnConfig& config,
+                             DistSpmmAlgebra& algebra, Comm& comm)
+    : problem_(problem), config_(config), algebra_(algebra), comm_(comm),
+      machine_(algebra.machine()) {
+  const Index layers = config_.num_layers();
+  check(config_, algebra_.run());
+  options_.fanouts = algebra_.run().sample_fanouts;
+  options_.batch_size = algebra_.run().sample_batch;
 
   const int p = comm_.size();
   row_lo_ = algebra_.row_lo();
@@ -75,6 +74,7 @@ SampledRunner::SampledRunner(const DistProblem& problem,
     slot.exch.resize(static_cast<std::size_t>(layers));
     for (Exchange& e : slot.exch) {
       e.plan.ready = true;
+      e.plan.codec = algebra_.run().row_compress();
       e.plan.recv_row_offsets.assign(static_cast<std::size_t>(p) + 1, 0);
       e.plan.send_row_offsets.assign(static_cast<std::size_t>(p) + 1, 0);
       e.plan.blocks.resize(static_cast<std::size_t>(p));

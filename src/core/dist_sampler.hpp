@@ -51,14 +51,17 @@ namespace dist {
 /// collective over the sample communicator.
 class SampledRunner {
  public:
+  /// Throws Error unless `run`'s sampling modes fit `config`: one fanout
+  /// per layer, and fewer layers than the channel ring. Purely local;
+  /// DistEngine calls it at construction.
+  static void check(const GnnConfig& config, const RunConfig& run);
+
   /// Collective constructor (one kControl all-reduce fixes the lockstep
   /// batch count). `algebra` must be the row-stripe algebra whose
-  /// sample_comm() returned `comm`; `options.fanouts` must match the
-  /// model's layer count and `options.batch_size` must be positive
-  /// (typed Error otherwise).
+  /// sample_comm() returned `comm`; its run() supplies the fanouts, the
+  /// batch size and the row codec, and must pass check().
   SampledRunner(const DistProblem& problem, const GnnConfig& config,
-                DistSpmmAlgebra& algebra, Comm& comm,
-                MiniBatchOptions options);
+                DistSpmmAlgebra& algebra, Comm& comm);
 
   /// One sampled epoch: shuffle this rank's labeled vertices, then for
   /// every (lockstep) minibatch run sample/pack/exchange -> forward ->

@@ -2,53 +2,13 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
+#include <cstdio>
 #include <filesystem>
 #include <mutex>
 
 #include "src/gnn/checkpoint.hpp"
 
 namespace cagnet {
-
-namespace {
-
-struct CkptKnob {
-  std::mutex mutex;
-  bool initialized = false;
-  int every = 0;
-};
-
-CkptKnob& ckpt_knob() {
-  static CkptKnob k;
-  return k;
-}
-
-}  // namespace
-
-int ckpt_every() {
-  CkptKnob& k = ckpt_knob();
-  std::lock_guard<std::mutex> lock(k.mutex);
-  if (!k.initialized) {
-    const char* env = std::getenv("CAGNET_CKPT_EVERY");
-    if (env != nullptr && env[0] != '\0') {
-      const std::string s(env);
-      CAGNET_CHECK(s.find_first_not_of("0123456789") == std::string::npos,
-                   "CAGNET_CKPT_EVERY: \"" + s +
-                       "\" is not a non-negative integer");
-      k.every = std::atoi(env);
-    }
-    k.initialized = true;
-  }
-  return k.every;
-}
-
-void set_ckpt_every(int every) {
-  CAGNET_CHECK(every >= 0, "set_ckpt_every: interval must be non-negative");
-  CkptKnob& k = ckpt_knob();
-  std::lock_guard<std::mutex> lock(k.mutex);
-  k.every = every;
-  k.initialized = true;
-}
 
 RecoveryReport train_with_recovery(const std::string& algebra,
                                    const DistProblem& problem,
@@ -57,7 +17,9 @@ RecoveryReport train_with_recovery(const std::string& algebra,
   CAGNET_CHECK(!options.ckpt_path.empty(),
                "train_with_recovery: options.ckpt_path is required");
   CAGNET_CHECK(epochs >= 0, "train_with_recovery: epochs must be >= 0");
-  const int every = options.ckpt_every >= 0 ? options.ckpt_every : ckpt_every();
+  CAGNET_CHECK(options.ckpt_every >= 0,
+               "train_with_recovery: options.ckpt_every must be >= 0");
+  const int every = options.ckpt_every;
   const std::string& path = options.ckpt_path;
   if (!options.resume_existing) {
     std::remove(path.c_str());
@@ -92,7 +54,8 @@ RecoveryReport train_with_recovery(const std::string& algebra,
 
     try {
       run_world(p, [&](Comm& world) {
-        auto trainer = make_dist_trainer(algebra, problem, config, world);
+        auto trainer =
+            make_dist_trainer(algebra, problem, config, world, options.run);
         if (have_ckpt) trainer->set_weights(ckpt.weights);
         // Resume epoch-keyed RNG streams (sampled training) where the
         // uninterrupted run would be; a no-op for full-batch trainers.

@@ -25,17 +25,10 @@
 
 namespace cagnet {
 
-/// Checkpoint interval knob: every k epochs rank 0 writes a checkpoint
-/// (0 = periodic checkpointing off). Lazily parsed from CAGNET_CKPT_EVERY
-/// at first use — a malformed value throws a catchable Error then, not a
-/// startup crash. Like the other runtime knobs this is process-global:
-/// flip it only between run_world invocations.
-int ckpt_every();
-void set_ckpt_every(int every);
-
 struct RecoveryOptions {
   std::string ckpt_path;   ///< checkpoint file (required)
-  int ckpt_every = -1;     ///< epochs between checkpoints; -1 = the knob
+  int ckpt_every = 0;      ///< epochs between checkpoints; 0 = none
+  RunConfig run;           ///< every rebuilt world's trainer modes
   int max_restarts = 3;    ///< give up (rethrow) after this many aborts
   bool resume_existing = false;  ///< load ckpt_path if it already exists
 };
@@ -57,7 +50,7 @@ struct RecoveryReport {
 /// `options.max_restarts` times. Rank 0 checkpoints every k epochs.
 /// Throws the abort if restarts are exhausted (or the failure is typed
 /// as something other than CommAborted); throws Error if
-/// options.ckpt_path is empty.
+/// options.ckpt_path is empty or options.ckpt_every is negative.
 RecoveryReport train_with_recovery(const std::string& algebra,
                                    const DistProblem& problem,
                                    const GnnConfig& config, int p, int epochs,

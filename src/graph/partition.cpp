@@ -1,7 +1,6 @@
 #include "src/graph/partition.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <deque>
 #include <numeric>
 #include <sstream>
@@ -9,6 +8,7 @@
 
 #include "src/graph/graph.hpp"
 #include "src/util/error.hpp"
+#include "src/util/knob.hpp"
 
 namespace cagnet {
 
@@ -244,11 +244,13 @@ const PartitionerSpec* find_partitioner(const std::string& name) {
 
 const std::string& default_partitioner_name() {
   static const std::string name = [] {
-    const char* v = std::getenv("CAGNET_PARTITION");
-    if (v != nullptr && find_partitioner(v) != nullptr) {
-      return std::string(v);
+    const std::optional<std::string> v = knob::env("CAGNET_PARTITION");
+    if (!v) return std::string("block");
+    std::vector<std::string> names;
+    for (const PartitionerSpec& spec : partitioner_registry()) {
+      names.push_back(spec.name);
     }
-    return std::string("block");
+    return knob::parse_name("CAGNET_PARTITION", *v, names);
   }();
   return name;
 }

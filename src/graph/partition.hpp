@@ -83,8 +83,8 @@ const std::vector<PartitionerSpec>& partitioner_registry();
 /// Lookup by name; nullptr when unknown.
 const PartitionerSpec* find_partitioner(const std::string& name);
 
-/// The CAGNET_PARTITION environment selection (read once at startup;
-/// defaults to "block" when unset or unknown).
+/// The CAGNET_PARTITION environment selection (read once, at first call;
+/// "block" when unset). An unregistered name throws Error at every call.
 const std::string& default_partitioner_name();
 
 }  // namespace cagnet

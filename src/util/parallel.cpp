@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include "src/util/knob.hpp"
 
 namespace cagnet {
 
@@ -17,14 +18,17 @@ namespace {
 /// Extra concurrent claimants beyond the baseline single caller.
 std::atomic<int> g_extra_shares{0};
 
+/// Largest accepted CAGNET_THREADS.
+constexpr int kMaxThreads = 4096;
+
 /// override_thread_budget value; 0 means "use the environment default".
 std::atomic<int> g_budget_override{0};
 
 int env_thread_budget() {
   static const int budget = [] {
-    if (const char* env = std::getenv("CAGNET_THREADS")) {
-      const int v = std::atoi(env);
-      if (v > 0) return v;
+    if (const std::optional<std::string> env = knob::env("CAGNET_THREADS")) {
+      return static_cast<int>(
+          knob::parse_positive("CAGNET_THREADS", *env, kMaxThreads));
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? static_cast<int>(hw) : 1;

@@ -30,8 +30,9 @@
 namespace cagnet {
 
 /// Process-wide worker-thread budget: the override if set, else
-/// CAGNET_THREADS if set to a positive integer, otherwise
-/// std::thread::hardware_concurrency() (read once).
+/// CAGNET_THREADS if set, otherwise std::thread::hardware_concurrency()
+/// (read once). A CAGNET_THREADS value other than an integer from 1 to
+/// 4096 throws Error.
 int thread_budget();
 
 /// The budget available to one caller right now: thread_budget() divided

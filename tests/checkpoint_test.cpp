@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "src/comm/compress.hpp"
 #include "src/core/algebra_registry.hpp"
 #include "src/gnn/checkpoint.hpp"
 #include "src/graph/graph.hpp"
@@ -24,34 +23,17 @@ namespace {
 /// Weights-only checkpoints capture the complete training state only on
 /// an exact wire: under a lossy codec the error-feedback residual is
 /// deliberately per-run transient state (never serialized), and under
-/// bounded staleness (CAGNET_STALE) the halo cache is equally transient —
-/// a rebuilt world starts invalid and refreshes on its first epoch, so a
-/// resumed lossy run legitimately diverges from the uninterrupted one
-/// (the StaleRestart drill pins that contract). The resume-bitwise
-/// contract here is therefore pinned in exact mode regardless of the
-/// ambient CAGNET_COMPRESS / CAGNET_STALE / CAGNET_PREAGG the suite was
-/// launched with.
-class ExactModeGuard {
- public:
-  ExactModeGuard()
-      : mode_(compress_mode()),
-        stale_(dist::stale_k()),
-        preagg_(dist::preagg_enabled()) {
-    set_compress_mode(CompressMode::kOff);
-    dist::set_stale_k(0);
-    dist::set_preagg_enabled(false);
-  }
-  ~ExactModeGuard() {
-    set_compress_mode(mode_);
-    dist::set_stale_k(stale_);
-    dist::set_preagg_enabled(preagg_);
-  }
-
- private:
-  CompressMode mode_;
-  int stale_;
-  bool preagg_;
-};
+/// bounded staleness (RunConfig::stale_k) the halo cache is equally
+/// transient — a rebuilt world starts invalid and refreshes on its first
+/// epoch, so a resumed lossy run legitimately diverges from the
+/// uninterrupted one (the StaleRestart drill pins that contract). The
+/// resume-bitwise contract here is therefore pinned on the two exact
+/// paths: the broadcasts (RunConfig{}) and the halo exchange.
+std::vector<RunConfig> exact_modes() {
+  RunConfig halo;
+  halo.halo = true;
+  return {RunConfig{}, halo};
+}
 
 Graph small_graph(Index n, Index communities, Index f, Index classes,
                   std::uint64_t seed) {
@@ -80,12 +62,13 @@ struct Trace {
 /// restores its weights from that checkpoint; if `save_path` is non-empty
 /// rank 0 checkpoints the weights after the last epoch.
 Trace train(const std::string& algebra, const DistProblem& problem,
-            const GnnConfig& config, int p, int epochs,
-            const std::string& load_path, const std::string& save_path) {
+            const GnnConfig& config, const RunConfig& mode, int p,
+            int epochs, const std::string& load_path,
+            const std::string& save_path) {
   Trace trace;
   std::mutex mutex;
   run_world(p, [&](Comm& world) {
-    auto trainer = make_dist_trainer(algebra, problem, config, world);
+    auto trainer = make_dist_trainer(algebra, problem, config, world, mode);
     if (!load_path.empty()) {
       trainer->set_weights(load_weights(load_path));
     }
@@ -104,7 +87,6 @@ Trace train(const std::string& algebra, const DistProblem& problem,
 }
 
 TEST(CheckpointRoundTrip, ResumeIsBitwiseAcrossAllAlgebras) {
-  ExactModeGuard exact;
   const Graph g = small_graph(160, 8, 8, 4, 77);
   GnnConfig config = GnnConfig::three_layer(8, 4, 6);
   config.learning_rate = 0.1;
@@ -117,36 +99,38 @@ TEST(CheckpointRoundTrip, ResumeIsBitwiseAcrossAllAlgebras) {
     int p;
   } cases[] = {{"1d", 4}, {"1.5d-c2", 4}, {"2d", 4}, {"3d", 8}};
 
-  for (const auto& c : cases) {
-    SCOPED_TRACE(c.algebra);
-    const std::string path =
-        (std::filesystem::temp_directory_path() /
-         (std::string("cagnet_ckpt_") + c.algebra + ".bin"))
-            .string();
+  for (const RunConfig& mode : exact_modes()) {
+    for (const auto& c : cases) {
+      SCOPED_TRACE(std::string(c.algebra) + (mode.halo ? " halo" : ""));
+      const std::string path =
+          (std::filesystem::temp_directory_path() /
+           (std::string("cagnet_ckpt_") + c.algebra + ".bin"))
+              .string();
 
-    // Oracle: train straight through, no interruption.
-    const Trace oracle =
-        train(c.algebra, problem, config, c.p, pre + post, "", "");
+      // Oracle: train straight through, no interruption.
+      const Trace oracle =
+          train(c.algebra, problem, config, mode, c.p, pre + post, "", "");
 
-    // Interrupted run: train, checkpoint, reload into a fresh world,
-    // continue. Bitwise identity of the continuation is the contract.
-    train(c.algebra, problem, config, c.p, pre, "", path);
-    const Trace resumed =
-        train(c.algebra, problem, config, c.p, post, path, "");
-    std::remove(path.c_str());
+      // Interrupted run: train, checkpoint, reload into a fresh world,
+      // continue. Bitwise identity of the continuation is the contract.
+      train(c.algebra, problem, config, mode, c.p, pre, "", path);
+      const Trace resumed =
+          train(c.algebra, problem, config, mode, c.p, post, path, "");
+      std::remove(path.c_str());
 
-    ASSERT_EQ(oracle.losses.size(), static_cast<std::size_t>(pre + post));
-    ASSERT_EQ(resumed.losses.size(), static_cast<std::size_t>(post));
-    for (int e = 0; e < post; ++e) {
-      EXPECT_EQ(resumed.losses[static_cast<std::size_t>(e)],
-                oracle.losses[static_cast<std::size_t>(pre + e)])
-          << "epoch " << pre + e;
-    }
-    ASSERT_EQ(resumed.weights.size(), oracle.weights.size());
-    for (std::size_t l = 0; l < oracle.weights.size(); ++l) {
-      EXPECT_LE(Matrix::max_abs_diff(resumed.weights[l], oracle.weights[l]),
-                Real{0})
-          << "layer " << l;
+      ASSERT_EQ(oracle.losses.size(), static_cast<std::size_t>(pre + post));
+      ASSERT_EQ(resumed.losses.size(), static_cast<std::size_t>(post));
+      for (int e = 0; e < post; ++e) {
+        EXPECT_EQ(resumed.losses[static_cast<std::size_t>(e)],
+                  oracle.losses[static_cast<std::size_t>(pre + e)])
+            << "epoch " << pre + e;
+      }
+      ASSERT_EQ(resumed.weights.size(), oracle.weights.size());
+      for (std::size_t l = 0; l < oracle.weights.size(); ++l) {
+        EXPECT_LE(Matrix::max_abs_diff(resumed.weights[l], oracle.weights[l]),
+                  Real{0})
+            << "layer " << l;
+      }
     }
   }
 }
@@ -156,7 +140,8 @@ TEST(CheckpointRoundTrip, SetWeightsRejectsShapeMismatch) {
   const GnnConfig config = GnnConfig::three_layer(8, 4, 6);
   const DistProblem problem = DistProblem::prepare(g);
   run_world(1, [&](Comm& world) {
-    auto trainer = make_dist_trainer("1d", problem, config, world);
+    auto trainer =
+        make_dist_trainer("1d", problem, config, world, RunConfig{});
     std::vector<Matrix> wrong_count;
     EXPECT_THROW(trainer->set_weights(wrong_count), Error);
     std::vector<Matrix> wrong_shape = trainer->weights();

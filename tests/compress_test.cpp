@@ -31,21 +31,13 @@ std::vector<Real> wave(std::size_t n, int salt) {
   return v;
 }
 
-/// Restore the process-global compression mode (and the halo toggle) on
-/// scope exit, so these tests behave identically whatever ambient
-/// CAGNET_COMPRESS the suite was launched under.
-class ModeGuard {
- public:
-  ModeGuard() : mode_(compress_mode()), halo_(dist::halo_enabled()) {}
-  ~ModeGuard() {
-    set_compress_mode(mode_);
-    dist::set_halo_enabled(halo_);
-  }
-
- private:
-  CompressMode mode_;
-  bool halo_;
-};
+/// A run mode with the given halo switch and codec.
+RunConfig mode_with(bool halo, CompressMode compress) {
+  RunConfig run;
+  run.halo = halo;
+  run.compress = compress;
+  return run;
+}
 
 // ---- Codec units ----
 
@@ -56,7 +48,11 @@ TEST(CompressCodec, NamesParseAndRoundTrip) {
     EXPECT_EQ(parse_compress_mode(compress_mode_name(mode)), mode);
   }
   EXPECT_THROW(parse_compress_mode("zstd"), Error);
-  EXPECT_EQ(row_compress_mode() == CompressMode::k1Bit, false);
+  // Row payloads take fp16/int8 only; 1-bit leaves them exact.
+  EXPECT_EQ(mode_with(true, CompressMode::k1Bit).row_compress(),
+            CompressMode::kOff);
+  EXPECT_EQ(mode_with(true, CompressMode::kInt8).row_compress(),
+            CompressMode::kInt8);
 }
 
 TEST(CompressCodec, EncodedSizesAndRatios) {
@@ -400,11 +396,12 @@ struct TrainRun {
 };
 
 TrainRun run_trainer(const std::string& algebra, const DistProblem& problem,
-                     const GnnConfig& config, int p, int epochs) {
+                     const GnnConfig& config, int p, int epochs,
+                     const RunConfig& mode) {
   TrainRun run;
   std::mutex mutex;
   run_world(p, [&](Comm& world) {
-    auto trainer = make_dist_trainer(algebra, problem, config, world);
+    auto trainer = make_dist_trainer(algebra, problem, config, world, mode);
     std::vector<Real> losses;
     std::vector<Real> accuracies;
     for (int e = 0; e < epochs; ++e) {
@@ -429,21 +426,19 @@ TEST(LossyTraining, MeteredGradientBytesShrinkOnWire) {
   // all-reduce, so (exact kDense - lossy kDense) is exactly the gradient
   // words that moved to kCompressed — the metered words-on-wire reduction
   // the acceptance asks for (>= 3x int8, >= 20x 1-bit).
-  ModeGuard guard;
-  dist::set_halo_enabled(false);
   const Graph g = learnable_graph(128, 8, 12, 4, 31);
   const GnnConfig config = GnnConfig::three_layer(12, 4, 8);
   const DistProblem problem = DistProblem::prepare(g);
 
-  set_compress_mode(CompressMode::kOff);
-  const TrainRun exact = run_trainer("2d", problem, config, 4, 2);
+  const TrainRun exact = run_trainer("2d", problem, config, 4, 2,
+                                    mode_with(false, CompressMode::kOff));
   EXPECT_EQ(exact.stats.comm.words(CommCategory::kCompressed), 0.0);
 
   for (const auto& [mode, min_ratio] :
        std::vector<std::pair<CompressMode, double>>{
            {CompressMode::kInt8, 3.0}, {CompressMode::k1Bit, 20.0}}) {
-    set_compress_mode(mode);
-    const TrainRun lossy = run_trainer("2d", problem, config, 4, 2);
+    const TrainRun lossy =
+        run_trainer("2d", problem, config, 4, 2, mode_with(false, mode));
     const double moved =
         exact.stats.comm.words(CommCategory::kDense) -
         lossy.stats.comm.words(CommCategory::kDense);
@@ -464,17 +459,15 @@ TEST(LossyTraining, CompressedHaloBitwiseAcrossThreadBudgets) {
   // Within one lossy mode the codec and the pipelined halo drains stay
   // bitwise deterministic whatever the thread budget — same contract the
   // exact runtime upholds.
-  ModeGuard guard;
   const Graph g = learnable_graph(180, 9, 10, 3, 41);
   const GnnConfig config = GnnConfig::three_layer(10, 3, 8);
   const DistProblem problem = DistProblem::prepare(g, 4, "greedy-bfs");
-  dist::set_halo_enabled(true);
-  set_compress_mode(CompressMode::kInt8);
+  const RunConfig int8 = mode_with(true, CompressMode::kInt8);
 
   override_thread_budget(1);
-  const TrainRun one = run_trainer("1d", problem, config, 4, 3);
+  const TrainRun one = run_trainer("1d", problem, config, 4, 3, int8);
   override_thread_budget(8);
-  const TrainRun eight = run_trainer("1d", problem, config, 4, 3);
+  const TrainRun eight = run_trainer("1d", problem, config, 4, 3, int8);
   override_thread_budget(0);
 
   ASSERT_EQ(one.losses.size(), eight.losses.size());
@@ -497,16 +490,14 @@ TEST(LossyTraining, LossyModesReachExactAccuracyWithinTolerance) {
   // trainer every lossy mode must land within tolerance of the exact
   // run's final loss and accuracy (error feedback keeps the gradient
   // quantization from biasing SGD; halo rows are fp16/int8 only).
-  ModeGuard guard;
   const Graph g = learnable_graph(240, 8, 12, 4, 51);
   GnnConfig config = GnnConfig::three_layer(12, 4, 16);
   config.learning_rate = 0.3;
   const int epochs = 60;
   const DistProblem problem = DistProblem::prepare(g, 4, "greedy-bfs");
-  dist::set_halo_enabled(true);
 
-  set_compress_mode(CompressMode::kOff);
-  const TrainRun exact = run_trainer("1d", problem, config, 4, epochs);
+  const TrainRun exact = run_trainer("1d", problem, config, 4, epochs,
+                                    mode_with(true, CompressMode::kOff));
   ASSERT_TRUE(std::isfinite(exact.losses.back()));
   // Community labels are learnable; demand real training so the lossy
   // comparison below is not vacuously satisfied at chance accuracy.
@@ -514,8 +505,8 @@ TEST(LossyTraining, LossyModesReachExactAccuracyWithinTolerance) {
 
   for (CompressMode mode :
        {CompressMode::kFp16, CompressMode::kInt8, CompressMode::k1Bit}) {
-    set_compress_mode(mode);
-    const TrainRun lossy = run_trainer("1d", problem, config, 4, epochs);
+    const TrainRun lossy =
+        run_trainer("1d", problem, config, 4, epochs, mode_with(true, mode));
     EXPECT_TRUE(std::isfinite(lossy.losses.back()))
         << compress_mode_name(mode);
     EXPECT_NEAR(lossy.losses.back(), exact.losses.back(),

@@ -53,11 +53,12 @@ struct TrainedState {
 };
 
 TrainedState train(const std::string& algebra, const DistProblem& problem,
-                   const GnnConfig& config, int p, int epochs) {
+                   const GnnConfig& config, int p, int epochs,
+                   const RunConfig& mode = {}) {
   TrainedState state;
   std::mutex mutex;
   run_world(p, [&](Comm& world) {
-    auto trainer = make_dist_trainer(algebra, problem, config, world);
+    auto trainer = make_dist_trainer(algebra, problem, config, world, mode);
     std::vector<Real> losses;
     std::vector<std::vector<double>> meters;
     for (int e = 0; e < epochs; ++e) {
@@ -137,12 +138,11 @@ TEST(EpochCacheMeter, CachedChargesBitwiseMatchUncachedSeedBehavior) {
     }
     ASSERT_GT(p, 0) << spec.name;
 
-    dist::set_epoch_cache_enabled(true);
+    RunConfig uncached_mode;
+    uncached_mode.epoch_cache = false;
     const TrainedState cached = train(spec.name, problem, config, p, epochs);
-    dist::set_epoch_cache_enabled(false);
     const TrainedState uncached =
-        train(spec.name, problem, config, p, epochs);
-    dist::set_epoch_cache_enabled(true);
+        train(spec.name, problem, config, p, epochs, uncached_mode);
 
     // The cached path must charge exactly the uncached (seed) meters for
     // every epoch and category — latency units and words bitwise equal.
@@ -163,11 +163,9 @@ TEST(EpochCacheMeter, CachedChargesBitwiseMatchUncachedSeedBehavior) {
 TEST(EpochCacheMeter, RepeatedEpochsChargeIdenticalMeters) {
   // Within one cached run, every epoch must charge exactly the same
   // words/latency (the adjacency traffic is epoch-invariant and the dense
-  // traffic sizes never change). Bounded staleness (CAGNET_STALE) makes
-  // halo traffic epoch-VARIANT by design — refresh epochs charge kHalo,
-  // replay epochs don't — so pin the exact per-epoch schedule here.
-  const int ambient_stale = dist::stale_k();
-  dist::set_stale_k(0);
+  // traffic sizes never change). Bounded staleness (RunConfig::stale_k)
+  // makes halo traffic epoch-VARIANT by design — refresh epochs charge
+  // kHalo, replay epochs don't — so this holds on the exact schedule.
   const Graph g = make_graph(128, 8, 10, 3, 73);
   const DistProblem problem = DistProblem::prepare(g);
   GnnConfig config = GnnConfig::three_layer(10, 3, 6);
@@ -181,7 +179,6 @@ TEST(EpochCacheMeter, RepeatedEpochsChargeIdenticalMeters) {
       }
     }
   }
-  dist::set_stale_k(ambient_stale);
 }
 
 }  // namespace

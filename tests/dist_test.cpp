@@ -12,13 +12,9 @@
 #include <string>
 #include <vector>
 
-#include "src/comm/compress.hpp"
 #include "src/core/algebra_registry.hpp"
 #include "src/core/costmodel.hpp"
 #include "src/core/dist15d.hpp"
-#include "src/core/dist1d.hpp"
-#include "src/core/dist2d.hpp"
-#include "src/core/dist3d.hpp"
 #include "src/gnn/serial_trainer.hpp"
 #include "src/graph/datasets.hpp"
 #include "src/sparse/generate.hpp"
@@ -27,31 +23,6 @@ namespace cagnet {
 namespace {
 
 constexpr Real kParityTol = 1e-8;
-
-// Dist-vs-serial exactness is a statement about exact wire contents; an
-// ambient lossy codec (CAGNET_COMPRESS) reroutes the gradient and row
-// reductions through quantized payloads, ambient bounded staleness
-// (CAGNET_STALE >= 2 or adaptive) replays cached halo rows, and ambient
-// pre-aggregation (CAGNET_PREAGG) reassociates the halo sums — so these
-// comparisons only hold in exact mode. MeterPin sets exact mode itself and
-// keeps running.
-#define SKIP_IF_AMBIENT_LOSSY()                                           \
-  do {                                                                    \
-    if (compress_mode() != CompressMode::kOff) {                          \
-      GTEST_SKIP() << "dist-vs-serial exactness requires "                \
-                      "CAGNET_COMPRESS=off (ambient: "                    \
-                   << compress_mode_name(compress_mode()) << ")";         \
-    }                                                                     \
-    if (dist::stale_k() != 0 && dist::stale_k() != 1) {                   \
-      GTEST_SKIP() << "dist-vs-serial exactness requires "                \
-                      "CAGNET_STALE=off (ambient: " << dist::stale_k()    \
-                   << ")";                                                \
-    }                                                                     \
-    if (dist::preagg_enabled()) {                                         \
-      GTEST_SKIP() << "dist-vs-serial exactness requires "                \
-                      "CAGNET_PREAGG=off";                                \
-    }                                                                     \
-  } while (false)
 
 Graph test_graph(Index n, Index f, Index classes, std::uint64_t seed) {
   Rng rng(seed);
@@ -76,14 +47,15 @@ struct RunOutcome {
 };
 
 /// Run `epochs` epochs of the named registry algebra through the shared
-/// engine on a simulated world of `p` ranks.
+/// engine on a simulated world of `p` ranks, in the exact broadcast mode.
 RunOutcome run_distributed(const std::string& algebra, const Graph& g,
                            const GnnConfig& config, int p, int epochs) {
   const DistProblem prob = DistProblem::prepare(g);
   RunOutcome outcome;
   std::mutex mutex;
   run_world(p, [&](Comm& world) {
-    auto trainer = make_dist_trainer(algebra, prob, config, world);
+    auto trainer =
+        make_dist_trainer(algebra, prob, config, world, RunConfig{});
     std::vector<Real> losses;
     for (int e = 0; e < epochs; ++e) {
       losses.push_back(trainer->train_epoch().loss);
@@ -142,7 +114,6 @@ std::string case_name(const ::testing::TestParamInfo<AlgebraWorld>& info) {
 class EngineParity : public ::testing::TestWithParam<AlgebraWorld> {};
 
 TEST_P(EngineParity, MatchesSerialLossesAndEmbeddings) {
-  SKIP_IF_AMBIENT_LOSSY();
   const auto [algebra, p] = GetParam();
   const Graph g = test_graph(90, 12, 5, 42);
   GnnConfig config = GnnConfig::three_layer(12, 5, 8);
@@ -178,13 +149,13 @@ TEST(EngineParity, UnknownAlgebraNameThrows) {
   const GnnConfig config = GnnConfig::three_layer(8, 3);
   EXPECT_THROW(run_world(2,
                          [&](Comm& world) {
-                           make_dist_trainer("4d", problem, config, world);
+                           make_dist_trainer("4d", problem, config, world,
+                                             RunConfig{});
                          }),
                Error);
 }
 
 TEST(DistParity, UnevenBlockSizesStillMatch) {
-  SKIP_IF_AMBIENT_LOSSY();
   // n deliberately not divisible by P or the grid dimension.
   const Graph g = test_graph(101, 7, 3, 43);
   GnnConfig config = GnnConfig::three_layer(7, 3, 5);
@@ -196,7 +167,6 @@ TEST(DistParity, UnevenBlockSizesStillMatch) {
 }
 
 TEST(DistParity, DirectedGraphMatchesAcrossAllFamilies) {
-  SKIP_IF_AMBIENT_LOSSY();
   // A directed (asymmetric) adjacency exercises the A-vs-A^T handling: the
   // forward pass multiplies by A^T, the backward by A, and the 2D/3D
   // algebras materialize A through distributed transposes.
@@ -226,7 +196,6 @@ TEST(DistParity, DirectedGraphMatchesAcrossAllFamilies) {
 }
 
 TEST(DistParity, MaskedLabelsMatchSerial) {
-  SKIP_IF_AMBIENT_LOSSY();
   Graph g = test_graph(72, 8, 3, 52);
   for (std::size_t v = 0; v < g.labels.size(); v += 3) g.labels[v] = -1;
   GnnConfig config = GnnConfig::three_layer(8, 3, 5);
@@ -243,7 +212,6 @@ TEST(DistParity, MaskedLabelsMatchSerial) {
 }
 
 TEST(DistParity, DeepNetworkMatchesOn3D) {
-  SKIP_IF_AMBIENT_LOSSY();
   const Graph g = test_graph(100, 6, 3, 53);
   GnnConfig config;
   config.dims = {6, 10, 10, 10, 10, 3};  // 5 layers
@@ -257,7 +225,6 @@ TEST(DistParity, DeeperThanChannelRingMatchesSerial) {
   // of the backward. Twenty layers outnumber the 16 channels of a
   // communicator, so the deferred reductions must retire early enough to
   // keep posting (a hang here, not a mismatch, is the failure mode).
-  SKIP_IF_AMBIENT_LOSSY();
   const Graph g = test_graph(64, 6, 3, 54);
   GnnConfig config;
   config.dims.assign(21, 6);
@@ -281,7 +248,6 @@ TEST(DistParity, TwoDOnAnEightByEightGridMatchesSerial) {
   // At q = 8 the process column carries 16 SUMMA panels in one backward
   // layer, more than the channel ring holds, while the column's gradient
   // reductions are still pending; they must not share its channels.
-  SKIP_IF_AMBIENT_LOSSY();
   const Graph g = test_graph(128, 8, 4, 55);
   const GnnConfig config = GnnConfig::three_layer(8, 4, 8);
   const RunOutcome serial = run_serial(g, config, 2);
@@ -298,7 +264,8 @@ TEST(DistParity, ConfigGraphMismatchThrowsInWorld) {
   const DistProblem problem = DistProblem::prepare(g);
   EXPECT_THROW(run_world(4,
                          [&](Comm& world) {
-                           Dist2D trainer(problem, bad, world);
+                           make_dist_trainer("2d", problem, bad, world,
+                                             RunConfig{});
                          }),
                Error);
 }
@@ -309,7 +276,8 @@ TEST(DistParity, ThreeDRejectsNonCubeWorld) {
   const GnnConfig config = GnnConfig::three_layer(8, 3);
   EXPECT_THROW(run_world(4,
                          [&](Comm& world) {
-                           Dist3D trainer(problem, config, world);
+                           make_dist_trainer("3d", problem, config, world,
+                                             RunConfig{});
                          }),
                Error);
 }
@@ -320,7 +288,8 @@ TEST(DistParity, FifteenDRejectsBadReplication) {
   const GnnConfig config = GnnConfig::three_layer(8, 3);
   EXPECT_THROW(run_world(6,
                          [&](Comm& world) {
-                           Dist15D trainer(problem, config, world, 4);
+                           Algebra15D algebra(problem, world, 4, RunConfig{},
+                                              MachineModel::summit());
                          }),
                Error);
 }
@@ -329,12 +298,8 @@ TEST(DistMeter, FifteenDDenseTrafficFallsWithReplication) {
   // Section IV-B: c-fold replication cuts the broadcast volume ~1/c once
   // P >> c^2 (the team-reduction terms scale with c/P). The closed form
   // cost_15d predicts a ~0.34x ratio for c=4 at P=64. The claim is about
-  // the *broadcast* algorithm's volumes, so pin the halo exchange off (a
-  // CAGNET_HALO=1 environment would replace the backward reduce-scatter
-  // with the sparsity-aware contribution exchange at c=1 and skew the
-  // ratio; halo-mode volumes are covered by tests/halo_test.cpp).
-  const bool halo_was = dist::halo_enabled();
-  dist::set_halo_enabled(false);
+  // the *broadcast* algorithm's volumes (halo-mode volumes are covered by
+  // tests/halo_test.cpp).
   const Graph g = test_graph(256, 16, 4, 57);
   GnnConfig config;
   config.dims = {16, 16, 16, 4};
@@ -342,7 +307,10 @@ TEST(DistMeter, FifteenDDenseTrafficFallsWithReplication) {
   const auto measure = [&](int c) {
     double words = 0;
     run_world(64, [&](Comm& world) {
-      Dist15D trainer(problem, config, world, c);
+      DistEngine trainer(problem, config,
+                         std::make_unique<Algebra15D>(
+                             problem, world, c, RunConfig{},
+                             MachineModel::summit()));
       trainer.train_epoch();
       const EpochStats s = trainer.reduce_epoch_stats();
       if (world.rank() == 0) words = s.comm.words(CommCategory::kDense);
@@ -352,11 +320,9 @@ TEST(DistMeter, FifteenDDenseTrafficFallsWithReplication) {
   const double words_c1 = measure(1);
   const double words_c4 = measure(4);
   EXPECT_LT(words_c4, 0.5 * words_c1);
-  dist::set_halo_enabled(halo_was);
 }
 
 TEST(DistParity, FeatureDimNarrowerThanGridMatchesSerial) {
-  SKIP_IF_AMBIENT_LOSSY();
   // A feature dimension smaller than the grid dimension gives some process
   // columns the full slice and others an empty one — the engine's
   // rows-whole branching must stay uniform across ranks (a per-rank slice
@@ -377,7 +343,6 @@ TEST(DistParity, FeatureDimNarrowerThanGridMatchesSerial) {
 }
 
 TEST(DistParity, TwoLayerNetworkMatches) {
-  SKIP_IF_AMBIENT_LOSSY();
   const Graph g = test_graph(64, 10, 4, 44);
   GnnConfig config;
   config.dims = {10, 4};
@@ -391,7 +356,6 @@ TEST(DistParity, TwoLayerNetworkMatches) {
 class OptimizerParity : public ::testing::TestWithParam<OptimizerKind> {};
 
 TEST_P(OptimizerParity, DistributedMatchesSerial) {
-  SKIP_IF_AMBIENT_LOSSY();
   const Graph g = test_graph(80, 10, 4, 60);
   GnnConfig config = GnnConfig::three_layer(10, 4, 8);
   config.learning_rate = 0.05;
@@ -420,10 +384,7 @@ INSTANTIATE_TEST_SUITE_P(Kinds, OptimizerParity,
 // ---- Metered traffic vs the Section IV closed forms ----
 
 TEST(DistMeter, OneDDenseWordsMatchClosedForm) {
-  // This is a broadcast-path (Algorithm 1) bound: pin the halo exchange
-  // off so a CAGNET_HALO=1 environment cannot reroute the dense words.
-  const bool halo_was = dist::halo_enabled();
-  dist::set_halo_enabled(false);
+  // A broadcast-path (Algorithm 1) bound.
   const Index n = 96;
   const Index f = 8;  // uniform width keeps the formula exact
   const Graph g = test_graph(n, f, 4, 45);
@@ -445,7 +406,6 @@ TEST(DistMeter, OneDDenseWordsMatchClosedForm) {
   const double predicted = cost_1d(in).words;
   EXPECT_GT(dense_words, 0.5 * predicted);
   EXPECT_LT(dense_words, 1.6 * predicted);
-  dist::set_halo_enabled(halo_was);
 }
 
 TEST(DistMeter, TwoDDenseWordsScaleWithSqrtP) {
@@ -492,9 +452,10 @@ TEST(DistParity, GatherOutputIdenticalOnEveryRank) {
   const GnnConfig config = GnnConfig::three_layer(6, 3, 5);
   const DistProblem problem = DistProblem::prepare(g);
   run_world(9, [&](Comm& world) {
-    Dist2D trainer(problem, config, world);
-    trainer.train_epoch();
-    Matrix mine = trainer.gather_output();
+    const auto trainer =
+        make_dist_trainer("2d", problem, config, world, RunConfig{});
+    trainer->train_epoch();
+    Matrix mine = trainer->gather_output();
     // Compare against rank 0's copy via a broadcast.
     Matrix reference = mine;
     world.broadcast(reference.flat(), 0, CommCategory::kControl);
@@ -510,9 +471,10 @@ TEST(DistParity, RepeatedEpochsKeepWeightsReplicated) {
   config.optimizer.kind = OptimizerKind::kAdam;
   const DistProblem problem = DistProblem::prepare(g);
   run_world(8, [&](Comm& world) {
-    Dist3D trainer(problem, config, world);
-    for (int e = 0; e < 4; ++e) trainer.train_epoch();
-    for (const Matrix& w : trainer.weights()) {
+    const auto trainer =
+        make_dist_trainer("3d", problem, config, world, RunConfig{});
+    for (int e = 0; e < 4; ++e) trainer->train_epoch();
+    for (const Matrix& w : trainer->weights()) {
       Matrix reference = w;
       world.broadcast(reference.flat(), 0, CommCategory::kControl);
       ASSERT_LE(Matrix::max_abs_diff(w, reference), 0.0);
@@ -534,7 +496,6 @@ TEST(DistStats, WorkMeterSeesSpmmOnAllRanks) {
 class RandomizedDifferential : public ::testing::TestWithParam<int> {};
 
 TEST_P(RandomizedDifferential, AllFamiliesMatchSerial) {
-  SKIP_IF_AMBIENT_LOSSY();
   const int trial = GetParam();
   Rng rng(1000 + static_cast<std::uint64_t>(trial));
   const Index n = 48 + static_cast<Index>(rng.next_below(80));
@@ -603,11 +564,12 @@ struct MeteredRun {
 
 MeteredRun run_metered(const std::string& algebra,
                        const DistProblem& problem, const GnnConfig& config,
-                       int p, int epochs) {
+                       int p, int epochs, const RunConfig& mode = {}) {
   MeteredRun run;
   std::mutex mutex;
   run_world(p, [&](Comm& world) {
-    auto trainer = make_dist_trainer(algebra, problem, config, world);
+    auto trainer =
+        make_dist_trainer(algebra, problem, config, world, mode);
     std::vector<Real> losses;
     std::vector<std::vector<double>> meters;
     for (int e = 0; e < epochs; ++e) {
@@ -635,39 +597,6 @@ MeteredRun run_metered(const std::string& algebra,
   });
   return run;
 }
-
-/// Pins the exact full-batch mode for the body — halo off, staleness,
-/// pre-aggregation, compression and sampling off — whatever the ambient
-/// CAGNET_* environment selects, and restores the knobs afterwards.
-class ExactModeGuard {
- public:
-  ExactModeGuard()
-      : halo_(dist::halo_enabled()), stale_(dist::stale_k()),
-        preagg_(dist::preagg_enabled()), sample_(dist::sample_enabled()),
-        compress_(compress_mode()) {
-    dist::set_halo_enabled(false);
-    dist::set_stale_k(0);
-    dist::set_preagg_enabled(false);
-    dist::set_sample_enabled(false);
-    set_compress_mode(CompressMode::kOff);
-  }
-  ~ExactModeGuard() {
-    dist::set_halo_enabled(halo_);
-    dist::set_stale_k(stale_);
-    dist::set_preagg_enabled(preagg_);
-    dist::set_sample_enabled(sample_);
-    set_compress_mode(compress_);
-  }
-  ExactModeGuard(const ExactModeGuard&) = delete;
-  ExactModeGuard& operator=(const ExactModeGuard&) = delete;
-
- private:
-  bool halo_;
-  int stale_;
-  bool preagg_;
-  bool sample_;
-  CompressMode compress_;
-};
 
 /// One pinned configuration. `parts` > 0 selects the halo exchange on a
 /// greedy-bfs partition of the community graph into `parts` row blocks;
@@ -722,7 +651,6 @@ TEST(MeterPin, ExactChargesMatchRecordedValues) {
   // word, so the literals are exact doubles and compare with ==. They
   // were recorded when a synchronous schedule still ran beside the
   // overlapped one, and both charged these values bit for bit.
-  ExactModeGuard guard;
   const Graph rmat_graph = test_graph(96, 10, 4, 77);
   const DistProblem identity = DistProblem::prepare(rmat_graph);
   const GnnConfig config = GnnConfig::three_layer(10, 4, 8);
@@ -732,13 +660,14 @@ TEST(MeterPin, ExactChargesMatchRecordedValues) {
 
   for (const MeterPin& pin : meter_pins()) {
     const bool halo = pin.parts > 0;
-    dist::set_halo_enabled(halo);
+    RunConfig mode;
+    mode.halo = halo;
     const DistProblem partitioned =
         halo ? DistProblem::prepare(communities, pin.parts, "greedy-bfs")
              : DistProblem();
     const MeteredRun run = run_metered(
         pin.algebra, halo ? partitioned : identity,
-        halo ? halo_config : config, pin.p, 3);
+        halo ? halo_config : config, pin.p, 3, mode);
     const std::string label = pin.algebra + " p=" + std::to_string(pin.p) +
                               (halo ? " halo" : "");
     ASSERT_EQ(run.epoch_meters.size(), 3u) << label;
@@ -755,7 +684,6 @@ TEST(MeterPin, ExactChargesMatchRecordedValues) {
 }
 
 TEST(Overlap, EveryAlgebraRecordsRegions) {
-  ExactModeGuard guard;
   const Graph g = test_graph(96, 10, 4, 77);
   const DistProblem problem = DistProblem::prepare(g);
   const GnnConfig config = GnnConfig::three_layer(10, 4, 8);
@@ -775,7 +703,6 @@ TEST(Overlap, SingleRankRegionsSaveNothing) {
   // with one stage. Every region pairs zero communication with its
   // compute, so the overlap-folded modeled time equals the serialized one
   // bit for bit.
-  ExactModeGuard guard;
   const Graph g = test_graph(64, 6, 3, 48);
   const DistProblem problem = DistProblem::prepare(g);
   const GnnConfig config = GnnConfig::three_layer(6, 3, 4);
@@ -797,13 +724,12 @@ TEST(EpochCache, CachedEpochsReplayChargesExactly) {
   GnnConfig config = GnnConfig::three_layer(8, 3, 6);
   for (const auto& [algebra, p] :
        {std::pair<std::string, int>{"2d", 4}, {"3d", 8}}) {
-    dist::set_epoch_cache_enabled(true);
+    RunConfig uncached_mode;
+    uncached_mode.epoch_cache = false;
     const MeteredRun cached =
         run_metered(algebra, problem, config, p, 3);
-    dist::set_epoch_cache_enabled(false);
     const MeteredRun uncached =
-        run_metered(algebra, problem, config, p, 3);
-    dist::set_epoch_cache_enabled(true);
+        run_metered(algebra, problem, config, p, 3, uncached_mode);
     for (std::size_t e = 0; e < cached.epoch_meters.size(); ++e) {
       for (std::size_t i = 0; i < cached.epoch_meters[e].size(); ++i) {
         EXPECT_EQ(cached.epoch_meters[e][i], uncached.epoch_meters[e][i])

@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "src/comm/compress.hpp"
 #include "src/comm/fault.hpp"
 #include "src/core/algebra_registry.hpp"
 #include "src/core/recovery.hpp"
@@ -33,43 +32,17 @@ class FaultPlanGuard {
   ~FaultPlanGuard() { clear_fault_plan(); }
 };
 
-/// Pin the exact wire for resume-bitwise drills: the error-feedback
-/// residual (CAGNET_COMPRESS) and the stale halo cache (CAGNET_STALE /
-/// CAGNET_PREAGG) are per-run transient state never captured by a
-/// checkpoint, so a restarted lossy run legitimately diverges from the
-/// uninterrupted oracle.
-class ExactModeGuard {
- public:
-  ExactModeGuard()
-      : mode_(compress_mode()),
-        stale_(dist::stale_k()),
-        preagg_(dist::preagg_enabled()) {
-    set_compress_mode(CompressMode::kOff);
-    dist::set_stale_k(0);
-    dist::set_preagg_enabled(false);
-  }
-  ~ExactModeGuard() {
-    set_compress_mode(mode_);
-    dist::set_stale_k(stale_);
-    dist::set_preagg_enabled(preagg_);
-  }
-
- private:
-  CompressMode mode_;
-  int stale_;
-  bool preagg_;
-};
-
-class CompressModeGuard {
- public:
-  explicit CompressModeGuard(CompressMode mode) : mode_(compress_mode()) {
-    set_compress_mode(mode);
-  }
-  ~CompressModeGuard() { set_compress_mode(mode_); }
-
- private:
-  CompressMode mode_;
-};
+/// The exact wires of the resume-bitwise drills: the broadcasts
+/// (RunConfig{}) and the halo exchange. The error-feedback residual
+/// (RunConfig::compress) and the stale halo cache (RunConfig::stale_k,
+/// preagg) are per-run transient state never captured by a checkpoint,
+/// so a restarted lossy run legitimately diverges from the uninterrupted
+/// oracle.
+std::vector<RunConfig> exact_modes() {
+  RunConfig halo;
+  halo.halo = true;
+  return {RunConfig{}, halo};
+}
 
 Graph small_graph(Index n, Index communities, Index f, Index classes,
                   std::uint64_t seed) {
@@ -96,10 +69,11 @@ struct Trace {
 
 /// Uninterrupted oracle: train straight through, rank 0's view.
 Trace train_oracle(const std::string& algebra, const DistProblem& problem,
-                   const GnnConfig& config, int p, int epochs) {
+                   const GnnConfig& config, const RunConfig& mode, int p,
+                   int epochs) {
   Trace trace;
   run_world(p, [&](Comm& world) {
-    auto trainer = make_dist_trainer(algebra, problem, config, world);
+    auto trainer = make_dist_trainer(algebra, problem, config, world, mode);
     std::vector<Real> losses;
     for (int e = 0; e < epochs; ++e) {
       losses.push_back(trainer->train_epoch().loss);
@@ -471,7 +445,6 @@ TEST(FaultAbort, WorldIsImmediatelyRelaunchableAfterAbort) {
 // ---- Recovery drills: checkpoint/restart closes the loop ----
 
 TEST(RecoveryDrill, RestartIsBitwiseAcrossAlgebras) {
-  ExactModeGuard exact;
   const Graph g = small_graph(160, 8, 8, 4, 77);
   GnnConfig config = GnnConfig::three_layer(8, 4, 6);
   config.learning_rate = 0.1;
@@ -483,53 +456,56 @@ TEST(RecoveryDrill, RestartIsBitwiseAcrossAlgebras) {
     int p;
   } cases[] = {{"1d", 4}, {"1.5d-c2", 4}, {"2d", 4}, {"3d", 8}};
 
-  for (const auto& c : cases) {
-    SCOPED_TRACE(c.algebra);
-    const Trace oracle =
-        train_oracle(c.algebra, problem, config, c.p, epochs);
+  for (const RunConfig& mode : exact_modes()) {
+    for (const auto& c : cases) {
+      SCOPED_TRACE(std::string(c.algebra) + (mode.halo ? " halo" : ""));
+      const Trace oracle =
+          train_oracle(c.algebra, problem, config, mode, c.p, epochs);
 
-    const std::string path =
-        temp_path(std::string("cagnet_drill_") + c.algebra + ".ckpt");
-    RecoveryOptions options;
-    options.ckpt_path = path;
-    options.ckpt_every = 2;
-    RecoveryReport report;
-    {
-      // Kill rank 1 at its 40th publication of any category: lands
-      // mid-training, after checkpoints have started landing.
-      FaultPlanGuard guard(
-          FaultPlan().kill_any(1, FaultSite::kPost, 40));
-      report = train_with_recovery(c.algebra, problem, config, c.p,
-                                   epochs, options);
-    }
-    EXPECT_GE(report.restarts, 1);
-    ASSERT_TRUE(report.last_abort.has_value());
-    EXPECT_EQ(report.last_abort->rank(), 1);
-    EXPECT_GE(report.checkpoints_written, 1);
+      const std::string path =
+          temp_path(std::string("cagnet_drill_") + c.algebra + ".ckpt");
+      RecoveryOptions options;
+      options.ckpt_path = path;
+      options.ckpt_every = 2;
+      options.run = mode;
+      RecoveryReport report;
+      {
+        // Kill rank 1 at its 40th publication of any category: lands
+        // mid-training, after checkpoints have started landing.
+        FaultPlanGuard guard(
+            FaultPlan().kill_any(1, FaultSite::kPost, 40));
+        report = train_with_recovery(c.algebra, problem, config, c.p,
+                                     epochs, options);
+      }
+      EXPECT_GE(report.restarts, 1);
+      ASSERT_TRUE(report.last_abort.has_value());
+      EXPECT_EQ(report.last_abort->rank(), 1);
+      EXPECT_GE(report.checkpoints_written, 1);
 
-    // The recovered run is indistinguishable from the oracle: same
-    // per-epoch losses, bitwise-identical final weights.
-    EXPECT_EQ(report.losses, oracle.losses);
-    ASSERT_EQ(report.weights.size(), oracle.weights.size());
-    for (std::size_t l = 0; l < oracle.weights.size(); ++l) {
-      EXPECT_LE(Matrix::max_abs_diff(report.weights[l], oracle.weights[l]),
-                Real{0})
-          << "layer " << l;
+      // The recovered run is indistinguishable from the oracle: same
+      // per-epoch losses, bitwise-identical final weights.
+      EXPECT_EQ(report.losses, oracle.losses);
+      ASSERT_EQ(report.weights.size(), oracle.weights.size());
+      for (std::size_t l = 0; l < oracle.weights.size(); ++l) {
+        EXPECT_LE(Matrix::max_abs_diff(report.weights[l], oracle.weights[l]),
+                  Real{0})
+            << "layer " << l;
+      }
+      // Atomic writes: no half-written temp file survives.
+      EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+      std::remove(path.c_str());
     }
-    // Atomic writes: no half-written temp file survives.
-    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
-    std::remove(path.c_str());
   }
 }
 
 TEST(RecoveryDrill, RestartFromScratchWhenKilledBeforeFirstCheckpoint) {
-  ExactModeGuard exact;
   const Graph g = small_graph(96, 4, 8, 4, 31);
   GnnConfig config = GnnConfig::three_layer(8, 4, 6);
   config.learning_rate = 0.1;
   const DistProblem problem = DistProblem::prepare(g);
   const int epochs = 3;
-  const Trace oracle = train_oracle("1d", problem, config, 4, epochs);
+  const Trace oracle =
+      train_oracle("1d", problem, config, RunConfig{}, 4, epochs);
 
   const std::string path = temp_path("cagnet_drill_scratch.ckpt");
   RecoveryOptions options;
@@ -557,7 +533,6 @@ TEST(RecoveryDrill, Int8CompressedRunRecovers) {
   // Under a lossy codec the EF residuals are transient per-world state,
   // so recovery is convergence-preserving rather than bitwise; the drill
   // asserts completion with a sane loss trajectory after the restart.
-  CompressModeGuard int8(CompressMode::kInt8);
   const Graph g = small_graph(96, 4, 8, 4, 31);
   GnnConfig config = GnnConfig::three_layer(8, 4, 6);
   config.learning_rate = 0.1;
@@ -568,6 +543,7 @@ TEST(RecoveryDrill, Int8CompressedRunRecovers) {
   RecoveryOptions options;
   options.ckpt_path = path;
   options.ckpt_every = 1;
+  options.run.compress = CompressMode::kInt8;
   RecoveryReport report;
   {
     FaultPlanGuard guard(FaultPlan().kill(
@@ -585,7 +561,6 @@ TEST(RecoveryDrill, Int8CompressedRunRecovers) {
 }
 
 TEST(RecoveryDrill, RestartsExhaustedRethrowsAbort) {
-  ExactModeGuard exact;
   const Graph g = small_graph(64, 4, 8, 4, 11);
   GnnConfig config = GnnConfig::three_layer(8, 4, 6);
   const DistProblem problem = DistProblem::prepare(g);
@@ -606,12 +581,16 @@ TEST(RecoveryDrill, RestartsExhaustedRethrowsAbort) {
   std::remove(path.c_str());
 }
 
-TEST(CkptEveryKnob, RejectsNegativeAndParsesEnvLazily) {
-  const int was = ckpt_every();
-  set_ckpt_every(4);
-  EXPECT_EQ(ckpt_every(), 4);
-  EXPECT_THROW(set_ckpt_every(-1), Error);
-  set_ckpt_every(was);
+TEST(RecoveryDrill, NegativeCheckpointIntervalIsTypedError) {
+  const Graph g = small_graph(64, 4, 8, 4, 11);
+  const DistProblem problem = DistProblem::prepare(g);
+  RecoveryOptions options;
+  options.ckpt_path = temp_path("cagnet_drill_negative.ckpt");
+  options.ckpt_every = -1;
+  EXPECT_THROW(train_with_recovery("1d", problem,
+                                   GnnConfig::three_layer(8, 4, 6), 2, 1,
+                                   options),
+               Error);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Partition-aware layouts and the sparsity-aware halo exchange.
 //
-// The HaloParity suite is the contract of dist::set_halo_enabled: for every
+// The HaloParity suite is the contract of RunConfig::halo: for every
 // rows-whole algebra, world size, and partitioner, the halo path must
 // reproduce the broadcast path's losses, accuracy, weights, and embeddings
 // *bitwise* while metering strictly less traffic. The exact
@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "src/comm/compress.hpp"
 #include "src/core/algebra_registry.hpp"
 #include "src/core/costmodel.hpp"
 #include "src/core/dist15d.hpp"
@@ -30,29 +29,6 @@ namespace cagnet {
 namespace {
 
 constexpr Real kParityTol = 1e-8;
-
-/// Cross-path exactness (halo vs broadcast, distributed vs serial) is a
-/// contract of exact traffic: an ambient lossy codec (CAGNET_COMPRESS)
-/// re-encodes the halo payload but not the broadcasts, so the paths
-/// legitimately diverge. Those tests skip themselves under a lossy mode;
-/// within-mode parity (thread budgets under the same codec) still runs
-/// and must stay bitwise. Lossy-mode accuracy is compress_test's.
-#define SKIP_IF_AMBIENT_LOSSY()                                           \
-  do {                                                                    \
-    if (compress_mode() != CompressMode::kOff) {                          \
-      GTEST_SKIP() << "cross-path exactness holds only for exact "        \
-                      "traffic (CAGNET_COMPRESS="                         \
-                   << compress_mode_name(compress_mode()) << ")";         \
-    }                                                                     \
-    if (dist::stale_k() != 0 && dist::stale_k() != 1) {                   \
-      GTEST_SKIP() << "cross-path exactness holds only for exact "        \
-                      "traffic (CAGNET_STALE=" << dist::stale_k() << ")"; \
-    }                                                                     \
-    if (dist::preagg_enabled()) {                                         \
-      GTEST_SKIP() << "cross-path exactness holds only for exact "       \
-                      "traffic (CAGNET_PREAGG=on)";                       \
-    }                                                                     \
-  } while (false)
 
 /// Community-structured graph (no hubs): the regime where a locality
 /// partitioner shrinks the halo.
@@ -85,11 +61,12 @@ struct HaloRun {
 };
 
 HaloRun run_trainer(const std::string& algebra, const DistProblem& problem,
-                    const GnnConfig& config, int p, int epochs) {
+                    const GnnConfig& config, int p, int epochs,
+                    const RunConfig& mode) {
   HaloRun run;
   std::mutex mutex;
   run_world(p, [&](Comm& world) {
-    auto trainer = make_dist_trainer(algebra, problem, config, world);
+    auto trainer = make_dist_trainer(algebra, problem, config, world, mode);
     std::vector<Real> losses;
     std::vector<Real> accuracies;
     for (int e = 0; e < epochs; ++e) {
@@ -111,15 +88,12 @@ HaloRun run_trainer(const std::string& algebra, const DistProblem& problem,
   return run;
 }
 
-/// Flip the halo toggle around a body, restoring it afterwards.
-class ToggleGuard {
- public:
-  ToggleGuard() : halo_(dist::halo_enabled()) {}
-  ~ToggleGuard() { dist::set_halo_enabled(halo_); }
-
- private:
-  bool halo_;
-};
+/// The exact halo mode; RunConfig{} is the broadcast path it must match.
+RunConfig halo_mode() {
+  RunConfig run;
+  run.halo = true;
+  return run;
+}
 
 // ---- HaloParity: broadcast vs halo, bitwise, across the matrix of
 // algebras x world sizes x partitioners ----
@@ -145,7 +119,6 @@ class HaloParity
     : public ::testing::TestWithParam<std::tuple<HaloCase, std::string>> {};
 
 TEST_P(HaloParity, BitwiseMatchesBroadcastPath) {
-  SKIP_IF_AMBIENT_LOSSY();
   const auto [c, partitioner] = GetParam();
   const Graph g = community_graph(252, 12, 10, 4, 91);
   GnnConfig config = GnnConfig::three_layer(10, 4, 8);
@@ -154,11 +127,10 @@ TEST_P(HaloParity, BitwiseMatchesBroadcastPath) {
   const DistProblem problem =
       DistProblem::prepare(g, c.partition_parts, partitioner);
 
-  ToggleGuard guard;
-  dist::set_halo_enabled(false);
-  const HaloRun bcast = run_trainer(c.algebra, problem, config, c.p, epochs);
-  dist::set_halo_enabled(true);
-  const HaloRun halo = run_trainer(c.algebra, problem, config, c.p, epochs);
+  const HaloRun bcast =
+      run_trainer(c.algebra, problem, config, c.p, epochs, RunConfig{});
+  const HaloRun halo =
+      run_trainer(c.algebra, problem, config, c.p, epochs, halo_mode());
 
   const std::string label =
       c.algebra + " p=" + std::to_string(c.p) + " " + partitioner;
@@ -224,12 +196,12 @@ TEST_P(HaloPipelineParity, BitwiseAcrossThreadBudgetsAndRecordsRegions) {
   const DistProblem problem =
       DistProblem::prepare(g, c.partition_parts, partitioner);
 
-  ToggleGuard guard;
-  dist::set_halo_enabled(true);
   override_thread_budget(1);
-  const HaloRun one = run_trainer(c.algebra, problem, config, c.p, epochs);
+  const HaloRun one =
+      run_trainer(c.algebra, problem, config, c.p, epochs, halo_mode());
   override_thread_budget(8);
-  const HaloRun eight = run_trainer(c.algebra, problem, config, c.p, epochs);
+  const HaloRun eight =
+      run_trainer(c.algebra, problem, config, c.p, epochs, halo_mode());
   override_thread_budget(0);
 
   const std::string label =
@@ -260,13 +232,8 @@ TEST_P(HaloPipelineParity, BitwiseAcrossThreadBudgetsAndRecordsRegions) {
         << label << " latency " << comm_category_name(cat);
   }
   // The pipelined halo path engages the overlap machinery (one region per
-  // drained peer stage). Under ambient bounded staleness the metered
-  // epoch may be a cache-replay epoch that elides the exchange entirely,
-  // so the engagement assertion only applies on an exact refresh
-  // schedule.
-  if (dist::stale_k() == 0 || dist::stale_k() == 1) {
-    EXPECT_GT(one.stats.comm.overlap_regions(), 0.0) << label;
-  }
+  // drained peer stage).
+  EXPECT_GT(one.stats.comm.overlap_regions(), 0.0) << label;
   EXPECT_GE(one.stats.comm.overlap_saved_seconds(), 0.0) << label;
 }
 
@@ -284,21 +251,19 @@ TEST(HaloOverlap, ThreadedPackParityOnLargePipelinedExchange) {
   GnnConfig config = GnnConfig::three_layer(32, 8, 16);
   const DistProblem problem = DistProblem::prepare(g, 4, "random");
 
-  ToggleGuard guard;
-  dist::set_halo_enabled(true);
   override_thread_budget(8);
-  const HaloRun threaded = run_trainer("1d", problem, config, 4, 2);
+  const HaloRun threaded =
+      run_trainer("1d", problem, config, 4, 2, halo_mode());
   override_thread_budget(1);
-  const HaloRun serial = run_trainer("1d", problem, config, 4, 2);
+  const HaloRun serial =
+      run_trainer("1d", problem, config, 4, 2, halo_mode());
   override_thread_budget(0);
 
   for (std::size_t e = 0; e < threaded.losses.size(); ++e) {
     EXPECT_EQ(threaded.losses[e], serial.losses[e]) << "epoch " << e;
   }
   EXPECT_LE(Matrix::max_abs_diff(threaded.output, serial.output), Real{0});
-  if (dist::stale_k() == 0 || dist::stale_k() == 1) {
-    EXPECT_GT(threaded.stats.comm.overlap_regions(), 0.0);
-  }
+  EXPECT_GT(threaded.stats.comm.overlap_regions(), 0.0);
 }
 
 // ---- The 1.5D backward contribution exchange ----
@@ -306,8 +271,6 @@ TEST(HaloOverlap, ThreadedPackParityOnLargePipelinedExchange) {
 TEST(HaloBackward15D, EngagesUnderLocalityPartitionAndGatesUnderRandom) {
   const Graph g = community_graph(256, 16, 8, 4, 99, /*intra=*/12.0,
                                   /*inter=*/0.5);
-  ToggleGuard guard;
-  dist::set_halo_enabled(true);
   // Locality partition: the busiest rank's landed contribution rows stay
   // far under the reduce-scatter charge, so the mirrored backward
   // exchange must engage (this is the path the backward-parity cases in
@@ -315,12 +278,13 @@ TEST(HaloBackward15D, EngagesUnderLocalityPartitionAndGatesUnderRandom) {
   {
     const DistProblem problem = DistProblem::prepare(g, 4, "greedy-bfs");
     run_world(8, [&](Comm& world) {
-      Algebra15D algebra(problem, world, 2, MachineModel::summit());
+      Algebra15D algebra(problem, world, 2, halo_mode(),
+                         MachineModel::summit());
       EXPECT_TRUE(algebra.halo_active());
       EXPECT_TRUE(algebra.backward_halo_active());
     });
     run_world(8, [&](Comm& world) {
-      Algebra1D algebra(problem, world, MachineModel::summit());
+      Algebra1D algebra(problem, world, halo_mode(), MachineModel::summit());
       EXPECT_TRUE(algebra.halo_active());
     });
   }
@@ -330,7 +294,8 @@ TEST(HaloBackward15D, EngagesUnderLocalityPartitionAndGatesUnderRandom) {
   {
     const DistProblem problem = DistProblem::prepare(g, 4, "random");
     run_world(8, [&](Comm& world) {
-      Algebra15D algebra(problem, world, 2, MachineModel::summit());
+      Algebra15D algebra(problem, world, 2, halo_mode(),
+                         MachineModel::summit());
       EXPECT_TRUE(algebra.halo_active());
       EXPECT_FALSE(algebra.backward_halo_active());
     });
@@ -338,7 +303,6 @@ TEST(HaloBackward15D, EngagesUnderLocalityPartitionAndGatesUnderRandom) {
 }
 
 TEST(HaloBackward15D, BackwardExchangeShrinksDenseWordsVsReduceScatter) {
-  SKIP_IF_AMBIENT_LOSSY();
   // With the backward exchange engaged, halo-mode kDense words must drop
   // strictly below the broadcast path's (which reduce-scatters the full
   // stripe) — not merely match it.
@@ -347,11 +311,10 @@ TEST(HaloBackward15D, BackwardExchangeShrinksDenseWordsVsReduceScatter) {
   GnnConfig config = GnnConfig::three_layer(8, 4, 6);
   const DistProblem problem = DistProblem::prepare(g, 4, "greedy-bfs");
 
-  ToggleGuard guard;
-  dist::set_halo_enabled(true);
-  const HaloRun halo = run_trainer("1.5d-c2", problem, config, 8, 2);
-  dist::set_halo_enabled(false);
-  const HaloRun bcast = run_trainer("1.5d-c2", problem, config, 8, 2);
+  const HaloRun halo =
+      run_trainer("1.5d-c2", problem, config, 8, 2, halo_mode());
+  const HaloRun bcast =
+      run_trainer("1.5d-c2", problem, config, 8, 2, RunConfig{});
 
   for (std::size_t e = 0; e < halo.losses.size(); ++e) {
     EXPECT_EQ(halo.losses[e], bcast.losses[e]) << "epoch " << e;
@@ -365,7 +328,6 @@ TEST(HaloBackward15D, BackwardExchangeShrinksDenseWordsVsReduceScatter) {
 // ---- The acceptance claim: exact edgecut volume and the >= 3x win ----
 
 TEST(HaloWords, ExactEdgecutVolumeAndReductionAtP16) {
-  SKIP_IF_AMBIENT_LOSSY();
   // Planted-partition graph at P=16 under the greedy-BFS partitioner: the
   // 1D halo path's metered kHalo words must equal
   // max_remote_rows_per_part * (sum of layer input widths) *exactly*, and
@@ -381,11 +343,8 @@ TEST(HaloWords, ExactEdgecutVolumeAndReductionAtP16) {
     sum_f_in += config.dims[l];
   }
 
-  ToggleGuard guard;
-  dist::set_halo_enabled(true);
-  const HaloRun halo = run_trainer("1d", problem, config, p, 2);
-  dist::set_halo_enabled(false);
-  const HaloRun bcast = run_trainer("1d", problem, config, p, 2);
+  const HaloRun halo = run_trainer("1d", problem, config, p, 2, halo_mode());
+  const HaloRun bcast = run_trainer("1d", problem, config, p, 2, RunConfig{});
 
   const double expected =
       static_cast<double>(problem.edgecut.max_remote_rows_per_part) *
@@ -411,7 +370,6 @@ TEST(HaloWords, ExactEdgecutVolumeAndReductionAtP16) {
 // output, serial parity for every family ----
 
 TEST(PartitionedTraining, AllFamiliesMatchSerialUnderEveryPartitioner) {
-  SKIP_IF_AMBIENT_LOSSY();
   const Graph g = community_graph(180, 9, 8, 3, 93);
   GnnConfig config = GnnConfig::three_layer(8, 3, 6);
   const int epochs = 3;
@@ -423,15 +381,15 @@ TEST(PartitionedTraining, AllFamiliesMatchSerialUnderEveryPartitioner) {
   }
   const Matrix& serial_out = serial.activations().back();
 
-  ToggleGuard guard;
-  dist::set_halo_enabled(true);  // 2D/3D ignore the toggle; 1D/1.5D use it
+  // 2D/3D ignore RunConfig::halo; 1D/1.5D use it.
   for (const std::string partitioner : {"random", "greedy-bfs"}) {
     for (const auto& [algebra, p] : {std::pair<std::string, int>{"1d", 5},
                                      {"1.5d-c2", 6},
                                      {"2d", 4},
                                      {"3d", 8}}) {
       const DistProblem problem = DistProblem::prepare(g, p, partitioner);
-      const HaloRun dist = run_trainer(algebra, problem, config, p, epochs);
+      const HaloRun dist =
+          run_trainer(algebra, problem, config, p, epochs, halo_mode());
       const std::string label = algebra + " p=" + std::to_string(p) + " " +
                                 partitioner;
       for (int e = 0; e < epochs; ++e) {
@@ -456,8 +414,8 @@ TEST(PartitionedTraining, BlockPartitionerIsBitwiseIdentity) {
   EXPECT_TRUE(blocked.partitioned());
   EXPECT_TRUE(blocked.perm.empty());
 
-  const HaloRun a = run_trainer("1d", plain, config, 4, 2);
-  const HaloRun b = run_trainer("1d", blocked, config, 4, 2);
+  const HaloRun a = run_trainer("1d", plain, config, 4, 2, RunConfig{});
+  const HaloRun b = run_trainer("1d", blocked, config, 4, 2, RunConfig{});
   for (std::size_t e = 0; e < a.losses.size(); ++e) {
     EXPECT_EQ(a.losses[e], b.losses[e]);
   }

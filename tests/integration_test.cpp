@@ -7,9 +7,8 @@
 #include <cstdio>
 #include <filesystem>
 
-#include "src/comm/compress.hpp"
+#include "src/core/algebra_registry.hpp"
 #include "src/core/costmodel.hpp"
-#include "src/core/dist2d.hpp"
 #include "src/dense/ops.hpp"
 #include "src/gnn/checkpoint.hpp"
 #include "src/gnn/serial_trainer.hpp"
@@ -22,12 +21,9 @@ namespace cagnet {
 namespace {
 
 TEST(Integration, RegistryTrainCheckpointInfer) {
-  // Compares lossy distributed training against an exact serial oracle;
-  // only meaningful when the wire is exact. Lossy-mode convergence is
+  // Compares distributed training on the exact wire (RunConfig{}, the
+  // Dist2D default) against the serial oracle; lossy-mode convergence is
   // asserted (with tolerance) in compress_test.
-  if (compress_mode() != CompressMode::kOff) {
-    GTEST_SKIP() << "dist-vs-serial exactness requires CAGNET_COMPRESS=off";
-  }
   // 1. Synthetic amazon analog from the Table VI registry.
   SyntheticOptions opt;
   opt.scale = 1.0 / 4096;
@@ -43,12 +39,13 @@ TEST(Integration, RegistryTrainCheckpointInfer) {
           .string();
   Real dist_loss = 0;
   run_world(4, [&](Comm& world) {
-    Dist2D trainer(problem, config, world);
+    const auto trainer =
+        make_dist_trainer("2d", problem, config, world, RunConfig{});
     EpochResult r{};
-    for (int e = 0; e < 3; ++e) r = trainer.train_epoch();
+    for (int e = 0; e < 3; ++e) r = trainer->train_epoch();
     if (world.rank() == 0) {
       dist_loss = r.loss;
-      save_weights(path, trainer.weights());
+      save_weights(path, trainer->weights());
     }
   });
 

@@ -1,4 +1,4 @@
-// Distributed sampled-training tests: the CAGNET_SAMPLE minibatch path's
+// Distributed sampled-training tests: the RunConfig::sample minibatch path's
 // acceptance contract. An uncapped fanout with a whole-graph batch must
 // reproduce the full-batch epoch bitwise (per algebra and world size);
 // sampled epochs are bitwise-deterministic across thread budgets; finite
@@ -27,42 +27,21 @@
 namespace cagnet {
 namespace {
 
-/// Restore every process-global training knob on scope exit — including
-/// the sampling toggles this suite flips — so tests behave identically
-/// whatever ambient CAGNET_* environment the suite was launched under.
-class SampleModeGuard {
- public:
-  SampleModeGuard()
-      : mode_(compress_mode()), halo_(dist::halo_enabled()),
-        sample_(dist::sample_enabled()), fanouts_(dist::sample_fanouts()),
-        batch_(dist::sample_batch_size()), stale_(dist::stale_k()),
-        preagg_(dist::preagg_enabled()) {
-    // The sampled-vs-full-batch oracles need an exact full-batch side:
-    // ambient bounded staleness / pre-aggregation would make the
-    // full-batch run lossy while sampled epochs never arm them (they
-    // route through per-batch subgraphs, not the halo plan).
-    dist::set_stale_k(0);
-    dist::set_preagg_enabled(false);
-  }
-  ~SampleModeGuard() {
-    set_compress_mode(mode_);
-    dist::set_halo_enabled(halo_);
-    dist::set_sample_enabled(sample_);
-    dist::set_sample_fanouts(fanouts_);
-    dist::set_sample_batch_size(batch_);
-    dist::set_stale_k(stale_);
-    dist::set_preagg_enabled(preagg_);
-  }
+/// A sampled run mode: per-hop `fanouts` and minibatches of `batch`.
+RunConfig sampled(std::vector<Index> fanouts, Index batch) {
+  RunConfig run;
+  run.sample = true;
+  run.sample_fanouts = std::move(fanouts);
+  run.sample_batch = batch;
+  return run;
+}
 
- private:
-  CompressMode mode_;
-  bool halo_;
-  bool sample_;
-  std::vector<Index> fanouts_;
-  Index batch_;
-  int stale_;
-  bool preagg_;
-};
+/// The exact full-batch halo mode the sampled path is compared against.
+RunConfig halo_mode() {
+  RunConfig run;
+  run.halo = true;
+  return run;
+}
 
 class FaultPlanGuard {
  public:
@@ -106,11 +85,12 @@ struct TrainRun {
 };
 
 TrainRun run_trainer(const std::string& algebra, const DistProblem& problem,
-                     const GnnConfig& config, int p, int epochs) {
+                     const GnnConfig& config, int p, int epochs,
+                     const RunConfig& mode) {
   TrainRun run;
   std::mutex mutex;
   run_world(p, [&](Comm& world) {
-    auto trainer = make_dist_trainer(algebra, problem, config, world);
+    auto trainer = make_dist_trainer(algebra, problem, config, world, mode);
     std::vector<Real> losses;
     std::vector<Real> accuracies;
     for (int e = 0; e < epochs; ++e) {
@@ -138,12 +118,11 @@ TrainRun run_trainer(const std::string& algebra, const DistProblem& problem,
 Real eval_accuracy(const DistProblem& problem, GnnConfig config, int p,
                    const std::vector<Matrix>& weights) {
   config.learning_rate = 0;
-  const bool sample = dist::sample_enabled();
-  dist::set_sample_enabled(false);
   Real acc = 0;
   std::mutex mutex;
   run_world(p, [&](Comm& world) {
-    auto trainer = make_dist_trainer("1d", problem, config, world);
+    auto trainer =
+        make_dist_trainer("1d", problem, config, world, RunConfig{});
     trainer->set_weights(weights);
     const EpochResult r = trainer->train_epoch();
     if (world.rank() == 0) {
@@ -151,7 +130,6 @@ Real eval_accuracy(const DistProblem& problem, GnnConfig config, int p,
       acc = r.accuracy;
     }
   });
-  dist::set_sample_enabled(sample);
   return acc;
 }
 
@@ -173,44 +151,37 @@ TEST(SampledTraining, InfiniteFanoutMatchesFullBatchBitwise) {
   // sampled epoch the full-batch epoch masked to (all) receptive-field
   // rows: same ordered sums, so losses and weights agree bitwise at any
   // world size.
-  SampleModeGuard guard;
-  set_compress_mode(CompressMode::kOff);
-  dist::set_halo_enabled(true);
   const Graph g = learnable_graph(180, 9, 10, 3, 41);
   const GnnConfig config = GnnConfig::three_layer(10, 3, 8);
   const DistProblem problem = DistProblem::prepare(g);
   const int epochs = 3;
-
-  dist::set_sample_fanouts({kSampleAll, kSampleAll, kSampleAll});
-  dist::set_sample_batch_size(g.num_vertices());
+  RunConfig uncapped =
+      sampled({kSampleAll, kSampleAll, kSampleAll}, g.num_vertices());
+  uncapped.halo = true;
 
   for (const int p : {1, 2, 4}) {
     SCOPED_TRACE("p=" + std::to_string(p));
-    dist::set_sample_enabled(false);
-    const TrainRun full = run_trainer("1d", problem, config, p, epochs);
-    dist::set_sample_enabled(true);
-    const TrainRun sampled = run_trainer("1d", problem, config, p, epochs);
-    expect_bitwise_equal(full, sampled);
+    const TrainRun full =
+        run_trainer("1d", problem, config, p, epochs, halo_mode());
+    const TrainRun sample =
+        run_trainer("1d", problem, config, p, epochs, uncapped);
+    expect_bitwise_equal(full, sample);
   }
 }
 
 TEST(SampledTraining, InfiniteFanoutParityHoldsOnGreedyBfsPartition) {
   // Same parity contract on a non-contiguous partition: the sampler's
   // owner arithmetic must follow the partition-aware row starts.
-  SampleModeGuard guard;
-  set_compress_mode(CompressMode::kOff);
-  dist::set_halo_enabled(true);
   const Graph g = learnable_graph(180, 9, 10, 3, 43);
   const GnnConfig config = GnnConfig::three_layer(10, 3, 8);
   const DistProblem problem = DistProblem::prepare(g, 4, "greedy-bfs");
+  RunConfig uncapped =
+      sampled({kSampleAll, kSampleAll, kSampleAll}, g.num_vertices());
+  uncapped.halo = true;
 
-  dist::set_sample_fanouts({kSampleAll, kSampleAll, kSampleAll});
-  dist::set_sample_batch_size(g.num_vertices());
-  dist::set_sample_enabled(false);
-  const TrainRun full = run_trainer("1d", problem, config, 4, 3);
-  dist::set_sample_enabled(true);
-  const TrainRun sampled = run_trainer("1d", problem, config, 4, 3);
-  expect_bitwise_equal(full, sampled);
+  const TrainRun full = run_trainer("1d", problem, config, 4, 3, halo_mode());
+  const TrainRun sample = run_trainer("1d", problem, config, 4, 3, uncapped);
+  expect_bitwise_equal(full, sample);
 }
 
 TEST(SampledTraining, FiniteFanoutDeterministicAcrossThreadBudgets) {
@@ -218,21 +189,16 @@ TEST(SampledTraining, FiniteFanoutDeterministicAcrossThreadBudgets) {
   // bitwise-reproducible for a fixed seed whatever the kernel thread
   // budget: sampling is serial per rank and every reduction order is
   // fixed by the schedule, not the thread count.
-  SampleModeGuard guard;
   const int budget_before = thread_budget();
-  set_compress_mode(CompressMode::kOff);
   const Graph g = learnable_graph(160, 8, 10, 4, 47);
   const GnnConfig config = GnnConfig::three_layer(10, 4, 8);
   const DistProblem problem = DistProblem::prepare(g);
 
-  dist::set_sample_enabled(true);
-  dist::set_sample_fanouts({6, 4, 3});
-  dist::set_sample_batch_size(16);
-
   std::vector<TrainRun> runs;
   for (const int budget : {1, 8}) {
     override_thread_budget(budget);
-    runs.push_back(run_trainer("1d", problem, config, 4, 3));
+    runs.push_back(
+        run_trainer("1d", problem, config, 4, 3, sampled({6, 4, 3}, 16)));
   }
   override_thread_budget(budget_before);
   expect_bitwise_equal(runs[0], runs[1]);
@@ -246,21 +212,17 @@ TEST(SampledTraining, MultiBatchPipelineBitwiseAcrossThreadBudgets) {
   // Multiple batches per epoch on a greedy-bfs partition, so the
   // cross-batch pipeline (build b+1 behind backward b) is genuinely
   // exercised; the thread budget must not change a bit.
-  SampleModeGuard guard;
   const int budget_before = thread_budget();
-  set_compress_mode(CompressMode::kOff);
   const Graph g = learnable_graph(180, 9, 10, 3, 53);
   const GnnConfig config = GnnConfig::three_layer(10, 3, 8);
   const DistProblem problem = DistProblem::prepare(g, 4, "greedy-bfs");
 
-  dist::set_sample_enabled(true);
-  dist::set_sample_fanouts({8, 5, 3});
-  dist::set_sample_batch_size(12);
+  const RunConfig mode = sampled({8, 5, 3}, 12);
 
   override_thread_budget(1);
-  const TrainRun one = run_trainer("1d", problem, config, 4, 4);
+  const TrainRun one = run_trainer("1d", problem, config, 4, 4, mode);
   override_thread_budget(8);
-  const TrainRun eight = run_trainer("1d", problem, config, 4, 4);
+  const TrainRun eight = run_trainer("1d", problem, config, 4, 4, mode);
   override_thread_budget(budget_before);
   expect_bitwise_equal(one, eight);
   EXPECT_EQ(one.stats.comm.words(CommCategory::kHalo),
@@ -272,17 +234,14 @@ TEST(SampledTraining, FiniteFanoutReachesExactAccuracyFloor) {
   // sampling noise but must still train to the exact run's accuracy
   // floor on the planted-partition task (same discipline as the lossy
   // compression contract).
-  SampleModeGuard guard;
-  set_compress_mode(CompressMode::kOff);
-  dist::set_halo_enabled(true);
   const Graph g = learnable_graph(240, 8, 12, 4, 51);
   GnnConfig config = GnnConfig::three_layer(12, 4, 16);
   config.learning_rate = 0.3;
   const int epochs = 60;
   const DistProblem problem = DistProblem::prepare(g, 4, "greedy-bfs");
 
-  dist::set_sample_enabled(false);
-  const TrainRun exact = run_trainer("1d", problem, config, 4, epochs);
+  const TrainRun exact =
+      run_trainer("1d", problem, config, 4, epochs, halo_mode());
   ASSERT_TRUE(std::isfinite(exact.losses.back()));
   const Real exact_acc = eval_accuracy(problem, config, 4, exact.weights);
   ASSERT_GE(exact_acc, 0.8);
@@ -290,21 +249,18 @@ TEST(SampledTraining, FiniteFanoutReachesExactAccuracyFloor) {
   // Sampled in-epoch accuracy is measured on sampled neighborhoods and
   // shifting minibatch weights, so judge the trained model by the same
   // full-graph forward the exact run is judged by.
-  dist::set_sample_enabled(true);
-  dist::set_sample_fanouts({12, 10, 8});
-  dist::set_sample_batch_size(32);
-  const TrainRun sampled = run_trainer("1d", problem, config, 4, epochs);
-  EXPECT_TRUE(std::isfinite(sampled.losses.back()));
-  const Real sampled_acc =
-      eval_accuracy(problem, config, 4, sampled.weights);
+  RunConfig mode = sampled({12, 10, 8}, 32);
+  mode.halo = true;
+  const TrainRun sample = run_trainer("1d", problem, config, 4, epochs, mode);
+  EXPECT_TRUE(std::isfinite(sample.losses.back()));
+  const Real sampled_acc = eval_accuracy(problem, config, 4, sample.weights);
   EXPECT_GE(sampled_acc, exact_acc - 0.05)
-      << "sampled in-epoch accuracy " << sampled.accuracies.back();
+      << "sampled in-epoch accuracy " << sample.accuracies.back();
 
   // And under a lossy wire codec the sampled run still trains (the halo
   // rows and gradient reductions share the compressed path).
-  set_compress_mode(CompressMode::kInt8);
-  const TrainRun lossy = run_trainer("1d", problem, config, 4, epochs);
-  set_compress_mode(CompressMode::kOff);
+  mode.compress = CompressMode::kInt8;
+  const TrainRun lossy = run_trainer("1d", problem, config, 4, epochs, mode);
   EXPECT_TRUE(std::isfinite(lossy.losses.back()));
   const Real lossy_acc = eval_accuracy(problem, config, 4, lossy.weights);
   EXPECT_GE(lossy_acc, exact_acc - 0.1)
@@ -314,52 +270,50 @@ TEST(SampledTraining, FiniteFanoutReachesExactAccuracyFloor) {
 TEST(SampledTraining, UnsupportedAlgebraThrowsTypedError) {
   // Sampling rides the row-stripe halo machinery; algebras without a
   // sample communicator must refuse loudly, not train nonsense.
-  SampleModeGuard guard;
   const Graph g = learnable_graph(64, 4, 8, 4, 61);
   const GnnConfig config = GnnConfig::three_layer(8, 4, 6);
   const DistProblem problem = DistProblem::prepare(g);
-  dist::set_sample_enabled(true);
-  dist::set_sample_fanouts({4, 3, 2});
-  dist::set_sample_batch_size(16);
+  const RunConfig mode = sampled({4, 3, 2}, 16);
   const struct {
     const char* algebra;
     int p;
   } cases[] = {{"1.5d-c2", 4}, {"2d", 4}, {"3d", 8}};
   for (const auto& c : cases) {
-    // The refusal fires before any collective, so every rank throws and
-    // catches locally — no peer is left parked in an exchange.
+    // The refusal fires at construction, after the algebra's collective
+    // set-up, so every rank throws and catches locally — no peer is left
+    // parked in an exchange.
     run_world(c.p, [&](Comm& world) {
-      auto trainer = make_dist_trainer(c.algebra, problem, config, world);
-      EXPECT_THROW(trainer->train_epoch(), Error) << c.algebra;
+      EXPECT_THROW(make_dist_trainer(c.algebra, problem, config, world, mode),
+                   Error)
+          << c.algebra;
     });
   }
 }
 
 TEST(SampledTraining, InvalidSampleOptionsThrowTypedError) {
-  // The engine forwards the process-global knobs into MiniBatchOptions;
+  // The engine forwards the run's sampling modes into MiniBatchOptions;
   // a fanout list that does not match the model depth (or a nonsensical
-  // batch size) must surface as a typed Error on the first epoch.
-  SampleModeGuard guard;
+  // batch size) must surface as a typed Error when the trainer is built.
   const Graph g = learnable_graph(64, 4, 8, 4, 67);
   const GnnConfig config = GnnConfig::three_layer(8, 4, 6);
   const DistProblem problem = DistProblem::prepare(g);
-  dist::set_sample_enabled(true);
-  dist::set_sample_batch_size(16);
-  dist::set_sample_fanouts({4, 3});  // three-layer model needs three hops
+  // A three-layer model needs three hops.
+  const RunConfig short_fanouts = sampled({4, 3}, 16);
   run_world(1, [&](Comm& world) {
-    auto trainer = make_dist_trainer("1d", problem, config, world);
-    EXPECT_THROW(trainer->train_epoch(), Error);
+    EXPECT_THROW(
+        make_dist_trainer("1d", problem, config, world, short_fanouts),
+        Error);
   });
-  EXPECT_THROW(dist::set_sample_batch_size(0), Error);
+  EXPECT_THROW(sampled({4, 3, 2}, 0).validate(), Error);
   // Sixteen layers would keep the prefetched exchange pending past the
   // channel ring: a typed Error, not a hang.
   GnnConfig deep;
   deep.dims.assign(17, 4);  // 16 layers, 4 classes
   deep.dims.front() = 8;    // the graph's feature width
-  dist::set_sample_fanouts(std::vector<Index>(16, 2));
+  const RunConfig deep_fanouts = sampled(std::vector<Index>(16, 2), 16);
   run_world(2, [&](Comm& world) {
-    auto trainer = make_dist_trainer("1d", problem, deep, world);
-    EXPECT_THROW(trainer->train_epoch(), Error);
+    EXPECT_THROW(make_dist_trainer("1d", problem, deep, world, deep_fanouts),
+                 Error);
   });
 }
 
@@ -367,28 +321,24 @@ TEST(SampledTraining, SetStartEpochResumesSampleStreamsBitwise) {
   // The shuffle and per-batch sample streams are keyed by the absolute
   // epoch, so a restart that restores weights and calls set_start_epoch
   // continues exactly where the uninterrupted run would be.
-  SampleModeGuard guard;
-  set_compress_mode(CompressMode::kOff);
   const Graph g = learnable_graph(160, 8, 10, 4, 71);
   const GnnConfig config = GnnConfig::three_layer(10, 4, 8);
   const DistProblem problem = DistProblem::prepare(g);
-  dist::set_sample_enabled(true);
-  dist::set_sample_fanouts({6, 4, 3});
-  dist::set_sample_batch_size(16);
+  const RunConfig mode = sampled({6, 4, 3}, 16);
 
   run_world(4, [&](Comm& world) {
-    auto oracle = make_dist_trainer("1d", problem, config, world);
+    auto oracle = make_dist_trainer("1d", problem, config, world, mode);
     std::vector<Real> oracle_losses;
     for (int e = 0; e < 6; ++e) {
       oracle_losses.push_back(oracle->train_epoch().loss);
     }
 
-    auto first = make_dist_trainer("1d", problem, config, world);
+    auto first = make_dist_trainer("1d", problem, config, world, mode);
     for (int e = 0; e < 3; ++e) first->train_epoch();
 
     // Weights are replicated, so every rank restores its own copy —
     // exactly what train_with_recovery does from a checkpoint.
-    auto resumed = make_dist_trainer("1d", problem, config, world);
+    auto resumed = make_dist_trainer("1d", problem, config, world, mode);
     resumed->set_weights(first->weights());
     resumed->set_start_epoch(3);
     for (int e = 3; e < 6; ++e) {
@@ -411,23 +361,20 @@ TEST(SampledRecoveryDrill, FaultedSampledRunRecoversBitwise) {
   // sampled schedule); train_with_recovery must unwind every survivor,
   // restart from the checkpoint, and — because the sample streams are
   // epoch-keyed — finish bitwise-identical to the unfaulted run.
-  SampleModeGuard guard;
-  set_compress_mode(CompressMode::kOff);
   const Graph g = learnable_graph(128, 8, 8, 4, 77);
   GnnConfig config = GnnConfig::three_layer(8, 4, 6);
   config.learning_rate = 0.1;
   const DistProblem problem = DistProblem::prepare(g);
   const int epochs = 5;
-  dist::set_sample_enabled(true);
-  dist::set_sample_fanouts({6, 4, 3});
-  dist::set_sample_batch_size(12);
+  const RunConfig mode = sampled({6, 4, 3}, 12);
 
-  const TrainRun oracle = run_trainer("1d", problem, config, 4, epochs);
+  const TrainRun oracle = run_trainer("1d", problem, config, 4, epochs, mode);
 
   const std::string path = temp_path("cagnet_sampled_drill.ckpt");
   RecoveryOptions options;
   options.ckpt_path = path;
   options.ckpt_every = 2;
+  options.run = mode;
   RecoveryReport report;
   {
     FaultPlanGuard fault(FaultPlan().kill_any(1, FaultSite::kPost, 70));

@@ -1,9 +1,10 @@
 // Adaptive communication rates: bounded-staleness halo refresh
-// (CAGNET_STALE) and aggregation-before-communication (CAGNET_PREAGG).
+// (RunConfig::stale_k) and aggregation-before-communication
+// (RunConfig::preagg).
 //
 // The contract under test (DESIGN.md "Adaptive communication rates
 // contract"):
-//   - CAGNET_STALE=off and CAGNET_STALE=1 are bitwise the exact halo
+//   - stale_k = 0 (off) and stale_k = 1 are bitwise the exact halo
 //     path — losses, weights, output, and every per-category meter,
 //     including stale_saved_words == 0.
 //   - A fixed refresh interval k >= 2 cuts metered kHalo traffic by ~k
@@ -13,8 +14,8 @@
 //     small floor of the exact run's.
 //   - Within a stale mode, runs stay bitwise equal across thread budgets
 //     (losses, weights, meters).
-//   - Adaptive mode (CAGNET_STALE=adaptive) respects the
-//     CAGNET_STALE_MIN/MAX interval bounds, skips at least some
+//   - Adaptive mode (kStaleAdaptive) respects the stale_min/stale_max
+//     interval bounds, skips at least some
 //     exchanges on a slowly-changing graph, and converges.
 //   - Pre-aggregation ships pre-reduced rows for pairs where that is
 //     structurally smaller, so metered kHalo words drop below the exact
@@ -33,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "src/comm/compress.hpp"
 #include "src/core/algebra_registry.hpp"
 #include "src/gnn/checkpoint.hpp"
 #include "src/graph/graph.hpp"
@@ -43,36 +43,16 @@
 namespace cagnet {
 namespace {
 
-/// Save and restore every knob this suite flips, and pin the ones whose
-/// ambient values would change what is being measured (codec off: the
-/// exact-saving identity is stated in uncompressed words).
-class StaleGuard {
- public:
-  StaleGuard()
-      : mode_(compress_mode()), halo_(dist::halo_enabled()),
-        stale_(dist::stale_k()), stale_min_(dist::stale_min_k()),
-        stale_max_(dist::stale_max_k()), preagg_(dist::preagg_enabled()) {
-    set_compress_mode(CompressMode::kOff);
-    dist::set_stale_k(0);
-    dist::set_preagg_enabled(false);
-    dist::set_halo_enabled(true);
-  }
-  ~StaleGuard() {
-    set_compress_mode(mode_);
-    dist::set_halo_enabled(halo_);
-    dist::set_stale_k(stale_);
-    dist::set_stale_bounds(stale_min_, stale_max_);
-    dist::set_preagg_enabled(preagg_);
-  }
-
- private:
-  CompressMode mode_;
-  bool halo_;
-  int stale_;
-  int stale_min_;
-  int stale_max_;
-  bool preagg_;
-};
+/// The halo mode with refresh interval `k` and pre-aggregation `preagg`
+/// (codec off: the exact-saving identity is stated in uncompressed
+/// words).
+RunConfig stale_mode(int k, bool preagg = false) {
+  RunConfig run;
+  run.halo = true;
+  run.stale_k = k;
+  run.preagg = preagg;
+  return run;
+}
 
 /// Community-structured graph whose labels follow the communities and
 /// whose features carry a per-community offset, so training accuracy is
@@ -113,11 +93,12 @@ struct StaleRun {
 };
 
 StaleRun run_trainer(const std::string& algebra, const DistProblem& problem,
-                     const GnnConfig& config, int p, int epochs) {
+                     const GnnConfig& config, int p, int epochs,
+                     const RunConfig& mode) {
   StaleRun run;
   std::mutex mutex;
   run_world(p, [&](Comm& world) {
-    auto trainer = make_dist_trainer(algebra, problem, config, world);
+    auto trainer = make_dist_trainer(algebra, problem, config, world, mode);
     std::vector<Real> losses;
     std::vector<Real> accuracies;
     double halo_words = 0;
@@ -188,10 +169,9 @@ std::vector<StaleCase> stale_cases() {
   return {{"1d", 4, 4}, {"1d", 7, 7}, {"1.5d-c2", 8, 4}, {"1.5d-c2", 4, 4}};
 }
 
-// ---- CAGNET_STALE=off and =1 are bitwise the exact halo path ----
+// ---- stale_k = 0 and 1 are bitwise the exact halo path ----
 
 TEST(StaleParity, OffAndKOneBitwiseMatchExactPath) {
-  StaleGuard guard;
   const Graph g = learnable_graph(252, 12, 10, 4, 91);
   GnnConfig config = GnnConfig::three_layer(10, 4, 8);
   config.learning_rate = 0.1;
@@ -203,13 +183,10 @@ TEST(StaleParity, OffAndKOneBitwiseMatchExactPath) {
           DistProblem::prepare(g, c.partition_parts, partitioner);
       const std::string label = c.algebra + "/" + partitioner;
 
-      dist::set_stale_k(0);
       const StaleRun exact =
-          run_trainer(c.algebra, problem, config, c.p, epochs);
-      dist::set_stale_k(1);
+          run_trainer(c.algebra, problem, config, c.p, epochs, stale_mode(0));
       const StaleRun k1 =
-          run_trainer(c.algebra, problem, config, c.p, epochs);
-      dist::set_stale_k(0);
+          run_trainer(c.algebra, problem, config, c.p, epochs, stale_mode(1));
 
       expect_bitwise_equal(exact, k1, label);
       EXPECT_DOUBLE_EQ(exact.stale_saved, 0.0) << label;
@@ -225,18 +202,16 @@ TEST(StaleParity, OffAndKOneBitwiseMatchExactPath) {
 // ---- Fixed k >= 2: traffic drops ~k-fold, savings credited exactly ----
 
 TEST(StaleTraffic, FixedKCutsHaloWordsAndCreditsSavingsExactly) {
-  StaleGuard guard;
   const Graph g = learnable_graph(240, 12, 10, 4, 93);
   GnnConfig config = GnnConfig::three_layer(10, 4, 8);
   config.learning_rate = 0.1;
   const int epochs = 12;
   const DistProblem problem = DistProblem::prepare(g, 4, "greedy-bfs");
 
-  dist::set_stale_k(0);
-  const StaleRun exact = run_trainer("1d", problem, config, 4, epochs);
-  dist::set_stale_k(4);
-  const StaleRun stale = run_trainer("1d", problem, config, 4, epochs);
-  dist::set_stale_k(0);
+  const StaleRun exact =
+      run_trainer("1d", problem, config, 4, epochs, stale_mode(0));
+  const StaleRun stale =
+      run_trainer("1d", problem, config, 4, epochs, stale_mode(4));
 
   ASSERT_GT(exact.halo_words, 0.0);
   // 12 epochs at k=4 refresh on epochs 0, 4, 8: a 4x word cut (the
@@ -256,7 +231,6 @@ TEST(StaleTraffic, FixedKCutsHaloWordsAndCreditsSavingsExactly) {
 }
 
 TEST(StaleTraffic, ThreadBudgetsStayBitwiseWithinStaleMode) {
-  StaleGuard guard;
   const Graph g = learnable_graph(240, 12, 10, 4, 93);
   GnnConfig config = GnnConfig::three_layer(10, 4, 8);
   config.learning_rate = 0.1;
@@ -265,15 +239,13 @@ TEST(StaleTraffic, ThreadBudgetsStayBitwiseWithinStaleMode) {
   for (const auto& c : stale_cases()) {
     const DistProblem problem =
         DistProblem::prepare(g, c.partition_parts, "greedy-bfs");
-    dist::set_stale_k(3);
     override_thread_budget(1);
     const StaleRun one =
-        run_trainer(c.algebra, problem, config, c.p, epochs);
+        run_trainer(c.algebra, problem, config, c.p, epochs, stale_mode(3));
     override_thread_budget(8);
     const StaleRun eight =
-        run_trainer(c.algebra, problem, config, c.p, epochs);
+        run_trainer(c.algebra, problem, config, c.p, epochs, stale_mode(3));
     override_thread_budget(0);
-    dist::set_stale_k(0);
     expect_bitwise_equal(one, eight, c.algebra + "/k=3");
     EXPECT_EQ(one.stale_saved, eight.stale_saved) << c.algebra;
   }
@@ -282,20 +254,20 @@ TEST(StaleTraffic, ThreadBudgetsStayBitwiseWithinStaleMode) {
 // ---- Adaptive mode: per-peer intervals inside the configured bounds ----
 
 TEST(StaleAdaptive, RespectsBoundsSkipsExchangesAndConverges) {
-  StaleGuard guard;
   const Graph g = learnable_graph(240, 12, 10, 4, 95);
   GnnConfig config = GnnConfig::three_layer(10, 4, 8);
   config.learning_rate = 0.1;
   const int epochs = 12;
   const DistProblem problem = DistProblem::prepare(g, 4, "greedy-bfs");
 
-  dist::set_stale_k(0);
-  const StaleRun exact = run_trainer("1d", problem, config, 4, epochs);
+  const StaleRun exact =
+      run_trainer("1d", problem, config, 4, epochs, stale_mode(0));
 
-  dist::set_stale_k(dist::kStaleAdaptive);
-  dist::set_stale_bounds(2, 6);
-  const StaleRun adaptive = run_trainer("1d", problem, config, 4, epochs);
-  dist::set_stale_k(0);
+  RunConfig bounded = stale_mode(kStaleAdaptive);
+  bounded.stale_min = 2;
+  bounded.stale_max = 6;
+  const StaleRun adaptive =
+      run_trainer("1d", problem, config, 4, epochs, bounded);
 
   // A floor of 2 forces at least every other exchange to be skipped once
   // the caches are primed, so savings must be strictly positive and the
@@ -310,22 +282,33 @@ TEST(StaleAdaptive, RespectsBoundsSkipsExchangesAndConverges) {
   EXPECT_GE(adaptive.accuracies.back(), exact.accuracies.back() - 0.1);
 }
 
-TEST(StaleAdaptive, BoundSettersValidate) {
-  StaleGuard guard;
-  EXPECT_THROW(dist::set_stale_bounds(0, 4), Error);
-  EXPECT_THROW(dist::set_stale_bounds(4, 2), Error);
-  dist::set_stale_bounds(3, 3);
-  EXPECT_EQ(dist::stale_min_k(), 3);
-  EXPECT_EQ(dist::stale_max_k(), 3);
-  EXPECT_THROW(dist::set_stale_k(-7), Error);
-  dist::set_stale_k(dist::kStaleAdaptive);
-  EXPECT_EQ(dist::stale_k(), dist::kStaleAdaptive);
+TEST(StaleAdaptive, BoundsValidate) {
+  RunConfig run = stale_mode(kStaleAdaptive);
+  run.stale_min = 0;
+  EXPECT_THROW(run.validate(), Error);
+  run.stale_min = 4;
+  run.stale_max = 2;
+  EXPECT_THROW(run.validate(), Error);
+  run.stale_min = 3;
+  run.stale_max = 3;
+  EXPECT_NO_THROW(run.validate());
+  run.stale_k = -7;
+  EXPECT_THROW(run.validate(), Error);
+  // A trainer validates its modes when it is built.
+  const Graph g = learnable_graph(32, 2, 4, 2, 96);
+  const DistProblem problem = DistProblem::prepare(g);
+  EXPECT_THROW(run_world(2,
+                         [&](Comm& world) {
+                           make_dist_trainer(
+                               "1d", problem, GnnConfig::three_layer(4, 2),
+                               world, run);
+                         }),
+               Error);
 }
 
 // ---- Pre-aggregation: fewer words on hub-heavy coupling, deterministic --
 
 TEST(PreAgg, CutsHaloWordsOnHubGraphAndStaysDeterministic) {
-  StaleGuard guard;
   // Hubs concentrate many remote reads onto few local output rows —
   // exactly the structure where shipping one pre-reduced row per output
   // row beats shipping every requested source row.
@@ -336,15 +319,15 @@ TEST(PreAgg, CutsHaloWordsOnHubGraphAndStaysDeterministic) {
   const int epochs = 6;
   const DistProblem problem = DistProblem::prepare(g, 4, "greedy-bfs");
 
-  dist::set_preagg_enabled(false);
-  const StaleRun exact = run_trainer("1d", problem, config, 4, epochs);
+  const StaleRun exact =
+      run_trainer("1d", problem, config, 4, epochs, stale_mode(0));
 
-  dist::set_preagg_enabled(true);
-  const StaleRun agg = run_trainer("1d", problem, config, 4, epochs);
+  const RunConfig preagg = stale_mode(0, /*preagg=*/true);
+  const StaleRun agg = run_trainer("1d", problem, config, 4, epochs, preagg);
   override_thread_budget(8);
-  const StaleRun agg_eight = run_trainer("1d", problem, config, 4, epochs);
+  const StaleRun agg_eight =
+      run_trainer("1d", problem, config, 4, epochs, preagg);
   override_thread_budget(0);
-  dist::set_preagg_enabled(false);
 
   ASSERT_GT(exact.halo_words, 0.0);
   EXPECT_LT(agg.halo_words, exact.halo_words);
@@ -356,7 +339,6 @@ TEST(PreAgg, CutsHaloWordsOnHubGraphAndStaysDeterministic) {
 }
 
 TEST(PreAgg, ComposesWithStale) {
-  StaleGuard guard;
   const Graph g = learnable_graph(240, 12, 10, 4, 97, /*hub_fraction=*/0.05,
                                   /*hub_degree=*/60.0);
   GnnConfig config = GnnConfig::three_layer(10, 4, 8);
@@ -364,12 +346,10 @@ TEST(PreAgg, ComposesWithStale) {
   const int epochs = 12;
   const DistProblem problem = DistProblem::prepare(g, 4, "greedy-bfs");
 
-  dist::set_preagg_enabled(true);
-  const StaleRun agg = run_trainer("1d", problem, config, 4, epochs);
-  dist::set_stale_k(4);
-  const StaleRun both = run_trainer("1d", problem, config, 4, epochs);
-  dist::set_stale_k(0);
-  dist::set_preagg_enabled(false);
+  const StaleRun agg = run_trainer("1d", problem, config, 4, epochs,
+                                  stale_mode(0, /*preagg=*/true));
+  const StaleRun both = run_trainer("1d", problem, config, 4, epochs,
+                                   stale_mode(4, /*preagg=*/true));
 
   // Staleness stacks on top of aggregation: skipped epochs move nothing,
   // and the credited savings reflect the *aggregated* exchange words.
@@ -381,7 +361,6 @@ TEST(PreAgg, ComposesWithStale) {
 // ---- Restart drill: the stale cache is per-run transient state ----
 
 TEST(StaleRestart, ResumedRunRefreshesCacheAndKeepsConverging) {
-  StaleGuard guard;
   const Graph g = learnable_graph(240, 12, 10, 4, 99);
   GnnConfig config = GnnConfig::three_layer(10, 4, 8);
   config.learning_rate = 0.1;
@@ -392,11 +371,11 @@ TEST(StaleRestart, ResumedRunRefreshesCacheAndKeepsConverging) {
       (std::filesystem::temp_directory_path() / "cagnet_stale_drill.bin")
           .string();
 
-  dist::set_stale_k(4);
+  const RunConfig stale = stale_mode(4);
 
   // Uninterrupted stale run, the reference trajectory.
   const StaleRun oracle =
-      run_trainer("1d", problem, config, 4, pre + post);
+      run_trainer("1d", problem, config, 4, pre + post, stale);
 
   // Interrupted: train, checkpoint weights, resume in a fresh world. The
   // stale cache is deliberately NOT serialized — the resumed trainer's
@@ -407,7 +386,7 @@ TEST(StaleRestart, ResumedRunRefreshesCacheAndKeepsConverging) {
   // exact mode for exactly this reason.
   std::mutex mutex;
   run_world(4, [&](Comm& world) {
-    auto trainer = make_dist_trainer("1d", problem, config, world);
+    auto trainer = make_dist_trainer("1d", problem, config, world, stale);
     for (int e = 0; e < pre; ++e) trainer->train_epoch();
     if (world.rank() == 0) {
       std::lock_guard<std::mutex> lock(mutex);
@@ -416,7 +395,7 @@ TEST(StaleRestart, ResumedRunRefreshesCacheAndKeepsConverging) {
   });
   StaleRun resumed;
   run_world(4, [&](Comm& world) {
-    auto trainer = make_dist_trainer("1d", problem, config, world);
+    auto trainer = make_dist_trainer("1d", problem, config, world, stale);
     trainer->set_weights(load_weights(path));
     trainer->set_start_epoch(pre);
     std::vector<Real> losses;
@@ -434,7 +413,6 @@ TEST(StaleRestart, ResumedRunRefreshesCacheAndKeepsConverging) {
     }
   });
   std::remove(path.c_str());
-  dist::set_stale_k(0);
 
   ASSERT_EQ(resumed.losses.size(), static_cast<std::size_t>(post));
   // The resumed trajectory keeps descending from where the checkpoint

@@ -21,9 +21,12 @@ Each rule pins a convention the runtime's correctness story depends on
                    has a row in README.md's knob table and a mention in
                    DESIGN.md — an undocumented knob is an untestable one.
                    Conversely, every CAGNET_* name in the first cell of a
-                   README table row, or set in .github/workflows/ci.yml,
-                   is read in src/ — a retired knob left in a CI step
-                   silently re-runs the default suite.
+                   README table row, in DESIGN.md, or set in
+                   .github/workflows/ci.yml, is read in src/ — a retired
+                   knob left in a CI step silently re-runs the default
+                   suite. And src/ holds exactly one std::getenv (the
+                   knob lookup in src/util/knob.cpp), so every knob goes
+                   through the one strict grammar.
   bench-schema     the JSON fields each bench emits equal the field set
                    pinned in tools/check_bench_schema.py — drift in
                    either direction makes the tracked trajectory files
@@ -177,6 +180,8 @@ def check_hot_path_alloc(root):
 # ---- rule: knob-docs ---------------------------------------------------
 
 KNOB_RE = re.compile(r'"(CAGNET_[A-Z_]+)"')
+KNOB_NAME_RE = re.compile(r"CAGNET_[A-Z_]+")
+GETENV_RE = re.compile(r"\bgetenv\s*\(")
 # A knob assigned in a workflow: `CAGNET_X=v cmd` or an `env:` key.
 KNOB_SET_RE = re.compile(r"\b(CAGNET_[A-Z_]+)\s*[=:]")
 
@@ -193,10 +198,16 @@ def knob_table_names(readme):
 
 def check_knob_docs(root):
     knobs = set()
+    getenv_sites = []
     for path in sorted((root / "src").rglob("*")):
         if path.suffix not in (".cpp", ".hpp"):
             continue
-        knobs.update(KNOB_RE.findall(path.read_text()))
+        text = path.read_text()
+        knobs.update(KNOB_RE.findall(text))
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if GETENV_RE.search(line.split("//", 1)[0]):
+                getenv_sites.append(
+                    f"{path.relative_to(root)}:{lineno}")
     # CAGNET_CHECK is also the assertion macro's name; the quoted literal
     # in contract_check.cpp is the env knob, which is what we want here.
     violations = []
@@ -213,10 +224,19 @@ def check_knob_docs(root):
             violations.append(
                 f"DESIGN.md: knob-docs: env knob {knob} (read in src/) is "
                 f"never mentioned in DESIGN.md")
+    if len(getenv_sites) != 1:
+        violations.append(
+            f"src/: knob-docs: {len(getenv_sites)} std::getenv calls "
+            f"({', '.join(getenv_sites) or 'none'}); read knobs through "
+            f"knob::env in src/util/knob.cpp, the only one")
     for knob in sorted(knob_table_names(readme) - knobs):
         violations.append(
             f"README.md: knob-docs: {knob} has a row in the README knob "
             f"table but src/ never reads it")
+    for knob in sorted(set(KNOB_NAME_RE.findall(design)) - knobs):
+        violations.append(
+            f"DESIGN.md: knob-docs: {knob} is mentioned in DESIGN.md but "
+            f"src/ never reads it")
     ci_path = root / ".github/workflows/ci.yml"
     ci = ci_path.read_text() if ci_path.is_file() else ""
     for knob in sorted(set(KNOB_SET_RE.findall(ci)) - knobs):
@@ -331,16 +351,16 @@ def build_seeded_tree(tmp):
     # hot-path-alloc: a marked function that allocates.
     cpp_parts.append(
         "// [[hot-path]]\nvoid hot() { auto* p = new int(1); (void)p; }\n")
-    # knob-docs: a knob read in src/ but absent from README/DESIGN, and
-    # the other direction — a retired knob still in the README knob table
-    # and set in a CI step.
+    # knob-docs: a knob read in src/ but absent from README/DESIGN, a
+    # second std::getenv, and the other direction — a retired knob still
+    # in the README knob table, in DESIGN.md, and set in a CI step.
     cpp_parts.append(
         'void knob() { (void)std::getenv("CAGNET_UNDOCUMENTED"); }\n'
         'void documented() { (void)std::getenv("CAGNET_DOCUMENTED"); }\n')
     (tmp / "src/comm/comm.cpp").write_text("\n".join(cpp_parts))
     (tmp / "README.md").write_text("| `CAGNET_DOCUMENTED` | ... |\n"
                                    "| `CAGNET_RETIRED` | ... |\n")
-    (tmp / "DESIGN.md").write_text("CAGNET_DOCUMENTED\n")
+    (tmp / "DESIGN.md").write_text("CAGNET_DOCUMENTED\nCAGNET_RETIRED\n")
     (tmp / ".github/workflows").mkdir(parents=True)
     (tmp / ".github/workflows/ci.yml").write_text(
         "        run: CAGNET_RETIRED=0 ctest\n")
@@ -369,6 +389,10 @@ def self_test():
             ("knob-docs (unread, README)", "README knob table but",
              lambda: check_knob_docs(tmp)),
             ("knob-docs (unread, CI)", "set in CI but",
+             lambda: check_knob_docs(tmp)),
+            ("knob-docs (unread, DESIGN)", "mentioned in DESIGN.md but",
+             lambda: check_knob_docs(tmp)),
+            ("knob-docs (one getenv)", "2 std::getenv calls",
              lambda: check_knob_docs(tmp)),
             ("bench-schema", "bench-schema",
              lambda: check_bench_schema_sync(tmp, schemas)),
