@@ -34,13 +34,13 @@
 //   --communities C    planted communities (default n/48)
 //   --inter-frac X     planted fraction of degree crossing communities
 //                      (default 0.2; smaller = stronger locality)
-//   --compress M[,M]   lossy wire codecs to sweep (off/fp16/int8/1bit;
+//   --compress M[,M]   lossy wire codecs to sweep (off/fp16/int8;
 //                      default CAGNET_COMPRESS). compressed_words in the
 //                      JSON is the metered post-compression volume in
 //                      Real-sized words — the words-on-wire actually paid
 //                      — and phase_cpack the codec pack/unpack seconds
 //   --stale M[,M]      bounded-staleness refresh rates to sweep for the
-//                      1D/1.5D halo exchange (off/<k>/adaptive; default
+//                      1D/1.5D halo exchange (off/<k>; default
 //                      CAGNET_STALE). stale_k echoes the mode per row and
 //                      stale_words_saved the metered halo words the
 //                      cache-replay epochs elided (exact words minus
@@ -59,8 +59,10 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/comm/compress.hpp"
@@ -92,18 +94,18 @@ std::vector<std::string> split_csv(const std::string& list) {
   return names;
 }
 
-/// CAGNET_STALE-style mode names for --stale: "off", "adaptive", or a
-/// positive refresh interval.
+/// A --stale item, in the CAGNET_STALE grammar: "off" or a positive
+/// refresh interval.
 int parse_stale_mode(const std::string& name) {
-  if (name == "off") return 0;
-  if (name == "adaptive") return kStaleAdaptive;
-  return static_cast<int>(std::stol(name));
+  return RunConfig::parse([&](const char* knob) {
+           return std::string_view(knob) == "CAGNET_STALE"
+                      ? std::optional<std::string>(name)
+                      : std::nullopt;
+         }).stale_k;
 }
 
 std::string stale_mode_label(int k) {
-  if (k == 0) return "off";
-  if (k == kStaleAdaptive) return "adaptive";
-  return std::to_string(k);
+  return k == 0 ? "off" : std::to_string(k);
 }
 
 Graph make_graph(const std::string& topology, Index n, Index degree, Index f,

@@ -4,9 +4,10 @@
 //                         [--epochs 60]
 //
 // Generates a planted-partition graph whose labels are the community ids,
-// trains the paper's 3-layer GCN three ways — full-batch serial, full-batch
+// trains the paper's GCN three ways — full-batch serial, full-batch
 // distributed 2D (the paper's algorithm), and mini-batch with neighbor
-// sampling (the paper's Section VII direction) — and compares accuracy.
+// sampling (the paper's Section VII direction) on one worker — and
+// compares accuracy.
 // The full-batch runs agree exactly (Section V-A); sampling trades a little
 // accuracy for a bounded memory footprint.
 #include <cstdio>
@@ -14,7 +15,6 @@
 #include "src/core/algebra_registry.hpp"
 #include "src/dense/ops.hpp"
 #include "src/gnn/checkpoint.hpp"
-#include "src/gnn/sampling.hpp"
 #include "src/gnn/serial_trainer.hpp"
 #include "src/sparse/generate.hpp"
 #include "src/util/cli.hpp"
@@ -75,18 +75,23 @@ int main(int argc, char** argv) {
     }
   });
 
-  // 3. Mini-batch with neighbor sampling (Section VII direction).
-  MiniBatchOptions mb;
-  mb.batch_size = 64;
-  mb.fanouts = {10, 10};
-  MiniBatchTrainer sampled(g, config, mb);
-  EpochResult mb_result{};
-  for (int e = 0; e < epochs; ++e) mb_result = sampled.train_epoch();
-  const Matrix full_probs = sampled.predict();
-  std::printf("mini-batch sampled    : loss %.4f  accuracy %.3f  "
-              "(full-graph inference accuracy %.3f)\n",
-              mb_result.loss, mb_result.accuracy,
-              accuracy(full_probs, g.labels));
+  // 3. Mini-batch with neighbor sampling (Section VII direction): the
+  //    sampled 1D trainer on a one-worker world.
+  RunConfig sampled = run;
+  sampled.sample = true;
+  sampled.sample_batch = 64;
+  sampled.sample_fanouts = {10, 10};
+  run_world(1, [&](Comm& world) {
+    const auto trainer =
+        make_dist_trainer("1d", problem, config, world, sampled);
+    EpochResult r{};
+    for (int e = 0; e < epochs; ++e) r = trainer->train_epoch();
+    // A full-graph forward with the trained weights (inference).
+    const Matrix full_probs = trainer->gather_output();
+    std::printf("mini-batch sampled    : loss %.4f  accuracy %.3f  "
+                "(full-graph inference accuracy %.3f)\n",
+                r.loss, r.accuracy, accuracy(full_probs, g.labels));
+  });
 
   // 4. Checkpoint round trip.
   save_weights("/tmp/cagnet_community.ckpt", serial.weights());

@@ -129,8 +129,7 @@ int main(int argc, char** argv) {
     // ---- Bounded staleness: amortized forward-halo words per epoch ----
     // cost_1d_halo_stale amortizes the exact forward exchange over a
     // CAGNET_STALE=k refresh interval; k=1 is the exact per-epoch
-    // exchange, and an adaptive run's effective (possibly fractional)
-    // rate can be read back off the same curve.
+    // exchange.
     std::printf("\nforward-halo words per epoch under bounded staleness "
                 "(CAGNET_STALE=k,\nmeasured greedy-BFS edgecut; k=1 is the "
                 "exact exchange)\n");

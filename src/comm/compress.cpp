@@ -88,8 +88,6 @@ std::size_t chunk_byte_offset(CompressMode mode, std::size_t c) {
       return 2 * lo;
     case CompressMode::kInt8:
       return lo + 4 * c;
-    case CompressMode::k1Bit:
-      return 8 * c + lo / 8;
     case CompressMode::kOff:
       return sizeof(Real) * lo;
   }
@@ -137,28 +135,6 @@ void encode_chunk(CompressMode mode, const Real* v, std::size_t len,
       }
       return;
     }
-    case CompressMode::k1Bit: {
-      Real sum_pos = 0;
-      Real sum_neg = 0;
-      std::size_t n_pos = 0;
-      for (std::size_t i = 0; i < len; ++i) {
-        if (v[i] >= 0) {
-          sum_pos += v[i];
-          ++n_pos;
-        } else {
-          sum_neg += v[i];
-        }
-      }
-      const std::size_t n_neg = len - n_pos;
-      store_f32(out, n_pos ? static_cast<float>(sum_pos / n_pos) : 0.f);
-      store_f32(out + 4, n_neg ? static_cast<float>(sum_neg / n_neg) : 0.f);
-      std::uint8_t* bits = out + 8;
-      std::memset(bits, 0, (len + 7) / 8);
-      for (std::size_t i = 0; i < len; ++i) {
-        if (v[i] >= 0) bits[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
-      }
-      return;
-    }
     case CompressMode::kOff:
       break;
   }
@@ -184,15 +160,6 @@ void decode_chunk(CompressMode mode, const std::uint8_t* in, std::size_t len,
       }
       return;
     }
-    case CompressMode::k1Bit: {
-      const Real mean_pos = static_cast<Real>(load_f32(in));
-      const Real mean_neg = static_cast<Real>(load_f32(in + 4));
-      const std::uint8_t* bits = in + 8;
-      for (std::size_t i = 0; i < len; ++i) {
-        out[i] = (bits[i / 8] >> (i % 8)) & 1u ? mean_pos : mean_neg;
-      }
-      return;
-    }
     case CompressMode::kOff:
       break;
   }
@@ -209,8 +176,6 @@ const char* compress_mode_name(CompressMode mode) {
       return "fp16";
     case CompressMode::kInt8:
       return "int8";
-    case CompressMode::k1Bit:
-      return "1bit";
   }
   return "?";
 }
@@ -219,8 +184,7 @@ CompressMode parse_compress_mode(const std::string& name) {
   if (name == "off") return CompressMode::kOff;
   if (name == "fp16") return CompressMode::kFp16;
   if (name == "int8") return CompressMode::kInt8;
-  if (name == "1bit") return CompressMode::k1Bit;
-  knob::reject("CAGNET_COMPRESS", name, "off, fp16, int8, 1bit");
+  knob::reject("CAGNET_COMPRESS", name, "off, fp16, int8");
 }
 
 bool reduce_scatter_compression_pays(CompressMode mode, std::size_t n,
@@ -243,12 +207,6 @@ std::size_t encoded_size_bytes(CompressMode mode, std::size_t n) {
       return 2 * n;
     case CompressMode::kInt8:
       return n + 4 * num_chunks(n);
-    case CompressMode::k1Bit: {
-      const std::size_t full = n / kCompressChunk;
-      const std::size_t rem = n % kCompressChunk;
-      return 8 * num_chunks(n) + full * (kCompressChunk / 8) +
-             (rem + 7) / 8;
-    }
   }
   CAGNET_CHECK(false, "encoded_size_bytes: bad mode");
   return 0;

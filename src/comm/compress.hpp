@@ -1,7 +1,7 @@
 // Lossy codecs for compressed communication (the PR's words-to-bits
 // multiplier on top of the overlap/halo word reductions).
 //
-// Three codecs, all operating on fixed 256-element chunks so the encoded
+// Two codecs, both operating on fixed 256-element chunks so the encoded
 // layout — and therefore the decoded values — never depend on the thread
 // budget used to pack them:
 //
@@ -10,10 +10,6 @@
 //         gradients this repo moves). 4x over Real.
 //   int8  per chunk: [float scale = max|v|/127][int8 q_i], 4 + len bytes.
 //         q_i = round(v_i / scale) clamped to [-127, 127]. ~7.9x.
-//   1bit  per chunk: [float mean_pos][float mean_neg][sign bitmap],
-//         8 + ceil(len/8) bytes. Bit set => v_i >= 0, decoded to the
-//         chunk's positive mean; clear => negative mean (Dryden et al.,
-//         MLHPC@SC'16). ~51x.
 //
 // Error feedback: pass a residual store to compress_encode and it encodes
 // v = src + residual, then leaves residual = v - decode(encode(v)), so
@@ -41,10 +37,9 @@ enum class CompressMode : std::uint8_t {
   kOff = 0,  ///< exact Real payloads (today's paths, bitwise unchanged)
   kFp16,     ///< IEEE half precision, 4x
   kInt8,     ///< per-chunk max-scaled int8, ~7.9x
-  k1Bit,     ///< per-chunk sign + two means, ~51x
 };
 
-/// Display/parse name: "off", "fp16", "int8", "1bit".
+/// Display/parse name: "off", "fp16", "int8".
 const char* compress_mode_name(CompressMode mode);
 
 /// Parse a CAGNET_COMPRESS value; throws Error on an unknown string.
@@ -57,8 +52,8 @@ constexpr std::size_t kCompressChunk = 256;
 /// True when the compressed reduce-scatter actually undercuts the exact
 /// op's wire bytes. Its transport is an all-gather of every rank's full
 /// encoded contribution (plus a u64 length header each), so the byte win
-/// is roughly (8/P) x the codec ratio: int8 pays up to P ~ 7, 1-bit far
-/// beyond, fp16 never. Callers fall back to the exact reduce-scatter when
+/// is roughly (8/P) x the codec ratio: int8 pays up to P ~ 7, fp16
+/// never. Callers fall back to the exact reduce-scatter when
 /// compression would inflate the wire; the gate is a pure function of
 /// (mode, n, p), so it is rank-uniform.
 bool reduce_scatter_compression_pays(CompressMode mode, std::size_t n, int p);

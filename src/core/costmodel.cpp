@@ -42,12 +42,12 @@ CommCost cost_1d_symmetric(const CostInputs& in) {
   return {L * 3.0 * lg(in.p), L * (2.0 * in.edgecut * in.f + in.f * in.f)};
 }
 
-CommCost cost_1d_halo_stale(const CostInputs& in, double stale_k) {
-  CAGNET_CHECK(stale_k >= 1.0,
+CommCost cost_1d_halo_stale(const CostInputs& in, int stale_k) {
+  CAGNET_CHECK(stale_k >= 1,
                "cost_1d_halo_stale: refresh interval must be >= 1");
   const double L = in.layers;
-  return {L * static_cast<double>(in.p - 1) / stale_k,
-          L * in.edgecut * in.f / stale_k};
+  const double k = stale_k;
+  return {L * static_cast<double>(in.p - 1) / k, L * in.edgecut * in.f / k};
 }
 
 CommCost cost_1d_transposing(const CostInputs& in) {

@@ -59,9 +59,8 @@ CommCost cost_1d_symmetric(const CostInputs& in);
 /// L * edgecut * f words and L (P-1) messages, and a refresh interval of
 /// k ships 1/k of both — the predicted counterpart of the metered kHalo
 /// drop and of CostMeter::stale_saved_words (predicted savings = exact
-/// minus this). `stale_k` may be fractional: pass the *effective* rate
-/// (refresh epochs / total epochs)^-1 measured from an adaptive run.
-CommCost cost_1d_halo_stale(const CostInputs& in, double stale_k);
+/// minus this).
+CommCost cost_1d_halo_stale(const CostInputs& in, int stale_k);
 
 /// 1D transposing variant (Section IV-A.7): symmetric cost plus
 /// 2 alpha p^2 + 2 beta nnz/P per epoch for the two transposes.

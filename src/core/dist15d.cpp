@@ -44,7 +44,7 @@ Algebra15D::Algebra15D(const DistProblem& problem, Comm world,
   grad_pending_.codec = run.compress;
   use_halo_ = run.halo && groups_ > 1;
   if (use_halo_) {
-    halo_.codec = run.row_compress();
+    halo_.codec = run.compress;
     dist::build_halo_plan(
         [&](int j) {
           const auto it = at_stripe_.find(j);
@@ -103,7 +103,7 @@ Algebra15D::Algebra15D(const DistProblem& problem, Comm world,
 }
 
 void Algebra15D::begin_epoch(int epoch) {
-  dist::halo_begin_epoch(epoch, use_halo_, run(), slice_, halo_);
+  dist::halo_begin_epoch(epoch, use_halo_, run(), halo_);
 }
 
 void Algebra15D::spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) {
@@ -308,7 +308,7 @@ void Algebra15D::spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) {
   // an all-gather of full encoded contributions, a win only when the
   // codec ratio beats the slice size.
   CompressMode rmode =
-      slice_.size() > 1 ? run().row_compress() : CompressMode::kOff;
+      slice_.size() > 1 ? run().compress : CompressMode::kOff;
   if (!reduce_scatter_compression_pays(rmode, u_partial_.flat().size(),
                                        slice_.size())) {
     rmode = CompressMode::kOff;

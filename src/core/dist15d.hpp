@@ -47,8 +47,8 @@ class Algebra15D final : public DistSpmmAlgebra {
   void spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) override;
   void spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) override;
   /// Arm the slice halo plan's bounded-staleness state for this epoch
-  /// (dist::halo_begin_epoch); collective over the slice in adaptive
-  /// mode, a no-op when run().stale_k is off or halo mode is inactive.
+  /// (dist::halo_begin_epoch); a no-op when run().stale_k is off or halo
+  /// mode is inactive.
   void begin_epoch(int epoch) override;
 
   /// For c > 1, spmm_at defers the team (replica) all-reduce of T as

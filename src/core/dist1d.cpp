@@ -33,7 +33,7 @@ Algebra1D::Algebra1D(const DistProblem& problem, Comm world,
   grad_pending_.codec = run.compress;
   use_halo_ = run.halo && p > 1;
   if (use_halo_) {
-    halo_.codec = run.row_compress();
+    halo_.codec = run.compress;
     dist::build_halo_plan(
         [&](int j) { return &at_blocks_[static_cast<std::size_t>(j)]; },
         world_.rank(),
@@ -65,7 +65,7 @@ Algebra1D::Algebra1D(const DistProblem& problem, Comm world,
 }
 
 void Algebra1D::begin_epoch(int epoch) {
-  dist::halo_begin_epoch(epoch, use_halo_, run(), world_, halo_);
+  dist::halo_begin_epoch(epoch, use_halo_, run(), halo_);
 }
 
 void Algebra1D::spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) {
@@ -150,7 +150,7 @@ void Algebra1D::spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) {
   // exact wire when coding would inflate the bytes (fp16 always, int8
   // beyond P ~ 7). The gate is rank-uniform: same (mode, n, P) everywhere.
   CompressMode rmode =
-      world_.size() > 1 ? run().row_compress() : CompressMode::kOff;
+      world_.size() > 1 ? run().compress : CompressMode::kOff;
   if (!reduce_scatter_compression_pays(rmode, u_partial_.flat().size(),
                                        world_.size())) {
     rmode = CompressMode::kOff;

@@ -59,8 +59,8 @@ class Algebra1D final : public DistSpmmAlgebra {
   void spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) override;
   void spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) override;
   /// Arm the halo plan's bounded-staleness state for this epoch
-  /// (dist::halo_begin_epoch); collective in adaptive mode, a no-op when
-  /// run().stale_k is off or halo mode is inactive.
+  /// (dist::halo_begin_epoch); a no-op when run().stale_k is off or halo
+  /// mode is inactive.
   void begin_epoch(int epoch) override;
   /// True when the sparsity-aware halo exchange replaces the broadcasts
   /// (run().halo and P > 1). Purely local.
@@ -110,7 +110,7 @@ class Algebra1D final : public DistSpmmAlgebra {
   Matrix u_partial_;  ///< O(nf) outer-product partial (reused)
   dist::PendingGradReduce grad_pending_;  ///< deferred Y reductions
   /// Codec staging of the compressed U reduce-scatter
-  /// (RunConfig::row_compress()). Error feedback stays off: U is a fresh
+  /// (RunConfig::compress). Error feedback stays off: U is a fresh
   /// activation gradient each layer, not an accumulating signal.
   CompressBuf u_cbuf_;
   std::uint64_t u_release_ticket_ = 0;  ///< last u reduce-scatter (release)

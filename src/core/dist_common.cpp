@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <string>
 #include <utility>
 
@@ -768,12 +767,6 @@ void pack_rows_threaded(const Matrix& src, std::span<const Index> rows,
                });
 }
 
-/// Adaptive staleness target: a peer whose rows changed by relative L2
-/// delta `rel` since its last refresh gets interval ~ kStaleTau / rel
-/// (clamped to [stale_min_k, stale_max_k]) — 5% drift per refresh keeps
-/// a peer at the floor; converged peers drift toward the ceiling.
-constexpr double kStaleTau = 0.05;
-
 /// The forward exchange's landed-row offsets: the preagg plan's effective
 /// layout when aggregation is armed, the raw plan's otherwise.
 const std::vector<std::size_t>& fwd_recv_offsets(const HaloPlan& plan) {
@@ -886,16 +879,13 @@ void halo_stale_replay(const Matrix& h, const Csr* self_block, int self,
 /// outgoing rows — per aggregating destination a partial SpMM of the
 /// dest's compacted coupling segment against the whole local H (one
 /// pre-reduced row per distinct dest T row, Phase::kSpmm, metered as
-/// local work), per raw destination the plain row gather. Skipped
-/// adaptive destinations stage nothing (zero-length chunks keep the
-/// collective in lockstep). The staged matrix then rides the ordinary
-/// halo_exchange_begin — iota pack rows — so double-buffering,
-/// compression, overlap, and charging stay in one place.
+/// local work), per raw destination the plain row gather. The staged
+/// matrix then rides the ordinary halo_exchange_begin — iota pack rows —
+/// so double-buffering, compression, overlap, and charging stay in one
+/// place.
 void build_preagg_stage(const Matrix& h, int self, HaloPlan& plan,
                         const MachineModel& machine, EpochStats& stats) {
   HaloPlan::PreAggPlan& pa = plan.preagg;
-  const HaloPlan::StaleState& st = plan.stale;
-  const bool thin = st.active && st.use_eff;
   const Index f = h.cols();
   const int p = static_cast<int>(plan.blocks.size());
   const auto np = static_cast<std::size_t>(p);
@@ -903,7 +893,7 @@ void build_preagg_stage(const Matrix& h, int self, HaloPlan& plan,
   pa.epoch_stage_offsets[0] = 0;
   for (std::size_t d = 0; d < np; ++d) {
     std::size_t rows_d = 0;
-    if (static_cast<int>(d) != self && (!thin || st.send_fresh[d] != 0)) {
+    if (static_cast<int>(d) != self) {
       rows_d = pa.agg_send[d] != 0
                    ? static_cast<std::size_t>(pa.seg[d].rows())
                    : plan.send_row_offsets[d + 1] - plan.send_row_offsets[d];
@@ -958,134 +948,26 @@ bool halo_backward_profitable(std::size_t landed_rows, double rs_rows,
 }
 
 void halo_begin_epoch(int epoch, bool halo_active, const RunConfig& run,
-                      Comm& comm, HaloPlan& plan) {
+                      HaloPlan& plan) {
   HaloPlan::StaleState& st = plan.stale;
   st.layer = 0;
   st.cur_slot = 0;
-  const int mode = run.stale_k;
-  const int p = comm.size();
-  if (epoch < 0 || !halo_active || !plan.ready || p <= 1 || mode == 0 ||
-      mode == 1) {
+  const int k = run.stale_k;
+  if (epoch < 0 || !halo_active || !plan.ready || k <= 1) {
     // k = 1 refreshes every exchange — that IS the exact path — so the
     // cache machinery stays disarmed entirely (bitwise parity, incl.
     // per-category meters; tests/stale_test.cpp pins it).
     st.active = false;
-    st.adaptive = false;
     st.epoch_skip = false;
-    st.use_eff = false;
     return;
   }
+  // filled_epoch evolves identically on every rank (same interval, same
+  // epoch sequence, first arm always refreshes), so the skip decision is
+  // rank-uniform and skip epochs can elide the collective entirely.
   st.active = true;
-  st.adaptive = mode == kStaleAdaptive;
-  const int self = comm.rank();
-  const auto np = static_cast<std::size_t>(p);
-  if (st.recv_fresh.size() != np) {
-    st.valid.assign(np, 0);
-    st.recv_fresh.assign(np, 1);
-    st.send_fresh.assign(np, 1);
-    st.delta_sq.assign(np, -1.0);
-    st.norm_sq.assign(np, 0.0);
-    st.next_refresh.assign(np, epoch);
-    st.filled_epoch = -1;
-    st.prev_epoch = -1;
-    st.cache.clear();
-    st.cache_f.clear();
-  }
-  if (mode != kStaleAdaptive) {
-    // Fixed interval. filled_epoch evolves identically on every rank
-    // (same knob, same epoch sequence, first arm always refreshes), so
-    // the skip decision is rank-uniform and skip epochs can elide the
-    // collective entirely.
-    const bool refresh =
-        st.filled_epoch < 0 || epoch - st.filled_epoch >= mode;
-    st.epoch_skip = !refresh;
-    st.use_eff = false;
-    const char fill = refresh ? 1 : 0;
-    std::fill(st.recv_fresh.begin(), st.recv_fresh.end(), fill);
-    std::fill(st.send_fresh.begin(), st.send_fresh.end(), fill);
-    if (refresh) st.filled_epoch = epoch;
-    st.prev_epoch = epoch;
-    return;
-  }
-  // Adaptive: fold the deltas accumulated over the previous epoch's
-  // refreshes into per-peer intervals. A first fill (delta_sq < 0) has
-  // no baseline and stays at the floor; otherwise the relative L2 drift
-  // maps to ~ kStaleTau / drift epochs, clamped to the knob bounds.
-  if (st.prev_epoch >= 0) {
-    for (int j = 0; j < p; ++j) {
-      const auto js = static_cast<std::size_t>(j);
-      if (j == self || st.recv_fresh[js] == 0) continue;
-      if (plan.recv_row_offsets[js + 1] == plan.recv_row_offsets[js]) {
-        continue;
-      }
-      int kj = run.stale_min;
-      if (st.delta_sq[js] >= 0.0) {
-        const double rel =
-            std::sqrt(st.delta_sq[js] / (st.norm_sq[js] + 1e-30));
-        kj = rel > 0.0 ? static_cast<int>(kStaleTau / rel) : run.stale_max;
-        kj = std::clamp(kj, run.stale_min, run.stale_max);
-      }
-      st.next_refresh[js] = st.prev_epoch + kj;
-    }
-  }
-  // This epoch's receiver-side wants, and the accumulator reset for the
-  // refreshes about to run.
-  st.want_flags.assign(np, 0);
-  if (st.flag_offsets.size() != np + 1) {
-    st.flag_offsets.resize(np + 1);
-    for (std::size_t j = 0; j <= np; ++j) st.flag_offsets[j] = j;
-  }
-  for (int j = 0; j < p; ++j) {
-    const auto js = static_cast<std::size_t>(j);
-    bool want = false;
-    if (j != self &&
-        plan.recv_row_offsets[js + 1] > plan.recv_row_offsets[js]) {
-      want = st.valid[js] == 0 || epoch >= st.next_refresh[js];
-    }
-    st.recv_fresh[js] = want ? 1 : 0;
-    st.want_flags[js] = want ? 1 : 0;
-    if (want && st.valid[js] != 0) {
-      st.delta_sq[js] = 0.0;
-      st.norm_sq[js] = 0.0;
-    }
-  }
-  // One want-flag per peer, the only adaptive control traffic: collective
-  // and in lockstep every epoch, so each sender learns exactly which
-  // destinations to thin without any schedule agreement.
-  comm.alltoallv_into(std::span<const Index>(st.want_flags),
-                      std::span<const std::size_t>(st.flag_offsets),
-                      st.peer_wants, CommCategory::kControl);
-  bool any_skip = false;
-  for (int d = 0; d < p; ++d) {
-    const auto ds = static_cast<std::size_t>(d);
-    const bool fresh = d != self && st.peer_wants.data[ds] != 0;
-    st.send_fresh[ds] = fresh ? 1 : 0;
-    if (d != self && !fresh &&
-        plan.send_row_offsets[ds + 1] > plan.send_row_offsets[ds]) {
-      any_skip = true;
-    }
-  }
-  st.epoch_skip = false;
-  st.use_eff = any_skip;
-  if (any_skip) {
-    // Thinned send set: refreshing destinations' send_rows chunks
-    // concatenated, zero-length chunks for the rest. The exchange stays
-    // in lockstep; only the words drop.
-    st.eff_send_rows.clear();
-    st.eff_send_row_offsets.assign(np + 1, 0);
-    for (std::size_t d = 0; d < np; ++d) {
-      if (st.send_fresh[d] != 0) {
-        const std::size_t s0 = plan.send_row_offsets[d];
-        const std::size_t s1 = plan.send_row_offsets[d + 1];
-        st.eff_send_rows.insert(
-            st.eff_send_rows.end(),
-            plan.send_rows.begin() + static_cast<std::ptrdiff_t>(s0),
-            plan.send_rows.begin() + static_cast<std::ptrdiff_t>(s1));
-      }
-      st.eff_send_row_offsets[d + 1] = st.eff_send_rows.size();
-    }
-  }
-  st.prev_epoch = epoch;
+  const bool refresh = st.filled_epoch < 0 || epoch - st.filled_epoch >= k;
+  st.epoch_skip = !refresh;
+  if (refresh) st.filled_epoch = epoch;
 }
 
 void build_preagg_plan(const Csr& at,
@@ -1272,11 +1154,6 @@ void halo_spmm_pipeline(const Matrix& h, const Csr* self_block, int self,
                                    plan.preagg.stage.rows())),
         std::span<const std::size_t>(plan.preagg.epoch_stage_offsets), comm,
         plan, cat, stats.profiler);
-  } else if (st.active && st.use_eff) {
-    op = halo_exchange_begin(
-        h, std::span<const Index>(st.eff_send_rows),
-        std::span<const std::size_t>(st.eff_send_row_offsets), comm, plan,
-        cat, stats.profiler);
   } else {
     op = halo_exchange_begin(
         h, std::span<const Index>(plan.send_rows),
@@ -1294,7 +1171,6 @@ void halo_spmm_sweep(PendingOp& op, const Matrix& h, const Csr* self_block,
   const Index f = h.cols();
   HaloPlan::StaleState& st = plan.stale;
   const bool stale_on = st.active;
-  const bool adaptive = stale_on && st.adaptive;
   const auto slot = static_cast<std::size_t>(st.cur_slot);
   // Landed-row offsets of this exchange: the preagg plan's effective
   // layout when aggregation is armed, the raw plan's otherwise.
@@ -1341,29 +1217,8 @@ void halo_spmm_sweep(PendingOp& op, const Matrix& h, const Csr* self_block,
       }
       continue;
     }
-    const std::size_t base_rows = roff[js + 1] - roff[js];
-    if (stale_on && st.recv_fresh[js] == 0) {
-      // Stale peer: certify its empty chunk (adaptive exchanges stay in
-      // lockstep; the peer shipped a zero-length chunk by the same
-      // want-flag) and replay the cached landed rows through the
-      // identical accumulation, crediting the avoided exact words.
-      {
-        ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-        op.skip_source(j);
-      }
-      region.close();
-      region.open();
-      if (base_rows == 0) continue;
-      comm.notify_event(CommCategory::kHalo, "halo stale skip");
-      comm.meter().add_stale_saved(static_cast<double>(base_rows) *
-                                   static_cast<double>(f));
-      halo_accumulate_peer(
-          plan, j,
-          st.cache[slot].data() + roff[js] * static_cast<std::size_t>(f), f,
-          machine, stats, t);
-      continue;
-    }
-    const std::size_t expect = base_rows * static_cast<std::size_t>(f);
+    const std::size_t expect =
+        (roff[js + 1] - roff[js]) * static_cast<std::size_t>(f);
     Real* decode_dst =
         rmode == CompressMode::kOff
             ? nullptr
@@ -1371,32 +1226,12 @@ void halo_spmm_sweep(PendingOp& op, const Matrix& h, const Csr* self_block,
                   roff[js] * static_cast<std::size_t>(f);
     const Real* rows_j = drain_halo_peer(op, j, expect, rmode, decode_dst,
                                          region, stats.profiler);
-    if (stale_on && expect > 0 && rows_j != nullptr) {
-      // Refresh this peer's cache slice (and, in adaptive mode, fold the
-      // serial L2 delta against the old slice before overwriting it —
-      // deterministic double accumulation).
+    if (stale_on && rows_j != nullptr) {
+      // Refresh this peer's cache slice.
       ScopedPhase scope(stats.profiler, Phase::kHaloPack);
-      Real* dst =
-          st.cache[slot].data() + roff[js] * static_cast<std::size_t>(f);
-      if (adaptive) {
-        if (st.valid[js] == 0) {
-          st.delta_sq[js] = -1.0;  // first fill: no baseline for a delta
-        } else if (st.delta_sq[js] >= 0.0) {
-          double d2 = 0.0;
-          double n2 = 0.0;
-          for (std::size_t k = 0; k < expect; ++k) {
-            const double diff = static_cast<double>(rows_j[k]) -
-                                static_cast<double>(dst[k]);
-            d2 += diff * diff;
-            n2 += static_cast<double>(rows_j[k]) *
-                  static_cast<double>(rows_j[k]);
-          }
-          st.delta_sq[js] += d2;
-          st.norm_sq[js] += n2;
-        }
-      }
-      std::copy(rows_j, rows_j + expect, dst);
-      st.valid[js] = 1;
+      std::copy(rows_j, rows_j + expect,
+                st.cache[slot].data() +
+                    roff[js] * static_cast<std::size_t>(f));
     }
     halo_accumulate_peer(plan, j, rows_j, f, machine, stats, t);
   }

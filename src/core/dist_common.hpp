@@ -246,7 +246,7 @@ struct HaloPlan {
   struct PackBuf {
     Matrix send_buf;
     std::vector<std::size_t> send_elem_offsets;  ///< P+1, rebuilt per use
-    /// Compressed-payload staging (RunConfig::row_compress()): the exact
+    /// Compressed-payload staging (RunConfig::compress): the exact
     /// pack above is re-encoded per destination chunk into send_bytes,
     /// and the byte offsets replace the element offsets on the wire.
     /// Same release discipline as send_buf (peers read it at their
@@ -258,7 +258,7 @@ struct HaloPlan {
   };
   std::array<PackBuf, 2> pack;
   int next_pack = 0;          ///< which PackBuf the next exchange claims
-  /// Codec of the row payloads (RunConfig::row_compress(); kOff = exact
+  /// Codec of the row payloads (RunConfig::compress; kOff = exact
   /// rows), fixed by the plan's owner at construction.
   CompressMode codec = CompressMode::kOff;
   /// Decode target for compressed halo rows: the forward decodes each
@@ -272,36 +272,15 @@ struct HaloPlan {
   /// layer, laid out at the exchange's effective receive offsets — so a
   /// skipped epoch replays them through the identical accumulation
   /// without touching the wire. Per-run transient: never checkpointed,
-  /// and a rebuilt world starts invalid (uniform refresh on the first
-  /// epoch).
+  /// and a rebuilt world's plan refreshes on its first epoch.
   struct StaleState {
     bool active = false;      ///< cache machinery armed for this epoch
-    bool adaptive = false;    ///< armed in the adaptive policy
-    bool epoch_skip = false;  ///< fixed mode: replay every peer, no exchange
-    bool use_eff = false;     ///< adaptive: ship the thinned send set
+    bool epoch_skip = false;  ///< replay every peer, no exchange
     int cur_slot = 0;         ///< forward-exchange slot of the current call
     int layer = 0;            ///< forward exchanges begun this epoch
-    int filled_epoch = -1;    ///< fixed mode: epoch of the last refresh
-    int prev_epoch = -1;      ///< adaptive: epoch of the previous arm
-    std::vector<char> valid;       ///< per source: cache slice filled
-    std::vector<char> recv_fresh;  ///< per source: refresh this epoch
-    std::vector<char> send_fresh;  ///< per dest: dest wants fresh rows
-    /// Thinned send set of the current adaptive epoch (refreshing dests'
-    /// send_rows chunks concatenated; zero-length chunks for skipped
-    /// dests keep the collective in lockstep while the words drop).
-    std::vector<Index> eff_send_rows;
-    std::vector<std::size_t> eff_send_row_offsets;  ///< P+1
+    int filled_epoch = -1;    ///< epoch of the last refresh
     std::vector<std::vector<Real>> cache;  ///< landed rows per slot
     std::vector<Index> cache_f;            ///< feature width per slot
-    /// Adaptive accumulators: sum ||new-old||^2 and ||new||^2 over a
-    /// refresh epoch's layers (delta_sq < 0 flags a first fill with no
-    /// baseline), folded into per-peer next_refresh at the next arm.
-    std::vector<double> delta_sq;
-    std::vector<double> norm_sq;
-    std::vector<int> next_refresh;  ///< absolute epoch of the next refresh
-    std::vector<Index> want_flags;  ///< adaptive flag-exchange send staging
-    std::vector<std::size_t> flag_offsets;  ///< P+1, one flag per dest
-    Gathered<Index> peer_wants;     ///< adaptive flag-exchange receives
   };
   StaleState stale;
 
@@ -352,19 +331,15 @@ void build_halo_plan(const std::function<const Csr*(int)>& block_of,
 
 /// Arm (or disarm) the plan's bounded-staleness state for one epoch,
 /// called by the algebra's begin_epoch hook before the first forward
-/// exchange, with the trainer's `run` modes. Fixed mode (run.stale_k >= 2)
-/// decides refresh-vs-replay from
-/// the absolute epoch and the plan's last refresh epoch — both evolve
-/// identically on every rank, so skip epochs can elide the collective
-/// entirely. Adaptive mode folds the previous refresh's L2 deltas into
-/// per-peer intervals, exchanges one want-flag per peer (kControl, the
-/// only adaptive control traffic), and thins the send set to the
-/// refreshing destinations; the exchange itself stays in lockstep with
-/// zero-length chunks for skipped pairs. epoch < 0 disarms (exact path;
-/// used by out-of-band forwards like gather_output). No-op state when
-/// stale is off, k == 1, the plan is not ready, or p == 1.
+/// exchange, with the trainer's `run` modes. An epoch refreshes when
+/// run.stale_k epochs have passed since the plan's last refresh, and
+/// replays the cache otherwise. Both counters evolve identically on every
+/// rank, so a replay epoch elides the collective entirely and the call is
+/// purely local. epoch < 0 disarms (exact path; used by out-of-band
+/// forwards like gather_output). No-op state when stale is off, k == 1,
+/// or the halo plan is inactive.
 void halo_begin_epoch(int epoch, bool halo_active, const RunConfig& run,
-                      Comm& comm, HaloPlan& plan);
+                      HaloPlan& plan);
 
 /// Build the plan's aggregation-before-communication side tables from the
 /// global A^T (`at`): `peer_rows(j)` returns peer j's [row_lo, row_hi)

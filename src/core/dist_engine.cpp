@@ -252,9 +252,8 @@ EpochResult DistEngine::train_epoch() {
   // rewritten below. A handful of atomic loads when already drained.
   world.quiesce();
 
-  // Arm the algebra's adaptive-rate state (bounded-staleness halo
-  // refresh) for this epoch. No-op unless run().stale_k selects a lossy
-  // mode; collective in adaptive mode, so it runs in lockstep here.
+  // Arm the algebra's bounded-staleness halo refresh for this epoch.
+  // No-op unless run().stale_k selects a lossy mode.
   algebra_->begin_epoch(epoch_);
 
   forward();

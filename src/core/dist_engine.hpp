@@ -166,10 +166,9 @@ class DistSpmmAlgebra {
 
   /// Called at the start of each full-batch epoch with the absolute epoch
   /// number, or with -1 to disarm before an out-of-band forward (sampled
-  /// inference). The 1D/1.5D families arm their halo plan's adaptive-rate
-  /// state here (dist::halo_begin_epoch); collective in adaptive stale
-  /// mode (the per-epoch want-flag exchange runs inside), a purely local
-  /// decision otherwise. A no-op by default and whenever run().stale_k is
+  /// inference). The 1D/1.5D families arm their halo plan's
+  /// bounded-staleness state here (dist::halo_begin_epoch), a purely
+  /// local decision. A no-op by default and whenever run().stale_k is
   /// off.
   virtual void begin_epoch(int epoch) { (void)epoch; }
 

@@ -74,7 +74,7 @@ SampledRunner::SampledRunner(const DistProblem& problem,
     slot.exch.resize(static_cast<std::size_t>(layers));
     for (Exchange& e : slot.exch) {
       e.plan.ready = true;
-      e.plan.codec = algebra_.run().row_compress();
+      e.plan.codec = algebra_.run().compress;
       e.plan.recv_row_offsets.assign(static_cast<std::size_t>(p) + 1, 0);
       e.plan.send_row_offsets.assign(static_cast<std::size_t>(p) + 1, 0);
       e.plan.blocks.resize(static_cast<std::size_t>(p));

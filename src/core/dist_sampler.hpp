@@ -33,13 +33,28 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "src/core/dist_common.hpp"
 #include "src/gnn/optimizer.hpp"
-#include "src/gnn/sampling.hpp"
 
 namespace cagnet {
+
+/// Fanout value meaning "take the whole in-neighborhood" (no cap). An
+/// all-infinite fanout vector makes every sampled batch an exact induced
+/// receptive field, which is how the sampled trainer proves bitwise
+/// parity against the full-batch engine.
+inline constexpr Index kSampleAll = std::numeric_limits<Index>::max();
+
+/// The sampled runner's per-run options, taken from RunConfig's sampling
+/// fields.
+struct MiniBatchOptions {
+  Index batch_size = 64;
+  /// Per-hop fanouts, outermost hop first; one per GNN layer.
+  std::vector<Index> fanouts = {15, 10, 5};
+  std::uint64_t seed = 99;
+};
 
 class DistSpmmAlgebra;
 

@@ -4,7 +4,6 @@
 #include <climits>
 #include <limits>
 #include <string_view>
-#include <type_traits>
 
 #include "src/util/error.hpp"
 
@@ -17,10 +16,9 @@ constexpr Index kUncapped = std::numeric_limits<Index>::max();
 
 int parse_stale(std::string_view value) {
   if (value == "off" || value == "OFF" || value == "0") return 0;
-  if (value == "adaptive" || value == "ADAPTIVE") return kStaleAdaptive;
   if (value.find_first_not_of("0123456789") != std::string_view::npos) {
     knob::reject("CAGNET_STALE", value,
-                 "off, OFF, 0, adaptive, ADAPTIVE, or an integer from 1 to " +
+                 "off, OFF, 0, or an integer from 1 to " +
                      std::to_string(INT_MAX));
   }
   return static_cast<int>(knob::parse_positive("CAGNET_STALE", value,
@@ -30,13 +28,7 @@ int parse_stale(std::string_view value) {
 }  // namespace
 
 void RunConfig::validate() const {
-  CAGNET_CHECK(stale_k >= 0 || stale_k == kStaleAdaptive,
-               "RunConfig: stale_k must be >= 0 or kStaleAdaptive");
-  CAGNET_CHECK(stale_min >= 1 && stale_max >= stale_min,
-               "RunConfig: need 1 <= stale_min (CAGNET_STALE_MIN) <= "
-               "stale_max (CAGNET_STALE_MAX), got " +
-                   std::to_string(stale_min) + " and " +
-                   std::to_string(stale_max));
+  CAGNET_CHECK(stale_k >= 0, "RunConfig: stale_k must be >= 0");
   CAGNET_CHECK(!sample_fanouts.empty() && sample_batch > 0 &&
                    std::ranges::all_of(sample_fanouts,
                                        [](Index f) { return f > 0; }),
@@ -49,14 +41,10 @@ std::string RunConfig::to_string() const {
     if (!fanouts.empty()) fanouts += ',';
     fanouts += fanout == kUncapped ? "inf" : std::to_string(fanout);
   }
-  const std::string stale = stale_k == kStaleAdaptive ? "adaptive"
-                            : stale_k == 0            ? "off"
-                                                      : std::to_string(stale_k);
+  const std::string stale = stale_k == 0 ? "off" : std::to_string(stale_k);
   return "CAGNET_HALO=" + std::to_string(halo) +
          " CAGNET_COMPRESS=" + compress_mode_name(compress) +
          " CAGNET_STALE=" + stale +
-         " CAGNET_STALE_MIN=" + std::to_string(stale_min) +
-         " CAGNET_STALE_MAX=" + std::to_string(stale_max) +
          " CAGNET_PREAGG=" + std::to_string(preagg) +
          " CAGNET_SAMPLE=" + std::to_string(sample) +
          " CAGNET_SAMPLE_FANOUT=" + fanouts +
@@ -73,18 +61,13 @@ RunConfig RunConfig::parse(const knob::Lookup& lookup) {
   const auto flag = [&](const char* name, bool& out) {
     if (const auto v = value(name)) out = knob::parse_flag(name, *v);
   };
-  const auto positive = [&](const char* name, auto& out, std::int64_t max) {
-    if (const auto v = value(name)) {
-      out = static_cast<std::remove_reference_t<decltype(out)>>(
-          knob::parse_positive(name, *v, max));
-    }
-  };
   flag("CAGNET_HALO", run.halo);
   flag("CAGNET_PREAGG", run.preagg);
   flag("CAGNET_SAMPLE", run.sample);
-  positive("CAGNET_STALE_MIN", run.stale_min, INT_MAX);
-  positive("CAGNET_STALE_MAX", run.stale_max, INT_MAX);
-  positive("CAGNET_SAMPLE_BATCH", run.sample_batch, kUncapped);
+  if (const auto v = value("CAGNET_SAMPLE_BATCH")) {
+    run.sample_batch =
+        knob::parse_positive("CAGNET_SAMPLE_BATCH", *v, kUncapped);
+  }
   if (const auto v = value("CAGNET_COMPRESS")) {
     run.compress = parse_compress_mode(*v);
   }

@@ -17,25 +17,19 @@
 
 namespace cagnet {
 
-/// RunConfig::stale_k value selecting the adaptive per-peer refresh policy.
-inline constexpr int kStaleAdaptive = -1;
-
 struct RunConfig {
   /// Sparsity-aware halo exchange of the 1D / 1.5D forward (and, when the
   /// halo_backward_profitable gate passes, backward) instead of Algorithm
   /// 1's broadcasts (CAGNET_HALO). Bitwise identical results; fewer
   /// words. 2D / 3D ignore it.
   bool halo = false;
-  /// Wire codec (CAGNET_COMPRESS): the gradient all-reduce takes every
-  /// codec, row payloads take row_compress().
+  /// Wire codec (CAGNET_COMPRESS) of the gradient all-reduce and the row
+  /// payloads (halo rows, feature reduce-scatters).
   CompressMode compress = CompressMode::kOff;
   /// Bounded-staleness refresh interval of the halo forward
-  /// (CAGNET_STALE): 0 off, k >= 1 (1 is the exact path bitwise), or
-  /// kStaleAdaptive, whose per-peer intervals stay in [stale_min,
-  /// stale_max] (CAGNET_STALE_MIN / CAGNET_STALE_MAX). Needs `halo`.
+  /// (CAGNET_STALE): 0 off, k >= 1 (1 is the exact path bitwise). Needs
+  /// `halo`.
   int stale_k = 0;
-  int stale_min = 1;
-  int stale_max = 8;
   /// Aggregation before communication on the halo forward
   /// (CAGNET_PREAGG); moves only the summation order. Needs `halo`.
   bool preagg = false;
@@ -50,14 +44,6 @@ struct RunConfig {
   /// Epoch-invariant adjacency caches of the 2D / 3D families. Test-only
   /// (no knob): off re-runs the epoch-1 communication every epoch.
   bool epoch_cache = true;
-
-  /// Codec of row payloads (halo rows, feature reduce-scatters): fp16 and
-  /// int8 only. 1-bit collapses activations to two values per chunk,
-  /// which the aggregation cannot absorb the way the error-feedback
-  /// gradient loop can, so k1Bit leaves row traffic exact.
-  CompressMode row_compress() const {
-    return compress == CompressMode::k1Bit ? CompressMode::kOff : compress;
-  }
 
   /// Throws Error on an out-of-range field.
   void validate() const;

@@ -47,6 +47,7 @@ struct Reader {
       throw CheckpointError("truncated checkpoint (short " +
                             std::string(what) + "): " + path);
     }
+    if (len == 0) return;  // an empty layer has no storage to copy into
     std::memcpy(out, buf.data() + pos, len);
     pos += len;
   }
@@ -154,6 +155,16 @@ Checkpoint load_checkpoint(const std::string& path) {
     const auto cols = r.value<std::int64_t>("layer cols");
     if (rows < 0 || cols < 0) {
       throw CheckpointError("corrupt checkpoint layer header: " + path);
+    }
+    // rows * cols * sizeof(Real) must fit the bytes left, checked without
+    // forming the product (a forged header could overflow it).
+    const std::size_t left_values = (body.size() - r.pos) / sizeof(Real);
+    if (cols > 0 && static_cast<std::uint64_t>(rows) >
+                        left_values / static_cast<std::uint64_t>(cols)) {
+      throw CheckpointError("truncated checkpoint (layer " +
+                            std::to_string(rows) + " x " +
+                            std::to_string(cols) +
+                            " exceeds the payload left): " + path);
     }
     Matrix w(rows, cols);
     r.read(w.data(), sizeof(Real) * w.flat().size(), "layer payload");

@@ -1,5 +1,6 @@
 #include "src/graph/mmio.hpp"
 
+#include <cctype>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -11,7 +12,9 @@ namespace cagnet {
 namespace {
 
 std::string lower(std::string s) {
-  for (char& c : s) c = static_cast<char>(std::tolower(c));
+  for (char& c : s) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
   return s;
 }
 
@@ -42,11 +45,12 @@ Coo read_matrix_market(std::istream& in) {
   std::istringstream size_line(line);
   Index rows = 0, cols = 0, nnz = 0;
   size_line >> rows >> cols >> nnz;
-  CAGNET_CHECK(rows > 0 && cols > 0 && nnz >= 0,
+  CAGNET_CHECK(!size_line.fail() && rows > 0 && cols > 0 && nnz >= 0,
                "matrix market: bad size line");
 
+  // No reserve from the header's count: a file that lies about it fails
+  // at its missing entries, not at an allocation.
   Coo coo(rows, cols);
-  coo.reserve(static_cast<std::size_t>(symmetry == "general" ? nnz : 2 * nnz));
   for (Index e = 0; e < nnz; ++e) {
     CAGNET_CHECK(static_cast<bool>(std::getline(in, line)),
                  "matrix market: truncated entry list");

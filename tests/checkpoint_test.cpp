@@ -4,6 +4,7 @@
 // families. SGD is stateless, so the weights ARE the full training state.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -179,6 +180,19 @@ void spit(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+template <typename T>
+void append(std::string& bytes, T value) {
+  bytes.append(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+/// A checkpoint image of `body` (everything between the magic and the
+/// CRC) sealed with its valid CRC32, so the parser sees the body.
+std::string sealed(const std::string& body) {
+  std::string image = "CAGW" + body;
+  append(image, crc32(body.data(), body.size()));
+  return image;
+}
+
 }  // namespace
 
 TEST(CheckpointFormat, EpochAndWeightsRoundTripAndNoTmpLeftBehind) {
@@ -238,6 +252,27 @@ TEST(CheckpointFormat, ForeignAndMissingFilesAreTypedErrors) {
   EXPECT_THROW(load_checkpoint(path), CheckpointError);  // missing file
   // CheckpointError derives from Error: existing catch sites still work.
   EXPECT_THROW(load_weights(path), Error);
+}
+
+TEST(CheckpointFormat, LayerLargerThanItsPayloadIsRejected) {
+  // CRC-valid images whose one layer header claims more values than the
+  // body holds. 2^40 x 2^40 once loaded as a Matrix of those dimensions
+  // with no storage (rows * cols overflowed), and 2^20 x 2^20 threw
+  // std::bad_alloc.
+  const std::string path = ckpt_path("cagnet_fmt_forged.bin");
+  for (const std::int64_t side :
+       {std::int64_t{1} << 40, std::int64_t{1} << 20, std::int64_t{3}}) {
+    std::string body;
+    append(body, std::uint32_t{2});  // version
+    append(body, std::uint64_t{0});  // epoch
+    append(body, std::uint64_t{1});  // layer count
+    append(body, side);              // rows
+    append(body, side);              // cols
+    body.append(8 * sizeof(Real), '\0');  // 8 of the values claimed
+    spit(path, sealed(body));
+    EXPECT_THROW(load_checkpoint(path), CheckpointError) << side;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(CheckpointFormat, Crc32MatchesKnownVector) {

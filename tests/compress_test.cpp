@@ -43,16 +43,10 @@ RunConfig mode_with(bool halo, CompressMode compress) {
 
 TEST(CompressCodec, NamesParseAndRoundTrip) {
   for (CompressMode mode :
-       {CompressMode::kOff, CompressMode::kFp16, CompressMode::kInt8,
-        CompressMode::k1Bit}) {
+       {CompressMode::kOff, CompressMode::kFp16, CompressMode::kInt8}) {
     EXPECT_EQ(parse_compress_mode(compress_mode_name(mode)), mode);
   }
   EXPECT_THROW(parse_compress_mode("zstd"), Error);
-  // Row payloads take fp16/int8 only; 1-bit leaves them exact.
-  EXPECT_EQ(mode_with(true, CompressMode::k1Bit).row_compress(),
-            CompressMode::kOff);
-  EXPECT_EQ(mode_with(true, CompressMode::kInt8).row_compress(),
-            CompressMode::kInt8);
 }
 
 TEST(CompressCodec, EncodedSizesAndRatios) {
@@ -60,16 +54,13 @@ TEST(CompressCodec, EncodedSizesAndRatios) {
   EXPECT_EQ(encoded_size_bytes(CompressMode::kOff, n), 8 * n);
   EXPECT_EQ(encoded_size_bytes(CompressMode::kFp16, n), 2 * n);
   EXPECT_EQ(encoded_size_bytes(CompressMode::kInt8, n), n + 4 * 4);
-  EXPECT_EQ(encoded_size_bytes(CompressMode::k1Bit, n),
-            8 * 4 + 3 * 32 + (232 + 7) / 8);
 
   const auto ratio = [n](CompressMode mode) {
     return static_cast<double>(encoded_size_bytes(CompressMode::kOff, n)) /
            static_cast<double>(encoded_size_bytes(mode, n));
   };
   EXPECT_DOUBLE_EQ(ratio(CompressMode::kFp16), 4.0);
-  EXPECT_GE(ratio(CompressMode::kInt8), 3.0);   // ~7.9x
-  EXPECT_GE(ratio(CompressMode::k1Bit), 20.0);  // ~51x
+  EXPECT_GE(ratio(CompressMode::kInt8), 3.0);  // ~7.9x
 }
 
 TEST(CompressCodec, Fp16RoundTripWithinHalfPrecision) {
@@ -109,40 +100,12 @@ TEST(CompressCodec, Int8ErrorBoundedByChunkScale) {
   }
 }
 
-TEST(CompressCodec, OneBitPreservesChunkSumsAndSigns) {
-  const std::size_t n = 520;  // chunks of 256, 256, 8
-  const std::vector<Real> src = wave(n, 7);
-  std::vector<std::uint8_t> enc(encoded_size_bytes(CompressMode::k1Bit, n));
-  std::vector<Real> dec(n);
-  compress_encode(CompressMode::k1Bit, src, enc.data(), nullptr);
-  compress_decode(CompressMode::k1Bit, enc.data(), n, dec.data());
-  for (std::size_t c = 0; c < n; c += kCompressChunk) {
-    const std::size_t hi = std::min(n, c + kCompressChunk);
-    Real sum_src = 0;
-    Real sum_dec = 0;
-    for (std::size_t i = c; i < hi; ++i) {
-      sum_src += src[i];
-      sum_dec += dec[i];
-      // Sign bit routes each value to the matching chunk mean.
-      if (src[i] >= 0) {
-        EXPECT_GE(dec[i], 0) << "i=" << i;
-      } else {
-        EXPECT_LE(dec[i], 0) << "i=" << i;
-      }
-    }
-    // count_pos * mean_pos + count_neg * mean_neg telescopes back to the
-    // chunk sum, up to the float storage of the two means.
-    EXPECT_NEAR(sum_dec, sum_src, 1e-4 * static_cast<double>(hi - c));
-  }
-}
-
 TEST(CompressCodec, DecodeRangeMatchesFullDecodeBitwise) {
   const std::size_t n = 600;
   const std::vector<Real> src = wave(n, 11);
   const std::vector<std::pair<std::size_t, std::size_t>> ranges = {
       {0, n}, {5, n}, {250, 262}, {256, 512}, {300, 300}, {599, 600}};
-  for (CompressMode mode :
-       {CompressMode::kFp16, CompressMode::kInt8, CompressMode::k1Bit}) {
+  for (CompressMode mode : {CompressMode::kFp16, CompressMode::kInt8}) {
     std::vector<std::uint8_t> enc(encoded_size_bytes(mode, n));
     compress_encode(mode, src, enc.data(), nullptr);
     std::vector<Real> full(n);
@@ -163,8 +126,7 @@ TEST(CompressCodec, BitwiseDeterministicAcrossThreadBudgets) {
   const int budget_before = thread_budget();
   const std::size_t n = 2048 + 130;
   const std::vector<Real> src = wave(n, 13);
-  for (CompressMode mode :
-       {CompressMode::kFp16, CompressMode::kInt8, CompressMode::k1Bit}) {
+  for (CompressMode mode : {CompressMode::kFp16, CompressMode::kInt8}) {
     std::vector<std::vector<std::uint8_t>> encs;
     std::vector<std::vector<Real>> decs;
     for (int budget : {1, 8}) {
@@ -188,7 +150,7 @@ TEST(CompressCodec, ErrorFeedbackTelescopes) {
   // to fp accumulation) — quantization error never accumulates.
   const std::size_t n = 384;
   const std::vector<Real> src = wave(n, 17);
-  for (CompressMode mode : {CompressMode::kInt8, CompressMode::k1Bit}) {
+  for (CompressMode mode : {CompressMode::kInt8}) {
     std::vector<Real> residual;
     std::vector<std::uint8_t> enc(encoded_size_bytes(mode, n));
     std::vector<Real> dec(n);
@@ -224,8 +186,7 @@ TEST(CompressCodec, ErrorFeedbackTelescopes) {
 TEST(CompressedCollectives, AllreduceMatchesLocalDecodeSumAndMeter) {
   const std::size_t n = 1000;
   const int p = 4;
-  for (CompressMode mode :
-       {CompressMode::kFp16, CompressMode::kInt8, CompressMode::k1Bit}) {
+  for (CompressMode mode : {CompressMode::kFp16, CompressMode::kInt8}) {
     run_world(p, [&](Comm& world) {
       // Oracle: decode every rank's encoded contribution and sum in
       // ascending rank order — the documented deterministic element order.
@@ -344,7 +305,7 @@ TEST(CompressedCollectives, SingleRankIsExactAndFree) {
     CompressBuf buf;
     const CostMeter before = world.meter();
     world.allreduce_sum_compressed(std::span<Real>(data),
-                                   CompressMode::k1Bit, buf);
+                                   CompressMode::kInt8, buf);
     EXPECT_EQ(data, src);  // exact copy, no codec round-trip
 
     std::vector<Real> out(n, -1);
@@ -425,7 +386,7 @@ TEST(LossyTraining, MeteredGradientBytesShrinkOnWire) {
   // 2D at P=4: the only compressed traffic is the gradient slice-sum
   // all-reduce, so (exact kDense - lossy kDense) is exactly the gradient
   // words that moved to kCompressed — the metered words-on-wire reduction
-  // the acceptance asks for (>= 3x int8, >= 20x 1-bit).
+  // the acceptance asks for (>= 3x int8).
   const Graph g = learnable_graph(128, 8, 12, 4, 31);
   const GnnConfig config = GnnConfig::three_layer(12, 4, 8);
   const DistProblem problem = DistProblem::prepare(g);
@@ -436,7 +397,7 @@ TEST(LossyTraining, MeteredGradientBytesShrinkOnWire) {
 
   for (const auto& [mode, min_ratio] :
        std::vector<std::pair<CompressMode, double>>{
-           {CompressMode::kInt8, 3.0}, {CompressMode::k1Bit, 20.0}}) {
+           {CompressMode::kInt8, 3.0}}) {
     const TrainRun lossy =
         run_trainer("2d", problem, config, 4, 2, mode_with(false, mode));
     const double moved =
@@ -489,7 +450,7 @@ TEST(LossyTraining, LossyModesReachExactAccuracyWithinTolerance) {
   // The acceptance parity/convergence contract: on the planted-partition
   // trainer every lossy mode must land within tolerance of the exact
   // run's final loss and accuracy (error feedback keeps the gradient
-  // quantization from biasing SGD; halo rows are fp16/int8 only).
+  // quantization from biasing SGD).
   const Graph g = learnable_graph(240, 8, 12, 4, 51);
   GnnConfig config = GnnConfig::three_layer(12, 4, 16);
   config.learning_rate = 0.3;
@@ -503,8 +464,7 @@ TEST(LossyTraining, LossyModesReachExactAccuracyWithinTolerance) {
   // comparison below is not vacuously satisfied at chance accuracy.
   ASSERT_GE(exact.accuracies.back(), 0.8);
 
-  for (CompressMode mode :
-       {CompressMode::kFp16, CompressMode::kInt8, CompressMode::k1Bit}) {
+  for (CompressMode mode : {CompressMode::kFp16, CompressMode::kInt8}) {
     const TrainRun lossy =
         run_trainer("1d", problem, config, 4, epochs, mode_with(true, mode));
     EXPECT_TRUE(std::isfinite(lossy.losses.back()))

@@ -1,9 +1,9 @@
 // The mode matrix: every legal RunConfig, in-process, on every registry
 // algebra and three small adversarial graphs.
 //
-// Full batch enumerates halo {off, on} x compress {off, fp16, int8, 1bit}
-// x stale {off, 1, 4, adaptive} x preagg {off, on}, with stale and preagg
-// varied only under halo (both ride the halo exchange). Sampled training
+// Full batch enumerates halo {off, on} x compress {off, fp16, int8} x
+// stale {off, 1, 4} x preagg {off, on}, with stale and preagg varied only
+// under halo (both ride the halo exchange). Sampled training
 // is 1D only: {capped, uncapped with a whole-graph batch} x compress
 // {off, int8}. Every cell runs at thread budgets 1 and 3 and must agree
 // with itself bitwise. Cells on an exact wire (compress off, stale off or
@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "src/core/algebra_registry.hpp"
-#include "src/gnn/sampling.hpp"
+#include "src/core/dist_sampler.hpp"
 #include "src/gnn/serial_trainer.hpp"
 #include "src/graph/graph.hpp"
 #include "src/sparse/generate.hpp"
@@ -90,11 +90,11 @@ std::vector<Graph> adversarial_graphs() {
 /// Every legal full-batch config, the broadcast cell (RunConfig{}) first.
 std::vector<RunConfig> full_batch_configs() {
   const CompressMode codecs[] = {CompressMode::kOff, CompressMode::kFp16,
-                                 CompressMode::kInt8, CompressMode::k1Bit};
+                                 CompressMode::kInt8};
   std::vector<RunConfig> configs;
   for (bool halo : {false, true}) {
     for (CompressMode compress : codecs) {
-      for (int stale : {0, 1, 4, kStaleAdaptive}) {
+      for (int stale : {0, 1, 4}) {
         for (bool preagg : {false, true}) {
           if (!halo && (stale != 0 || preagg)) continue;
           RunConfig run;

@@ -15,7 +15,7 @@
 #include "src/comm/contract_check.hpp"
 #include "src/comm/fault.hpp"
 #include "src/core/run_config.hpp"
-#include "src/gnn/sampling.hpp"
+#include "src/core/dist_sampler.hpp"
 #include "src/graph/partition.hpp"
 #include "src/util/knob.hpp"
 #include "src/util/parallel.hpp"
@@ -75,9 +75,8 @@ TEST(RunConfigParse, UnsetAndEmptyKnobsKeepTheDefaults) {
   EXPECT_EQ(parse_env({}), RunConfig{});
   Env empty;
   for (const char* knob :
-       {"CAGNET_HALO", "CAGNET_COMPRESS", "CAGNET_STALE", "CAGNET_STALE_MIN",
-        "CAGNET_STALE_MAX", "CAGNET_PREAGG", "CAGNET_SAMPLE",
-        "CAGNET_SAMPLE_FANOUT", "CAGNET_SAMPLE_BATCH"}) {
+       {"CAGNET_HALO", "CAGNET_COMPRESS", "CAGNET_STALE", "CAGNET_PREAGG",
+        "CAGNET_SAMPLE", "CAGNET_SAMPLE_FANOUT", "CAGNET_SAMPLE_BATCH"}) {
     empty[knob] = "";
   }
   EXPECT_EQ(parse_env(empty), RunConfig{});
@@ -95,26 +94,18 @@ TEST(RunConfigParse, AcceptsEverySpelling) {
   }
   EXPECT_EQ(parse_env({{"CAGNET_COMPRESS", "fp16"}}).compress,
             CompressMode::kFp16);
-  EXPECT_EQ(parse_env({{"CAGNET_COMPRESS", "1bit"}}).compress,
-            CompressMode::k1Bit);
+  EXPECT_EQ(parse_env({{"CAGNET_COMPRESS", "int8"}}).compress,
+            CompressMode::kInt8);
   for (const char* off : {"off", "OFF", "0"}) {
     EXPECT_EQ(parse_env({{"CAGNET_STALE", off}}).stale_k, 0) << off;
-  }
-  for (const char* adaptive : {"adaptive", "ADAPTIVE"}) {
-    EXPECT_EQ(parse_env({{"CAGNET_STALE", adaptive}}).stale_k,
-              kStaleAdaptive);
   }
   EXPECT_EQ(parse_env({{"CAGNET_STALE", "2147483647"}}).stale_k, INT_MAX);
   const RunConfig sampled =
       parse_env({{"CAGNET_SAMPLE_FANOUT", "inf,all,3"},
-                 {"CAGNET_SAMPLE_BATCH", "9223372036854775807"},
-                 {"CAGNET_STALE_MIN", "2"},
-                 {"CAGNET_STALE_MAX", "3"}});
+                 {"CAGNET_SAMPLE_BATCH", "9223372036854775807"}});
   EXPECT_EQ(sampled.sample_fanouts,
             (std::vector<Index>{kSampleAll, kSampleAll, 3}));
   EXPECT_EQ(sampled.sample_batch, INT64_MAX);
-  EXPECT_EQ(sampled.stale_min, 2);
-  EXPECT_EQ(sampled.stale_max, 3);
 }
 
 TEST(RunConfigParse, MalformedKnobsAreTypedErrors) {
@@ -125,7 +116,6 @@ TEST(RunConfigParse, MalformedKnobsAreTypedErrors) {
   expect_rejected({{"CAGNET_SAMPLE_FANOUT", "4,x"}}, "CAGNET_SAMPLE_FANOUT",
                   "4,x");
   expect_rejected({{"CAGNET_STALE", "abc"}}, "CAGNET_STALE", "abc");
-  expect_rejected({{"CAGNET_STALE_MAX", "0"}}, "CAGNET_STALE_MAX", "0");
   // An atol -> int narrowing once read these as "off" and "adaptive".
   expect_rejected({{"CAGNET_STALE", "4294967296"}}, "CAGNET_STALE",
                   "4294967296");
@@ -140,31 +130,23 @@ TEST(RunConfigParse, MalformedKnobsAreTypedErrors) {
                   "4,,2");
   expect_rejected({{"CAGNET_SAMPLE_BATCH", "+8"}}, "CAGNET_SAMPLE_BATCH",
                   "+8");
-  // Bounds that contradict each other name both knobs.
-  try {
-    parse_env({{"CAGNET_STALE_MIN", "9"}});
-    ADD_FAILURE() << "a floor above the default ceiling parsed";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("CAGNET_STALE_MAX"),
-              std::string::npos);
-  }
+  // Retired modes: the adaptive refresh policy and the 1-bit codec.
+  expect_rejected({{"CAGNET_STALE", "adaptive"}}, "CAGNET_STALE", "adaptive");
+  expect_rejected({{"CAGNET_COMPRESS", "1bit"}}, "CAGNET_COMPRESS", "1bit");
 }
 
 TEST(RunConfigString, RoundTripsThroughTheEnvSpelling) {
   RunConfig run;
   run.halo = true;
   run.compress = CompressMode::kInt8;
-  run.stale_k = kStaleAdaptive;
-  run.stale_min = 2;
-  run.stale_max = 5;
+  run.stale_k = 5;
   run.preagg = true;
   run.sample = true;
   run.sample_fanouts = {kSampleAll, 4, 1};
   run.sample_batch = 17;
   EXPECT_EQ(run.to_string(),
-            "CAGNET_HALO=1 CAGNET_COMPRESS=int8 CAGNET_STALE=adaptive "
-            "CAGNET_STALE_MIN=2 CAGNET_STALE_MAX=5 CAGNET_PREAGG=1 "
-            "CAGNET_SAMPLE=1 CAGNET_SAMPLE_FANOUT=inf,4,1 "
+            "CAGNET_HALO=1 CAGNET_COMPRESS=int8 CAGNET_STALE=5 "
+            "CAGNET_PREAGG=1 CAGNET_SAMPLE=1 CAGNET_SAMPLE_FANOUT=inf,4,1 "
             "CAGNET_SAMPLE_BATCH=17");
   EXPECT_EQ(parse_env(env_of(run.to_string())), run);
   EXPECT_EQ(parse_env(env_of(RunConfig{}.to_string())), RunConfig{});
@@ -332,10 +314,8 @@ TEST(KnobFuzz, RunConfigParseAcceptsOrThrowsError) {
   const std::vector<std::pair<std::string, std::vector<std::string>>>
       corpus = {
           {"CAGNET_HALO", {"1", "on", "TRUE", "0", "off"}},
-          {"CAGNET_COMPRESS", {"off", "fp16", "int8", "1bit"}},
-          {"CAGNET_STALE", {"off", "1", "4", "adaptive", "2147483647"}},
-          {"CAGNET_STALE_MIN", {"1", "2"}},
-          {"CAGNET_STALE_MAX", {"3", "8", "64"}},
+          {"CAGNET_COMPRESS", {"off", "fp16", "int8"}},
+          {"CAGNET_STALE", {"off", "1", "4", "2147483647"}},
           {"CAGNET_PREAGG", {"1", "false"}},
           {"CAGNET_SAMPLE", {"1", "OFF"}},
           {"CAGNET_SAMPLE_FANOUT", {"15,10,5", "inf,all", "2,2,2", "7"}},

@@ -18,8 +18,8 @@
 #include "src/comm/compress.hpp"
 #include "src/comm/fault.hpp"
 #include "src/core/algebra_registry.hpp"
+#include "src/core/dist_sampler.hpp"
 #include "src/core/recovery.hpp"
-#include "src/gnn/sampling.hpp"
 #include "src/graph/graph.hpp"
 #include "src/sparse/generate.hpp"
 #include "src/util/parallel.hpp"
@@ -188,24 +188,29 @@ TEST(SampledTraining, FiniteFanoutDeterministicAcrossThreadBudgets) {
   // The minibatch pipeline (sample, pack, exchange, compute) must be
   // bitwise-reproducible for a fixed seed whatever the kernel thread
   // budget: sampling is serial per rank and every reduction order is
-  // fixed by the schedule, not the thread count.
+  // fixed by the schedule, not the thread count. One worker (P=1) is
+  // serial minibatch training.
   const int budget_before = thread_budget();
   const Graph g = learnable_graph(160, 8, 10, 4, 47);
   const GnnConfig config = GnnConfig::three_layer(10, 4, 8);
   const DistProblem problem = DistProblem::prepare(g);
 
-  std::vector<TrainRun> runs;
-  for (const int budget : {1, 8}) {
-    override_thread_budget(budget);
-    runs.push_back(
-        run_trainer("1d", problem, config, 4, 3, sampled({6, 4, 3}, 16)));
+  for (const int p : {1, 4}) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    std::vector<TrainRun> runs;
+    for (const int budget : {1, 8}) {
+      override_thread_budget(budget);
+      runs.push_back(
+          run_trainer("1d", problem, config, p, 3, sampled({6, 4, 3}, 16)));
+    }
+    override_thread_budget(budget_before);
+    expect_bitwise_equal(runs[0], runs[1]);
+    if (p == 1) continue;
+    // The run genuinely exchanged sampled rows (kHalo) and need lists
+    // (kControl) — the metering contract of the sampled path.
+    EXPECT_GT(runs[0].stats.comm.words(CommCategory::kHalo), 0.0);
+    EXPECT_GT(runs[0].stats.comm.words(CommCategory::kControl), 0.0);
   }
-  override_thread_budget(budget_before);
-  expect_bitwise_equal(runs[0], runs[1]);
-  // The run genuinely exchanged sampled rows (kHalo) and need lists
-  // (kControl) — the metering contract of the sampled path.
-  EXPECT_GT(runs[0].stats.comm.words(CommCategory::kHalo), 0.0);
-  EXPECT_GT(runs[0].stats.comm.words(CommCategory::kControl), 0.0);
 }
 
 TEST(SampledTraining, MultiBatchPipelineBitwiseAcrossThreadBudgets) {
@@ -233,38 +238,44 @@ TEST(SampledTraining, FiniteFanoutReachesExactAccuracyFloor) {
   // The convergence half of the acceptance: capped fanouts inject
   // sampling noise but must still train to the exact run's accuracy
   // floor on the planted-partition task (same discipline as the lossy
-  // compression contract).
+  // compression contract), on one worker and on four.
   const Graph g = learnable_graph(240, 8, 12, 4, 51);
   GnnConfig config = GnnConfig::three_layer(12, 4, 16);
   config.learning_rate = 0.3;
   const int epochs = 60;
-  const DistProblem problem = DistProblem::prepare(g, 4, "greedy-bfs");
 
-  const TrainRun exact =
-      run_trainer("1d", problem, config, 4, epochs, halo_mode());
-  ASSERT_TRUE(std::isfinite(exact.losses.back()));
-  const Real exact_acc = eval_accuracy(problem, config, 4, exact.weights);
-  ASSERT_GE(exact_acc, 0.8);
+  for (const int p : {1, 4}) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    const DistProblem problem = DistProblem::prepare(g, p, "greedy-bfs");
+    const TrainRun exact =
+        run_trainer("1d", problem, config, p, epochs, halo_mode());
+    ASSERT_TRUE(std::isfinite(exact.losses.back()));
+    const Real exact_acc = eval_accuracy(problem, config, p, exact.weights);
+    ASSERT_GE(exact_acc, 0.8);
 
-  // Sampled in-epoch accuracy is measured on sampled neighborhoods and
-  // shifting minibatch weights, so judge the trained model by the same
-  // full-graph forward the exact run is judged by.
-  RunConfig mode = sampled({12, 10, 8}, 32);
-  mode.halo = true;
-  const TrainRun sample = run_trainer("1d", problem, config, 4, epochs, mode);
-  EXPECT_TRUE(std::isfinite(sample.losses.back()));
-  const Real sampled_acc = eval_accuracy(problem, config, 4, sample.weights);
-  EXPECT_GE(sampled_acc, exact_acc - 0.05)
-      << "sampled in-epoch accuracy " << sample.accuracies.back();
+    // Sampled in-epoch accuracy is measured on sampled neighborhoods and
+    // shifting minibatch weights, so judge the trained model by the same
+    // full-graph forward the exact run is judged by.
+    RunConfig mode = sampled({12, 10, 8}, 32);
+    mode.halo = true;
+    const TrainRun sample =
+        run_trainer("1d", problem, config, p, epochs, mode);
+    EXPECT_TRUE(std::isfinite(sample.losses.back()));
+    const Real sampled_acc =
+        eval_accuracy(problem, config, p, sample.weights);
+    EXPECT_GE(sampled_acc, exact_acc - 0.05)
+        << "sampled in-epoch accuracy " << sample.accuracies.back();
 
-  // And under a lossy wire codec the sampled run still trains (the halo
-  // rows and gradient reductions share the compressed path).
-  mode.compress = CompressMode::kInt8;
-  const TrainRun lossy = run_trainer("1d", problem, config, 4, epochs, mode);
-  EXPECT_TRUE(std::isfinite(lossy.losses.back()));
-  const Real lossy_acc = eval_accuracy(problem, config, 4, lossy.weights);
-  EXPECT_GE(lossy_acc, exact_acc - 0.1)
-      << "lossy in-epoch accuracy " << lossy.accuracies.back();
+    // And under a lossy wire codec the sampled run still trains (the halo
+    // rows and gradient reductions share the compressed path).
+    mode.compress = CompressMode::kInt8;
+    const TrainRun lossy =
+        run_trainer("1d", problem, config, p, epochs, mode);
+    EXPECT_TRUE(std::isfinite(lossy.losses.back()));
+    const Real lossy_acc = eval_accuracy(problem, config, p, lossy.weights);
+    EXPECT_GE(lossy_acc, exact_acc - 0.1)
+        << "lossy in-epoch accuracy " << lossy.accuracies.back();
+  }
 }
 
 TEST(SampledTraining, UnsupportedAlgebraThrowsTypedError) {
@@ -291,7 +302,7 @@ TEST(SampledTraining, UnsupportedAlgebraThrowsTypedError) {
 }
 
 TEST(SampledTraining, InvalidSampleOptionsThrowTypedError) {
-  // The engine forwards the run's sampling modes into MiniBatchOptions;
+  // The engine forwards the run's sampling modes to the sampled runner;
   // a fanout list that does not match the model depth (or a nonsensical
   // batch size) must surface as a typed Error when the trainer is built.
   const Graph g = learnable_graph(64, 4, 8, 4, 67);

@@ -1,8 +1,7 @@
-// Adaptive communication rates: bounded-staleness halo refresh
-// (RunConfig::stale_k) and aggregation-before-communication
-// (RunConfig::preagg).
+// Bounded-staleness halo refresh (RunConfig::stale_k) and
+// aggregation-before-communication (RunConfig::preagg).
 //
-// The contract under test (DESIGN.md "Adaptive communication rates
+// The contract under test (DESIGN.md "Staleness and pre-aggregation
 // contract"):
 //   - stale_k = 0 (off) and stale_k = 1 are bitwise the exact halo
 //     path — losses, weights, output, and every per-category meter,
@@ -14,9 +13,6 @@
 //     small floor of the exact run's.
 //   - Within a stale mode, runs stay bitwise equal across thread budgets
 //     (losses, weights, meters).
-//   - Adaptive mode (kStaleAdaptive) respects the stale_min/stale_max
-//     interval bounds, skips at least some
-//     exchanges on a slowly-changing graph, and converges.
 //   - Pre-aggregation ships pre-reduced rows for pairs where that is
 //     structurally smaller, so metered kHalo words drop below the exact
 //     exchange on a hub-heavy graph; it is deterministic across thread
@@ -199,6 +195,21 @@ TEST(StaleParity, OffAndKOneBitwiseMatchExactPath) {
   }
 }
 
+TEST(StaleParity, NegativeIntervalIsRefused) {
+  const RunConfig run = stale_mode(-7);
+  EXPECT_THROW(run.validate(), Error);
+  // A trainer validates its modes when it is built.
+  const Graph g = learnable_graph(32, 2, 4, 2, 96);
+  const DistProblem problem = DistProblem::prepare(g);
+  EXPECT_THROW(run_world(2,
+                         [&](Comm& world) {
+                           make_dist_trainer(
+                               "1d", problem, GnnConfig::three_layer(4, 2),
+                               world, run);
+                         }),
+               Error);
+}
+
 // ---- Fixed k >= 2: traffic drops ~k-fold, savings credited exactly ----
 
 TEST(StaleTraffic, FixedKCutsHaloWordsAndCreditsSavingsExactly) {
@@ -249,61 +260,6 @@ TEST(StaleTraffic, ThreadBudgetsStayBitwiseWithinStaleMode) {
     expect_bitwise_equal(one, eight, c.algebra + "/k=3");
     EXPECT_EQ(one.stale_saved, eight.stale_saved) << c.algebra;
   }
-}
-
-// ---- Adaptive mode: per-peer intervals inside the configured bounds ----
-
-TEST(StaleAdaptive, RespectsBoundsSkipsExchangesAndConverges) {
-  const Graph g = learnable_graph(240, 12, 10, 4, 95);
-  GnnConfig config = GnnConfig::three_layer(10, 4, 8);
-  config.learning_rate = 0.1;
-  const int epochs = 12;
-  const DistProblem problem = DistProblem::prepare(g, 4, "greedy-bfs");
-
-  const StaleRun exact =
-      run_trainer("1d", problem, config, 4, epochs, stale_mode(0));
-
-  RunConfig bounded = stale_mode(kStaleAdaptive);
-  bounded.stale_min = 2;
-  bounded.stale_max = 6;
-  const StaleRun adaptive =
-      run_trainer("1d", problem, config, 4, epochs, bounded);
-
-  // A floor of 2 forces at least every other exchange to be skipped once
-  // the caches are primed, so savings must be strictly positive and the
-  // metered halo words strictly below the exact run's.
-  EXPECT_GT(adaptive.stale_saved, 0.0);
-  EXPECT_LT(adaptive.halo_words, exact.halo_words);
-  // ...but the ceiling of 6 bounds the staleness: over 12 epochs at most
-  // ~5/6 of rank 0's receives can be skipped.
-  EXPECT_GT(adaptive.halo_words, 0.0);
-  // Still converges to within the accuracy floor.
-  EXPECT_LT(adaptive.losses.back(), adaptive.losses.front());
-  EXPECT_GE(adaptive.accuracies.back(), exact.accuracies.back() - 0.1);
-}
-
-TEST(StaleAdaptive, BoundsValidate) {
-  RunConfig run = stale_mode(kStaleAdaptive);
-  run.stale_min = 0;
-  EXPECT_THROW(run.validate(), Error);
-  run.stale_min = 4;
-  run.stale_max = 2;
-  EXPECT_THROW(run.validate(), Error);
-  run.stale_min = 3;
-  run.stale_max = 3;
-  EXPECT_NO_THROW(run.validate());
-  run.stale_k = -7;
-  EXPECT_THROW(run.validate(), Error);
-  // A trainer validates its modes when it is built.
-  const Graph g = learnable_graph(32, 2, 4, 2, 96);
-  const DistProblem problem = DistProblem::prepare(g);
-  EXPECT_THROW(run_world(2,
-                         [&](Comm& world) {
-                           make_dist_trainer(
-                               "1d", problem, GnnConfig::three_layer(4, 2),
-                               world, run);
-                         }),
-               Error);
 }
 
 // ---- Pre-aggregation: fewer words on hub-heavy coupling, deterministic --
