@@ -13,17 +13,26 @@
 // sparsity-aware halo path — and prints the metered
 // words next to the predicted edgecut_P(A) * f plus measured
 // epochs/sec, in the same JSON shape BENCH_EPOCH_THROUGHPUT.json tracks.
-// Timing uses the best of --epoch-reps measured epochs so one scheduler
-// hiccup cannot invert a comparison.
+// Both paths train side by side in one world and are timed as
+// interleaved pairs of epochs, alternating which path runs first, so a
+// slow stretch of the host lands on both; each path's time is the best of
+// its --epoch-reps measured epochs, so one scheduler hiccup cannot invert
+// a comparison.
 //
 // The run *fails* (nonzero exit, clear message) if the halo path loses
-// on wall clock despite a words_reduction > 1 — the pipelined exchange
-// regressing to "fewer words, same critical path" is
-// exactly the regression class this bench exists to catch.
+// on wall clock despite a words_reduction of at least kJudgedReduction —
+// the pipelined exchange regressing to "fewer words, same critical path"
+// is exactly the regression class this bench exists to catch. A
+// partitioner below that reduction (random moves ~1.05x fewer words) is
+// printed as "not judged": there the two paths' epoch times sit within
+// host noise of each other, and which one wins says nothing about the
+// pipeline.
 //
 // Epoch-run flags: --epoch-parts 16, --features 16, --hidden 16,
 // --epoch-reps 5.
+#include <array>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,6 +44,15 @@
 #include "src/util/timer.hpp"
 
 using namespace cagnet;
+
+namespace {
+
+/// Smallest broadcast-to-halo words reduction at which the halo path must
+/// also win on wall clock (block and greedy-bfs reach ~1.6x on the
+/// tracked configuration).
+constexpr double kJudgedReduction = 1.5;
+
+}  // namespace
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
@@ -127,58 +145,65 @@ int main(int argc, char** argv) {
 
   std::printf("\n=== 1D epochs at P=%d: broadcast vs halo, per "
               "partitioner ===\n\n", epoch_parts);
-  std::printf("%-12s %12s %14s %14s %9s %9s %9s\n", "partitioner",
+  std::printf("%-12s %12s %14s %14s %9s %9s %9s %7s\n", "partitioner",
               "max_remote", "metered halo", "bcast dense", "reduction",
-              "bcast eps", "halo eps");
+              "bcast eps", "halo eps", "judged");
   const int epoch_reps =
       std::max(1, static_cast<int>(args.get_int("epoch-reps", 5)));
-  RunConfig run = RunConfig::from_env();
+  std::array<RunConfig, 2> modes;  // [0] broadcast, [1] halo
+  modes[0] = modes[1] = RunConfig::from_env();
+  modes[0].halo = false;
+  modes[1].halo = true;
   std::vector<std::string> regressions;
+  std::vector<std::string> not_judged;
   for (const PartitionerSpec& spec : partitioner_registry()) {
     const DistProblem problem =
         DistProblem::prepare(g, epoch_parts, spec.name);
-    double words[2] = {0, 0};       // total non-control words per mode
-    double halo_words = 0;
-    double eps[2] = {0, 0};
-    double overlap_regions = 0;
-    double phase_hpack = 0;
-    for (int halo = 0; halo <= 1; ++halo) {
-      run.halo = halo != 0;
-      run_world(epoch_parts, [&](Comm& world) {
-        auto trainer = make_dist_trainer("1d", problem, gnn, world, run);
-        trainer->train_epoch();  // warm-up (plan + buffers)
-        // Best-of-reps epoch time: one preempted epoch on an
-        // oversubscribed host must not invert the comparison.
-        double best = 0;
-        for (int rep = 0; rep < epoch_reps; ++rep) {
+    std::array<EpochStats, 2> stats;
+    std::array<double, 2> best = {0, 0};
+    run_world(epoch_parts, [&](Comm& world) {
+      std::array<std::unique_ptr<DistTrainer>, 2> trainers;
+      for (int halo = 0; halo <= 1; ++halo) {
+        trainers[halo] =
+            make_dist_trainer("1d", problem, gnn, world, modes[halo]);
+        trainers[halo]->train_epoch();  // warm-up (plan + buffers)
+      }
+      std::array<double, 2> mine = {0, 0};
+      for (int rep = 0; rep < epoch_reps; ++rep) {
+        for (int k = 0; k < 2; ++k) {
+          const int halo = (rep + k) % 2;  // alternate which path leads
           world.barrier();
           WallTimer timer;
-          trainer->train_epoch();
+          trainers[halo]->train_epoch();
           world.barrier();
           const double elapsed = timer.seconds();
-          if (rep == 0 || elapsed < best) best = elapsed;
+          if (rep == 0 || elapsed < mine[halo]) mine[halo] = elapsed;
         }
-        const EpochStats stats = trainer->reduce_epoch_stats();
+      }
+      for (int halo = 0; halo <= 1; ++halo) {
+        EpochStats reduced = trainers[halo]->reduce_epoch_stats();
         if (world.rank() == 0) {
-          words[halo] = stats.comm.total_words();
-          eps[halo] = best > 0 ? 1.0 / best : 0;
-          if (halo == 1) {
-            halo_words = stats.comm.words(CommCategory::kHalo);
-            overlap_regions = stats.comm.overlap_regions();
-            phase_hpack = stats.profiler.seconds(Phase::kHaloPack);
-          }
+          stats[halo] = std::move(reduced);
+          best[halo] = mine[halo];
         }
-      });
-    }
+      }
+    });
+    const std::array<double, 2> words = {stats[0].comm.total_words(),
+                                         stats[1].comm.total_words()};
+    const std::array<double, 2> eps = {best[0] > 0 ? 1.0 / best[0] : 0,
+                                       best[1] > 0 ? 1.0 / best[1] : 0};
+    const double halo_words = stats[1].comm.words(CommCategory::kHalo);
     const double predicted =
         static_cast<double>(problem.edgecut.max_remote_rows_per_part) *
         static_cast<double>(sum_f_in);
     const double reduction = words[1] > 0 ? words[0] / words[1] : 0.0;
-    std::printf("%-12s %12lld %14.0f %14.0f %8.2fx %9.3f %9.3f\n",
+    const bool judged = reduction >= kJudgedReduction;
+    std::printf("%-12s %12lld %14.0f %14.0f %8.2fx %9.3f %9.3f %7s\n",
                 spec.name.c_str(),
                 static_cast<long long>(
                     problem.edgecut.max_remote_rows_per_part),
-                halo_words, words[0], reduction, eps[0], eps[1]);
+                halo_words, words[0], reduction, eps[0], eps[1],
+                judged ? "yes" : "no");
     std::printf("{\"schema_version\":3,"
                 "\"bench\":\"partition_edgecut_epoch\",\"partitioner\":"
                 "\"%s\",\"world\":%d,\"n\":%lld,\"f\":%lld,"
@@ -194,14 +219,22 @@ int main(int argc, char** argv) {
                 static_cast<long long>(
                     problem.edgecut.max_remote_rows_per_part),
                 predicted, halo_words, words[0], words[1], reduction,
-                overlap_regions, phase_hpack, eps[0], eps[1]);
-    if (reduction > 1.0 && eps[1] < eps[0]) {
-      regressions.push_back(
-          spec.name + ": halo " + std::to_string(eps[1]) +
-          " eps < broadcast " + std::to_string(eps[0]) +
-          " eps despite a " + std::to_string(reduction) +
-          "x words reduction");
+                stats[1].comm.overlap_regions(),
+                stats[1].profiler.seconds(Phase::kHaloPack), eps[0], eps[1]);
+    const std::string verdict =
+        spec.name + ": halo " + std::to_string(eps[1]) + " eps vs broadcast " +
+        std::to_string(eps[0]) + " eps at a " + std::to_string(reduction) +
+        "x words reduction";
+    if (!judged) {
+      not_judged.push_back(verdict);
+    } else if (eps[1] < eps[0]) {
+      regressions.push_back(verdict);
     }
+  }
+  for (const std::string& line : not_judged) {
+    std::printf("not judged (words reduction below the %.2fx threshold): "
+                "%s\n",
+                kJudgedReduction, line.c_str());
   }
   std::printf("\nmetered halo words equal the predicted edgecut_P(A) * f\n"
               "exactly (the IV-A.8 request-and-send volume); the broadcast\n"
@@ -209,8 +242,9 @@ int main(int argc, char** argv) {
   if (!regressions.empty()) {
     std::fprintf(stderr,
                  "\nFAIL: the halo path lost on wall clock despite moving "
-                 "fewer words.\nThe pipelined exchange has "
-                 "regressed to \"fewer words, same critical path\":\n");
+                 "at least %.2fx fewer words.\nThe pipelined exchange has "
+                 "regressed to \"fewer words, same critical path\":\n",
+                 kJudgedReduction);
     for (const std::string& r : regressions) {
       std::fprintf(stderr, "  - %s\n", r.c_str());
     }

@@ -2,7 +2,6 @@
 
 #include "src/comm/grid.hpp"
 #include "src/core/dist15d.hpp"
-#include "src/core/dist1d.hpp"
 #include "src/core/dist2d.hpp"
 #include "src/core/dist3d.hpp"
 #include "src/util/error.hpp"
@@ -16,7 +15,7 @@ const std::vector<AlgebraSpec>& algebra_registry() {
         {"1d", [](int p) { return p >= 1; }, {1, 2, 3, 4, 7, 8},
          [](const DistProblem& problem, Comm& world, const RunConfig& run,
             MachineModel machine) {
-           return std::make_unique<Algebra1D>(problem, world, run, machine);
+           return std::make_unique<Algebra15D>(problem, world, 1, run, machine);
          }});
     specs.push_back(
         {"1.5d-c2", [](int p) { return p >= 2 && p % 2 == 0; }, {2, 4, 6, 8},

@@ -34,7 +34,8 @@ struct AlgebraSpec {
       make;
 };
 
-/// All registered algebras (1D, 1.5D at c = 2 and 4, 2D, 3D).
+/// All registered algebras (1D, which is the 1.5D family at c = 1; 1.5D
+/// at c = 2 and 4; 2D; 3D).
 const std::vector<AlgebraSpec>& algebra_registry();
 
 /// Lookup by name; nullptr when unknown.

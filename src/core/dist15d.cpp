@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "src/dense/gemm.hpp"
-#include "src/sparse/spmm_kernel.hpp"
 #include "src/util/error.hpp"
 
 namespace cagnet {
@@ -20,50 +19,50 @@ Algebra15D::Algebra15D(const DistProblem& problem, Comm world,
   groups_ = world_.size() / c_;
   t_ = world_.rank() % c_;
   g_ = world_.rank() / c_;
-  team_ = world_.split(/*color=*/g_, /*key=*/t_);
-  slice_ = world_.split(/*color=*/t_, /*key=*/g_);
+  if (c_ > 1) {
+    team_ = world_.split(/*color=*/g_, /*key=*/t_);
+    slice_ = world_.split(/*color=*/t_, /*key=*/g_);
+  } else {
+    slice_ = world_;
+  }
   grad_comm_ = slice_.split(/*color=*/0, /*key=*/slice_.rank());
 
-  n_ = problem.graph->num_vertices();
   row_starts_ = dist::row_starts(problem, groups_);
   row_lo_ = row_starts_[static_cast<std::size_t>(g_)];
   row_hi_ = row_starts_[static_cast<std::size_t>(g_) + 1];
 
+  // The stripe's A^T blocks, one per broadcast stage, and their
+  // transposes stacked in stage order as the backward operand (stacked
+  // bases record where each group's rows start in it).
+  std::vector<Index> stacked_base(static_cast<std::size_t>(groups_), 0);
+  std::vector<Csr> a_pieces;
+  Index stripe_rows = 0;
   for (int j = t_; j < groups_; j += c_) {
-    Csr block = problem.at.block(row_lo_, row_hi_,
-                                 row_starts_[static_cast<std::size_t>(j)],
-                                 row_starts_[static_cast<std::size_t>(j) + 1]);
-    a_stripe_[j] = block.transposed();
-    at_stripe_[j] = std::move(block);
+    stages_.push_back(j);
+    at_stripe_.push_back(problem.at.block(
+        row_lo_, row_hi_, row_starts_[static_cast<std::size_t>(j)],
+        row_starts_[static_cast<std::size_t>(j) + 1]));
+    a_pieces.push_back(at_stripe_.back().transposed());
+    stacked_base[static_cast<std::size_t>(j)] = stripe_rows;
+    stripe_rows += a_pieces.back().rows();
   }
+  a_stacked_ = a_pieces.empty() ? Csr(0, row_hi_ - row_lo_)
+                                : Csr::vstack(a_pieces);
+  a_pieces.clear();  // before the halo plan copies the blocks again
 
-  // Halo mode (forward only for this family): exchange, over the slice,
-  // exactly the remote H rows the stripe blocks touch. Off-stripe slice
-  // peers hold rows this rank never reads (their stages do not exist),
-  // so the plan requests nothing from them.
+  // Halo mode: exchange, over the slice, exactly the remote H rows the
+  // stripe blocks touch. Off-stripe slice peers hold rows this rank never
+  // reads (their stages do not exist), so the plan requests nothing from
+  // them.
   grad_pending_.codec = run.compress;
   use_halo_ = run.halo && groups_ > 1;
   if (use_halo_) {
     halo_.codec = run.compress;
-    dist::build_halo_plan(
-        [&](int j) {
-          const auto it = at_stripe_.find(j);
-          return it != at_stripe_.end() ? &it->second : nullptr;
-        },
-        g_, [&](int j) { return row_starts_[static_cast<std::size_t>(j)]; },
-        slice_, halo_);
+    dist::build_halo_plan([&](int j) { return stripe_block(j); }, g_,
+                          slice_, halo_);
 
-    // Backward mirror, stacked: u_partial_ stacks the stripe blocks in
-    // ascending-j order, so the contribution rows for peer j pack from
-    // stacked_base[j] + peer-local row.
-    std::vector<Index> stacked_base(static_cast<std::size_t>(groups_), 0);
-    Index cursor = 0;
-    for (int j = t_; j < groups_; j += c_) {
-      stacked_base[static_cast<std::size_t>(j)] = cursor;
-      cursor += row_starts_[static_cast<std::size_t>(j) + 1] -
-                row_starts_[static_cast<std::size_t>(j)];
-    }
-    const Index stripe_rows = cursor;
+    // Backward mirror, stacked: the contribution rows for peer j pack
+    // from stacked_base[j] + peer-local row of u_partial_.
     self_stacked_row0_ =
         (g_ % c_) == t_ ? stacked_base[static_cast<std::size_t>(g_)] : 0;
     bwd_pack_rows_.reserve(halo_.need_rows.size());
@@ -88,8 +87,7 @@ Algebra15D::Algebra15D(const DistProblem& problem, Comm world,
       // Aggregation-before-communication over the slice: a destination
       // group d only requests rows from g when (g, d)'s coupling block
       // sits on d's stripe, and both endpoints see the same block of the
-      // global A^T, so the structural agree-without-traffic argument of
-      // the 1D build carries over unchanged.
+      // global A^T, so they reach the same decision without traffic.
       dist::build_preagg_plan(
           problem.at,
           [&](int j) {
@@ -118,47 +116,41 @@ void Algebra15D::spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) {
   t.resize(local_rows(), f);
   t.set_zero();
 
-  // Broadcast stages restricted to this slice's stripe j ≡ t (mod c):
-  // the broadcast volume of the 1D algorithm divided by c. The stage root
-  // broadcasts straight from h (slice ranks are ordered by group, so the
-  // slice root of stage j is group j's member).
-  std::vector<int> stages;
-  for (int j = t_; j < groups_; j += c_) stages.push_back(j);
-  const auto stage_rows = [&](int j) {
-    return row_starts_[static_cast<std::size_t>(j) + 1] -
-           row_starts_[static_cast<std::size_t>(j)];
-  };
-  const auto spmm_stage = [&](int j, const Matrix* hj) {
-    ScopedPhase scope(stats.profiler, Phase::kSpmm);
-    const Csr& a = at_stripe_.at(j);
-    a.spmm(*hj, t, /*accumulate=*/true);
-    stats.work.add_spmm(machine(), static_cast<double>(a.nnz()),
-                        static_cast<double>(f), dist::block_degree(a));
-  };
-
+  // Algorithm 1's broadcast stages restricted to this slice's stripe
+  // j ≡ t (mod c): the broadcast volume of the 1D algorithm divided by c.
+  // The stage root broadcasts straight from h (slice ranks are ordered by
+  // group, so the slice root of stage j is group j's member); everyone
+  // else receives into the reused stage buffers.
   if (use_halo_) {
-    // Stripe-restricted request-and-send (kHalo words; see dist1d.cpp),
-    // pipelined: the self stage (when this group's block is on the
-    // stripe) runs while remote rows are in flight, and each remote
-    // stage drains its peer's rows as they land — in the same
+    // IV-A.8 request-and-send, stripe-restricted and pipelined: the
+    // exchange of exactly the needed remote rows (edgecut * f words,
+    // metered as kHalo) is posted, the self stage (when this group's
+    // block is on the stripe) runs while remote rows are in flight, and
+    // each remote stage drains its peer's rows as they land — in the same
     // j-ascending accumulation order as the broadcast stages, so the
     // stripe partial of T is bitwise identical.
-    dist::halo_spmm_pipeline(
-        h, (g_ % c_) == t_ ? &at_stripe_.at(g_) : nullptr, g_, slice_,
-        halo_, CommCategory::kHalo, machine(), stats, t);
+    dist::halo_spmm_pipeline(h, stripe_block(g_), g_, slice_, halo_,
+                             CommCategory::kHalo, machine(), stats, t);
   } else {
     // The next stripe stage's H panel is in flight while this stage's
-    // SpMM accumulates (H is stable for the whole epoch). A member whose
-    // stripe has no stage (t >= G) posts nothing.
+    // SpMM accumulates (H is stable for the whole epoch, so late peer
+    // reads of the final stage need no extra release point). A member
+    // whose stripe has no stage (t >= G) posts nothing.
     dist::overlapped_dense_stages(
-        static_cast<int>(stages.size()),
+        static_cast<int>(stages_.size()),
         [&](int s, dist::PendingDenseStage& dn, Matrix& recv) {
-          const int j = stages[static_cast<std::size_t>(s)];
-          dn.post(h, recv, stage_rows(j), f, j, slice_,
-                  CommCategory::kDense);
+          const int j = stages_[static_cast<std::size_t>(s)];
+          dn.post(h, recv,
+                  row_starts_[static_cast<std::size_t>(j) + 1] -
+                      row_starts_[static_cast<std::size_t>(j)],
+                  f, j, slice_, CommCategory::kDense);
         },
         [&](int s, const Matrix* hj) {
-          spmm_stage(stages[static_cast<std::size_t>(s)], hj);
+          ScopedPhase scope(stats.profiler, Phase::kSpmm);
+          const Csr& a = at_stripe_[static_cast<std::size_t>(s)];
+          a.spmm(*hj, t, /*accumulate=*/true);
+          stats.work.add_spmm(machine(), static_cast<double>(a.nnz()),
+                              static_cast<double>(f), dist::block_degree(a));
         },
         hj_recv_, hj_recv2_, world_.meter(), stats.work, machine(),
         stats.profiler);
@@ -254,45 +246,32 @@ void Algebra15D::spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) {
     // deferred gradient reductions, which peers finish only later.
     ScopedPhase scope(stats.profiler, Phase::kDenseComm);
     if (has_u_release_) slice_.quiesce_op(u_release_ticket_);
-    team_.quiesce();
+    if (c_ > 1) team_.quiesce();
   }
   // Outer product restricted to this stripe: partial U over the rows
-  // R_j, j ≡ t (mod c), stacked in ascending-j order. The pieces are
-  // contiguous row ranges of u_partial_, so the kernel writes straight
-  // into the stacked buffer.
-  Index stripe_rows = 0;
-  for (int j = t_; j < groups_; j += c_) {
-    stripe_rows += row_starts_[static_cast<std::size_t>(j) + 1] -
-                   row_starts_[static_cast<std::size_t>(j)];
-  }
-  u_partial_.resize(stripe_rows, f);
+  // R_j, j ≡ t (mod c), stacked in stage order — at c = 1 the full O(nf)
+  // low-rank partial of Section IV-A.3.
+  u_partial_.resize(a_stacked_.rows(), f);
   {
     ScopedPhase scope(stats.profiler, Phase::kSpmm);
-    Index cursor = 0;
-    for (int j = t_; j < groups_; j += c_) {
-      const Csr& a = a_stripe_.at(j);
-      CAGNET_CHECK(g.rows() == a.cols(),
-                   "spmm_a: stripe block width does not match G rows");
-      spmm_csr_kernel<Real>(a.rows(), a.row_ptr().data(), a.col_idx().data(),
-                            a.values().data(), g.data(), f,
-                            u_partial_.data() + cursor * f,
-                            /*accumulate=*/false);
-      stats.work.add_spmm(machine(), static_cast<double>(a.nnz()),
-                          static_cast<double>(f), dist::block_degree(a));
-      cursor += a.rows();
-    }
+    a_stacked_.spmm(g, u_partial_, /*accumulate=*/false);
+    stats.work.add_spmm(machine(), static_cast<double>(a_stacked_.nnz()),
+                        static_cast<double>(f),
+                        dist::block_degree(a_stacked_));
   }
 
   const bool keeper = (g_ % c_) == t_;
   u.resize(local_rows(), f);
 
   if (use_bwd_halo_) {
-    // Mirrored contribution exchange instead of the slice reduce-scatter
-    // (the 1D backward's discipline, stripe-stacked): only the
-    // structurally nonzero contribution rows travel, landing on keepers
-    // in rank-ascending order — bitwise the reduce-scatter's sums (the
-    // rows it skips are exact +0.0 terms). Non-keepers contribute rows
-    // and receive nothing; their u arrives with the team broadcast below.
+    // Mirrored contribution exchange instead of the slice reduce-scatter:
+    // the rows group g contributes to group j are exactly the rows g
+    // *needs from* j forward (A^T(R_g, v) != 0 <=> A(v, R_g) != 0), so
+    // the plan is its own mirror — contributions pack along need-rows
+    // and land on send-rows, in rank-ascending order — bitwise the
+    // reduce-scatter's sums (the rows it skips are exact +0.0 terms).
+    // Non-keepers contribute rows and receive nothing; their u arrives
+    // with the team broadcast below.
     dist::halo_exchange_contributions(
         u_partial_, std::span<const Index>(bwd_pack_rows_),
         std::span<const std::size_t>(halo_.recv_row_offsets),
@@ -304,9 +283,8 @@ void Algebra15D::spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) {
     return;
   }
 
-  // Same pays-off gate as the 1D path: the compressed reduce-scatter is
-  // an all-gather of full encoded contributions, a win only when the
-  // codec ratio beats the slice size.
+  // The compressed reduce-scatter is an all-gather of full encoded
+  // contributions, a win only when the codec ratio beats the slice size.
   CompressMode rmode =
       slice_.size() > 1 ? run().compress : CompressMode::kOff;
   if (!reduce_scatter_compression_pays(rmode, u_partial_.flat().size(),
@@ -348,6 +326,7 @@ void Algebra15D::spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) {
 
 void Algebra15D::broadcast_to_team(bool keeper, Matrix& u,
                                    EpochStats& stats) {
+  if (c_ == 1) return;
   // Group g's reduced block landed on team member g mod c (the keeper).
   ScopedPhase scope(stats.profiler, Phase::kDenseComm);
   const std::span<const Real> src =

@@ -650,12 +650,10 @@ std::vector<Index> row_starts(const DistProblem& problem, int parts) {
 }
 
 void build_halo_plan(const std::function<const Csr*(int)>& block_of,
-                     int self, const std::function<Index(int)>& peer_row_lo,
-                     Comm& comm, HaloPlan& plan) {
+                     int self, Comm& comm, HaloPlan& plan) {
   const int p = comm.size();
   plan.blocks.assign(static_cast<std::size_t>(p), Csr{});
   plan.need_rows.clear();
-  plan.need_rows_global.clear();
   plan.recv_row_offsets.assign(static_cast<std::size_t>(p) + 1, 0);
 
   std::vector<char> seen;
@@ -681,10 +679,7 @@ void build_halo_plan(const std::function<const Csr*(int)>& block_of,
     }
     plan.blocks[static_cast<std::size_t>(j)] = block->with_remapped_columns(
         std::span<const Index>(new_col), static_cast<Index>(need.size()));
-    for (Index c : need) {
-      plan.need_rows.push_back(c);
-      plan.need_rows_global.push_back(peer_row_lo(j) + c);
-    }
+    plan.need_rows.insert(plan.need_rows.end(), need.begin(), need.end());
     plan.recv_row_offsets[static_cast<std::size_t>(j) + 1] =
         plan.need_rows.size();
   }

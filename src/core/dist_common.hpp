@@ -226,12 +226,9 @@ void drain_comm(const Comm& comm) noexcept;
 struct HaloPlan {
   bool ready = false;
   /// Forward receives: rows obtained from each source, ascending peer
-  /// order. need_rows are peer-local row indices; need_rows_global adds
-  /// the peer row offsets (indices into an n-row matrix, the 1D backward
-  /// pack addressing).
+  /// order. need_rows are peer-local row indices.
   std::vector<std::size_t> recv_row_offsets;  ///< P+1
   std::vector<Index> need_rows;
-  std::vector<Index> need_rows_global;
   /// Forward sends: this rank's local row indices each destination
   /// requested.
   std::vector<std::size_t> send_row_offsets;  ///< P+1
@@ -315,19 +312,17 @@ struct HaloPlan {
 /// The (parts+1) partition-aware block boundaries of `problem` for a
 /// family splitting rows into `parts` blocks (DistProblem::row_range
 /// semantics: the partition's own offsets when aligned, even block_range
-/// otherwise). Shared by the 1D (parts = P) and 1.5D (parts = G)
-/// constructors.
+/// otherwise). Shared by the rows-whole family (parts = G = P/c) and the
+/// sampled runner (parts = P).
 std::vector<Index> row_starts(const DistProblem& problem, int parts);
 
 /// Build `plan` from this rank's A^T blocks: `block_of(j)` returns the
 /// (local_rows x peer_rows(j)) block of peer j's columns, or nullptr when
 /// no rows are needed from j (1.5D off-stripe peers); `self` is this
-/// rank's index in `comm` (its own block is never exchanged);
-/// `peer_row_lo(j)` is peer j's first global row. Collective over `comm`;
-/// the index request-and-send is charged as kControl.
+/// rank's index in `comm` (its own block is never exchanged). Collective
+/// over `comm`; the index request-and-send is charged as kControl.
 void build_halo_plan(const std::function<const Csr*(int)>& block_of,
-                     int self, const std::function<Index(int)>& peer_row_lo,
-                     Comm& comm, HaloPlan& plan);
+                     int self, Comm& comm, HaloPlan& plan);
 
 /// Arm (or disarm) the plan's bounded-staleness state for one epoch,
 /// called by the algebra's begin_epoch hook before the first forward

@@ -93,9 +93,10 @@ class DistSpmmAlgebra {
   /// Communicator of the sampled minibatch path, or nullptr when this
   /// algebra cannot host it. Sampled training needs a pure row-stripe
   /// layout — every rank owning whole rows [row_lo, row_hi) of H and the
-  /// matching A^T stripe to sample in-neighbors from — so only the 1D
-  /// family qualifies today; feature-sliced (2D/3D) and team-replicated
-  /// (1.5D) layouts return nullptr and DistEngine raises a typed Error.
+  /// matching A^T stripe to sample in-neighbors from — so only 1D (the
+  /// rows-whole family at c = 1) qualifies today; feature-sliced (2D/3D)
+  /// and team-replicated (1.5D, c > 1) layouts return nullptr and
+  /// DistEngine raises a typed Error.
   virtual Comm* sample_comm() { return nullptr; }
 
   // ---- The distributed operations of one GCN layer ----
@@ -254,10 +255,6 @@ class DistEngine : public DistTrainer {
   /// calling algebra methods directly re-enters the collective contract.
   DistSpmmAlgebra& algebra() { return *algebra_; }
   const DistSpmmAlgebra& algebra() const { return *algebra_; }
-
-  /// Full rows of this rank's block of H^L (valid after an epoch).
-  /// Purely local.
-  const Matrix& local_output() const { return output_rows_; }
 
   /// Align the absolute-epoch counter (checkpoint resume). The sampled
   /// path keys its shuffle/sampling RNG streams by absolute epoch, so

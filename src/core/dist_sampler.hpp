@@ -90,9 +90,6 @@ class SampledRunner {
                         std::vector<Matrix>& gradients, Optimizer& optimizer,
                         EpochStats& stats);
 
-  /// Lockstep batches per epoch (identical on every rank). Purely local.
-  Index batches_per_epoch() const { return batches_; }
-
  private:
   /// The exchange between level k and level k+1 of one batch slot: the
   /// sampled stripe rows, the per-batch halo plan over them, and the

@@ -39,8 +39,6 @@ class Optimizer {
   void step(std::vector<Matrix>& weights,
             const std::vector<Matrix>& gradients);
 
-  long steps_taken() const { return t_; }
-
  private:
   OptimizerOptions options_;
   Real learning_rate_;

@@ -41,8 +41,6 @@ class SerialTrainer {
   const std::vector<Matrix>& gradients() const { return gradients_; }
   /// H^l for l = 0..L from the last forward().
   const std::vector<Matrix>& activations() const { return h_; }
-  /// Z^l for l = 1..L (index 0 unused) from the last forward().
-  const std::vector<Matrix>& preactivations() const { return z_; }
 
  private:
   const Graph& graph_;

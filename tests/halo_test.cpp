@@ -19,7 +19,6 @@
 #include "src/core/algebra_registry.hpp"
 #include "src/core/costmodel.hpp"
 #include "src/core/dist15d.hpp"
-#include "src/core/dist1d.hpp"
 #include "src/gnn/serial_trainer.hpp"
 #include "src/graph/datasets.hpp"
 #include "src/sparse/generate.hpp"
@@ -284,8 +283,10 @@ TEST(HaloBackward15D, EngagesUnderLocalityPartitionAndGatesUnderRandom) {
       EXPECT_TRUE(algebra.backward_halo_active());
     });
     run_world(8, [&](Comm& world) {
-      Algebra1D algebra(problem, world, halo_mode(), MachineModel::summit());
+      Algebra15D algebra(problem, world, 1, halo_mode(),
+                         MachineModel::summit());
       EXPECT_TRUE(algebra.halo_active());
+      EXPECT_TRUE(algebra.backward_halo_active());
     });
   }
   // Random partition: nearly every row travels anyway, so the gate must
@@ -295,6 +296,20 @@ TEST(HaloBackward15D, EngagesUnderLocalityPartitionAndGatesUnderRandom) {
     const DistProblem problem = DistProblem::prepare(g, 4, "random");
     run_world(8, [&](Comm& world) {
       Algebra15D algebra(problem, world, 2, halo_mode(),
+                         MachineModel::summit());
+      EXPECT_TRUE(algebra.halo_active());
+      EXPECT_FALSE(algebra.backward_halo_active());
+    });
+  }
+  // The 1D member (c = 1) splits rows into G = P = 8 groups, so its
+  // random partition is prepared for 8 parts: halving each part of the
+  // 4-part one keeps community locality (the permutation is a stable sort
+  // by owner, and communities are contiguous id ranges), and the gate
+  // would open.
+  {
+    const DistProblem problem = DistProblem::prepare(g, 8, "random");
+    run_world(8, [&](Comm& world) {
+      Algebra15D algebra(problem, world, 1, halo_mode(),
                          MachineModel::summit());
       EXPECT_TRUE(algebra.halo_active());
       EXPECT_FALSE(algebra.backward_halo_active());
