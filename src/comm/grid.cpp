@@ -16,49 +16,22 @@ int exact_cbrt(int p) {
   return 0;
 }
 
-Grid2D Grid2D::create(const Comm& world, int pr, int pc) {
+Grid3D Grid3D::create(const Comm& world, int q, int l) {
   CAGNET_CHECK(world.valid(), "invalid world communicator");
-  CAGNET_CHECK(pr >= 1 && pc >= 1 && pr * pc == world.size(),
-               "grid dims must multiply to world size");
-  Grid2D g;
-  g.world = world;
-  g.pr = pr;
-  g.pc = pc;
-  g.i = world.rank() / pc;
-  g.j = world.rank() % pc;
-  g.row = world.split(/*color=*/g.i, /*key=*/g.j);
-  g.col = world.split(/*color=*/g.j, /*key=*/g.i);
-  return g;
-}
-
-Grid2D Grid2D::create_square(const Comm& world) {
-  const int r = exact_sqrt(world.size());
-  CAGNET_CHECK(r > 0, "world size is not a perfect square");
-  return create(world, r, r);
-}
-
-Grid3D Grid3D::create(const Comm& world, int q) {
-  CAGNET_CHECK(world.valid(), "invalid world communicator");
-  CAGNET_CHECK(q >= 1 && q * q * q == world.size(),
-               "3D grid dim must cube to world size");
+  CAGNET_CHECK(q >= 1 && l >= 1 && q * q * l == world.size(),
+               "grid dims q x q x l must multiply to world size");
   Grid3D g;
   g.world = world;
   g.q = q;
+  g.l = l;
   const int rank = world.rank();
   g.k = rank / (q * q);
   g.i = (rank / q) % q;
   g.j = rank % q;
-  g.layer = world.split(/*color=*/g.k, /*key=*/g.i * q + g.j);
   g.row = world.split(/*color=*/g.k * q + g.i, /*key=*/g.j);
   g.col = world.split(/*color=*/g.k * q + g.j, /*key=*/g.i);
-  g.fiber = world.split(/*color=*/g.i * q + g.j, /*key=*/g.k);
+  if (l > 1) g.fiber = world.split(/*color=*/g.i * q + g.j, /*key=*/g.k);
   return g;
-}
-
-Grid3D Grid3D::create_cube(const Comm& world) {
-  const int q = exact_cbrt(world.size());
-  CAGNET_CHECK(q > 0, "world size is not a perfect cube");
-  return create(world, q);
 }
 
 }  // namespace cagnet

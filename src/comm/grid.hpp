@@ -1,4 +1,4 @@
-// Process-grid topologies for the 1D / 2D / 3D algorithm families.
+// Block ranges, and the process grid of the 2D / 3D algorithm families.
 #pragma once
 
 #include <utility>
@@ -14,52 +14,34 @@ inline std::pair<Index, Index> block_range(Index n, int parts, int idx) {
   return {n * idx / parts, n * (idx + 1) / parts};
 }
 
-/// Pr x Pc mesh. Rank (i, j) is world rank i*Pc + j; `row` spans the ranks
-/// sharing i (for row broadcasts), `col` spans the ranks sharing j.
-struct Grid2D {
-  Comm world;
-  Comm row;
-  Comm col;
-  int pr = 0;
-  int pc = 0;
-  int i = 0;
-  int j = 0;
-
-  static Grid2D create(const Comm& world, int pr, int pc);
-
-  /// Square grid of dimension sqrt(P); world size must be a perfect square.
-  static Grid2D create_square(const Comm& world);
-};
-
-/// q x q x q mesh (P = q^3). Rank (i, j, k) is world rank k*q*q + i*q + j.
-/// `layer` is the 2D grid sharing k; `row`/`col` are within-layer lines;
-/// `fiber` spans the q ranks sharing (i, j) across layers (the reduction
-/// dimension of Split-3D-SpMM).
+/// q x q x l mesh (P = q^2 l). Rank (i, j, k) is world rank k*q*q + i*q + j.
+/// `row`/`col` are the within-layer lines (the ranks of layer k sharing i,
+/// resp. j); `fiber` spans the l ranks sharing (i, j) across layers (the
+/// reduction dimension of Split-3D-SpMM) and is not made at l = 1, where
+/// the one layer is the 2D SUMMA grid.
 struct Grid3D {
   Comm world;
-  Comm layer;
   Comm row;
   Comm col;
   Comm fiber;
   int q = 0;
+  int l = 0;
   int i = 0;
   int j = 0;
   int k = 0;
 
-  static Grid3D create(const Comm& world, int q);
-
-  /// Cube grid; world size must be a perfect cube.
-  static Grid3D create_cube(const Comm& world);
+  static Grid3D create(const Comm& world, int q, int l);
 };
 
 /// Fine block range of the 3D distribution: coarse block `coarse` of n over
-/// q parts, subdivided again into q fine slabs, of which `sub` is returned.
+/// q parts, subdivided again into l fine slabs, of which `sub` is returned.
 /// A^T's 3D blocks are (coarse rows x fine cols); H's are (fine rows x
-/// feature cols) — Section IV-D's n/P^(1/3) x n/P^(2/3) shapes.
-inline std::pair<Index, Index> fine_range(Index n, int q, int coarse,
+/// feature cols) — Section IV-D's n/P^(1/3) x n/P^(2/3) shapes at l = q.
+/// At l = 1 the one slab is the coarse block.
+inline std::pair<Index, Index> fine_range(Index n, int q, int coarse, int l,
                                           int sub) {
   const auto [clo, chi] = block_range(n, q, coarse);
-  const auto [flo, fhi] = block_range(chi - clo, q, sub);
+  const auto [flo, fhi] = block_range(chi - clo, l, sub);
   return {clo + flo, clo + fhi};
 }
 

@@ -2,7 +2,6 @@
 
 #include "src/comm/grid.hpp"
 #include "src/core/dist15d.hpp"
-#include "src/core/dist2d.hpp"
 #include "src/core/dist3d.hpp"
 #include "src/util/error.hpp"
 
@@ -33,13 +32,14 @@ const std::vector<AlgebraSpec>& algebra_registry() {
         {"2d", [](int p) { return exact_sqrt(p) > 0; }, {1, 4, 9, 16},
          [](const DistProblem& problem, Comm& world, const RunConfig& run,
             MachineModel machine) {
-           return std::make_unique<Algebra2D>(problem, world, run, machine);
+           return std::make_unique<Algebra3D>(problem, world, 1, run, machine);
          }});
     specs.push_back(
         {"3d", [](int p) { return exact_cbrt(p) > 0; }, {1, 8, 27},
          [](const DistProblem& problem, Comm& world, const RunConfig& run,
             MachineModel machine) {
-           return std::make_unique<Algebra3D>(problem, world, run, machine);
+           return std::make_unique<Algebra3D>(
+               problem, world, exact_cbrt(world.size()), run, machine);
          }});
     return specs;
   }();

@@ -35,7 +35,7 @@ struct AlgebraSpec {
 };
 
 /// All registered algebras (1D, which is the 1.5D family at c = 1; 1.5D
-/// at c = 2 and 4; 2D; 3D).
+/// at c = 2 and 4; 2D, which is the 3D family at l = 1; 3D).
 const std::vector<AlgebraSpec>& algebra_registry();
 
 /// Lookup by name; nullptr when unknown.

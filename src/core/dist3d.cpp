@@ -4,23 +4,35 @@
 
 namespace cagnet {
 
-Algebra3D::Algebra3D(const DistProblem& problem, Comm world,
+namespace {
+
+/// Side q of the q x q x `layers` grid over `p` ranks; 0 (which
+/// Grid3D::create rejects) when there is none.
+int grid_side(int p, int layers) {
+  return layers >= 1 ? exact_sqrt(p / layers) : 0;
+}
+
+}  // namespace
+
+Algebra3D::Algebra3D(const DistProblem& problem, Comm world, int layers,
                      const RunConfig& run, MachineModel machine)
-    : DistSpmmAlgebra(run, machine), grid_(Grid3D::create_cube(world)) {
+    : DistSpmmAlgebra(run, machine),
+      grid_(Grid3D::create(world, grid_side(world.size(), layers), layers)) {
   grad_pending_.codec = run.compress;
   at_cache_.enabled = run.epoch_cache;
   a_cache_.enabled = run.epoch_cache;
   n_ = problem.graph->num_vertices();
   const int q = grid_.q;
+  const int l = grid_.l;
 
   std::tie(coarse_lo_, coarse_hi_) = block_range(n_, q, grid_.i);
-  std::tie(fine_lo_, fine_hi_) = fine_range(n_, q, grid_.i, grid_.k);
+  std::tie(fine_lo_, fine_hi_) = fine_range(n_, q, grid_.i, l, grid_.k);
 
-  const auto [ac0, ac1] = fine_range(n_, q, grid_.j, grid_.k);
+  const auto [ac0, ac1] = fine_range(n_, q, grid_.j, l, grid_.k);
   at_block_ = problem.at.block(coarse_lo_, coarse_hi_, ac0, ac1);
 
   jplane_ = grid_.world.split(/*color=*/grid_.j,
-                              /*key=*/grid_.i * q + grid_.k);
+                              /*key=*/grid_.i * l + grid_.k);
 }
 
 void Algebra3D::split3d_spmm(const Csr& my_sparse,
@@ -28,12 +40,8 @@ void Algebra3D::split3d_spmm(const Csr& my_sparse,
                              const Matrix& my_dense, Matrix& out,
                              EpochStats& stats) {
   const int q = grid_.q;
-  const Index coarse_rows = coarse_hi_ - coarse_lo_;
+  const bool layered = grid_.l > 1;
   const Index w = my_dense.cols();
-  // The pre-reduction partial: (n/q x f/q), the P^(1/3)-replicated
-  // intermediate of Section IV-D.1. The shared loop double-buffers the
-  // per-layer SUMMA stages and replays the cached sparse charges in cached
-  // epochs.
   {
     // Release points for this rank's earlier sources: fiber peers read
     // t_partial_ (previous reduce-scatter), row peers read the partial-
@@ -41,18 +49,25 @@ void Algebra3D::split3d_spmm(const Csr& my_sparse,
     // by the engine buffers backing them. Readers drained a whole layer
     // ago, so this is a handful of atomic loads.
     ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-    grid_.fiber.quiesce();
+    if (layered) grid_.fiber.quiesce();
     grid_.row.quiesce();
   }
-  t_partial_.resize(coarse_rows, w);
-  t_partial_.set_zero();
+  // For l > 1 the SUMMA fills the pre-reduction partial: (n/q x f/q), the
+  // P^(1/3)-replicated intermediate of Section IV-D.1. On one layer C_i is
+  // this rank's own row block, so it accumulates straight into `out`. The
+  // shared loop double-buffers the SUMMA stages and replays the cached
+  // sparse charges in cached epochs.
+  Matrix& acc = layered ? t_partial_ : out;
+  acc.resize(coarse_hi_ - coarse_lo_, w);
+  acc.set_zero();
   dist::summa_stage_loop(
       my_sparse, cache, grid_.row, my_dense, grid_.col,
       [&](int s) {
-        const auto [d_lo, d_hi] = fine_range(n_, q, s, grid_.k);
+        const auto [d_lo, d_hi] = fine_range(n_, q, s, grid_.l, grid_.k);
         return d_hi - d_lo;
       },
-      q, t_partial_, machine(), stats, ws_);
+      q, acc, machine(), stats, ws_);
+  if (!layered) return;
 
   // Fiber reduce-scatter: sum layer partials, splitting C_i into its fine
   // slabs F_{i,kk}; fiber rank kk keeps slab kk. The nonblocking form
@@ -70,25 +85,30 @@ void Algebra3D::split3d_spmm(const Csr& my_sparse,
 
 Csr Algebra3D::transpose_3d(const Csr& my_block) {
   const int q = grid_.q;
+  const int l = grid_.l;
   // Local transpose: M[C_i, F_{j,k}] -> M^T[F_{j,k}, C_i].
   const Csr bt = my_block.transposed();
+  if (l == 1) {
+    // One layer: bt is all of rank (j, i)'s block, so the transpose is the
+    // pairwise swap (i, j) <-> (j, i).
+    return dist::route_csr(bt, grid_.j * q + grid_.i, grid_.world,
+                           CommCategory::kTranspose);
+  }
 
-  // Round d: send the column slab F_{i, (k+d)%q} of bt to rank
-  // (i', j', k') = (j, i, (k+d)%q). The map is a bijection for each d, and
-  // across rounds every target receives the q pieces it must stack.
-  std::vector<Csr> pieces(static_cast<std::size_t>(q));
-  for (int d = 0; d < q; ++d) {
-    const int kk = (grid_.k + d) % q;
-    const auto [g0, g1] = fine_range(n_, q, grid_.i, kk);
-    const Csr piece =
-        bt.block(0, bt.rows(), g0 - coarse_lo_, g1 - coarse_lo_);
+  // Round d: send the column slab F_{i, (k+d)%l} of bt to rank
+  // (i', j', k') = (j, i, (k+d)%l). The map is a bijection for each d, and
+  // across rounds every target receives the l pieces it must stack.
+  std::vector<Csr> pieces(static_cast<std::size_t>(l));
+  for (int d = 0; d < l; ++d) {
+    const int kk = (grid_.k + d) % l;
+    const auto [g0, g1] = fine_range(n_, q, grid_.i, l, kk);
     const int dest = kk * q * q + grid_.j * q + grid_.i;
-    const Csr recv = dist::route_csr(piece, dest, grid_.world,
-                                     CommCategory::kTranspose);
-    // In round d we receive from (j, i, (k-d) mod q): its piece carries the
+    // In round d we receive from (j, i, (k-d) mod l): its piece carries the
     // row slab F_{i, k_src} of the assembled block.
-    const int k_src = ((grid_.k - d) % q + q) % q;
-    pieces[static_cast<std::size_t>(k_src)] = recv;
+    const int k_src = ((grid_.k - d) % l + l) % l;
+    pieces[static_cast<std::size_t>(k_src)] = dist::route_csr(
+        bt.block(0, bt.rows(), g0 - coarse_lo_, g1 - coarse_lo_), dest,
+        grid_.world, CommCategory::kTranspose);
   }
   Csr assembled = Csr::vstack(pieces);
   CAGNET_CHECK(assembled.rows() == coarse_hi_ - coarse_lo_,
@@ -152,6 +172,8 @@ void Algebra3D::begin_backward(EpochStats& stats) {
 }
 
 void Algebra3D::end_backward(EpochStats& stats) {
+  // Transpose back (A -> A^T), restoring the forward orientation; together
+  // with begin_backward this is the paper's twice-per-epoch cost.
   ScopedPhase scope(stats.profiler, Phase::kTranspose);
   if (trpose_cache_.ready) {
     grid_.world.meter().merge_sum(trpose_cache_.end_charges);
@@ -160,7 +182,7 @@ void Algebra3D::end_backward(EpochStats& stats) {
   CostMeter before = grid_.world.meter();
   const Csr restored = transpose_3d(a_block_);
   CAGNET_CHECK(restored.nnz() == at_block_.nnz(),
-               "3D transpose round-trip changed the block");
+               "transpose round-trip changed the block");
   trpose_cache_.end_charges = grid_.world.meter();
   trpose_cache_.end_charges.subtract(before);
   if (run().epoch_cache) {

@@ -1,24 +1,53 @@
-// The paper's block 3D algorithm: Split-3D-SpMM (Section IV-D).
+// The SUMMA family: the paper's block 2D algorithm (Section IV-C,
+// Algorithm 2 — the variant CAGNET implements and evaluates, Figs. 2-3)
+// and block 3D Split-3D-SpMM (Section IV-D). Split-3D-SpMM runs 2D SUMMA
+// independently on each of l process layers and sums the layers with a
+// fiber reduce-scatter, so on one layer it *is* Algorithm 2: one class
+// runs both. The registry's "2d" is this algebra at l = 1 and "3d" at
+// l = P^(1/3).
 //
-// The paper analyzes this algorithm (it reduces words by another O(P^(1/6))
-// over 2D) but does not implement it, citing constants, complexity, and the
-// P^(1/3) intermediate replication. We implement it faithfully so that its
-// metered communication can be compared against the closed forms and the
-// 2D implementation (DESIGN.md experiment E5).
-//
-// Processes form a q x q x q mesh (P = q^3); each 2D plane with fixed k is
-// a "layer". Following Azad et al.'s Split-3D layout:
+// Processes form a q x q x l mesh (P = q^2 l); each 2D plane with fixed k
+// is a "layer". Following Azad et al.'s Split-3D layout:
 //   A^T block of rank (i,j,k): rows = coarse block C_i (n/q), cols = fine
-//     slab F_{j,k} (n/q^2) — the k-th sub-slab of coarse column j.
+//     slab F_{j,k} (n/(ql)) — the k-th of l sub-slabs of coarse column j.
 //   H^l block of rank (i,j,k): rows = fine slab F_{i,k}, cols = feature
 //     block j (f/q) — "shorter and fatter than the 2D distribution".
+//   W: replicated.
+// At l = 1 every fine slab is its coarse block: Table IV's 2D distribution
+// of A, H^l and G^l on a sqrt(P) x sqrt(P) grid.
 //
-// One Split-3D-SpMM = independent 2D SUMMAs per layer (each layer owns the
-// contraction sub-slabs with its k) followed by a reduce-scatter along the
-// fiber dimension; the pre-reduction partial is the algorithm's P^(1/3)
-// memory replication. The backward pass needs A in the same family of
-// blocks, obtained by a 3D distributed transpose: a local transpose plus q
-// permutation-routed piece exchanges (i,j,k) -> (j,i,k'').
+// Per GCN layer:
+//   forward  T = A^T H     : SUMMA SpMM within each process layer — stage s
+//                            broadcasts A^T_is along process row i
+//                            (sparse) and H_sj along process column j
+//                            (dense) — then, for l > 1, the fiber
+//                            reduce-scatter of the (n/q x f/q) partials,
+//                            the algorithm's P^(1/3) memory replication.
+//            Z = T W       : "partial SUMMA" — T_im broadcast along the
+//                            process row; W is replicated so only T moves
+//                            (the f contraction needs no fiber reduction).
+//            sigma         : ReLU is elementwise (free); the output-layer
+//                            log_softmax needs full rows, hence a row-wise
+//                            all-gather (Sections IV-C.2, IV-D.2).
+//   backward U = A G^l     : the same SUMMA on the transposed adjacency. A
+//                            is obtained from A^T by a distributed
+//                            transpose — a local transpose plus l
+//                            permutation-routed piece exchanges
+//                            (i,j,k) -> (j,i,k''); at l = 1 the pairwise
+//                            swap (i,j) <-> (j,i) — the paper's "trpose"
+//                            phase.
+//            G^(l-1)       : U (W^l)^T ⊙ relu'(Z^(l-1)); U is re-used from
+//                            the row-wise all-gather performed for Y.
+//            Y^l           : (H^(l-1))^T (A G^l) via row all-gather of U,
+//                            local GEMM, reduction over the j-plane, and
+//                            final row all-gather to keep Y replicated
+//                            (IV-C.4, IV-D.4).
+//
+// The paper analyzes the 3D algorithm (it reduces words by another
+// O(P^(1/6)) over 2D) but does not implement it, citing constants,
+// complexity, and the P^(1/3) intermediate replication. We implement it
+// faithfully so that its metered communication can be compared against
+// the closed forms and the 2D algorithm (DESIGN.md experiment E5).
 //
 // Only the distributed algebra lives here; the training loop itself is the
 // shared DistEngine (see dist_engine.hpp).
@@ -30,16 +59,16 @@
 
 namespace cagnet {
 
-/// Split-3D-SpMM algebra: vertex rows are fine slabs F_{i,k}, feature
-/// columns are split across j — both feature hooks are overridden with
-/// their within-layer SUMMA realizations.
+/// SUMMA algebra, 2D at l = 1 and Split-3D-SpMM for l > 1: vertex rows are
+/// fine slabs F_{i,k}, feature columns are split across j — both feature
+/// hooks are overridden with their within-layer SUMMA realizations.
 class Algebra3D final : public DistSpmmAlgebra {
  public:
-  /// Collective constructor; world size must be a perfect cube.
-  Algebra3D(const DistProblem& problem, Comm world, const RunConfig& run,
-            MachineModel machine);
+  /// Collective constructor; the world size must be q^2 * `layers`.
+  Algebra3D(const DistProblem& problem, Comm world, int layers,
+            const RunConfig& run, MachineModel machine);
 
-  const char* name() const override { return "3d"; }
+  const char* name() const override { return grid_.l == 1 ? "2d" : "3d"; }
   Comm& world() override { return grid_.world; }
   Index row_lo() const override { return fine_lo_; }
   Index row_hi() const override { return fine_hi_; }
@@ -59,7 +88,7 @@ class Algebra3D final : public DistSpmmAlgebra {
                               Matrix& y_full, EpochStats& stats) override;
   void finish_gradients(EpochStats& stats) override;
 
-  /// 3D distributed transpose A^T -> A (and back).
+  /// Distributed transpose A^T -> A (and back), charged twice per epoch.
   void begin_backward(EpochStats& stats) override;
   void end_backward(EpochStats& stats) override;
 
@@ -70,18 +99,18 @@ class Algebra3D final : public DistSpmmAlgebra {
     dist::drain_comm(jplane_);
   }
 
-  int grid_dim() const { return grid_.q; }
-
  protected:
   /// j-plane ranks are keyed by (i, k), i.e. ascending fine row blocks, so
-  /// gathering full-row outputs along it assembles all n rows in order.
+  /// gathering full-row outputs along it assembles all n rows in order. At
+  /// l = 1 it has the process column's ranks in the column's order.
   Comm& gather_comm() override { return jplane_; }
 
  private:
   /// One Split-3D-SpMM: T = S * D with S this rank's sparse block (row
   /// broadcasts, cached across epochs in `cache`), D the dense blocks
-  /// (column broadcasts), then the fiber reduce-scatter. Writes the
-  /// (fine rows x dense cols) result block into `out` (storage reused).
+  /// (column broadcasts), then, for l > 1, the fiber reduce-scatter.
+  /// Writes the (fine rows x dense cols) result block into `out` (storage
+  /// reused); at l = 1 the SUMMA accumulates straight into it.
   void split3d_spmm(const Csr& my_sparse, dist::SparseStageCache& cache,
                     const Matrix& my_dense, Matrix& out, EpochStats& stats);
 
@@ -91,7 +120,8 @@ class Algebra3D final : public DistSpmmAlgebra {
 
   Grid3D grid_;
   /// Ranks sharing j, ordered by (i, k): the deferred Y reductions' own
-  /// communicator (nothing else posts on it during an epoch; see
+  /// communicator (nothing else posts on it during an epoch, whereas the
+  /// process column carries q SUMMA panels per backward layer; see
   /// dist::PendingGradReduce) and the output gather.
   Comm jplane_;
 
@@ -103,7 +133,7 @@ class Algebra3D final : public DistSpmmAlgebra {
   Csr a_block_;   ///< A[C_i, F_{j,k}], materialized in backward epoch 1
                   ///< and kept across epochs while the cache is enabled
 
-  Matrix t_partial_;                 ///< P^(1/3)-replicated partial (reused)
+  Matrix t_partial_;  ///< P^(1/3)-replicated partial (l > 1; reused)
   dist::PendingGradReduce grad_pending_;  ///< deferred Y reductions
   dist::DistWorkspace ws_;           ///< reused dense/staging buffers
   dist::SparseStageCache at_cache_;  ///< forward received A^T blocks

@@ -539,9 +539,9 @@ class OverlapScope {
 /// receiving into `recv`; `compute_stage(s, block)` consumes the stage.
 /// `stages` may be 0 (a 1.5D member with no stripe stage): nothing posts.
 /// Keeping the close/post/open ordering in one place keeps the overlap
-/// accounting invariant from drifting between the loops. (The 2D/3D
-/// summa_stage_loop keeps its own interleaved variant because sparse
-/// pipelining is threaded through the same iteration.)
+/// accounting invariant from drifting between the loops. (The SUMMA
+/// family's summa_stage_loop keeps its own interleaved variant because
+/// sparse pipelining is threaded through the same iteration.)
 void overlapped_dense_stages(
     int stages,
     const std::function<void(int, PendingDenseStage&, Matrix&)>& post_stage,
@@ -549,7 +549,7 @@ void overlapped_dense_stages(
     Matrix& recv0, Matrix& recv1, CostMeter& meter, const WorkMeter& work,
     const MachineModel& machine, Profiler& profiler);
 
-/// The shared SUMMA accumulation loop of the 2D and 3D algebras: for each
+/// The SUMMA accumulation loop of Algebra3D (2D at l = 1): for each
 /// stage s, the stage-root's sparse block travels along `sparse_comm`
 /// (kSparse; received into and cached by `cache`, replayed from it in
 /// cached epochs) and the stage-root's dense block — (stage_rows(s) x
@@ -567,15 +567,16 @@ void summa_stage_loop(const Csr& my_sparse, SparseStageCache& cache,
                       EpochStats& stats, DistWorkspace& ws);
 
 /// Permutation-route a CSR block to `dest` (see Comm::route): the
-/// distributed-transpose primitive. In 2D rank (i,j) swaps blocks with
-/// rank (j,i) and locally transposes; 3D routes along its own permutation.
+/// distributed-transpose primitive. Algebra3D transposes locally and
+/// routes the pieces along its permutation; at l = 1 rank (i,j) swaps its
+/// one piece with rank (j,i).
 Csr route_csr(const Csr& mine, int dest, Comm& comm, CommCategory cat);
 
 /// Row-wise all-gather of feature slices into full rows: `local` is this
 /// rank's (rows x w_j) slice, `parts` ranks along `row_comm` each hold the
 /// block_range(full_cols, parts, j) slice. Assembles into `full` (storage
-/// reused) via the workspace. Charges kDense. Shared by the 2D and 3D
-/// families (log-softmax rows and the U reuse).
+/// reused) via the workspace. Charges kDense. Algebra3D's row gather
+/// (log-softmax rows and the U reuse).
 void allgather_feature_rows(const Matrix& local, Index full_cols, int parts,
                             Comm& row_comm, Profiler& profiler,
                             DistWorkspace& ws, Matrix& full);
@@ -588,17 +589,18 @@ void allgather_feature_rows(const Matrix& local, Index full_cols, int parts,
 /// only after every rank finished its previous generation, so the 16th
 /// post after a pending op on its communicator is a ContractViolation.
 /// Hence the reductions run on a communicator that carries nothing else
-/// during the backward (otherwise the 2D column's SUMMA panels at q >= 8,
-/// or the 1D world's per-layer exchanges in a deep network, would land on
-/// a reduction that is waited only at finish): each algebra passes one of
-/// its own, a split of the reduction group with unchanged rank order, so
-/// sums and charges are the group's. And the helpers keep at most 8
-/// reductions (and, at finish, 8 row gathers) in flight, completing the
-/// oldest first, so a model of any depth fits the ring. Under a `codec`
-/// other than kOff the sums run through the lossy codec with error
-/// feedback, one residual store per layer (layer order is the call order
-/// within an epoch, so each layer's residual is continuous across
-/// epochs).
+/// during the backward (otherwise the process column's SUMMA panels at
+/// q >= 8, or the 1D world's per-layer exchanges in a deep network, would
+/// land on a reduction that is waited only at finish): each algebra passes
+/// one of its own with the reduction group's ranks in unchanged order (a
+/// split of the 1D / 1.5D slice; the 2D / 3D j-plane, which no SUMMA
+/// stage uses), so sums and charges are the group's. And the helpers keep
+/// at most 8 reductions (and, at finish, 8 row gathers) in flight,
+/// completing the oldest first, so a model of any depth fits the ring.
+/// Under a `codec` other than kOff the sums run through the lossy codec
+/// with error feedback, one residual store per layer (layer order is the
+/// call order within an epoch, so each layer's residual is continuous
+/// across epochs).
 struct PendingGradReduce {
   /// Gradient codec (RunConfig::compress), fixed at construction.
   CompressMode codec = CompressMode::kOff;
@@ -664,8 +666,8 @@ void finish_assemble_weight_gradient(int parts, Comm& row_comm,
 /// `row_comm` (`parts` ranks; this rank is column `my_col` and contributes
 /// `t`, its local feat_slice of T). Writes this rank's Z slice
 /// (t.rows() x block_range(w.cols(), parts, my_col) width) into `z`
-/// (storage reused). Shared by the 2D and 3D families ("partial SUMMA" /
-/// "partial Split-3D-SpMM").
+/// (storage reused). Algebra3D's "partial SUMMA" / "partial
+/// Split-3D-SpMM".
 void partial_summa_times_weight(const Matrix& t, const Matrix& w, int parts,
                                 int my_col, Comm& row_comm,
                                 const MachineModel& machine,

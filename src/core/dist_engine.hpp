@@ -192,8 +192,8 @@ class DistSpmmAlgebra {
 
  protected:
   /// Communicator whose rank-ordered all-gather of full-row output blocks
-  /// assembles H^L: world (1D), the slice (1.5D), the process column (2D),
-  /// the j-plane (3D).
+  /// assembles H^L: world (1D), the slice (1.5D), the j-plane (2D/3D; at
+  /// l = 1 it has the process column's ranks).
   virtual Comm& gather_comm() = 0;
 
  private:

@@ -360,47 +360,37 @@ TEST(Comm, MismatchedBroadcastSizesDetected) {
 
 TEST(Grid, TwoDSquareCoordinates) {
   run_world(9, [](Comm& comm) {
-    Grid2D g = Grid2D::create_square(comm);
-    ASSERT_EQ(g.pr, 3);
-    ASSERT_EQ(g.pc, 3);
+    Grid3D g = Grid3D::create(comm, 3, 1);
+    ASSERT_EQ(g.q, 3);
+    ASSERT_EQ(g.l, 1);
+    ASSERT_EQ(g.k, 0);
     ASSERT_EQ(g.i, comm.rank() / 3);
     ASSERT_EQ(g.j, comm.rank() % 3);
     ASSERT_EQ(g.row.size(), 3);
     ASSERT_EQ(g.col.size(), 3);
     ASSERT_EQ(g.row.rank(), g.j);
     ASSERT_EQ(g.col.rank(), g.i);
+    // One layer is the 2D grid: there is nothing to reduce across layers.
+    ASSERT_FALSE(g.fiber.valid());
   });
 }
 
 TEST(Grid, TwoDRowBroadcastStaysInRow) {
   run_world(4, [](Comm& comm) {
-    Grid2D g = Grid2D::create_square(comm);
+    Grid3D g = Grid3D::create(comm, 2, 1);
+    ASSERT_FALSE(g.fiber.valid());
     std::vector<Real> v = {static_cast<Real>(comm.rank())};
     g.row.broadcast(std::span<Real>(v), 0, CommCategory::kDense);
-    // Row i's rank-0 member is world rank i*pc.
-    ASSERT_DOUBLE_EQ(v[0], static_cast<Real>(g.i * g.pc));
+    // Row i's rank-0 member is world rank i*q.
+    ASSERT_DOUBLE_EQ(v[0], static_cast<Real>(g.i * g.q));
   });
-}
-
-TEST(Grid, RectangularGridShapes) {
-  run_world(6, [](Comm& comm) {
-    Grid2D g = Grid2D::create(comm, 2, 3);
-    ASSERT_EQ(g.row.size(), 3);
-    ASSERT_EQ(g.col.size(), 2);
-  });
-}
-
-TEST(Grid, NonSquareWorldRejected) {
-  EXPECT_THROW(
-      run_world(6, [](Comm& comm) { Grid2D::create_square(comm); }),
-      Error);
 }
 
 TEST(Grid, ThreeDCoordinatesAndComms) {
   run_world(8, [](Comm& comm) {
-    Grid3D g = Grid3D::create_cube(comm);
+    Grid3D g = Grid3D::create(comm, 2, 2);
     ASSERT_EQ(g.q, 2);
-    ASSERT_EQ(g.layer.size(), 4);
+    ASSERT_EQ(g.l, 2);
     ASSERT_EQ(g.row.size(), 2);
     ASSERT_EQ(g.col.size(), 2);
     ASSERT_EQ(g.fiber.size(), 2);
@@ -414,31 +404,35 @@ TEST(Grid, ThreeDCoordinatesAndComms) {
 TEST(Grid, FineRangesTileEachCoarseBlock) {
   const Index n = 103;
   const int q = 3;
-  for (int coarse = 0; coarse < q; ++coarse) {
-    const auto [clo, chi] = block_range(n, q, coarse);
-    Index prev = clo;
-    for (int sub = 0; sub < q; ++sub) {
-      const auto [flo, fhi] = fine_range(n, q, coarse, sub);
-      EXPECT_EQ(flo, prev);
-      EXPECT_LE(flo, fhi);
-      prev = fhi;
+  for (int l : {1, 2, 3}) {
+    for (int coarse = 0; coarse < q; ++coarse) {
+      const auto [clo, chi] = block_range(n, q, coarse);
+      Index prev = clo;
+      for (int sub = 0; sub < l; ++sub) {
+        const auto [flo, fhi] = fine_range(n, q, coarse, l, sub);
+        EXPECT_EQ(flo, prev) << "l=" << l;
+        EXPECT_LE(flo, fhi) << "l=" << l;
+        prev = fhi;
+      }
+      EXPECT_EQ(prev, chi) << "l=" << l;
     }
-    EXPECT_EQ(prev, chi);
   }
 }
 
 TEST(Grid, FineRangesAreGloballyContiguous) {
-  const Index n = 64;
-  const int q = 4;
-  Index cursor = 0;
-  for (int coarse = 0; coarse < q; ++coarse) {
-    for (int sub = 0; sub < q; ++sub) {
-      const auto [lo, hi] = fine_range(n, q, coarse, sub);
-      EXPECT_EQ(lo, cursor);
-      cursor = hi;
+  for (const auto& [n, q, l] : {std::array<int, 3>{64, 4, 4},
+                                {103, 3, 1},
+                                {103, 3, 2}}) {
+    Index cursor = 0;
+    for (int coarse = 0; coarse < q; ++coarse) {
+      for (int sub = 0; sub < l; ++sub) {
+        const auto [lo, hi] = fine_range(n, q, coarse, l, sub);
+        EXPECT_EQ(lo, cursor) << "n=" << n << " q=" << q << " l=" << l;
+        cursor = hi;
+      }
     }
+    EXPECT_EQ(cursor, n) << "n=" << n << " q=" << q << " l=" << l;
   }
-  EXPECT_EQ(cursor, n);
 }
 
 TEST(Grid, BlockRangeCoversDimensionExactly) {

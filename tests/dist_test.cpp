@@ -15,6 +15,7 @@
 #include "src/core/algebra_registry.hpp"
 #include "src/core/costmodel.hpp"
 #include "src/core/dist15d.hpp"
+#include "src/core/dist3d.hpp"
 #include "src/gnn/serial_trainer.hpp"
 #include "src/graph/datasets.hpp"
 #include "src/sparse/generate.hpp"
@@ -246,8 +247,9 @@ TEST(DistParity, DeeperThanChannelRingMatchesSerial) {
 
 TEST(DistParity, TwoDOnAnEightByEightGridMatchesSerial) {
   // At q = 8 the process column carries 16 SUMMA panels in one backward
-  // layer, more than the channel ring holds, while the column's gradient
-  // reductions are still pending; they must not share its channels.
+  // layer, more than the channel ring holds, while the gradient
+  // reductions over the same ranks are still pending; they must not share
+  // its channels, so they ride the j-plane.
   const Graph g = test_graph(128, 8, 4, 55);
   const GnnConfig config = GnnConfig::three_layer(8, 4, 8);
   const RunOutcome serial = run_serial(g, config, 2);
@@ -280,6 +282,54 @@ TEST(DistParity, ThreeDRejectsNonCubeWorld) {
                                              RunConfig{});
                          }),
                Error);
+}
+
+TEST(DistParity, TwoDRejectsNonSquareWorld) {
+  const Graph g = test_graph(40, 8, 3, 55);
+  const DistProblem problem = DistProblem::prepare(g);
+  const GnnConfig config = GnnConfig::three_layer(8, 3);
+  EXPECT_THROW(run_world(6,
+                         [&](Comm& world) {
+                           make_dist_trainer("2d", problem, config, world,
+                                             RunConfig{});
+                         }),
+               Error);
+}
+
+TEST(DistParity, SplitThreeDWithLayersOtherThanQMatchesSerial) {
+  // The registry builds l = 1 ("2d") and l = q ("3d"); the transpose's
+  // piece rounds and the fine slabs run modulo l, checked here on
+  // q x q x l grids with l outside {1, q} and uneven blocks.
+  const Graph g = test_graph(97, 8, 4, 58);
+  const GnnConfig config = GnnConfig::three_layer(8, 4, 6);
+  const DistProblem problem = DistProblem::prepare(g);
+  const RunOutcome serial = run_serial(g, config, 2);
+  for (const auto& [p, layers] : {std::pair<int, int>{12, 3}, {18, 2}}) {
+    RunOutcome dist;
+    std::mutex mutex;
+    run_world(p, [&](Comm& world) {
+      DistEngine trainer(problem, config,
+                         std::make_unique<Algebra3D>(
+                             problem, world, layers, RunConfig{},
+                             MachineModel::summit()));
+      std::vector<Real> losses;
+      for (int e = 0; e < 2; ++e) {
+        losses.push_back(trainer.train_epoch().loss);
+      }
+      Matrix out = trainer.gather_output();
+      if (world.rank() == 0) {
+        std::lock_guard<std::mutex> lock(mutex);
+        dist.losses = std::move(losses);
+        dist.output = std::move(out);
+      }
+    });
+    EXPECT_LE(Matrix::max_abs_diff(dist.output, serial.output), kParityTol)
+        << "p=" << p << " l=" << layers;
+    for (std::size_t e = 0; e < serial.losses.size(); ++e) {
+      EXPECT_NEAR(dist.losses[e], serial.losses[e], kParityTol)
+          << "p=" << p << " l=" << layers;
+    }
+  }
 }
 
 TEST(DistParity, FifteenDRejectsBadReplication) {
@@ -556,6 +606,7 @@ INSTANTIATE_TEST_SUITE_P(Trials, RandomizedDifferential,
 struct MeteredRun {
   std::vector<Real> losses;
   std::vector<std::vector<double>> epoch_meters;  // rank 0, per epoch
+  std::vector<std::vector<double>> max_meters;    // max over ranks, per epoch
   double overlap_regions = 0;
   double overlap_saved = 0;
   double modeled = 0;          // rank 0, final epoch, serialized
@@ -572,22 +623,28 @@ MeteredRun run_metered(const std::string& algebra,
         make_dist_trainer(algebra, problem, config, world, mode);
     std::vector<Real> losses;
     std::vector<std::vector<double>> meters;
-    for (int e = 0; e < epochs; ++e) {
-      losses.push_back(trainer->train_epoch().loss);
-      const CostMeter& m = trainer->last_epoch_stats().comm;
+    std::vector<std::vector<double>> max_meters;
+    const auto meter_row = [](const CostMeter& m) {
       std::vector<double> row;
       for (std::size_t c = 0; c < CostMeter::kNumCategories; ++c) {
         const auto cat = static_cast<CommCategory>(c);
         row.push_back(m.latency_units(cat));
         row.push_back(m.words(cat));
       }
-      meters.push_back(std::move(row));
+      return row;
+    };
+    for (int e = 0; e < epochs; ++e) {
+      losses.push_back(trainer->train_epoch().loss);
+      meters.push_back(meter_row(trainer->last_epoch_stats().comm));
+      // Collective, outside the next epoch's meter window.
+      max_meters.push_back(meter_row(trainer->reduce_epoch_stats().comm));
     }
     if (world.rank() == 0) {
       std::lock_guard<std::mutex> lock(mutex);
       const EpochStats& stats = trainer->last_epoch_stats();
       run.losses = std::move(losses);
       run.epoch_meters = std::move(meters);
+      run.max_meters = std::move(max_meters);
       run.overlap_regions = stats.comm.overlap_regions();
       run.overlap_saved = stats.comm.overlap_saved_seconds();
       run.modeled = stats.modeled_seconds(MachineModel::summit());
@@ -610,19 +667,32 @@ struct MeterPin {
   /// epochs charges exactly these values: the 2D/3D epoch caches replay
   /// epoch 1's sparse and transpose charges.
   std::array<double, 2 * CostMeter::kNumCategories> meter;
+  /// The same slots maximized over ranks (reduce_epoch_stats). Rank 0 is
+  /// grid rank (0, 0), whose 2D transpose is a self-route that charges
+  /// nothing; the busiest rank's transpose words are pinned here.
+  std::array<double, 2 * CostMeter::kNumCategories> max_meter;
 };
 
 std::vector<MeterPin> meter_pins() {
   return {
-      {"1d", 4, 0, {42, 4200, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3}},
-      {"1.5d-c2", 4, 0, {21, 4112, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3}},
-      {"1.5d-c2", 8, 0, {39, 3336, 0, 0, 0, 0, 0, 0, 0, 0, 6, 3.5}},
-      {"1.5d-c4", 4, 0, {18, 5664, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3}},
-      {"2d", 4, 0, {31, 4208, 48, 5352, 0, 0, 0, 0, 0, 0, 4, 3}},
-      {"2d", 9, 0, {80, 2751.875, 144, 3936, 0, 0, 0, 0, 0, 0, 8, 3.5}},
-      {"3d", 8, 0, {43, 2788, 48, 2508, 8, 220, 0, 0, 0, 0, 6, 3.5}},
-      {"1d", 4, 4, {18, 4044, 0, 0, 0, 0, 9, 2340, 0, 0, 4, 3}},
-      {"1.5d-c2", 8, 4, {27, 5084, 0, 0, 0, 0, 9, 676, 0, 0, 6, 3.5}},
+      {"1d", 4, 0, {42, 4200, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3},
+       {42, 4200, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3}},
+      {"1.5d-c2", 4, 0, {21, 4112, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3},
+       {21, 4112, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3}},
+      {"1.5d-c2", 8, 0, {39, 3336, 0, 0, 0, 0, 0, 0, 0, 0, 6, 3.5},
+       {39, 3336, 0, 0, 0, 0, 0, 0, 0, 0, 6, 3.5}},
+      {"1.5d-c4", 4, 0, {18, 5664, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3},
+       {18, 5664, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3}},
+      {"2d", 4, 0, {31, 4208, 48, 5352, 0, 0, 0, 0, 0, 0, 4, 3},
+       {31, 4208, 48, 5688, 8, 840, 0, 0, 0, 0, 4, 3}},
+      {"2d", 9, 0, {80, 2751.875, 144, 3936, 0, 0, 0, 0, 0, 0, 8, 3.5},
+       {80, 3206.625, 144, 4200, 8, 468, 0, 0, 0, 0, 8, 3.5}},
+      {"3d", 8, 0, {43, 2788, 48, 2508, 8, 220, 0, 0, 0, 0, 6, 3.5},
+       {43, 2788, 48, 3492, 16, 600, 0, 0, 0, 0, 6, 3.5}},
+      {"1d", 4, 4, {18, 4044, 0, 0, 0, 0, 9, 2340, 0, 0, 4, 3},
+       {18, 4044, 0, 0, 0, 0, 9, 3432, 0, 0, 4, 3}},
+      {"1.5d-c2", 8, 4, {27, 5084, 0, 0, 0, 0, 9, 676, 0, 0, 6, 3.5},
+       {27, 5204, 0, 0, 0, 0, 9, 2418, 0, 0, 6, 3.5}},
   };
 }
 
@@ -671,13 +741,18 @@ TEST(MeterPin, ExactChargesMatchRecordedValues) {
     const std::string label = pin.algebra + " p=" + std::to_string(pin.p) +
                               (halo ? " halo" : "");
     ASSERT_EQ(run.epoch_meters.size(), 3u) << label;
+    ASSERT_EQ(run.max_meters.size(), 3u) << label;
     for (std::size_t e = 0; e < run.epoch_meters.size(); ++e) {
       ASSERT_EQ(run.epoch_meters[e].size(), pin.meter.size()) << label;
+      ASSERT_EQ(run.max_meters[e].size(), pin.max_meter.size()) << label;
       for (std::size_t i = 0; i < pin.meter.size(); ++i) {
+        const std::string slot =
+            std::string(comm_category_name(static_cast<CommCategory>(i / 2))) +
+            (i % 2 == 0 ? " latency" : " words");
         EXPECT_EQ(run.epoch_meters[e][i], pin.meter[i])
-            << label << " epoch " << e << " "
-            << comm_category_name(static_cast<CommCategory>(i / 2))
-            << (i % 2 == 0 ? " latency" : " words");
+            << label << " epoch " << e << " rank 0 " << slot;
+        EXPECT_EQ(run.max_meters[e][i], pin.max_meter[i])
+            << label << " epoch " << e << " max " << slot;
       }
     }
   }
