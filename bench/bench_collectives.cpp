@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/comm/comm.hpp"
+#include "src/util/cli.hpp"
 
 namespace cagnet {
 namespace {
@@ -91,4 +92,12 @@ BENCHMARK(BM_Allgather)
 }  // namespace
 }  // namespace cagnet
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return cagnet::run_main(argc, argv, [](int n, char** args) {
+    benchmark::Initialize(&n, args);
+    if (benchmark::ReportUnrecognizedArguments(n, args)) return 1;
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
+  });
+}

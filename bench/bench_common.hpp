@@ -26,9 +26,16 @@ struct Fig2Point {
   double modeled_epoch_seconds = 0;  ///< extrapolated to full Table VI scale
   double host_epoch_seconds = 0;     ///< wall time on this host (simulation)
   EpochStats stats;                  ///< max-reduced final-epoch stats
+  EpochStats setup;                  ///< max-reduced set-up meter
   double denominator = 1.0;
   Real loss = 0;
 };
+
+/// The set-up words a per-epoch figure of the paper would count: every
+/// category but kControl.
+inline double setup_words(const EpochStats& setup) {
+  return setup.comm.total_words() - setup.comm.words(CommCategory::kControl);
+}
 
 /// Extrapolated Summit seconds for one traffic category.
 ///
@@ -78,13 +85,18 @@ inline Fig2Point run_2d(const ScaledDataset& data, int procs, int epochs,
 
   WallTimer wall;
   run_world(procs, [&](Comm& world) {
-    const auto trainer = make_dist_trainer("2d", problem, config, world, run);
+    EpochStats setup;
+    const auto trainer = build_metered(world, setup.comm, [&] {
+      return make_dist_trainer("2d", problem, config, world, run);
+    });
+    setup = EpochStats::reduce_max(setup, world);
     EpochResult r{};
     for (int e = 0; e < epochs; ++e) r = trainer->train_epoch();
     const EpochStats s =
         trainer->reduce_epoch_stats();
     if (world.rank() == 0) {
       point.stats = s;
+      point.setup = setup;
       point.loss = r.loss;
       point.modeled_epoch_seconds =
           extrapolated_total_seconds(s, summit, data.denominator);

@@ -397,4 +397,6 @@ int run(int argc, char** argv) {
 }  // namespace
 }  // namespace cagnet
 
-int main(int argc, char** argv) { return cagnet::run(argc, argv); }
+int main(int argc, char** argv) {
+  return cagnet::run_main(argc, argv, cagnet::run);
+}

@@ -3,7 +3,7 @@
 // 3D partitions make the dense operands skinny (f/sqrt(P) or f/P^(1/3)
 // columns), so both the kernel rate and its thread scaling matter.
 //
-//   1. GFlop/s vs matrix shape: the partial-SUMMA shapes (tall-skinny
+//   1. GFlop/s vs matrix shape: the Z = T W shapes (tall-skinny
 //      times small-square), the weight-gradient shape (skinny^T times
 //      tall) at paper-like widths, and the GCN's first layer (128 input
 //      features to 16 hidden), whose weight gradient runs on a dense or a
@@ -17,6 +17,7 @@
 
 #include "src/dense/gemm.hpp"
 #include "src/dense/matrix.hpp"
+#include "src/util/cli.hpp"
 #include "src/util/parallel.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/timer.hpp"
@@ -168,4 +169,12 @@ BENCHMARK(BM_GemmThreadScaling)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)
 }  // namespace
 }  // namespace cagnet
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return cagnet::run_main(argc, argv, [](int n, char** args) {
+    benchmark::Initialize(&n, args);
+    if (benchmark::ReportUnrecognizedArguments(n, args)) return 1;
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
+  });
+}

@@ -144,8 +144,11 @@ int run(int argc, char** argv) {
 
       for (const InjectionPoint& pt : points) {
         ++cell;
-        // Rank 1 exists in every swept world; nth lands mid-schedule
-        // so restarts genuinely retrain lost epochs.
+        // Rank 1 exists in every swept world. nth counts rank 1's
+        // events from the plan's arming, trainer set-up included, so the
+        // fault lands early in the schedule; a restart retrains lost
+        // epochs only when it lands after an epoch that no checkpoint
+        // covers yet (retrained_epochs records which cells do).
         const std::uint64_t nth = seeded_nth(seed + cell, 5, 60);
         auto plan = std::make_shared<FaultPlan>();
         FaultTrigger trigger;
@@ -222,4 +225,6 @@ int run(int argc, char** argv) {
 }  // namespace
 }  // namespace cagnet
 
-int main(int argc, char** argv) { return cagnet::run(argc, argv); }
+int main(int argc, char** argv) {
+  return cagnet::run_main(argc, argv, cagnet::run);
+}

@@ -19,6 +19,7 @@
 #include "src/sparse/generate.hpp"
 #include "src/sparse/spmm_kernel.hpp"
 #include "src/sparse/stats.hpp"
+#include "src/util/cli.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/timer.hpp"
 
@@ -184,4 +185,12 @@ BENCHMARK(BM_SpmmThreadScaling)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)
 }  // namespace
 }  // namespace cagnet
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return cagnet::run_main(argc, argv, [](int n, char** args) {
+    benchmark::Initialize(&n, args);
+    if (benchmark::ReportUnrecognizedArguments(n, args)) return 1;
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
+  });
+}

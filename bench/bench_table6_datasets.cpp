@@ -10,7 +10,7 @@
 
 using namespace cagnet;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
   std::printf("=== Table VI: datasets (paper values vs generated analogs) "
               "===\n\n");
@@ -43,3 +43,5 @@ int main(int argc, char** argv) {
               "than the original because its average degree is held.\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return run_main(argc, argv, run); }

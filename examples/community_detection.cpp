@@ -21,7 +21,7 @@
 
 using namespace cagnet;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const Index n = args.get_int("vertices", 600);
   const Index communities = args.get_int("communities", 4);
@@ -102,3 +102,5 @@ int main(int argc, char** argv) {
   std::remove("/tmp/cagnet_community.ckpt");
   return 0;
 }
+
+int main(int argc, char** argv) { return run_main(argc, argv, run); }

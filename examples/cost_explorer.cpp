@@ -26,7 +26,7 @@
 
 using namespace cagnet;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
   double n = args.get_double("vertices", 1e6);
   double nnz = args.get_double("nnz", 0);
@@ -153,3 +153,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return run_main(argc, argv, run); }

@@ -20,7 +20,7 @@
 
 using namespace cagnet;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const Index n = args.get_int("vertices", 2000);
   const double degree = args.get_double("degree", 6.0);
@@ -119,3 +119,5 @@ int main(int argc, char** argv) {
               "analytics: the semiring swap is the Section I extension.\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return run_main(argc, argv, run); }

@@ -18,7 +18,7 @@
 
 using namespace cagnet;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const long denom = args.get_int("scale-denominator", 256);
   const int procs = static_cast<int>(args.get_int("procs", 36));
@@ -78,3 +78,5 @@ int main(int argc, char** argv) {
               wall.seconds());
   return 0;
 }
+
+int main(int argc, char** argv) { return run_main(argc, argv, run); }

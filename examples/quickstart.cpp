@@ -17,7 +17,7 @@
 
 using namespace cagnet;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const Index n = args.get_int("vertices", 2000);
   const double degree = args.get_double("degree", 8.0);
@@ -93,3 +93,5 @@ int main(int argc, char** argv) {
               "for the strict parity checks).\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return run_main(argc, argv, run); }

@@ -50,7 +50,7 @@ Row run_one(const char* name, const char* algebra, const DistProblem& problem,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const long denom = args.get_int("scale-denominator", 128);
   const int epochs = static_cast<int>(args.get_int("epochs", 2));
@@ -90,3 +90,5 @@ int main(int argc, char** argv) {
               "bench_costmodel_scaling).\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return run_main(argc, argv, run); }

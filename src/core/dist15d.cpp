@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <utility>
 #include <vector>
 
 #include "src/dense/gemm.hpp"
@@ -232,6 +233,21 @@ void Algebra15D::times_weight(const Matrix& t, const Matrix& w, Matrix& z,
   region.close();
   // Source-release contract: team peers may still be reading this rank's
   // T chunks; spmm_at quiesces the team before T is next rewritten.
+}
+
+void Algebra15D::complete_spmm_at(Matrix& t, EpochStats& stats) {
+  if (!deferred_.active) return;
+  deferred_.active = false;
+  ScopedPhase scope(stats.profiler, Phase::kDenseComm);
+  for (std::size_t i = 0; i < deferred_.ops.size(); ++i) {
+    world_.meter().add(CommCategory::kDense, deferred_.charges[i].first,
+                       deferred_.charges[i].second);
+    deferred_.ops[i].wait();
+  }
+  // Team peers may still read `t`'s storage, the reduction's source; it
+  // moves into t_reduced_, which only the next spmm_at rewrites, behind
+  // its team quiesce.
+  std::swap(t, t_reduced_);
 }
 
 void Algebra15D::spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) {

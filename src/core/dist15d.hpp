@@ -30,6 +30,8 @@
 //                           broadcast then replicates the reduced block.
 //   Y = (H)^T AG^l      : small outer product + f x f all-reduce within
 //                           the slice (IV-A.4).
+// Layer 1's forward runs once, at set-up (T^1 = A^T X, completed by
+// complete_spmm_at), and its backward needs no AG^1 (see dist_engine.hpp).
 //
 // At c = 1 the metered cost matches Section IV-A.5 with edgecut =
 // n(P-1)/P (the random / broadcast-based bound; Algorithm 1 broadcasts
@@ -97,6 +99,9 @@ class Algebra15D final : public DistSpmmAlgebra {
   /// sum bitwise to the one-shot all-reduce's.
   void times_weight(const Matrix& t, const Matrix& w, Matrix& z,
                     EpochStats& stats) override;
+  /// For c > 1, waits out the deferred team reduction at once and leaves
+  /// the reduced T in `t`, charged like times_weight's chunks.
+  void complete_spmm_at(Matrix& t, EpochStats& stats) override;
 
   void begin_reduce_gradients(Matrix& y_partial, Index f_in, Index f_out,
                               Matrix& y_full, EpochStats& stats) override;

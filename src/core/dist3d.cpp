@@ -135,6 +135,15 @@ void Algebra3D::times_weight(const Matrix& t, const Matrix& w, Matrix& z,
                                    machine(), stats, ws_, z);
 }
 
+void Algebra3D::input_times_weight(const Matrix& t1, const Matrix& w,
+                                   Matrix& z, EpochStats& stats) {
+  // Z^1 = T^1 W^1: each rank multiplies its slice of the f_0-wide T^1 by
+  // W^1's matching rows and the within-layer process row sums the
+  // f_1-wide terms, so no T^1 panel moves.
+  dist::reduce_times_weight(t1, w, grid_.q, grid_.j, grid_.row, machine(),
+                            stats, ws_, z);
+}
+
 void Algebra3D::gather_feature_rows(const Matrix& local, Index f,
                                     Matrix& full, EpochStats& stats) {
   // Within-layer row all-gather (Section IV-D.2 — no cross-layer or

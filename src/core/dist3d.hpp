@@ -26,6 +26,13 @@
 //            Z = T W       : "partial SUMMA" — T_im broadcast along the
 //                            process row; W is replicated so only T moves
 //                            (the f contraction needs no fiber reduction).
+//            (Layer 1's T = A^T X is aggregated once, at set-up; see
+//            dist_engine.hpp. Its Z^1 = T^1 W^1 moves no T: each rank
+//            multiplies its slice T^1_ij by W^1's rows j and a
+//            reduce-scatter along the process row sums the f_1-wide
+//            terms, fewer words than f_0-wide T panels whenever
+//            f_1 (q-1)/q < f_0; DESIGN.md "Substitutions" gives the
+//            measurement.)
 //            sigma         : ReLU is elementwise (free); the output-layer
 //                            log_softmax needs full rows, hence a row-wise
 //                            all-gather (Sections IV-C.2, IV-D.2).
@@ -82,6 +89,8 @@ class Algebra3D final : public DistSpmmAlgebra {
   void spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) override;
   void times_weight(const Matrix& t, const Matrix& w, Matrix& z,
                     EpochStats& stats) override;
+  void input_times_weight(const Matrix& t1, const Matrix& w, Matrix& z,
+                          EpochStats& stats) override;
   void gather_feature_rows(const Matrix& local, Index f, Matrix& full,
                            EpochStats& stats) override;
   void begin_reduce_gradients(Matrix& y_partial, Index f_in, Index f_out,

@@ -299,8 +299,8 @@ void summa_stage_loop(const Csr& my_sparse, SparseStageCache& cache,
   CostMeter& meter = sparse_comm.meter();
   const bool use_cache = cache.ready;
   if (use_cache) {
-    // The adjacency blocks are epoch-invariant: replay the recorded
-    // epoch-1 sparse charges instead of re-broadcasting identical bytes.
+    // The adjacency blocks are epoch-invariant: replay the first call's
+    // recorded sparse charges instead of re-broadcasting identical bytes.
     // Replayed (bulk) charges stay outside the overlap regions — only
     // traffic that was actually in flight behind a compute is attributed.
     ScopedPhase scope(stats.profiler, Phase::kSparseComm);
@@ -441,6 +441,51 @@ void partial_summa_times_weight(const Matrix& t, const Matrix& w, int parts,
       },
       gemm_stage, ws.stage_recv, ws.stage_recv2, row_comm.meter(),
       stats.work, machine, stats.profiler);
+}
+
+void reduce_times_weight(const Matrix& t, const Matrix& w, int parts,
+                         int my_col, Comm& row_comm,
+                         const MachineModel& machine, EpochStats& stats,
+                         DistWorkspace& ws, Matrix& z) {
+  const Index local_rows = t.rows();
+  const Index f_in = w.rows();
+  const Index f_out = w.cols();
+  const auto [fi0, fi1] = block_range(f_in, parts, my_col);
+  {
+    // Release point: row peers may still read the previous call's
+    // staged term, which is rewritten below.
+    ScopedPhase scope(stats.profiler, Phase::kDenseComm);
+    row_comm.quiesce();
+  }
+  {
+    // This rank's term T_j W_j of the contraction, full f_out wide, built
+    // in `z` (which keeps that capacity for the next call), then staged
+    // slice-major: process column m's reduce-scatter chunk is column
+    // slice m of every row, contiguous.
+    ScopedPhase scope(stats.profiler, Phase::kMisc);
+    w.block_into(fi0, 0, fi1 - fi0, f_out, ws.w_block);
+    z.resize(local_rows, f_out);
+    gemm(Trans::kNo, Trans::kNo, Real{1}, t, ws.w_block, Real{0}, z);
+    stats.work.add_gemm(machine, 2.0 * static_cast<double>(local_rows) *
+                                     static_cast<double>(fi1 - fi0) *
+                                     static_cast<double>(f_out));
+    ws.z_staged.resize(local_rows, f_out);
+    Real* out = ws.z_staged.data();
+    for (int m = 0; m < parts; ++m) {
+      const auto [c0, c1] = block_range(f_out, parts, m);
+      for (Index r = 0; r < local_rows; ++r) {
+        const auto row = z.row(r);
+        out = std::copy(row.begin() + c0, row.begin() + c1, out);
+      }
+    }
+  }
+  const auto [fo0, fo1] = block_range(f_out, parts, my_col);
+  z.resize(local_rows, fo1 - fo0);
+  ScopedPhase scope(stats.profiler, Phase::kDenseComm);
+  row_comm
+      .ireduce_scatter_sum(std::span<const Real>(ws.z_staged.flat()),
+                           z.flat(), CommCategory::kDense)
+      .wait();
 }
 
 void allgather_feature_rows(const Matrix& local, Index full_cols, int parts,

@@ -156,15 +156,19 @@ struct DistWorkspace {
   Matrix stage_recv2;       ///< double-buffer partner of stage_recv (stage
                             ///< k+1 lands here while stage k is still
                             ///< being consumed)
-  Matrix w_block;           ///< partial-SUMMA weight sub-block
+  Matrix w_block;           ///< the weight block a Z = T W path reads
+  Matrix z_staged;          ///< reduce_times_weight's f_out-wide term,
+                            ///< slice-major: the reduce-scatter source
+                            ///< peers read until the next call
   Gathered<Real> gathered;  ///< all-gather staging
 };
 
 /// Epoch-invariant cache of the sparse blocks a SUMMA-style loop
-/// receives. The adjacency never changes across epochs, so stage k of
-/// epoch e > 1 re-receives exactly the block it deserialized in epoch 1;
-/// after the first pass the blocks are served from memory and the
-/// recorded epoch-1 CostMeter charges are replayed instead (all charges
+/// receives. The adjacency never changes, so stage k of every later call
+/// re-receives exactly the block it deserialized in the first (for the
+/// forward blocks, the set-up's layer-1 aggregate); after the first pass
+/// the blocks are served from memory and the first call's recorded
+/// CostMeter charges are replayed instead (all charges
 /// are integer-valued in words/latency units, so replaying the summed
 /// delta is bitwise-exact). Modeled communication volumes — the paper's
 /// measurements — are therefore unchanged while the data movement,
@@ -180,7 +184,7 @@ struct SparseStageCache {
   /// loop's stack. Rewritten only by the next uncached epoch, behind the
   /// stage-loop entry quiesce.
   std::vector<std::array<Index, 3>> headers;
-  CostMeter charges;            ///< epoch-1 sparse charges to replay
+  CostMeter charges;            ///< first call's sparse charges to replay
 };
 
 /// Epoch-invariant cache of a distributed-transpose pair: after epoch 1
@@ -666,13 +670,31 @@ void finish_assemble_weight_gradient(int parts, Comm& row_comm,
 /// `row_comm` (`parts` ranks; this rank is column `my_col` and contributes
 /// `t`, its local feat_slice of T). Writes this rank's Z slice
 /// (t.rows() x block_range(w.cols(), parts, my_col) width) into `z`
-/// (storage reused). Algebra3D's "partial SUMMA" / "partial
-/// Split-3D-SpMM".
+/// (storage reused). Charges t.rows() * f_in words (each of the `parts`
+/// stage broadcasts charges every member, its root included) and `parts`
+/// broadcast latencies. Algebra3D's "partial SUMMA" / "partial
+/// Split-3D-SpMM" of layers l >= 2.
 void partial_summa_times_weight(const Matrix& t, const Matrix& w, int parts,
                                 int my_col, Comm& row_comm,
                                 const MachineModel& machine,
                                 EpochStats& stats, DistWorkspace& ws,
                                 Matrix& z);
+
+/// Z = T W with W replicated and T's feature dimension split across
+/// `row_comm` as in partial_summa_times_weight, but nothing of T moves:
+/// each rank multiplies its slice by the matching rows of W, and one
+/// reduce-scatter over `row_comm` sums the f_out-wide terms, leaving this
+/// rank's Z slice in `z` (storage reused; it keeps t.rows() x f_out
+/// capacity). Charges t.rows() * f_out * (parts-1)/parts words and one
+/// reduce-scatter latency: fewer words than partial SUMMA whenever
+/// f_out * (parts-1)/parts < f_in, so always when f_out <= f_in.
+/// Algebra3D's Z^1 = T^1 W^1 (the paper datasets and the benchmark
+/// workloads have f_1 = 16 against f_0 of 128 to 602; DESIGN.md
+/// "Substitutions").
+void reduce_times_weight(const Matrix& t, const Matrix& w, int parts,
+                         int my_col, Comm& row_comm,
+                         const MachineModel& machine, EpochStats& stats,
+                         DistWorkspace& ws, Matrix& z);
 
 }  // namespace dist
 

@@ -77,6 +77,22 @@ DistEngine::DistEngine(const DistProblem& problem, GnnConfig config,
   const auto [f0, f1] = algebra_->feat_slice(config_.dims.front());
   h_[0] = g.features.block(algebra_->row_lo(), f0, algebra_->local_rows(),
                            f1 - f0);
+  // Sampled epochs read X itself; their full-batch T^1 waits for the
+  // first gather_output.
+  if (!algebra_->run().sample) {
+    aggregate_input();
+    // Peers may still read the X block (stage roots broadcast straight
+    // from it); release it before it is freed.
+    algebra_->drain();
+    h_[0] = Matrix();
+  }
+}
+
+void DistEngine::aggregate_input() {
+  EpochStats setup;
+  algebra_->spmm_at(h_[0], t1_, setup);
+  algebra_->complete_spmm_at(t1_, setup);
+  aggregated_ = true;
 }
 
 void DistEngine::set_weights(const std::vector<Matrix>& weights) {
@@ -97,11 +113,16 @@ const Matrix& DistEngine::forward() {
   for (Index l = 1; l <= layers; ++l) {
     const Index f_out = config_.dims[static_cast<std::size_t>(l)];
 
-    // T = A^T H^(l-1) (the algebra's distributed SpMM), then Z = T W.
-    algebra_->spmm_at(h_[static_cast<std::size_t>(l - 1)], t_buf_, stats_);
+    // T = A^T H^(l-1) (the algebra's distributed SpMM; layer 1's was
+    // aggregated once at set-up), then Z = T W.
     auto& z = z_[static_cast<std::size_t>(l)];
-    algebra_->times_weight(t_buf_, weights_[static_cast<std::size_t>(l - 1)],
-                           z, stats_);
+    const Matrix& w = weights_[static_cast<std::size_t>(l - 1)];
+    if (l > 1) {
+      algebra_->spmm_at(h_[static_cast<std::size_t>(l - 1)], t_buf_, stats_);
+      algebra_->times_weight(t_buf_, w, z, stats_);
+    } else {
+      algebra_->input_times_weight(t1_, w, z, stats_);
+    }
 
     if (l == layers) {
       // log-softmax needs whole rows; rows-whole layouts skip the gather
@@ -163,13 +184,16 @@ void DistEngine::backward() {
 
     // U = A G^l (the algebra's transposed distributed SpMM), with full rows
     // assembled once and reused by both Y^l and G^(l-1) — the paper's
-    // intermediate-product reuse. Rows-whole layouts already hold full
-    // rows and skip the gather (uniform by the algebra contract).
-    algebra_->spmm_a(g_buf_, u_buf_, stats_);
+    // intermediate-product reuse. Layer 1 needs no U: its weight gradient
+    // X^T (A G^1) is (T^1)^T G^1, so G^1's rows stand in. Rows-whole
+    // layouts already hold full rows and skip the gather (uniform by the
+    // algebra contract).
+    if (l > 1) algebra_->spmm_a(g_buf_, u_buf_, stats_);
+    const Matrix& u = l > 1 ? u_buf_ : g_buf_;
     if (!algebra_->rows_whole()) {
-      algebra_->gather_feature_rows(u_buf_, f_out, u_rows_buf_, stats_);
+      algebra_->gather_feature_rows(u, f_out, u_rows_buf_, stats_);
     }
-    const Matrix& u_rows = algebra_->rows_whole() ? u_buf_ : u_rows_buf_;
+    const Matrix& u_rows = algebra_->rows_whole() ? u : u_rows_buf_;
 
     // Y^l = (H^(l-1))^T (A G^l): local slice product, completed into the
     // replicated gradient by the algebra's reductions.
@@ -178,7 +202,8 @@ void DistEngine::backward() {
       ScopedPhase scope(stats_.profiler, Phase::kMisc);
       y_buf_.resize(fi1 - fi0, f_out);
       gemm(Trans::kYes, Trans::kNo, Real{1},
-           h_[static_cast<std::size_t>(l - 1)], u_rows, Real{0}, y_buf_);
+           l > 1 ? h_[static_cast<std::size_t>(l - 1)] : t1_, u_rows, Real{0},
+           y_buf_);
       stats_.work.add_gemm(algebra_->machine(),
                            2.0 * static_cast<double>(local_rows) *
                                static_cast<double>(fi1 - fi0) *
@@ -281,8 +306,10 @@ Matrix DistEngine::gather_output() {
     // Sampled epochs never materialize the full-graph output; inference
     // runs one full-batch forward with the current weights first — with
     // the staleness machinery disarmed (inference is exact; the cache
-    // slots belong to the training epochs' layer sequence).
+    // slots belong to the training epochs' layer sequence). The first
+    // call aggregates T^1 for it, outside every epoch.
     algebra_->begin_epoch(-1);
+    if (!aggregated_) aggregate_input();
     forward();
   }
   Matrix full =

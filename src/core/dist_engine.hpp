@@ -6,7 +6,10 @@
 // else — weight/optimizer state, the per-layer forward (distributed SpMM ->
 // local GEMM -> ReLU / log-softmax), the loss/accuracy reduction, the
 // backward recurrence, the SGD step, and EpochStats collection — is
-// identical across the families. DistEngine owns that shared epoch;
+// identical across the families. Layer 1's SpMM runs once, at set-up: the
+// input X never changes (no dropout, no bias), so T^1 = A^T X is
+// epoch-invariant and X^T (A G^1) = (T^1)^T G^1 needs no backward SpMM.
+// DistEngine owns that shared epoch;
 // DistSpmmAlgebra is the strategy interface each partitioning implements
 // (see DESIGN.md, "Engine / algebra split"). Adding a new partitioning is
 // one algebra subclass plus a registry entry (algebra_registry.hpp).
@@ -108,18 +111,31 @@ class DistSpmmAlgebra {
 
   /// Forward propagation T = A^T H: `h` is the local block of H^(l-1),
   /// `t` receives the local block of T in the same layout. Collective.
-  /// Charges: the family's broadcast/reduction stages — kSparse for
-  /// adjacency blocks (2D/3D SUMMA stages; replayed from the epoch cache
-  /// after epoch 1), kDense for activation panels and the completing
-  /// reductions. Stage k+1's blocks are in flight behind stage k's local
-  /// SpMM, and (1.5D, c > 1) the team reduction of T is left pending for
-  /// times_weight to drain.
+  /// The engine calls it for layers l >= 2 every epoch, and once at
+  /// set-up for layer 1's T^1 = A^T X. Charges: the family's broadcast/
+  /// reduction stages — kSparse for adjacency blocks (2D/3D SUMMA stages;
+  /// received by the first call, the set-up's, and replayed from the
+  /// stage cache by every later one), kDense for activation panels and
+  /// the completing reductions. Stage k+1's blocks are in flight behind
+  /// stage k's local SpMM, and (1.5D, c > 1) the team reduction of T is
+  /// left pending for times_weight or complete_spmm_at to drain.
   virtual void spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) = 0;
 
+  /// Finish a T that spmm_at left incomplete, so `t` holds the whole
+  /// aggregate without a following times_weight (the set-up's T^1).
+  /// Default: nothing to finish; 1.5D at c > 1 drains its deferred team
+  /// reduction. Collective for that family.
+  virtual void complete_spmm_at(Matrix& t, EpochStats& stats) {
+    (void)t;
+    (void)stats;
+  }
+
   /// Backward propagation U = A G: `g` is the local block of G^l, `u`
-  /// receives the local block of U. Called between begin_backward() and
-  /// end_backward() (the 2D/3D families materialize A there). Collective;
-  /// charges like spmm_at (on the transposed-adjacency blocks).
+  /// receives the local block of U. The engine calls it for layers
+  /// l >= 2 only (layer 1's weight gradient is (T^1)^T G^1), between
+  /// begin_backward() and end_backward() (the 2D/3D families materialize
+  /// A there). Collective; charges like spmm_at (on the
+  /// transposed-adjacency blocks).
   virtual void spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) = 0;
 
   /// Z = T W with W replicated: `t` is the local block of T, `z` receives
@@ -131,6 +147,17 @@ class DistSpmmAlgebra {
   virtual void times_weight(const Matrix& t, const Matrix& w, Matrix& z,
                             EpochStats& stats);
 
+  /// Z^1 = T^1 W^1 on the set-up's aggregate `t1` (f_0 wide; the engine
+  /// calls it for layer 1, times_weight for every later layer). Default:
+  /// times_weight. The 2D/3D families override with a process-row
+  /// reduce-scatter of the f_1-wide terms T^1_j W^1_j, which charges
+  /// fewer words than broadcasting T^1's f_0-wide panels whenever
+  /// f_1 (q-1)/q < f_0. Collective whenever communication is involved.
+  virtual void input_times_weight(const Matrix& t1, const Matrix& w,
+                                  Matrix& z, EpochStats& stats) {
+    times_weight(t1, w, z, stats);
+  }
+
   /// Assemble full rows (local_rows x f) from the local feature slice —
   /// the row-wise all-gather forced by log-softmax's row dependence and
   /// reused for the weight-gradient operand. Default: identity copy
@@ -140,7 +167,8 @@ class DistSpmmAlgebra {
   virtual void gather_feature_rows(const Matrix& local, Index f,
                                    Matrix& full, EpochStats& stats);
 
-  /// Complete the weight gradient Y^l = (H^(l-1))^T (A G^l), split in
+  /// Complete the weight gradient Y^l = (H^(l-1))^T (A G^l) (at l = 1,
+  /// the equal (T^1)^T G^1), split in
   /// two so the reductions fly behind the remaining backward layers'
   /// compute. begin posts the reduction of this layer's partial
   /// `y_partial` (feat_slice(f_in) width x f_out) through the nonblocking
@@ -210,7 +238,9 @@ class DistEngine : public DistTrainer {
   /// Collective constructor: call on every rank of the algebra's world.
   /// The modes are the algebra's run(); a sampled run on an algebra
   /// without sample_comm(), or with fanouts that do not fit the model,
-  /// throws Error here.
+  /// throws Error here. A full-batch run aggregates layer 1 here: T^1 =
+  /// A^T X through the algebra's spmm_at, charged to the world meter
+  /// before any epoch's window opens (see aggregate_input).
   DistEngine(const DistProblem& problem, GnnConfig config,
              std::unique_ptr<DistSpmmAlgebra> algebra);
 
@@ -268,6 +298,13 @@ class DistEngine : public DistTrainer {
   void backward();
   void step();
   EpochResult train_epoch_sampled();
+  /// T^1 = A^T X from the resident X block (collective). X is constant —
+  /// the model has no dropout and no bias — so layer 1's aggregate never
+  /// changes: every epoch runs Z^1 = T^1 W^1 forward and Y^1 =
+  /// (T^1)^T G^1 = X^T (A G^1) backward, without the f_0-wide SpMMs or
+  /// their exchanges. Runs with the staleness state disarmed, so it takes
+  /// no halo cache slot.
+  void aggregate_input();
 
   const DistProblem& problem_;
   GnnConfig config_;
@@ -276,16 +313,21 @@ class DistEngine : public DistTrainer {
   std::optional<Optimizer> optimizer_;
   std::vector<Matrix> weights_;
   std::vector<Matrix> gradients_;
-  std::vector<Matrix> h_;  ///< local blocks of H^l, l = 0..L
+  /// Local blocks of H^l, l = 1..L-1. h_[0] holds the X block only in
+  /// sampled runs (the minibatch features); a full-batch run keeps T^1
+  /// instead and frees X at set-up.
+  std::vector<Matrix> h_;
   std::vector<Matrix> z_;  ///< local blocks of Z^l, l = 1..L
+  Matrix t1_;              ///< T^1 = A^T X, layer 1's aggregate
+  bool aggregated_ = false;  ///< t1_ holds T^1
   Matrix output_rows_;     ///< full rows of this rank's H^L block
 
   // Reusable epoch workspaces: sized on first use, allocation-free after
   // the first epoch (Matrix::resize reuses storage).
-  Matrix t_buf_;       ///< T = A^T H
+  Matrix t_buf_;       ///< T = A^T H^(l-1), layers l >= 2
   Matrix zrows_buf_;   ///< gathered full rows of Z^L
-  Matrix u_buf_;       ///< U = A G
-  Matrix u_rows_buf_;  ///< gathered full rows of U
+  Matrix u_buf_;       ///< U = A G^l, layers l >= 2
+  Matrix u_rows_buf_;  ///< gathered full rows of U (G^1 at layer 1)
   Matrix g_buf_;       ///< G^l (ping)
   Matrix g_next_buf_;  ///< G^(l-1) (pong)
   Matrix dh_buf_;      ///< U (W^l)^T before the ReLU mask

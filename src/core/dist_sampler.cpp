@@ -23,11 +23,12 @@ void SampledRunner::check(const GnnConfig& config, const RunConfig& run) {
                    ") must equal the model's layer count (" +
                    std::to_string(layers) + ")");
   // The next batch's layer-0 exchange stays posted across this batch's
-  // backward, which posts one contribution exchange per layer on the same
-  // communicator. A channel is reused only after every rank finished its
-  // previous generation, so a 16th layer's post would land on the
-  // exchange's own channel: a ContractViolation mid-batch, after which
-  // the engine's teardown quiesce would hang on that same exchange.
+  // backward, which posts at most one contribution exchange per layer
+  // (none for layer 1) on the same communicator. A channel is reused only
+  // after every rank finished its previous generation, so at 16 layers a
+  // post could land on the exchange's own channel: a ContractViolation
+  // mid-batch, after which the engine's teardown quiesce would hang on
+  // that same exchange.
   CAGNET_CHECK(layers < detail::kAsyncChannels,
                "sampled training: at most " +
                    std::to_string(detail::kAsyncChannels - 1) +
@@ -309,7 +310,10 @@ void SampledRunner::build_batch(Slot& slot, int epoch, Index batch,
           e.samp_vals[static_cast<std::size_t>(q)];
     }
 
-    // Backward operators and landing bookkeeping.
+    // Backward operators and landing bookkeeping. Layer 1's backward
+    // sends no contributions (its weight gradient is (T^1)^T G^1), so
+    // exchange 0 needs none.
+    if (k == 0) continue;
     for (int j = 0; j < p; ++j) {
       plan.blocks[static_cast<std::size_t>(j)].transposed_into(
           e.tblocks[static_cast<std::size_t>(j)], tscratch_);
@@ -364,15 +368,17 @@ void SampledRunner::forward_batch(Slot& slot,
           std::span<const std::size_t>(e.plan.send_row_offsets), comm_,
           e.plan, CommCategory::kHalo, stats.profiler);
     }
-    t_buf_.resize(n_up, f_in);
-    t_buf_.set_zero();
+    // Layer 1's aggregate stays in t1_buf_ for the backward's Y^1.
+    Matrix& t = k == 1 ? t1_buf_ : t_buf_;
+    t.resize(n_up, f_in);
+    t.set_zero();
     halo_spmm_sweep(slot.h0_op, dn.h,
                     &e.plan.blocks[static_cast<std::size_t>(rank)], rank,
-                    comm_, e.plan, machine_, stats, t_buf_);
+                    comm_, e.plan, machine_, stats, t);
 
     ScopedPhase scope(stats.profiler, Phase::kMisc);
     up.z.resize(n_up, f_out);
-    gemm(Trans::kNo, Trans::kNo, Real{1}, t_buf_,
+    gemm(Trans::kNo, Trans::kNo, Real{1}, t,
          weights[static_cast<std::size_t>(k) - 1], Real{0}, up.z);
     stats.work.add_gemm(machine_, 2.0 * static_cast<double>(n_up) *
                                       static_cast<double>(f_in) *
@@ -445,7 +451,7 @@ void SampledRunner::backward_batch(Slot& slot,
     }
   }
 
-  for (Index k = layers; k >= 1; --k) {
+  for (Index k = layers; k >= 2; --k) {
     Exchange& e = slot.exch[static_cast<std::size_t>(k) - 1];
     Level& dn = slot.levels[static_cast<std::size_t>(k) - 1];
     const Index f_in = config_.dims[static_cast<std::size_t>(k) - 1];
@@ -504,19 +510,31 @@ void SampledRunner::backward_batch(Slot& slot,
         y_buf_, f_in, f_out, gradients[static_cast<std::size_t>(k) - 1],
         stats);
 
-    if (k > 1) {
-      ScopedPhase scope(stats.profiler, Phase::kMisc);
-      dh_buf_.resize(n_dn, f_in);
-      gemm(Trans::kNo, Trans::kYes, Real{1}, u_buf_,
-           weights[static_cast<std::size_t>(k) - 1], Real{0}, dh_buf_);
-      stats.work.add_gemm(machine_, 2.0 * static_cast<double>(n_dn) *
-                                        static_cast<double>(f_in) *
-                                        static_cast<double>(f_out));
-      g_next_.resize(n_dn, f_in);
-      relu_backward(dh_buf_, dn.z, g_next_);
-      std::swap(g_buf_, g_next_);
-    }
+    ScopedPhase scope(stats.profiler, Phase::kMisc);
+    dh_buf_.resize(n_dn, f_in);
+    gemm(Trans::kNo, Trans::kYes, Real{1}, u_buf_,
+         weights[static_cast<std::size_t>(k) - 1], Real{0}, dh_buf_);
+    stats.work.add_gemm(machine_, 2.0 * static_cast<double>(n_dn) *
+                                      static_cast<double>(f_in) *
+                                      static_cast<double>(f_out));
+    g_next_.resize(n_dn, f_in);
+    relu_backward(dh_buf_, dn.z, g_next_);
+    std::swap(g_buf_, g_next_);
   }
+
+  // Y^1 = (H^0)^T (A G^1) = (T^1)^T G^1 over the |F_1| rows: the
+  // full-batch formula, with no SpMM and no contribution exchange.
+  const Index f0 = config_.dims[0];
+  const Index f1 = config_.dims[1];
+  {
+    ScopedPhase scope(stats.profiler, Phase::kMisc);
+    y_buf_.resize(f0, f1);
+    gemm(Trans::kYes, Trans::kNo, Real{1}, t1_buf_, g_buf_, Real{0}, y_buf_);
+    stats.work.add_gemm(machine_, 2.0 * static_cast<double>(g_buf_.rows()) *
+                                      static_cast<double>(f0) *
+                                      static_cast<double>(f1));
+  }
+  algebra_.begin_reduce_gradients(y_buf_, f0, f1, gradients[0], stats);
   algebra_.finish_gradients(stats);
 }
 

@@ -167,7 +167,8 @@ class SampledRunner {
   std::vector<Index> curs_;       ///< per-owner fill cursors (P)
   std::vector<Index> tscratch_;   ///< Csr::transposed_into scratch
   Gathered<Index> requested_;     ///< need-list exchange staging
-  Matrix t_buf_;   ///< T = (sampled A^T) H, consumed into z immediately
+  Matrix t1_buf_;  ///< T^1 = (sampled A^T) H^0, kept for the backward's Y^1
+  Matrix t_buf_;   ///< T = (sampled A^T) H, layers >= 2, consumed into z
   Matrix g_buf_;   ///< G^k compact (ping)
   Matrix g_next_;  ///< G^(k-1) compact (pong)
   Matrix u_buf_;   ///< U = (sampled A) G compact

@@ -1,9 +1,22 @@
 #include "src/util/cli.hpp"
 
-#include <cstdlib>
-#include <sstream>
+#include <cstdint>
+#include <cstdio>
+#include <exception>
+
+#include "src/util/knob.hpp"
 
 namespace cagnet {
+
+int run_main(int argc, char** argv, int (*body)(int argc, char** argv)) {
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", argc > 0 ? argv[0] : "cagnet",
+                 e.what());
+    return 1;
+  }
+}
 
 CliArgs::CliArgs(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
@@ -36,25 +49,26 @@ std::string CliArgs::get(const std::string& name,
 
 long CliArgs::get_int(const std::string& name, long fallback) const {
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::strtol(it->second.c_str(), nullptr, 10);
+  if (it == values_.end()) return fallback;
+  static_assert(sizeof(long) == sizeof(std::int64_t));
+  return static_cast<long>(
+      knob::parse_int(("--" + name).c_str(), it->second));
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+  return it == values_.end()
+             ? fallback
+             : knob::parse_real(("--" + name).c_str(), it->second);
 }
 
 std::vector<long> CliArgs::get_int_list(
     const std::string& name, const std::vector<long>& fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  std::vector<long> out;
-  std::stringstream ss(it->second);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(std::strtol(item.c_str(), nullptr, 10));
-  }
-  return out;
+  const std::vector<std::int64_t> items =
+      knob::parse_int_list(("--" + name).c_str(), it->second);
+  return std::vector<long>(items.begin(), items.end());
 }
 
 }  // namespace cagnet

@@ -32,6 +32,18 @@ bool parse_flag(const char* knob, std::string_view value);
 std::int64_t parse_positive(const char* knob, std::string_view value,
                             std::int64_t max);
 
+/// Plain decimal digits with an optional leading '-' (no '+', space or
+/// suffix) spelling an int64.
+std::int64_t parse_int(const char* knob, std::string_view value);
+
+/// A finite decimal real ("0.5", "-3", "1e9"; no space, suffix, inf or
+/// nan).
+double parse_real(const char* knob, std::string_view value);
+
+/// A comma list of parse_int items.
+std::vector<std::int64_t> parse_int_list(const char* knob,
+                                         std::string_view value);
+
 /// A comma list of parse_positive items; "inf" and "all" mean `unbounded`.
 std::vector<std::int64_t> parse_positive_list(const char* knob,
                                               std::string_view value,

@@ -9,10 +9,11 @@
 //     form of the env var.)
 //
 //  2. Meter invariance of the epoch caches: the SUMMA sparse-block and
-//     distributed-transpose caches replay their recorded epoch-1 charges,
-//     so per-epoch CostMeter words/latency — the paper's measurements —
-//     are exactly what the uncached (seed-behavior) path charges, for
-//     every algebra and every epoch.
+//     distributed-transpose caches replay the charges their first call
+//     recorded (the forward blocks' first call is the set-up's layer-1
+//     aggregate), so per-epoch CostMeter words/latency — the paper's
+//     measurements — are exactly what the uncached (seed-behavior) path
+//     charges, for every algebra and every epoch, epoch 1 included.
 #include <gtest/gtest.h>
 
 #include <mutex>

@@ -45,6 +45,7 @@ struct RunOutcome {
   std::vector<Real> losses;
   Matrix output;     // epoch-K forward output (gathered)
   EpochStats stats;  // max-reduced stats of the final epoch
+  EpochStats setup;  // max-reduced meter delta of make_dist_trainer
 };
 
 /// Run `epochs` epochs of the named registry algebra through the shared
@@ -55,8 +56,11 @@ RunOutcome run_distributed(const std::string& algebra, const Graph& g,
   RunOutcome outcome;
   std::mutex mutex;
   run_world(p, [&](Comm& world) {
-    auto trainer =
-        make_dist_trainer(algebra, prob, config, world, RunConfig{});
+    EpochStats setup;
+    auto trainer = build_metered(world, setup.comm, [&] {
+      return make_dist_trainer(algebra, prob, config, world, RunConfig{});
+    });
+    setup = EpochStats::reduce_max(setup, world);
     std::vector<Real> losses;
     for (int e = 0; e < epochs; ++e) {
       losses.push_back(trainer->train_epoch().loss);
@@ -68,6 +72,7 @@ RunOutcome run_distributed(const std::string& algebra, const Graph& g,
       outcome.losses = std::move(losses);
       outcome.output = std::move(out);
       outcome.stats = reduced;
+      outcome.setup = setup;
     }
   });
   return outcome;
@@ -444,13 +449,18 @@ TEST(DistMeter, OneDDenseWordsMatchClosedForm) {
   const int L = 3;
 
   const RunOutcome dist = run_distributed("1d", g, config, p, 1);
-  const double dense_words = dist.stats.comm.words(CommCategory::kDense);
+  // The form counts layer 1's broadcasts every epoch; the engine pays
+  // them once, at set-up, so the metered side adds the set-up's words.
+  const double dense_words = dist.stats.comm.words(CommCategory::kDense) +
+                             dist.setup.comm.words(CommCategory::kDense);
 
   // Per layer and per rank: broadcasts deliver ~n*f (edgecut bound with the
   // trailing f_out=4 layer slightly smaller), reduce-scatter ~n*f*(p-1)/p,
   // all-reduce ~2*f^2*(p-1)/p. The closed form L*(edgecut*f + n*f + f^2)
-  // with edgecut = n(p-1)/p should agree within ~35% (layer-width taper and
-  // the meter charging the root its own block).
+  // with edgecut = n(p-1)/p should agree within ~35% (layer-width taper,
+  // layer 1's backward reduce-scatter that the identity
+  // Y^1 = (T^1)^T G^1 leaves out, and the meter charging the root its own
+  // block).
   const CostInputs in = CostInputs::from_random(
       static_cast<double>(n), 0.0, static_cast<double>(f), p, L);
   const double predicted = cost_1d(in).words;
@@ -607,6 +617,8 @@ struct MeteredRun {
   std::vector<Real> losses;
   std::vector<std::vector<double>> epoch_meters;  // rank 0, per epoch
   std::vector<std::vector<double>> max_meters;    // max over ranks, per epoch
+  std::vector<double> setup_meter;      // rank 0, across make_dist_trainer
+  std::vector<double> max_setup_meter;  // the same, max over ranks
   double overlap_regions = 0;
   double overlap_saved = 0;
   double modeled = 0;          // rank 0, final epoch, serialized
@@ -619,11 +631,6 @@ MeteredRun run_metered(const std::string& algebra,
   MeteredRun run;
   std::mutex mutex;
   run_world(p, [&](Comm& world) {
-    auto trainer =
-        make_dist_trainer(algebra, problem, config, world, mode);
-    std::vector<Real> losses;
-    std::vector<std::vector<double>> meters;
-    std::vector<std::vector<double>> max_meters;
     const auto meter_row = [](const CostMeter& m) {
       std::vector<double> row;
       for (std::size_t c = 0; c < CostMeter::kNumCategories; ++c) {
@@ -633,6 +640,16 @@ MeteredRun run_metered(const std::string& algebra,
       }
       return row;
     };
+    EpochStats setup;
+    auto trainer = build_metered(world, setup.comm, [&] {
+      return make_dist_trainer(algebra, problem, config, world, mode);
+    });
+    std::vector<double> setup_row = meter_row(setup.comm);
+    std::vector<double> max_setup_row =
+        meter_row(EpochStats::reduce_max(setup, world).comm);
+    std::vector<Real> losses;
+    std::vector<std::vector<double>> meters;
+    std::vector<std::vector<double>> max_meters;
     for (int e = 0; e < epochs; ++e) {
       losses.push_back(trainer->train_epoch().loss);
       meters.push_back(meter_row(trainer->last_epoch_stats().comm));
@@ -645,6 +662,8 @@ MeteredRun run_metered(const std::string& algebra,
       run.losses = std::move(losses);
       run.epoch_meters = std::move(meters);
       run.max_meters = std::move(max_meters);
+      run.setup_meter = std::move(setup_row);
+      run.max_setup_meter = std::move(max_setup_row);
       run.overlap_regions = stats.comm.overlap_regions();
       run.overlap_saved = stats.comm.overlap_saved_seconds();
       run.modeled = stats.modeled_seconds(MachineModel::summit());
@@ -665,34 +684,68 @@ struct MeterPin {
   /// Rank 0's {latency units, words} per CommCategory, in enum order
   /// (dense, sparse, trpose, halo, compressed, control). Each of the three
   /// epochs charges exactly these values: the 2D/3D epoch caches replay
-  /// epoch 1's sparse and transpose charges.
+  /// the first call's sparse and transpose charges.
   std::array<double, 2 * CostMeter::kNumCategories> meter;
   /// The same slots maximized over ranks (reduce_epoch_stats). Rank 0 is
   /// grid rank (0, 0), whose 2D transpose is a self-route that charges
   /// nothing; the busiest rank's transpose words are pinned here.
   std::array<double, 2 * CostMeter::kNumCategories> max_meter;
+  /// Rank 0's set-up, the meter delta across make_dist_trainer: layer 1's
+  /// aggregate T^1 = A^T X (the f_0-wide forward SpMM, charged once), plus
+  /// the halo plan's one-time kControl traffic.
+  std::array<double, 2 * CostMeter::kNumCategories> setup;
+  /// The set-up maximized over ranks.
+  std::array<double, 2 * CostMeter::kNumCategories> max_setup;
 };
 
+// Per family, each epoch charges what it did before layer 1 aggregated
+// once, minus two terms: the set-up's forward aggregate (pinned in
+// `setup`) and layer 1's f_1-wide backward SpMM U = A G^1 (its
+// reduce-scatter and team broadcast, or its SUMMA stages and fiber
+// reduce-scatter), which the identity Y^1 = (T^1)^T G^1 leaves out. The
+// 2D/3D dense charges also reflect Z^1 = T^1 W^1's process-row
+// reduce-scatter of f_1-wide terms (rows * f_1 * (q-1)/q words and
+// ceil(lg q) latency), which replaced broadcasting T^1's panels (rows *
+// f_0 words and q * ceil(lg q) latency); later layers keep the panel
+// broadcasts.
 std::vector<MeterPin> meter_pins() {
   return {
-      {"1d", 4, 0, {42, 4200, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3},
-       {42, 4200, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3}},
-      {"1.5d-c2", 4, 0, {21, 4112, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3},
-       {21, 4112, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3}},
-      {"1.5d-c2", 8, 0, {39, 3336, 0, 0, 0, 0, 0, 0, 0, 0, 6, 3.5},
-       {39, 3336, 0, 0, 0, 0, 0, 0, 0, 0, 6, 3.5}},
-      {"1.5d-c4", 4, 0, {18, 5664, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3},
-       {18, 5664, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3}},
-      {"2d", 4, 0, {31, 4208, 48, 5352, 0, 0, 0, 0, 0, 0, 4, 3},
-       {31, 4208, 48, 5688, 8, 840, 0, 0, 0, 0, 4, 3}},
-      {"2d", 9, 0, {80, 2751.875, 144, 3936, 0, 0, 0, 0, 0, 0, 8, 3.5},
-       {80, 3206.625, 144, 4200, 8, 468, 0, 0, 0, 0, 8, 3.5}},
-      {"3d", 8, 0, {43, 2788, 48, 2508, 8, 220, 0, 0, 0, 0, 6, 3.5},
-       {43, 2788, 48, 3492, 16, 600, 0, 0, 0, 0, 6, 3.5}},
-      {"1d", 4, 4, {18, 4044, 0, 0, 0, 0, 9, 2340, 0, 0, 4, 3},
-       {18, 4044, 0, 0, 0, 0, 9, 3432, 0, 0, 4, 3}},
-      {"1.5d-c2", 8, 4, {27, 5084, 0, 0, 0, 0, 9, 676, 0, 0, 6, 3.5},
-       {27, 5204, 0, 0, 0, 0, 9, 2418, 0, 0, 6, 3.5}},
+      {"1d", 4, 0, {32, 2664, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3},
+       {32, 2664, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3},
+       {8, 960, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+       {8, 960, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"1.5d-c2", 4, 0, {16, 2576, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3},
+       {16, 2576, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3},
+       {3, 960, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+       {3, 960, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"1.5d-c2", 8, 0, {30, 2136, 0, 0, 0, 0, 0, 0, 0, 0, 6, 3.5},
+       {30, 2136, 0, 0, 0, 0, 0, 0, 0, 0, 6, 3.5},
+       {6, 720, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+       {6, 720, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"1.5d-c4", 4, 0, {12, 3456, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3},
+       {12, 3456, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3},
+       {4, 1440, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+       {4, 1440, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"2d", 4, 0, {26, 3056, 32, 3568, 0, 0, 0, 0, 0, 0, 4, 3},
+       {26, 3056, 32, 3792, 8, 840, 0, 0, 0, 0, 4, 3},
+       {2, 480, 8, 892, 0, 0, 0, 0, 0, 0, 0, 0},
+       {2, 480, 8, 948, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"2d", 9, 0, {64, 2122.5, 96, 2624, 0, 0, 0, 0, 0, 0, 8, 3.5},
+       {64, 2385.25, 96, 2800, 8, 468, 0, 0, 0, 0, 8, 3.5},
+       {6, 288, 24, 656, 0, 0, 0, 0, 0, 0, 0, 0},
+       {6, 384, 24, 700, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"3d", 8, 0, {36, 1996, 32, 1672, 8, 220, 0, 0, 0, 0, 6, 3.5},
+       {36, 1996, 32, 2328, 16, 600, 0, 0, 0, 0, 6, 3.5},
+       {3, 360, 8, 418, 0, 0, 0, 0, 0, 0, 0, 0},
+       {3, 360, 8, 582, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"1d", 4, 4, {16, 2532, 0, 0, 0, 0, 6, 1440, 0, 0, 4, 3},
+       {16, 2532, 0, 0, 0, 0, 6, 2112, 0, 0, 4, 3},
+       {0, 0, 0, 0, 0, 0, 3, 900, 0, 0, 7, 124.5},
+       {0, 0, 0, 0, 0, 0, 3, 1320, 0, 0, 7, 124.5}},
+      {"1.5d-c2", 8, 4, {22, 3182, 0, 0, 0, 0, 6, 416, 0, 0, 6, 3.5},
+       {22, 3254, 0, 0, 0, 0, 6, 1488, 0, 0, 6, 3.5},
+       {2, 650, 0, 0, 0, 0, 3, 260, 0, 0, 7, 124.5},
+       {2, 650, 0, 0, 0, 0, 3, 930, 0, 0, 7, 124.5}},
   };
 }
 
@@ -718,9 +771,11 @@ Graph community_graph(Index n, Index communities, Index f, Index classes,
 
 TEST(MeterPin, ExactChargesMatchRecordedValues) {
   // Every exact-mode charge is a whole number of bytes over the 8-byte
-  // word, so the literals are exact doubles and compare with ==. They
-  // were recorded when a synchronous schedule still ran beside the
-  // overlapped one, and both charged these values bit for bit.
+  // word, so the literals are exact doubles and compare with ==. The
+  // per-epoch literals were first recorded when a synchronous schedule
+  // still ran beside the overlapped one, and both charged them bit for
+  // bit; they were re-recorded, with the set-up pins, when layer 1's
+  // aggregate moved to set-up (see meter_pins).
   const Graph rmat_graph = test_graph(96, 10, 4, 77);
   const DistProblem identity = DistProblem::prepare(rmat_graph);
   const GnnConfig config = GnnConfig::three_layer(10, 4, 8);
@@ -742,18 +797,28 @@ TEST(MeterPin, ExactChargesMatchRecordedValues) {
                               (halo ? " halo" : "");
     ASSERT_EQ(run.epoch_meters.size(), 3u) << label;
     ASSERT_EQ(run.max_meters.size(), 3u) << label;
+    const auto slot = [](std::size_t i) {
+      return std::string(
+                 comm_category_name(static_cast<CommCategory>(i / 2))) +
+             (i % 2 == 0 ? " latency" : " words");
+    };
     for (std::size_t e = 0; e < run.epoch_meters.size(); ++e) {
       ASSERT_EQ(run.epoch_meters[e].size(), pin.meter.size()) << label;
       ASSERT_EQ(run.max_meters[e].size(), pin.max_meter.size()) << label;
       for (std::size_t i = 0; i < pin.meter.size(); ++i) {
-        const std::string slot =
-            std::string(comm_category_name(static_cast<CommCategory>(i / 2))) +
-            (i % 2 == 0 ? " latency" : " words");
         EXPECT_EQ(run.epoch_meters[e][i], pin.meter[i])
-            << label << " epoch " << e << " rank 0 " << slot;
+            << label << " epoch " << e << " rank 0 " << slot(i);
         EXPECT_EQ(run.max_meters[e][i], pin.max_meter[i])
-            << label << " epoch " << e << " max " << slot;
+            << label << " epoch " << e << " max " << slot(i);
       }
+    }
+    ASSERT_EQ(run.setup_meter.size(), pin.setup.size()) << label;
+    ASSERT_EQ(run.max_setup_meter.size(), pin.max_setup.size()) << label;
+    for (std::size_t i = 0; i < pin.setup.size(); ++i) {
+      EXPECT_EQ(run.setup_meter[i], pin.setup[i])
+          << label << " set-up rank 0 " << slot(i);
+      EXPECT_EQ(run.max_setup_meter[i], pin.max_setup[i])
+          << label << " set-up max " << slot(i);
     }
   }
 }

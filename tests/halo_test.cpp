@@ -57,6 +57,7 @@ struct HaloRun {
   std::vector<Matrix> weights;
   Matrix output;          // gathered, un-permuted
   EpochStats stats;       // max-reduced, final epoch
+  EpochStats setup;       // max-reduced meter delta of make_dist_trainer
 };
 
 HaloRun run_trainer(const std::string& algebra, const DistProblem& problem,
@@ -65,7 +66,11 @@ HaloRun run_trainer(const std::string& algebra, const DistProblem& problem,
   HaloRun run;
   std::mutex mutex;
   run_world(p, [&](Comm& world) {
-    auto trainer = make_dist_trainer(algebra, problem, config, world, mode);
+    EpochStats setup;
+    auto trainer = build_metered(world, setup.comm, [&] {
+      return make_dist_trainer(algebra, problem, config, world, mode);
+    });
+    setup = EpochStats::reduce_max(setup, world);
     std::vector<Real> losses;
     std::vector<Real> accuracies;
     for (int e = 0; e < epochs; ++e) {
@@ -82,6 +87,7 @@ HaloRun run_trainer(const std::string& algebra, const DistProblem& problem,
       run.weights = trainer->weights();
       run.output = std::move(out);
       run.stats = reduced;
+      run.setup = setup;
     }
   });
   return run;
@@ -344,9 +350,11 @@ TEST(HaloBackward15D, BackwardExchangeShrinksDenseWordsVsReduceScatter) {
 
 TEST(HaloWords, ExactEdgecutVolumeAndReductionAtP16) {
   // Planted-partition graph at P=16 under the greedy-BFS partitioner: the
-  // 1D halo path's metered kHalo words must equal
-  // max_remote_rows_per_part * (sum of layer input widths) *exactly*, and
-  // the total metered volume must be >= 3x below the broadcast path's.
+  // 1D halo path's metered kHalo words per epoch must equal
+  // max_remote_rows_per_part * (sum of the input widths of layers 2..L)
+  // *exactly* — layer 1's f_0-wide exchange runs once, at set-up, where
+  // it must carry max_remote_rows_per_part * f_0 — and the total metered
+  // volume per epoch must be >= 3x below the broadcast path's.
   const int p = 16;
   const Graph g = community_graph(640, 16, 16, 8, 92, /*intra=*/12.0,
                                   /*inter=*/1.0);
@@ -354,17 +362,20 @@ TEST(HaloWords, ExactEdgecutVolumeAndReductionAtP16) {
   const DistProblem problem = DistProblem::prepare(g, p, "greedy-bfs");
 
   Index sum_f_in = 0;
-  for (std::size_t l = 0; l + 1 < config.dims.size(); ++l) {
+  for (std::size_t l = 1; l + 1 < config.dims.size(); ++l) {
     sum_f_in += config.dims[l];
   }
 
   const HaloRun halo = run_trainer("1d", problem, config, p, 2, halo_mode());
   const HaloRun bcast = run_trainer("1d", problem, config, p, 2, RunConfig{});
 
-  const double expected =
-      static_cast<double>(problem.edgecut.max_remote_rows_per_part) *
-      static_cast<double>(sum_f_in);
+  const auto max_remote =
+      static_cast<double>(problem.edgecut.max_remote_rows_per_part);
+  const double expected = max_remote * static_cast<double>(sum_f_in);
+  const double expected_setup =
+      max_remote * static_cast<double>(config.dims.front());
   EXPECT_EQ(halo.stats.comm.words(CommCategory::kHalo), expected);
+  EXPECT_EQ(halo.setup.comm.words(CommCategory::kHalo), expected_setup);
   EXPECT_GE(bcast.stats.comm.total_words(),
             3.0 * halo.stats.comm.total_words());
   // Bitwise training parity holds at this scale too.
@@ -372,13 +383,14 @@ TEST(HaloWords, ExactEdgecutVolumeAndReductionAtP16) {
     EXPECT_EQ(halo.losses[e], bcast.losses[e]);
   }
   // The measured edgecut feeds the closed forms: predicted 1D words under
-  // from_partition bound the metered halo volume tightly from the same
+  // from_partition, whose per-epoch form still counts layer 1, bound the
+  // metered halo volume of set-up plus epoch tightly from the same
   // statistic.
+  const double sum_all_f = static_cast<double>(sum_f_in + config.dims.front());
   const CostInputs measured = CostInputs::from_partition(
       problem.edgecut, static_cast<double>(g.num_vertices()),
-      static_cast<double>(g.num_edges()), static_cast<double>(sum_f_in) / 3.0,
-      p, 3);
-  EXPECT_GT(cost_1d_symmetric(measured).words, expected);
+      static_cast<double>(g.num_edges()), sum_all_f / 3.0, p, 3);
+  EXPECT_GT(cost_1d_symmetric(measured).words, expected + expected_setup);
 }
 
 // ---- Partition/permutation contract: permuted training, original-order

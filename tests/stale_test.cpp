@@ -24,10 +24,12 @@
 //     mode.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <filesystem>
 #include <mutex>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/core/algebra_registry.hpp"
@@ -239,6 +241,67 @@ TEST(StaleTraffic, FixedKCutsHaloWordsAndCreditsSavingsExactly) {
   // within a small floor of the exact run's training accuracy.
   EXPECT_LT(stale.losses.back(), stale.losses.front());
   EXPECT_GE(stale.accuracies.back(), exact.accuracies.back() - 0.1);
+}
+
+TEST(StaleTraffic, SetupExchangeTakesNoCacheSlot) {
+  // Layer 1's f_0-wide exchange runs once, at set-up, with the staleness
+  // state disarmed: it charges kHalo words and credits no savings. Every
+  // epoch then makes the L - 1 exchanges of layers 2..L. A refresh epoch
+  // fills their cache slots; a replay epoch serves all of them from the
+  // cache, so it charges zero kHalo latency and words and credits exactly
+  // the refresh epoch's words. The layer widths differ (f_0 = 12,
+  // f_1 = 8, f_2 = 6), so a set-up exchange that took a slot would show:
+  // each rank's refresh words are its set-up words times (f_1 + f_2) / f_0.
+  const Graph g = learnable_graph(240, 12, 12, 4, 95);
+  GnnConfig config;
+  config.dims = {12, 8, 6, 4};
+  config.learning_rate = 0.1;
+  const int epochs = 5;  // k = 4: refresh, three replays, refresh
+  for (const auto& [algebra, p, parts] :
+       {std::tuple<std::string, int, int>{"1d", 4, 4},
+        {"1.5d-c2", 8, 4}}) {
+    const DistProblem problem = DistProblem::prepare(g, parts, "greedy-bfs");
+    // Per rank: {kHalo latency, kHalo words, saved words} of the set-up
+    // (row 0) and of each epoch (rows 1..epochs).
+    std::vector<std::vector<std::array<double, 3>>> rows(
+        static_cast<std::size_t>(p));
+    run_world(p, [&](Comm& world) {
+      const auto halo_row = [](const CostMeter& m) {
+        return std::array<double, 3>{m.latency_units(CommCategory::kHalo),
+                                     m.words(CommCategory::kHalo),
+                                     m.stale_saved_words()};
+      };
+      auto& mine = rows[static_cast<std::size_t>(world.rank())];
+      CostMeter setup;
+      auto trainer = build_metered(world, setup, [&] {
+        return make_dist_trainer(algebra, problem, config, world,
+                                 stale_mode(4));
+      });
+      mine.push_back(halo_row(setup));
+      for (int e = 0; e < epochs; ++e) {
+        trainer->train_epoch();
+        mine.push_back(halo_row(trainer->last_epoch_stats().comm));
+      }
+    });
+    double setup_words = 0;
+    for (int r = 0; r < p; ++r) {
+      const auto& mine = rows[static_cast<std::size_t>(r)];
+      const std::string label = algebra + " rank " + std::to_string(r);
+      const auto& setup = mine[0];
+      const auto& refresh = mine[1];
+      setup_words += setup[1];
+      EXPECT_EQ(setup[2], 0.0) << label;
+      EXPECT_EQ(refresh[2], 0.0) << label;
+      EXPECT_EQ(refresh[1] * 12.0, setup[1] * (8.0 + 6.0)) << label;
+      for (int e = 2; e <= 4; ++e) {
+        EXPECT_EQ(mine[e][0], 0.0) << label << " replay epoch " << e - 1;
+        EXPECT_EQ(mine[e][1], 0.0) << label << " replay epoch " << e - 1;
+        EXPECT_EQ(mine[e][2], refresh[1]) << label << " replay epoch " << e - 1;
+      }
+      EXPECT_EQ(mine[5], refresh) << label << " second refresh";
+    }
+    EXPECT_GT(setup_words, 0.0) << algebra;
+  }
 }
 
 TEST(StaleTraffic, ThreadBudgetsStayBitwiseWithinStaleMode) {

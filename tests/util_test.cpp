@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <iterator>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -171,6 +173,74 @@ TEST(Cli, ParsesIntLists) {
   EXPECT_EQ(procs[1], 16);
   EXPECT_EQ(procs[2], 64);
   EXPECT_EQ(args.get_int_list("missing", {1, 2}).size(), 2u);
+}
+
+/// The Error message of `fn`, or "" when it does not throw one.
+template <typename Fn>
+std::string error_of(Fn fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Cli, MalformedNumbersThrowNamingTheFlag) {
+  // abc, a trailing suffix, an empty value (a bare --flag) and values
+  // past the type's range were read as 0, 4, 0 and a clamped number.
+  const char* argv[] = {"prog",          "--alpha",         "abc",
+                        "--beta",        "4x",              "--gamma=",
+                        "--delta",       "99999999999999999999",
+                        "--eps",         "1e999",           "--list",
+                        "4,,16",         "--neg",           "-3",
+                        "--real",        "-2.5e-1",         "--plus",
+                        "+4"};
+  CliArgs args(static_cast<int>(std::size(argv)), const_cast<char**>(argv));
+  const auto names = [](const std::string& what, const std::string& flag) {
+    return what.find(flag) != std::string::npos;
+  };
+  EXPECT_TRUE(names(error_of([&] { args.get_int("alpha", 0); }),
+                    "--alpha=\"abc\""));
+  EXPECT_TRUE(names(error_of([&] { args.get_int("beta", 0); }),
+                    "--beta=\"4x\""));
+  EXPECT_TRUE(names(error_of([&] { args.get_double("beta", 0); }),
+                    "--beta=\"4x\""));
+  EXPECT_TRUE(names(error_of([&] { args.get_int("gamma", 0); }),
+                    "--gamma=\"\""));
+  EXPECT_TRUE(names(error_of([&] { args.get_int("delta", 0); }),
+                    "--delta="));
+  EXPECT_TRUE(names(error_of([&] { args.get_double("eps", 0); }),
+                    "--eps="));
+  EXPECT_TRUE(names(error_of([&] { args.get_int_list("list", {}); }),
+                    "--list="));
+  EXPECT_TRUE(names(error_of([&] { args.get_int("plus", 0); }),
+                    "--plus="));
+  EXPECT_EQ(args.get_int("neg", 0), -3);
+  EXPECT_DOUBLE_EQ(args.get_double("real", 0), -0.25);
+  EXPECT_EQ(args.get_int("missing", 9), 9);
+}
+
+int throws_error(int argc, char** argv) {
+  (void)argc;
+  (void)argv;
+  throw Error("--epochs=\"abc\" is invalid");
+}
+
+int returns_seven(int argc, char** argv) {
+  (void)argc;
+  (void)argv;
+  return 7;
+}
+
+TEST(Cli, RunMainTurnsAnEscapingErrorIntoExitOne) {
+  const char* argv[] = {"prog"};
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(run_main(1, const_cast<char**>(argv), throws_error), 1);
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find(
+                "prog: --epochs=\"abc\" is invalid"),
+            std::string::npos);
+  EXPECT_EQ(run_main(1, const_cast<char**>(argv), returns_seven), 7);
 }
 
 TEST(Error, CheckThrowsWithContext) {

@@ -63,7 +63,7 @@ SCHEMA_VERSIONS = {
 }
 
 # Values the "compress" field may take (the CAGNET_COMPRESS codec names).
-COMPRESS_MODES = {"off", "fp16", "int8", "1bit"}
+COMPRESS_MODES = {"off", "fp16", "int8"}
 
 
 def check_file(tracked: Path) -> list:
@@ -123,12 +123,12 @@ def check_file(tracked: Path) -> list:
             # nothing is ever skipped, so a non-zero saving in an "off"
             # row means the meter (or the record) is lying.
             stale_k = record.get("stale_k")
-            if not (stale_k in ("off", "adaptive")
+            if not (stale_k == "off"
                     or (isinstance(stale_k, str) and stale_k.isdigit()
                         and int(stale_k) >= 1)):
                 errors.append(
                     f"line {lineno} ({bench}): stale_k {stale_k!r} must "
-                    f"be 'off', 'adaptive', or a positive integer string")
+                    f"be 'off' or a positive integer string")
             saved = record.get("stale_words_saved")
             if not isinstance(saved, (int, float)) or saved < 0:
                 errors.append(

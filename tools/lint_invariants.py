@@ -31,6 +31,11 @@ Each rule pins a convention the runtime's correctness story depends on
                    pinned in tools/check_bench_schema.py — drift in
                    either direction makes the tracked trajectory files
                    lie by omission.
+  entry-wrapper    every `main` under bench/ and examples/ runs its body
+                   through run_main (src/util/cli.hpp), and none is
+                   defined by BENCHMARK_MAIN — an exception escaping a
+                   bare main aborts (exit 134) instead of printing its
+                   message and exiting 1.
 
 Run from the repo root (CI does):  python3 tools/lint_invariants.py
 Self-test (seeded violations, one per rule):  ... --self-test
@@ -300,6 +305,36 @@ def check_bench_schema_sync(root, schemas=None):
     return violations
 
 
+# ---- rule: entry-wrapper -----------------------------------------------
+
+MAIN_RE = re.compile(r"\bint\s+main\s*\(")
+GBENCH_MAIN_RE = re.compile(r"^\s*BENCHMARK_MAIN\s*\(", re.MULTILINE)
+
+
+def check_entry_wrapper(root):
+    violations = []
+    for top in ("bench", "examples"):
+        directory = root / top
+        for path in sorted(directory.glob("*.cpp")) if directory.is_dir() \
+                else []:
+            text = path.read_text()
+            rel = path.relative_to(root).as_posix()
+            if GBENCH_MAIN_RE.search(text):
+                violations.append(
+                    f"{rel}: entry-wrapper: BENCHMARK_MAIN defines main "
+                    f"without run_main (src/util/cli.hpp)")
+            match = MAIN_RE.search(text)
+            if match is None:
+                continue
+            body = function_body(text, match.start())
+            if body is None or "run_main(" not in body:
+                violations.append(
+                    f"{rel}: entry-wrapper: main does not run its body "
+                    f"through run_main (src/util/cli.hpp), so an escaping "
+                    f"exception aborts instead of exiting 1")
+    return violations
+
+
 # ---- driver ------------------------------------------------------------
 
 RULES = [
@@ -308,6 +343,7 @@ RULES = [
     ("hot-path-alloc", check_hot_path_alloc),
     ("knob-docs", check_knob_docs),
     ("bench-schema", check_bench_schema_sync),
+    ("entry-wrapper", check_entry_wrapper),
 ]
 
 
@@ -368,6 +404,11 @@ def build_seeded_tree(tmp):
     (tmp / "bench/bench_fake.cpp").write_text(
         'printf("{\\"schema_version\\":1,\\"bench\\":\\"fake\\","'
         '"\\"rogue_field\\":%d}\\n", 1);\n')
+    # entry-wrapper: a main that calls its body directly.
+    (tmp / "examples").mkdir()
+    (tmp / "examples/bare_main.cpp").write_text(
+        "int body(int argc, char** argv);\n"
+        "int main(int argc, char** argv) { return body(argc, argv); }\n")
     return {"fake": {"schema_version", "bench"}}
 
 
@@ -396,6 +437,8 @@ def self_test():
              lambda: check_knob_docs(tmp)),
             ("bench-schema", "bench-schema",
              lambda: check_bench_schema_sync(tmp, schemas)),
+            ("entry-wrapper", "entry-wrapper",
+             lambda: check_entry_wrapper(tmp)),
         ]
         for name, marker, rule in expectations:
             found = [v for v in rule() if marker in v]
