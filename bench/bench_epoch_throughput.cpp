@@ -56,6 +56,13 @@
 //   --fanouts 15,10,5  per-hop fan-out caps, outermost hop first (must
 //                      match the model's layer count)
 //   --batch-size B     seed vertices per rank per minibatch (default 64)
+//
+// The word, latency, overlap and phase columns are per-epoch means over
+// a fixed window of measured epochs, one full staleness period (1 epoch
+// unless --stale sets k): a stale run refreshes once per period and
+// sampled epochs draw afresh, so the last epoch alone would change with
+// the host-time budget. The window always runs, even past --seconds
+// and --epochs.
 #include <algorithm>
 #include <array>
 #include <cstdio>
@@ -107,6 +114,30 @@ int parse_stale_mode(const std::string& name) {
 std::string stale_mode_label(int k) {
   return k == 0 ? "off" : std::to_string(k);
 }
+
+/// A row's metered columns summed over its window's epochs, each epoch
+/// max-reduced over the ranks first.
+struct WindowSums {
+  double dense_words = 0, sparse_words = 0, trpose_words = 0;
+  double halo_words = 0, compressed_words = 0, stale_saved = 0;
+  double latency_units = 0, overlap_regions = 0, overlap_saved = 0;
+  std::array<double, Profiler::kNumPhases> phase_seconds = {};
+
+  void add(const EpochStats& stats) {
+    dense_words += stats.comm.words(CommCategory::kDense);
+    sparse_words += stats.comm.words(CommCategory::kSparse);
+    trpose_words += stats.comm.words(CommCategory::kTranspose);
+    halo_words += stats.comm.words(CommCategory::kHalo);
+    compressed_words += stats.comm.words(CommCategory::kCompressed);
+    stale_saved += stats.comm.stale_saved_words();
+    latency_units += stats.comm.total_latency_units();
+    overlap_regions += stats.comm.overlap_regions();
+    overlap_saved += stats.comm.overlap_saved_seconds();
+    for (std::size_t ph = 0; ph < Profiler::kNumPhases; ++ph) {
+      phase_seconds[ph] += stats.profiler.seconds(static_cast<Phase>(ph));
+    }
+  }
+};
 
 Graph make_graph(const std::string& topology, Index n, Index degree, Index f,
                  Index classes, Index communities, double inter_frac) {
@@ -280,12 +311,8 @@ int run(int argc, char** argv) {
       double warm_seconds = 0;
       double measured_seconds = 0;
       long epochs = 0;
-      double dense_words = 0, sparse_words = 0, trpose_words = 0;
-      double halo_words = 0, compressed_words = 0;
-      double stale_saved = 0;
-      double latency_units = 0;
-      double overlap_regions = 0, overlap_saved = 0;
-      double phase_seconds[Profiler::kNumPhases] = {};
+      const long window = std::max(1, stale_mode);
+      WindowSums sums;
       run_world(config.world, [&](Comm& world) {
         auto trainer =
             make_dist_trainer(config.algebra, active, gnn, world, run);
@@ -307,11 +334,17 @@ int run(int argc, char** argv) {
         while (keep_going) {
           trainer->train_epoch();
           ++local_epochs;
-          const Index verdict = world.rank() == 0 &&
-                                        local_epochs < max_epochs &&
-                                        timer.seconds() < seconds_per_config
-                                    ? Index{1}
-                                    : Index{0};
+          if (local_epochs <= window) {
+            const EpochStats stats = trainer->reduce_epoch_stats();
+            if (world.rank() == 0) sums.add(stats);
+          }
+          const Index verdict =
+              world.rank() == 0 &&
+                      (local_epochs < window ||
+                       (local_epochs < max_epochs &&
+                        timer.seconds() < seconds_per_config))
+                  ? Index{1}
+                  : Index{0};
           flag_src[0] = verdict;
           PendingOp op =
               world.rank() == 0
@@ -326,29 +359,19 @@ int run(int argc, char** argv) {
         }
         world.barrier();
         const double elapsed = timer.seconds();
-        const EpochStats stats = trainer->reduce_epoch_stats();
         if (world.rank() == 0) {
           warm_seconds = warmed;
           measured_seconds = elapsed;
           epochs = local_epochs;
-          dense_words = stats.comm.words(CommCategory::kDense);
-          sparse_words = stats.comm.words(CommCategory::kSparse);
-          trpose_words = stats.comm.words(CommCategory::kTranspose);
-          halo_words = stats.comm.words(CommCategory::kHalo);
-          compressed_words = stats.comm.words(CommCategory::kCompressed);
-          stale_saved = stats.comm.stale_saved_words();
-          latency_units = stats.comm.total_latency_units();
-          overlap_regions = stats.comm.overlap_regions();
-          overlap_saved = stats.comm.overlap_saved_seconds();
-          for (std::size_t ph = 0; ph < Profiler::kNumPhases; ++ph) {
-            phase_seconds[ph] = stats.profiler.seconds(static_cast<Phase>(ph));
-          }
         }
       });
       override_thread_budget(0);
       const double eps =
           measured_seconds > 0 ? static_cast<double>(epochs) / measured_seconds
                                : 0.0;
+      const auto mean = [&](double sum) {
+        return sum / static_cast<double>(window);
+      };
       std::printf(
           "{\"schema_version\":5,"
           "\"bench\":\"epoch_throughput\",\"algebra\":\"%s\","
@@ -362,8 +385,8 @@ int run(int argc, char** argv) {
           "\"partition\":\"%s\",\"halo\":%d,\"max_remote_rows\":%lld,"
           "\"fanouts\":\"%s\",\"batch_size\":%lld,"
           "\"sampled_words\":%.1f,"
-          "\"latency_units\":%.1f,"
-          "\"overlap_regions\":%.0f,"
+          "\"latency_units\":%.2f,"
+          "\"overlap_regions\":%.2f,"
           "\"overlap_saved_modeled_s\":%.6f,"
           "\"phase_misc\":%.5f,\"phase_trpose\":%.5f,\"phase_dcomm\":%.5f,"
           "\"phase_scomm\":%.5f,\"phase_spmm\":%.5f,"
@@ -371,19 +394,21 @@ int run(int argc, char** argv) {
           config.algebra.c_str(), config.world, threads,
           static_cast<long long>(n), static_cast<long long>(degree),
           static_cast<long long>(f), static_cast<long long>(hidden), epochs,
-          measured_seconds, warm_seconds, eps, dense_words, sparse_words,
-          trpose_words, halo_words, compress_mode_name(cmode),
-          compressed_words, stale_mode_label(stale_mode).c_str(),
-          stale_saved, preagg_mode != 0 ? 1 : 0, partition.c_str(),
-          halo ? 1 : 0,
+          measured_seconds, warm_seconds, eps, mean(sums.dense_words),
+          mean(sums.sparse_words), mean(sums.trpose_words),
+          mean(sums.halo_words), compress_mode_name(cmode),
+          mean(sums.compressed_words), stale_mode_label(stale_mode).c_str(),
+          mean(sums.stale_saved), preagg_mode != 0 ? 1 : 0,
+          partition.c_str(), halo ? 1 : 0,
           static_cast<long long>(active.edgecut.max_remote_rows_per_part),
           fanouts_str.c_str(),
           static_cast<long long>(sample ? batch_size : 0),
-          sample ? halo_words : 0.0, latency_units,
-          overlap_regions, overlap_saved,
-          phase_seconds[0], phase_seconds[1], phase_seconds[2],
-          phase_seconds[3], phase_seconds[4], phase_seconds[5],
-          phase_seconds[6]);
+          sample ? mean(sums.halo_words) : 0.0, mean(sums.latency_units),
+          mean(sums.overlap_regions), mean(sums.overlap_saved),
+          mean(sums.phase_seconds[0]), mean(sums.phase_seconds[1]),
+          mean(sums.phase_seconds[2]), mean(sums.phase_seconds[3]),
+          mean(sums.phase_seconds[4]), mean(sums.phase_seconds[5]),
+          mean(sums.phase_seconds[6]));
       std::fflush(stdout);
     }
     }

@@ -7,7 +7,8 @@
 //      times small-square), the weight-gradient shape (skinny^T times
 //      tall) at paper-like widths, and the GCN's first layer (128 input
 //      features to 16 hidden), whose weight gradient runs on a dense or a
-//      post-ReLU (half-zero) operand.
+//      post-ReLU (half-zero) operand, and the backward U W^T (B
+//      transposed).
 //   2. Thread scaling of the row-block-parallel kernel at fixed shape
 //      (explicit counts override the automatic budget, like the SpMM
 //      bench). "speedup_vs_1t" is serial seconds / per-iteration seconds.
@@ -123,6 +124,30 @@ void BM_GemmLayer1Gradient(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_GemmLayer1Gradient)->ArgName("half_zero")->Arg(0)->Arg(1);
+
+// (1e) The backward activation gradient U W^T, U (n x 16), W (16 x 16),
+// one thread: the B-transposed call, which copies W^T into scratch and
+// runs the no-transpose fold.
+void BM_GemmBackwardUWt(benchmark::State& state) {
+  const Index n = 16384;
+  const Index h = 16;
+  const Matrix u = random_matrix(n, h, 31);
+  const Matrix w = random_matrix(h, h, 32);
+  Matrix dh(n, h);
+  override_thread_budget(1);
+  for (auto _ : state) {
+    gemm(Trans::kNo, Trans::kYes, Real{1}, u, w, Real{0}, dh);
+    benchmark::DoNotOptimize(dh.data());
+    benchmark::ClobberMemory();
+  }
+  override_thread_budget(0);
+  const double flops = 2.0 * static_cast<double>(n) *
+                       static_cast<double>(h) * static_cast<double>(h);
+  state.counters["GFlop/s"] = benchmark::Counter(
+      flops * static_cast<double>(state.iterations()) * 1e-9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_GemmBackwardUWt);
 
 // (2) Thread scaling at a fixed forward shape via the budget override.
 double serial_gemm_seconds(const Matrix& t, const Matrix& w, Matrix& z) {

@@ -250,6 +250,17 @@ void Algebra15D::complete_spmm_at(Matrix& t, EpochStats& stats) {
   std::swap(t, t_reduced_);
 }
 
+void Algebra15D::release_setup_buffers() noexcept {
+  hj_recv_ = Matrix();
+  hj_recv2_ = Matrix();
+  t_reduced_ = Matrix();
+  for (dist::HaloPlan::PackBuf& buf : halo_.pack) {
+    buf.send_buf = Matrix();
+    buf.send_bytes = std::vector<std::uint8_t>();
+  }
+  halo_.recv_decode = std::vector<Real>();
+}
+
 void Algebra15D::spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) {
   const Index f = g.cols();
 

@@ -111,6 +111,9 @@ class Algebra15D final : public DistSpmmAlgebra {
     dist::drain_comm(team_);
     dist::drain_comm(grad_comm_);
   }
+  /// The stage receive buffers, the halo pack staging and (c > 1) the
+  /// team reduction's source.
+  void release_setup_buffers() noexcept override;
 
   int replication() const { return c_; }
   int groups() const { return groups_; }

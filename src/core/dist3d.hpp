@@ -107,6 +107,12 @@ class Algebra3D final : public DistSpmmAlgebra {
     dist::drain_comm(grid_.fiber);
     dist::drain_comm(jplane_);
   }
+  /// The SUMMA stage receive buffers and, for l > 1, the fiber partial.
+  void release_setup_buffers() noexcept override {
+    ws_.stage_recv = Matrix();
+    ws_.stage_recv2 = Matrix();
+    t_partial_ = Matrix();
+  }
 
  protected:
   /// j-plane ranks are keyed by (i, k), i.e. ascending fine row blocks, so

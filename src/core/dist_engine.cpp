@@ -9,6 +9,7 @@
 #include "src/dense/gemm.hpp"
 #include "src/dense/ops.hpp"
 #include "src/util/error.hpp"
+#include "src/util/parallel.hpp"
 
 namespace cagnet {
 
@@ -82,8 +83,10 @@ DistEngine::DistEngine(const DistProblem& problem, GnnConfig config,
   if (!algebra_->run().sample) {
     aggregate_input();
     // Peers may still read the X block (stage roots broadcast straight
-    // from it); release it before it is freed.
+    // from it) and the set-up's staging; release both before they are
+    // freed.
     algebra_->drain();
+    algebra_->release_setup_buffers();
     h_[0] = Matrix();
   }
 }
@@ -157,25 +160,34 @@ void DistEngine::backward() {
   // G^L = dL/dZ^L from the cached full-row log-probs, restricted to the
   // local feature slice. For mean-NLL upstream gradients the row sum of
   // dL/dH is -1/m for every labeled row, so the log-softmax Jacobian
-  // product needs no communication in any layout.
+  // product needs no communication in any layout. Rows are independent,
+  // so they run as parallel row blocks without changing a bit.
   const Index f_last = config_.dims.back();
   const auto [fL0, fL1] = algebra_->feat_slice(f_last);
   g_buf_.resize(local_rows, fL1 - fL0);
-  g_buf_.set_zero();
   {
     ScopedPhase scope(stats_.profiler, Phase::kMisc);
-    if (problem_.labeled_count > 0) {
-      const Real scale =
-          Real{-1} / static_cast<Real>(problem_.labeled_count);
-      for (Index r = 0; r < local_rows; ++r) {
+    const bool labeled = problem_.labeled_count > 0;
+    const Real scale =
+        labeled ? Real{-1} / static_cast<Real>(problem_.labeled_count)
+                : Real{0};
+    const auto rows = [&](Index r0, Index r1) {
+      for (Index r = r0; r < r1; ++r) {
         const Index label = labels[static_cast<std::size_t>(row_lo + r)];
-        if (label < 0) continue;
+        if (!labeled || label < 0) {
+          std::fill(g_buf_.row(r).begin(), g_buf_.row(r).end(), Real{0});
+          continue;
+        }
         for (Index c = 0; c < fL1 - fL0; ++c) {
           g_buf_(r, c) = -std::exp(output_rows_(r, fL0 + c)) * scale;
         }
         if (label >= fL0 && label < fL1) g_buf_(r, label - fL0) += scale;
       }
-    }
+    };
+    parallel_for(local_rows,
+                 plan_chunks(static_cast<double>(g_buf_.size()),
+                             kMinElemsPerChunk, local_rows),
+                 rows);
   }
 
   for (Index l = layers; l >= 1; --l) {

@@ -218,6 +218,14 @@ class DistSpmmAlgebra {
   /// buffers those peers read from are freed; charges nothing.
   virtual void drain() noexcept {}
 
+  /// Free the receive and staging buffers the set-up's f_0-wide T^1 =
+  /// A^T X sized. Matrix::resize keeps capacity, so they would otherwise
+  /// stay X-panel sized for the whole run, though every epoch's panels
+  /// are narrower. The engine calls it once, after the set-up's drain();
+  /// the epochs regrow them at their own widths. Purely local; nothing to
+  /// free by default.
+  virtual void release_setup_buffers() noexcept {}
+
  protected:
   /// Communicator whose rank-ordered all-gather of full-row output blocks
   /// assembles H^L: world (1D), the slice (1.5D), the j-plane (2D/3D; at

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/util/clones.hpp"
 #include "src/util/parallel.hpp"
 
 namespace cagnet {
@@ -17,13 +18,14 @@ Index op_cols(Trans t, const Matrix& m) {
   return t == Trans::kNo ? m.cols() : m.rows();
 }
 
-/// A-not-transposed, B-not-transposed rows [i0, i1): each pass over a C row
-/// folds four k-steps (four streamed B rows) into a register accumulator
-/// and stores once, a quarter of the C loads and stores of one k-step per
-/// pass. Every C element still adds its products one at a time in
-/// ascending-p order (no FMA, no reassociation), so the result is bitwise
-/// identical to the one-k-step-per-pass loop for any row partition.
-/// `c` is __restrict: it must not share storage with `a` or `b`.
+/// A-not-transposed rows [i0, i1) of C: each pass over a C row folds four
+/// k-steps (four streamed B rows) into a register accumulator and stores
+/// once, a quarter of the C loads and stores of one k-step per pass. The
+/// result is bitwise identical to the one-k-step-per-pass loop for any
+/// row partition, in either clone (src/util/clones.hpp): they vectorize
+/// across a C row's columns only. `c` is __restrict: it must not share
+/// storage with `a` or `b`.
+CAGNET_KERNEL_CLONES
 void gemm_block_nn(Index i0, Index i1, Real alpha, const Real* a,
                    const Real* b, Real* __restrict c, Index k, Index n) {
   for (Index i = i0; i < i1; ++i) {
@@ -71,6 +73,7 @@ void gemm_block_nn(Index i0, Index i1, Real alpha, const Real* a,
 /// leaves every C element's bits as the skip did while C starts at +0
 /// (every caller passes beta = 0) and B is finite. `a` is the stored
 /// (k x m) matrix; `c` is __restrict as above.
+CAGNET_KERNEL_CLONES
 void gemm_block_tn(Index i0, Index i1, Real alpha, const Real* a, Index m,
                    const Real* b, Real* __restrict c, Index k, Index n) {
   Index p = 0;
@@ -110,37 +113,6 @@ void gemm_block_tn(Index i0, Index i1, Real alpha, const Real* a, Index m,
   }
 }
 
-/// One contiguous row block [i0, i1) of C = alpha * op(A) op(B) + C; the
-/// beta pass already ran. Row blocks write disjoint C rows, so any
-/// partition of [0, m) produces bitwise-identical output.
-void gemm_rows(Index i0, Index i1, Trans trans_a, Trans trans_b, Real alpha,
-               const Matrix& a, const Matrix& b, Matrix& c, Index k,
-               Index n) {
-  if (trans_a == Trans::kNo && trans_b == Trans::kNo) {
-    gemm_block_nn(i0, i1, alpha, a.data(), b.data(), c.data(), k, n);
-    return;
-  }
-  if (trans_a == Trans::kYes && trans_b == Trans::kNo) {
-    gemm_block_tn(i0, i1, alpha, a.data(), a.cols(), b.data(), c.data(), k,
-                  n);
-    return;
-  }
-  // Remaining cases have B transposed: dot-product form streaming B's
-  // row j (the j-th column of op(B)).
-  const auto a_at = [&](Index i, Index p) {
-    return trans_a == Trans::kNo ? a(i, p) : a(p, i);
-  };
-  for (Index i = i0; i < i1; ++i) {
-    Real* crow = c.data() + i * n;
-    for (Index j = 0; j < n; ++j) {
-      const Real* brow = b.data() + j * k;
-      Real acc = 0;
-      for (Index p = 0; p < k; ++p) acc += a_at(i, p) * brow[p];
-      crow[j] += alpha * acc;
-    }
-  }
-}
-
 }  // namespace
 
 void gemm(Trans trans_a, Trans trans_b, Real alpha, const Matrix& a,
@@ -162,9 +134,23 @@ void gemm(Trans trans_a, Trans trans_b, Real alpha, const Matrix& a,
   const int chunks =
       multiply ? plan_chunks(flops, kGemmMinFlopsPerChunk, m) : 1;
 
+  // A transposed B (the backward U W^T; W is at most f_in x f_out) is
+  // copied row-major into this thread's scratch, which keeps its storage
+  // across calls, and runs the same folds as an untransposed one.
+  thread_local Matrix b_scratch;
+  const Matrix* op_b = &b;
+  if (multiply && trans_b == Trans::kYes) {
+    b_scratch.resize(k, n);
+    for (Index p = 0; p < k; ++p) {
+      for (Index j = 0; j < n; ++j) b_scratch(p, j) = b(j, p);
+    }
+    op_b = &b_scratch;
+  }
+
   parallel_for(m, chunks, [&](Index i0, Index i1) {
     // Per-row beta pass inside the chunk keeps C rows hot for the
-    // accumulation that follows.
+    // accumulation that follows. Row blocks write disjoint C rows, so any
+    // partition of [0, m) produces bitwise-identical output.
     if (beta == Real{0}) {
       std::fill(c.data() + i0 * n, c.data() + i1 * n, Real{0});
     } else if (beta != Real{1}) {
@@ -172,7 +158,13 @@ void gemm(Trans trans_a, Trans trans_b, Real alpha, const Matrix& a,
       const Index len = (i1 - i0) * n;
       for (Index j = 0; j < len; ++j) row[j] *= beta;
     }
-    if (multiply) gemm_rows(i0, i1, trans_a, trans_b, alpha, a, b, c, k, n);
+    if (!multiply) return;
+    if (trans_a == Trans::kNo) {
+      gemm_block_nn(i0, i1, alpha, a.data(), op_b->data(), c.data(), k, n);
+    } else {
+      gemm_block_tn(i0, i1, alpha, a.data(), a.cols(), op_b->data(),
+                    c.data(), k, n);
+    }
   });
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/util/clones.hpp"
 #include "src/util/parallel.hpp"
 
 namespace cagnet {
@@ -15,37 +16,34 @@ void check_same_shape(const Matrix& a, const Matrix& b, const char* what) {
                    " vs " + b.shape_string());
 }
 
+// The ReLU passes are cloned (src/util/clones.hpp). Each element is one
+// compare and select, so both clones give the same bits, +/-0 and NaN
+// included.
+CAGNET_KERNEL_CLONES
+void relu_range(const Real* z, Real* out, Index lo, Index hi) {
+  for (Index i = lo; i < hi; ++i) out[i] = z[i] > Real{0} ? z[i] : Real{0};
+}
+
+CAGNET_KERNEL_CLONES
+void relu_backward_range(const Real* g, const Real* z, Real* out, Index lo,
+                         Index hi) {
+  for (Index i = lo; i < hi; ++i) out[i] = z[i] > Real{0} ? g[i] : Real{0};
+}
+
 }  // namespace
 
 void relu(const Matrix& z, Matrix& out) {
   check_same_shape(z, out, "relu");
-  const auto src = z.flat();
-  auto dst = out.flat();
-  parallel_for_elements(
-      static_cast<Index>(src.size()), [&](Index lo, Index hi) {
-    for (Index i = lo; i < hi; ++i) {
-      dst[static_cast<std::size_t>(i)] =
-          src[static_cast<std::size_t>(i)] > Real{0}
-              ? src[static_cast<std::size_t>(i)]
-              : Real{0};
-    }
+  parallel_for_elements(z.size(), [&](Index lo, Index hi) {
+    relu_range(z.data(), out.data(), lo, hi);
   });
 }
 
 void relu_backward(const Matrix& g, const Matrix& z, Matrix& out) {
   check_same_shape(g, z, "relu_backward");
   check_same_shape(g, out, "relu_backward");
-  const auto gs = g.flat();
-  const auto zs = z.flat();
-  auto dst = out.flat();
-  parallel_for_elements(
-      static_cast<Index>(gs.size()), [&](Index lo, Index hi) {
-    for (Index i = lo; i < hi; ++i) {
-      dst[static_cast<std::size_t>(i)] =
-          zs[static_cast<std::size_t>(i)] > Real{0}
-              ? gs[static_cast<std::size_t>(i)]
-              : Real{0};
-    }
+  parallel_for_elements(g.size(), [&](Index lo, Index hi) {
+    relu_backward_range(g.data(), z.data(), out.data(), lo, hi);
   });
 }
 

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -47,14 +48,19 @@ Matrix naive_matmul(const Matrix& a, const Matrix& b, Trans ta, Trans tb) {
 
 // The one-product-at-a-time loops gemm's no-transpose and transposed-A
 // paths replaced, with the same beta pass: every C element adds its
-// products (alpha * A element) * B element in ascending k order, one load
-// and store of C per product; the transposed-A form skips zero A elements
-// as the replaced loop did. gemm must match them bit for bit.
-void reference_gemm(Trans ta, Real alpha, const Matrix& a, const Matrix& b,
-                    Real beta, Matrix& c) {
+// products (alpha * A element) * op(B) element in ascending k order, one
+// load and store of C per product; the transposed-A form skips zero A
+// elements as the replaced loop did. A transposed B is read in place, so
+// gemm's scratch copy of it is checked too. gemm must match them bit for
+// bit.
+void reference_gemm(Trans ta, Trans tb, Real alpha, const Matrix& a,
+                    const Matrix& b, Real beta, Matrix& c) {
   const Index m = c.rows();
   const Index n = c.cols();
-  const Index k = b.rows();
+  const Index k = ta == Trans::kNo ? a.cols() : a.rows();
+  const auto b_at = [&](Index p, Index j) {
+    return tb == Trans::kNo ? b(p, j) : b(j, p);
+  };
   if (beta == Real{0}) {
     c.fill(Real{0});
   } else if (beta != Real{1}) {
@@ -64,7 +70,7 @@ void reference_gemm(Trans ta, Real alpha, const Matrix& a, const Matrix& b,
     for (Index i = 0; i < m; ++i) {
       for (Index p = 0; p < k; ++p) {
         const Real av = alpha * a(i, p);
-        for (Index j = 0; j < n; ++j) c(i, j) += av * b(p, j);
+        for (Index j = 0; j < n; ++j) c(i, j) += av * b_at(p, j);
       }
     }
     return;
@@ -73,7 +79,7 @@ void reference_gemm(Trans ta, Real alpha, const Matrix& a, const Matrix& b,
     for (Index i = 0; i < m; ++i) {
       const Real av = alpha * a(p, i);
       if (av == Real{0}) continue;
-      for (Index j = 0; j < n; ++j) c(i, j) += av * b(p, j);
+      for (Index j = 0; j < n; ++j) c(i, j) += av * b_at(p, j);
     }
   }
 }
@@ -249,6 +255,40 @@ TEST(Ops, ReluBackwardMasksByPreactivation) {
   EXPECT_EQ(out(0, 0), 0);
   EXPECT_EQ(out(0, 1), 20);
   EXPECT_EQ(out(0, 2), 0);  // subgradient at 0 chosen as 0
+}
+
+TEST(Ops, ReluAndBackwardMatchScalarBitwise) {
+  // +/-0, a subnormal, infinities and NaN among ordinary values, at
+  // lengths below, at and past the vector widths so both clones' vector
+  // bodies and remainders run. relu maps -0 and NaN to +0; the backward
+  // passes g's bits (a -0 included) exactly where z > 0, +0 elsewhere.
+  const Real inf = std::numeric_limits<Real>::infinity();
+  const Real nan = std::numeric_limits<Real>::quiet_NaN();
+  const Real tiny = std::numeric_limits<Real>::denorm_min();
+  const std::vector<Real> special = {-0.0, 0.0,  -1.5, 2.5,  tiny,
+                                     -tiny, inf, -inf, nan,  -0.0,
+                                     3.0,  -2.0, 0.0,  1e-300};
+  for (Index len : {1, 3, 4, 5, 8, 13, 14, 37}) {
+    Matrix z(1, len);
+    Matrix g(1, len);
+    for (Index i = 0; i < len; ++i) {
+      const auto s = static_cast<std::size_t>(i);
+      z(0, i) = special[s % special.size()];
+      g(0, i) = special[(s * 5 + 3) % special.size()];
+    }
+    Matrix expected(1, len);
+    Matrix got(1, len);
+    for (Index i = 0; i < len; ++i) {
+      expected(0, i) = z(0, i) > 0 ? z(0, i) : 0.0;
+    }
+    relu(z, got);
+    EXPECT_TRUE(same_bits(expected, got)) << "relu len=" << len;
+    for (Index i = 0; i < len; ++i) {
+      expected(0, i) = z(0, i) > 0 ? g(0, i) : 0.0;
+    }
+    relu_backward(g, z, got);
+    EXPECT_TRUE(same_bits(expected, got)) << "relu_backward len=" << len;
+  }
 }
 
 TEST(Ops, LogSoftmaxRowsNormalize) {
@@ -431,8 +471,7 @@ TEST(MatrixWorkspace, BlockIntoMatchesBlock) {
 
 TEST(Gemm, ThreadedMatchesSerialBitwise) {
   // The row-block partition must not change any result bit, for every
-  // trans combination (each picks a different kernel path), and the
-  // chunked no-transpose and transposed-A paths must still equal the
+  // trans combination, and the chunked products must still equal the
   // reference loops. Shapes are large enough that the automatic plan
   // genuinely chunks at budget 8.
   Rng rng(92);
@@ -456,44 +495,47 @@ TEST(Gemm, ThreadedMatchesSerialBitwise) {
     gemm(ta, tb, Real{1.25}, aa, bb, Real{0}, threaded);
     override_thread_budget(0);
     EXPECT_EQ(Matrix::max_abs_diff(serial, threaded), 0.0);
-    if (tb == Trans::kNo) {
-      Matrix expected(m, n);
-      reference_gemm(ta, Real{1.25}, aa, bb, Real{0}, expected);
-      EXPECT_TRUE(same_bits(expected, threaded));
-    }
+    Matrix expected(m, n);
+    reference_gemm(ta, tb, Real{1.25}, aa, bb, Real{0}, expected);
+    EXPECT_TRUE(same_bits(expected, threaded));
   }
 }
 
 TEST(Gemm, MatchesReferenceBitwise) {
   // k at every remainder of the four-step fold, short and long, m not a
-  // multiple of 4, n around the vector lengths, every beta-pass branch, on
-  // both paths, with a dense A and a post-ReLU A whose entries are about
-  // half exactly zero (the transposed-A reference skips their products;
-  // gemm adds them, which leaves every bit alone while C holds no -0 and B
-  // is finite).
+  // multiple of 4, n below, at and around the vector lengths (2 and 4
+  // doubles), so each clone's vector body and its remainder run, every
+  // beta-pass branch, for all four transpose combinations, with a dense A
+  // and a post-ReLU A whose entries are about half exactly zero (the
+  // transposed-A reference skips their products; gemm adds them, which
+  // leaves every bit alone while C holds no -0 and B is finite).
   Rng rng(93);
   const Real alpha = 1.25;
   for (Trans ta : {Trans::kNo, Trans::kYes}) {
-    for (bool half_zero : {false, true}) {
-      for (Index k : {1, 3, 4, 5, 63, 64, 65, 130}) {
-        for (Index m : {1, 7, 37}) {
-          for (Index n : {1, 8, 16, 17}) {
-            Matrix a = ta == Trans::kNo ? random_matrix(m, k, rng)
-                                        : random_matrix(k, m, rng);
-            if (half_zero) {
-              for (Real& v : a.flat()) v = std::max(v, Real{0});
-            }
-            const Matrix b = random_matrix(k, n, rng);
-            const Matrix c0 = random_matrix(m, n, rng);
-            for (Real beta : {0.0, 0.5, 1.0}) {
-              Matrix expected = c0;
-              reference_gemm(ta, alpha, a, b, beta, expected);
-              Matrix got = c0;
-              gemm(ta, Trans::kNo, alpha, a, b, beta, got);
-              EXPECT_TRUE(same_bits(expected, got))
-                  << "trans_a=" << (ta == Trans::kYes)
-                  << " half_zero=" << half_zero << " m=" << m << " k=" << k
-                  << " n=" << n << " beta=" << beta;
+    for (Trans tb : {Trans::kNo, Trans::kYes}) {
+      for (bool half_zero : {false, true}) {
+        for (Index k : {1, 3, 4, 5, 63, 64, 65, 130}) {
+          for (Index m : {1, 7, 37}) {
+            for (Index n : {1, 3, 4, 5, 8, 16, 17}) {
+              Matrix a = ta == Trans::kNo ? random_matrix(m, k, rng)
+                                          : random_matrix(k, m, rng);
+              if (half_zero) {
+                for (Real& v : a.flat()) v = std::max(v, Real{0});
+              }
+              const Matrix b = tb == Trans::kNo ? random_matrix(k, n, rng)
+                                                : random_matrix(n, k, rng);
+              const Matrix c0 = random_matrix(m, n, rng);
+              for (Real beta : {0.0, 0.5, 1.0}) {
+                Matrix expected = c0;
+                reference_gemm(ta, tb, alpha, a, b, beta, expected);
+                Matrix got = c0;
+                gemm(ta, tb, alpha, a, b, beta, got);
+                EXPECT_TRUE(same_bits(expected, got))
+                    << "trans_a=" << (ta == Trans::kYes)
+                    << " trans_b=" << (tb == Trans::kYes)
+                    << " half_zero=" << half_zero << " m=" << m
+                    << " k=" << k << " n=" << n << " beta=" << beta;
+              }
             }
           }
         }
@@ -511,9 +553,17 @@ TEST(Gemm, RejectsAliasedOutput) {
   EXPECT_THROW(gemm(Trans::kNo, Trans::kNo, 1.0, a, b, 0.0, a), Error);
   EXPECT_THROW(gemm(Trans::kNo, Trans::kNo, 1.0, a, b, 1.0, b), Error);
   EXPECT_THROW(gemm(Trans::kYes, Trans::kNo, 1.0, a, a, 0.0, a), Error);
+  // B-transposed calls are rejected before op(B) is copied to scratch.
   EXPECT_THROW(gemm(Trans::kNo, Trans::kYes, 1.0, a, b, 0.0, b), Error);
+  EXPECT_THROW(gemm(Trans::kYes, Trans::kYes, 1.0, a, b, 0.0, a), Error);
   EXPECT_EQ(Matrix::max_abs_diff(a_before, a), 0.0);  // rejected untouched
   EXPECT_EQ(Matrix::max_abs_diff(b_before, b), 0.0);
+  // The scratch still serves the next B-transposed call exactly.
+  Matrix got(4, 4);
+  Matrix expected(4, 4);
+  gemm(Trans::kNo, Trans::kYes, 1.0, a, b, 0.0, got);
+  reference_gemm(Trans::kNo, Trans::kYes, 1.0, a, b, 0.0, expected);
+  EXPECT_TRUE(same_bits(expected, got));
 }
 
 }  // namespace

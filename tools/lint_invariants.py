@@ -36,6 +36,12 @@ Each rule pins a convention the runtime's correctness story depends on
                    defined by BENCHMARK_MAIN — an exception escaping a
                    bare main aborts (exit 134) instead of printing its
                    message and exiting 1.
+  fma-free-clones  every target_clones / target attribute (or GCC target
+                   pragma) in src/ names only targets without FMA. The
+                   C++ default -ffp-contract=fast fuses `acc += a * b`
+                   wherever FMA is enabled (avx512f, fma, x86-64-v3, ...),
+                   which changes result bits, and each clone must give
+                   the bits of the baseline build.
 
 Run from the repo root (CI does):  python3 tools/lint_invariants.py
 Self-test (seeded violations, one per rule):  ... --self-test
@@ -335,6 +341,45 @@ def check_entry_wrapper(root):
     return violations
 
 
+# ---- rule: fma-free-clones ---------------------------------------------
+
+TARGET_ATTR_RE = re.compile(
+    r"\btarget(?:_clones)?\s*\(\s*((?:\"[^\"]*\"\s*,?\s*)+)\)")
+TARGET_STRING_RE = re.compile(r'"([^"]*)"')
+# ISA names and architectures whose instruction sets hold no FMA. Anything
+# else is flagged, so a target new to this list has to be checked first.
+FMA_FREE_TARGETS = {
+    "default", "mmx", "sse", "sse2", "sse3", "ssse3", "sse4", "sse4.1",
+    "sse4.2", "popcnt", "avx", "avx2", "f16c", "bmi", "bmi2", "lzcnt",
+    "arch=x86-64", "arch=x86-64-v2", "arch=nehalem", "arch=westmere",
+    "arch=sandybridge", "arch=ivybridge",
+}
+
+
+def check_fma_free_clones(root):
+    violations = []
+    for path in sorted((root / "src").rglob("*")):
+        if path.suffix not in (".cpp", ".hpp"):
+            continue
+        rel = path.relative_to(root).as_posix()
+        text = path.read_text()
+        for match in TARGET_ATTR_RE.finditer(text):
+            names = []
+            for literal in TARGET_STRING_RE.findall(match.group(1)):
+                names.extend(n.strip() for n in literal.split(","))
+            bad = [n for n in names
+                   if n and not n.startswith("no-")
+                   and n not in FMA_FREE_TARGETS]
+            if bad:
+                line = text.count("\n", 0, match.start()) + 1
+                violations.append(
+                    f"{rel}:{line}: fma-free-clones: target "
+                    f"{', '.join(repr(n) for n in bad)} may enable FMA, "
+                    f"which contracts `acc += a * b` and changes result "
+                    f"bits (allowed: {', '.join(sorted(FMA_FREE_TARGETS))})")
+    return violations
+
+
 # ---- driver ------------------------------------------------------------
 
 RULES = [
@@ -344,6 +389,7 @@ RULES = [
     ("knob-docs", check_knob_docs),
     ("bench-schema", check_bench_schema_sync),
     ("entry-wrapper", check_entry_wrapper),
+    ("fma-free-clones", check_fma_free_clones),
 ]
 
 
@@ -387,6 +433,10 @@ def build_seeded_tree(tmp):
     # hot-path-alloc: a marked function that allocates.
     cpp_parts.append(
         "// [[hot-path]]\nvoid hot() { auto* p = new int(1); (void)p; }\n")
+    # fma-free-clones: an avx512f clone beside the allowed ones.
+    cpp_parts.append(
+        '__attribute__((target_clones("avx512f", "avx2", "default")))\n'
+        "void fold() {}\n")
     # knob-docs: a knob read in src/ but absent from README/DESIGN, a
     # second std::getenv, and the other direction — a retired knob still
     # in the README knob table, in DESIGN.md, and set in a CI step.
@@ -439,6 +489,8 @@ def self_test():
              lambda: check_bench_schema_sync(tmp, schemas)),
             ("entry-wrapper", "entry-wrapper",
              lambda: check_entry_wrapper(tmp)),
+            ("fma-free-clones", "'avx512f' may enable FMA",
+             lambda: check_fma_free_clones(tmp)),
         ]
         for name, marker, rule in expectations:
             found = [v for v in rule() if marker in v]
