@@ -50,8 +50,8 @@ bool env_default() {
 bool enabled() {
   const int forced = g_forced.load(std::memory_order_relaxed);
   if (forced >= 0) return forced != 0;
-  static const bool from_env = env_default();
-  return from_env;
+  static const knob::Parsed<bool> from_env(env_default);
+  return from_env.get();
 }
 
 void set_enabled_for_testing(int value) {

@@ -1,5 +1,8 @@
 #include "src/core/dist3d.hpp"
 
+#include <array>
+#include <utility>
+
 #include "src/util/error.hpp"
 
 namespace cagnet {
@@ -19,8 +22,6 @@ Algebra3D::Algebra3D(const DistProblem& problem, Comm world, int layers,
     : DistSpmmAlgebra(run, machine),
       grid_(Grid3D::create(world, grid_side(world.size(), layers), layers)) {
   grad_pending_.codec = run.compress;
-  at_cache_.enabled = run.epoch_cache;
-  a_cache_.enabled = run.epoch_cache;
   n_ = problem.graph->num_vertices();
   const int q = grid_.q;
   const int l = grid_.l;
@@ -28,15 +29,75 @@ Algebra3D::Algebra3D(const DistProblem& problem, Comm world, int layers,
   std::tie(coarse_lo_, coarse_hi_) = block_range(n_, q, grid_.i);
   std::tie(fine_lo_, fine_hi_) = fine_range(n_, q, grid_.i, l, grid_.k);
 
-  const auto [ac0, ac1] = fine_range(n_, q, grid_.j, l, grid_.k);
-  at_block_ = problem.at.block(coarse_lo_, coarse_hi_, ac0, ac1);
-
   jplane_ = grid_.world.split(/*color=*/grid_.j,
                               /*key=*/grid_.i * l + grid_.k);
+
+  // The adjacency never changes, so the blocks the paper's algorithm
+  // moves every epoch arrive here, once: this receipt is the simulator's
+  // one real copy, and what each call replays is the algorithm's traffic.
+  // The meter therefore leaves the set-up as it entered it.
+  CostMeter& meter = grid_.world.meter();
+  const CostMeter before = meter;
+  const auto [ac0, ac1] = fine_range(n_, q, grid_.j, l, grid_.k);
+  Csr at_block = problem.at.block(coarse_lo_, coarse_hi_, ac0, ac1);
+  Csr a_block = transpose_3d(at_block);
+  // The way back restores the forward orientation; together the two are
+  // the paper's twice-per-epoch "trpose" cost.
+  CAGNET_CHECK(transpose_3d(a_block).nnz() == at_block.nnz(),
+               "transpose round-trip changed the block");
+  transposes_ = meter;
+  transposes_.subtract(before);
+  at_stages_ = receive_stages(std::move(at_block));
+  a_stages_ = receive_stages(std::move(a_block));
+  meter = before;
 }
 
-void Algebra3D::split3d_spmm(const Csr& my_sparse,
-                             dist::SparseStageCache& cache,
+Algebra3D::SparseStages Algebra3D::receive_stages(Csr mine) {
+  Comm& row = grid_.row;
+  CostMeter& meter = row.meter();
+  const auto stages = static_cast<std::size_t>(row.size());
+  SparseStages out;
+  out.blocks.resize(stages);
+  out.payloads.resize(stages);
+  const auto record = [&](CostMeter& into, auto&& receive) {
+    const CostMeter mark = meter;
+    receive();
+    CostMeter delta = meter;
+    delta.subtract(mark);
+    into.merge_sum(delta);
+  };
+  for (std::size_t s = 0; s < stages; ++s) {
+    const int root = static_cast<int>(s);
+    const bool is_root = row.rank() == root;
+    Csr& block = out.blocks[s];
+    if (is_root) block = std::move(mine);
+    std::array<Index, 3> header = {block.rows(), block.cols(), block.nnz()};
+    record(out.headers, [&] {
+      row.broadcast(std::span<Index>(header), root, CommCategory::kSparse);
+    });
+    record(out.payloads[s], [&] {
+      if (is_root) {
+        row.broadcast_from(block.row_ptr(), std::span<Index>{}, root,
+                           CommCategory::kSparse);
+        row.broadcast_from(block.col_idx(), std::span<Index>{}, root,
+                           CommCategory::kSparse);
+        row.broadcast_from(std::as_const(block).values(), std::span<Real>{},
+                           root, CommCategory::kSparse);
+        return;
+      }
+      block.resize_parts(header[0], header[1], header[2]);
+      row.broadcast_from(std::span<const Index>{}, block.row_ptr_mut(), root,
+                         CommCategory::kSparse);
+      row.broadcast_from(std::span<const Index>{}, block.col_idx_mut(), root,
+                         CommCategory::kSparse);
+      row.broadcast_from(std::span<const Real>{}, block.values(), root,
+                         CommCategory::kSparse);
+    });
+  }
+  return out;
+}
+
+void Algebra3D::split3d_spmm(const SparseStages& sparse,
                              const Matrix& my_dense, Matrix& out,
                              EpochStats& stats) {
   const int q = grid_.q;
@@ -54,19 +115,43 @@ void Algebra3D::split3d_spmm(const Csr& my_sparse,
   }
   // For l > 1 the SUMMA fills the pre-reduction partial: (n/q x f/q), the
   // P^(1/3)-replicated intermediate of Section IV-D.1. On one layer C_i is
-  // this rank's own row block, so it accumulates straight into `out`. The
-  // shared loop double-buffers the SUMMA stages and replays the cached
-  // sparse charges in cached epochs.
+  // this rank's own row block, so it accumulates straight into `out`.
   Matrix& acc = layered ? t_partial_ : out;
   acc.resize(coarse_hi_ - coarse_lo_, w);
   acc.set_zero();
-  dist::summa_stage_loop(
-      my_sparse, cache, grid_.row, my_dense, grid_.col,
-      [&](int s) {
+  CostMeter& meter = grid_.row.meter();
+  const auto replay = [&](const CostMeter& charges) {
+    ScopedPhase scope(stats.profiler, Phase::kSparseComm);
+    meter.merge_sum(charges);
+  };
+  // The sparse charges land where a pipelined SUMMA — header two stages
+  // ahead, payload one stage ahead of the SpMM — waits for them: every
+  // header and stage 0's payload before the first stage, outside any
+  // overlap region, and stage s+1's payload inside the region of stage
+  // s's SpMM, ahead of the dense panel in flight beside it.
+  replay(sparse.headers);
+  replay(sparse.payloads[0]);
+  dist::overlapped_dense_stages(
+      q,
+      [&](int s, dist::PendingDenseStage& dn, Matrix& recv) {
         const auto [d_lo, d_hi] = fine_range(n_, q, s, grid_.l, grid_.k);
-        return d_hi - d_lo;
+        dn.post(my_dense, recv, d_hi - d_lo, w, s, grid_.col,
+                CommCategory::kDense);
       },
-      q, acc, machine(), stats, ws_);
+      [&](int s, const Matrix* d) {
+        const Csr& a = sparse.blocks[static_cast<std::size_t>(s)];
+        {
+          ScopedPhase scope(stats.profiler, Phase::kSpmm);
+          a.spmm(*d, acc, /*accumulate=*/true);
+          stats.work.add_spmm(machine(), static_cast<double>(a.nnz()),
+                              static_cast<double>(w), dist::block_degree(a));
+        }
+        if (s + 1 < q) {
+          replay(sparse.payloads[static_cast<std::size_t>(s) + 1]);
+        }
+      },
+      ws_.stage_recv, ws_.stage_recv2, meter, stats.work, machine(),
+      stats.profiler);
   if (!layered) return;
 
   // Fiber reduce-scatter: sum layer partials, splitting C_i into its fine
@@ -117,13 +202,11 @@ Csr Algebra3D::transpose_3d(const Csr& my_block) {
 }
 
 void Algebra3D::spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) {
-  split3d_spmm(at_block_, at_cache_, h, t, stats);
+  split3d_spmm(at_stages_, h, t, stats);
 }
 
 void Algebra3D::spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) {
-  CAGNET_CHECK(a_block_.rows() > 0 || coarse_hi_ == coarse_lo_,
-               "spmm_a outside begin_backward/end_backward");
-  split3d_spmm(a_block_, a_cache_, g, u, stats);
+  split3d_spmm(a_stages_, g, u, stats);
 }
 
 void Algebra3D::times_weight(const Matrix& t, const Matrix& w, Matrix& z,
@@ -168,37 +251,9 @@ void Algebra3D::finish_gradients(EpochStats& stats) {
 }
 
 void Algebra3D::begin_backward(EpochStats& stats) {
+  // A arrived at construction; the epoch charges its two transposes.
   ScopedPhase scope(stats.profiler, Phase::kTranspose);
-  if (trpose_cache_.ready) {
-    // a_block_ is still materialized from epoch 1; replay the charges.
-    grid_.world.meter().merge_sum(trpose_cache_.begin_charges);
-    return;
-  }
-  CostMeter before = grid_.world.meter();
-  a_block_ = transpose_3d(at_block_);
-  trpose_cache_.begin_charges = grid_.world.meter();
-  trpose_cache_.begin_charges.subtract(before);
-}
-
-void Algebra3D::end_backward(EpochStats& stats) {
-  // Transpose back (A -> A^T), restoring the forward orientation; together
-  // with begin_backward this is the paper's twice-per-epoch cost.
-  ScopedPhase scope(stats.profiler, Phase::kTranspose);
-  if (trpose_cache_.ready) {
-    grid_.world.meter().merge_sum(trpose_cache_.end_charges);
-    return;
-  }
-  CostMeter before = grid_.world.meter();
-  const Csr restored = transpose_3d(a_block_);
-  CAGNET_CHECK(restored.nnz() == at_block_.nnz(),
-               "transpose round-trip changed the block");
-  trpose_cache_.end_charges = grid_.world.meter();
-  trpose_cache_.end_charges.subtract(before);
-  if (run().epoch_cache) {
-    trpose_cache_.ready = true;  // keep a_block_ for the next epoch
-  } else {
-    a_block_ = Csr();
-  }
+  grid_.world.meter().merge_sum(transposes_);
 }
 
 }  // namespace cagnet

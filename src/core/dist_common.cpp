@@ -200,62 +200,6 @@ const Matrix* PendingDenseStage::wait() {
   return result;
 }
 
-void PendingCsrBcast::post_header(const Csr* mine, Csr& recv,
-                                  std::array<Index, 3>& header, int root,
-                                  Comm& comm, CommCategory cat) {
-  CAGNET_CHECK(stage_ == 0, "PendingCsrBcast: previous stage not waited");
-  const bool is_root = comm.rank() == root;
-  CAGNET_CHECK(is_root == (mine != nullptr),
-               "PendingCsrBcast: exactly the root must supply a block");
-  mine_ = mine;
-  recv_ = &recv;
-  comm_ = &comm;
-  cat_ = cat;
-  root_ = root;
-  header_ = &header;
-  if (is_root) {
-    header = {mine->rows(), mine->cols(), mine->nnz()};
-    header_op_ = comm.ibroadcast_from(std::span<const Index>(header),
-                                      std::span<Index>{}, root, cat);
-  } else {
-    header_op_ = comm.ibroadcast_from(std::span<const Index>{},
-                                      std::span<Index>(header), root, cat);
-  }
-  stage_ = 1;
-}
-
-void PendingCsrBcast::post_parts() {
-  CAGNET_CHECK(stage_ == 1, "PendingCsrBcast: post_parts without header");
-  header_op_.wait();
-  if (mine_ != nullptr) {
-    // The root publishes straight from its block's arrays — no staging
-    // copy, and the caller keeps using `mine` (its cache slot is left
-    // untouched).
-    parts_[0] = comm_->ibroadcast_from(mine_->row_ptr(), std::span<Index>{},
-                                       root_, cat_);
-    parts_[1] = comm_->ibroadcast_from(mine_->col_idx(), std::span<Index>{},
-                                       root_, cat_);
-    parts_[2] = comm_->ibroadcast_from(std::span<const Real>(mine_->values()),
-                                       std::span<Real>{}, root_, cat_);
-  } else {
-    recv_->resize_parts((*header_)[0], (*header_)[1], (*header_)[2]);
-    parts_[0] = comm_->ibroadcast_from(std::span<const Index>{},
-                                       recv_->row_ptr_mut(), root_, cat_);
-    parts_[1] = comm_->ibroadcast_from(std::span<const Index>{},
-                                       recv_->col_idx_mut(), root_, cat_);
-    parts_[2] = comm_->ibroadcast_from(std::span<const Real>{},
-                                       recv_->values(), root_, cat_);
-  }
-  stage_ = 2;
-}
-
-const Csr* PendingCsrBcast::wait() {
-  CAGNET_CHECK(stage_ == 2, "PendingCsrBcast: wait without post_parts");
-  for (PendingOp& op : parts_) op.wait();
-  stage_ = 0;
-  return mine_ != nullptr ? mine_ : recv_;
-}
-
 void overlapped_dense_stages(
     int stages,
     const std::function<void(int, PendingDenseStage&, Matrix&)>& post_stage,
@@ -287,119 +231,6 @@ void overlapped_dense_stages(
     compute_stage(s, block);
   }
   region.close();
-}
-
-void summa_stage_loop(const Csr& my_sparse, SparseStageCache& cache,
-                      Comm& sparse_comm, const Matrix& my_dense,
-                      Comm& dense_comm,
-                      const std::function<Index(int)>& stage_rows,
-                      int stages, Matrix& acc, const MachineModel& machine,
-                      EpochStats& stats, DistWorkspace& ws) {
-  const Index w = my_dense.cols();
-  CostMeter& meter = sparse_comm.meter();
-  const bool use_cache = cache.ready;
-  if (use_cache) {
-    // The adjacency blocks are epoch-invariant: replay the first call's
-    // recorded sparse charges instead of re-broadcasting identical bytes.
-    // Replayed (bulk) charges stay outside the overlap regions — only
-    // traffic that was actually in flight behind a compute is attributed.
-    ScopedPhase scope(stats.profiler, Phase::kSparseComm);
-    meter.merge_sum(cache.charges);
-  } else {
-    cache.charges.clear();
-    cache.blocks.resize(static_cast<std::size_t>(stages));
-    cache.own_stage.assign(static_cast<std::size_t>(stages), 0);
-    cache.headers.assign(static_cast<std::size_t>(stages), {0, 0, 0});
-  }
-
-  const auto spmm_stage = [&](const Csr* a, const Matrix* d) {
-    ScopedPhase scope(stats.profiler, Phase::kSpmm);
-    a->spmm(*d, acc, /*accumulate=*/true);
-    stats.work.add_spmm(machine, static_cast<double>(a->nnz()),
-                        static_cast<double>(w), block_degree(*a));
-  };
-  const auto cached_block = [&](int s) {
-    return cache.own_stage[static_cast<std::size_t>(s)]
-               ? &my_sparse
-               : &cache.blocks[static_cast<std::size_t>(s)];
-  };
-
-  // Stage s+1's sparse payloads and dense panel are in flight while stage
-  // s's SpMM runs; the CSR header travels one stage further ahead so the
-  // payloads can be sized and posted on time. Per category the charges
-  // land in stage order (header s, payloads s, header s+1, ...).
-  const auto sparse_section = [&](auto&& fn) {
-    ScopedPhase scope(stats.profiler, Phase::kSparseComm);
-    CostMeter before = meter;
-    fn();
-    CostMeter delta = meter;
-    delta.subtract(before);
-    cache.charges.merge_sum(delta);
-  };
-  const auto root_block = [&](int s) {
-    return sparse_comm.rank() == s ? &my_sparse : nullptr;
-  };
-
-  PendingCsrBcast sp[2];
-  PendingDenseStage dn[2];
-  Matrix* recv[2] = {&ws.stage_recv, &ws.stage_recv2};
-  if (!use_cache) {
-    sparse_section([&] {
-      sp[0].post_header(root_block(0), cache.blocks[0], cache.headers[0], 0,
-                        sparse_comm, CommCategory::kSparse);
-      if (stages > 1) {
-        sp[1].post_header(root_block(1), cache.blocks[1], cache.headers[1],
-                          1, sparse_comm, CommCategory::kSparse);
-      }
-      sp[0].post_parts();
-    });
-  }
-  {
-    ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-    dn[0].post(my_dense, *recv[0], stage_rows(0), w, 0, dense_comm,
-               CommCategory::kDense);
-  }
-
-  OverlapScope region(meter, stats.work, machine);
-  for (int s = 0; s < stages; ++s) {
-    const int cur = s & 1;
-    const int nxt = 1 - cur;
-    const Csr* a = nullptr;
-    if (use_cache) {
-      a = cached_block(s);
-    } else {
-      sparse_section([&] {
-        a = sp[cur].wait();
-        cache.own_stage[static_cast<std::size_t>(s)] = a == &my_sparse;
-      });
-    }
-    const Matrix* d = nullptr;
-    {
-      ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-      d = dn[cur].wait();
-    }
-    region.close();  // stage s's arrivals were in flight behind compute s-1
-    if (s + 1 < stages) {
-      if (!use_cache) {
-        sparse_section([&] {
-          if (s + 2 < stages) {
-            sp[cur].post_header(root_block(s + 2),
-                                cache.blocks[static_cast<std::size_t>(s + 2)],
-                                cache.headers[static_cast<std::size_t>(s + 2)],
-                                s + 2, sparse_comm, CommCategory::kSparse);
-          }
-          sp[nxt].post_parts();
-        });
-      }
-      ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-      dn[nxt].post(my_dense, *recv[nxt], stage_rows(s + 1), w, s + 1,
-                   dense_comm, CommCategory::kDense);
-    }
-    region.open();
-    spmm_stage(a, d);
-  }
-  region.close();
-  cache.ready = cache.enabled;
 }
 
 void partial_summa_times_weight(const Matrix& t, const Matrix& w, int parts,

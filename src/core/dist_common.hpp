@@ -163,39 +163,6 @@ struct DistWorkspace {
   Gathered<Real> gathered;  ///< all-gather staging
 };
 
-/// Epoch-invariant cache of the sparse blocks a SUMMA-style loop
-/// receives. The adjacency never changes, so stage k of every later call
-/// re-receives exactly the block it deserialized in the first (for the
-/// forward blocks, the set-up's layer-1 aggregate); after the first pass
-/// the blocks are served from memory and the first call's recorded
-/// CostMeter charges are replayed instead (all charges
-/// are integer-valued in words/latency units, so replaying the summed
-/// delta is bitwise-exact). Modeled communication volumes — the paper's
-/// measurements — are therefore unchanged while the data movement,
-/// deserialization, and allocation disappear.
-struct SparseStageCache {
-  bool enabled = true;  ///< RunConfig::epoch_cache, fixed at construction
-  bool ready = false;
-  std::vector<Csr> blocks;      ///< per stage; unused when own_stage[k]
-  std::vector<char> own_stage;  ///< stage roots keep using their own block
-  /// Per-stage (rows, cols, nnz) header staging for the nonblocking CSR
-  /// broadcasts: headers must outlive the loop (peers read a stage root's
-  /// header at their own pace), so they live here rather than on the
-  /// loop's stack. Rewritten only by the next uncached epoch, behind the
-  /// stage-loop entry quiesce.
-  std::vector<std::array<Index, 3>> headers;
-  CostMeter charges;            ///< first call's sparse charges to replay
-};
-
-/// Epoch-invariant cache of a distributed-transpose pair: after epoch 1
-/// the materialized A block is kept across epochs and begin/end_backward
-/// only replay their recorded charges.
-struct TransposeCache {
-  bool ready = false;
-  CostMeter begin_charges;
-  CostMeter end_charges;
-};
-
 /// quiesce() a communicator without propagating abort errors — the
 /// building block of DistSpmmAlgebra::drain overrides (no-op on invalid
 /// Comms, so never-initialized sub-communicators are safe to pass).
@@ -203,8 +170,8 @@ void drain_comm(const Comm& comm) noexcept;
 
 /// Demand-driven halo exchange plan of the rows-whole (1D / 1.5D)
 /// families, built once per algebra from the local A^T sparsity and
-/// cached across epochs and layers (the analogue of the SUMMA epoch
-/// cache). Lifecycle:
+/// kept across epochs and layers (the analogue of the SUMMA's stage
+/// blocks, received at construction). Lifecycle:
 ///
 ///   1. *Build* (collective, constructor time): each rank scans its A^T
 ///      blocks for the distinct peer-local columns they touch (`need`),
@@ -459,45 +426,6 @@ class PendingDenseStage {
   const Matrix* result_ = nullptr;
 };
 
-/// The SUMMA sparse-broadcast primitive: a CSR block travels from `root`
-/// without staging copies (the root publishes straight from its block's
-/// arrays), pipelined in two steps because the receivers cannot size
-/// their buffers until the (rows, cols, nnz) header lands: post_header()
-/// ships the header; post_parts() — which first completes the header —
-/// sizes `recv` and posts the row_ptr/col_idx/values payloads; wait()
-/// completes them and returns the usable block (the root's `mine`, or
-/// `recv`). The SUMMA loops post the header two stages ahead and the
-/// payloads one stage ahead, so the bulk arrays are always in flight
-/// behind a whole local SpMM. Header, indices and values are charged to
-/// `cat` as each piece is waited.
-class PendingCsrBcast {
- public:
-  /// `mine` non-null exactly on the root; `recv` is the receive block
-  /// whose storage is reused (roots may pass their own cache slot — it is
-  /// left untouched); `header` is caller-owned (rows, cols, nnz) staging
-  /// that must stay valid until the communicator's release point — stack
-  /// storage is NOT enough, since the root's wait is passive and peers
-  /// read the header at their own pace (SparseStageCache::headers is the
-  /// loop's stable slot for it).
-  void post_header(const Csr* mine, Csr& recv, std::array<Index, 3>& header,
-                   int root, Comm& comm, CommCategory cat);
-  /// Complete the header, size the receive buffers, post the payloads.
-  void post_parts();
-  /// Complete the payloads; returns the usable block.
-  const Csr* wait();
-
- private:
-  std::array<Index, 3>* header_ = nullptr;  ///< caller-owned staging
-  PendingOp header_op_;
-  PendingOp parts_[3];
-  const Csr* mine_ = nullptr;
-  Csr* recv_ = nullptr;
-  Comm* comm_ = nullptr;
-  CommCategory cat_ = CommCategory::kSparse;
-  int root_ = 0;
-  int stage_ = 0;  ///< 0 idle, 1 header posted, 2 payloads posted
-};
-
 /// Bookkeeping for CostMeter's overlap accounting in the double-buffered
 /// loops: open() marks the start of one overlapped compute block, close()
 /// ends it, pairing the modeled local-kernel seconds recorded by `work`
@@ -534,41 +462,25 @@ class OverlapScope {
   bool open_ = false;
 };
 
-/// The generic dense double-buffer pipeline behind every broadcast-stage
-/// loop: posts stage 0, then for each stage waits its
-/// panel, closes the overlap region (so the charges of the waits are
-/// paired with the previous stage's compute), posts stage s+1 into the
-/// other receive buffer, reopens the region, and runs `compute_stage`.
-/// `post_stage(s, dn, recv)` must post stage s's broadcast on `dn`
-/// receiving into `recv`; `compute_stage(s, block)` consumes the stage.
-/// `stages` may be 0 (a 1.5D member with no stripe stage): nothing posts.
-/// Keeping the close/post/open ordering in one place keeps the overlap
-/// accounting invariant from drifting between the loops. (The SUMMA
-/// family's summa_stage_loop keeps its own interleaved variant because
-/// sparse pipelining is threaded through the same iteration.)
+/// The dense double-buffer pipeline behind every broadcast-stage loop
+/// (1D stages, 1.5D stripes, the 2D/3D SUMMA and partial SUMMA): posts
+/// stage 0, then for each stage waits its panel, closes the overlap
+/// region (so the charges of the waits are paired with the previous
+/// stage's compute), posts stage s+1 into the other receive buffer,
+/// reopens the region, and runs `compute_stage`. `post_stage(s, dn,
+/// recv)` must post stage s's broadcast on `dn` receiving into `recv`;
+/// `compute_stage(s, block)` consumes the stage, and whatever it charges
+/// lands in stage s's region (the SUMMA replays stage s+1's sparse
+/// payload there). `stages` may be 0 (a 1.5D member with no stripe
+/// stage): nothing posts. Keeping the close/post/open ordering in one
+/// place keeps the overlap accounting invariant from drifting between
+/// the loops.
 void overlapped_dense_stages(
     int stages,
     const std::function<void(int, PendingDenseStage&, Matrix&)>& post_stage,
     const std::function<void(int, const Matrix*)>& compute_stage,
     Matrix& recv0, Matrix& recv1, CostMeter& meter, const WorkMeter& work,
     const MachineModel& machine, Profiler& profiler);
-
-/// The SUMMA accumulation loop of Algebra3D (2D at l = 1): for each
-/// stage s, the stage-root's sparse block travels along `sparse_comm`
-/// (kSparse; received into and cached by `cache`, replayed from it in
-/// cached epochs) and the stage-root's dense block — (stage_rows(s) x
-/// my_dense.cols()), root s — travels along `dense_comm` (kDense); the
-/// local SpMM accumulates into `acc`. Stage s+1's sparse payloads and
-/// dense panel are posted through the nonblocking layer before stage s's
-/// SpMM runs (the CSR header travels two stages ahead), cached blocks are
-/// served from the same buffers the prefetch lands in, and every stage is
-/// recorded as one overlap region.
-void summa_stage_loop(const Csr& my_sparse, SparseStageCache& cache,
-                      Comm& sparse_comm, const Matrix& my_dense,
-                      Comm& dense_comm,
-                      const std::function<Index(int)>& stage_rows,
-                      int stages, Matrix& acc, const MachineModel& machine,
-                      EpochStats& stats, DistWorkspace& ws);
 
 /// Permutation-route a CSR block to `dest` (see Comm::route): the
 /// distributed-transpose primitive. Algebra3D transposes locally and

@@ -249,7 +249,6 @@ void DistEngine::backward() {
     }
   }
 
-  algebra_->end_backward(stats_);
   // The deferred gradient reductions complete here, having flown behind
   // the backward recurrence; the optimizer step needs them.
   algebra_->finish_gradients(stats_);

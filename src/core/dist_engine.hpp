@@ -114,11 +114,12 @@ class DistSpmmAlgebra {
   /// The engine calls it for layers l >= 2 every epoch, and once at
   /// set-up for layer 1's T^1 = A^T X. Charges: the family's broadcast/
   /// reduction stages — kSparse for adjacency blocks (2D/3D SUMMA stages;
-  /// received by the first call, the set-up's, and replayed from the
-  /// stage cache by every later one), kDense for activation panels and
-  /// the completing reductions. Stage k+1's blocks are in flight behind
-  /// stage k's local SpMM, and (1.5D, c > 1) the team reduction of T is
-  /// left pending for times_weight or complete_spmm_at to drain.
+  /// the blocks arrive at construction, and every call replays their
+  /// broadcasts' charges where a pipelined loop waits for them), kDense
+  /// for activation panels and the completing reductions. Stage k+1's
+  /// blocks are in flight behind stage k's local SpMM, and (1.5D, c > 1)
+  /// the team reduction of T is left pending for times_weight or
+  /// complete_spmm_at to drain.
   virtual void spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) = 0;
 
   /// Finish a T that spmm_at left incomplete, so `t` holds the whole
@@ -132,10 +133,10 @@ class DistSpmmAlgebra {
 
   /// Backward propagation U = A G: `g` is the local block of G^l, `u`
   /// receives the local block of U. The engine calls it for layers
-  /// l >= 2 only (layer 1's weight gradient is (T^1)^T G^1), between
-  /// begin_backward() and end_backward() (the 2D/3D families materialize
-  /// A there). Collective; charges like spmm_at (on the
-  /// transposed-adjacency blocks).
+  /// l >= 2 only (layer 1's weight gradient is (T^1)^T G^1), after
+  /// begin_backward(). Collective; charges like spmm_at (on the
+  /// transposed-adjacency blocks, which the 2D/3D families also receive
+  /// at construction).
   virtual void spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) = 0;
 
   /// Z = T W with W replicated: `t` is the local block of T, `z` receives
@@ -201,16 +202,11 @@ class DistSpmmAlgebra {
   /// off.
   virtual void begin_epoch(int epoch) { (void)epoch; }
 
-  /// Called before the backward recurrence; the 2D/3D families run their
-  /// distributed transpose A^T -> A here (the paper's "trpose" phase,
-  /// charged as kTranspose; replayed from the transpose cache after
-  /// epoch 1). Collective for those families, a local no-op by default.
+  /// Called before the backward recurrence. The 2D/3D families charge
+  /// the paper's "trpose" phase here (kTranspose): the distributed
+  /// transpose A^T -> A and its way back, which their constructor ran
+  /// once and every epoch replays. Purely local; a no-op by default.
   virtual void begin_backward(EpochStats& stats) { (void)stats; }
-
-  /// Called after the backward recurrence; undoes begin_backward()
-  /// (charged/replayed symmetrically). Collective for the transpose
-  /// families, a local no-op by default.
-  virtual void end_backward(EpochStats& stats) { (void)stats; }
 
   /// Release every nonblocking-collective source peers may still be
   /// reading (quiesce this algebra's communicators, swallowing abort

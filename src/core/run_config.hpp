@@ -41,15 +41,12 @@ struct RunConfig {
   std::vector<Index> sample_fanouts = {15, 10, 5};
   /// Minibatch size over the labeled vertices (CAGNET_SAMPLE_BATCH).
   Index sample_batch = 64;
-  /// Epoch-invariant adjacency caches of the 2D / 3D families. Test-only
-  /// (no knob): off re-runs the epoch-1 communication every epoch.
-  bool epoch_cache = true;
 
   /// Throws Error on an out-of-range field.
   void validate() const;
 
   /// Every knob's env spelling ("CAGNET_HALO=1 CAGNET_COMPRESS=int8 ..."):
-  /// parse() of it returns this value (epoch_cache has no knob).
+  /// parse() of it returns this value.
   std::string to_string() const;
 
   /// The knobs from `lookup`, validated; unset or empty knobs keep their

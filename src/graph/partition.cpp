@@ -243,7 +243,7 @@ const PartitionerSpec* find_partitioner(const std::string& name) {
 }
 
 const std::string& default_partitioner_name() {
-  static const std::string name = [] {
+  static const knob::Parsed<std::string> name([] {
     const std::optional<std::string> v = knob::env("CAGNET_PARTITION");
     if (!v) return std::string("block");
     std::vector<std::string> names;
@@ -251,8 +251,8 @@ const std::string& default_partitioner_name() {
       names.push_back(spec.name);
     }
     return knob::parse_name("CAGNET_PARTITION", *v, names);
-  }();
-  return name;
+  });
+  return name.get();
 }
 
 }  // namespace cagnet

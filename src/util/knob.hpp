@@ -12,6 +12,8 @@
 #include <string_view>
 #include <vector>
 
+#include "src/util/error.hpp"
+
 namespace cagnet::knob {
 
 /// The environment variable `name`; nullopt when unset or empty (empty
@@ -53,5 +55,35 @@ std::vector<std::int64_t> parse_positive_list(const char* knob,
 /// One of `names` (a registry key).
 std::string parse_name(const char* knob, std::string_view value,
                        std::span<const std::string> names);
+
+/// A process setting parsed once: the value, or the message of the Error
+/// the parse threw. It is built as a function-local static, whose
+/// initializer must not throw — a thrown initializer aborts the static's
+/// guard while other threads may be waiting on it, and ThreadSanitizer's
+/// guard handling can leave those waiters asleep — so get() throws the
+/// kept Error at every use instead.
+template <typename T>
+class Parsed {
+ public:
+  /// Runs `parse`, keeping its value or its Error's message.
+  template <typename Parse>
+  explicit Parsed(Parse parse) noexcept {
+    try {
+      value_ = parse();
+    } catch (const Error& e) {
+      error_ = e.what();
+    }
+  }
+
+  /// The value; throws the parse's Error when it failed.
+  const T& get() const {
+    if (!error_.empty()) throw Error(error_);
+    return value_;
+  }
+
+ private:
+  T value_{};
+  std::string error_;
+};
 
 }  // namespace cagnet::knob

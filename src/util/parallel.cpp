@@ -25,15 +25,15 @@ constexpr int kMaxThreads = 4096;
 std::atomic<int> g_budget_override{0};
 
 int env_thread_budget() {
-  static const int budget = [] {
+  static const knob::Parsed<int> budget([] {
     if (const std::optional<std::string> env = knob::env("CAGNET_THREADS")) {
       return static_cast<int>(
           knob::parse_positive("CAGNET_THREADS", *env, kMaxThreads));
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? static_cast<int>(hw) : 1;
-  }();
-  return budget;
+  });
+  return budget.get();
 }
 
 /// One parallel_for_chunks invocation: a shared claim counter plus a

@@ -619,6 +619,8 @@ struct MeteredRun {
   std::vector<std::vector<double>> max_meters;    // max over ranks, per epoch
   std::vector<double> setup_meter;      // rank 0, across make_dist_trainer
   std::vector<double> max_setup_meter;  // the same, max over ranks
+  // rank 0, per epoch: {regions, serialized s, overlapped s}
+  std::vector<std::array<double, 3>> epoch_overlap;
   double overlap_regions = 0;
   double overlap_saved = 0;
   double modeled = 0;          // rank 0, final epoch, serialized
@@ -650,9 +652,13 @@ MeteredRun run_metered(const std::string& algebra,
     std::vector<Real> losses;
     std::vector<std::vector<double>> meters;
     std::vector<std::vector<double>> max_meters;
+    std::vector<std::array<double, 3>> overlap;
     for (int e = 0; e < epochs; ++e) {
       losses.push_back(trainer->train_epoch().loss);
-      meters.push_back(meter_row(trainer->last_epoch_stats().comm));
+      const CostMeter& m = trainer->last_epoch_stats().comm;
+      meters.push_back(meter_row(m));
+      overlap.push_back({m.overlap_regions(), m.overlap_serialized_seconds(),
+                         m.overlap_overlapped_seconds()});
       // Collective, outside the next epoch's meter window.
       max_meters.push_back(meter_row(trainer->reduce_epoch_stats().comm));
     }
@@ -664,6 +670,7 @@ MeteredRun run_metered(const std::string& algebra,
       run.max_meters = std::move(max_meters);
       run.setup_meter = std::move(setup_row);
       run.max_setup_meter = std::move(max_setup_row);
+      run.epoch_overlap = std::move(overlap);
       run.overlap_regions = stats.comm.overlap_regions();
       run.overlap_saved = stats.comm.overlap_saved_seconds();
       run.modeled = stats.modeled_seconds(MachineModel::summit());
@@ -683,8 +690,9 @@ struct MeterPin {
   int parts = 0;
   /// Rank 0's {latency units, words} per CommCategory, in enum order
   /// (dense, sparse, trpose, halo, compressed, control). Each of the three
-  /// epochs charges exactly these values: the 2D/3D epoch caches replay
-  /// the first call's sparse and transpose charges.
+  /// epochs charges exactly these values: the 2D/3D families replay the
+  /// sparse and transpose charges of the blocks they receive at
+  /// construction.
   std::array<double, 2 * CostMeter::kNumCategories> meter;
   /// The same slots maximized over ranks (reduce_epoch_stats). Rank 0 is
   /// grid rank (0, 0), whose 2D transpose is a self-route that charges
@@ -857,27 +865,45 @@ TEST(Overlap, SingleRankRegionsSaveNothing) {
 }
 
 TEST(EpochCache, CachedEpochsReplayChargesExactly) {
-  // Cached blocks are served from the prefetch buffers and the replayed
-  // charges must match the uncached path bitwise.
+  // The stage blocks and A arrive at construction; every epoch replays
+  // their charges and must charge, bit for bit, what the per-epoch
+  // receipt (every call broadcasting its blocks, every epoch transposing
+  // A and back) charged, recorded from that path: rank 0's {latency
+  // units, words} per category in enum order, the same each epoch, and
+  // per epoch its overlap totals {regions, serialized s, overlapped s}
+  // (cumulative differences, so their last bits move between epochs).
+  struct Pin {
+    std::string algebra;
+    int p;
+    std::array<double, 2 * CostMeter::kNumCategories> meter;
+    std::array<std::array<double, 3>, 3> overlap;
+  };
+  const std::vector<Pin> pins = {
+      {"2d", 4, {26, 1902, 32, 2864, 0, 0, 0, 0, 0, 0, 4, 3},
+       {{{0x1.8p+3, 0x1.7b6f2a4e683aep-12, 0x1.7acfc46b50ed6p-12},
+         {0x1.8p+3, 0x1.7b6f2a4e683b1p-12, 0x1.7acfc46b50ed8p-12},
+         {0x1.8p+3, 0x1.7b6f2a4e683aap-12, 0x1.7acfc46b50ed4p-12}}}},
+      {"3d", 8, {36, 1227.5, 32, 1656, 8, 180, 0, 0, 0, 0, 6, 3.5},
+       {{{0x1.8p+3, 0x1.7b08695306d16p-12, 0x1.7a71fd16dd57bp-12},
+         {0x1.8p+3, 0x1.7b08695306d15p-12, 0x1.7a71fd16dd57ap-12},
+         {0x1.8p+3, 0x1.7b08695306d1cp-12, 0x1.7a71fd16dd57ep-12}}}},
+  };
   const Graph g = test_graph(80, 8, 3, 78);
   const DistProblem problem = DistProblem::prepare(g);
   GnnConfig config = GnnConfig::three_layer(8, 3, 6);
-  for (const auto& [algebra, p] :
-       {std::pair<std::string, int>{"2d", 4}, {"3d", 8}}) {
-    RunConfig uncached_mode;
-    uncached_mode.epoch_cache = false;
-    const MeteredRun cached =
-        run_metered(algebra, problem, config, p, 3);
-    const MeteredRun uncached =
-        run_metered(algebra, problem, config, p, 3, uncached_mode);
-    for (std::size_t e = 0; e < cached.epoch_meters.size(); ++e) {
-      for (std::size_t i = 0; i < cached.epoch_meters[e].size(); ++i) {
-        EXPECT_EQ(cached.epoch_meters[e][i], uncached.epoch_meters[e][i])
-            << algebra << " epoch " << e << " slot " << i;
+  for (const Pin& pin : pins) {
+    const MeteredRun run = run_metered(pin.algebra, problem, config, pin.p, 3);
+    ASSERT_EQ(run.epoch_meters.size(), 3u);
+    for (std::size_t e = 0; e < run.epoch_meters.size(); ++e) {
+      ASSERT_EQ(run.epoch_meters[e].size(), pin.meter.size());
+      for (std::size_t i = 0; i < pin.meter.size(); ++i) {
+        EXPECT_EQ(run.epoch_meters[e][i], pin.meter[i])
+            << pin.algebra << " epoch " << e << " slot " << i;
       }
-    }
-    for (std::size_t e = 0; e < cached.losses.size(); ++e) {
-      EXPECT_EQ(cached.losses[e], uncached.losses[e]) << algebra;
+      for (std::size_t k = 0; k < 3; ++k) {
+        EXPECT_EQ(run.epoch_overlap[e][k], pin.overlap[e][k])
+            << pin.algebra << " epoch " << e << " overlap " << k;
+      }
     }
   }
 }

@@ -2,14 +2,18 @@
 // every CAGNET_* string, the defects of the per-knob parsers it replaced
 // pinned as typed Errors, a seeded mutation fuzz over the two env-string
 // grammars (RunConfig::parse and FaultPlan::parse), and the first-use
-// errors of the process settings.
+// errors of the process settings, one thread or four at once.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <climits>
 #include <cstdint>
+#include <functional>
+#include <latch>
 #include <map>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/comm/contract_check.hpp"
@@ -185,56 +189,66 @@ TEST(KnobGrammar, ProcessSettingSpellings) {
   EXPECT_EQ(knob::parse_name("CAGNET_PARTITION", "random", names), "random");
 }
 
-/// `use` either succeeds or throws an Error naming `knob`, exactly as the
-/// grammar `accepts` the process environment's value.
-template <typename Use, typename Accepts>
-void expect_first_use(const char* knob, Use use, Accepts accepts) {
-  const std::optional<std::string> raw = knob::env(knob);
-  bool valid = true;
-  if (raw) {
-    try {
-      accepts(*raw);
-    } catch (const Error&) {
-      valid = false;
-    }
-  }
-  if (valid) {
-    EXPECT_NO_THROW(use()) << knob;
-    return;
-  }
+/// The process settings' first uses and grammars, one row per knob.
+struct ProcessSetting {
+  const char* knob;
+  std::function<void()> use;
+  std::function<void(const std::string&)> accepts;
+};
+
+std::vector<ProcessSetting> process_settings() {
+  return {
+      {"CAGNET_THREADS", [] { (void)thread_budget(); },
+       [](const std::string& v) {
+         knob::parse_positive("CAGNET_THREADS", v, 4096);
+       }},
+      {"CAGNET_PARTITION", [] { (void)default_partitioner_name(); },
+       [](const std::string& v) {
+         std::vector<std::string> names;
+         for (const PartitionerSpec& spec : partitioner_registry()) {
+           names.push_back(spec.name);
+         }
+         knob::parse_name("CAGNET_PARTITION", v, names);
+       }},
+      {"CAGNET_CHECK", [] { (void)contract::enabled(); },
+       [](const std::string& v) { knob::parse_flag("CAGNET_CHECK", v); }},
+      {"CAGNET_FAULT", [] { (void)fault_plan(); },
+       [](const std::string& v) { (void)FaultPlan::parse(v); }},
+  };
+}
+
+/// Whether the process environment's value of `setting` is in its
+/// grammar (an unset knob selects the default).
+bool env_accepted(const ProcessSetting& setting) {
+  const std::optional<std::string> raw = knob::env(setting.knob);
+  if (!raw) return true;
   try {
-    use();
-    ADD_FAILURE() << knob << "=\"" << *raw << "\" was accepted";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find(knob), std::string::npos)
-        << e.what();
+    setting.accepts(*raw);
+  } catch (const Error&) {
+    return false;
   }
+  return true;
 }
 
 TEST(ProcessKnobs, FirstUseFollowsTheGrammar) {
   // ctest also runs this under knob strings the old parsers aborted on
   // at load or silently replaced by a default; reaching this body at all
-  // shows no knob is read during static initialisation.
-  expect_first_use(
-      "CAGNET_THREADS", [] { (void)thread_budget(); },
-      [](const std::string& v) {
-        knob::parse_positive("CAGNET_THREADS", v, 4096);
-      });
-  expect_first_use(
-      "CAGNET_PARTITION", [] { (void)default_partitioner_name(); },
-      [](const std::string& v) {
-        std::vector<std::string> names;
-        for (const PartitionerSpec& spec : partitioner_registry()) {
-          names.push_back(spec.name);
-        }
-        knob::parse_name("CAGNET_PARTITION", v, names);
-      });
-  expect_first_use(
-      "CAGNET_CHECK", [] { (void)contract::enabled(); },
-      [](const std::string& v) { knob::parse_flag("CAGNET_CHECK", v); });
-  expect_first_use(
-      "CAGNET_FAULT", [] { (void)fault_plan(); },
-      [](const std::string& v) { (void)FaultPlan::parse(v); });
+  // shows no knob is read during static initialisation. Each use either
+  // succeeds or throws an Error naming the knob, exactly as the grammar
+  // accepts the process environment's value.
+  for (const ProcessSetting& setting : process_settings()) {
+    if (env_accepted(setting)) {
+      EXPECT_NO_THROW(setting.use()) << setting.knob;
+      continue;
+    }
+    try {
+      setting.use();
+      ADD_FAILURE() << setting.knob << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(setting.knob), std::string::npos)
+          << e.what();
+    }
+  }
   // The run modes parse together: from_env fails on its first bad knob.
   std::optional<RunConfig> from_parse;
   try {
@@ -245,6 +259,38 @@ TEST(ProcessKnobs, FirstUseFollowsTheGrammar) {
     EXPECT_EQ(RunConfig::from_env(), *from_parse);
   } else {
     EXPECT_THROW(RunConfig::from_env(), Error);
+  }
+}
+
+TEST(ProcessKnobs, ConcurrentFirstUseReachesEveryThread) {
+  // ctest runs this case alone under the malformed knob strings of
+  // knob_strings_fail_at_first_use, so 4 threads make each setting's
+  // first use at the same moment. Each must get the outcome the grammar
+  // gives — the typed Error naming the knob, or the value — and none may
+  // hang on the setting's one-time initialization.
+  constexpr int kThreads = 4;
+  for (const ProcessSetting& setting : process_settings()) {
+    const bool valid = env_accepted(setting);
+    std::latch start(kThreads);
+    std::atomic<int> succeeded{0};
+    std::atomic<int> named{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&] {
+        start.arrive_and_wait();
+        try {
+          setting.use();
+          succeeded.fetch_add(1);
+        } catch (const Error& e) {
+          if (std::string(e.what()).find(setting.knob) != std::string::npos) {
+            named.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    EXPECT_EQ(succeeded.load(), valid ? kThreads : 0) << setting.knob;
+    EXPECT_EQ(named.load(), valid ? 0 : kThreads) << setting.knob;
   }
 }
 

@@ -42,6 +42,11 @@ Each rule pins a convention the runtime's correctness story depends on
                    wherever FMA is enabled (avx512f, fma, x86-64-v3, ...),
                    which changes result bits, and each clone must give
                    the bits of the baseline build.
+  runconfig-knobs  every data member of `struct RunConfig`
+                   (src/core/run_config.hpp) names its CAGNET_* knob in
+                   its doc comment: a run mode is something a user can
+                   select, so a test-only switch between two code paths
+                   cannot come back as a field unnoticed.
 
 Run from the repo root (CI does):  python3 tools/lint_invariants.py
 Self-test (seeded violations, one per rule):  ... --self-test
@@ -380,6 +385,76 @@ def check_fma_free_clones(root):
     return violations
 
 
+# ---- rule: runconfig-knobs ---------------------------------------------
+
+RUN_CONFIG = "src/core/run_config.hpp"
+KNOB_NAME_RE = re.compile(r"\bCAGNET_[A-Z0-9_]+\b")
+MEMBER_NAME_RE = re.compile(r"(\w+)\s*(?:=|\{|;)")
+
+
+def run_config_members(text):
+    """(line, name, doc comment) of each data member declared at the top
+    level of `struct RunConfig` in `text`, or None when the struct is
+    missing."""
+    match = re.search(r"\bstruct\s+RunConfig\s*\{", text)
+    if match is None:
+        return None
+    body = function_body(text, match.start())
+    first_line = text.count("\n", 0, match.end()) + 1
+    members = []
+    doc = []
+    decl = ""
+    decl_line = 0
+    depth = 0
+    for offset, line in enumerate(body[1:-1].split("\n")):
+        stripped = line.strip()
+        if not decl:
+            if stripped.startswith("//"):
+                doc.append(stripped)
+                continue
+            if not stripped:
+                doc = []
+                continue
+            decl_line = first_line + offset
+        decl += " " + stripped
+        depth += stripped.count("{") + stripped.count("(")
+        depth -= stripped.count("}") + stripped.count(")")
+        if depth > 0 or not (decl.rstrip().endswith(";")
+                             or decl.rstrip().endswith("}")):
+            continue
+        head = re.split(r"[^=!<>]=[^=]", decl, maxsplit=1)[0]
+        is_member = ("(" not in head and not re.match(
+            r"\s*(static|using|friend|struct|class|enum)\b", decl))
+        if is_member:
+            name = MEMBER_NAME_RE.search(head + ";")
+            members.append((decl_line, name.group(1) if name else "?",
+                            " ".join(doc)))
+        doc = []
+        decl = ""
+        depth = 0
+    return members
+
+
+def check_runconfig_knobs(root):
+    path = root / RUN_CONFIG
+    if not path.is_file():
+        return [f"{RUN_CONFIG}: file missing (runconfig-knobs anchor is "
+                f"stale; update RUN_CONFIG)"]
+    members = run_config_members(path.read_text())
+    if members is None:
+        return [f"{RUN_CONFIG}: runconfig-knobs: `struct RunConfig` not "
+                f"found (renamed? update RUN_CONFIG)"]
+    violations = []
+    for line, name, doc in members:
+        if not KNOB_NAME_RE.search(doc):
+            violations.append(
+                f"{RUN_CONFIG}:{line}: runconfig-knobs: RunConfig::{name} "
+                f"names no CAGNET_* knob in its doc comment — every run "
+                f"mode is selectable by a knob; a test-only switch belongs "
+                f"in the test, not in the run configuration")
+    return violations
+
+
 # ---- driver ------------------------------------------------------------
 
 RULES = [
@@ -390,6 +465,7 @@ RULES = [
     ("bench-schema", check_bench_schema_sync),
     ("entry-wrapper", check_entry_wrapper),
     ("fma-free-clones", check_fma_free_clones),
+    ("runconfig-knobs", check_runconfig_knobs),
 ]
 
 
@@ -416,6 +492,19 @@ def run(root):
 def build_seeded_tree(tmp):
     (tmp / "src/comm").mkdir(parents=True)
     (tmp / "src/util").mkdir(parents=True)
+    (tmp / "src/core").mkdir(parents=True)
+    # runconfig-knobs: a documented mode beside a test-only switch.
+    (tmp / RUN_CONFIG).write_text(
+        "struct RunConfig {\n"
+        "  /// Halo exchange (CAGNET_HALO).\n"
+        "  bool halo = false;\n"
+        "  /// Per-hop fanouts (CAGNET_SAMPLE_FANOUT).\n"
+        "  std::vector<Index> sample_fanouts = {15, 10, 5};\n"
+        "  /// Switches between two code paths; test-only.\n"
+        "  bool second_path = true;\n"
+        "  void validate() const;\n"
+        "  bool operator==(const RunConfig&) const = default;\n"
+        "};\n")
     (tmp / "bench").mkdir()
     # seam-funnel: both anchor files exist but await_source never calls
     # seam_event; the rest of the anchors are present and clean.
@@ -491,6 +580,8 @@ def self_test():
              lambda: check_entry_wrapper(tmp)),
             ("fma-free-clones", "'avx512f' may enable FMA",
              lambda: check_fma_free_clones(tmp)),
+            ("runconfig-knobs", "RunConfig::second_path names no",
+             lambda: check_runconfig_knobs(tmp)),
         ]
         for name, marker, rule in expectations:
             found = [v for v in rule() if marker in v]
