@@ -7,7 +7,9 @@
 // streams exactly; unsupported algebras fail with a typed Error.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <mutex>
@@ -404,6 +406,242 @@ TEST(SampledRecoveryDrill, FaultedSampledRunRecoversBitwise) {
   }
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   std::remove(path.c_str());
+}
+
+// ---- Pinned finite-fanout epochs ----
+// The tests above compare sampled runs with each other or with the
+// full-batch engine; these literals pin what a capped-fanout run itself
+// computes and charges, so a refactor of the sampled epoch can be held to
+// the same bits.
+
+/// 64-bit FNV-1a over the bytes of every weight matrix, in layer order.
+std::uint64_t fnv1a_weights(const std::vector<Matrix>& weights) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const Matrix& w : weights) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(w.data());
+    for (std::size_t i = 0; i < w.flat().size() * sizeof(Real); ++i) {
+      hash ^= bytes[i];
+      hash *= 0x100000001b3ull;
+    }
+  }
+  return hash;
+}
+
+using MeterRow = std::array<double, 2 * CostMeter::kNumCategories>;
+
+/// One epoch of a pinned sampled run.
+struct PinnedEpoch {
+  double loss;
+  double accuracy;
+  /// Rank 0's {latency units, words} per CommCategory, in enum order.
+  MeterRow meter;
+  /// The same slots maximized over ranks (reduce_epoch_stats).
+  MeterRow max_meter;
+  /// Rank 0's overlap totals {regions, serialized s, overlapped s}.
+  std::array<double, 3> overlap;
+  /// Rank 0's modeled local-kernel seconds (WorkMeter::total_seconds).
+  double work;
+};
+
+struct SampledPinCase {
+  std::string label;
+  int p;
+  std::array<PinnedEpoch, 3> epochs;
+  std::uint64_t weights_hash;  ///< fnv1a_weights after the last epoch
+};
+
+MeterRow meter_row(const CostMeter& m) {
+  MeterRow row{};
+  for (std::size_t c = 0; c < CostMeter::kNumCategories; ++c) {
+    const auto cat = static_cast<CommCategory>(c);
+    row[2 * c] = m.latency_units(cat);
+    row[2 * c + 1] = m.words(cat);
+  }
+  return row;
+}
+
+/// Three epochs of `mode` on `p` ranks, recorded as a SampledPinCase.
+SampledPinCase record_sampled(const std::string& label,
+                              const DistProblem& problem,
+                              const GnnConfig& config, int p,
+                              const RunConfig& mode) {
+  SampledPinCase got{label, p, {}, 0};
+  std::mutex mutex;
+  run_world(p, [&](Comm& world) {
+    auto trainer = make_dist_trainer("1d", problem, config, world, mode);
+    std::array<PinnedEpoch, 3> epochs{};
+    for (PinnedEpoch& pinned : epochs) {
+      const EpochResult r = trainer->train_epoch();
+      const EpochStats& stats = trainer->last_epoch_stats();
+      pinned.loss = r.loss;
+      pinned.accuracy = r.accuracy;
+      pinned.meter = meter_row(stats.comm);
+      pinned.overlap = {stats.comm.overlap_regions(),
+                        stats.comm.overlap_serialized_seconds(),
+                        stats.comm.overlap_overlapped_seconds()};
+      pinned.work = stats.work.total_seconds();
+      // Collective, outside the next epoch's meter window.
+      pinned.max_meter = meter_row(trainer->reduce_epoch_stats().comm);
+    }
+    if (world.rank() == 0) {
+      std::lock_guard<std::mutex> lock(mutex);
+      got.epochs = epochs;
+      got.weights_hash = fnv1a_weights(trainer->weights());
+    }
+  });
+  return got;
+}
+
+/// `got` in the initializer syntax of sampled_pins(), for re-recording.
+std::string pin_literal(const SampledPinCase& got) {
+  std::string out;
+  char buf[64];
+  const auto add = [&](const char* fmt, double v) {
+    std::snprintf(buf, sizeof(buf), fmt, v);
+    out += buf;
+  };
+  const auto row = [&](const MeterRow& r) {
+    out += "{";
+    for (std::size_t i = 0; i < r.size(); ++i) {
+      add(i == 0 ? "%.17g" : ", %.17g", r[i]);
+    }
+    out += "}";
+  };
+  out += "{\"" + got.label + "\", " + std::to_string(got.p) + ",\n {{";
+  for (std::size_t e = 0; e < got.epochs.size(); ++e) {
+    const PinnedEpoch& pe = got.epochs[e];
+    out += e == 0 ? "{" : "\n   {";
+    add("%a", pe.loss);
+    add(", %a,\n    ", pe.accuracy);
+    row(pe.meter);
+    out += ",\n    ";
+    row(pe.max_meter);
+    add(",\n    {%a", pe.overlap[0]);
+    add(", %a", pe.overlap[1]);
+    add(", %a},\n    ", pe.overlap[2]);
+    add("%a}", pe.work);
+    out += e + 1 < got.epochs.size() ? "," : "}},";
+  }
+  std::snprintf(buf, sizeof(buf), "\n 0x%016llxull},",
+                static_cast<unsigned long long>(got.weights_hash));
+  out += buf;
+  return out;
+}
+
+// Recorded before the sampled batch ran through DistEngine's layer loop,
+// when SampledRunner had a forward and backward of its own.
+std::vector<SampledPinCase> sampled_pins() {
+  return {
+      {"p4 greedy-bfs", 4,
+       {{{0x1.1dd7a0d170b2p+0, 0x1.ddddddddddddep-2,
+          {48, 1008, 0, 0, 0, 0, 60, 2513, 0, 0, 52, 182},
+          {48, 1008, 0, 0, 0, 0, 60, 3564, 0, 0, 52, 318},
+          {0x1.4p+6, 0x1.3d61fef7eceaap-10, 0x1.3b6fa0adb8ba4p-10},
+          0x1.9dccdf1dc828bp-17},
+         {0x1.1b8a01bac745bp+0, 0x1p-1,
+          {48, 1008, 0, 0, 0, 0, 60, 2418, 0, 0, 52, 174},
+          {48, 1008, 0, 0, 0, 0, 60, 3552, 0, 0, 52, 309},
+          {0x1.4p+6, 0x1.3d53735806ef4p-10, 0x1.3b6acd458f406p-10},
+          0x1.95fbe99ce3ap-17},
+         {0x1.187ad46e187a4p+0, 0x1.05b05b05b05bp-1,
+          {48, 1008, 0, 0, 0, 0, 60, 2479, 0, 0, 52, 173},
+          {48, 1008, 0, 0, 0, 0, 60, 3475, 0, 0, 52, 325},
+          {0x1.4p+6, 0x1.3d5cd03c00ce6p-10, 0x1.3b6d0ff59cfbep-10},
+          0x1.9d53820f277ccp-17}}},
+       0xe949a219b4886367ull},
+      {"p2 int8", 2,
+       {{{0x1.5ee4e45c1eb1cp+0, 0x1.a666666666666p-2,
+          {0, 0, 0, 0, 0, 0, 0, 0, 55, 389.25, 25, 180},
+          {0, 0, 0, 0, 0, 0, 0, 0, 55, 408.5, 25, 181},
+          {0x1.9p+5, 0x1.0b90bb5e9c39ap-11, 0x1.08beaad95e8fbp-11},
+          0x1.e96d7054ccba4p-17},
+         {0x1.5dcf7b2867bb9p+0, 0x1.ep-2,
+          {0, 0, 0, 0, 0, 0, 0, 0, 55, 397.75, 25, 175},
+          {0, 0, 0, 0, 0, 0, 0, 0, 55, 397.75, 25, 183},
+          {0x1.9p+5, 0x1.0b80f80ad9c24p-11, 0x1.08b78fb99c13bp-11},
+          0x1.e0c719d560da7p-17},
+         {0x1.5ef1f4132b5fap+0, 0x1.d99999999999ap-2,
+          {0, 0, 0, 0, 0, 0, 0, 0, 55, 429, 25, 193},
+          {0, 0, 0, 0, 0, 0, 0, 0, 55, 429, 25, 203},
+          {0x1.9p+5, 0x1.0b9da91bd4e36p-11, 0x1.08c68ca97e3acp-11},
+          0x1.ecc20bd70febap-17}}},
+       0x9a1adc23fa3cb3c4ull},
+      {"p1", 1,
+       {{{0x1.5f6511efb9b57p+0, 0x1.d333333333333p-2,
+          {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+          {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+          {0x1.9p+5, 0x1.134cfa33d72a9p-16, 0x1.134cfa33d72a9p-16},
+          0x1.d8f2940cad26ap-16},
+         {0x1.5cfe02c4c3e1fp+0, 0x1.ep-2,
+          {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+          {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+          {0x1.9p+5, 0x1.144615e07d5dbp-16, 0x1.144615e07d5dbp-16},
+          0x1.daa7455d90c88p-16},
+         {0x1.5bf9910578622p+0, 0x1.d99999999999ap-2,
+          {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+          {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+          {0x1.9p+5, 0x1.0eebfdaaeb444p-16, 0x1.0eebfdaaeb444p-16},
+          0x1.d1457620acce4p-16}}},
+       0xd21186367af02228ull},
+  };
+}
+
+TEST(SampledPin, FiniteFanoutEpochsMatchRecordedValues) {
+  // Every value is compared with ==: losses, accuracies, overlap totals
+  // and WorkMeter seconds as hex floats, meter charges as the exact
+  // dyadic word counts every charge is. Three cases: four ranks on a
+  // greedy-bfs partition with 12-seed batches (several batches per rank,
+  // so the prefetched next batch is built behind every backward but the
+  // last), two ranks under the int8 codec, and one rank.
+  const Graph multi = learnable_graph(180, 9, 10, 3, 53);
+  const DistProblem multi_problem =
+      DistProblem::prepare(multi, 4, "greedy-bfs");
+  const GnnConfig multi_config = GnnConfig::three_layer(10, 3, 8);
+  const Graph small = learnable_graph(160, 8, 10, 4, 47);
+  const DistProblem small_problem = DistProblem::prepare(small);
+  const GnnConfig small_config = GnnConfig::three_layer(10, 4, 8);
+  RunConfig int8 = sampled({6, 4, 3}, 16);
+  int8.compress = CompressMode::kInt8;
+
+  const std::vector<SampledPinCase> got = {
+      record_sampled("p4 greedy-bfs", multi_problem, multi_config, 4,
+                     sampled({8, 5, 3}, 12)),
+      record_sampled("p2 int8", small_problem, small_config, 2, int8),
+      record_sampled("p1", small_problem, small_config, 1,
+                     sampled({6, 4, 3}, 16)),
+  };
+  const std::vector<SampledPinCase> want = sampled_pins();
+  std::string recorded;
+  for (const SampledPinCase& g : got) recorded += pin_literal(g) + "\n";
+  ASSERT_EQ(got.size(), want.size()) << "recorded now:\n" << recorded;
+  const auto slot = [](std::size_t i) {
+    return std::string(comm_category_name(static_cast<CommCategory>(i / 2))) +
+           (i % 2 == 0 ? " latency" : " words");
+  };
+  for (std::size_t c = 0; c < got.size(); ++c) {
+    const SampledPinCase& g = got[c];
+    const SampledPinCase& w = want[c];
+    SCOPED_TRACE(g.label + "; recorded now:\n" + pin_literal(g));
+    ASSERT_EQ(g.label, w.label);
+    for (std::size_t e = 0; e < g.epochs.size(); ++e) {
+      const PinnedEpoch& ge = g.epochs[e];
+      const PinnedEpoch& we = w.epochs[e];
+      EXPECT_EQ(ge.loss, we.loss) << "epoch " << e;
+      EXPECT_EQ(ge.accuracy, we.accuracy) << "epoch " << e;
+      for (std::size_t i = 0; i < ge.meter.size(); ++i) {
+        EXPECT_EQ(ge.meter[i], we.meter[i])
+            << "epoch " << e << " rank 0 " << slot(i);
+        EXPECT_EQ(ge.max_meter[i], we.max_meter[i])
+            << "epoch " << e << " max " << slot(i);
+      }
+      for (std::size_t i = 0; i < ge.overlap.size(); ++i) {
+        EXPECT_EQ(ge.overlap[i], we.overlap[i])
+            << "epoch " << e << " overlap total " << i;
+      }
+      EXPECT_EQ(ge.work, we.work) << "epoch " << e;
+    }
+    EXPECT_EQ(g.weights_hash, w.weights_hash);
+  }
 }
 
 }  // namespace
