@@ -75,8 +75,8 @@ class CostMeter {
   /// Sum over regions of max(comm, compute) (the overlapped reading).
   double overlap_overlapped_seconds() const { return overlap_overlapped_; }
   /// Modeled seconds hidden by overlap: serialized - overlapped. Clamped
-  /// at zero: per region max(c, w) <= c + w exactly, but cross-rank
-  /// reductions max the two totals independently, which can leave the
+  /// at zero: per region max(c, w) <= c + w exactly, but an epoch's
+  /// totals are differences of cumulative sums, which can leave the
   /// difference one ulp negative when every region's saving is ~0.
   double overlap_saved_seconds() const {
     return std::max(0.0, overlap_serialized_ - overlap_overlapped_);

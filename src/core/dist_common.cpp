@@ -91,8 +91,13 @@ EpochStats EpochStats::reduce_max(const EpochStats& mine, Comm& comm) {
     payload.push_back(mine.comm.latency_units(cat));
     payload.push_back(mine.comm.words(cat));
   }
+  // Each rank's saving (serialized - overlapped) is maxed as one value:
+  // maxing the overlapped totals separately would pair the busiest rank's
+  // serialized seconds with another rank's overlapped seconds, a saving
+  // no rank made.
   payload.push_back(mine.comm.overlap_serialized_seconds());
-  payload.push_back(mine.comm.overlap_overlapped_seconds());
+  payload.push_back(mine.comm.overlap_serialized_seconds() -
+                    mine.comm.overlap_overlapped_seconds());
   payload.push_back(mine.comm.overlap_regions());
   payload.push_back(mine.comm.stale_saved_words());
   payload.push_back(mine.work.spmm_seconds());
@@ -115,7 +120,7 @@ EpochStats EpochStats::reduce_max(const EpochStats& mine, Comm& comm) {
     const double words = payload[k++];
     out.comm.add(cat, lat, words);
   }
-  out.comm.restore_overlap_totals(payload[k], payload[k + 1],
+  out.comm.restore_overlap_totals(payload[k], payload[k] - payload[k + 1],
                                   payload[k + 2]);
   k += 3;
   out.comm.restore_stale_saved_words(payload[k]);
@@ -136,25 +141,31 @@ void drain_comm(const Comm& comm) noexcept {
   }
 }
 
-EpochResult reduce_loss_accuracy(const Matrix& local_log_probs, Index row_lo,
-                                 const std::vector<Index>& labels,
-                                 Index labeled_count, Comm& comm,
-                                 std::array<double, 4>& scratch) {
+std::array<double, 2> loss_terms(const Matrix& log_probs,
+                                 std::span<const Index> labels) {
   double loss_sum = 0;
   double hits = 0;
-  for (Index r = 0; r < local_log_probs.rows(); ++r) {
-    const Index label = labels[static_cast<std::size_t>(row_lo + r)];
+  for (Index r = 0; r < log_probs.rows(); ++r) {
+    const Index label = labels[static_cast<std::size_t>(r)];
     if (label < 0) continue;
-    loss_sum -= local_log_probs(r, label);
-    const auto row = local_log_probs.row(r);
+    loss_sum -= log_probs(r, label);
+    const auto row = log_probs.row(r);
     const Index pred = static_cast<Index>(
         std::max_element(row.begin(), row.end()) - row.begin());
     if (pred == label) hits += 1;
   }
+  return {loss_sum, hits};
+}
+
+EpochResult reduce_loss_accuracy(const Matrix& local_log_probs,
+                                 std::span<const Index> labels,
+                                 Index labeled_count, Comm& comm,
+                                 std::array<double, 4>& scratch) {
   // Posted and waited without the blocking form's release hold: the
   // caller owns the scratch and quiesces `comm` before reusing it.
-  scratch[0] = loss_sum;
-  scratch[1] = hits;
+  const std::array<double, 2> terms = loss_terms(local_log_probs, labels);
+  scratch[0] = terms[0];
+  scratch[1] = terms[1];
   comm.iallreduce_sum(std::span<const double>(scratch.data(), 2),
                       std::span<double>(scratch.data() + 2, 2),
                       CommCategory::kControl)

@@ -4,6 +4,7 @@
 #include <array>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/comm/comm.hpp"
@@ -103,7 +104,9 @@ struct EpochStats {
   }
 
   /// Collective: component-wise max over ranks (bulk-synchronous epochs
-  /// are paced by the slowest rank), metered as control traffic.
+  /// are paced by the slowest rank), metered as control traffic. The
+  /// overlap totals keep the largest serialized seconds and the largest
+  /// rank's saving (serialized - overlapped).
   static EpochStats reduce_max(const EpochStats& mine, Comm& comm);
 };
 
@@ -393,14 +396,21 @@ void halo_exchange_contributions(
     HaloPlan& plan, CommCategory cat, const MachineModel& machine,
     EpochStats& stats, Matrix& u);
 
+/// This rank's {NLL sum, correct predictions} over the rows of output
+/// log-probabilities `log_probs` (full rows), row r labeled `labels[r]`;
+/// unlabeled rows (label < 0) add nothing. Rows are summed in ascending
+/// order. Purely local.
+std::array<double, 2> loss_terms(const Matrix& log_probs,
+                                 std::span<const Index> labels);
+
 /// Global mean NLL loss and accuracy from a local row block of output
-/// log-probabilities. `row_lo` is the first global row of the block.
-/// Reduces (loss_sum, hits) across ranks as control traffic through one
-/// nonblocking all-reduce whose (src, dst) pairs live in `scratch` —
-/// persistent storage (e.g. engine-owned) that peers read at their own
-/// waits, so quiesce `comm` before the next call overwrites it.
-EpochResult reduce_loss_accuracy(const Matrix& local_log_probs, Index row_lo,
-                                 const std::vector<Index>& labels,
+/// log-probabilities, row r labeled `labels[r]`. Reduces loss_terms
+/// across ranks as control traffic through one nonblocking all-reduce
+/// whose (src, dst) pairs live in `scratch` — persistent storage (e.g.
+/// engine-owned) that peers read at their own waits, so quiesce `comm`
+/// before the next call overwrites it.
+EpochResult reduce_loss_accuracy(const Matrix& local_log_probs,
+                                 std::span<const Index> labels,
                                  Index labeled_count, Comm& comm,
                                  std::array<double, 4>& scratch);
 

@@ -13,6 +13,29 @@
 
 namespace cagnet {
 
+namespace {
+
+/// A full-batch epoch's aggregations: the set-up's T^1 and the algebra's
+/// distributed SpMMs over the whole graph.
+class FullBatch final : public Aggregation {
+ public:
+  FullBatch(DistSpmmAlgebra& algebra, const Matrix& t1)
+      : algebra_(algebra), t1_(t1) {}
+  const Matrix& input(EpochStats&) override { return t1_; }
+  void spmm_at(Index, const Matrix& h, Matrix& t, EpochStats& stats) override {
+    algebra_.spmm_at(h, t, stats);
+  }
+  void spmm_a(Index, const Matrix& g, Matrix& u, EpochStats& stats) override {
+    algebra_.spmm_a(g, u, stats);
+  }
+
+ private:
+  DistSpmmAlgebra& algebra_;
+  const Matrix& t1_;
+};
+
+}  // namespace
+
 void DistSpmmAlgebra::times_weight(const Matrix& t, const Matrix& w,
                                    Matrix& z, EpochStats& stats) {
   // Rows-whole default: T is (local_rows x f_in), W replicated, so Z = T W
@@ -110,21 +133,22 @@ void DistEngine::set_weights(const std::vector<Matrix>& weights) {
   }
 }
 
-const Matrix& DistEngine::forward() {
+const Matrix& DistEngine::forward(Aggregation& agg) {
   const Index layers = config_.num_layers();
 
   for (Index l = 1; l <= layers; ++l) {
     const Index f_out = config_.dims[static_cast<std::size_t>(l)];
 
-    // T = A^T H^(l-1) (the algebra's distributed SpMM; layer 1's was
-    // aggregated once at set-up), then Z = T W.
+    // T = Â^T H^(l-1) (the aggregation's distributed SpMM; layer 1's
+    // aggregate comes whole), then Z = T W.
     auto& z = z_[static_cast<std::size_t>(l)];
     const Matrix& w = weights_[static_cast<std::size_t>(l - 1)];
     if (l > 1) {
-      algebra_->spmm_at(h_[static_cast<std::size_t>(l - 1)], t_buf_, stats_);
+      agg.spmm_at(l, h_[static_cast<std::size_t>(l - 1)], t_buf_, stats_);
       algebra_->times_weight(t_buf_, w, z, stats_);
     } else {
-      algebra_->input_times_weight(t1_, w, z, stats_);
+      input_ = &agg.input(stats_);
+      algebra_->input_times_weight(*input_, w, z, stats_);
     }
 
     if (l == layers) {
@@ -149,11 +173,9 @@ const Matrix& DistEngine::forward() {
   return output_rows_;
 }
 
-void DistEngine::backward() {
+void DistEngine::backward(Aggregation& agg, std::span<const Index> labels,
+                          Real scale) {
   const Index layers = config_.num_layers();
-  const Index local_rows = algebra_->local_rows();
-  const Index row_lo = algebra_->row_lo();
-  const std::vector<Index>& labels = problem_.graph->labels;
 
   algebra_->begin_backward(stats_);
 
@@ -164,17 +186,16 @@ void DistEngine::backward() {
   // so they run as parallel row blocks without changing a bit.
   const Index f_last = config_.dims.back();
   const auto [fL0, fL1] = algebra_->feat_slice(f_last);
-  g_buf_.resize(local_rows, fL1 - fL0);
+  const Index out_rows = output_rows_.rows();
+  CAGNET_CHECK(static_cast<Index>(labels.size()) == out_rows,
+               "backward: one label per output row");
+  g_buf_.resize(out_rows, fL1 - fL0);
   {
     ScopedPhase scope(stats_.profiler, Phase::kMisc);
-    const bool labeled = problem_.labeled_count > 0;
-    const Real scale =
-        labeled ? Real{-1} / static_cast<Real>(problem_.labeled_count)
-                : Real{0};
     const auto rows = [&](Index r0, Index r1) {
       for (Index r = r0; r < r1; ++r) {
-        const Index label = labels[static_cast<std::size_t>(row_lo + r)];
-        if (!labeled || label < 0) {
+        const Index label = labels[static_cast<std::size_t>(r)];
+        if (label < 0) {
           std::fill(g_buf_.row(r).begin(), g_buf_.row(r).end(), Real{0});
           continue;
         }
@@ -184,9 +205,9 @@ void DistEngine::backward() {
         if (label >= fL0 && label < fL1) g_buf_(r, label - fL0) += scale;
       }
     };
-    parallel_for(local_rows,
+    parallel_for(out_rows,
                  plan_chunks(static_cast<double>(g_buf_.size()),
-                             kMinElemsPerChunk, local_rows),
+                             kMinElemsPerChunk, out_rows),
                  rows);
   }
 
@@ -194,30 +215,31 @@ void DistEngine::backward() {
     const Index f_in = config_.dims[static_cast<std::size_t>(l - 1)];
     const Index f_out = config_.dims[static_cast<std::size_t>(l)];
 
-    // U = A G^l (the algebra's transposed distributed SpMM), with full rows
-    // assembled once and reused by both Y^l and G^(l-1) — the paper's
+    // U = Â G^l (the aggregation's transposed distributed SpMM), with full
+    // rows assembled once and reused by both Y^l and G^(l-1) — the paper's
     // intermediate-product reuse. Layer 1 needs no U: its weight gradient
-    // X^T (A G^1) is (T^1)^T G^1, so G^1's rows stand in. Rows-whole
+    // X^T (Â G^1) is (T^1)^T G^1, so G^1's rows stand in. Rows-whole
     // layouts already hold full rows and skip the gather (uniform by the
     // algebra contract).
-    if (l > 1) algebra_->spmm_a(g_buf_, u_buf_, stats_);
+    if (l > 1) agg.spmm_a(l, g_buf_, u_buf_, stats_);
     const Matrix& u = l > 1 ? u_buf_ : g_buf_;
     if (!algebra_->rows_whole()) {
       algebra_->gather_feature_rows(u, f_out, u_rows_buf_, stats_);
     }
     const Matrix& u_rows = algebra_->rows_whole() ? u : u_rows_buf_;
+    const Index rows = u_rows.rows();
 
-    // Y^l = (H^(l-1))^T (A G^l): local slice product, completed into the
+    // Y^l = (H^(l-1))^T (Â G^l): local slice product, completed into the
     // replicated gradient by the algebra's reductions.
     const auto [fi0, fi1] = algebra_->feat_slice(f_in);
     {
       ScopedPhase scope(stats_.profiler, Phase::kMisc);
       y_buf_.resize(fi1 - fi0, f_out);
       gemm(Trans::kYes, Trans::kNo, Real{1},
-           l > 1 ? h_[static_cast<std::size_t>(l - 1)] : t1_, u_rows, Real{0},
-           y_buf_);
+           l > 1 ? h_[static_cast<std::size_t>(l - 1)] : *input_, u_rows,
+           Real{0}, y_buf_);
       stats_.work.add_gemm(algebra_->machine(),
-                           2.0 * static_cast<double>(local_rows) *
+                           2.0 * static_cast<double>(rows) *
                                static_cast<double>(fi1 - fi0) *
                                static_cast<double>(f_out));
     }
@@ -230,7 +252,7 @@ void DistEngine::backward() {
       // slice of W's rows participates.
       ScopedPhase scope(stats_.profiler, Phase::kMisc);
       const Matrix& w = weights_[static_cast<std::size_t>(l - 1)];
-      dh_buf_.resize(local_rows, fi1 - fi0);
+      dh_buf_.resize(rows, fi1 - fi0);
       if (fi0 == 0 && fi1 == f_in) {
         gemm(Trans::kNo, Trans::kYes, Real{1}, u_rows, w, Real{0}, dh_buf_);
       } else {
@@ -239,10 +261,10 @@ void DistEngine::backward() {
              dh_buf_);
       }
       stats_.work.add_gemm(algebra_->machine(),
-                           2.0 * static_cast<double>(local_rows) *
+                           2.0 * static_cast<double>(rows) *
                                static_cast<double>(fi1 - fi0) *
                                static_cast<double>(f_out));
-      g_next_buf_.resize(local_rows, fi1 - fi0);
+      g_next_buf_.resize(rows, fi1 - fi0);
       relu_backward(dh_buf_, z_[static_cast<std::size_t>(l - 1)],
                     g_next_buf_);
       std::swap(g_buf_, g_next_buf_);
@@ -261,46 +283,57 @@ void DistEngine::step() {
 
 void DistEngine::set_start_epoch(int epoch) { epoch_ = epoch; }
 
-EpochResult DistEngine::train_epoch_sampled() {
-  if (sampler_ == nullptr) {
+EpochResult DistEngine::train_epoch() {
+  if (algebra_->run().sample && sampler_ == nullptr) {
+    // Built before the first epoch's meter window opens: its lockstep
+    // batch count is a one-time kControl all-reduce.
     sampler_ = std::make_unique<dist::SampledRunner>(
         problem_, config_, *algebra_, *algebra_->sample_comm());
   }
   Comm& world = algebra_->world();
   const CostMeter before = world.meter();
   stats_ = EpochStats{};
-  stats_.result = sampler_->run_epoch(epoch_, h_[0], weights_, gradients_,
-                                      *optimizer_, stats_);
-  ++epoch_;
-  stats_.comm = world.meter();
-  stats_.comm.subtract(before);
-  return stats_.result;
-}
 
-EpochResult DistEngine::train_epoch() {
-  if (algebra_->run().sample) return train_epoch_sampled();
-  Comm& world = algebra_->world();
-  const CostMeter before = world.meter();
-  stats_ = EpochStats{};
+  if (sampler_ != nullptr) {
+    // Each minibatch runs this forward, backward and step over the batch.
+    stats_.result = sampler_->run_epoch(
+        epoch_, h_[0], stats_,
+        [this](Aggregation& batch) -> const Matrix& { return forward(batch); },
+        [this](Aggregation& batch, std::span<const Index> labels,
+               Real scale) {
+          backward(batch, labels, scale);
+          step();
+        });
+  } else {
+    // Release point for the previous epoch's nonblocking loss reduction:
+    // peers read this rank's loss scratch at their waits, and it is
+    // rewritten below. A handful of atomic loads when already drained.
+    world.quiesce();
 
-  // Release point for the previous epoch's nonblocking loss reduction:
-  // peers read this rank's loss scratch at their waits, and it is
-  // rewritten below. A handful of atomic loads when already drained.
-  world.quiesce();
+    // Arm the algebra's bounded-staleness halo refresh for this epoch.
+    // No-op unless run().stale_k selects a lossy mode.
+    algebra_->begin_epoch(epoch_);
 
-  // Arm the algebra's bounded-staleness halo refresh for this epoch.
-  // No-op unless run().stale_k selects a lossy mode.
-  algebra_->begin_epoch(epoch_);
-
-  forward();
-  // Replicas hold identical output rows; only the primary copies
-  // contribute loss terms to the global reduction.
-  const Matrix empty(0, config_.dims.back());
-  stats_.result = dist::reduce_loss_accuracy(
-      algebra_->owns_loss_rows() ? output_rows_ : empty, algebra_->row_lo(),
-      problem_.graph->labels, problem_.labeled_count, world, loss_scratch_);
-  backward();
-  step();
+    FullBatch whole(*algebra_, t1_);
+    forward(whole);
+    const std::span<const Index> labels =
+        std::span<const Index>(problem_.graph->labels)
+            .subspan(static_cast<std::size_t>(algebra_->row_lo()),
+                     static_cast<std::size_t>(algebra_->local_rows()));
+    // Replicas hold identical output rows; only the primary copies
+    // contribute loss terms to the global reduction.
+    const bool owns = algebra_->owns_loss_rows();
+    const Matrix empty(0, config_.dims.back());
+    stats_.result = dist::reduce_loss_accuracy(
+        owns ? output_rows_ : empty,
+        owns ? labels : std::span<const Index>(), problem_.labeled_count,
+        world, loss_scratch_);
+    backward(whole, labels,
+             problem_.labeled_count > 0
+                 ? Real{-1} / static_cast<Real>(problem_.labeled_count)
+                 : Real{0});
+    step();
+  }
 
   stats_.comm = world.meter();
   stats_.comm.subtract(before);
@@ -321,7 +354,8 @@ Matrix DistEngine::gather_output() {
     // call aggregates T^1 for it, outside every epoch.
     algebra_->begin_epoch(-1);
     if (!aggregated_) aggregate_input();
-    forward();
+    FullBatch whole(*algebra_, t1_);
+    forward(whole);
   }
   Matrix full =
       algebra_->gather_output(output_rows_, problem_.graph->num_vertices());

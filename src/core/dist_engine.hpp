@@ -13,11 +13,16 @@
 // DistSpmmAlgebra is the strategy interface each partitioning implements
 // (see DESIGN.md, "Engine / algebra split"). Adding a new partitioning is
 // one algebra subclass plus a registry entry (algebra_registry.hpp).
+// DistEngine's forward and backward are the only layer loop. They run
+// over an Aggregation — the set-up T^1 and the algebra's spmm_at /
+// spmm_a in a full-batch epoch, a sampled batch's own (dist_sampler.hpp)
+// otherwise — and take every row count from the matrices.
 #pragma once
 
 #include <array>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -233,10 +238,35 @@ class DistSpmmAlgebra {
   RunConfig run_;
 };
 
-/// The single shared trainer: one full-batch GCN epoch (forward, loss,
-/// backward, SGD step) expressed against a DistSpmmAlgebra. Owns the
-/// replicated weights/optimizer, the local activation caches, and the
-/// per-epoch EpochStats.
+/// The aggregations of one pass through DistEngine's layer loop, all
+/// that a full-batch epoch and a sampled batch do differently. Each call
+/// sizes its output to the level it aggregates onto: the local row block
+/// of the whole graph, or a batch's |F_k| rows. Collective whenever the
+/// realization communicates.
+class Aggregation {
+ public:
+  virtual ~Aggregation() = default;
+
+  /// T^1 = Â^T H^0 (f_0 wide), which Z^1 = T^1 W^1 and Y^1 = (T^1)^T G^1
+  /// read. Called once per pass, first; valid until the backward ends.
+  virtual const Matrix& input(EpochStats& stats) = 0;
+
+  /// Forward propagation T^l = Â^T H^(l-1) for a layer l >= 2: `h` is
+  /// the level-(l-1) block of H, `t` receives the level-l block of T.
+  virtual void spmm_at(Index layer, const Matrix& h, Matrix& t,
+                       EpochStats& stats) = 0;
+
+  /// Backward propagation U^l = Â G^l for a layer l >= 2: `g` is the
+  /// level-l block of G, `u` receives the level-(l-1) block of U.
+  virtual void spmm_a(Index layer, const Matrix& g, Matrix& u,
+                      EpochStats& stats) = 0;
+};
+
+/// The single shared trainer: one GCN epoch (forward, loss, backward, SGD
+/// step) expressed against a DistSpmmAlgebra, over the whole graph or, in
+/// a sampled run, once per minibatch. Owns the replicated
+/// weights/optimizer, the local activation caches, and the per-epoch
+/// EpochStats.
 class DistEngine : public DistTrainer {
  public:
   /// Collective constructor: call on every rank of the algebra's world.
@@ -252,9 +282,10 @@ class DistEngine : public DistTrainer {
   /// DistSpmmAlgebra::drain) before the activation buffers are freed.
   ~DistEngine() override;
 
-  /// One full-batch epoch (forward, loss, backward, SGD step). Collective
-  /// over the algebra's world; the returned loss/accuracy are already
-  /// globally reduced (the reduction itself is charged as kControl).
+  /// One epoch: full batch (forward, loss, backward, SGD step), or, in a
+  /// sampled run, the same steps per minibatch (dist::SampledRunner).
+  /// Collective over the algebra's world; the returned loss/accuracy are
+  /// already globally reduced (the reductions are charged as kControl).
   /// last_epoch_stats().comm afterwards holds this rank's per-epoch meter
   /// delta, including the overlap-accounting totals.
   EpochResult train_epoch() override;
@@ -298,10 +329,16 @@ class DistEngine : public DistTrainer {
   void set_start_epoch(int epoch) override;
 
  private:
-  const Matrix& forward();
-  void backward();
+  /// The layer loop's forward over `agg`; returns the full rows of
+  /// this pass's log-probabilities (output_rows_).
+  const Matrix& forward(Aggregation& agg);
+  /// The layer loop's backward over the `agg` of the preceding forward:
+  /// G^L from output_rows_, whose row r has label `labels[r]` (< 0:
+  /// unlabeled, a zero gradient row) and the mean-NLL `scale`, -1 over
+  /// the loss's labeled row count (0 when there are none); then the
+  /// recurrence down to Y^1 and the completed gradient reductions.
+  void backward(Aggregation& agg, std::span<const Index> labels, Real scale);
   void step();
-  EpochResult train_epoch_sampled();
   /// T^1 = A^T X from the resident X block (collective). X is constant —
   /// the model has no dropout and no bias — so layer 1's aggregate never
   /// changes: every epoch runs Z^1 = T^1 W^1 forward and Y^1 =
@@ -317,13 +354,17 @@ class DistEngine : public DistTrainer {
   std::optional<Optimizer> optimizer_;
   std::vector<Matrix> weights_;
   std::vector<Matrix> gradients_;
-  /// Local blocks of H^l, l = 1..L-1. h_[0] holds the X block only in
+  /// Local blocks of H^l, l = 1..L-1: the row block, or in a sampled
+  /// run the current batch's |F_l| rows. h_[0] holds the X block only in
   /// sampled runs (the minibatch features); a full-batch run keeps T^1
   /// instead and frees X at set-up.
   std::vector<Matrix> h_;
-  std::vector<Matrix> z_;  ///< local blocks of Z^l, l = 1..L
-  Matrix t1_;              ///< T^1 = A^T X, layer 1's aggregate
+  std::vector<Matrix> z_;  ///< local blocks of Z^l, l = 1..L (as h_)
+  Matrix t1_;              ///< T^1 = A^T X, layer 1's full-batch aggregate
   bool aggregated_ = false;  ///< t1_ holds T^1
+  /// T^1 of the pass in flight: the forward takes it from its
+  /// aggregation, the backward's Y^1 reads it.
+  const Matrix* input_ = nullptr;
   Matrix output_rows_;     ///< full rows of this rank's H^L block
 
   // Reusable epoch workspaces: sized on first use, allocation-free after

@@ -16,14 +16,23 @@
 // of the same products, restricted to rows outside which the full-batch
 // epoch only ever adds exact zeros.
 //
-// Pipeline (mirroring the PR-5 halo drain discipline): while batch b's
+// The layer math is DistEngine's: a batch runs the engine's forward,
+// backward and optimizer step, and the runner is the Aggregation of that
+// pass — T^1 and the forward / backward SpMMs over the batch's sampled
+// adjacency. The runner keeps only what is specific to sampling: the
+// shuffle, the draws and the exchange plans, the two-slot prefetch, the
+// lockstep batch count and the blocking per-batch loss reduction.
+//
+// Pipeline (the halo path's drain discipline): while batch b's
 // backward and optimizer step run, batch b+1 has already been sampled,
 // its plans built, and its level-0 feature exchange *posted* — the
 // ialltoallv flies behind a whole compute phase and is drained row-set by
 // row-set inside batch b+1's first-layer sweep (halo_spmm_sweep). Two
 // batch slots alternate so nothing is rebuilt in place while peers may
 // still read it; after the first minibatch the hot path is
-// allocation-free (every vector and matrix is resized in place).
+// allocation-free (every vector and matrix is resized in place). The
+// engine's activations hold one batch at a time: the next batch's build
+// touches only its own slot.
 //
 // Lockstep: ranks may own different labeled counts, so the batch count is
 // the all-reduced maximum and ranks that run out of seeds keep issuing
@@ -33,11 +42,12 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <span>
 #include <vector>
 
-#include "src/core/dist_common.hpp"
-#include "src/gnn/optimizer.hpp"
+#include "src/core/dist_engine.hpp"
 
 namespace cagnet {
 
@@ -47,24 +57,13 @@ namespace cagnet {
 /// parity against the full-batch engine.
 inline constexpr Index kSampleAll = std::numeric_limits<Index>::max();
 
-/// The sampled runner's per-run options, taken from RunConfig's sampling
-/// fields.
-struct MiniBatchOptions {
-  Index batch_size = 64;
-  /// Per-hop fanouts, outermost hop first; one per GNN layer.
-  std::vector<Index> fanouts = {15, 10, 5};
-  std::uint64_t seed = 99;
-};
-
-class DistSpmmAlgebra;
-
 namespace dist {
 
 /// The sampled minibatch epoch driver. Owned lazily by DistEngine (one
-/// per engine); weights/gradients/optimizer stay engine-owned so
-/// checkpointing and set_weights keep working unchanged. All methods are
-/// collective over the sample communicator.
-class SampledRunner {
+/// per engine); weights/gradients/optimizer and the layer loop stay
+/// engine-owned, so checkpointing and set_weights keep working unchanged.
+/// All methods are collective over the sample communicator.
+class SampledRunner final : public Aggregation {
  public:
   /// Throws Error unless `run`'s sampling modes fit `config`: one fanout
   /// per layer, and fewer layers than the channel ring. Purely local;
@@ -79,48 +78,38 @@ class SampledRunner {
                 DistSpmmAlgebra& algebra, Comm& comm);
 
   /// One sampled epoch: shuffle this rank's labeled vertices, then for
-  /// every (lockstep) minibatch run sample/pack/exchange -> forward ->
-  /// loss -> backward -> step, with the next batch's build pipelined
-  /// between loss and backward. `epoch` keys the shuffle and sampling RNG
-  /// streams (absolute epoch => restart-deterministic);
-  /// `features_block` is this rank's H^0 row block. Returns the mean
-  /// per-batch loss and the training accuracy over all seeds.
-  EpochResult run_epoch(int epoch, const Matrix& features_block,
-                        std::vector<Matrix>& weights,
-                        std::vector<Matrix>& gradients, Optimizer& optimizer,
-                        EpochStats& stats);
+  /// every (lockstep) minibatch run the engine's `forward` over the batch
+  /// (returning its |F_L| x f_L log-probabilities) -> loss -> the
+  /// engine's `backward` and optimizer step from G^L (one label per
+  /// output row, scale -1/(global seed count)), with the next batch's
+  /// sample/pack/exchange pipelined between loss and backward. `epoch`
+  /// keys the shuffle and sampling RNG streams (absolute epoch =>
+  /// restart-deterministic); `features_block` is this rank's H^0 row
+  /// block. Returns the mean per-batch loss and the training accuracy
+  /// over all seeds.
+  EpochResult run_epoch(
+      int epoch, const Matrix& features_block, EpochStats& stats,
+      const std::function<const Matrix&(Aggregation&)>& forward,
+      const std::function<void(Aggregation&, std::span<const Index>, Real)>&
+          backward);
 
  private:
   /// The exchange between level k and level k+1 of one batch slot: the
-  /// sampled stripe rows, the per-batch halo plan over them, and the
-  /// forward/backward block pair.
+  /// per-batch halo plan over the sampled rows and the forward/backward
+  /// block pair.
   struct Exchange {
     HaloPlan plan;  ///< per-batch need/send over the sampled rows
-    /// Sampled A^T stripe rows of the upper level's targets (ascending
-    /// columns within each row; global column ids).
-    std::vector<Index> samp_row_ptr;
-    std::vector<Index> samp_cols;
-    std::vector<Real> samp_vals;
     /// Owner-compacted transposes of plan.blocks (backward operators).
     std::vector<Csr> tblocks;
-    /// 0..recv_total-1: the backward pack rows (contributions to every
-    /// received row travel back to its owner in recv order).
-    std::vector<Index> pack_identity;
-    Matrix partial;  ///< stacked (recv_total + |F_k|) x f_out contributions
-    std::size_t recv_total = 0;
   };
 
-  /// One receptive-field level of one batch slot.
-  struct Level {
-    std::vector<Index> targets;  ///< this rank's F_k rows, global ascending
-    Matrix h;  ///< |F_k| x f_k activations (level L: log-probabilities)
-    Matrix z;  ///< |F_k| x f_k pre-activations (ReLU mask, levels 1..L-1)
-  };
-
-  /// One pipelined batch: levels 0..L, exchanges 0..L-1, and the posted
-  /// level-0 feature exchange.
+  /// One pipelined batch: the receptive-field levels 0..L, exchanges
+  /// 0..L-1, and the posted level-0 feature exchange.
   struct Slot {
-    std::vector<Level> levels;
+    /// Per level k, this rank's F_k rows, global ascending.
+    std::vector<std::vector<Index>> targets;
+    std::vector<Index> seed_labels;  ///< labels of F_L (the seeds)
+    Matrix features;  ///< |F_0| x f_0 compacted H^0 rows
     std::vector<Exchange> exch;
     PendingOp h0_op;  ///< in-flight feature exchange
   };
@@ -132,20 +121,18 @@ class SampledRunner {
   /// deterministic).
   void build_batch(Slot& slot, int epoch, Index batch,
                    const Matrix& features_block, EpochStats& stats);
-  void forward_batch(Slot& slot, const std::vector<Matrix>& weights,
-                     EpochStats& stats);
-  /// Reduced {loss_sum, hits, seeds} of the batch (kControl).
-  std::array<double, 3> reduce_batch_loss(Slot& slot, EpochStats& stats);
-  void backward_batch(Slot& slot, const std::vector<Matrix>& weights,
-                      std::vector<Matrix>& gradients, double global_seeds,
-                      EpochStats& stats);
+
+  // Aggregation over the current batch's exchanges.
+  const Matrix& input(EpochStats& stats) override;
+  void spmm_at(Index layer, const Matrix& h, Matrix& t,
+               EpochStats& stats) override;
+  void spmm_a(Index layer, const Matrix& g, Matrix& u,
+              EpochStats& stats) override;
 
   const DistProblem& problem_;
   const GnnConfig& config_;
   DistSpmmAlgebra& algebra_;
   Comm& comm_;
-  MachineModel machine_;
-  MiniBatchOptions options_;
 
   Index row_lo_ = 0;
   Index row_hi_ = 0;
@@ -154,10 +141,16 @@ class SampledRunner {
   Index batches_ = 0;              ///< lockstep batches per epoch
 
   std::array<Slot, 2> slots_;  ///< pipelined batch double-buffer
+  Slot* cur_ = nullptr;        ///< the batch the engine's pass runs over
 
   // Shared per-rank scratch (reused across batches; never pipelined).
   std::vector<Index> shuffled_;   ///< this epoch's shuffled labeled rows
   std::vector<Index> picked_;     ///< Floyd sample positions of one row
+  /// Sampled A^T stripe rows of one hop's upper targets (ascending
+  /// columns within each row; global column ids).
+  std::vector<Index> samp_row_ptr_;
+  std::vector<Index> samp_cols_;
+  std::vector<Real> samp_vals_;
   std::vector<Index> needs_;      ///< deduped sampled rows of one hop
   std::vector<Index> pos_;        ///< global row -> compact position (n)
   std::vector<std::uint64_t> stamp_;  ///< dedup stamps (n)
@@ -167,13 +160,12 @@ class SampledRunner {
   std::vector<Index> curs_;       ///< per-owner fill cursors (P)
   std::vector<Index> tscratch_;   ///< Csr::transposed_into scratch
   Gathered<Index> requested_;     ///< need-list exchange staging
-  Matrix t1_buf_;  ///< T^1 = (sampled A^T) H^0, kept for the backward's Y^1
-  Matrix t_buf_;   ///< T = (sampled A^T) H, layers >= 2, consumed into z
-  Matrix g_buf_;   ///< G^k compact (ping)
-  Matrix g_next_;  ///< G^(k-1) compact (pong)
-  Matrix u_buf_;   ///< U = (sampled A) G compact
-  Matrix dh_buf_;  ///< U (W^k)^T before the ReLU mask
-  Matrix y_buf_;   ///< weight-gradient partial
+  Matrix t1_;       ///< T^1 = (sampled A^T) H^0 of the current batch
+  /// Stacked (received + |F_k|) x f backward contributions of one layer.
+  Matrix partial_;
+  /// 0, 1, 2, ...: the backward's pack rows (contributions to every
+  /// received row travel back to its owner in recv order).
+  std::vector<Index> iota_;
 };
 
 }  // namespace dist

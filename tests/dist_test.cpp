@@ -864,6 +864,25 @@ TEST(Overlap, SingleRankRegionsSaveNothing) {
   }
 }
 
+TEST(Overlap, ReducedSavingIsTheLargestRankSaving) {
+  // Rank 0 serialized 4 s and overlapped 1 s (a 3 s saving), rank 1 5 s
+  // and 4.5 s (0.5 s). The reduced saving is rank 0's 3 s; maxing the two
+  // totals separately would read 5 - 4.5 = 0.5 s, which pairs rank 1's
+  // serialized seconds with its own overlapped ones and drops rank 0's.
+  run_world(2, [](Comm& world) {
+    EpochStats mine;
+    if (world.rank() == 0) {
+      mine.comm.restore_overlap_totals(4, 1, 1);
+    } else {
+      mine.comm.restore_overlap_totals(5, 4.5, 1);
+    }
+    const EpochStats reduced = EpochStats::reduce_max(mine, world);
+    EXPECT_EQ(reduced.comm.overlap_serialized_seconds(), 5.0);
+    EXPECT_EQ(reduced.comm.overlap_saved_seconds(), 3.0);
+    EXPECT_EQ(reduced.comm.overlap_regions(), 1.0);
+  });
+}
+
 TEST(EpochCache, CachedEpochsReplayChargesExactly) {
   // The stage blocks and A arrive at construction; every epoch replays
   // their charges and must charge, bit for bit, what the per-epoch

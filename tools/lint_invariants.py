@@ -47,6 +47,12 @@ Each rule pins a convention the runtime's correctness story depends on
                    its doc comment: a run mode is something a user can
                    select, so a test-only switch between two code paths
                    cannot come back as a field unnoticed.
+  one-layer-loop   relu(, relu_backward( and log_softmax_rows( are
+                   called in src/ only from DistEngine's layer loop
+                   (src/core/dist_engine.cpp) and the serial oracle
+                   (src/gnn/serial_trainer.cpp): a second distributed
+                   copy of the layer math (as the sampled runner once
+                   had) drifts from the first whenever a layer changes.
 
 Run from the repo root (CI does):  python3 tools/lint_invariants.py
 Self-test (seeded violations, one per rule):  ... --self-test
@@ -455,6 +461,34 @@ def check_runconfig_knobs(root):
     return violations
 
 
+# ---- rule: one-layer-loop ----------------------------------------------
+
+LAYER_OP_RE = re.compile(r"\b(relu|relu_backward|log_softmax_rows)\s*\(")
+# Where the activations are defined, and their two permitted callers.
+LAYER_OP_SITES = ("src/dense/ops.hpp", "src/dense/ops.cpp",
+                  "src/core/dist_engine.cpp", "src/gnn/serial_trainer.cpp")
+
+
+def check_one_layer_loop(root):
+    violations = []
+    for path in sorted((root / "src").rglob("*")):
+        if path.suffix not in (".cpp", ".hpp"):
+            continue
+        rel = path.relative_to(root).as_posix()
+        if rel in LAYER_OP_SITES:
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            hit = LAYER_OP_RE.search(line.split("//", 1)[0])
+            if hit:
+                violations.append(
+                    f"{rel}:{lineno}: one-layer-loop: `{hit.group(1)}(` "
+                    f"outside DistEngine's layer loop "
+                    f"(src/core/dist_engine.cpp) and the serial oracle — "
+                    f"run the layer through DistEngine::forward/backward "
+                    f"over an Aggregation instead")
+    return violations
+
+
 # ---- driver ------------------------------------------------------------
 
 RULES = [
@@ -466,6 +500,7 @@ RULES = [
     ("entry-wrapper", check_entry_wrapper),
     ("fma-free-clones", check_fma_free_clones),
     ("runconfig-knobs", check_runconfig_knobs),
+    ("one-layer-loop", check_one_layer_loop),
 ]
 
 
@@ -522,6 +557,9 @@ def build_seeded_tree(tmp):
     # hot-path-alloc: a marked function that allocates.
     cpp_parts.append(
         "// [[hot-path]]\nvoid hot() { auto* p = new int(1); (void)p; }\n")
+    # one-layer-loop: a ReLU outside the engine's layer loop.
+    (tmp / "src/core/dist_sampler.cpp").write_text(
+        "void forward_batch(Matrix& z, Matrix& h) { relu(z, h); }\n")
     # fma-free-clones: an avx512f clone beside the allowed ones.
     cpp_parts.append(
         '__attribute__((target_clones("avx512f", "avx2", "default")))\n'
@@ -582,6 +620,8 @@ def self_test():
              lambda: check_fma_free_clones(tmp)),
             ("runconfig-knobs", "RunConfig::second_path names no",
              lambda: check_runconfig_knobs(tmp)),
+            ("one-layer-loop", "dist_sampler.cpp:1: one-layer-loop",
+             lambda: check_one_layer_loop(tmp)),
         ]
         for name, marker, rule in expectations:
             found = [v for v in rule() if marker in v]
