@@ -106,7 +106,7 @@ struct EpochStats {
   /// Collective: component-wise max over ranks (bulk-synchronous epochs
   /// are paced by the slowest rank), metered as control traffic. The
   /// overlap totals keep the largest serialized seconds and the largest
-  /// rank's saving (serialized - overlapped).
+  /// per-rank saving (serialized - overlapped).
   static EpochStats reduce_max(const EpochStats& mine, Comm& comm);
 };
 

@@ -239,10 +239,11 @@ class DistSpmmAlgebra {
 };
 
 /// The aggregations of one pass through DistEngine's layer loop, all
-/// that a full-batch epoch and a sampled batch do differently. Each call
-/// sizes its output to the level it aggregates onto: the local row block
-/// of the whole graph, or a batch's |F_k| rows. Collective whenever the
-/// realization communicates.
+/// that a full-batch epoch and a sampled batch do differently: Â is A,
+/// or a batch's sampled restriction of it. Each result has the rows of
+/// the level it aggregates onto: the local row block of the whole graph,
+/// or a batch's |F_k| rows. Collective whenever the realization
+/// communicates.
 class Aggregation {
  public:
   virtual ~Aggregation() = default;

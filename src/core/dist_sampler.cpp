@@ -360,20 +360,17 @@ const Matrix& SampledRunner::input(EpochStats& stats) {
 
 void SampledRunner::spmm_at(Index layer, const Matrix& h, Matrix& t,
                             EpochStats& stats) {
-  // Deeper layers begin their exchange inline on the just-computed
-  // activations.
+  // Deeper layers exchange inline on the just-computed activations: the
+  // plan's begin + sweep (it never arms staleness or pre-aggregation).
   const int rank = comm_.rank();
   HaloPlan& plan = cur_->exch[static_cast<std::size_t>(layer) - 1].plan;
-  PendingOp op = halo_exchange_begin(
-      h, std::span<const Index>(plan.send_rows),
-      std::span<const std::size_t>(plan.send_row_offsets), comm_, plan,
-      CommCategory::kHalo, stats.profiler);
   t.resize(static_cast<Index>(
                cur_->targets[static_cast<std::size_t>(layer)].size()),
            h.cols());
   t.set_zero();
-  halo_spmm_sweep(op, h, &plan.blocks[static_cast<std::size_t>(rank)], rank,
-                  comm_, plan, algebra_.machine(), stats, t);
+  halo_spmm_pipeline(h, &plan.blocks[static_cast<std::size_t>(rank)], rank,
+                     comm_, plan, CommCategory::kHalo, algebra_.machine(),
+                     stats, t);
 }
 
 void SampledRunner::spmm_a(Index layer, const Matrix& g, Matrix& u,
