@@ -528,8 +528,9 @@ std::string pin_literal(const SampledPinCase& got) {
   return out;
 }
 
-// Recorded before the sampled batch ran through DistEngine's layer loop,
-// when SampledRunner had a forward and backward of its own.
+// Recorded from SampledRunner's own forward and backward, before sampled
+// batches ran through DistEngine's layer loop, so that merge is held to
+// every bit these runs compute and charge.
 std::vector<SampledPinCase> sampled_pins() {
   return {
       {"p4 greedy-bfs", 4,
