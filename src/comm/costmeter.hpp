@@ -6,10 +6,10 @@
 // trpose decomposition can be regenerated.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <string>
+#include <utility>
 
 #include "src/comm/machine.hpp"
 
@@ -74,12 +74,13 @@ class CostMeter {
   double overlap_serialized_seconds() const { return overlap_serialized_; }
   /// Sum over regions of max(comm, compute) (the overlapped reading).
   double overlap_overlapped_seconds() const { return overlap_overlapped_; }
-  /// Modeled seconds hidden by overlap: serialized - overlapped. Clamped
-  /// at zero: per region max(c, w) <= c + w exactly, but an epoch's
-  /// totals are differences of cumulative sums, which can leave the
-  /// difference one ulp negative when every region's saving is ~0.
+  /// Modeled seconds hidden by overlap: serialized - overlapped. Never
+  /// negative for totals summed from zero (a MeterWindow, or a whole
+  /// run): each region adds c + w >= max(c, w) to the two sums in the
+  /// same order, and rounding is monotone, so the serialized sum stays
+  /// at or above the overlapped one at every step.
   double overlap_saved_seconds() const {
-    return std::max(0.0, overlap_serialized_ - overlap_overlapped_);
+    return overlap_serialized_ - overlap_overlapped_;
   }
   /// Number of regions recorded (a double so cross-rank reductions can
   /// serialize it alongside the other totals).
@@ -139,6 +140,32 @@ class CostMeter {
   bool region_open_ = false;
   std::array<double, kNumCategories> region_lat_mark_ = {};
   std::array<double, kNumCategories> region_words_mark_ = {};
+};
+
+/// One window of a rank's charges, summed from zero: construction sets
+/// the meter's totals aside and restarts it empty, destruction (unwinding
+/// included) folds the window into the totals set aside. A window's
+/// overlap totals are therefore the same bits wherever the window falls
+/// in a run, which a difference of the run's cumulative double sums is
+/// not. Windows nest.
+class MeterWindow {
+ public:
+  explicit MeterWindow(CostMeter& meter)
+      : meter_(meter), outer_(std::exchange(meter, CostMeter{})) {}
+  ~MeterWindow() {
+    outer_.merge_sum(meter_);
+    meter_ = outer_;
+  }
+
+  MeterWindow(const MeterWindow&) = delete;
+  MeterWindow& operator=(const MeterWindow&) = delete;
+
+  /// The charges since construction.
+  const CostMeter& charges() const { return meter_; }
+
+ private:
+  CostMeter& meter_;
+  CostMeter outer_;
 };
 
 }  // namespace cagnet

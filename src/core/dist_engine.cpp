@@ -291,7 +291,9 @@ EpochResult DistEngine::train_epoch() {
         problem_, config_, *algebra_, *algebra_->sample_comm());
   }
   Comm& world = algebra_->world();
-  const CostMeter before = world.meter();
+  // The epoch's charges sum from zero and fold into the cumulative meter
+  // when it returns, so every epoch of a run reads the same overlap bits.
+  const MeterWindow window(world.meter());
   stats_ = EpochStats{};
 
   if (sampler_ != nullptr) {
@@ -335,8 +337,7 @@ EpochResult DistEngine::train_epoch() {
     step();
   }
 
-  stats_.comm = world.meter();
-  stats_.comm.subtract(before);
+  stats_.comm = window.charges();
   ++epoch_;
   return stats_.result;
 }

@@ -60,7 +60,7 @@ class DistSpmmAlgebra {
   /// Registry / display name ("1d", "2d", ...). Purely local.
   virtual const char* name() const = 0;
 
-  /// The world communicator (loss reduction, stats, meter deltas). The
+  /// The world communicator (loss reduction, stats, meter windows). The
   /// returned Comm's meter carries every charge this algebra makes, since
   /// meters are shared across split sub-communicators.
   virtual Comm& world() = 0;
@@ -287,8 +287,8 @@ class DistEngine : public DistTrainer {
   /// sampled run, the same steps per minibatch (dist::SampledRunner).
   /// Collective over the algebra's world; the returned loss/accuracy are
   /// already globally reduced (the reductions are charged as kControl).
-  /// last_epoch_stats().comm afterwards holds this rank's per-epoch meter
-  /// delta, including the overlap-accounting totals.
+  /// last_epoch_stats().comm afterwards holds this rank's charges of the
+  /// epoch, summed from zero (a MeterWindow), overlap totals included.
   EpochResult train_epoch() override;
 
   /// Stats of the most recent epoch (this rank's view). Purely local.
