@@ -149,7 +149,7 @@ void drain_if_outside_region(const CommState& st, int rank) noexcept {
                                      const OpContext& ctx) {
   drain_if_outside_region(st, ctx.rank);
   throw CommAborted(ctx.rank, ctx.op, ctx.cat, FaultSite::kWait,
-                    "a peer rank failed");
+                    CommAborted::kPeerFailure);
 }
 
 }  // namespace
@@ -639,7 +639,7 @@ void Comm::reduce_scatter_sum_compressed(std::span<const Real> contrib,
 
 namespace {
 
-/// True for the "a peer rank failed" form of CommAborted: a casualty of
+/// True for the peer-failure form of CommAborted: a casualty of
 /// someone else's failure, not a root cause. Which rank wins the race to
 /// run_world's error slot is timing-dependent (under TSan's scheduling a
 /// casualty regularly beats the rank that actually died), so run_world
@@ -649,7 +649,7 @@ bool is_secondary_abort(const std::exception_ptr& error) noexcept {
   try {
     std::rethrow_exception(error);
   } catch (const CommAborted& e) {
-    return e.cause() == "a peer rank failed";
+    return e.peer_failure();
   } catch (...) {
     return false;
   }

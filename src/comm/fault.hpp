@@ -81,6 +81,12 @@ class CommAborted : public Error {
   FaultSite site() const { return site_; }
   /// Why: injected kill / poisoned payload / peer failure.
   const std::string& cause() const { return cause_; }
+  /// True for the casualty form: this rank unwound because another rank
+  /// failed, not because its own op did.
+  bool peer_failure() const { return cause_ == kPeerFailure; }
+
+  /// The cause of every casualty abort.
+  static constexpr const char* kPeerFailure = "a peer rank failed";
 
  private:
   int rank_;

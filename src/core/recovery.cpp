@@ -1,6 +1,6 @@
 #include "src/core/recovery.hpp"
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -30,9 +30,10 @@ RecoveryReport train_with_recovery(const std::string& algebra,
   report.epochs = epochs;
   report.losses.assign(static_cast<std::size_t>(epochs), Real{0});
 
-  // Rank 0's completed-epoch count for the current attempt, read after an
-  // abort to account the epochs the next attempt must re-train.
-  std::atomic<int> completed{0};
+  // Where the attempt's fault landed: the epochs completed by the rank
+  // whose own op failed, fixed by that rank's program order. A survivor's
+  // count at the moment the abort reached it depends on thread timing.
+  int fault_epoch = -1;
   std::mutex report_mutex;
 
   for (;;) {
@@ -50,24 +51,25 @@ RecoveryReport train_with_recovery(const std::string& algebra,
                        std::to_string(epochs) + " epochs)");
       have_ckpt = true;
     }
-    completed.store(start, std::memory_order_relaxed);
+    fault_epoch = -1;
 
     try {
       run_world(p, [&](Comm& world) {
-        auto trainer =
-            make_dist_trainer(algebra, problem, config, world, options.run);
-        if (have_ckpt) trainer->set_weights(ckpt.weights);
-        // Resume epoch-keyed RNG streams (sampled training) where the
-        // uninterrupted run would be; a no-op for full-batch trainers.
-        trainer->set_start_epoch(start);
-        for (int e = start; e < epochs; ++e) {
-          const Real loss = trainer->train_epoch().loss;
-          if (world.rank() == 0) {
+        int e = start;
+        try {
+          auto trainer =
+              make_dist_trainer(algebra, problem, config, world, options.run);
+          if (have_ckpt) trainer->set_weights(ckpt.weights);
+          // Resume epoch-keyed RNG streams (sampled training) where the
+          // uninterrupted run would be; a no-op for full-batch trainers.
+          trainer->set_start_epoch(start);
+          for (; e < epochs; ++e) {
+            const Real loss = trainer->train_epoch().loss;
+            if (world.rank() != 0) continue;
             {
               std::lock_guard<std::mutex> lock(report_mutex);
               report.losses[static_cast<std::size_t>(e)] = loss;
             }
-            completed.store(e + 1, std::memory_order_relaxed);
             if (every > 0 && (e + 1) % every == 0 && e + 1 < epochs) {
               const auto t0 = std::chrono::steady_clock::now();
               save_checkpoint(path, trainer->weights(),
@@ -79,24 +81,32 @@ RecoveryReport train_with_recovery(const std::string& algebra,
               ++report.checkpoints_written;
             }
           }
-        }
-        if (world.rank() == 0) {
-          std::lock_guard<std::mutex> lock(report_mutex);
-          report.weights = trainer->weights();
+          if (world.rank() == 0) {
+            std::lock_guard<std::mutex> lock(report_mutex);
+            report.weights = trainer->weights();
+          }
+        } catch (const CommAborted& abort) {
+          if (!abort.peer_failure()) {
+            std::lock_guard<std::mutex> lock(report_mutex);
+            fault_epoch = fault_epoch < 0 ? e : std::min(fault_epoch, e);
+          }
+          throw;
         }
       });
       return report;
     } catch (const CommAborted& abort) {
       report.last_abort = abort;
       ++report.restarts;
-      // Epochs finished this attempt but not yet durable: the next
-      // attempt resumes from the latest checkpoint and re-trains them.
+      // Epochs the world finished before the fault but no checkpoint
+      // covers: the next attempt resumes from the latest checkpoint and
+      // re-trains them.
       int durable = 0;
       if (std::filesystem::exists(path)) {
         durable = static_cast<int>(load_checkpoint(path).epoch);
       }
-      const int reached = completed.load(std::memory_order_relaxed);
-      if (reached > durable) report.retrained_epochs += reached - durable;
+      if (fault_epoch > durable) {
+        report.retrained_epochs += fault_epoch - durable;
+      }
       if (report.restarts > options.max_restarts) throw;
     }
   }

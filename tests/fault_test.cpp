@@ -498,6 +498,32 @@ TEST(RecoveryDrill, RestartIsBitwiseAcrossAlgebras) {
   }
 }
 
+TEST(RecoveryDrill, RetrainedEpochsRepeatRunToRun) {
+  // bench_recovery's 1d P = 4 cell that kills rank 1 at its 48th wait:
+  // the fault lands in the third epoch, after checkpoint 2, and rank 0
+  // may or may not have finished that epoch when the abort reaches it.
+  // The count comes from the epoch the faulting rank was in, so every
+  // repetition reads 0; rank 0's own count at the abort read 0 or 1.
+  const Graph g = small_graph(512, 8, 8, 4, 2020);
+  const GnnConfig config = GnnConfig::three_layer(8, 4, 6);
+  const DistProblem problem = DistProblem::prepare(g);
+  const std::string path = temp_path("cagnet_drill_retrained.ckpt");
+  RecoveryOptions options;
+  options.ckpt_path = path;
+  options.ckpt_every = 2;
+  for (int rep = 0; rep < 10; ++rep) {
+    RecoveryReport report;
+    {
+      FaultPlanGuard guard(FaultPlan().kill_any(1, FaultSite::kWait, 48));
+      report = train_with_recovery("1d", problem, config, 4, 10, options);
+    }
+    EXPECT_EQ(report.restarts, 1) << "repetition " << rep;
+    EXPECT_EQ(report.retrained_epochs, 0) << "repetition " << rep;
+    EXPECT_EQ(report.checkpoints_written, 4) << "repetition " << rep;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(RecoveryDrill, RestartFromScratchWhenKilledBeforeFirstCheckpoint) {
   const Graph g = small_graph(96, 4, 8, 4, 31);
   GnnConfig config = GnnConfig::three_layer(8, 4, 6);
