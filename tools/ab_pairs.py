@@ -27,9 +27,17 @@ direction; ties count for neither side) and a verdict:
   equal       every run on both sides read the same value;
   ok          otherwise.
 
+perfbench/run.py configures its build only when
+.bench_build/perfbench/CMakeCache.txt is missing, so a checkout copied
+together with its .bench_build keeps building the tree it was copied
+from. Before any run, each side's cache must name that side's own
+perfbench/ as its source directory; otherwise the script names the side
+and exits with status 2.
+
 The exit status is nonzero when any run is not `correct` (or printed no
 result); the summary is printed either way. --self-test checks the
-summary on a fixed synthetic table. Nothing under perfbench/ is changed.
+summary on a fixed synthetic table and the build check on temporary
+checkouts. Nothing under perfbench/ is changed.
 """
 
 import argparse
@@ -38,6 +46,7 @@ import math
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -145,9 +154,32 @@ def run_once(checkout, workload, seed, seconds):
         return None, lines[-1]
 
 
+def foreign_build(checkout):
+    """The source directory of `checkout`'s perfbench build when it is
+    not the checkout's own perfbench/, else None (no build yet, or the
+    right one)."""
+    cache = checkout / ".bench_build" / "perfbench" / "CMakeCache.txt"
+    if not cache.is_file():
+        return None
+    for line in cache.read_text(errors="replace").splitlines():
+        if line.startswith("CMAKE_HOME_DIRECTORY:"):
+            home = Path(line.split("=", 1)[1].strip())
+            if home.resolve() != (checkout / "perfbench").resolve():
+                return home
+    return None
+
+
 def run_pairs(args):
     dirs = {"parent": Path(args.parent).resolve(),
             "change": Path(args.change).resolve()}
+    wrong = {side: foreign_build(d) for side, d in dirs.items()}
+    wrong = {side: home for side, home in wrong.items() if home is not None}
+    for side, home in wrong.items():
+        print(f"ab_pairs: the {side} side ({dirs[side]}) has a perfbench "
+              f"build of {home}; remove {dirs[side] / '.bench_build'} so "
+              "it builds its own tree", file=sys.stderr)
+    if wrong:
+        return 2
     with open(dirs["change"] / "BENCHMARK.json") as f:
         specs = json.load(f)["end_to_end"]
     raw_path = (Path(args.raw) if args.raw else
@@ -243,13 +275,53 @@ def self_test():
             for s, v in zip(SIDES, (p, c))]
     if summarize(fast, specs[:1])[0]["verdict"] != "ok":
         failures.append("a change better than every parent run is not ok")
+    failures += check_foreign_builds()
     for failure in failures:
         print(f"ab_pairs --self-test: {failure}")
     if failures:
         return 1
     print_summary(summarize(runs, specs))
-    print(f"\nab_pairs --self-test: OK ({len(expect) + 1} checks)")
+    print(f"\nab_pairs --self-test: OK ({len(expect) + 2} checks)")
     return 0
+
+
+def check_foreign_builds():
+    """A side whose .bench_build was copied from another tree is refused
+    before any run; a side with its own build, or none, is accepted."""
+    failures = []
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, home in (("own", tmp / "own" / "perfbench"),
+                           ("copied", tmp / "own" / "perfbench")):
+            cache = tmp / name / ".bench_build" / "perfbench"
+            cache.mkdir(parents=True)
+            (cache / "CMakeCache.txt").write_text(
+                f"CMAKE_HOME_DIRECTORY:INTERNAL={home}\n")
+        (tmp / "fresh").mkdir()
+        for name, want in (("own", None), ("fresh", None),
+                           ("copied", tmp / "own" / "perfbench")):
+            got = foreign_build(tmp / name)
+            if got != want:
+                failures.append(f"foreign_build({name}): got {got}, "
+                                f"want {want}")
+        global run_once
+        real_run_once, calls = run_once, []
+
+        def record_run(*args):
+            calls.append(args)
+            return None, ""
+
+        run_once = record_run
+        try:
+            args = argparse.Namespace(parent=str(tmp / "own"),
+                                      change=str(tmp / "copied"))
+            status = run_pairs(args)
+        finally:
+            run_once = real_run_once
+        if status != 2 or calls:
+            failures.append(f"a copied build: status {status} after "
+                            f"{len(calls)} runs, want 2 after none")
+    return failures
 
 
 def main(argv):
