@@ -32,6 +32,8 @@
 //                           the slice (IV-A.4).
 // Layer 1's forward runs once, at set-up (T^1 = A^T X, completed by
 // complete_spmm_at), and its backward needs no AG^1 (see dist_engine.hpp).
+// A narrowing layer aggregates H W (a local GEMM), so no GEMM follows its
+// SpMM and complete_spmm_at drains its team reduction too.
 //
 // At c = 1 the metered cost matches Section IV-A.5 with edgecut =
 // n(P-1)/P (the random / broadcast-based bound; Algorithm 1 broadcasts
@@ -100,7 +102,9 @@ class Algebra15D final : public DistSpmmAlgebra {
   void times_weight(const Matrix& t, const Matrix& w, Matrix& z,
                     EpochStats& stats) override;
   /// For c > 1, waits out the deferred team reduction at once and leaves
-  /// the reduced T in `t`, charged like times_weight's chunks.
+  /// the reduced T in `t`, charged like times_weight's chunks: the
+  /// set-up's T^1 and a narrowing layer's Z = A^T (H W), which no GEMM
+  /// follows to hide the reduction behind.
   void complete_spmm_at(Matrix& t, EpochStats& stats) override;
 
   void begin_reduce_gradients(Matrix& y_partial, Index f_in, Index f_out,
@@ -190,7 +194,8 @@ class Algebra15D final : public DistSpmmAlgebra {
   Matrix u_partial_;  ///< stacked stripe outer-product partial (reused)
 
   /// Deferred team (replica) all-reduce of T, posted by spmm_at and
-  /// drained chunk-by-chunk in times_weight. The chunk charges telescope
+  /// drained chunk-by-chunk in times_weight (at once in
+  /// complete_spmm_at). The chunk charges telescope
   /// (cumulative-bytes differences) so their sum is bitwise the one-shot
   /// all-reduce charge for any team size.
   struct DeferredTeamReduce {

@@ -218,12 +218,12 @@ void Algebra3D::times_weight(const Matrix& t, const Matrix& w, Matrix& z,
                                    machine(), stats, ws_, z);
 }
 
-void Algebra3D::input_times_weight(const Matrix& t1, const Matrix& w,
+void Algebra3D::input_times_weight(const Matrix& x, const Matrix& w,
                                    Matrix& z, EpochStats& stats) {
-  // Z^1 = T^1 W^1: each rank multiplies its slice of the f_0-wide T^1 by
-  // W^1's matching rows and the within-layer process row sums the
-  // f_1-wide terms, so no T^1 panel moves.
-  dist::reduce_times_weight(t1, w, grid_.q, grid_.j, grid_.row, machine(),
+  // Z^1 = T^1 W^1, or a narrowing layer's H W: each rank multiplies its
+  // feature slice of X by W's matching rows and the within-layer process
+  // row sums the f_out-wide terms, so no panel of X moves.
+  dist::reduce_times_weight(x, w, grid_.q, grid_.j, grid_.row, machine(),
                             stats, ws_, z);
 }
 

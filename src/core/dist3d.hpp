@@ -97,7 +97,7 @@ class Algebra3D final : public DistSpmmAlgebra {
   void spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) override;
   void times_weight(const Matrix& t, const Matrix& w, Matrix& z,
                     EpochStats& stats) override;
-  void input_times_weight(const Matrix& t1, const Matrix& w, Matrix& z,
+  void input_times_weight(const Matrix& x, const Matrix& w, Matrix& z,
                           EpochStats& stats) override;
   void gather_feature_rows(const Matrix& local, Index f, Matrix& full,
                            EpochStats& stats) override;

@@ -612,7 +612,7 @@ void partial_summa_times_weight(const Matrix& t, const Matrix& w, int parts,
 /// f_out * (parts-1)/parts < f_in, so always when f_out <= f_in.
 /// Algebra3D's Z^1 = T^1 W^1 (the paper datasets and the benchmark
 /// workloads have f_1 = 16 against f_0 of 128 to 602; DESIGN.md
-/// "Substitutions").
+/// "Substitutions") and a narrowing layer's H^(l-1) W^l.
 void reduce_times_weight(const Matrix& t, const Matrix& w, int parts,
                          int my_col, Comm& row_comm,
                          const MachineModel& machine, EpochStats& stats,

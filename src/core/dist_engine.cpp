@@ -97,6 +97,7 @@ DistEngine::DistEngine(const DistProblem& problem, GnnConfig config,
   gradients_.resize(weights_.size());
   const auto layers = static_cast<std::size_t>(config_.num_layers());
   h_.resize(layers + 1);
+  hw_.resize(layers + 1);
   z_.resize(layers + 1);
   const auto [f0, f1] = algebra_->feat_slice(config_.dims.front());
   h_[0] = g.features.block(algebra_->row_lo(), f0, algebra_->local_rows(),
@@ -137,18 +138,27 @@ const Matrix& DistEngine::forward(Aggregation& agg) {
   const Index layers = config_.num_layers();
 
   for (Index l = 1; l <= layers; ++l) {
+    const Index f_in = config_.dims[static_cast<std::size_t>(l - 1)];
     const Index f_out = config_.dims[static_cast<std::size_t>(l)];
 
-    // T = Â^T H^(l-1) (the aggregation's distributed SpMM; layer 1's
-    // aggregate comes whole), then Z = T W.
+    // Z = (Â^T H^(l-1)) W, with the aggregation's distributed SpMM at the
+    // narrower of the two widths: a narrowing layer multiplies first, Z =
+    // Â^T (H^(l-1) W), so its SpMM and exchange move f_out columns, not
+    // f_in. Layer 1's aggregate comes whole.
     auto& z = z_[static_cast<std::size_t>(l)];
     const Matrix& w = weights_[static_cast<std::size_t>(l - 1)];
-    if (l > 1) {
-      agg.spmm_at(l, h_[static_cast<std::size_t>(l - 1)], t_buf_, stats_);
-      algebra_->times_weight(t_buf_, w, z, stats_);
-    } else {
+    const Matrix& h = h_[static_cast<std::size_t>(l - 1)];
+    if (l == 1) {
       input_ = &agg.input(stats_);
       algebra_->input_times_weight(*input_, w, z, stats_);
+    } else if (f_out < f_in) {
+      auto& hw = hw_[static_cast<std::size_t>(l)];
+      algebra_->input_times_weight(h, w, hw, stats_);
+      agg.spmm_at(l, hw, z, stats_);
+      algebra_->complete_spmm_at(z, stats_);
+    } else {
+      agg.spmm_at(l, h, t_buf_, stats_);
+      algebra_->times_weight(t_buf_, w, z, stats_);
     }
 
     if (l == layers) {

@@ -3,8 +3,9 @@
 // The paper's four partitioning algorithms (1D, 1.5D, 2D, 3D) differ *only*
 // in how they realize the distributed SpMM A^T H (forward) and A G
 // (backward) plus the collectives that keep W and Y replicated. Everything
-// else — weight/optimizer state, the per-layer forward (distributed SpMM ->
-// local GEMM -> ReLU / log-softmax), the loss/accuracy reduction, the
+// else — weight/optimizer state, the per-layer forward (distributed SpMM
+// and GEMM, in the order that aggregates the narrower width -> ReLU /
+// log-softmax), the loss/accuracy reduction, the
 // backward recurrence, the SGD step, and EpochStats collection — is
 // identical across the families. Layer 1's SpMM runs once, at set-up: the
 // input X never changes (no dropout, no bias), so T^1 = A^T X is
@@ -114,10 +115,12 @@ class DistSpmmAlgebra {
   // per-epoch hot path stops allocating after the first epoch. Outputs
   // must not alias inputs.
 
-  /// Forward propagation T = A^T H: `h` is the local block of H^(l-1),
-  /// `t` receives the local block of T in the same layout. Collective.
-  /// The engine calls it for layers l >= 2 every epoch, and once at
-  /// set-up for layer 1's T^1 = A^T X. Charges: the family's broadcast/
+  /// Forward propagation T = A^T H: `h` is the local block of an
+  /// activation-layout input, `t` receives the local block of T in the
+  /// same layout and width. Collective. The engine calls it every epoch
+  /// for each layer l >= 2 on H^(l-1), or, when the layer narrows
+  /// (f_l < f_(l-1)), on H^(l-1) W^l, and once at set-up for layer 1's
+  /// T^1 = A^T X. Charges: the family's broadcast/
   /// reduction stages — kSparse for adjacency blocks (2D/3D SUMMA stages;
   /// the blocks arrive at construction, and every call replays their
   /// broadcasts' charges where a pipelined loop waits for them), kDense
@@ -128,9 +131,10 @@ class DistSpmmAlgebra {
   virtual void spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) = 0;
 
   /// Finish a T that spmm_at left incomplete, so `t` holds the whole
-  /// aggregate without a following times_weight (the set-up's T^1).
-  /// Default: nothing to finish; 1.5D at c > 1 drains its deferred team
-  /// reduction. Collective for that family.
+  /// aggregate without a following times_weight (the set-up's T^1, and a
+  /// narrowing layer's Z = A^T (H W)). Default: nothing to finish; 1.5D
+  /// at c > 1 drains its deferred team reduction. Collective for that
+  /// family.
   virtual void complete_spmm_at(Matrix& t, EpochStats& stats) {
     (void)t;
     (void)stats;
@@ -153,15 +157,18 @@ class DistSpmmAlgebra {
   virtual void times_weight(const Matrix& t, const Matrix& w, Matrix& z,
                             EpochStats& stats);
 
-  /// Z^1 = T^1 W^1 on the set-up's aggregate `t1` (f_0 wide; the engine
-  /// calls it for layer 1, times_weight for every later layer). Default:
-  /// times_weight. The 2D/3D families override with a process-row
-  /// reduce-scatter of the f_1-wide terms T^1_j W^1_j, which charges
-  /// fewer words than broadcasting T^1's f_0-wide panels whenever
-  /// f_1 (q-1)/q < f_0. Collective whenever communication is involved.
-  virtual void input_times_weight(const Matrix& t1, const Matrix& w,
+  /// X W for an `x` in activation layout whose product no pending
+  /// reduction feeds: layer 1's Z^1 = T^1 W^1 on the set-up's aggregate
+  /// (f_0 wide), and a narrowing layer's H^(l-1) W^l, formed before its
+  /// SpMM so that the SpMM and its exchange run at f_l. Default:
+  /// times_weight, a local GEMM for the rows-whole families. The 2D/3D
+  /// families override with a process-row reduce-scatter of the
+  /// f_out-wide terms X_j W_j, which charges fewer words than
+  /// broadcasting X's f_in-wide panels whenever f_out (q-1)/q < f_in.
+  /// Collective whenever communication is involved.
+  virtual void input_times_weight(const Matrix& x, const Matrix& w,
                                   Matrix& z, EpochStats& stats) {
-    times_weight(t1, w, z, stats);
+    times_weight(x, w, z, stats);
   }
 
   /// Assemble full rows (local_rows x f) from the local feature slice —
@@ -252,9 +259,11 @@ class Aggregation {
   /// read. Called once per pass, first; valid until the backward ends.
   virtual const Matrix& input(EpochStats& stats) = 0;
 
-  /// Forward propagation T^l = Â^T H^(l-1) for a layer l >= 2: `h` is
-  /// the level-(l-1) block of H, `t` receives the level-l block of T.
-  virtual void spmm_at(Index layer, const Matrix& h, Matrix& t,
+  /// Forward propagation Â^T M for a layer l >= 2: `m` is the
+  /// level-(l-1) block of the layer's SpMM input — H^(l-1), or
+  /// H^(l-1) W^l when the layer narrows (f_l < f_(l-1)) — and `t`
+  /// receives the level-l block of the product, as wide as `m`.
+  virtual void spmm_at(Index layer, const Matrix& m, Matrix& t,
                        EpochStats& stats) = 0;
 
   /// Backward propagation U^l = Â G^l for a layer l >= 2: `g` is the
@@ -360,6 +369,11 @@ class DistEngine : public DistTrainer {
   /// sampled runs (the minibatch features); a full-batch run keeps T^1
   /// instead and frees X at set-up.
   std::vector<Matrix> h_;
+  /// H^(l-1) W^l of each narrowing layer l (f_l < f_(l-1)), the input of
+  /// its SpMM. One buffer per layer, like h_: the SpMM's stage roots
+  /// broadcast straight from it, and peers may read it until the epoch's
+  /// end.
+  std::vector<Matrix> hw_;
   std::vector<Matrix> z_;  ///< local blocks of Z^l, l = 1..L (as h_)
   Matrix t1_;              ///< T^1 = A^T X, layer 1's full-batch aggregate
   bool aggregated_ = false;  ///< t1_ holds T^1
@@ -370,7 +384,8 @@ class DistEngine : public DistTrainer {
 
   // Reusable epoch workspaces: sized on first use, allocation-free after
   // the first epoch (Matrix::resize reuses storage).
-  Matrix t_buf_;       ///< T = A^T H^(l-1), layers l >= 2
+  Matrix t_buf_;       ///< T = A^T H^(l-1), layers l >= 2 that keep or
+                       ///< widen their width
   Matrix zrows_buf_;   ///< gathered full rows of Z^L
   Matrix u_buf_;       ///< U = A G^l, layers l >= 2
   Matrix u_rows_buf_;  ///< gathered full rows of U (G^1 at layer 1)

@@ -360,8 +360,9 @@ const Matrix& SampledRunner::input(EpochStats& stats) {
 
 void SampledRunner::spmm_at(Index layer, const Matrix& h, Matrix& t,
                             EpochStats& stats) {
-  // Deeper layers exchange inline on the just-computed activations: the
-  // plan's begin + sweep (it never arms staleness or pre-aggregation).
+  // Deeper layers exchange inline on the just-computed SpMM input (H, or
+  // H W on a narrowing layer): the plan's begin + sweep (it never arms
+  // staleness or pre-aggregation).
   const int rank = comm_.rank();
   HaloPlan& plan = cur_->exch[static_cast<std::size_t>(layer) - 1].plan;
   t.resize(static_cast<Index>(

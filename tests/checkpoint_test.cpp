@@ -89,8 +89,6 @@ Trace train(const std::string& algebra, const DistProblem& problem,
 
 TEST(CheckpointRoundTrip, ResumeIsBitwiseAcrossAllAlgebras) {
   const Graph g = small_graph(160, 8, 8, 4, 77);
-  GnnConfig config = GnnConfig::three_layer(8, 4, 6);
-  config.learning_rate = 0.1;
   const DistProblem problem = DistProblem::prepare(g);
   const int pre = 3;   // epochs before the checkpoint
   const int post = 2;  // epochs after the reload
@@ -100,37 +98,48 @@ TEST(CheckpointRoundTrip, ResumeIsBitwiseAcrossAllAlgebras) {
     int p;
   } cases[] = {{"1d", 4}, {"1.5d-c2", 4}, {"2d", 4}, {"3d", 8}};
 
-  for (const RunConfig& mode : exact_modes()) {
-    for (const auto& c : cases) {
-      SCOPED_TRACE(std::string(c.algebra) + (mode.halo ? " halo" : ""));
-      const std::string path =
-          (std::filesystem::temp_directory_path() /
-           (std::string("cagnet_ckpt_") + c.algebra + ".bin"))
-              .string();
+  // {8, 6, 6, 4} narrows at layer 3; {8, 8, 6, 4} at layers 2 and 3 back
+  // to back, whose H W products must not share a buffer.
+  for (const std::vector<Index>& dims :
+       {std::vector<Index>{8, 6, 6, 4}, std::vector<Index>{8, 8, 6, 4}}) {
+    GnnConfig config;
+    config.dims = dims;
+    config.learning_rate = 0.1;
+    for (const RunConfig& mode : exact_modes()) {
+      for (const auto& c : cases) {
+        SCOPED_TRACE(std::string(c.algebra) + (mode.halo ? " halo" : "") +
+                     " dims[1] " + std::to_string(dims[1]));
+        const std::string path =
+            (std::filesystem::temp_directory_path() /
+             (std::string("cagnet_ckpt_") + c.algebra + ".bin"))
+                .string();
 
-      // Oracle: train straight through, no interruption.
-      const Trace oracle =
-          train(c.algebra, problem, config, mode, c.p, pre + post, "", "");
+        // Oracle: train straight through, no interruption.
+        const Trace oracle =
+            train(c.algebra, problem, config, mode, c.p, pre + post, "", "");
 
-      // Interrupted run: train, checkpoint, reload into a fresh world,
-      // continue. Bitwise identity of the continuation is the contract.
-      train(c.algebra, problem, config, mode, c.p, pre, "", path);
-      const Trace resumed =
-          train(c.algebra, problem, config, mode, c.p, post, path, "");
-      std::remove(path.c_str());
+        // Interrupted run: train, checkpoint, reload into a fresh world,
+        // continue. Bitwise identity of the continuation is the contract.
+        train(c.algebra, problem, config, mode, c.p, pre, "", path);
+        const Trace resumed =
+            train(c.algebra, problem, config, mode, c.p, post, path, "");
+        std::remove(path.c_str());
 
-      ASSERT_EQ(oracle.losses.size(), static_cast<std::size_t>(pre + post));
-      ASSERT_EQ(resumed.losses.size(), static_cast<std::size_t>(post));
-      for (int e = 0; e < post; ++e) {
-        EXPECT_EQ(resumed.losses[static_cast<std::size_t>(e)],
-                  oracle.losses[static_cast<std::size_t>(pre + e)])
-            << "epoch " << pre + e;
-      }
-      ASSERT_EQ(resumed.weights.size(), oracle.weights.size());
-      for (std::size_t l = 0; l < oracle.weights.size(); ++l) {
-        EXPECT_LE(Matrix::max_abs_diff(resumed.weights[l], oracle.weights[l]),
-                  Real{0})
-            << "layer " << l;
+        ASSERT_EQ(oracle.losses.size(),
+                  static_cast<std::size_t>(pre + post));
+        ASSERT_EQ(resumed.losses.size(), static_cast<std::size_t>(post));
+        for (int e = 0; e < post; ++e) {
+          EXPECT_EQ(resumed.losses[static_cast<std::size_t>(e)],
+                    oracle.losses[static_cast<std::size_t>(pre + e)])
+              << "epoch " << pre + e;
+        }
+        ASSERT_EQ(resumed.weights.size(), oracle.weights.size());
+        for (std::size_t l = 0; l < oracle.weights.size(); ++l) {
+          EXPECT_LE(
+              Matrix::max_abs_diff(resumed.weights[l], oracle.weights[l]),
+              Real{0})
+              << "layer " << l;
+        }
       }
     }
   }

@@ -14,7 +14,8 @@
 //     receipt took them. Per-epoch CostMeter words, latency units and
 //     overlap totals — the paper's measurements and the modeled time —
 //     are therefore exactly what that per-epoch path charged (pinned
-//     below as literals), for every algebra and every epoch, epoch 1
+//     below as literals, moved since only by changes of what the
+//     algorithm sends), for every algebra and every epoch, epoch 1
 //     included.
 #include <gtest/gtest.h>
 
@@ -144,7 +145,15 @@ TEST(ThreadDeterminism, TrainingBitwiseIdenticalAcrossThreadCounts) {
 /// totals {regions, serialized s, overlapped s}. Each epoch's window sums
 /// from zero, so every epoch reads the same bits of both. The overlap
 /// literals were re-recorded when the windows stopped being differences
-/// of the run's cumulative sums, which moved their last bits.
+/// of the run's cumulative sums, which moved their last bits. Every
+/// literal was re-recorded once more when layer 3 of the pinned model
+/// {12, 8, 8, 4} began aggregating H^2 W^3 at 4 columns instead of 8:
+/// the sparse and transpose charges stayed, and each dense word that
+/// left is a 4-column share of a layer-3 charge (768 for 1D, 576 and 960
+/// for 1.5D at c = 2 and 4, 533.375 for 2D, 576 for 3D); 2D/3D lose
+/// (q - 1) * ceil(lg q) latency units and the replaced partial SUMMA's q
+/// overlap regions, 1.5D at c > 1 the four regions of its team
+/// reduction's chunks.
 struct UncachedPin {
   std::string algebra;
   int p = 0;
@@ -156,16 +165,16 @@ struct UncachedPin {
 /// epochs, each algebra on its largest registered world of 2..9 ranks.
 std::vector<UncachedPin> uncached_pins() {
   return {
-      {"1d", 8, {72, 5424, 0, 0, 0, 0, 0, 0, 0, 0, 6, 3.5},
-       {0x1p+4, 0x1.ba26c52ea1895p-11, 0x1.b90c295129d73p-11}},
-      {"1.5d-c2", 8, {30, 4032, 0, 0, 0, 0, 0, 0, 0, 0, 6, 3.5},
-       {0x1.8p+3, 0x1.56e1f58561b52p-14, 0x1.542f2088036e7p-14}},
-      {"1.5d-c4", 8, {22, 5760, 0, 0, 0, 0, 0, 0, 0, 0, 6, 3.5},
-       {0x1.4p+3, 0x1.060e95fba8893p-19, 0x1.05cabaf4b645dp-19}},
-      {"2d", 9, {64, 4071.75, 96, 6296, 0, 0, 0, 0, 0, 0, 8, 3.5},
-       {0x1.2p+4, 0x1.7aa6cd4c9442fp-10, 0x1.7a38b4bbddce5p-10}},
-      {"3d", 8, {36, 3792, 32, 5296, 8, 520, 0, 0, 0, 0, 6, 3.5},
-       {0x1.8p+3, 0x1.7e2e664d0563cp-12, 0x1.7c878681a8a1ep-12}},
+      {"1d", 8, {72, 4656, 0, 0, 0, 0, 0, 0, 0, 0, 6, 3.5},
+       {0x1p+4, 0x1.b9d1aa9e41c2bp-11, 0x1.b8e628bb08ae3p-11}},
+      {"1.5d-c2", 8, {30, 3456, 0, 0, 0, 0, 0, 0, 0, 0, 6, 3.5},
+       {0x1p+3, 0x1.554902f5880edp-14, 0x1.53097eb468cacp-14}},
+      {"1.5d-c4", 8, {22, 4800, 0, 0, 0, 0, 0, 0, 0, 0, 6, 3.5},
+       {0x1.8p+2, 0x1.7edd0548fd399p-20, 0x1.7e828bea64dfbp-20}},
+      {"2d", 9, {60, 3538.375, 96, 6296, 0, 0, 0, 0, 0, 0, 8, 3.5},
+       {0x1.ep+3, 0x1.659aec561b075p-10, 0x1.65319e8d84597p-10}},
+      {"3d", 8, {35, 3216, 32, 5296, 8, 520, 0, 0, 0, 0, 6, 3.5},
+       {0x1.4p+3, 0x1.68e22c4dc89e2p-12, 0x1.6757839811f36p-12}},
   };
 }
 

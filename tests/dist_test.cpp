@@ -49,16 +49,18 @@ struct RunOutcome {
 };
 
 /// Run `epochs` epochs of the named registry algebra through the shared
-/// engine on a simulated world of `p` ranks, in the exact broadcast mode.
+/// engine on a simulated world of `p` ranks, in `mode` (by default the
+/// exact broadcast mode).
 RunOutcome run_distributed(const std::string& algebra, const Graph& g,
-                           const GnnConfig& config, int p, int epochs) {
+                           const GnnConfig& config, int p, int epochs,
+                           const RunConfig& mode = {}) {
   const DistProblem prob = DistProblem::prepare(g);
   RunOutcome outcome;
   std::mutex mutex;
   run_world(p, [&](Comm& world) {
     EpochStats setup;
     auto trainer = build_metered(world, setup.comm, [&] {
-      return make_dist_trainer(algebra, prob, config, world, RunConfig{});
+      return make_dist_trainer(algebra, prob, config, world, mode);
     });
     setup = EpochStats::reduce_max(setup, world);
     std::vector<Real> losses;
@@ -187,17 +189,31 @@ TEST(DistParity, DirectedGraphMatchesAcrossAllFamilies) {
   for (auto& label : g.labels) {
     label = static_cast<Index>(rng.next_below(4));
   }
-  GnnConfig config = GnnConfig::three_layer(9, 4, 6);
-
-  const RunOutcome serial = run_serial(g, config, 3);
-  for (const auto& [algebra, p] :
-       {std::pair<std::string, int>{"1d", 4},
-        {"1.5d-c2", 8},
-        {"2d", 9},
-        {"3d", 8}}) {
-    const RunOutcome dist = run_distributed(algebra, g, config, p, 3);
-    EXPECT_LE(Matrix::max_abs_diff(dist.output, serial.output), kParityTol)
-        << "algebra " << algebra << " P=" << p;
+  // {9, 6, 6, 4} narrows at layer 3 only. {9, 8, 6, 4} narrows at
+  // layers 2 and 3 back to back, so each H W product is a broadcast
+  // source that peers may still read while the next layer forms its
+  // own: one buffer shared between them broke parity in every family.
+  RunConfig halo;
+  halo.halo = true;
+  for (const std::vector<Index>& dims :
+       {std::vector<Index>{9, 6, 6, 4}, std::vector<Index>{9, 8, 6, 4}}) {
+    GnnConfig config;
+    config.dims = dims;
+    const RunOutcome serial = run_serial(g, config, 3);
+    for (const RunConfig& mode : {RunConfig{}, halo}) {
+      for (const auto& [algebra, p] :
+           {std::pair<std::string, int>{"1d", 4},
+            {"1.5d-c2", 8},
+            {"2d", 9},
+            {"3d", 8}}) {
+        const RunOutcome dist =
+            run_distributed(algebra, g, config, p, 3, mode);
+        EXPECT_LE(Matrix::max_abs_diff(dist.output, serial.output),
+                  kParityTol)
+            << "algebra " << algebra << " P=" << p << " dims[1] "
+            << dims[1] << (mode.halo ? " halo" : "");
+      }
+    }
   }
 }
 
@@ -715,43 +731,55 @@ struct MeterPin {
 // reduce-scatter of f_1-wide terms (rows * f_1 * (q-1)/q words and
 // ceil(lg q) latency), which replaced broadcasting T^1's panels (rows *
 // f_0 words and q * ceil(lg q) latency); later layers keep the panel
-// broadcasts.
+// broadcasts. Layer 3 of the pinned model {10, 8, 8, 4} narrows, so it
+// forms H^2 W^3 first (a local GEMM for 1D/1.5D; for 2D/3D the
+// reduce-scatter of Z^1's form, rows * 4 * (q-1)/q words and ceil(lg q)
+// latency, in place of the partial SUMMA's rows * 8 words and
+// q * ceil(lg q)) and aggregates 4 columns instead of 8. The dense words
+// fall by 4 columns of each layer-3 charge: 1D's four 24-row stages
+// (384), 1.5D's stripe stages and team all-reduce (384 at c = 2, P = 4;
+// 288 at P = 8; 576 at c = 4, whose one-member slice stages charge
+// nothing), 2D's panels plus the replaced partial SUMMA (480 at P = 4,
+// 266.75 on rank 0 at P = 9) and 3D's panels, fiber reduce-scatter and
+// partial SUMMA (288). The halo words fall to (8 + 4) / (8 + 8) of the
+// rows each rank receives. 1D/1.5D latency is unchanged; 2D/3D lose
+// (q - 1) * ceil(lg q) units.
 std::vector<MeterPin> meter_pins() {
   return {
-      {"1d", 4, 0, {32, 2664, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3},
-       {32, 2664, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3},
+      {"1d", 4, 0, {32, 2280, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3},
+       {32, 2280, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3},
        {8, 960, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
        {8, 960, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
-      {"1.5d-c2", 4, 0, {16, 2576, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3},
-       {16, 2576, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3},
+      {"1.5d-c2", 4, 0, {16, 2192, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3},
+       {16, 2192, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3},
        {3, 960, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
        {3, 960, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
-      {"1.5d-c2", 8, 0, {30, 2136, 0, 0, 0, 0, 0, 0, 0, 0, 6, 3.5},
-       {30, 2136, 0, 0, 0, 0, 0, 0, 0, 0, 6, 3.5},
+      {"1.5d-c2", 8, 0, {30, 1848, 0, 0, 0, 0, 0, 0, 0, 0, 6, 3.5},
+       {30, 1848, 0, 0, 0, 0, 0, 0, 0, 0, 6, 3.5},
        {6, 720, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
        {6, 720, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
-      {"1.5d-c4", 4, 0, {12, 3456, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3},
-       {12, 3456, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3},
+      {"1.5d-c4", 4, 0, {12, 2880, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3},
+       {12, 2880, 0, 0, 0, 0, 0, 0, 0, 0, 4, 3},
        {4, 1440, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
        {4, 1440, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
-      {"2d", 4, 0, {26, 3056, 32, 3568, 0, 0, 0, 0, 0, 0, 4, 3},
-       {26, 3056, 32, 3792, 8, 840, 0, 0, 0, 0, 4, 3},
+      {"2d", 4, 0, {25, 2576, 32, 3568, 0, 0, 0, 0, 0, 0, 4, 3},
+       {25, 2576, 32, 3792, 8, 840, 0, 0, 0, 0, 4, 3},
        {2, 480, 8, 892, 0, 0, 0, 0, 0, 0, 0, 0},
        {2, 480, 8, 948, 0, 0, 0, 0, 0, 0, 0, 0}},
-      {"2d", 9, 0, {64, 2122.5, 96, 2624, 0, 0, 0, 0, 0, 0, 8, 3.5},
-       {64, 2385.25, 96, 2800, 8, 468, 0, 0, 0, 0, 8, 3.5},
+      {"2d", 9, 0, {60, 1855.75, 96, 2624, 0, 0, 0, 0, 0, 0, 8, 3.5},
+       {60, 2118.5, 96, 2800, 8, 468, 0, 0, 0, 0, 8, 3.5},
        {6, 288, 24, 656, 0, 0, 0, 0, 0, 0, 0, 0},
        {6, 384, 24, 700, 0, 0, 0, 0, 0, 0, 0, 0}},
-      {"3d", 8, 0, {36, 1996, 32, 1672, 8, 220, 0, 0, 0, 0, 6, 3.5},
-       {36, 1996, 32, 2328, 16, 600, 0, 0, 0, 0, 6, 3.5},
+      {"3d", 8, 0, {35, 1708, 32, 1672, 8, 220, 0, 0, 0, 0, 6, 3.5},
+       {35, 1708, 32, 2328, 16, 600, 0, 0, 0, 0, 6, 3.5},
        {3, 360, 8, 418, 0, 0, 0, 0, 0, 0, 0, 0},
        {3, 360, 8, 582, 0, 0, 0, 0, 0, 0, 0, 0}},
-      {"1d", 4, 4, {16, 2532, 0, 0, 0, 0, 6, 1440, 0, 0, 4, 3},
-       {16, 2532, 0, 0, 0, 0, 6, 2112, 0, 0, 4, 3},
+      {"1d", 4, 4, {16, 2532, 0, 0, 0, 0, 6, 1080, 0, 0, 4, 3},
+       {16, 2532, 0, 0, 0, 0, 6, 1584, 0, 0, 4, 3},
        {0, 0, 0, 0, 0, 0, 3, 900, 0, 0, 7, 124.5},
        {0, 0, 0, 0, 0, 0, 3, 1320, 0, 0, 7, 124.5}},
-      {"1.5d-c2", 8, 4, {22, 3182, 0, 0, 0, 0, 6, 416, 0, 0, 6, 3.5},
-       {22, 3254, 0, 0, 0, 0, 6, 1488, 0, 0, 6, 3.5},
+      {"1.5d-c2", 8, 4, {22, 2922, 0, 0, 0, 0, 6, 312, 0, 0, 6, 3.5},
+       {22, 2994, 0, 0, 0, 0, 6, 1116, 0, 0, 6, 3.5},
        {2, 650, 0, 0, 0, 0, 3, 260, 0, 0, 7, 124.5},
        {2, 650, 0, 0, 0, 0, 3, 930, 0, 0, 7, 124.5}},
   };
@@ -890,7 +918,11 @@ TEST(EpochCache, CachedEpochsReplayChargesExactly) {
   // A and back) charged, recorded from that path: rank 0's {latency
   // units, words} per category in enum order, and its overlap totals
   // {regions, serialized s, overlapped s}. Each epoch's window sums from
-  // zero, so every epoch reads the same bits of both.
+  // zero, so every epoch reads the same bits of both. Re-recorded when
+  // layer 3 of {8, 6, 6, 3} began aggregating H^2 W^3 at 3 columns: the
+  // dense words fell by 340 (2D: 160 of SpMM panels, and 180 where a
+  // 60-word reduce-scatter replaced the 240-word partial SUMMA) and 210
+  // (3D), and each lost one latency unit and two overlap regions.
   struct Pin {
     std::string algebra;
     int p;
@@ -898,10 +930,10 @@ TEST(EpochCache, CachedEpochsReplayChargesExactly) {
     std::array<double, 3> overlap;
   };
   const std::vector<Pin> pins = {
-      {"2d", 4, {26, 1902, 32, 2864, 0, 0, 0, 0, 0, 0, 4, 3},
-       {0x1.8p+3, 0x1.7b6f2a4e683aep-12, 0x1.7acfc46b50ed6p-12}},
-      {"3d", 8, {36, 1227.5, 32, 1656, 8, 180, 0, 0, 0, 0, 6, 3.5},
-       {0x1.8p+3, 0x1.7b08695306d18p-12, 0x1.7a71fd16dd57bp-12}},
+      {"2d", 4, {25, 1562, 32, 2864, 0, 0, 0, 0, 0, 0, 4, 3},
+       {0x1.4p+3, 0x1.664b7ac085262p-12, 0x1.65b8596915f5bp-12}},
+      {"3d", 8, {35, 1017.5, 32, 1656, 8, 180, 0, 0, 0, 0, 6, 3.5},
+       {0x1.4p+3, 0x1.65ef6c41c28d8p-12, 0x1.656493026594fp-12}},
   };
   const Graph g = test_graph(80, 8, 3, 78);
   const DistProblem problem = DistProblem::prepare(g);

@@ -12,6 +12,7 @@
 // train permuted, un-permute on output).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -351,29 +352,36 @@ TEST(HaloBackward15D, BackwardExchangeShrinksDenseWordsVsReduceScatter) {
 TEST(HaloWords, ExactEdgecutVolumeAndReductionAtP16) {
   // Planted-partition graph at P=16 under the greedy-BFS partitioner: the
   // 1D halo path's metered kHalo words per epoch must equal
-  // max_remote_rows_per_part * (sum of the input widths of layers 2..L)
+  // max_remote_rows_per_part times the widths the layers 2..L exchange,
   // *exactly* — layer 1's f_0-wide exchange runs once, at set-up, where
   // it must carry max_remote_rows_per_part * f_0 — and the total metered
-  // volume per epoch must be >= 3x below the broadcast path's.
+  // volume per epoch must be >= 3x below the broadcast path's. A layer
+  // l >= 2 exchanges the input of its SpMM: H^(l-1), f_(l-1) wide, when
+  // it keeps or widens the width, and H^(l-1) W^l, f_l wide, when it
+  // narrows, so min(f_(l-1), f_l) in both cases.
   const int p = 16;
   const Graph g = community_graph(640, 16, 16, 8, 92, /*intra=*/12.0,
                                   /*inter=*/1.0);
-  GnnConfig config = GnnConfig::three_layer(16, 8, 16);
   const DistProblem problem = DistProblem::prepare(g, p, "greedy-bfs");
-
-  Index sum_f_in = 0;
-  for (std::size_t l = 1; l + 1 < config.dims.size(); ++l) {
-    sum_f_in += config.dims[l];
-  }
-
-  const HaloRun halo = run_trainer("1d", problem, config, p, 2, halo_mode());
-  const HaloRun bcast = run_trainer("1d", problem, config, p, 2, RunConfig{});
-
   const auto max_remote =
       static_cast<double>(problem.edgecut.max_remote_rows_per_part);
-  const double expected = max_remote * static_cast<double>(sum_f_in);
+  const auto exchanged_width = [](const GnnConfig& config) {
+    Index sum = 0;
+    for (std::size_t l = 2; l < config.dims.size(); ++l) {
+      sum += std::min(config.dims[l - 1], config.dims[l]);
+    }
+    return sum;
+  };
+
+  // {16, 16, 16, 8}: layer 2 keeps 16 columns, layer 3 narrows to 8.
+  GnnConfig config = GnnConfig::three_layer(16, 8, 16);
+  const HaloRun halo = run_trainer("1d", problem, config, p, 2, halo_mode());
+  const HaloRun bcast = run_trainer("1d", problem, config, p, 2, RunConfig{});
+  const double expected =
+      max_remote * static_cast<double>(exchanged_width(config));
   const double expected_setup =
       max_remote * static_cast<double>(config.dims.front());
+  EXPECT_EQ(expected, 130.0 * (16 + 8));
   EXPECT_EQ(halo.stats.comm.words(CommCategory::kHalo), expected);
   EXPECT_EQ(halo.setup.comm.words(CommCategory::kHalo), expected_setup);
   EXPECT_GE(bcast.stats.comm.total_words(),
@@ -383,14 +391,25 @@ TEST(HaloWords, ExactEdgecutVolumeAndReductionAtP16) {
     EXPECT_EQ(halo.losses[e], bcast.losses[e]);
   }
   // The measured edgecut feeds the closed forms: predicted 1D words under
-  // from_partition, whose per-epoch form still counts layer 1, bound the
-  // metered halo volume of set-up plus epoch tightly from the same
-  // statistic.
-  const double sum_all_f = static_cast<double>(sum_f_in + config.dims.front());
+  // from_partition, whose per-epoch form still counts layer 1 at the
+  // layers' mean exchanged width, bound the metered halo volume of
+  // set-up plus epoch tightly from the same statistic.
+  const double sum_all_f =
+      static_cast<double>(exchanged_width(config) + config.dims.front());
   const CostInputs measured = CostInputs::from_partition(
       problem.edgecut, static_cast<double>(g.num_vertices()),
       static_cast<double>(g.num_edges()), sum_all_f / 3.0, p, 3);
   EXPECT_GT(cost_1d_symmetric(measured).words, expected + expected_setup);
+
+  // {16, 8, 12, 4}: layer 2 widens, so it exchanges H^1 at 8 columns,
+  // not 12; layer 3 narrows, so it exchanges H^2 W^3 at 4, not 12.
+  GnnConfig widening;
+  widening.dims = {16, 8, 12, 4};
+  const HaloRun wide = run_trainer("1d", problem, widening, p, 2,
+                                   halo_mode());
+  EXPECT_EQ(wide.stats.comm.words(CommCategory::kHalo),
+            max_remote * (8 + 4));
+  EXPECT_EQ(wide.setup.comm.words(CommCategory::kHalo), expected_setup);
 }
 
 // ---- Partition/permutation contract: permuted training, original-order

@@ -249,9 +249,11 @@ TEST(StaleTraffic, SetupExchangeTakesNoCacheSlot) {
   // epoch then makes the L - 1 exchanges of layers 2..L. A refresh epoch
   // fills their cache slots; a replay epoch serves all of them from the
   // cache, so it charges zero kHalo latency and words and credits exactly
-  // the refresh epoch's words. The layer widths differ (f_0 = 12,
-  // f_1 = 8, f_2 = 6), so a set-up exchange that took a slot would show:
-  // each rank's refresh words are its set-up words times (f_1 + f_2) / f_0.
+  // the refresh epoch's words. A layer l >= 2 exchanges the input of its
+  // SpMM, min(f_(l-1), f_l) wide: layers 2 and 3 narrow (8 -> 6 -> 4),
+  // so they move H W at f_2 = 6 and f_3 = 4. The widths differ from
+  // f_0 = 12, so a set-up exchange that took a slot would show: each
+  // rank's refresh words are its set-up words times (f_2 + f_3) / f_0.
   const Graph g = learnable_graph(240, 12, 12, 4, 95);
   GnnConfig config;
   config.dims = {12, 8, 6, 4};
@@ -292,7 +294,7 @@ TEST(StaleTraffic, SetupExchangeTakesNoCacheSlot) {
       setup_words += setup[1];
       EXPECT_EQ(setup[2], 0.0) << label;
       EXPECT_EQ(refresh[2], 0.0) << label;
-      EXPECT_EQ(refresh[1] * 12.0, setup[1] * (8.0 + 6.0)) << label;
+      EXPECT_EQ(refresh[1] * 12.0, setup[1] * (6.0 + 4.0)) << label;
       for (int e = 2; e <= 4; ++e) {
         EXPECT_EQ(mine[e][0], 0.0) << label << " replay epoch " << e - 1;
         EXPECT_EQ(mine[e][1], 0.0) << label << " replay epoch " << e - 1;
