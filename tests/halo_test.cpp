@@ -401,14 +401,14 @@ TEST(HaloWords, ExactEdgecutVolumeAndReductionAtP16) {
       static_cast<double>(g.num_edges()), sum_all_f / 3.0, p, 3);
   EXPECT_GT(cost_1d_symmetric(measured).words, expected + expected_setup);
 
-  // {16, 8, 12, 4}: layer 2 widens, so it exchanges H^1 at 8 columns,
-  // not 12; layer 3 narrows, so it exchanges H^2 W^3 at 4, not 12.
+  // {16, 6, 12, 8}: layer 2 widens, so it exchanges H^1 at 6 columns,
+  // not 12; layer 3 narrows, so it exchanges H^2 W^3 at 8, not 12.
   GnnConfig widening;
-  widening.dims = {16, 8, 12, 4};
+  widening.dims = {16, 6, 12, 8};
   const HaloRun wide = run_trainer("1d", problem, widening, p, 2,
                                    halo_mode());
   EXPECT_EQ(wide.stats.comm.words(CommCategory::kHalo),
-            max_remote * (8 + 4));
+            max_remote * (6 + 8));
   EXPECT_EQ(wide.setup.comm.words(CommCategory::kHalo), expected_setup);
 }
 
