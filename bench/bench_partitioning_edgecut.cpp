@@ -11,7 +11,8 @@
 // The second half closes the loop between the study and the trainer: it
 // runs real 1D epochs per registered partitioner — broadcast path and
 // sparsity-aware halo path — and prints the metered
-// words next to the predicted edgecut_P(A) * f plus measured
+// words next to the predicted edgecut_P(A) times the exchanged widths,
+// plus measured
 // epochs/sec, in the same JSON shape BENCH_EPOCH_THROUGHPUT.json tracks.
 // Both paths train side by side in one world and are timed as
 // interleaved pairs of epochs, alternating which path runs first, so a
@@ -30,6 +31,7 @@
 //
 // Epoch-run flags: --epoch-parts 16, --features 16, --hidden 16,
 // --epoch-reps 5.
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <memory>
@@ -136,12 +138,14 @@ static int run(int argc, char** argv) {
         frng.next_below(static_cast<std::uint64_t>(classes)));
   }
   GnnConfig gnn = GnnConfig::three_layer(f, classes, hidden);
-  // Per layer the halo path receives this rank's distinct remote rows,
-  // f_in(l) wide: predicted kHalo words per epoch = max_remote_rows *
-  // sum(f_in) over layers 2..L (layer 1's exchange runs once, at set-up).
-  Index sum_f_in = 0;
-  for (std::size_t l = 1; l + 1 < gnn.dims.size(); ++l) {
-    sum_f_in += gnn.dims[l];
+  // Per layer the halo path receives this rank's distinct remote rows of
+  // the layer's SpMM input, min(f_(l-1), f_l) wide (a narrowing layer
+  // exchanges H W): predicted kHalo words per epoch = max_remote_rows *
+  // the sum of those widths over layers 2..L (layer 1's exchange runs
+  // once, at set-up).
+  Index exchanged_width = 0;
+  for (std::size_t l = 2; l < gnn.dims.size(); ++l) {
+    exchanged_width += std::min(gnn.dims[l - 1], gnn.dims[l]);
   }
 
   std::printf("\n=== 1D epochs at P=%d: broadcast vs halo, per "
@@ -196,7 +200,7 @@ static int run(int argc, char** argv) {
     const double halo_words = stats[1].comm.words(CommCategory::kHalo);
     const double predicted =
         static_cast<double>(problem.edgecut.max_remote_rows_per_part) *
-        static_cast<double>(sum_f_in);
+        static_cast<double>(exchanged_width);
     const double reduction = words[1] > 0 ? words[0] / words[1] : 0.0;
     const bool judged = reduction >= kJudgedReduction;
     std::printf("%-12s %12lld %14.0f %14.0f %8.2fx %9.3f %9.3f %7s\n",
@@ -237,9 +241,10 @@ static int run(int argc, char** argv) {
                 "%s\n",
                 kJudgedReduction, line.c_str());
   }
-  std::printf("\nmetered halo words equal the predicted edgecut_P(A) * f\n"
-              "exactly (the IV-A.8 request-and-send volume); the broadcast\n"
-              "path pays the n(P-1)/P bound regardless of partitioner.\n");
+  std::printf("\nmetered halo words equal the predicted edgecut_P(A) times\n"
+              "the exchanged widths exactly (the IV-A.8 request-and-send\n"
+              "volume); the broadcast path pays the n(P-1)/P bound\n"
+              "regardless of partitioner.\n");
   if (!regressions.empty()) {
     std::fprintf(stderr,
                  "\nFAIL: the halo path lost on wall clock despite moving "

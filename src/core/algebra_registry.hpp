@@ -60,10 +60,10 @@ std::unique_ptr<DistTrainer> make_dist_trainer(const std::string& name,
 /// Run `build` — a collective trainer construction, typically
 /// make_dist_trainer — and leave this rank's set-up traffic, the world
 /// meter's charges across it (a MeterWindow), in `setup`; returns what
-/// `build` returns. The
-/// set-up moves layer 1's aggregate T^1 = A^T X once (DESIGN.md
-/// "Substitutions") plus one-time kControl plan traffic, neither of which
-/// any epoch's meter holds. Max-reduce `setup` for world-wide figures.
+/// `build` returns. The set-up moves layer 1's aggregate T^1 = A^T X
+/// once (DESIGN.md "Substitutions") plus one-time kControl plan traffic,
+/// neither of which any epoch's meter holds. Max-reduce `setup` for
+/// world-wide figures.
 template <typename Build>
 auto build_metered(Comm& world, CostMeter& setup, Build build) {
   const MeterWindow window(world.meter());

@@ -157,10 +157,10 @@ class DistSpmmAlgebra {
   virtual void times_weight(const Matrix& t, const Matrix& w, Matrix& z,
                             EpochStats& stats);
 
-  /// X W for an `x` in activation layout whose product no pending
-  /// reduction feeds: layer 1's Z^1 = T^1 W^1 on the set-up's aggregate
-  /// (f_0 wide), and a narrowing layer's H^(l-1) W^l, formed before its
-  /// SpMM so that the SpMM and its exchange run at f_l. Default:
+  /// Z = X W for an `x` in activation layout that no spmm_at left
+  /// pending: layer 1's Z^1 = T^1 W^1 on the set-up's aggregate (f_0
+  /// wide), and a narrowing layer's H^(l-1) W^l, formed before its SpMM
+  /// so that the SpMM and its exchange run at f_l. Default:
   /// times_weight, a local GEMM for the rows-whole families. The 2D/3D
   /// families override with a process-row reduce-scatter of the
   /// f_out-wide terms X_j W_j, which charges fewer words than
