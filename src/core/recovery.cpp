@@ -30,10 +30,6 @@ RecoveryReport train_with_recovery(const std::string& algebra,
   report.epochs = epochs;
   report.losses.assign(static_cast<std::size_t>(epochs), Real{0});
 
-  // Where the attempt's fault landed: the epochs completed by the rank
-  // whose own op failed, fixed by that rank's program order. A survivor's
-  // count at the moment the abort reached it depends on thread timing.
-  int fault_epoch = -1;
   std::mutex report_mutex;
 
   for (;;) {
@@ -51,7 +47,10 @@ RecoveryReport train_with_recovery(const std::string& algebra,
                        std::to_string(epochs) + " epochs)");
       have_ckpt = true;
     }
-    fault_epoch = -1;
+    // Where this attempt's fault landed: the epochs completed by the rank
+    // whose own op failed, fixed by that rank's program order. A
+    // survivor's count when the abort reached it depends on thread timing.
+    int fault_epoch = -1;
 
     try {
       run_world(p, [&](Comm& world) {
@@ -65,20 +64,21 @@ RecoveryReport train_with_recovery(const std::string& algebra,
           trainer->set_start_epoch(start);
           for (; e < epochs; ++e) {
             const Real loss = trainer->train_epoch().loss;
-            if (world.rank() != 0) continue;
-            {
-              std::lock_guard<std::mutex> lock(report_mutex);
-              report.losses[static_cast<std::size_t>(e)] = loss;
-            }
-            if (every > 0 && (e + 1) % every == 0 && e + 1 < epochs) {
-              const auto t0 = std::chrono::steady_clock::now();
-              save_checkpoint(path, trainer->weights(),
-                              static_cast<std::uint64_t>(e + 1));
-              const auto t1 = std::chrono::steady_clock::now();
-              std::lock_guard<std::mutex> lock(report_mutex);
-              report.checkpoint_write_seconds +=
-                  std::chrono::duration<double>(t1 - t0).count();
-              ++report.checkpoints_written;
+            if (world.rank() == 0) {
+              {
+                std::lock_guard<std::mutex> lock(report_mutex);
+                report.losses[static_cast<std::size_t>(e)] = loss;
+              }
+              if (every > 0 && (e + 1) % every == 0 && e + 1 < epochs) {
+                const auto t0 = std::chrono::steady_clock::now();
+                save_checkpoint(path, trainer->weights(),
+                                static_cast<std::uint64_t>(e + 1));
+                const auto t1 = std::chrono::steady_clock::now();
+                std::lock_guard<std::mutex> lock(report_mutex);
+                report.checkpoint_write_seconds +=
+                    std::chrono::duration<double>(t1 - t0).count();
+                ++report.checkpoints_written;
+              }
             }
           }
           if (world.rank() == 0) {

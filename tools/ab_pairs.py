@@ -164,8 +164,8 @@ def foreign_build(checkout):
     for line in cache.read_text(errors="replace").splitlines():
         if line.startswith("CMAKE_HOME_DIRECTORY:"):
             home = Path(line.split("=", 1)[1].strip())
-            if home.resolve() != (checkout / "perfbench").resolve():
-                return home
+            own = home.resolve() == (checkout / "perfbench").resolve()
+            return None if own else home
     return None
 
 
