@@ -327,7 +327,8 @@ int run(int argc, char** argv) {
         // and broadcasts the verdict as control traffic. The harness uses
         // the nonblocking broadcast so its own pacing does not
         // re-serialize the ranks each epoch; the persistent flag buffers
-        // are released by the engine's epoch-start quiesce.
+        // are released by the hold of the next epoch's blocking loss
+        // all-reduce, which every rank posts after its flag wait.
         bool keep_going = true;
         std::array<Index, 1> flag_src = {0};
         std::array<Index, 1> flag_dst = {0};

@@ -17,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "src/comm/compress.hpp"
 #include "src/comm/fault.hpp"
 #include "src/core/algebra_registry.hpp"
@@ -118,7 +120,8 @@ int run(int argc, char** argv) {
   const GnnConfig config = GnnConfig::three_layer(f, classes, 6);
   const DistProblem problem = DistProblem::prepare(graph);
   const std::string ckpt =
-      (std::filesystem::temp_directory_path() / "cagnet_bench_recovery.bin")
+      (std::filesystem::temp_directory_path() /
+       (std::to_string(::getpid()) + "_cagnet_bench_recovery.bin"))
           .string();
 
   // The CAGNET_* modes, with the swept codec on top.

@@ -1,11 +1,9 @@
 #include "src/core/dist15d.hpp"
 
 #include <algorithm>
-#include <array>
 #include <utility>
 #include <vector>
 
-#include "src/dense/gemm.hpp"
 #include "src/util/error.hpp"
 
 namespace cagnet {
@@ -26,7 +24,6 @@ Algebra15D::Algebra15D(const DistProblem& problem, Comm world,
   } else {
     slice_ = world_;
   }
-  grad_comm_ = slice_.split(/*color=*/0, /*key=*/slice_.rank());
 
   row_starts_ = dist::row_starts(problem, groups_);
   row_lo_ = row_starts_[static_cast<std::size_t>(g_)];
@@ -55,7 +52,6 @@ Algebra15D::Algebra15D(const DistProblem& problem, Comm world,
   // stripe blocks touch. Off-stripe slice peers hold rows this rank never
   // reads (their stages do not exist), so the plan requests nothing from
   // them.
-  grad_pending_.codec = run.compress;
   use_halo_ = run.halo && groups_ > 1;
   if (use_halo_) {
     halo_.codec = run.compress;
@@ -107,13 +103,6 @@ void Algebra15D::begin_epoch(int epoch) {
 
 void Algebra15D::spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) {
   const Index f = h.cols();
-  if (c_ > 1) {
-    // Release point for the previous layer's deferred team reduction:
-    // team peers read this rank's T chunks at their waits, and `t` is
-    // rewritten below. Readers drained a whole layer ago.
-    ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-    team_.quiesce();
-  }
   t.resize(local_rows(), f);
   t.set_zero();
 
@@ -158,102 +147,15 @@ void Algebra15D::spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) {
   }
 
   // Team all-reduce completes the contraction and leaves T replicated
-  // across the c team members (the 1.5D replication cost in flight). It
-  // is deferred as row-chunked nonblocking ops; the times_weight override
-  // drains them interleaved with its GEMM. Chunk charges telescope over
-  // cumulative bytes so their sum is bitwise the one-shot all-reduce
-  // charge (per-chunk integer division would not be).
+  // across the c team members (the 1.5D replication cost).
   if (c_ == 1) return;
   ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-  const Index rows = t.rows();
-  t_reduced_.resize(rows, f);
-  const int chunks = static_cast<int>(
-      std::min<Index>(4, std::max<Index>(rows, 1)));
-  deferred_.ops.clear();
-  deferred_.rows.clear();
-  deferred_.charges.clear();
-  const auto cum_bytes = [&](Index upto_rows) {
-    const auto elems = static_cast<std::size_t>(upto_rows * f);
-    return 2 * elems * sizeof(Real) * static_cast<std::size_t>(c_ - 1) /
-           static_cast<std::size_t>(c_);
-  };
-  for (int i = 0; i < chunks; ++i) {
-    const auto [r0, r1] = block_range(rows, chunks, i);
-    const auto n = static_cast<std::size_t>((r1 - r0) * f);
-    deferred_.rows.push_back({r0, r1});
-    deferred_.charges.push_back(
-        {i == 0 ? 2.0 * ceil_log2(c_) : 0.0,
-         static_cast<double>(cum_bytes(r1) - cum_bytes(r0)) /
-             sizeof(Real)});
-    deferred_.ops.push_back(team_.iallreduce_sum(
-        std::span<const Real>(t.data() + r0 * f, n),
-        std::span<Real>(t_reduced_.data() + r0 * f, n),
-        CommCategory::kDense, /*charged=*/false));
-  }
-  deferred_.active = true;
-}
-
-void Algebra15D::times_weight(const Matrix& t, const Matrix& w, Matrix& z,
-                              EpochStats& stats) {
-  if (!deferred_.active) {
-    DistSpmmAlgebra::times_weight(t, w, z, stats);
-    return;
-  }
-  deferred_.active = false;
-  const Index f_in = w.rows();
-  const Index f_out = w.cols();
-  CAGNET_CHECK(t_reduced_.rows() == t.rows() && t.cols() == f_in,
-               "times_weight: deferred reduction does not match T");
-  z.resize(t.rows(), f_out);
-  dist::OverlapScope region(world_.meter(), stats.work, machine());
-  for (std::size_t i = 0; i < deferred_.ops.size(); ++i) {
-    const auto [r0, r1] = deferred_.rows[i];
-    {
-      // The manual charge lands here — inside the wait window — so the
-      // overlap accounting attributes it to the region it overlapped.
-      ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-      world_.meter().add(CommCategory::kDense, deferred_.charges[i].first,
-                         deferred_.charges[i].second);
-      deferred_.ops[i].wait();
-    }
-    region.close();
-    region.open();
-    {
-      ScopedPhase scope(stats.profiler, Phase::kMisc);
-      t_reduced_.block_into(r0, 0, r1 - r0, f_in, t_chunk_);
-      z_chunk_.resize(r1 - r0, f_out);
-      gemm(Trans::kNo, Trans::kNo, Real{1}, t_chunk_, w, Real{0}, z_chunk_);
-      std::copy(z_chunk_.flat().begin(), z_chunk_.flat().end(),
-                z.data() + r0 * f_out);
-      stats.work.add_gemm(machine(), 2.0 * static_cast<double>(r1 - r0) *
-                                         static_cast<double>(f_in) *
-                                         static_cast<double>(f_out));
-    }
-  }
-  region.close();
-  // Source-release contract: team peers may still be reading this rank's
-  // T chunks; spmm_at quiesces the team before T is next rewritten.
-}
-
-void Algebra15D::complete_spmm_at(Matrix& t, EpochStats& stats) {
-  if (!deferred_.active) return;
-  deferred_.active = false;
-  ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-  for (std::size_t i = 0; i < deferred_.ops.size(); ++i) {
-    world_.meter().add(CommCategory::kDense, deferred_.charges[i].first,
-                       deferred_.charges[i].second);
-    deferred_.ops[i].wait();
-  }
-  // Team peers may still read `t`'s storage, the reduction's source; it
-  // moves into t_reduced_, which only the next spmm_at rewrites, behind
-  // its team quiesce.
-  std::swap(t, t_reduced_);
+  team_.allreduce_sum(t.flat(), CommCategory::kDense);
 }
 
 void Algebra15D::release_setup_buffers() noexcept {
   hj_recv_ = Matrix();
   hj_recv2_ = Matrix();
-  t_reduced_ = Matrix();
   for (dist::HaloPlan::PackBuf& buf : halo_.pack) {
     buf.send_buf = Matrix();
     buf.send_bytes = std::vector<std::uint8_t>();
@@ -269,8 +171,9 @@ void Algebra15D::spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) {
     // layer's reduce-scatter; the halo backward manages its own pack
     // staging instead) and team peers read u (previous layer's replica
     // broadcast); both buffers are rewritten below. The slice release is
-    // bounded to that single op — anything broader would wait on the
-    // deferred gradient reductions, which peers finish only later.
+    // bounded to that single op: a full quiesce would also wait for
+    // peers to finish every later slice op, such as the halo exchanges,
+    // whose pack staging keeps its own release points.
     ScopedPhase scope(stats.profiler, Phase::kDenseComm);
     if (has_u_release_) slice_.quiesce_op(u_release_ticket_);
     if (c_ > 1) team_.quiesce();
@@ -364,20 +267,20 @@ void Algebra15D::broadcast_to_team(bool keeper, Matrix& u,
       .wait();
 }
 
-void Algebra15D::begin_reduce_gradients(Matrix& y_partial, Index f_in,
-                                        Index f_out, Matrix& y_full,
-                                        EpochStats& stats) {
+void Algebra15D::reduce_gradients(Index layer, Matrix& y_partial,
+                                  Index f_in, Index f_out, Matrix& y_full,
+                                  EpochStats& stats) {
   // Rows whole: y_partial is the group's (f_in x f_out) contribution,
   // summed over groups within the slice (each slice forms the identical
   // full sum independently, keeping Y replicated without cross-team
   // traffic).
-  dist::begin_allreduce_weight_gradient(y_partial, f_in, f_out, grad_comm_,
-                                        stats.profiler, grad_pending_,
-                                        y_full);
-}
-
-void Algebra15D::finish_gradients(EpochStats& stats) {
-  dist::finish_allreduce_weight_gradient(stats.profiler, grad_pending_);
+  CAGNET_CHECK(y_partial.rows() == f_in && y_partial.cols() == f_out,
+               "reduce_gradients: unexpected partial shape");
+  dist::allreduce_gradient(layer, y_partial, run().compress, grad_residuals_,
+                           slice_, stats.profiler);
+  y_full.resize(f_in, f_out);
+  std::copy(y_partial.flat().begin(), y_partial.flat().end(),
+            y_full.flat().begin());
 }
 
 }  // namespace cagnet

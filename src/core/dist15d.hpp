@@ -20,8 +20,8 @@
 //                           broadcast stages of H_j over only its stripe's
 //                           j's — a 1/c reduction of broadcast volume — and
 //                           the local A^T_gj H_j products accumulate into T;
-//                           for c > 1 a team all-reduce of the partial T
-//                           completes the contraction.
+//                           for c > 1 a blocking team all-reduce of the
+//                           partial T completes the contraction.
 //   sigma               : rows are whole, so even log_softmax needs no
 //                           communication (Section IV-A.2).
 //   backward  AG^l      : outer product A_j G_g over the stripe, summed by a
@@ -30,10 +30,9 @@
 //                           broadcast then replicates the reduced block.
 //   Y = (H)^T AG^l      : small outer product + f x f all-reduce within
 //                           the slice (IV-A.4).
-// Layer 1's forward runs once, at set-up (T^1 = A^T X, completed by
-// complete_spmm_at), and its backward needs no AG^1 (see dist_engine.hpp).
-// A narrowing layer aggregates H W (a local GEMM), so no GEMM follows its
-// SpMM and complete_spmm_at drains its team reduction too.
+// Layer 1's forward runs once, at set-up (T^1 = A^T X), and its backward
+// needs no AG^1 (see dist_engine.hpp). A narrowing layer aggregates H W (a
+// local GEMM) instead of H.
 //
 // At c = 1 the metered cost matches Section IV-A.5 with edgecut =
 // n(P-1)/P (the random / broadcast-based bound; Algorithm 1 broadcasts
@@ -94,29 +93,14 @@ class Algebra15D final : public DistSpmmAlgebra {
   /// mode is inactive.
   void begin_epoch(int epoch) override;
 
-  /// For c > 1, spmm_at defers the team (replica) all-reduce of T as
-  /// row-chunked nonblocking ops, and this override interleaves their
-  /// waits with the local Z = T W GEMM chunk by chunk — the reduction of
-  /// chunk c+1 is in flight while chunk c multiplies. The chunk charges
-  /// sum bitwise to the one-shot all-reduce's.
-  void times_weight(const Matrix& t, const Matrix& w, Matrix& z,
-                    EpochStats& stats) override;
-  /// For c > 1, waits out the deferred team reduction at once and leaves
-  /// the reduced T in `t`, charged like times_weight's chunks: the
-  /// set-up's T^1 and a narrowing layer's Z = A^T (H W), which no GEMM
-  /// follows to hide the reduction behind.
-  void complete_spmm_at(Matrix& t, EpochStats& stats) override;
-
-  void begin_reduce_gradients(Matrix& y_partial, Index f_in, Index f_out,
-                              Matrix& y_full, EpochStats& stats) override;
-  void finish_gradients(EpochStats& stats) override;
+  void reduce_gradients(Index layer, Matrix& y_partial, Index f_in,
+                        Index f_out, Matrix& y_full,
+                        EpochStats& stats) override;
   void drain() noexcept override {
     dist::drain_comm(slice_);
     dist::drain_comm(team_);
-    dist::drain_comm(grad_comm_);
   }
-  /// The stage receive buffers, the halo pack staging and (c > 1) the
-  /// team reduction's source.
+  /// The stage receive buffers and the halo pack staging.
   void release_setup_buffers() noexcept override;
 
   int replication() const { return c_; }
@@ -153,11 +137,9 @@ class Algebra15D final : public DistSpmmAlgebra {
   /// The c replicas of this group's dense blocks (c > 1 only; invalid at
   /// c = 1, where no team split is made).
   Comm team_;
-  /// The G ranks sharing this team index t (the world itself at c = 1).
+  /// The G ranks sharing this team index t (the world itself at c = 1);
+  /// also the weight-gradient reduction group.
   Comm slice_;
-  /// The slice again, as a communicator of its own for the deferred Y
-  /// reductions (see dist::PendingGradReduce).
-  Comm grad_comm_;
 
   int c_ = 1;       ///< replication factor
   int groups_ = 1;  ///< G = P / c
@@ -193,28 +175,15 @@ class Algebra15D final : public DistSpmmAlgebra {
   Matrix hj_recv2_;   ///< double-buffer partner (next stage's prefetch)
   Matrix u_partial_;  ///< stacked stripe outer-product partial (reused)
 
-  /// Deferred team (replica) all-reduce of T, posted by spmm_at and
-  /// drained chunk-by-chunk in times_weight (at once in
-  /// complete_spmm_at). The chunk charges telescope
-  /// (cumulative-bytes differences) so their sum is bitwise the one-shot
-  /// all-reduce charge for any team size.
-  struct DeferredTeamReduce {
-    bool active = false;
-    std::vector<PendingOp> ops;                       ///< one per row chunk
-    std::vector<std::pair<Index, Index>> rows;        ///< chunk row ranges
-    std::vector<std::pair<double, double>> charges;   ///< (lat, words)
-  };
-  DeferredTeamReduce deferred_;
-  dist::PendingGradReduce grad_pending_;  ///< deferred Y reductions
+  /// Error-feedback residuals of the lossy Y reduction, one per layer
+  /// (dist::allreduce_gradient).
+  std::vector<CompressBuf> grad_residuals_;
   /// Codec staging of the compressed slice reduce-scatter
   /// (RunConfig::compress). Error feedback stays off: U is a fresh
   /// activation gradient each layer, not an accumulating signal.
   CompressBuf u_cbuf_;
   std::uint64_t u_release_ticket_ = 0;  ///< last u reduce-scatter (release)
   bool has_u_release_ = false;
-  Matrix t_reduced_;   ///< out-of-place reduced T (reused)
-  Matrix t_chunk_;     ///< reduced-T row chunk staged for the GEMM (reused)
-  Matrix z_chunk_;     ///< per-chunk GEMM output (reused)
 };
 
 }  // namespace cagnet

@@ -1,5 +1,6 @@
 #include "src/core/dist3d.hpp"
 
+#include <algorithm>
 #include <array>
 #include <utility>
 
@@ -21,7 +22,6 @@ Algebra3D::Algebra3D(const DistProblem& problem, Comm world, int layers,
                      const RunConfig& run, MachineModel machine)
     : DistSpmmAlgebra(run, machine),
       grid_(Grid3D::create(world, grid_side(world.size(), layers), layers)) {
-  grad_pending_.codec = run.compress;
   n_ = problem.graph->num_vertices();
   const int q = grid_.q;
   const int l = grid_.l;
@@ -104,13 +104,12 @@ void Algebra3D::split3d_spmm(const SparseStages& sparse,
   const bool layered = grid_.l > 1;
   const Index w = my_dense.cols();
   {
-    // Release points for this rank's earlier sources: fiber peers read
-    // t_partial_ (previous reduce-scatter), row peers read the partial-
-    // SUMMA T panels and gathered feature rows — all rewritten below or
-    // by the engine buffers backing them. Readers drained a whole layer
-    // ago, so this is a handful of atomic loads.
+    // Release point for this rank's earlier row sources: row peers read
+    // the partial-SUMMA T panels, the staged reduce_times_weight terms
+    // and the gathered feature rows — all rewritten below or by the
+    // engine buffers backing them. Readers drained a whole layer ago, so
+    // this is a handful of atomic loads.
     ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-    if (layered) grid_.fiber.quiesce();
     grid_.row.quiesce();
   }
   // For l > 1 the SUMMA fills the pre-reduction partial: (n/q x f/q), the
@@ -155,17 +154,11 @@ void Algebra3D::split3d_spmm(const SparseStages& sparse,
   if (!layered) return;
 
   // Fiber reduce-scatter: sum layer partials, splitting C_i into its fine
-  // slabs F_{i,kk}; fiber rank kk keeps slab kk. The nonblocking form
-  // computes this rank's slab as soon as all partials are posted and
-  // skips the trailing rendezvous — the release of t_partial_ is deferred
-  // to the quiesce at the next call — so the rest of the layer (partial
-  // SUMMA, gathers) proceeds without waiting for fiber stragglers.
+  // slabs F_{i,kk}; fiber rank kk keeps slab kk.
   out.resize(fine_hi_ - fine_lo_, w);
   ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-  grid_.fiber
-      .ireduce_scatter_sum(std::span<const Real>(t_partial_.flat()),
-                           out.flat(), CommCategory::kDense)
-      .wait();
+  grid_.fiber.reduce_scatter_sum(std::span<const Real>(t_partial_.flat()),
+                                 out.flat(), CommCategory::kDense);
 }
 
 Csr Algebra3D::transpose_3d(const Csr& my_block) {
@@ -235,19 +228,26 @@ void Algebra3D::gather_feature_rows(const Matrix& local, Index f,
                                ws_, full);
 }
 
-void Algebra3D::begin_reduce_gradients(Matrix& y_partial, Index f_in,
-                                       Index f_out, Matrix& y_full,
-                                       EpochStats& stats) {
+void Algebra3D::reduce_gradients(Index layer, Matrix& y_partial,
+                                 Index f_in, Index f_out, Matrix& y_full,
+                                 EpochStats& stats) {
   // Reduction over the j-plane (all fine row blocks sharing this feature
-  // slice), then (at finish) row all-gather to replicate Y (IV-D.4).
-  dist::begin_assemble_weight_gradient(y_partial, f_in, f_out, jplane_,
-                                       stats.profiler, grad_pending_,
-                                       y_full);
-}
-
-void Algebra3D::finish_gradients(EpochStats& stats) {
-  dist::finish_assemble_weight_gradient(grid_.q, grid_.row,
-                                        stats.profiler, grad_pending_);
+  // slice), then a row all-gather of the reduced slices replicates Y
+  // (IV-D.4): process column j holds rows block_range(f_in, q, j), so the
+  // rank-ordered chunks are Y's rows in order.
+  dist::allreduce_gradient(layer, y_partial, run().compress, grad_residuals_,
+                           jplane_, stats.profiler);
+  {
+    ScopedPhase scope(stats.profiler, Phase::kDenseComm);
+    grid_.row.allgatherv_into(std::span<const Real>(y_partial.flat()),
+                              ws_.gathered, CommCategory::kDense);
+  }
+  CAGNET_CHECK(ws_.gathered.data.size() ==
+                   static_cast<std::size_t>(f_in * f_out),
+               "reduce_gradients: gathered slices do not cover Y");
+  y_full.resize(f_in, f_out);
+  std::copy(ws_.gathered.data.begin(), ws_.gathered.data.end(),
+            y_full.data());
 }
 
 void Algebra3D::begin_backward(EpochStats& stats) {

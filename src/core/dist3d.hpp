@@ -101,9 +101,9 @@ class Algebra3D final : public DistSpmmAlgebra {
                           EpochStats& stats) override;
   void gather_feature_rows(const Matrix& local, Index f, Matrix& full,
                            EpochStats& stats) override;
-  void begin_reduce_gradients(Matrix& y_partial, Index f_in, Index f_out,
-                              Matrix& y_full, EpochStats& stats) override;
-  void finish_gradients(EpochStats& stats) override;
+  void reduce_gradients(Index layer, Matrix& y_partial, Index f_in,
+                        Index f_out, Matrix& y_full,
+                        EpochStats& stats) override;
 
   /// Replays the distributed transpose A^T -> A and its way back: the
   /// paper's two transposes per epoch, run once at construction.
@@ -112,8 +112,6 @@ class Algebra3D final : public DistSpmmAlgebra {
   void drain() noexcept override {
     dist::drain_comm(grid_.row);
     dist::drain_comm(grid_.col);
-    dist::drain_comm(grid_.fiber);
-    dist::drain_comm(jplane_);
   }
   /// The SUMMA stage receive buffers and, for l > 1, the fiber partial.
   void release_setup_buffers() noexcept override {
@@ -159,10 +157,8 @@ class Algebra3D final : public DistSpmmAlgebra {
   Csr transpose_3d(const Csr& my_block);
 
   Grid3D grid_;
-  /// Ranks sharing j, ordered by (i, k): the deferred Y reductions' own
-  /// communicator (nothing else posts on it during an epoch, whereas the
-  /// process column carries q SUMMA panels per backward layer; see
-  /// dist::PendingGradReduce) and the output gather.
+  /// Ranks sharing j, ordered by (i, k): every fine row block of feature
+  /// slice j, so the Y reduction's group, and the output gather's.
   Comm jplane_;
 
   Index n_ = 0;
@@ -174,7 +170,9 @@ class Algebra3D final : public DistSpmmAlgebra {
   CostMeter transposes_;    ///< A^T -> A and back, replayed per epoch
 
   Matrix t_partial_;  ///< P^(1/3)-replicated partial (l > 1; reused)
-  dist::PendingGradReduce grad_pending_;  ///< deferred Y reductions
+  /// Error-feedback residuals of the lossy Y reduction, one per layer
+  /// (dist::allreduce_gradient).
+  std::vector<CompressBuf> grad_residuals_;
   dist::DistWorkspace ws_;           ///< reused dense/staging buffers
 };
 

@@ -159,23 +159,15 @@ std::array<double, 2> loss_terms(const Matrix& log_probs,
 
 EpochResult reduce_loss_accuracy(const Matrix& local_log_probs,
                                  std::span<const Index> labels,
-                                 Index labeled_count, Comm& comm,
-                                 std::array<double, 4>& scratch) {
-  // Posted and waited without the blocking form's release hold: the
-  // caller owns the scratch and quiesces `comm` before reusing it.
-  const std::array<double, 2> terms = loss_terms(local_log_probs, labels);
-  scratch[0] = terms[0];
-  scratch[1] = terms[1];
-  comm.iallreduce_sum(std::span<const double>(scratch.data(), 2),
-                      std::span<double>(scratch.data() + 2, 2),
-                      CommCategory::kControl)
-      .wait();
+                                 Index labeled_count, Comm& comm) {
+  std::array<double, 2> terms = loss_terms(local_log_probs, labels);
+  comm.allreduce_sum(std::span<double>(terms), CommCategory::kControl);
   EpochResult result;
   result.loss = labeled_count > 0
-                    ? scratch[2] / static_cast<double>(labeled_count)
+                    ? terms[0] / static_cast<double>(labeled_count)
                     : 0.0;
   result.accuracy = labeled_count > 0
-                        ? scratch[3] / static_cast<double>(labeled_count)
+                        ? terms[1] / static_cast<double>(labeled_count)
                         : 0.0;
   return result;
 }
@@ -357,174 +349,21 @@ void allgather_feature_rows(const Matrix& local, Index full_cols, int parts,
   }
 }
 
-namespace {
-
-/// Grow-once access to pending-reduction slot `i`.
-template <typename T>
-T& pending_slot(std::vector<T>& v, std::size_t i) {
-  if (v.size() <= i) v.resize(i + 1);
-  return v[i];
-}
-
-/// Deferred reductions one cycle keeps in flight: half the channel ring.
-/// A deeper model completes layer i - kInFlight's reduction before it
-/// posts layer i's, so any depth stays inside the ring (a 17th pending op
-/// would have to wait for a channel that only the finish frees).
-constexpr std::size_t kInFlight =
-    static_cast<std::size_t>(detail::kAsyncChannels) / 2;
-
-}  // namespace
-
-void begin_allreduce_weight_gradient(Matrix& y_partial, Index f_in,
-                                     Index f_out, Comm& comm,
-                                     Profiler& profiler,
-                                     PendingGradReduce& pending,
-                                     Matrix& y_full) {
-  CAGNET_CHECK(y_partial.rows() == f_in && y_partial.cols() == f_out,
-               "reduce_gradients: unexpected partial shape");
-  const CompressMode gmode = pending.codec;
-  if (gmode != CompressMode::kOff) {
-    if (pending.count + pending.ccount == 0) {
-      ScopedPhase scope(profiler, Phase::kDenseComm);
-      comm.quiesce();  // release last cycle's encoded sends
-    }
-    // The encode IS the staging copy: peers read the stable buf.send of
-    // the layer's CompressBuf, so y_partial is free immediately and no
-    // pending.src slot is needed. The op times itself.
-    const std::size_t i = pending.ccount++;
-    if (i >= kInFlight) pending.cops[i - kInFlight].wait();
-    y_full.resize(f_in, f_out);
-    pending_slot(pending.cops, i) = comm.iallreduce_sum_compressed(
-        std::span<const Real>(y_partial.flat()), y_full.flat(), gmode,
-        pending.compress_slot(i), &profiler);
-    return;
-  }
-  ScopedPhase scope(profiler, Phase::kDenseComm);
-  // Release point for last cycle's staged partials (peers read them at
-  // their finish waits); long drained by now.
-  if (pending.count + pending.ccount == 0) comm.quiesce();
-  const std::size_t i = pending.count++;
-  if (i >= kInFlight) pending.ops[i - kInFlight].wait();
-  Matrix& src = pending_slot(pending.src, i);
-  src.resize(f_in, f_out);
-  std::copy(y_partial.flat().begin(), y_partial.flat().end(),
-            src.flat().begin());
-  y_full.resize(f_in, f_out);
-  pending_slot(pending.ops, i) = comm.iallreduce_sum(
-      std::span<const Real>(src.flat()), y_full.flat(),
-      CommCategory::kDense);
-}
-
-void finish_allreduce_weight_gradient(Profiler& profiler,
-                                      PendingGradReduce& pending) {
-  {
+void allreduce_gradient(Index layer, Matrix& y, CompressMode codec,
+                        std::vector<CompressBuf>& residuals, Comm& comm,
+                        Profiler& profiler) {
+  if (codec == CompressMode::kOff) {
     ScopedPhase scope(profiler, Phase::kDenseComm);
-    for (std::size_t i = 0; i < pending.count; ++i) {
-      if (pending.ops[i].pending()) pending.ops[i].wait();
-    }
-  }
-  // Compressed ops time themselves (wire wait under kDenseComm, decode
-  // under kCompressPack). Ops a begin already completed are skipped.
-  for (std::size_t i = 0; i < pending.ccount; ++i) {
-    if (pending.cops[i].pending()) pending.cops[i].wait();
-  }
-  pending.count = 0;
-  pending.ccount = 0;
-}
-
-void begin_assemble_weight_gradient(Matrix& y_slice, Index f_in,
-                                    Index f_out, Comm& reduce_comm,
-                                    Profiler& profiler,
-                                    PendingGradReduce& pending,
-                                    Matrix& y_full) {
-  const CompressMode gmode = pending.codec;
-  if (gmode != CompressMode::kOff) {
-    if (pending.count + pending.ccount == 0) {
-      ScopedPhase scope(profiler, Phase::kDenseComm);
-      reduce_comm.quiesce();  // release last epoch's encoded sends
-    }
-    // Lossy slice sum into the reduced slot; the exact row gather is
-    // posted at finish once the decode lands. The encode is the staging
-    // copy (peers read the layer buf's stable send bytes), so y_slice is
-    // free on return. The op times itself.
-    const std::size_t i = pending.ccount++;
-    if (i >= kInFlight) pending.cops[i - kInFlight].wait();
-    Matrix& reduced = pending_slot(pending.reduced, i);
-    reduced.resize(y_slice.rows(), y_slice.cols());
-    pending_slot(pending.cops, i) = reduce_comm.iallreduce_sum_compressed(
-        std::span<const Real>(y_slice.flat()), reduced.flat(), gmode,
-        pending.compress_slot(i), &profiler);
-    pending_slot(pending.targets, i) = &y_full;
-    pending_slot(pending.dims, i) = {f_in, f_out};
+    comm.allreduce_sum(y.flat(), CommCategory::kDense);
     return;
   }
-  ScopedPhase scope(profiler, Phase::kDenseComm);
-  if (pending.count == 0) reduce_comm.quiesce();  // release last epoch's
-  const std::size_t i = pending.count++;
-  if (i >= kInFlight) pending.ops[i - kInFlight].wait();
-  Matrix& src = pending_slot(pending.src, i);
-  src.resize(y_slice.rows(), y_slice.cols());
-  std::copy(y_slice.flat().begin(), y_slice.flat().end(),
-            src.flat().begin());
-  Matrix& reduced = pending_slot(pending.reduced, i);
-  reduced.resize(y_slice.rows(), y_slice.cols());
-  pending_slot(pending.ops, i) = reduce_comm.iallreduce_sum(
-      std::span<const Real>(src.flat()), reduced.flat(),
-      CommCategory::kDense);
-  pending_slot(pending.targets, i) = &y_full;
-  pending_slot(pending.dims, i) = {f_in, f_out};
-}
-
-void finish_assemble_weight_gradient(int parts, Comm& row_comm,
-                                     Profiler& profiler,
-                                     PendingGradReduce& pending) {
-  const auto unpack = [&](std::size_t i) {
-    {
-      ScopedPhase scope(profiler, Phase::kDenseComm);
-      pending.gather_ops[i].wait();
-    }
-    const auto [f_in, f_out] = pending.dims[i];
-    Matrix& y = *pending.targets[i];
-    y.resize(f_in, f_out);
-    for (int jj = 0; jj < parts; ++jj) {
-      const auto [r0, r1] = block_range(f_in, parts, jj);
-      const auto chunk = pending.gathered[i]->chunk(jj);
-      CAGNET_CHECK(chunk.size() ==
-                       static_cast<std::size_t>((r1 - r0) * f_out),
-                   "finish_assemble_weight_gradient: slice size mismatch");
-      std::copy(chunk.begin(), chunk.end(), y.data() + r0 * f_out);
-    }
-  };
-  // Complete each layer's reduction (unless a begin already did) and
-  // launch its slice all-gather before touching the next, so later
-  // layers' gathers are in flight while earlier layers unpack; at most
-  // kInFlight gathers are pending at once. Modes never mix within an
-  // epoch, so one of count / ccount is 0 and the slot indices of the two
-  // families never collide. Compressed ops time themselves (wire wait
-  // under kDenseComm, decode under kCompressPack).
-  const std::size_t n = pending.count + pending.ccount;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (pending.count > 0) {
-      ScopedPhase scope(profiler, Phase::kDenseComm);
-      if (pending.ops[i].pending()) pending.ops[i].wait();
-    } else if (pending.cops[i].pending()) {
-      pending.cops[i].wait();
-    }
-    {
-      ScopedPhase scope(profiler, Phase::kDenseComm);
-      auto& gathered = pending_slot(pending.gathered, i);
-      if (!gathered) gathered = std::make_unique<Gathered<Real>>();
-      pending_slot(pending.gather_ops, i) = row_comm.iallgatherv_into(
-          std::span<const Real>(pending.reduced[i].flat()), *gathered,
-          CommCategory::kDense);
-    }
-    if (i >= kInFlight) unpack(i - kInFlight);
-  }
-  for (std::size_t i = n > kInFlight ? n - kInFlight : 0; i < n; ++i) {
-    unpack(i);
-  }
-  pending.count = 0;
-  pending.ccount = 0;
+  const auto slot = static_cast<std::size_t>(layer - 1);
+  if (residuals.size() <= slot) residuals.resize(slot + 1);
+  CompressBuf& buf = residuals[slot];
+  buf.error_feedback = true;
+  // The op times itself (wire wait under kDenseComm, codec under
+  // kCompressPack).
+  comm.allreduce_sum_compressed(y.flat(), codec, buf, &profiler);
 }
 
 std::vector<Index> row_starts(const DistProblem& problem, int parts) {
@@ -1042,16 +881,8 @@ void halo_spmm_pipeline(const Matrix& h, const Csr* self_block, int self,
         std::span<const std::size_t>(plan.send_row_offsets), comm, plan, cat,
         stats.profiler);
   }
-  halo_spmm_sweep(op, h, self_block, self, comm, plan, machine, stats, t);
-}
-
-void halo_spmm_sweep(PendingOp& op, const Matrix& h, const Csr* self_block,
-                     int self, Comm& comm, HaloPlan& plan,
-                     const MachineModel& machine, EpochStats& stats,
-                     Matrix& t) {
   const int p = comm.size();
   const Index f = h.cols();
-  HaloPlan::StaleState& st = plan.stale;
   const bool stale_on = st.active;
   const auto slot = static_cast<std::size_t>(st.cur_slot);
   // Landed-row offsets of this exchange: the preagg plan's effective

@@ -357,24 +357,12 @@ PendingOp halo_exchange_begin(const Matrix& src, std::span<const Index> rows,
 /// multiplies the plan's compacted block. Every drain is
 /// recorded as one CostMeter overlap region paired against the previous
 /// stage's SpMM, so halo mode reports nonzero overlap_regions. Shared by
-/// the 1D (comm = world) and 1.5D (comm = slice) forwards.
+/// the 1D (comm = world) and 1.5D (comm = slice) forwards and the sampled
+/// batches' aggregations (comm = world, a per-batch plan).
 void halo_spmm_pipeline(const Matrix& h, const Csr* self_block, int self,
                         Comm& comm, HaloPlan& plan, CommCategory cat,
                         const MachineModel& machine, EpochStats& stats,
                         Matrix& t);
-
-/// The stage sweep of halo_spmm_pipeline alone, against an exchange the
-/// caller already began (`op` from halo_exchange_begin on the same plan).
-/// Splitting
-/// the begin from the sweep lets the sampled minibatch trainer post the
-/// next batch's feature exchange a whole compute phase early while
-/// keeping the drain/accumulation discipline — ascending peer order,
-/// per-source zero-copy drains, one overlap region per stage — in one
-/// place. halo_spmm_pipeline is exactly begin + this sweep.
-void halo_spmm_sweep(PendingOp& op, const Matrix& h, const Csr* self_block,
-                     int self, Comm& comm, HaloPlan& plan,
-                     const MachineModel& machine, EpochStats& stats,
-                     Matrix& t);
 
 /// The mirrored backward contribution exchange: pack `pack_rows` of
 /// `partial` (the structurally nonzero remote contribution rows), ship
@@ -405,14 +393,10 @@ std::array<double, 2> loss_terms(const Matrix& log_probs,
 
 /// Global mean NLL loss and accuracy from a local row block of output
 /// log-probabilities, row r labeled `labels[r]`. Reduces loss_terms
-/// across ranks as control traffic through one nonblocking all-reduce
-/// whose (src, dst) pairs live in `scratch` — persistent storage (e.g.
-/// engine-owned) that peers read at their own waits, so quiesce `comm`
-/// before the next call overwrites it.
+/// across ranks as control traffic through one blocking all-reduce.
 EpochResult reduce_loss_accuracy(const Matrix& local_log_probs,
                                  std::span<const Index> labels,
-                                 Index labeled_count, Comm& comm,
-                                 std::array<double, 4>& scratch);
+                                 Index labeled_count, Comm& comm);
 
 /// Average degree of a CSR block (nnz / rows), guarding empty blocks.
 double block_degree(const Csr& block);
@@ -507,86 +491,16 @@ void allgather_feature_rows(const Matrix& local, Index full_cols, int parts,
                             Comm& row_comm, Profiler& profiler,
                             DistWorkspace& ws, Matrix& full);
 
-/// Per-epoch state of the deferred gradient reductions: one entry per
-/// layer, all storage reused across epochs. The begin_/finish_ helpers
-/// below implement DistSpmmAlgebra::begin_reduce_gradients /
-/// finish_gradients for the two layout families, so the reductions are
-/// in flight behind the remaining backward layers. A channel is reused
-/// only after every rank finished its previous generation, so the 16th
-/// post after a pending op on its communicator is a ContractViolation.
-/// Hence the reductions run on a communicator that carries nothing else
-/// during the backward (otherwise the process column's SUMMA panels at
-/// q >= 8, or the 1D world's per-layer exchanges in a deep network, would
-/// land on a reduction that is waited only at finish): each algebra passes
-/// one of its own with the reduction group's ranks in unchanged order (a
-/// split of the 1D / 1.5D slice; the 2D / 3D j-plane, which no SUMMA
-/// stage uses), so sums and charges are the group's. And the helpers keep
-/// at most 8 reductions (and, at finish, 8 row gathers) in flight,
-/// completing the oldest first, so a model of any depth fits the ring.
-/// Under a `codec` other than kOff the sums run through the lossy codec
-/// with error feedback, one residual store per layer (layer order is the
-/// call order within an epoch, so each layer's residual is continuous
-/// across epochs).
-struct PendingGradReduce {
-  /// Gradient codec (RunConfig::compress), fixed at construction.
-  CompressMode codec = CompressMode::kOff;
-  std::vector<Matrix> src;                 ///< staged partials (per layer)
-  std::vector<Matrix> reduced;             ///< slice-family reduce targets
-  /// Slice-family gather staging. unique_ptr: in-flight gathers hold the
-  /// slot's address, which must survive the vector growing more slots.
-  std::vector<std::unique_ptr<Gathered<Real>>> gathered;
-  std::vector<PendingOp> ops;              ///< in-flight reductions
-  std::vector<PendingOp> gather_ops;       ///< slice-family gathers
-  std::vector<Matrix*> targets;            ///< y_full per layer
-  std::vector<std::pair<Index, Index>> dims;  ///< (f_in, f_out) per layer
-  std::size_t count = 0;                   ///< layers posted this epoch
-  /// Compressed-path state (codec != kOff). One CompressBuf per
-  /// layer, error feedback on: the residual store is the codec's memory
-  /// across epochs, so slot i must always serve the same layer.
-  /// unique_ptr for address stability while in-flight ops hold the slot.
-  std::vector<std::unique_ptr<CompressBuf>> cbufs;
-  std::vector<PendingCompressedReduce> cops;  ///< in-flight compressed ops
-  std::size_t ccount = 0;                  ///< compressed layers posted
-
-  /// Grow-once residual slot for layer `i` (error feedback enabled).
-  CompressBuf& compress_slot(std::size_t i) {
-    if (cbufs.size() <= i) cbufs.resize(i + 1);
-    if (!cbufs[i]) {
-      cbufs[i] = std::make_unique<CompressBuf>();
-      cbufs[i]->error_feedback = true;
-    }
-    return *cbufs[i];
-  }
-};
-
-/// Rows-whole family (1D / 1.5D) deferred gradient reduction: stage a
-/// copy of `y_partial` (releasing it immediately) and post its
-/// nonblocking all-reduce over `comm` straight into `y_full`, leaving the
-/// (f_in x f_out) gradient replicated; the finish form waits every posted
-/// op.
-void begin_allreduce_weight_gradient(Matrix& y_partial, Index f_in,
-                                     Index f_out, Comm& comm,
-                                     Profiler& profiler,
-                                     PendingGradReduce& pending,
-                                     Matrix& y_full);
-void finish_allreduce_weight_gradient(Profiler& profiler,
-                                      PendingGradReduce& pending);
-
-/// Slice family (2D / 3D) deferred gradient assembly: stage a copy of
-/// `y_slice` (a feat_slice(f_in) x f_out partial) and post its
-/// nonblocking sum over `reduce_comm`; the finish form completes each
-/// reduction, all-gathers the reduced slices along `row_comm` (`parts`
-/// ranks, rank j holding block_range(f_in, parts, j)), and unpacks the
-/// fully replicated (f_in x f_out) gradients into the recorded y_full
-/// targets.
-void begin_assemble_weight_gradient(Matrix& y_slice, Index f_in,
-                                    Index f_out, Comm& reduce_comm,
-                                    Profiler& profiler,
-                                    PendingGradReduce& pending,
-                                    Matrix& y_full);
-void finish_assemble_weight_gradient(int parts, Comm& row_comm,
-                                     Profiler& profiler,
-                                     PendingGradReduce& pending);
+/// Sum this rank's weight-gradient partial `y` of layer `layer` over
+/// `comm` in place with the blocking all-reduce (kDense). Under a `codec`
+/// other than kOff the sum runs through the lossy codec with error
+/// feedback, one residual per layer (`residuals[layer - 1]`, grown on
+/// first use), so each layer's residual is continuous across epochs and
+/// batches. The shared first step of every DistSpmmAlgebra's
+/// reduce_gradients.
+void allreduce_gradient(Index layer, Matrix& y, CompressMode codec,
+                        std::vector<CompressBuf>& residuals, Comm& comm,
+                        Profiler& profiler);
 
 /// Partial SUMMA Z = T W with W replicated: only T moves, broadcast along
 /// `row_comm` (`parts` ranks; this rank is column `my_col` and contributes

@@ -69,8 +69,8 @@ Matrix DistSpmmAlgebra::gather_output(const Matrix& output_rows, Index n) {
 
 DistEngine::~DistEngine() {
   if (algebra_ == nullptr) return;
-  // Peers may still be reading this engine's loss scratch (world) or the
-  // algebra's broadcast sources; release both before the buffers die.
+  // Peers may still be reading the algebra's broadcast sources or the
+  // sampled runner's pack buffers; release both before the buffers die.
   algebra_->drain();
   dist::drain_comm(algebra_->world());
 }
@@ -118,7 +118,6 @@ DistEngine::DistEngine(const DistProblem& problem, GnnConfig config,
 void DistEngine::aggregate_input() {
   EpochStats setup;
   algebra_->spmm_at(h_[0], t1_, setup);
-  algebra_->complete_spmm_at(t1_, setup);
   aggregated_ = true;
 }
 
@@ -155,7 +154,6 @@ const Matrix& DistEngine::forward(Aggregation& agg) {
       auto& hw = hw_[static_cast<std::size_t>(l)];
       algebra_->input_times_weight(h, w, hw, stats_);
       agg.spmm_at(l, hw, z, stats_);
-      algebra_->complete_spmm_at(z, stats_);
     } else {
       agg.spmm_at(l, h, t_buf_, stats_);
       algebra_->times_weight(t_buf_, w, z, stats_);
@@ -253,8 +251,8 @@ void DistEngine::backward(Aggregation& agg, std::span<const Index> labels,
                                static_cast<double>(fi1 - fi0) *
                                static_cast<double>(f_out));
     }
-    algebra_->begin_reduce_gradients(
-        y_buf_, f_in, f_out, gradients_[static_cast<std::size_t>(l - 1)],
+    algebra_->reduce_gradients(
+        l, y_buf_, f_in, f_out, gradients_[static_cast<std::size_t>(l - 1)],
         stats_);
 
     if (l > 1) {
@@ -280,10 +278,6 @@ void DistEngine::backward(Aggregation& agg, std::span<const Index> labels,
       std::swap(g_buf_, g_next_buf_);
     }
   }
-
-  // The deferred gradient reductions complete here, having flown behind
-  // the backward recurrence; the optimizer step needs them.
-  algebra_->finish_gradients(stats_);
 }
 
 void DistEngine::step() {
@@ -317,11 +311,6 @@ EpochResult DistEngine::train_epoch() {
           step();
         });
   } else {
-    // Release point for the previous epoch's nonblocking loss reduction:
-    // peers read this rank's loss scratch at their waits, and it is
-    // rewritten below. A handful of atomic loads when already drained.
-    world.quiesce();
-
     // Arm the algebra's bounded-staleness halo refresh for this epoch.
     // No-op unless run().stale_k selects a lossy mode.
     algebra_->begin_epoch(epoch_);
@@ -339,7 +328,7 @@ EpochResult DistEngine::train_epoch() {
     stats_.result = dist::reduce_loss_accuracy(
         owns ? output_rows_ : empty,
         owns ? labels : std::span<const Index>(), problem_.labeled_count,
-        world, loss_scratch_);
+        world);
     backward(whole, labels,
              problem_.labeled_count > 0
                  ? Real{-1} / static_cast<Real>(problem_.labeled_count)

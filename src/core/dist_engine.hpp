@@ -20,7 +20,6 @@
 // otherwise — and take every row count from the matrices.
 #pragma once
 
-#include <array>
 #include <memory>
 #include <optional>
 #include <span>
@@ -125,20 +124,9 @@ class DistSpmmAlgebra {
   /// the blocks arrive at construction, and every call replays their
   /// broadcasts' charges where a pipelined loop waits for them), kDense
   /// for activation panels and the completing reductions. Stage k+1's
-  /// blocks are in flight behind stage k's local SpMM, and (1.5D, c > 1)
-  /// the team reduction of T is left pending for times_weight or
-  /// complete_spmm_at to drain.
+  /// blocks are in flight behind stage k's local SpMM; `t` returns whole
+  /// (1.5D at c > 1 completes it with a blocking team all-reduce).
   virtual void spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) = 0;
-
-  /// Finish a T that spmm_at left incomplete, so `t` holds the whole
-  /// aggregate without a following times_weight (the set-up's T^1, and a
-  /// narrowing layer's Z = A^T (H W)). Default: nothing to finish; 1.5D
-  /// at c > 1 drains its deferred team reduction. Collective for that
-  /// family.
-  virtual void complete_spmm_at(Matrix& t, EpochStats& stats) {
-    (void)t;
-    (void)stats;
-  }
 
   /// Backward propagation U = A G: `g` is the local block of G^l, `u`
   /// receives the local block of U. The engine calls it for layers
@@ -151,15 +139,14 @@ class DistSpmmAlgebra {
   /// Z = T W with W replicated: `t` is the local block of T, `z` receives
   /// the local block of Z. Default: purely local GEMM (rows-whole
   /// layouts; charges nothing); the 2D/3D families override with their
-  /// partial-SUMMA row broadcasts (kDense), and 1.5D overrides to drain
-  /// the deferred team reduction of T chunk-by-chunk behind the GEMM.
-  /// Collective whenever communication is involved.
+  /// partial-SUMMA row broadcasts (kDense). Collective whenever
+  /// communication is involved.
   virtual void times_weight(const Matrix& t, const Matrix& w, Matrix& z,
                             EpochStats& stats);
 
-  /// Z = X W for an `x` in activation layout that no spmm_at left
-  /// pending: layer 1's Z^1 = T^1 W^1 on the set-up's aggregate (f_0
-  /// wide), and a narrowing layer's H^(l-1) W^l, formed before its SpMM
+  /// Z = X W for an `x` in activation layout: layer 1's Z^1 = T^1 W^1
+  /// on the set-up's aggregate (f_0 wide), and a narrowing layer's
+  /// H^(l-1) W^l, formed before its SpMM
   /// so that the SpMM and its exchange run at f_l. Default:
   /// times_weight, a local GEMM for the rows-whole families. The 2D/3D
   /// families override with a process-row reduce-scatter of the
@@ -180,23 +167,19 @@ class DistSpmmAlgebra {
   virtual void gather_feature_rows(const Matrix& local, Index f,
                                    Matrix& full, EpochStats& stats);
 
-  /// Complete the weight gradient Y^l = (H^(l-1))^T (A G^l) (at l = 1,
-  /// the equal (T^1)^T G^1), split in
-  /// two so the reductions fly behind the remaining backward layers'
-  /// compute. begin posts the reduction of this layer's partial
-  /// `y_partial` (feat_slice(f_in) width x f_out) through the nonblocking
-  /// layer, staging a copy so `y_partial` is released immediately, and
-  /// returns; finish — called once per epoch, after the backward
-  /// recurrence — completes every posted reduction, leaving the fully
-  /// replicated (f_in x f_out) gradient in each layer's `y_full` on every
-  /// rank. Collective; charges kDense for the all-reduce (and, 2D/3D, the
-  /// slice all-gather). Every charge value is an integer count of bytes
-  /// over the 8-byte word — an exactly-representable dyadic — so
-  /// per-category sums are order-independent.
-  virtual void begin_reduce_gradients(Matrix& y_partial, Index f_in,
-                                      Index f_out, Matrix& y_full,
-                                      EpochStats& stats) = 0;
-  virtual void finish_gradients(EpochStats& stats) = 0;
+  /// Complete layer `layer`'s weight gradient Y^l = (H^(l-1))^T (A G^l)
+  /// (at l = 1, the equal (T^1)^T G^1) from this rank's partial
+  /// `y_partial` (feat_slice(f_in) width x f_out; overwritten), leaving
+  /// the fully replicated (f_in x f_out) gradient in `y_full` on every
+  /// rank. Blocking collectives, so nothing stays pending across layers;
+  /// charges kDense for the all-reduce (and, 2D/3D, the slice
+  /// all-gather). Every charge value is an integer count of bytes over the
+  /// 8-byte word — an exactly-representable dyadic — so per-category sums
+  /// are order-independent. Under RunConfig::compress the all-reduce is
+  /// lossy with error feedback, one residual per layer.
+  virtual void reduce_gradients(Index layer, Matrix& y_partial, Index f_in,
+                                Index f_out, Matrix& y_full,
+                                EpochStats& stats) = 0;
 
   /// Assemble the full (n x f) output on every rank from the full-row local
   /// output block (parity tests and inference). Default: rank-ordered
@@ -346,7 +329,7 @@ class DistEngine : public DistTrainer {
   /// G^L from output_rows_, whose row r has label `labels[r]` (< 0:
   /// unlabeled, a zero gradient row) and the mean-NLL `scale`, -1 over
   /// the loss's labeled row count (0 when there are none); then the
-  /// recurrence down to Y^1 and the completed gradient reductions.
+  /// recurrence down to Y^1, each layer's gradient reduced in turn.
   void backward(Aggregation& agg, std::span<const Index> labels, Real scale);
   void step();
   /// T^1 = A^T X from the resident X block (collective). X is constant —
@@ -395,14 +378,10 @@ class DistEngine : public DistTrainer {
   Matrix y_buf_;       ///< weight-gradient slice partial
   Matrix w_rows_buf_;  ///< feat-sliced rows of W for the G recurrence
 
-  /// Persistent (src, dst) pairs of the nonblocking loss reduction;
-  /// released by the quiesce at the next epoch's start.
-  std::array<double, 4> loss_scratch_ = {};
-
   /// Sampled minibatch state (dist::SampledRunner), constructed lazily on
-  /// the first sampled epoch. Declared after algebra_ so its pending
-  /// exchanges are quiesced (engine destructor drains the world) before
-  /// its pack buffers die.
+  /// the first sampled epoch. Declared after algebra_ so its exchanges
+  /// are quiesced (engine destructor drains the world) before its pack
+  /// buffers die.
   std::unique_ptr<dist::SampledRunner> sampler_;
   /// Absolute epoch counter (sampled RNG stream key; see set_start_epoch).
   int epoch_ = 0;

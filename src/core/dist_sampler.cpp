@@ -1,6 +1,7 @@
 #include "src/core/dist_sampler.hpp"
 
 #include <algorithm>
+#include <array>
 #include <string>
 #include <utility>
 
@@ -26,18 +27,6 @@ void SampledRunner::check(const GnnConfig& config, const RunConfig& run) {
                    std::to_string(run.sample_fanouts.size()) +
                    ") must equal the model's layer count (" +
                    std::to_string(layers) + ")");
-  // The next batch's layer-0 exchange stays posted across this batch's
-  // backward, which posts at most one contribution exchange per layer
-  // (none for layer 1) on the same communicator. A channel is reused only
-  // after every rank finished its previous generation, so at 16 layers a
-  // post could land on the exchange's own channel: a ContractViolation
-  // mid-batch, after which the engine's teardown quiesce would hang on
-  // that same exchange.
-  CAGNET_CHECK(layers < detail::kAsyncChannels,
-               "sampled training: at most " +
-                   std::to_string(detail::kAsyncChannels - 1) +
-                   " layers (the prefetched exchange must fit the "
-                   "communicator's channel ring)");
 }
 
 SampledRunner::SampledRunner(const DistProblem& problem,
@@ -71,21 +60,19 @@ SampledRunner::SampledRunner(const DistProblem& problem,
   stamp_.assign(static_cast<std::size_t>(n), 0);
   blk_nnz_.resize(static_cast<std::size_t>(p));
   curs_.resize(static_cast<std::size_t>(p));
-  for (Slot& slot : slots_) {
-    slot.targets.resize(static_cast<std::size_t>(layers) + 1);
-    slot.exch.resize(static_cast<std::size_t>(layers));
-    for (Exchange& e : slot.exch) {
-      e.plan.ready = true;
-      e.plan.codec = algebra_.run().compress;
-      e.plan.recv_row_offsets.assign(static_cast<std::size_t>(p) + 1, 0);
-      e.plan.send_row_offsets.assign(static_cast<std::size_t>(p) + 1, 0);
-      e.plan.blocks.resize(static_cast<std::size_t>(p));
-      e.tblocks.resize(static_cast<std::size_t>(p));
-    }
+  targets_.resize(static_cast<std::size_t>(layers) + 1);
+  exch_.resize(static_cast<std::size_t>(layers));
+  for (Exchange& e : exch_) {
+    e.plan.ready = true;
+    e.plan.codec = algebra_.run().compress;
+    e.plan.recv_row_offsets.assign(static_cast<std::size_t>(p) + 1, 0);
+    e.plan.send_row_offsets.assign(static_cast<std::size_t>(p) + 1, 0);
+    e.plan.blocks.resize(static_cast<std::size_t>(p));
+    e.tblocks.resize(static_cast<std::size_t>(p));
   }
 }
 
-void SampledRunner::build_batch(Slot& slot, int epoch, Index batch,
+void SampledRunner::build_batch(int epoch, Index batch,
                                 const Matrix& features_block,
                                 EpochStats& stats) {
   const int p = comm_.size();
@@ -97,7 +84,7 @@ void SampledRunner::build_batch(Slot& slot, int epoch, Index batch,
   // Seeds: this rank's slice of the per-epoch shuffle, re-sorted
   // ascending so every downstream ordering (loss terms, landing rows,
   // accumulation) matches the full-batch row order.
-  auto& seeds = slot.targets[static_cast<std::size_t>(layers)];
+  auto& seeds = targets_[static_cast<std::size_t>(layers)];
   seeds.clear();
   const std::size_t lo = static_cast<std::size_t>(batch) *
                          static_cast<std::size_t>(run.sample_batch);
@@ -107,16 +94,16 @@ void SampledRunner::build_batch(Slot& slot, int epoch, Index batch,
     seeds.push_back(shuffled_[i]);
   }
   std::sort(seeds.begin(), seeds.end());
-  slot.seed_labels.clear();
+  seed_labels_.clear();
   for (Index v : seeds) {
-    slot.seed_labels.push_back(
+    seed_labels_.push_back(
         problem_.graph->labels[static_cast<std::size_t>(v)]);
   }
 
   // The whole build is serial per rank (plus collectives), so the sampled
   // structure is bitwise identical at any thread count; the stream is
-  // keyed by (seed, epoch, batch, rank), so it is independent of pipeline
-  // order and of restarts.
+  // keyed by (seed, epoch, batch, rank), so it is independent of
+  // restarts.
   Rng rng = Rng(kSampleSeed)
                 .split(2)
                 .split(static_cast<std::uint64_t>(epoch) + 1)
@@ -127,8 +114,8 @@ void SampledRunner::build_batch(Slot& slot, int epoch, Index batch,
     // Hop h = layers-1-k outward from the seeds uses fanouts[h].
     const Index fanout =
         run.sample_fanouts[static_cast<std::size_t>(layers - 1 - k)];
-    const auto& up_targets = slot.targets[static_cast<std::size_t>(k) + 1];
-    Exchange& e = slot.exch[static_cast<std::size_t>(k)];
+    const auto& up_targets = targets_[static_cast<std::size_t>(k) + 1];
+    Exchange& e = exch_[static_cast<std::size_t>(k)];
 
     // ---- Fan-out sample the local A^T stripe rows of the upper targets.
     // Floyd's algorithm draws `fanout` distinct positions without
@@ -223,7 +210,7 @@ void SampledRunner::build_batch(Slot& slot, int epoch, Index batch,
                          std::span<const std::size_t>(plan.recv_row_offsets),
                          requested_, CommCategory::kControl);
 
-    auto& targets = slot.targets[static_cast<std::size_t>(k)];
+    auto& targets = targets_[static_cast<std::size_t>(k)];
     targets.clear();
     for (std::size_t q = self_lo; q < self_hi; ++q) {
       targets.push_back(needs_[q]);
@@ -324,49 +311,31 @@ void SampledRunner::build_batch(Slot& slot, int epoch, Index batch,
     }
   }
 
-  // ---- Compact features and post the level-0 exchange: the ialltoallv
-  // flies behind the current batch's backward + step and is drained
-  // inside the next forward's first-layer sweep.
-  const std::vector<Index>& f0_rows = slot.targets[0];
-  {
-    ScopedPhase scope(stats.profiler, Phase::kHaloPack);
-    slot.features.resize(static_cast<Index>(f0_rows.size()),
-                         config_.dims.front());
-    for (std::size_t r = 0; r < f0_rows.size(); ++r) {
-      const auto src = features_block.row(f0_rows[r] - row_lo_);
-      std::copy(src.begin(), src.end(),
-                slot.features.row(static_cast<Index>(r)).begin());
-    }
+  // ---- Compact the level-0 features: layer 1 exchanges and aggregates
+  // these rows (input()).
+  const std::vector<Index>& f0_rows = targets_[0];
+  ScopedPhase scope(stats.profiler, Phase::kHaloPack);
+  features_.resize(static_cast<Index>(f0_rows.size()), config_.dims.front());
+  for (std::size_t r = 0; r < f0_rows.size(); ++r) {
+    const auto src = features_block.row(f0_rows[r] - row_lo_);
+    std::copy(src.begin(), src.end(),
+              features_.row(static_cast<Index>(r)).begin());
   }
-  HaloPlan& plan0 = slot.exch[0].plan;
-  slot.h0_op = halo_exchange_begin(
-      slot.features, std::span<const Index>(plan0.send_rows),
-      std::span<const std::size_t>(plan0.send_row_offsets), comm_, plan0,
-      CommCategory::kHalo, stats.profiler);
 }
 
 const Matrix& SampledRunner::input(EpochStats& stats) {
-  // Layer 1 drains the exchange build_batch posted a phase earlier.
-  const int rank = comm_.rank();
-  HaloPlan& plan = cur_->exch[0].plan;
-  t1_.resize(static_cast<Index>(cur_->targets[1].size()),
-             cur_->features.cols());
-  t1_.set_zero();
-  halo_spmm_sweep(cur_->h0_op, cur_->features,
-                  &plan.blocks[static_cast<std::size_t>(rank)], rank, comm_,
-                  plan, algebra_.machine(), stats, t1_);
+  spmm_at(1, features_, t1_, stats);
   return t1_;
 }
 
 void SampledRunner::spmm_at(Index layer, const Matrix& h, Matrix& t,
                             EpochStats& stats) {
-  // Deeper layers exchange inline on the just-computed SpMM input (H, or
-  // H W on a narrowing layer): the plan's begin + sweep (it never arms
-  // staleness or pre-aggregation).
+  // The batch's halo exchange of the SpMM input (the level-0 features, H,
+  // or H W on a narrowing layer) and its stage sweep; a per-batch plan
+  // never arms staleness or pre-aggregation.
   const int rank = comm_.rank();
-  HaloPlan& plan = cur_->exch[static_cast<std::size_t>(layer) - 1].plan;
-  t.resize(static_cast<Index>(
-               cur_->targets[static_cast<std::size_t>(layer)].size()),
+  HaloPlan& plan = exch_[static_cast<std::size_t>(layer) - 1].plan;
+  t.resize(static_cast<Index>(targets_[static_cast<std::size_t>(layer)].size()),
            h.cols());
   t.set_zero();
   halo_spmm_pipeline(h, &plan.blocks[static_cast<std::size_t>(rank)], rank,
@@ -378,10 +347,10 @@ void SampledRunner::spmm_a(Index layer, const Matrix& g, Matrix& u,
                            EpochStats& stats) {
   const int p = comm_.size();
   const int rank = comm_.rank();
-  Exchange& e = cur_->exch[static_cast<std::size_t>(layer) - 1];
+  Exchange& e = exch_[static_cast<std::size_t>(layer) - 1];
   const Index f = g.cols();
-  const auto n_dn = static_cast<Index>(
-      cur_->targets[static_cast<std::size_t>(layer) - 1].size());
+  const auto n_dn =
+      static_cast<Index>(targets_[static_cast<std::size_t>(layer) - 1].size());
   const std::size_t recv_total =
       e.plan.recv_row_offsets[static_cast<std::size_t>(p)];
 
@@ -446,36 +415,27 @@ EpochResult SampledRunner::run_epoch(
 
   double loss_acc = 0;
   double hits_acc = 0;
-  build_batch(slots_[0], epoch, 0, features_block, stats);
   for (Index b = 0; b < batches_; ++b) {
-    cur_ = &slots_[static_cast<std::size_t>(b % 2)];
+    build_batch(epoch, b, features_block, stats);
     const Matrix& log_probs = forward(*this);
     // Blocking double[3] reduce: elements 0/1 sum in the same
     // rank-ascending order as the full-batch double[2] reduce, so a
     // seeds-everything batch reproduces its loss bitwise; element 2
     // carries the global seed count (the gradient scale, known only after
     // the shuffle).
-    std::array<double, 3> acc = {
-        0, 0, static_cast<double>(cur_->seed_labels.size())};
+    std::array<double, 3> acc = {0, 0,
+                                 static_cast<double>(seed_labels_.size())};
     {
       ScopedPhase scope(stats.profiler, Phase::kMisc);
-      const std::array<double, 2> terms =
-          loss_terms(log_probs, cur_->seed_labels);
+      const std::array<double, 2> terms = loss_terms(log_probs, seed_labels_);
       acc[0] = terms[0];
       acc[1] = terms[1];
     }
     comm_.allreduce_sum(std::span<double>(acc), CommCategory::kControl);
-    if (b + 1 < batches_) {
-      // Pipeline: the next batch's sample/pack/exchange runs here so its
-      // posted feature exchange is in flight behind this batch's whole
-      // backward and step.
-      build_batch(slots_[static_cast<std::size_t>((b + 1) % 2)], epoch,
-                  b + 1, features_block, stats);
-    }
     // G^L's scale is the global batch size (mean NLL over the batch), so
     // an all-seeds batch reproduces the full-batch scale -1/labeled_count
     // exactly.
-    backward(*this, cur_->seed_labels,
+    backward(*this, seed_labels_,
              acc[2] > 0 ? Real{-1} / static_cast<Real>(acc[2]) : Real{0});
     if (acc[2] > 0) loss_acc += acc[0] / acc[2];
     hits_acc += acc[1];

@@ -20,19 +20,17 @@
 // backward and optimizer step, and the runner is the Aggregation of that
 // pass — T^1 and the forward / backward SpMMs over the batch's sampled
 // adjacency. The runner keeps only what is specific to sampling: the
-// shuffle, the draws and the exchange plans, the two-slot prefetch, the
-// lockstep batch count and the blocking per-batch loss reduction.
+// shuffle, the draws and the exchange plans, the lockstep batch count and
+// the blocking per-batch loss reduction.
 //
-// Pipeline (the halo path's drain discipline): while batch b's
-// backward and optimizer step run, batch b+1 has already been sampled,
-// its plans built, and its level-0 feature exchange *posted* — the
-// ialltoallv flies behind a whole compute phase and is drained row-set by
-// row-set inside batch b+1's first-layer sweep (halo_spmm_sweep). Two
-// batch slots alternate so nothing is rebuilt in place while peers may
-// still read it; after the first minibatch the hot path is
-// allocation-free (every vector and matrix is resized in place). The
-// engine's activations hold one batch at a time: the next batch's build
-// touches only its own slot.
+// Batch loop: batch b is sampled and its plans built right before its
+// forward. Every aggregation, layer 1's included, runs the halo path's
+// pipeline (halo_spmm_pipeline): the exchange of the batch rows is posted,
+// and each peer's rows are drained as its stage multiplies them. Each
+// exchange completes inside its own call, so no op stays pending across
+// layers or batches, and the pack staging keeps its own release points.
+// After the first minibatch the hot path is allocation-free (every vector
+// and matrix is resized in place).
 //
 // Lockstep: ranks may own different labeled counts, so the batch count is
 // the all-reduced maximum and ranks that run out of seeds keep issuing
@@ -40,7 +38,6 @@
 // categories, zero rows.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -66,8 +63,7 @@ namespace dist {
 class SampledRunner final : public Aggregation {
  public:
   /// Throws Error unless `run`'s sampling modes fit `config`: one fanout
-  /// per layer, and fewer layers than the channel ring. Purely local;
-  /// DistEngine calls it at construction.
+  /// per layer. Purely local; DistEngine calls it at construction.
   static void check(const GnnConfig& config, const RunConfig& run);
 
   /// Collective constructor (one kControl all-reduce fixes the lockstep
@@ -81,8 +77,7 @@ class SampledRunner final : public Aggregation {
   /// every (lockstep) minibatch run the engine's `forward` over the batch
   /// (returning its |F_L| x f_L log-probabilities) -> loss -> the
   /// engine's `backward` and optimizer step from G^L (one label per
-  /// output row, scale -1/(global seed count)), with the next batch's
-  /// sample/pack/exchange pipelined between loss and backward. `epoch`
+  /// output row, scale -1/(global seed count)). `epoch`
   /// keys the shuffle and sampling RNG streams (absolute epoch =>
   /// restart-deterministic); `features_block` is this rank's H^0 row
   /// block. Returns the mean per-batch loss and the training accuracy
@@ -94,7 +89,7 @@ class SampledRunner final : public Aggregation {
           backward);
 
  private:
-  /// The exchange between level k and level k+1 of one batch slot: the
+  /// The exchange between level k and level k+1 of the batch: the
   /// per-batch halo plan over the sampled rows and the forward/backward
   /// block pair.
   struct Exchange {
@@ -103,24 +98,12 @@ class SampledRunner final : public Aggregation {
     std::vector<Csr> tblocks;
   };
 
-  /// One pipelined batch: the receptive-field levels 0..L, exchanges
-  /// 0..L-1, and the posted level-0 feature exchange.
-  struct Slot {
-    /// Per level k, this rank's F_k rows, global ascending.
-    std::vector<std::vector<Index>> targets;
-    std::vector<Index> seed_labels;  ///< labels of F_L (the seeds)
-    Matrix features;  ///< |F_0| x f_0 compacted H^0 rows
-    std::vector<Exchange> exch;
-    PendingOp h0_op;  ///< in-flight feature exchange
-  };
-
-  /// Sample batch `batch` of `epoch` into `slot`: seeds, per-hop Floyd
-  /// fan-out sampling of the local A^T stripe, need-list exchanges
-  /// (kControl), plan/block construction, and the posted level-0 feature
-  /// exchange (kHalo). Collective; serial per rank (thread-count
-  /// deterministic).
-  void build_batch(Slot& slot, int epoch, Index batch,
-                   const Matrix& features_block, EpochStats& stats);
+  /// Sample batch `batch` of `epoch`: seeds, per-hop Floyd fan-out
+  /// sampling of the local A^T stripe, need-list exchanges (kControl),
+  /// plan/block construction, and the compacted level-0 features.
+  /// Collective; serial per rank (thread-count deterministic).
+  void build_batch(int epoch, Index batch, const Matrix& features_block,
+                   EpochStats& stats);
 
   // Aggregation over the current batch's exchanges.
   const Matrix& input(EpochStats& stats) override;
@@ -140,10 +123,15 @@ class SampledRunner final : public Aggregation {
   std::vector<Index> labeled_;     ///< this rank's labeled rows, ascending
   Index batches_ = 0;              ///< lockstep batches per epoch
 
-  std::array<Slot, 2> slots_;  ///< pipelined batch double-buffer
-  Slot* cur_ = nullptr;        ///< the batch the engine's pass runs over
+  // The current batch: its receptive-field levels 0..L and exchanges
+  // 0..L-1.
+  /// Per level k, this rank's F_k rows, global ascending.
+  std::vector<std::vector<Index>> targets_;
+  std::vector<Index> seed_labels_;  ///< labels of F_L (the seeds)
+  Matrix features_;                 ///< |F_0| x f_0 compacted H^0 rows
+  std::vector<Exchange> exch_;
 
-  // Shared per-rank scratch (reused across batches; never pipelined).
+  // Per-rank scratch, reused across batches.
   std::vector<Index> shuffled_;   ///< this epoch's shuffled labeled rows
   std::vector<Index> picked_;     ///< Floyd sample positions of one row
   /// Sampled A^T stripe rows of one hop's upper targets (ascending

@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "src/core/algebra_registry.hpp"
 #include "src/gnn/checkpoint.hpp"
 #include "src/graph/graph.hpp"
@@ -58,6 +60,15 @@ struct Trace {
   std::vector<Real> losses;
   std::vector<Matrix> weights;
 };
+
+/// `name` under the temp directory, prefixed with this process's id so
+/// concurrent runs (two builds' test suites, two bench runs) never share
+/// a file.
+std::string ckpt_path(const std::string& name) {
+  return (std::filesystem::temp_directory_path() /
+          (std::to_string(::getpid()) + "_" + name))
+      .string();
+}
 
 /// Train `epochs` epochs; if `load_path` is non-empty the trainer first
 /// restores its weights from that checkpoint; if `save_path` is non-empty
@@ -110,9 +121,7 @@ TEST(CheckpointRoundTrip, ResumeIsBitwiseAcrossAllAlgebras) {
         SCOPED_TRACE(std::string(c.algebra) + (mode.halo ? " halo" : "") +
                      " dims[1] " + std::to_string(dims[1]));
         const std::string path =
-            (std::filesystem::temp_directory_path() /
-             (std::string("cagnet_ckpt_") + c.algebra + ".bin"))
-                .string();
+            ckpt_path(std::string("cagnet_ckpt_") + c.algebra + ".bin");
 
         // Oracle: train straight through, no interruption.
         const Trace oracle =
@@ -172,10 +181,6 @@ std::vector<Matrix> sample_weights() {
   weights.emplace_back(5, 3);
   weights.back().fill_uniform(rng, -1, 1);
   return weights;
-}
-
-std::string ckpt_path(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
 }
 
 std::string slurp(const std::string& path) {

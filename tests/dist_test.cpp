@@ -243,10 +243,11 @@ TEST(DistParity, DeepNetworkMatchesOn3D) {
 }
 
 TEST(DistParity, DeeperThanChannelRingMatchesSerial) {
-  // Each layer's weight-gradient reduction stays pending behind the rest
-  // of the backward. Twenty layers outnumber the 16 channels of a
-  // communicator, so the deferred reductions must retire early enough to
-  // keep posting (a hang here, not a mismatch, is the failure mode).
+  // Twenty layers post more ops per epoch on each communicator than it
+  // has channels (16), so every family must complete each layer's ops
+  // before the ring wraps around to them. Every weight-gradient
+  // reduction completes within its layer; a hang here, not a mismatch,
+  // would be the failure mode.
   const Graph g = test_graph(64, 6, 3, 54);
   GnnConfig config;
   config.dims.assign(21, 6);
@@ -268,9 +269,9 @@ TEST(DistParity, DeeperThanChannelRingMatchesSerial) {
 
 TEST(DistParity, TwoDOnAnEightByEightGridMatchesSerial) {
   // At q = 8 the process column carries 16 SUMMA panels in one backward
-  // layer, more than the channel ring holds, while the gradient
-  // reductions over the same ranks are still pending; they must not share
-  // its channels, so they ride the j-plane.
+  // layer, a whole channel ring's worth. Every gradient reduction
+  // completes within its layer, so no op is pending across layers for
+  // those panels to collide with.
   const Graph g = test_graph(128, 8, 4, 55);
   const GnnConfig config = GnnConfig::three_layer(8, 4, 8);
   const RunOutcome serial = run_serial(g, config, 2);

@@ -8,6 +8,9 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+
+#include <unistd.h>
 
 #include "src/gnn/checkpoint.hpp"
 #include "src/gnn/serial_trainer.hpp"
@@ -17,6 +20,15 @@
 
 namespace cagnet {
 namespace {
+
+/// `name` under the temp directory, prefixed with this process's id so
+/// concurrent runs (two builds' test suites, two bench runs) never share
+/// a file.
+std::string temp_path(const std::string& name) {
+  return (std::filesystem::temp_directory_path() /
+          (std::to_string(::getpid()) + "_" + name))
+      .string();
+}
 
 // ---------- semirings ----------
 
@@ -185,9 +197,7 @@ TEST(Mmio, RejectsMalformedInput) {
 }
 
 TEST(Mmio, FileRoundTrip) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "cagnet_mmio_test.mtx")
-          .string();
+  const std::string path = temp_path("cagnet_mmio_test.mtx");
   Rng rng(3);
   const Csr original = Csr::from_coo(erdos_renyi(20, 3, rng));
   write_matrix_market_file(path, original);
@@ -217,9 +227,7 @@ Graph community_graph(Index n, Index communities, std::uint64_t seed) {
 }
 
 TEST(Checkpoint, RoundTripPreservesWeights) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "cagnet_ckpt_test.bin")
-          .string();
+  const std::string path = temp_path("cagnet_ckpt_test.bin");
   GnnConfig config = GnnConfig::three_layer(12, 5);
   const auto weights = make_weights(config);
   save_weights(path, weights);
@@ -232,9 +240,7 @@ TEST(Checkpoint, RoundTripPreservesWeights) {
 }
 
 TEST(Checkpoint, RejectsCorruptFiles) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "cagnet_ckpt_bad.bin")
-          .string();
+  const std::string path = temp_path("cagnet_ckpt_bad.bin");
   {
     std::ofstream out(path, std::ios::binary);
     out << "garbage";
@@ -251,9 +257,7 @@ TEST(Checkpoint, TrainedModelResumesExactly) {
   SerialTrainer a(g, config);
   for (int e = 0; e < 5; ++e) a.train_epoch();
 
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "cagnet_ckpt_resume.bin")
-          .string();
+  const std::string path = temp_path("cagnet_ckpt_resume.bin");
   save_weights(path, a.weights());
 
   SerialTrainer b(g, config);

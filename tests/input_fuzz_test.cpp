@@ -19,6 +19,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "src/gnn/checkpoint.hpp"
 #include "src/graph/mmio.hpp"
 #include "src/sparse/generate.hpp"
@@ -121,7 +123,9 @@ TEST(MmioFuzz, ReadMatrixMarketParsesOrThrowsError) {
 
 TEST(CheckpointFuzz, LoadCheckpointLoadsOrThrowsCheckpointError) {
   const std::string path =
-      (std::filesystem::temp_directory_path() / "cagnet_fuzz.ckpt").string();
+      (std::filesystem::temp_directory_path() /
+       (std::to_string(::getpid()) + "_cagnet_fuzz.ckpt"))
+          .string();
   const auto slurp = [&] {
     std::ifstream in(path, std::ios::binary);
     return std::string((std::istreambuf_iterator<char>(in)),

@@ -6,6 +6,9 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <string>
+
+#include <unistd.h>
 
 #include "src/core/algebra_registry.hpp"
 #include "src/core/costmodel.hpp"
@@ -19,6 +22,15 @@
 
 namespace cagnet {
 namespace {
+
+/// `name` under the temp directory, prefixed with this process's id so
+/// concurrent runs (two builds' test suites, two bench runs) never share
+/// a file.
+std::string temp_path(const std::string& name) {
+  return (std::filesystem::temp_directory_path() /
+          (std::to_string(::getpid()) + "_" + name))
+      .string();
+}
 
 TEST(Integration, RegistryTrainCheckpointInfer) {
   // Compares distributed training on the exact wire (RunConfig{}, the
@@ -34,9 +46,7 @@ TEST(Integration, RegistryTrainCheckpointInfer) {
   GnnConfig config = GnnConfig::three_layer(g.feature_dim(), g.num_classes);
   config.learning_rate = 0.1;
   const DistProblem problem = DistProblem::prepare(g);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "cagnet_integration.ckpt")
-          .string();
+  const std::string path = temp_path("cagnet_integration.ckpt");
   Real dist_loss = 0;
   run_world(4, [&](Comm& world) {
     const auto trainer =
@@ -67,9 +77,7 @@ TEST(Integration, RegistryTrainCheckpointInfer) {
 TEST(Integration, MatrixMarketGraphFeedsTraining) {
   // Export a generated topology, reload it as if it were an external
   // dataset, normalize, and train end to end.
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "cagnet_integration.mtx")
-          .string();
+  const std::string path = temp_path("cagnet_integration.mtx");
   Rng rng(31);
   const Csr raw = Csr::from_coo(erdos_renyi(150, 5, rng));
   write_matrix_market_file(path, raw);

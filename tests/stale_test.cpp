@@ -32,6 +32,8 @@
 #include <tuple>
 #include <vector>
 
+#include <unistd.h>
+
 #include "src/core/algebra_registry.hpp"
 #include "src/gnn/checkpoint.hpp"
 #include "src/graph/graph.hpp"
@@ -389,7 +391,8 @@ TEST(StaleRestart, ResumedRunRefreshesCacheAndKeepsConverging) {
   const int pre = 5;
   const int post = 5;
   const std::string path =
-      (std::filesystem::temp_directory_path() / "cagnet_stale_drill.bin")
+      (std::filesystem::temp_directory_path() /
+       (std::to_string(::getpid()) + "_cagnet_stale_drill.bin"))
           .string();
 
   const RunConfig stale = stale_mode(4);
