@@ -11,6 +11,10 @@
 // The full-batch runs agree exactly (Section V-A); sampling trades a little
 // accuracy for a bounded memory footprint.
 #include <cstdio>
+#include <filesystem>
+#include <string>
+
+#include <unistd.h>
 
 #include "src/core/algebra_registry.hpp"
 #include "src/dense/ops.hpp"
@@ -93,13 +97,18 @@ static int run(int argc, char** argv) {
                 r.loss, r.accuracy, accuracy(full_probs, g.labels));
   });
 
-  // 4. Checkpoint round trip.
-  save_weights("/tmp/cagnet_community.ckpt", serial.weights());
+  // 4. Checkpoint round trip, under a name of this process's own so
+  //    concurrent runs never share the file.
+  const std::string ckpt =
+      (std::filesystem::temp_directory_path() /
+       (std::to_string(::getpid()) + "_cagnet_community.ckpt"))
+          .string();
+  save_weights(ckpt, serial.weights());
   SerialTrainer resumed(g, config);
-  resumed.weights() = load_weights("/tmp/cagnet_community.ckpt");
+  resumed.weights() = load_weights(ckpt);
   std::printf("\ncheckpoint restored   : forward parity %.1e\n",
               Matrix::max_abs_diff(resumed.forward(), serial.forward()));
-  std::remove("/tmp/cagnet_community.ckpt");
+  std::remove(ckpt.c_str());
   return 0;
 }
 

@@ -452,28 +452,57 @@ Comm Comm::split(int color, int key) const {
   return Comm(std::move(new_state), new_rank, meter_);
 }
 
-void PendingCompressedReduce::wait() {
-  if (!pending()) return;
-  CompressBuf& buf = *buf_;
-  buf_ = nullptr;
-  // op_.wait() drops the op's reference; the epilogue's window needs it.
-  const std::shared_ptr<detail::CommState> st = op_.state_;
-  const detail::OpContext ctx = op_.context();
-  const int p = size_;
-  const std::size_t enc = encoded_size_bytes(mode_, n_);
+void Comm::reduce_compressed(std::span<const Real> contrib,
+                             std::span<Real> out, CompressMode mode,
+                             CompressBuf& buf, Profiler* profiler,
+                             bool scatter, const char* op) {
+  check_valid(op);
+  const detail::OpContext ctx{rank_, CommCategory::kCompressed, op};
+  CAGNET_CHECK(mode != CompressMode::kOff,
+               detail::op_error(ctx, "mode must be a lossy codec (use the "
+                                     "uncompressed form for exact traffic)"));
+  if (!scatter) {
+    CAGNET_CHECK(contrib.size() == out.size(),
+                 detail::op_error(ctx, "contrib/out length mismatch"));
+  }
+  const std::size_t n = contrib.size();
+  rebind_compress_buf(buf, n);
+  const int p = size();
+  if (p == 1) {
+    CAGNET_CHECK(out.size() == n, detail::scatter_mismatch(ctx, n, out.size()));
+    if (!out.empty() && out.data() != contrib.data()) {
+      std::memcpy(out.data(), contrib.data(), n * sizeof(Real));
+    }
+    return;  // exact self-reduction; nothing charged
+  }
   // Reduce-scatter wire format per rank: [u64 out-length][encoded full
   // contribution]. The headers give every rank the chunk boundaries (the
   // out sizes may differ per rank); each rank decodes only its own slice
   // of every contribution.
-  const std::size_t chunk_bytes =
-      scatter_ ? sizeof(std::uint64_t) + enc : enc;
+  const std::size_t header = scatter ? sizeof(std::uint64_t) : 0;
+  const std::size_t enc = encoded_size_bytes(mode, n);
+  const std::size_t chunk_bytes = header + enc;
+  {
+    MaybePhase scope(profiler, Phase::kCompressPack);
+    buf.send.resize(chunk_bytes);
+    if (scatter) {
+      const std::uint64_t out_len = out.size();
+      std::memcpy(buf.send.data(), &out_len, sizeof(out_len));
+    }
+    compress_encode(mode, contrib, buf.send.data() + header,
+                    buf.error_feedback ? &buf.residual : nullptr);
+  }
+  PendingOp gather = post_allgatherv(std::span<const std::uint8_t>(buf.send),
+                                     buf.recv, CommCategory::kCompressed,
+                                     /*charged=*/false, op);
+  const std::uint64_t ticket = gather.ticket();
   // Charged while the byte gather is still open, so the contract checker
   // attributes the charge to it. The bytes follow from p and the chunk
   // size alone: every gathered chunk is checked below to be exactly that.
-  if (auto* ck = st->checker.get()) {
-    ck->on_charge(rank_, ctx.op, CommCategory::kCompressed);
+  if (auto* ck = state_->checker.get()) {
+    ck->on_charge(rank_, op, CommCategory::kCompressed);
   }
-  if (scatter_) {
+  if (scatter) {
     meter_->add(CommCategory::kCompressed, ceil_log2(p),
                 static_cast<double>(static_cast<std::size_t>(p) *
                                     chunk_bytes) *
@@ -483,116 +512,61 @@ void PendingCompressedReduce::wait() {
                 2.0 * static_cast<double>(enc) * (p - 1) / p / sizeof(Real));
   }
   {
-    MaybePhase scope(profiler_, Phase::kDenseComm);
-    op_.wait();
-  }
-  // Peers may still be reading buf.send: a mismatch thrown below must
-  // drain their reads before the unwind frees it.
-  detail::CollectiveWindow window(*st, rank_);
-  MaybePhase scope(profiler_, Phase::kCompressPack);
-  for (int r = 0; r < p; ++r) {
-    const std::size_t got = buf.recv.chunk(r).size();
-    CAGNET_CHECK(got == chunk_bytes,
-                 detail::op_error(
-                     ctx, "ranks disagree on element count (rank " +
-                              std::to_string(rank_) + " encoded " +
-                              std::to_string(n_) + " elements into " +
-                              std::to_string(chunk_bytes) + " bytes, rank " +
-                              std::to_string(r) + " sent " +
-                              std::to_string(got) + ")"));
-  }
-  if (!scatter_) {
-    // Decode-sum in ascending rank order (matching the exact all-reduce's
-    // per-element accumulation order), identically on every rank.
-    buf.scratch.resize(n_);
-    for (int r = 0; r < p; ++r) {
-      const std::uint8_t* bytes = buf.recv.chunk(r).data();
-      if (r == 0) {
-        compress_decode(mode_, bytes, n_, out_);
-      } else {
-        compress_decode(mode_, bytes, n_, buf.scratch.data());
-        for (std::size_t i = 0; i < n_; ++i) out_[i] += buf.scratch[i];
-      }
-    }
-    return;
-  }
-  std::size_t my_lo = 0;
-  std::size_t total_out = 0;
-  for (int r = 0; r < p; ++r) {
-    std::uint64_t out_len = 0;
-    std::memcpy(&out_len, buf.recv.chunk(r).data(), sizeof(out_len));
-    if (r == rank_) my_lo = total_out;
-    total_out += static_cast<std::size_t>(out_len);
-  }
-  CAGNET_CHECK(total_out == n_, detail::scatter_mismatch(ctx, n_, total_out));
-  // Zero, then accumulate ranks ascending — the exact form's order.
-  std::fill(out_, out_ + out_len_, Real{0});
-  buf.scratch.resize(out_len_);
-  for (int r = 0; r < p; ++r) {
-    compress_decode_range(mode_,
-                          buf.recv.chunk(r).data() + sizeof(std::uint64_t),
-                          n_, my_lo, my_lo + out_len_, buf.scratch.data());
-    for (std::size_t i = 0; i < out_len_; ++i) out_[i] += buf.scratch[i];
-  }
-}
-
-PendingCompressedReduce Comm::post_compressed(std::span<const Real> contrib,
-                                              std::span<Real> out,
-                                              CompressMode mode,
-                                              CompressBuf& buf,
-                                              Profiler* profiler,
-                                              bool scatter, const char* op) {
-  const detail::OpContext ctx{rank_, CommCategory::kCompressed, op};
-  CAGNET_CHECK(mode != CompressMode::kOff,
-               detail::op_error(ctx, "mode must be a lossy codec (use the "
-                                     "uncompressed form for exact traffic)"));
-  if (!scatter) {
-    CAGNET_CHECK(contrib.size() == out.size(),
-                 detail::op_error(ctx, "contrib/out length mismatch"));
-  }
-  rebind_compress_buf(buf, contrib.size());
-  PendingCompressedReduce pending;
-  pending.meter_ = meter_;
-  pending.profiler_ = profiler;
-  pending.mode_ = mode;
-  pending.scatter_ = scatter;
-  pending.out_ = out.data();
-  pending.out_len_ = out.size();
-  pending.n_ = contrib.size();
-  pending.rank_ = rank_;
-  pending.size_ = size();
-  if (size() == 1) {
-    CAGNET_CHECK(out.size() == contrib.size(),
-                 detail::scatter_mismatch(ctx, contrib.size(), out.size()));
-    if (!out.empty() && out.data() != contrib.data()) {
-      std::memcpy(out.data(), contrib.data(), out.size() * sizeof(Real));
-    }
-    return pending;  // exact self-reduction; nothing pending, nothing charged
+    MaybePhase scope(profiler, Phase::kDenseComm);
+    gather.wait();
   }
   {
+    // Peers may still be reading buf.send: a mismatch thrown below must
+    // drain their reads before the unwind frees it.
+    detail::CollectiveWindow window(*state_, rank_);
     MaybePhase scope(profiler, Phase::kCompressPack);
-    const std::size_t header = scatter ? sizeof(std::uint64_t) : 0;
-    buf.send.resize(header + encoded_size_bytes(mode, contrib.size()));
-    if (scatter) {
-      const std::uint64_t out_len = out.size();
-      std::memcpy(buf.send.data(), &out_len, sizeof(out_len));
+    for (int r = 0; r < p; ++r) {
+      const std::size_t got = buf.recv.chunk(r).size();
+      CAGNET_CHECK(got == chunk_bytes,
+                   detail::op_error(
+                       ctx, "ranks disagree on element count (rank " +
+                                std::to_string(rank_) + " encoded " +
+                                std::to_string(n) + " elements into " +
+                                std::to_string(chunk_bytes) + " bytes, rank " +
+                                std::to_string(r) + " sent " +
+                                std::to_string(got) + ")"));
     }
-    compress_encode(mode, contrib, buf.send.data() + header,
-                    buf.error_feedback ? &buf.residual : nullptr);
+    if (!scatter) {
+      // Decode-sum in ascending rank order (matching the exact
+      // all-reduce's per-element accumulation order), identically on
+      // every rank.
+      buf.scratch.resize(n);
+      for (int r = 0; r < p; ++r) {
+        const std::uint8_t* bytes = buf.recv.chunk(r).data();
+        if (r == 0) {
+          compress_decode(mode, bytes, n, out.data());
+        } else {
+          compress_decode(mode, bytes, n, buf.scratch.data());
+          for (std::size_t i = 0; i < n; ++i) out[i] += buf.scratch[i];
+        }
+      }
+    } else {
+      std::size_t my_lo = 0;
+      std::size_t total_out = 0;
+      for (int r = 0; r < p; ++r) {
+        std::uint64_t out_len = 0;
+        std::memcpy(&out_len, buf.recv.chunk(r).data(), sizeof(out_len));
+        if (r == rank_) my_lo = total_out;
+        total_out += static_cast<std::size_t>(out_len);
+      }
+      CAGNET_CHECK(total_out == n, detail::scatter_mismatch(ctx, n, total_out));
+      // Zero, then accumulate ranks ascending — the exact form's order.
+      std::fill(out.begin(), out.end(), Real{0});
+      buf.scratch.resize(out.size());
+      for (int r = 0; r < p; ++r) {
+        compress_decode_range(mode,
+                              buf.recv.chunk(r).data() + sizeof(std::uint64_t),
+                              n, my_lo, my_lo + out.size(),
+                              buf.scratch.data());
+        for (std::size_t i = 0; i < out.size(); ++i) out[i] += buf.scratch[i];
+      }
+    }
   }
-  pending.op_ = post_allgatherv(std::span<const std::uint8_t>(buf.send),
-                                buf.recv, CommCategory::kCompressed,
-                                /*charged=*/false, op);
-  pending.buf_ = &buf;
-  return pending;
-}
-
-void Comm::finish_compressed(PendingCompressedReduce op,
-                             Profiler* profiler) const {
-  if (!op.pending()) return;
-  const std::uint64_t ticket = op.ticket();
-  const detail::OpContext ctx = op.op_.context();
-  op.wait();
   // Release hold: the blocking contract lets the caller rewrite buf.send
   // (e.g. the next layer's encode) immediately, so wait until every peer
   // has copied this one.
@@ -600,41 +574,19 @@ void Comm::finish_compressed(PendingCompressedReduce op,
   await_finished(ticket, ctx);
 }
 
-PendingCompressedReduce Comm::iallreduce_sum_compressed(
-    std::span<const Real> contrib, std::span<Real> out, CompressMode mode,
-    CompressBuf& buf, Profiler* profiler) {
-  check_valid("iallreduce_sum_compressed");
-  return post_compressed(contrib, out, mode, buf, profiler, /*scatter=*/false,
-                         "iallreduce_sum_compressed");
-}
-
-PendingCompressedReduce Comm::ireduce_scatter_sum_compressed(
-    std::span<const Real> contrib, std::span<Real> out, CompressMode mode,
-    CompressBuf& buf, Profiler* profiler) {
-  check_valid("ireduce_scatter_sum_compressed");
-  return post_compressed(contrib, out, mode, buf, profiler, /*scatter=*/true,
-                         "ireduce_scatter_sum_compressed");
-}
-
 void Comm::allreduce_sum_compressed(std::span<Real> data, CompressMode mode,
                                     CompressBuf& buf, Profiler* profiler) {
-  check_valid("allreduce_sum_compressed");
-  finish_compressed(
-      post_compressed(std::span<const Real>(data.data(), data.size()), data,
-                      mode, buf, profiler, /*scatter=*/false,
-                      "allreduce_sum_compressed"),
-      profiler);
+  reduce_compressed(std::span<const Real>(data.data(), data.size()), data,
+                    mode, buf, profiler, /*scatter=*/false,
+                    "allreduce_sum_compressed");
 }
 
 void Comm::reduce_scatter_sum_compressed(std::span<const Real> contrib,
                                          std::span<Real> out,
                                          CompressMode mode, CompressBuf& buf,
                                          Profiler* profiler) {
-  check_valid("reduce_scatter_sum_compressed");
-  finish_compressed(post_compressed(contrib, out, mode, buf, profiler,
-                                    /*scatter=*/true,
-                                    "reduce_scatter_sum_compressed"),
-                    profiler);
+  reduce_compressed(contrib, out, mode, buf, profiler, /*scatter=*/true,
+                    "reduce_scatter_sum_compressed");
 }
 
 namespace {

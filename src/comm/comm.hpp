@@ -15,9 +15,9 @@
 // until the call returns.
 //
 // One transport carries every collective: a ring of lock-free channels.
-// The i-prefixed forms (ibroadcast_from, ireduce_scatter_sum,
-// iallgatherv_into, iallreduce_sum, ialltoallv_*) post immediately and
-// return a PendingOp whose wait() completes the data movement and the
+// The i-prefixed forms (ibroadcast_from for the stage loops,
+// ialltoallv_post for the halo drains, ialltoallv_into) post immediately
+// and return a PendingOp whose wait() completes the data movement and the
 // meter charge. Posts must follow the same program order on every rank;
 // waits may be out of order. Between post and wait a rank may compute and
 // may run other collectives on any communicator — this is what the SUMMA
@@ -503,7 +503,6 @@ class PendingOp {
 
  private:
   friend class Comm;
-  friend class PendingCompressedReduce;  // charges against the open op
 
   void complete_for_destroy() noexcept {
     if (!pending()) return;
@@ -577,85 +576,6 @@ class PendingOp {
   void (*complete_)(PendingOp&) = nullptr;  ///< typed movement + charge
 };
 
-/// Handle to a posted compressed reduction (iallreduce_sum_compressed /
-/// ireduce_scatter_sum_compressed). Move-only. wait() completes the
-/// underlying byte all-gather, decodes and sums this rank's result, and
-/// charges CommCategory::kCompressed with the actual post-compression
-/// bytes; codec time lands in Phase::kCompressPack when the posting call
-/// was given a profiler. Like any nonblocking source, the CompressBuf's
-/// send bytes stay readable by peers until the communicator's release
-/// point — record ticket() before wait() and release with
-/// Comm::quiesce_op (or a later Comm::quiesce). A handle destroyed while
-/// still pending completes itself first, like PendingOp.
-class PendingCompressedReduce {
- public:
-  PendingCompressedReduce() = default;  ///< empty handle; pending() false
-
-  PendingCompressedReduce(PendingCompressedReduce&& other) noexcept {
-    *this = std::move(other);
-  }
-  PendingCompressedReduce& operator=(
-      PendingCompressedReduce&& other) noexcept {
-    if (this != &other) {
-      complete_for_destroy();
-      op_ = std::move(other.op_);
-      buf_ = other.buf_;
-      meter_ = other.meter_;
-      profiler_ = other.profiler_;
-      mode_ = other.mode_;
-      scatter_ = other.scatter_;
-      out_ = other.out_;
-      out_len_ = other.out_len_;
-      n_ = other.n_;
-      rank_ = other.rank_;
-      size_ = other.size_;
-      other.buf_ = nullptr;
-    }
-    return *this;
-  }
-
-  PendingCompressedReduce(const PendingCompressedReduce&) = delete;
-  PendingCompressedReduce& operator=(const PendingCompressedReduce&) = delete;
-
-  ~PendingCompressedReduce() { complete_for_destroy(); }
-
-  /// True between post and wait (false for the exact P == 1 fast path,
-  /// which completes at post time).
-  bool pending() const { return buf_ != nullptr; }
-
-  /// Posting-order ticket of the underlying byte gather (valid while
-  /// pending); record it before wait() to release the send bytes with
-  /// Comm::quiesce_op.
-  std::uint64_t ticket() const { return op_.ticket(); }
-
-  /// Complete: charge kCompressed, block for all posts, decode + sum.
-  void wait();  // comm.cpp
-
- private:
-  friend class Comm;
-
-  void complete_for_destroy() noexcept {
-    if (!pending()) return;
-    try {
-      wait();
-    } catch (...) {
-      buf_ = nullptr;  // unwinding a failed world; nothing left to finish
-    }
-  }
-
-  PendingOp op_;  ///< the byte all-gather, posted under the caller's name
-  CompressBuf* buf_ = nullptr;
-  CostMeter* meter_ = nullptr;
-  Profiler* profiler_ = nullptr;
-  CompressMode mode_ = CompressMode::kOff;
-  bool scatter_ = false;
-  Real* out_ = nullptr;
-  std::size_t out_len_ = 0;
-  std::size_t n_ = 0;  ///< full contribution element count
-  int rank_ = 0;
-  int size_ = 0;
-};
-
 /// One rank's endpoint of a simulated communicator. Default-constructed
 /// Comms are *invalid* (valid() is false); every collective, barrier, and
 /// split on an invalid Comm fails with a diagnostic instead of crashing.
@@ -703,9 +623,9 @@ class Comm {
   /// posts nothing: it costs a handful of atomic loads when peers have
   /// already drained, and it charges nothing. The
   /// double-buffered loops call it before reusing a broadcast source.
-  /// CAUTION: quiescing while an op that peers deliberately wait *later*
-  /// (e.g. a deferred gradient reduction) is outstanding deadlocks; use
-  /// quiesce_op to release one specific op instead.
+  /// CAUTION: quiescing while an op that peers wait *later* is
+  /// outstanding deadlocks (e.g. a halo exchange whose drains run behind
+  /// later stages); use quiesce_op to release one specific op instead.
   void quiesce() const;
 
   /// Block until every member has completed one specific op, identified
@@ -726,9 +646,8 @@ class Comm {
   // completed it, so it returns with every buffer free; the i-prefixed
   // forms return the posted op, charged at its wait() exactly like the
   // blocking form. `charged = false` suppresses the automatic charge for
-  // callers that account the traffic themselves (e.g. an op split into
-  // chunks whose per-chunk integer charges would not sum to the unsplit
-  // op's). ----
+  // callers that account the traffic themselves (the compressed
+  // reductions charge their byte gather's actual wire bytes). ----
 
   /// In-place broadcast from `root` to all members. Charges lg(P) latency
   /// units and data.size() words to every rank (nothing when P == 1).
@@ -784,23 +703,6 @@ class Comm {
                        "allreduce_max");
   }
 
-  /// Nonblocking *out-of-place* all-reduce sum: every rank posts `contrib`
-  /// (stable until all ranks waited) and receives the elementwise total
-  /// into `out` (same length, must not alias any contribution). The
-  /// out-of-place form is what allows peers to complete at different
-  /// times without a trailing rendezvous.
-  template <typename T>
-  PendingOp iallreduce_sum(std::span<const T> contrib, std::span<T> out,
-                           CommCategory cat, bool charged = true) {
-    check_valid("iallreduce_sum");
-    CAGNET_CHECK(contrib.size() == out.size(),
-                 "iallreduce_sum: contrib/out length mismatch");
-    return post_async(detail::OpKind::kAllreduce, "iallreduce_sum",
-                      contrib.data(), contrib.size(), /*root=*/0, cat,
-                      charged, &PendingOp::complete_impl<T>, out.data(),
-                      out.size(), contrib.size(), nullptr);
-  }
-
   /// Reduce-scatter with sum: `contrib` (same length on every rank) is the
   /// full-length vector of partial sums; rank r receives the reduced slice
   /// [chunk_offset(r), chunk_offset(r)+out.size()) into `out`, where chunk
@@ -813,15 +715,6 @@ class Comm {
     check_valid("reduce_scatter_sum");
     finish_blocking(post_reduce_scatter(contrib, out, cat, true,
                                         "reduce_scatter_sum"));
-  }
-
-  /// Nonblocking reduce_scatter_sum (same chunking contract).
-  template <typename T>
-  PendingOp ireduce_scatter_sum(std::span<const T> contrib, std::span<T> out,
-                                CommCategory cat, bool charged = true) {
-    check_valid("ireduce_scatter_sum");
-    return post_reduce_scatter(contrib, out, cat, charged,
-                               "ireduce_scatter_sum");
   }
 
   /// All-gather of equal-size chunks: every rank contributes `mine`, and
@@ -857,15 +750,6 @@ class Comm {
     check_valid("allgatherv_into");
     finish_blocking(
         post_allgatherv(mine, out, cat, true, "allgatherv_into"));
-  }
-
-  /// Nonblocking allgatherv_into. `out` (resized at wait) must outlive the
-  /// op and `mine` must not alias `out.data`.
-  template <typename T>
-  PendingOp iallgatherv_into(std::span<const T> mine, Gathered<T>& out,
-                             CommCategory cat, bool charged = true) {
-    check_valid("iallgatherv_into");
-    return post_allgatherv(mine, out, cat, charged, "iallgatherv_into");
   }
 
   /// Permutation all-to-all: every rank sends one message to `dest`; the
@@ -963,15 +847,6 @@ class Comm {
                                 CompressBuf& buf,
                                 Profiler* profiler = nullptr);
 
-  /// Nonblocking out-of-place lossy all-reduce sum: `out` (same length as
-  /// `contrib`, or aliasing it exactly) receives the decoded total at
-  /// wait(). `contrib` is consumed at post time (the encode is the
-  /// staging copy); buf.send must stay unmodified until the op's release
-  /// point (quiesce / quiesce_op on ticket()).
-  PendingCompressedReduce iallreduce_sum_compressed(
-      std::span<const Real> contrib, std::span<Real> out, CompressMode mode,
-      CompressBuf& buf, Profiler* profiler = nullptr);
-
   /// Blocking lossy reduce-scatter sum, same chunking contract as
   /// reduce_scatter_sum (chunk boundaries are the concatenation of every
   /// rank's out.size(), which may differ per rank — the 1.5D keeper-only
@@ -983,12 +858,6 @@ class Comm {
                                      std::span<Real> out, CompressMode mode,
                                      CompressBuf& buf,
                                      Profiler* profiler = nullptr);
-
-  /// Nonblocking form of reduce_scatter_sum_compressed; same contract as
-  /// iallreduce_sum_compressed regarding buf.send's lifetime.
-  PendingCompressedReduce ireduce_scatter_sum_compressed(
-      std::span<const Real> contrib, std::span<Real> out, CompressMode mode,
-      CompressBuf& buf, Profiler* profiler = nullptr);
 
  private:
   friend void run_world(int, const std::function<void(Comm&)>&,
@@ -1061,19 +930,14 @@ class Comm {
   void await_finished(std::uint64_t ticket,
                       const detail::OpContext& ctx) const;
 
-  /// Encode `contrib` into buf.send and post the byte all-gather under
-  /// the caller-facing name `op` (P == 1: the exact copy, nothing
-  /// pending). Out-of-line (comm.cpp).
-  PendingCompressedReduce post_compressed(std::span<const Real> contrib,
-                                          std::span<Real> out,
-                                          CompressMode mode, CompressBuf& buf,
-                                          Profiler* profiler, bool scatter,
-                                          const char* op);
-
-  /// The blocking compressed tail: wait, then hold like finish_blocking,
-  /// so buf.send may be rewritten on return.
-  void finish_compressed(PendingCompressedReduce op,
-                         Profiler* profiler) const;
+  /// The body of both compressed reductions, under the caller-facing name
+  /// `op`: encode `contrib` into buf.send, all-gather every rank's bytes,
+  /// decode-sum into `out` (this rank's slice when `scatter`), then hold
+  /// like finish_blocking, so buf.send may be rewritten on return. P == 1
+  /// is the exact copy. Out-of-line (comm.cpp).
+  void reduce_compressed(std::span<const Real> contrib, std::span<Real> out,
+                         CompressMode mode, CompressBuf& buf,
+                         Profiler* profiler, bool scatter, const char* op);
 
   /// barrier() under the caller-facing name `op` (split reports "split").
   void rendezvous(const char* op) const;

@@ -165,19 +165,6 @@ void Algebra15D::release_setup_buffers() noexcept {
 
 void Algebra15D::spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) {
   const Index f = g.cols();
-
-  {
-    // Release points: slice peers read this rank's u_partial_ (previous
-    // layer's reduce-scatter; the halo backward manages its own pack
-    // staging instead) and team peers read u (previous layer's replica
-    // broadcast); both buffers are rewritten below. The slice release is
-    // bounded to that single op: a full quiesce would also wait for
-    // peers to finish every later slice op, such as the halo exchanges,
-    // whose pack staging keeps its own release points.
-    ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-    if (has_u_release_) slice_.quiesce_op(u_release_ticket_);
-    if (c_ > 1) team_.quiesce();
-  }
   // Outer product restricted to this stripe: partial U over the rows
   // R_j, j ≡ t (mod c), stacked in stage order — at c = 1 the full O(nf)
   // low-rank partial of Section IV-A.3.
@@ -225,13 +212,10 @@ void Algebra15D::spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) {
     // Lossy-coded slice reduce-scatter (the op times itself); the exact
     // team broadcast then replicates the keeper's decoded block, so all
     // replicas stay bitwise identical.
-    PendingCompressedReduce op = slice_.ireduce_scatter_sum_compressed(
+    slice_.reduce_scatter_sum_compressed(
         std::span<const Real>(u_partial_.flat()),
         keeper ? u.flat() : std::span<Real>{}, rmode, u_cbuf_,
         &stats.profiler);
-    u_release_ticket_ = op.ticket();
-    has_u_release_ = true;
-    op.wait();
     broadcast_to_team(keeper, u, stats);
     return;
   }
@@ -240,16 +224,11 @@ void Algebra15D::spmm_a(const Matrix& g, Matrix& u, EpochStats& stats) {
   // j' ≡ t (mod c), nothing otherwise (chunk order is ascending j, which
   // is ascending slice rank). The keeper's chunk lands directly in u.
   // Then a team broadcast from the member holding this group's block.
-  // Both are nonblocking forms with no trailing rendezvous (the sources'
-  // release is the quiesce above).
   {
     ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-    PendingOp reduce_op = slice_.ireduce_scatter_sum(
-        std::span<const Real>(u_partial_.flat()),
-        keeper ? u.flat() : std::span<Real>{}, CommCategory::kDense);
-    u_release_ticket_ = reduce_op.ticket();
-    has_u_release_ = true;
-    reduce_op.wait();
+    slice_.reduce_scatter_sum(std::span<const Real>(u_partial_.flat()),
+                              keeper ? u.flat() : std::span<Real>{},
+                              CommCategory::kDense);
   }
   broadcast_to_team(keeper, u, stats);
 }
@@ -261,10 +240,8 @@ void Algebra15D::broadcast_to_team(bool keeper, Matrix& u,
   ScopedPhase scope(stats.profiler, Phase::kDenseComm);
   const std::span<const Real> src =
       keeper ? std::span<const Real>(u.flat()) : std::span<const Real>{};
-  team_
-      .ibroadcast_from(src, keeper ? std::span<Real>{} : u.flat(), g_ % c_,
-                       CommCategory::kDense)
-      .wait();
+  team_.broadcast_from(src, keeper ? std::span<Real>{} : u.flat(), g_ % c_,
+                       CommCategory::kDense);
 }
 
 void Algebra15D::reduce_gradients(Index layer, Matrix& y_partial,

@@ -96,10 +96,9 @@ class Algebra15D final : public DistSpmmAlgebra {
   void reduce_gradients(Index layer, Matrix& y_partial, Index f_in,
                         Index f_out, Matrix& y_full,
                         EpochStats& stats) override;
-  void drain() noexcept override {
-    dist::drain_comm(slice_);
-    dist::drain_comm(team_);
-  }
+  /// The slice carries the stage loops and halo exchanges; the team
+  /// posts only blocking collectives, so it holds nothing to release.
+  void drain() noexcept override { dist::drain_comm(slice_); }
   /// The stage receive buffers and the halo pack staging.
   void release_setup_buffers() noexcept override;
 
@@ -182,8 +181,6 @@ class Algebra15D final : public DistSpmmAlgebra {
   /// (RunConfig::compress). Error feedback stays off: U is a fresh
   /// activation gradient each layer, not an accumulating signal.
   CompressBuf u_cbuf_;
-  std::uint64_t u_release_ticket_ = 0;  ///< last u reduce-scatter (release)
-  bool has_u_release_ = false;
 };
 
 }  // namespace cagnet

@@ -104,10 +104,9 @@ void Algebra3D::split3d_spmm(const SparseStages& sparse,
   const bool layered = grid_.l > 1;
   const Index w = my_dense.cols();
   {
-    // Release point for this rank's earlier row sources: row peers read
-    // the partial-SUMMA T panels, the staged reduce_times_weight terms
-    // and the gathered feature rows — all rewritten below or by the
-    // engine buffers backing them. Readers drained a whole layer ago, so
+    // Release point for the partial SUMMA's T panels: row peers may
+    // still read them after its stage loop returns, and this loop's
+    // output may be that T buffer. Readers drained a whole layer ago, so
     // this is a handful of atomic loads.
     ScopedPhase scope(stats.profiler, Phase::kDenseComm);
     grid_.row.quiesce();

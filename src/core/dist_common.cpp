@@ -286,12 +286,6 @@ void reduce_times_weight(const Matrix& t, const Matrix& w, int parts,
   const Index f_out = w.cols();
   const auto [fi0, fi1] = block_range(f_in, parts, my_col);
   {
-    // Release point: row peers may still read the previous call's
-    // staged term, which is rewritten below.
-    ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-    row_comm.quiesce();
-  }
-  {
     // This rank's term T_j W_j of the contraction, full f_out wide, built
     // in `z` (which keeps that capacity for the next call), then staged
     // slice-major: process column m's reduce-scatter chunk is column
@@ -316,23 +310,17 @@ void reduce_times_weight(const Matrix& t, const Matrix& w, int parts,
   const auto [fo0, fo1] = block_range(f_out, parts, my_col);
   z.resize(local_rows, fo1 - fo0);
   ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-  row_comm
-      .ireduce_scatter_sum(std::span<const Real>(ws.z_staged.flat()),
-                           z.flat(), CommCategory::kDense)
-      .wait();
+  row_comm.reduce_scatter_sum(std::span<const Real>(ws.z_staged.flat()),
+                              z.flat(), CommCategory::kDense);
 }
 
 void allgather_feature_rows(const Matrix& local, Index full_cols, int parts,
                             Comm& row_comm, Profiler& profiler,
                             DistWorkspace& ws, Matrix& full) {
   {
-    // Posted and waited in place: the blocking form would add a release
-    // hold on every member here.
     ScopedPhase scope(profiler, Phase::kDenseComm);
-    row_comm
-        .iallgatherv_into(std::span<const Real>(local.flat()), ws.gathered,
-                          CommCategory::kDense)
-        .wait();
+    row_comm.allgatherv_into(std::span<const Real>(local.flat()),
+                             ws.gathered, CommCategory::kDense);
   }
   full.resize(local.rows(), full_cols);
   for (int jj = 0; jj < parts; ++jj) {

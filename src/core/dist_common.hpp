@@ -161,8 +161,7 @@ struct DistWorkspace {
                             ///< being consumed)
   Matrix w_block;           ///< the weight block a Z = T W path reads
   Matrix z_staged;          ///< reduce_times_weight's f_out-wide term,
-                            ///< slice-major: the reduce-scatter source
-                            ///< peers read until the next call
+                            ///< slice-major: its reduce-scatter source
   Gathered<Real> gathered;  ///< all-gather staging
 };
 

@@ -582,17 +582,6 @@ TEST(InvalidComm, CollectivesFailWithDiagnostic) {
                                     std::span<Real>{}, 0,
                                     CommCategory::kDense),
                Error);
-  EXPECT_THROW(comm.ireduce_scatter_sum(std::span<const Real>(data),
-                                        std::span<Real>(data),
-                                        CommCategory::kDense),
-               Error);
-  EXPECT_THROW(comm.iallgatherv_into(std::span<const Real>(data), gathered,
-                                     CommCategory::kDense),
-               Error);
-  EXPECT_THROW(comm.iallreduce_sum(std::span<const Real>(data),
-                                   std::span<Real>(data),
-                                   CommCategory::kDense),
-               Error);
   try {
     comm.barrier();
     FAIL() << "barrier on invalid Comm did not throw";
@@ -612,14 +601,6 @@ TEST(InvalidComm, CompressedCollectivesFailWithDiagnostic) {
                                              CompressMode::kInt8, buf),
                Error);
   EXPECT_THROW(comm.reduce_scatter_sum_compressed(
-                   std::span<const Real>(data), std::span<Real>(data),
-                   CompressMode::kInt8, buf),
-               Error);
-  EXPECT_THROW(comm.iallreduce_sum_compressed(std::span<const Real>(data),
-                                              std::span<Real>(data),
-                                              CompressMode::kInt8, buf),
-               Error);
-  EXPECT_THROW(comm.ireduce_scatter_sum_compressed(
                    std::span<const Real>(data), std::span<Real>(data),
                    CompressMode::kInt8, buf),
                Error);
@@ -797,134 +778,6 @@ TEST(Nonblocking, PostedButUnwaitedOpCompletesOnDestruction) {
   }
 }
 
-TEST(Nonblocking, ReduceScatterMatchesBlocking) {
-  const int p = 3;
-  std::vector<CostMeter> meters, blocking_meters;
-  std::vector<std::vector<Real>> outs(p), blocking_outs(p);
-  run_world(
-      p,
-      [&](Comm& comm) {
-        std::vector<Real> contrib(9);
-        for (std::size_t i = 0; i < contrib.size(); ++i) {
-          contrib[i] = static_cast<Real>(i + comm.rank());
-        }
-        std::vector<Real> out(static_cast<std::size_t>(comm.rank()) + 2);
-        PendingOp op = comm.ireduce_scatter_sum(
-            std::span<const Real>(contrib), std::span<Real>(out),
-            CommCategory::kDense);
-        op.wait();
-        comm.quiesce();
-        outs[static_cast<std::size_t>(comm.rank())] = out;
-      },
-      &meters);
-  run_world(
-      p,
-      [&](Comm& comm) {
-        std::vector<Real> contrib(9);
-        for (std::size_t i = 0; i < contrib.size(); ++i) {
-          contrib[i] = static_cast<Real>(i + comm.rank());
-        }
-        std::vector<Real> out(static_cast<std::size_t>(comm.rank()) + 2);
-        comm.reduce_scatter_sum(std::span<const Real>(contrib),
-                                std::span<Real>(out), CommCategory::kDense);
-        blocking_outs[static_cast<std::size_t>(comm.rank())] = out;
-      },
-      &blocking_meters);
-  for (int r = 0; r < p; ++r) {
-    ASSERT_EQ(outs[static_cast<std::size_t>(r)],
-              blocking_outs[static_cast<std::size_t>(r)]);
-    EXPECT_EQ(meters[static_cast<std::size_t>(r)].words(CommCategory::kDense),
-              blocking_meters[static_cast<std::size_t>(r)].words(
-                  CommCategory::kDense));
-    EXPECT_EQ(meters[static_cast<std::size_t>(r)].latency_units(
-                  CommCategory::kDense),
-              blocking_meters[static_cast<std::size_t>(r)].latency_units(
-                  CommCategory::kDense));
-  }
-}
-
-TEST(Nonblocking, AllgathervMatchesBlocking) {
-  const int p = 4;
-  std::vector<CostMeter> meters, blocking_meters;
-  run_world(
-      p,
-      [&](Comm& comm) {
-        std::vector<Index> mine(static_cast<std::size_t>(comm.rank()) + 1,
-                                static_cast<Index>(comm.rank()));
-        Gathered<Index> out;
-        comm.iallgatherv_into(std::span<const Index>(mine), out,
-                              CommCategory::kDense)
-            .wait();
-        comm.quiesce();
-        ASSERT_EQ(out.offsets.size(), static_cast<std::size_t>(p) + 1);
-        for (int r = 0; r < p; ++r) {
-          const auto chunk = out.chunk(r);
-          ASSERT_EQ(chunk.size(), static_cast<std::size_t>(r) + 1);
-          for (Index v : chunk) ASSERT_EQ(v, static_cast<Index>(r));
-        }
-      },
-      &meters);
-  run_world(
-      p,
-      [&](Comm& comm) {
-        std::vector<Index> mine(static_cast<std::size_t>(comm.rank()) + 1,
-                                static_cast<Index>(comm.rank()));
-        comm.allgatherv(std::span<const Index>(mine), CommCategory::kDense);
-      },
-      &blocking_meters);
-  for (int r = 0; r < p; ++r) {
-    EXPECT_EQ(meters[static_cast<std::size_t>(r)].words(CommCategory::kDense),
-              blocking_meters[static_cast<std::size_t>(r)].words(
-                  CommCategory::kDense));
-  }
-}
-
-TEST(Nonblocking, AllreduceSumMatchesBlockingBitwise) {
-  const int p = 4;
-  std::vector<CostMeter> meters, blocking_meters;
-  std::vector<std::vector<Real>> outs(p), blocking_outs(p);
-  const auto contrib_for = [](int rank) {
-    std::vector<Real> c(17);
-    for (std::size_t i = 0; i < c.size(); ++i) {
-      c[i] = std::sin(static_cast<Real>(i) * (rank + 1));  // non-trivial FP
-    }
-    return c;
-  };
-  run_world(
-      p,
-      [&](Comm& comm) {
-        const std::vector<Real> contrib = contrib_for(comm.rank());
-        std::vector<Real> out(contrib.size());
-        comm.iallreduce_sum(std::span<const Real>(contrib),
-                            std::span<Real>(out), CommCategory::kDense)
-            .wait();
-        comm.quiesce();
-        outs[static_cast<std::size_t>(comm.rank())] = out;
-      },
-      &meters);
-  run_world(
-      p,
-      [&](Comm& comm) {
-        std::vector<Real> data = contrib_for(comm.rank());
-        comm.allreduce_sum(std::span<Real>(data), CommCategory::kDense);
-        blocking_outs[static_cast<std::size_t>(comm.rank())] = data;
-      },
-      &blocking_meters);
-  for (int r = 0; r < p; ++r) {
-    // Bitwise equality: the nonblocking reduction uses the same
-    // rank-ascending element order as the blocking one.
-    ASSERT_EQ(outs[static_cast<std::size_t>(r)],
-              blocking_outs[static_cast<std::size_t>(r)]);
-    EXPECT_EQ(meters[static_cast<std::size_t>(r)].words(CommCategory::kDense),
-              blocking_meters[static_cast<std::size_t>(r)].words(
-                  CommCategory::kDense));
-    EXPECT_EQ(meters[static_cast<std::size_t>(r)].latency_units(
-                  CommCategory::kDense),
-              blocking_meters[static_cast<std::size_t>(r)].latency_units(
-                  CommCategory::kDense));
-  }
-}
-
 TEST(Nonblocking, ComputeBetweenPostAndWaitSeesNoInterference) {
   // The advertised pattern: post, run an unrelated *blocking* collective
   // plus local compute, then wait. The pending op must be unaffected.
@@ -973,26 +826,30 @@ TEST(Nonblocking, PostOntoOwnUnwaitedOpThrowsTyped) {
   // typed error instead — with the checker on or off — and must claim
   // nothing, so the communicator runs on once the held op is waited.
   run_world(2, [](Comm& comm) {
+    // Every rank sends two elements to each rank.
+    const std::vector<std::size_t> offsets = {0, 2, 4};
     std::vector<Real> held_in(4, Real{1});
-    std::vector<Real> held_out(4);
-    PendingOp held = comm.iallreduce_sum(std::span<const Real>(held_in),
-                                         std::span<Real>(held_out),
-                                         CommCategory::kDense);
+    Gathered<Real> held_out;
+    PendingOp held = comm.ialltoallv_into(
+        std::span<const Real>(held_in), std::span<const std::size_t>(offsets),
+        held_out, CommCategory::kDense);
     std::vector<Real> in(4, Real{2});
-    std::vector<Real> out(4);
+    Gathered<Real> out;
     for (int i = 0; i < 15; ++i) {
-      comm.iallreduce_sum(std::span<const Real>(in), std::span<Real>(out),
-                          CommCategory::kDense)
+      comm.ialltoallv_into(std::span<const Real>(in),
+                           std::span<const std::size_t>(offsets), out,
+                           CommCategory::kDense)
           .wait();
     }
     try {
-      comm.iallreduce_sum(std::span<const Real>(in), std::span<Real>(out),
-                          CommCategory::kDense)
+      comm.ialltoallv_into(std::span<const Real>(in),
+                           std::span<const std::size_t>(offsets), out,
+                           CommCategory::kDense)
           .wait();
       ADD_FAILURE() << "post onto the rank's own unwaited op did not throw";
     } catch (const ContractViolation& e) {
       EXPECT_EQ(e.rank(), comm.rank());
-      EXPECT_STREQ(e.op(), "iallreduce_sum");
+      EXPECT_STREQ(e.op(), "ialltoallv_into");
       EXPECT_EQ(e.category(), CommCategory::kDense);
       EXPECT_NE(std::string(e.what()).find("own unwaited op"),
                 std::string::npos)
@@ -1004,7 +861,7 @@ TEST(Nonblocking, PostOntoOwnUnwaitedOpThrowsTyped) {
     held.wait();
     comm.allreduce_sum(std::span<Real>(in), CommCategory::kDense);
     EXPECT_DOUBLE_EQ(in[0], 4.0);
-    EXPECT_DOUBLE_EQ(held_out[0], 2.0);
+    EXPECT_EQ(held_out.data, std::vector<Real>(4, Real{1}));
     comm.quiesce();
   });
 }
@@ -1545,8 +1402,10 @@ TEST(Abort, PeerFailureMidSourceDrainUnwinds) {
 // member has completed it. Each case below rewrites this rank's send
 // buffer the moment the call returns, for 200 rounds at P = 4; a wrapper
 // that returned while a peer still read the buffer would hand that peer
-// the overwrite instead of the round's values. Mismatches are counted,
-// not asserted, so a failing rank still takes part in every later round.
+// the overwrite instead of the round's values. The compressed cases also
+// rewrite their CompressBuf's wire bytes, the buffer peers actually read.
+// Mismatches are counted, not asserted, so a failing rank still takes
+// part in every later round.
 
 constexpr int kBlockingRounds = 200;
 constexpr Real kClobber = -7.0;
@@ -1689,6 +1548,68 @@ int allgatherv_rounds(Comm& comm) {
   return bad;
 }
 
+constexpr CompressMode kBlockingCodec = CompressMode::kInt8;
+
+/// What a compressed reduction carries of rank r's round-k payload of n
+/// elements: its codec round trip.
+std::vector<Real> carried_payload(int r, int k, std::size_t n) {
+  std::vector<Real> v(n);
+  fill_payload(v, r, k);
+  std::vector<std::uint8_t> bytes(encoded_size_bytes(kBlockingCodec, n));
+  compress_encode(kBlockingCodec, v, bytes.data(), /*residual=*/nullptr);
+  compress_decode(kBlockingCodec, bytes.data(), n, v.data());
+  return v;
+}
+
+/// Element i of the rank-ascending sum of every rank's carried payload.
+Real carried_sum(int p, int k, std::size_t n, std::size_t i) {
+  Real want = 0;
+  for (int r = 0; r < p; ++r) want += carried_payload(r, k, n)[i];
+  return want;
+}
+
+void clobber(std::vector<std::uint8_t>& bytes) {
+  std::fill(bytes.begin(), bytes.end(), std::uint8_t{0xA5});
+}
+
+int allreduce_compressed_rounds(Comm& comm) {
+  int bad = 0;
+  std::vector<Real> data(5);
+  CompressBuf buf;
+  for (int k = 0; k < kBlockingRounds; ++k) {
+    fill_payload(data, comm.rank(), k);
+    comm.allreduce_sum_compressed(std::span<Real>(data), kBlockingCodec, buf);
+    const std::vector<Real> got = data;
+    clobber(data);
+    clobber(buf.send);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      bad += got[i] != carried_sum(comm.size(), k, got.size(), i);
+    }
+  }
+  return bad;
+}
+
+int reduce_scatter_compressed_rounds(Comm& comm) {
+  int bad = 0;
+  const std::size_t chunk = 3;
+  std::vector<Real> contrib(chunk * static_cast<std::size_t>(comm.size()));
+  std::vector<Real> out(chunk);
+  CompressBuf buf;
+  for (int k = 0; k < kBlockingRounds; ++k) {
+    fill_payload(contrib, comm.rank(), k);
+    comm.reduce_scatter_sum_compressed(std::span<const Real>(contrib),
+                                       std::span<Real>(out), kBlockingCodec,
+                                       buf);
+    clobber(contrib);
+    clobber(buf.send);
+    const std::size_t lo = static_cast<std::size_t>(comm.rank()) * chunk;
+    for (std::size_t i = 0; i < chunk; ++i) {
+      bad += out[i] != carried_sum(comm.size(), k, contrib.size(), lo + i);
+    }
+  }
+  return bad;
+}
+
 int route_rounds(Comm& comm) {
   int bad = 0;
   const int p = comm.size();
@@ -1777,7 +1698,11 @@ INSTANTIATE_TEST_SUITE_P(
                       BlockingCase{"allgatherv_into",
                                    &allgatherv_rounds<true>},
                       BlockingCase{"route", &route_rounds},
-                      BlockingCase{"alltoallv_into", &alltoallv_rounds}),
+                      BlockingCase{"alltoallv_into", &alltoallv_rounds},
+                      BlockingCase{"allreduce_sum_compressed",
+                                   &allreduce_compressed_rounds},
+                      BlockingCase{"reduce_scatter_sum_compressed",
+                                   &reduce_scatter_compressed_rounds}),
     [](const auto& info) { return std::string(info.param.name); });
 
 // ---- Diagnostics: message shapes name rank, op kind, and category ----
@@ -1787,14 +1712,17 @@ TEST(Diagnostics, OrderMismatchNamesRanksOpsAndCategory) {
     run_world(2, [](Comm& comm) {
       std::vector<Real> a(4, Real{1});
       std::vector<Real> out(4, Real{0});
+      const std::vector<std::size_t> offsets = {0, 2, 4};
       if (comm.rank() == 0) {
-        comm.iallreduce_sum(std::span<const Real>(a), std::span<Real>(out),
-                            CommCategory::kDense)
+        Gathered<Real> g;
+        comm.ialltoallv_into(std::span<const Real>(a),
+                             std::span<const std::size_t>(offsets), g,
+                             CommCategory::kDense)
             .wait();
       } else {
-        Gathered<Real> g;
-        comm.iallgatherv_into(std::span<const Real>(a), g,
-                              CommCategory::kDense)
+        // Rank 1 is not the root, so its wait reads the peers' posts too.
+        comm.ibroadcast_from(std::span<const Real>{}, std::span<Real>(out),
+                             /*root=*/0, CommCategory::kDense)
             .wait();
       }
       comm.quiesce();
@@ -1809,14 +1737,14 @@ TEST(Diagnostics, OrderMismatchNamesRanksOpsAndCategory) {
     EXPECT_NE(what.find("waiting on"), std::string::npos) << what;
     EXPECT_NE(what.find("[dense]"), std::string::npos) << what;
     EXPECT_NE(what.find("posted"), std::string::npos) << what;
-    EXPECT_NE(what.find("iallreduce_sum"), std::string::npos) << what;
-    EXPECT_NE(what.find("iallgatherv_into"), std::string::npos) << what;
+    EXPECT_NE(what.find("ialltoallv_into"), std::string::npos) << what;
+    EXPECT_NE(what.find("ibroadcast_from"), std::string::npos) << what;
   }
 }
 
 TEST(Diagnostics, BlockingAndNonblockingOutOfOrderDiagnosed) {
   // Blocking calls ride the same channels as the nonblocking ones, so a
-  // rank in a blocking all-reduce and a peer in a nonblocking all-gather
+  // rank in a blocking all-reduce and a peer in a nonblocking all-to-all
   // meet on one channel and see each other's op.
   try {
     run_world(2, [](Comm& comm) {
@@ -1824,9 +1752,11 @@ TEST(Diagnostics, BlockingAndNonblockingOutOfOrderDiagnosed) {
       if (comm.rank() == 0) {
         comm.allreduce_sum(std::span<Real>(a), CommCategory::kDense);
       } else {
+        const std::vector<std::size_t> offsets = {0, 2, 4};
         Gathered<Real> g;
-        comm.iallgatherv_into(std::span<const Real>(a), g,
-                              CommCategory::kDense)
+        comm.ialltoallv_into(std::span<const Real>(a),
+                             std::span<const std::size_t>(offsets), g,
+                             CommCategory::kDense)
             .wait();
       }
       comm.quiesce();
@@ -1836,7 +1766,7 @@ TEST(Diagnostics, BlockingAndNonblockingOutOfOrderDiagnosed) {
     const std::string what = e.what();
     EXPECT_NE(what.find("disagree on op order"), std::string::npos) << what;
     EXPECT_NE(what.find("allreduce_sum"), std::string::npos) << what;
-    EXPECT_NE(what.find("iallgatherv_into"), std::string::npos) << what;
+    EXPECT_NE(what.find("ialltoallv_into"), std::string::npos) << what;
     EXPECT_NE(what.find("[dense]"), std::string::npos) << what;
   }
 }
@@ -1859,12 +1789,8 @@ TEST_P(SizeMismatchDiagnostics, NamesOpCategoryAndBothRanks) {
                 root ? std::span<Real>{} : std::span<Real>(out), 0,
                 CommCategory::kDense)
             .wait();
-      } else if (op == "allreduce_sum") {
-        comm.allreduce_sum(std::span<Real>(data), CommCategory::kDense);
       } else {
-        comm.iallreduce_sum(std::span<const Real>(data),
-                            std::span<Real>(out), CommCategory::kDense)
-            .wait();
+        comm.allreduce_sum(std::span<Real>(data), CommCategory::kDense);
       }
       comm.quiesce();
     });
@@ -1881,8 +1807,7 @@ TEST_P(SizeMismatchDiagnostics, NamesOpCategoryAndBothRanks) {
 
 INSTANTIATE_TEST_SUITE_P(Ops, SizeMismatchDiagnostics,
                          ::testing::Values("broadcast", "ibroadcast_from",
-                                           "allreduce_sum",
-                                           "iallreduce_sum"),
+                                           "allreduce_sum"),
                          [](const auto& info) { return info.param; });
 
 TEST(Diagnostics, CompressedSizeMismatchNamesOpCategoryAndBothRanks) {

@@ -265,38 +265,6 @@ TEST(CompressedCollectives, ReduceScatterMatchesOracleAndMeter) {
   });
 }
 
-TEST(CompressedCollectives, NonblockingMatchesBlockingBitwise) {
-  const std::size_t n = 777;
-  const int p = 4;
-  run_world(p, [&](Comm& world) {
-    const CompressMode mode = CompressMode::kInt8;
-    std::vector<Real> blocking = wave(n, world.rank());
-    CompressBuf buf_b;
-    const CostMeter before_b = world.meter();
-    world.allreduce_sum_compressed(std::span<Real>(blocking), mode, buf_b);
-    CostMeter delta_b = world.meter();
-    delta_b.subtract(before_b);
-
-    const std::vector<Real> contrib = wave(n, world.rank());
-    std::vector<Real> out(n, 0);
-    CompressBuf buf_n;
-    const CostMeter before_n = world.meter();
-    PendingCompressedReduce op = world.iallreduce_sum_compressed(
-        std::span<const Real>(contrib), std::span<Real>(out), mode, buf_n);
-    EXPECT_TRUE(op.pending());
-    op.wait();
-    world.quiesce();  // release the peers' reads of buf_n.send
-    CostMeter delta_n = world.meter();
-    delta_n.subtract(before_n);
-
-    EXPECT_EQ(out, blocking);
-    EXPECT_DOUBLE_EQ(delta_n.words(CommCategory::kCompressed),
-                     delta_b.words(CommCategory::kCompressed));
-    EXPECT_DOUBLE_EQ(delta_n.latency_units(CommCategory::kCompressed),
-                     delta_b.latency_units(CommCategory::kCompressed));
-  });
-}
-
 TEST(CompressedCollectives, SingleRankIsExactAndFree) {
   const std::size_t n = 333;
   run_world(1, [&](Comm& world) {
@@ -309,11 +277,9 @@ TEST(CompressedCollectives, SingleRankIsExactAndFree) {
     EXPECT_EQ(data, src);  // exact copy, no codec round-trip
 
     std::vector<Real> out(n, -1);
-    PendingCompressedReduce op = world.ireduce_scatter_sum_compressed(
-        std::span<const Real>(src), std::span<Real>(out),
-        CompressMode::kInt8, buf);
-    EXPECT_FALSE(op.pending());  // completed at post time
-    op.wait();                   // idempotent no-op
+    world.reduce_scatter_sum_compressed(std::span<const Real>(src),
+                                        std::span<Real>(out),
+                                        CompressMode::kInt8, buf);
     EXPECT_EQ(out, src);
 
     CostMeter delta = world.meter();

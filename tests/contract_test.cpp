@@ -115,10 +115,10 @@ TEST(Contract, TeardownWithUnwaitedOpDiagnosed) {
 TEST(Contract, ChargeWithoutOpenOpDiagnosed) {
   contract::Checker checker(2);
   // Legal while an op is open...
-  checker.on_post(1, /*ticket=*/0, "iallreduce_sum", CommCategory::kDense,
+  checker.on_post(1, /*ticket=*/0, "allreduce_sum", CommCategory::kDense,
                   /*finished_count=*/0, /*recycle_target=*/0);
   EXPECT_NO_THROW(
-      checker.on_charge(1, "iallreduce_sum", CommCategory::kDense));
+      checker.on_charge(1, "allreduce_sum", CommCategory::kDense));
   checker.on_complete(1);
   // ...but orphaned charges are a violation on both ranks.
   for (int rank = 0; rank < 2; ++rank) {
@@ -137,10 +137,10 @@ TEST(Contract, ChargeWithoutOpenOpDiagnosed) {
 
 TEST(Contract, TicketMonotonicityAndRecycleGateDiagnosed) {
   contract::Checker checker(1);
-  checker.on_post(0, 0, "iallreduce_sum", CommCategory::kDense, 0, 0);
+  checker.on_post(0, 0, "allreduce_sum", CommCategory::kDense, 0, 0);
   // Ticket 2 after ticket 0 skips 1: out of monotone posting order.
   try {
-    checker.on_post(0, 2, "iallreduce_sum", CommCategory::kDense, 0, 0);
+    checker.on_post(0, 2, "allreduce_sum", CommCategory::kDense, 0, 0);
     FAIL() << "out-of-order ticket was not diagnosed";
   } catch (const ContractViolation& e) {
     EXPECT_NE(std::string(e.what()).find("monotone posting order"),
@@ -161,7 +161,8 @@ TEST(Contract, TicketMonotonicityAndRecycleGateDiagnosed) {
 
 TEST(Contract, ReleaseOfNeverPostedOpDiagnosed) {
   contract::Checker checker(1);
-  checker.on_post(0, 0, "iallgatherv_into", CommCategory::kCompressed, 0, 0);
+  checker.on_post(0, 0, "allreduce_sum_compressed", CommCategory::kCompressed,
+                  0, 0);
   EXPECT_NO_THROW(checker.on_release(0, 0, "quiesce_op"));
   try {
     checker.on_release(0, 7, "quiesce_op");
@@ -188,11 +189,15 @@ void mixed_workload(std::vector<Real>& out, std::vector<CostMeter>& meters) {
         }
         comm.allreduce_sum(std::span<Real>(acc), CommCategory::kDense);
 
-        std::vector<Real> total(8);
-        PendingOp red = comm.iallreduce_sum(std::span<const Real>(acc),
-                                            std::span<Real>(total),
-                                            CommCategory::kSparse);
-        red.wait();
+        // Nonblocking broadcast of rank 0's total; the root's wait is
+        // passive.
+        const bool root = comm.rank() == 0;
+        std::vector<Real> total = acc;
+        PendingOp bc = comm.ibroadcast_from(
+            root ? std::span<const Real>(acc) : std::span<const Real>{},
+            root ? std::span<Real>{} : std::span<Real>(total), /*root=*/0,
+            CommCategory::kSparse);
+        bc.wait();
 
         // Per-source drained alltoallv: rank r sends (r+1) words to every
         // destination.
@@ -258,9 +263,11 @@ TEST(Contract, QuiescedWorldPassesTeardownAudit) {
     std::vector<Real> v(6, static_cast<Real>(comm.rank()));
     row.allreduce_sum(std::span<Real>(v), CommCategory::kDense);
     std::vector<Real> total(6);
-    PendingOp op = comm.iallreduce_sum(std::span<const Real>(v),
-                                       std::span<Real>(total),
-                                       CommCategory::kSparse);
+    const bool root = comm.rank() == 0;
+    PendingOp op = comm.ibroadcast_from(
+        root ? std::span<const Real>(v) : std::span<const Real>{},
+        root ? std::span<Real>{} : std::span<Real>(total), /*root=*/0,
+        CommCategory::kSparse);
     op.wait();
     comm.quiesce();
   }));

@@ -255,17 +255,18 @@ TEST(FaultAbort, KillAtNonblockingWait) {
   try {
     run_world(2, [](Comm& comm) {
       std::vector<Real> src(8, static_cast<Real>(comm.rank() + 1));
-      std::vector<Real> dst(8, Real{0});
-      PendingOp op = comm.iallreduce_sum(std::span<const Real>(src),
-                                         std::span<Real>(dst),
-                                         CommCategory::kSparse);
+      const std::vector<std::size_t> offsets = {0, 4, 8};
+      Gathered<Real> dst;
+      PendingOp op = comm.ialltoallv_into(
+          std::span<const Real>(src), std::span<const std::size_t>(offsets),
+          dst, CommCategory::kSparse);
       op.wait();
       comm.quiesce();
     });
     FAIL() << "injected kill did not abort the world";
   } catch (const CommAborted& e) {
     EXPECT_EQ(e.rank(), 0);
-    EXPECT_EQ(e.op(), "iallreduce_sum");
+    EXPECT_EQ(e.op(), "ialltoallv_into");
     EXPECT_EQ(e.site(), FaultSite::kWait);
     EXPECT_EQ(e.cause(), "injected rank kill");
   }
@@ -369,12 +370,14 @@ TEST(FaultDelay, ResultsAndMetersStayBitwise) {
     std::vector<Real> swapped =
         comm.route(std::span<const Real>(data), 1 - comm.rank(),
                    CommCategory::kHalo);
-    PendingOp op = comm.iallreduce_sum(std::span<const Real>(swapped),
-                                       std::span<Real>(data),
-                                       CommCategory::kSparse);
+    const std::vector<std::size_t> offsets = {0, 16, 32};
+    Gathered<Real> mixed;
+    PendingOp op = comm.ialltoallv_into(
+        std::span<const Real>(swapped), std::span<const std::size_t>(offsets),
+        mixed, CommCategory::kSparse);
     op.wait();
     comm.quiesce();
-    if (comm.rank() == 0) out = data;
+    if (comm.rank() == 0) out = mixed.data;
   };
 
   std::vector<Real> baseline;

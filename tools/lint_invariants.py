@@ -53,6 +53,15 @@ Each rule pins a convention the runtime's correctness story depends on
                    (src/gnn/serial_trainer.cpp): a second distributed
                    copy of the layer math (as the sampled runner once
                    had) drifts from the first whenever a layer changes.
+  region-posts     in src/ outside src/comm/, a nonblocking Comm form (a
+                   public Comm member of src/comm/comm.hpp returning a
+                   Pending... handle) is called only inside the two
+                   overlap-region owners, PendingDenseStage::post and
+                   halo_exchange_begin (src/core/dist_common.cpp). A
+                   collective posted anywhere else runs outside every
+                   overlap region: it saves no modeled time and only
+                   defers the release of its buffers, so it uses its
+                   blocking form.
 
 Run from the repo root (CI does):  python3 tools/lint_invariants.py
 Self-test (seeded violations, one per rule):  ... --self-test
@@ -489,6 +498,94 @@ def check_one_layer_loop(root):
     return violations
 
 
+# ---- rule: region-posts ------------------------------------------------
+
+COMM_HPP = "src/comm/comm.hpp"
+# The code of the two overlap-region owners: the stage loops post their
+# panels in PendingDenseStage::post, the halo sweeps their exchanges in
+# halo_exchange_begin.
+REGION_OWNERS = {
+    "src/core/dist_common.cpp": [
+        "void PendingDenseStage::post(",
+        "PendingOp halo_exchange_begin(",
+    ],
+}
+ACCESS_RE = re.compile(r"^\s*(public|private|protected)\s*:", re.MULTILINE)
+PENDING_FORM_RE = re.compile(r"\bPending\w*\s+(\w+)\s*\(")
+
+
+def strip_comments(text):
+    """`text` with its // and /* */ comments blanked, line count kept."""
+    text = re.sub(r"/\*.*?\*/", lambda m: "\n" * m.group(0).count("\n"),
+                  text, flags=re.S)
+    return re.sub(r"//[^\n]*", "", text)
+
+
+def nonblocking_forms(root):
+    """Names of the public `class Comm` members in comm.hpp that return a
+    Pending... handle, or None when the class is missing."""
+    path = root / COMM_HPP
+    text = strip_comments(path.read_text()) if path.is_file() else ""
+    match = re.search(r"\bclass\s+Comm\s*\{", text)
+    if match is None:
+        return None
+    body = function_body(text, match.start())
+    forms = set()
+    access, start = "private", 0  # a class's default
+    for spec in list(ACCESS_RE.finditer(body)) + [None]:
+        end = spec.start() if spec else len(body)
+        if access == "public":
+            forms.update(PENDING_FORM_RE.findall(body[start:end]))
+        if spec:
+            access, start = spec.group(1), spec.end()
+    return forms
+
+
+def check_region_posts(root):
+    forms = nonblocking_forms(root)
+    if forms is None:
+        return [f"{COMM_HPP}: region-posts: `class Comm` not found "
+                f"(moved? update COMM_HPP)"]
+    if not forms:
+        return []
+    call_re = re.compile(r"(?:\.|->)\s*(" + "|".join(sorted(forms)) +
+                         r")\s*(?:<[^<>]*>)?\s*\(")
+    violations = []
+    for rel in REGION_OWNERS:
+        if not (root / rel).is_file():
+            violations.append(f"{rel}: file missing (region-posts owners "
+                              f"are stale; update REGION_OWNERS)")
+    for path in sorted((root / "src").rglob("*")):
+        if path.suffix not in (".cpp", ".hpp"):
+            continue
+        rel = path.relative_to(root).as_posix()
+        if rel.startswith("src/comm/"):
+            continue
+        text = strip_comments(path.read_text())
+        owned = []
+        for anchor in REGION_OWNERS.get(rel, []):
+            at = text.find(anchor)
+            body = function_body(text, at) if at >= 0 else None
+            if body is None:
+                violations.append(
+                    f"{rel}: region-posts: `{anchor.rstrip('(')}` not found "
+                    f"(renamed? update REGION_OWNERS)")
+                continue
+            open_brace = text.find("{", at)
+            owned.append((open_brace, open_brace + len(body)))
+        for call in call_re.finditer(text):
+            if any(lo <= call.start() < hi for lo, hi in owned):
+                continue
+            line = text.count("\n", 0, call.start()) + 1
+            violations.append(
+                f"{rel}:{line}: region-posts: `{call.group(1)}` posted "
+                f"outside the overlap-region owners (PendingDenseStage::post, "
+                f"halo_exchange_begin): no region covers it, so it saves no "
+                f"modeled time and only defers its release — use the "
+                f"blocking form")
+    return violations
+
+
 # ---- driver ------------------------------------------------------------
 
 RULES = [
@@ -501,6 +598,7 @@ RULES = [
     ("fma-free-clones", check_fma_free_clones),
     ("runconfig-knobs", check_runconfig_knobs),
     ("one-layer-loop", check_one_layer_loop),
+    ("region-posts", check_region_posts),
 ]
 
 
@@ -548,7 +646,20 @@ def build_seeded_tree(tmp):
         body = ("{}" if anchor == "std::span<const T> await_source("
                 else "{ seam_event(x); }")
         hpp_parts.append(f"template <typename T>\n{anchor}) {body}\n")
+    # region-posts: one public nonblocking form (the private helper that
+    # also returns a handle is not one), posted by both region owners and,
+    # in violation, by a third function.
+    hpp_parts.append("class Comm {\n public:\n"
+                     "  PendingOp ibroadcast_from(int x);\n private:\n"
+                     "  PendingOp post_async(int x);\n};\n")
     (tmp / "src/comm/comm.hpp").write_text("\n".join(hpp_parts))
+    (tmp / "src/core/dist_common.cpp").write_text(
+        "void PendingDenseStage::post(Comm& c) {\n"
+        "  op_ = c.ibroadcast_from(1);\n}\n"
+        "PendingOp halo_exchange_begin(Comm& c) {\n"
+        "  return c.ibroadcast_from(2);\n}\n")
+    (tmp / "src/core/dist15d.cpp").write_text(
+        "void spmm_a(Comm& c) { c.post_async(3); c.ibroadcast_from(3); }\n")
     cpp_parts = []
     for anchor in SEAM_ANCHORS["src/comm/comm.cpp"]:
         cpp_parts.append(f"{anchor}) {{ seam_event(x); }}\n")
@@ -622,6 +733,8 @@ def self_test():
              lambda: check_runconfig_knobs(tmp)),
             ("one-layer-loop", "dist_sampler.cpp:1: one-layer-loop",
              lambda: check_one_layer_loop(tmp)),
+            ("region-posts", "dist15d.cpp:1: region-posts: `ibroadcast_from`",
+             lambda: check_region_posts(tmp)),
         ]
         for name, marker, rule in expectations:
             found = [v for v in rule() if marker in v]
