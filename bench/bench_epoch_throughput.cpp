@@ -274,8 +274,9 @@ int run(int argc, char** argv) {
     }
     // Partition-aware runs relabel the problem per world size so the row
     // blocks follow the partitioner's (possibly uneven) parts. Halo runs
-    // prepare even the block layout (bitwise identical training) so the
-    // JSON's max_remote_rows records the real edgecut, not zero.
+    // prepare even the block layout (the identity form's blocks and
+    // charges) so the JSON's max_remote_rows records the real edgecut,
+    // not zero.
     const bool per_world = partition != "block" || any_halo;
     const DistProblem partitioned =
         per_world ? DistProblem::prepare(graph, config.world, partition)

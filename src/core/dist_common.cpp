@@ -13,13 +13,50 @@
 
 namespace cagnet {
 
+namespace {
+
+Index count_labeled(std::span<const Index> labels) {
+  return static_cast<Index>(
+      std::count_if(labels.begin(), labels.end(),
+                    [](Index label) { return label >= 0; }));
+}
+
+/// Every row boundary at which an algebra running at P = parts or a
+/// divisor of it cuts the training order: the parts' own boundaries (the
+/// 1D/1.5D row blocks at a matching part count), the even blocks of
+/// every divisor k of `parts` (their fallback, and the 2D/3D coarse
+/// blocks), and the 3D fine slabs of every q^2 l dividing `parts`.
+/// Ascending, from 0 to n.
+std::vector<Index> order_cuts(Index n, int parts,
+                              const std::vector<Index>& part_offsets) {
+  std::vector<Index> cuts = part_offsets;
+  for (int k = 1; k <= parts; ++k) {
+    if (parts % k != 0) continue;
+    for (int i = 0; i <= k; ++i) cuts.push_back(block_range(n, k, i).first);
+  }
+  for (int q = 1; q * q <= parts; ++q) {
+    for (int l = 1; q * q * l <= parts; ++l) {
+      if (parts % (q * q * l) != 0) continue;
+      for (int i = 0; i < q; ++i) {
+        for (int s = 0; s < l; ++s) {
+          cuts.push_back(fine_range(n, q, i, l, s).first);
+        }
+      }
+    }
+  }
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  return cuts;
+}
+
+}  // namespace
+
 DistProblem DistProblem::prepare(const Graph& graph) {
   DistProblem p;
   p.graph = &graph;
   p.at = graph.adjacency.transposed();
-  for (Index label : graph.labels) {
-    if (label >= 0) ++p.labeled_count;
-  }
+  p.labels = graph.labels;
+  p.labeled_count = count_labeled(p.labels);
   return p;
 }
 
@@ -28,49 +65,42 @@ DistProblem DistProblem::prepare(const Graph& graph, int parts,
                                  std::uint64_t seed) {
   const PartitionerSpec* spec = find_partitioner(partitioner);
   CAGNET_CHECK(spec != nullptr, "unknown partitioner: " + partitioner);
-  Partition part = spec->make(graph.adjacency, parts, seed);
+  const Partition part = spec->make(graph.adjacency, parts, seed);
+  const Index n = graph.num_vertices();
 
   DistProblem p;
+  p.graph = &graph;
   p.partitioner = partitioner;
-  if (partitioner == "block") {
-    // Contiguous already: no relabeling, identical training to the
-    // identity form (part_offsets reproduce block_range exactly).
-    p.graph = &graph;
-    p.partition = std::move(part);
-  } else {
-    const std::vector<Index> perm = partition_permutation(part);
-    const Index n = graph.num_vertices();
-    auto owned = std::make_shared<Graph>();
-    owned->name = graph.name + "+" + partitioner;
-    owned->num_classes = graph.num_classes;
-    owned->adjacency = graph.adjacency.permuted(
-        std::span<const Index>(perm));
-    owned->features = Matrix(graph.features.rows(), graph.features.cols());
-    owned->labels.resize(graph.labels.size());
-    Partition sorted;
-    sorted.parts = part.parts;
-    sorted.owner.resize(static_cast<std::size_t>(n));
-    for (Index r = 0; r < n; ++r) {
-      const Index v = perm[static_cast<std::size_t>(r)];
-      std::copy(graph.features.row(v).begin(), graph.features.row(v).end(),
-                owned->features.row(r).begin());
-      owned->labels[static_cast<std::size_t>(r)] =
-          graph.labels[static_cast<std::size_t>(v)];
-      sorted.owner[static_cast<std::size_t>(r)] =
-          part.owner[static_cast<std::size_t>(v)];
-    }
-    p.partition = std::move(sorted);
-    p.perm = perm;
-    p.owned_graph_ = owned;
-    p.graph = p.owned_graph_.get();
+  p.part_offsets = partition_offsets(part);
+  p.edgecut = edge_cut(graph.adjacency, part);
+  p.perm = partition_permutation(part);
+  order_within_pieces(graph.adjacency, order_cuts(n, parts, p.part_offsets),
+                      p.perm);
+  p.at = graph.adjacency.permuted_transposed(p.perm);
+  p.partition.parts = part.parts;
+  p.partition.owner.resize(static_cast<std::size_t>(n));
+  p.labels.resize(static_cast<std::size_t>(n));
+  for (Index r = 0; r < n; ++r) {
+    const auto v = static_cast<std::size_t>(p.perm[static_cast<std::size_t>(r)]);
+    p.partition.owner[static_cast<std::size_t>(r)] = part.owner[v];
+    p.labels[static_cast<std::size_t>(r)] = graph.labels[v];
   }
-  p.part_offsets = partition_offsets(p.partition);
-  p.edgecut = edge_cut(p.graph->adjacency, p.partition);
-  p.at = p.graph->adjacency.transposed();
-  for (Index label : p.graph->labels) {
-    if (label >= 0) ++p.labeled_count;
-  }
+  p.labeled_count = count_labeled(p.labels);
   return p;
+}
+
+Matrix DistProblem::feature_rows(Index r0, Index rows, Index c0,
+                                 Index cols) const {
+  const Matrix& x = graph->features;
+  if (perm.empty()) return x.block(r0, c0, rows, cols);
+  Matrix out(rows, cols);
+  for (Index r = 0; r < rows; ++r) {
+    const auto src =
+        x.row(perm[static_cast<std::size_t>(r0 + r)])
+            .subspan(static_cast<std::size_t>(c0), static_cast<std::size_t>(cols));
+    std::copy(src.begin(), src.end(), out.row(r).begin());
+  }
+  return out;
 }
 
 EpochStats EpochStats::reduce_max(const EpochStats& mine, Comm& comm) {

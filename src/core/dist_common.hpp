@@ -3,7 +3,6 @@
 
 #include <array>
 #include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -20,42 +19,57 @@ namespace cagnet {
 
 /// Read-only problem state shared by all ranks of a simulated world.
 ///
-/// The simulation keeps one copy of the graph in host memory; each rank
-/// extracts only its own blocks in its trainer constructor, mirroring a
-/// real distributed loader. A^T is materialized once here rather than per
-/// rank (the paper's implementation likewise prepares both orientations).
+/// The simulation keeps one copy of the graph in host memory, the
+/// caller's; each rank extracts only its own blocks in its trainer
+/// constructor, mirroring a real distributed loader. A^T is materialized
+/// once here rather than per rank (the paper's implementation likewise
+/// prepares both orientations).
 ///
-/// Partition-aware form: `prepare(graph, parts, partitioner)` runs a
-/// registered partitioner (src/graph/partition.hpp) and relabels the
-/// problem once — adjacency, features, and labels are permuted so every
-/// part is a contiguous row block — before any rank extracts its blocks.
-/// Every algebra therefore trains on the permuted problem transparently;
-/// the engine un-permutes gather_output() so callers always see original
-/// vertex order. The block boundaries follow the (generally uneven) part
-/// sizes via row_range(); algebras whose part count differs from the
-/// partition's fall back to even block_range splits of the permuted order.
+/// Training order: the algebras index rows by training position r, which
+/// holds the caller's vertex perm[r] (r itself when perm is empty, the
+/// identity form `prepare(graph)`). The partition-aware form
+/// `prepare(graph, parts, partitioner)` runs a registered partitioner
+/// (src/graph/partition.hpp), sorts the vertices part-contiguously, and
+/// orders the vertices inside every piece for SpMM locality
+/// (order_within_pieces). The pieces cut the sorted order at every part
+/// boundary, every block_range boundary of each divisor of `parts`, and
+/// every 3D fine_range boundary of each q^2 l dividing `parts`, so at
+/// P = parts or a divisor of it every row or column block an algebra
+/// extracts keeps its vertex set, nnz and degrees: the order moves no
+/// word. `at`, `labels`, `partition` and `part_offsets` are in training
+/// order; `graph` is not copied and stays in the caller's order, so
+/// only DistProblem reads its features, labels and adjacency
+/// (feature_rows gathers X through perm). The engine un-permutes
+/// gather_output() so callers always see original vertex order. The
+/// block boundaries follow the (generally uneven) part sizes via
+/// row_range(); algebras whose part count differs from the partition's
+/// fall back to even block_range splits of the training order.
 struct DistProblem {
-  const Graph* graph = nullptr;  ///< the (possibly permuted) training graph
-  Csr at;  ///< A^T (paper keeps A and A^T distinguishable for directedness)
+  const Graph* graph = nullptr;  ///< the caller's graph, in its own order
+  Csr at;  ///< A^T in training order (the paper keeps A and A^T
+           ///< distinguishable for directedness)
+  std::vector<Index> labels;  ///< labels in training order
   Index labeled_count = 0;
 
   // ---- Partition-aware layout (empty / identity when prepared without a
   // partitioner) ----
   std::string partitioner = "block";
-  Partition partition;             ///< owners in permuted order (sorted)
+  Partition partition;             ///< owners in training order (sorted)
   std::vector<Index> part_offsets; ///< parts+1 row prefix; empty = even blocks
-  std::vector<Index> perm;         ///< permuted row r = original vertex
+  std::vector<Index> perm;         ///< training row r = original vertex
                                    ///< perm[r]; empty = identity
-  EdgeCutStats edgecut;            ///< of `partition` on the training graph
+  EdgeCutStats edgecut;            ///< of `partition` on the graph
 
   /// Identity layout (the paper's default block distribution).
   static DistProblem prepare(const Graph& graph);
 
   /// Partitioned layout: run the named registered partitioner for `parts`
-  /// parts, permute the problem part-contiguously, and record the
-  /// edge-cut statistics the halo path and the cost model consume. The
-  /// "block" partitioner keeps the original vertex order (no permutation)
-  /// and trains bitwise identically to the identity form.
+  /// parts, put the problem in training order (parts contiguous, each
+  /// piece ordered for locality), and record the edge-cut statistics the
+  /// halo path and the cost model consume. Every partitioner, "block"
+  /// included, is ordered: "block" charges every word and latency unit
+  /// the identity form charges, but trains on relabeled rows, so its
+  /// results agree with the identity form's to rounding, not bitwise.
   static DistProblem prepare(const Graph& graph, int parts,
                              const std::string& partitioner,
                              std::uint64_t seed = 12345);
@@ -75,10 +89,9 @@ struct DistProblem {
     return block_range(graph->num_vertices(), parts, idx);
   }
 
- private:
-  /// Owning storage of the permuted graph (aliased by `graph`); shared so
-  /// DistProblem remains cheaply copyable.
-  std::shared_ptr<const Graph> owned_graph_;
+  /// Training rows [r0, r0 + rows) of the features, columns [c0, c0 +
+  /// cols): the caller's rows gathered through perm.
+  Matrix feature_rows(Index r0, Index rows, Index c0, Index cols) const;
 };
 
 /// Per-epoch instrumentation, mirroring what Figs. 2-3 report.

@@ -79,9 +79,8 @@ DistEngine::DistEngine(const DistProblem& problem, GnnConfig config,
                        std::unique_ptr<DistSpmmAlgebra> algebra)
     : problem_(problem), config_(std::move(config)),
       algebra_(std::move(algebra)) {
-  const Graph& g = *problem_.graph;
   CAGNET_CHECK(algebra_ != nullptr, "engine requires an algebra");
-  CAGNET_CHECK(config_.dims.front() == g.feature_dim(),
+  CAGNET_CHECK(config_.dims.front() == problem_.graph->feature_dim(),
                "input dim must match graph features");
 
   if (algebra_->run().sample) {
@@ -100,8 +99,8 @@ DistEngine::DistEngine(const DistProblem& problem, GnnConfig config,
   hw_.resize(layers + 1);
   z_.resize(layers + 1);
   const auto [f0, f1] = algebra_->feat_slice(config_.dims.front());
-  h_[0] = g.features.block(algebra_->row_lo(), f0, algebra_->local_rows(),
-                           f1 - f0);
+  h_[0] = problem_.feature_rows(algebra_->row_lo(), algebra_->local_rows(),
+                                f0, f1 - f0);
   // Sampled epochs read X itself; their full-batch T^1 waits for the
   // first gather_output.
   if (!algebra_->run().sample) {
@@ -318,7 +317,7 @@ EpochResult DistEngine::train_epoch() {
     FullBatch whole(*algebra_, t1_);
     forward(whole);
     const std::span<const Index> labels =
-        std::span<const Index>(problem_.graph->labels)
+        std::span<const Index>(problem_.labels)
             .subspan(static_cast<std::size_t>(algebra_->row_lo()),
                      static_cast<std::size_t>(algebra_->local_rows()));
     // Replicas hold identical output rows; only the primary copies
@@ -360,8 +359,8 @@ Matrix DistEngine::gather_output() {
   Matrix full =
       algebra_->gather_output(output_rows_, problem_.graph->num_vertices());
   if (problem_.perm.empty()) return full;
-  // Partition-aware runs train on the permuted problem; hand callers the
-  // original vertex order back (permuted row r is original vertex
+  // Partition-aware runs train in training order; hand callers the
+  // original vertex order back (training row r is original vertex
   // perm[r]).
   Matrix original(full.rows(), full.cols());
   for (Index r = 0; r < full.rows(); ++r) {

@@ -42,7 +42,7 @@ SampledRunner::SampledRunner(const DistProblem& problem,
   row_hi_ = algebra_.row_hi();
   row_starts_ = row_starts(problem_, p);
 
-  const std::vector<Index>& labels = problem_.graph->labels;
+  const std::vector<Index>& labels = problem_.labels;
   for (Index v = row_lo_; v < row_hi_; ++v) {
     if (labels[static_cast<std::size_t>(v)] >= 0) labeled_.push_back(v);
   }
@@ -96,8 +96,7 @@ void SampledRunner::build_batch(int epoch, Index batch,
   std::sort(seeds.begin(), seeds.end());
   seed_labels_.clear();
   for (Index v : seeds) {
-    seed_labels_.push_back(
-        problem_.graph->labels[static_cast<std::size_t>(v)]);
+    seed_labels_.push_back(problem_.labels[static_cast<std::size_t>(v)]);
   }
 
   // The whole build is serial per rank (plus collectives), so the sampled

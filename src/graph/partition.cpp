@@ -4,7 +4,6 @@
 #include <deque>
 #include <numeric>
 #include <sstream>
-#include <unordered_set>
 
 #include "src/graph/graph.hpp"
 #include "src/util/error.hpp"
@@ -155,31 +154,32 @@ EdgeCutStats edge_cut(const Csr& a, const Partition& partition) {
   CAGNET_CHECK(partition.size() == a.rows(), "partition size mismatch");
   CAGNET_CHECK(a.rows() == a.cols(), "edge_cut expects square A");
   EdgeCutStats s;
-  std::vector<Index> cut_per_part(static_cast<std::size_t>(partition.parts), 0);
-  std::vector<std::unordered_set<Index>> remote(
-      static_cast<std::size_t>(partition.parts));
-
+  // Visit the rows part by part, so one stamp array counts each part's
+  // distinct remote rows: stamp[v] == part + 1 once that part counted v.
+  const std::vector<Index> offsets = partition_offsets(partition);
+  const std::vector<Index> rows = partition_permutation(partition);
+  std::vector<Index> stamp(static_cast<std::size_t>(a.rows()), 0);
   const auto row_ptr = a.row_ptr();
   const auto col_idx = a.col_idx();
-  for (Index u = 0; u < a.rows(); ++u) {
-    const Index pu = partition.owner[static_cast<std::size_t>(u)];
-    for (Index q = row_ptr[u]; q < row_ptr[u + 1]; ++q) {
-      const Index v = col_idx[q];
-      const Index pv = partition.owner[static_cast<std::size_t>(v)];
-      if (pu != pv) {
-        ++s.total_cut_edges;
-        ++cut_per_part[static_cast<std::size_t>(pu)];
-        remote[static_cast<std::size_t>(pu)].insert(v);
+  for (int part = 0; part < partition.parts; ++part) {
+    Index cut = 0;
+    Index remote = 0;
+    for (Index r = offsets[static_cast<std::size_t>(part)];
+         r < offsets[static_cast<std::size_t>(part) + 1]; ++r) {
+      const Index u = rows[static_cast<std::size_t>(r)];
+      for (Index q = row_ptr[u]; q < row_ptr[u + 1]; ++q) {
+        const Index v = col_idx[q];
+        if (partition.owner[static_cast<std::size_t>(v)] == part) continue;
+        ++cut;
+        if (stamp[static_cast<std::size_t>(v)] != part + 1) {
+          stamp[static_cast<std::size_t>(v)] = part + 1;
+          ++remote;
+        }
       }
     }
-  }
-  for (int part = 0; part < partition.parts; ++part) {
-    s.max_cut_edges_per_part =
-        std::max(s.max_cut_edges_per_part,
-                 cut_per_part[static_cast<std::size_t>(part)]);
-    s.max_remote_rows_per_part =
-        std::max(s.max_remote_rows_per_part,
-                 static_cast<Index>(remote[static_cast<std::size_t>(part)].size()));
+    s.total_cut_edges += cut;
+    s.max_cut_edges_per_part = std::max(s.max_cut_edges_per_part, cut);
+    s.max_remote_rows_per_part = std::max(s.max_remote_rows_per_part, remote);
   }
   return s;
 }
@@ -213,6 +213,64 @@ std::vector<Index> partition_permutation(const Partition& partition) {
     perm[static_cast<std::size_t>(cursor[static_cast<std::size_t>(q)]++)] = v;
   }
   return perm;
+}
+
+void order_within_pieces(const Csr& a, std::span<const Index> cuts,
+                         std::vector<Index>& perm) {
+  const Index n = a.rows();
+  CAGNET_CHECK(a.cols() == n && static_cast<Index>(perm.size()) == n,
+               "order_within_pieces: shape mismatch");
+  CAGNET_CHECK(!cuts.empty() && cuts.front() == 0 && cuts.back() == n &&
+                   std::is_sorted(cuts.begin(), cuts.end()),
+               "order_within_pieces: cuts must run ascending from 0 to n");
+  const auto row_ptr = a.row_ptr();
+  const auto col_idx = a.col_idx();
+  const auto degree = [&](Index v) { return row_ptr[v + 1] - row_ptr[v]; };
+  const auto by_degree = [&](Index x, Index y) {
+    return degree(x) != degree(y) ? degree(x) < degree(y) : x < y;
+  };
+  const double hub_degree =
+      n > 0 ? 2.0 * static_cast<double>(a.nnz()) / static_cast<double>(n) : 0;
+
+  // piece[v]: the piece holding vertex v; placed[v] once v is ordered.
+  std::vector<Index> piece(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+    for (Index r = cuts[i]; r < cuts[i + 1]; ++r) {
+      piece[static_cast<std::size_t>(perm[static_cast<std::size_t>(r)])] =
+          static_cast<Index>(i);
+    }
+  }
+  std::vector<char> placed(static_cast<std::size_t>(n), 0);
+  std::vector<Index> order(static_cast<std::size_t>(n));
+  std::vector<Index> roots;
+  for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+    roots.assign(perm.begin() + cuts[i], perm.begin() + cuts[i + 1]);
+    std::sort(roots.begin(), roots.end(), by_degree);
+    // order[cuts[i], tail) is the piece's BFS queue; head its front.
+    Index head = cuts[i];
+    Index tail = cuts[i];
+    for (Index root : roots) {
+      if (placed[static_cast<std::size_t>(root)]) continue;
+      placed[static_cast<std::size_t>(root)] = 1;
+      order[static_cast<std::size_t>(tail++)] = root;
+      while (head < tail) {
+        const Index v = order[static_cast<std::size_t>(head++)];
+        if (static_cast<double>(degree(v)) > hub_degree) continue;
+        const Index first = tail;
+        for (Index e = row_ptr[v]; e < row_ptr[v + 1]; ++e) {
+          const Index u = col_idx[e];
+          if (piece[static_cast<std::size_t>(u)] != static_cast<Index>(i) ||
+              placed[static_cast<std::size_t>(u)]) {
+            continue;
+          }
+          placed[static_cast<std::size_t>(u)] = 1;
+          order[static_cast<std::size_t>(tail++)] = u;
+        }
+        std::sort(order.begin() + first, order.begin() + tail, by_degree);
+      }
+    }
+  }
+  perm = std::move(order);
 }
 
 const std::vector<PartitionerSpec>& partitioner_registry() {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,6 +51,9 @@ struct EdgeCutStats {
   Index max_remote_rows_per_part = 0;
 };
 
+/// The statistics of `partition` on `a`, in O(nnz + n). They do not
+/// depend on the vertex order: relabeling `a` and `partition` alike
+/// leaves every field equal.
 EdgeCutStats edge_cut(const Csr& a, const Partition& partition);
 
 std::string to_string(const EdgeCutStats& s);
@@ -65,6 +69,19 @@ std::vector<Index> partition_offsets(const Partition& partition);
 /// deterministic. Applying it makes every part a contiguous row block
 /// whose boundaries are partition_offsets.
 std::vector<Index> partition_permutation(const Partition& partition);
+
+/// Order the vertices of each piece [cuts[i], cuts[i+1]) of `perm` (the
+/// training order: position r holds original vertex perm[r]; `cuts` runs
+/// ascending from 0 to n) for SpMM locality, keeping every piece's vertex
+/// set. Each piece is ordered by a Cuthill-McKee BFS over its induced
+/// subgraph of `a`: the next root is the piece's unplaced vertex of lowest
+/// (row degree, original id), and each dequeued vertex queues its unplaced
+/// in-piece neighbours by ascending (row degree, id). A hub, a vertex whose
+/// row degree exceeds twice the mean nnz / n, is placed when it is reached
+/// but queues nothing: its neighbours span many communities, and expanding
+/// it would interleave them. Deterministic, O(nnz + n log n).
+void order_within_pieces(const Csr& a, std::span<const Index> cuts,
+                         std::vector<Index>& perm);
 
 /// Named partitioner: builds a Partition of `a`'s rows into `parts`.
 /// `seed` feeds the randomized partitioners and is ignored by the

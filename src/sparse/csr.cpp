@@ -154,36 +154,41 @@ void Csr::transposed_into(Csr& out, std::vector<Index>& scratch) const {
   // Rows were visited in increasing order, so columns are already sorted.
 }
 
-Csr Csr::permuted(std::span<const Index> perm) const {
-  CAGNET_CHECK(rows_ == cols_, "permuted expects a square matrix");
+Csr Csr::permuted_transposed(std::span<const Index> perm) const {
+  CAGNET_CHECK(rows_ == cols_, "permuted_transposed expects a square matrix");
   CAGNET_CHECK(static_cast<Index>(perm.size()) == rows_,
-               "permuted: permutation size mismatch");
-  std::vector<Index> iperm(static_cast<std::size_t>(rows_));
+               "permuted_transposed: permutation size mismatch");
+  std::vector<Index> iperm(static_cast<std::size_t>(rows_), Index{-1});
   for (Index r = 0; r < rows_; ++r) {
-    iperm[static_cast<std::size_t>(perm[static_cast<std::size_t>(r)])] = r;
+    const Index v = perm[static_cast<std::size_t>(r)];
+    CAGNET_CHECK(v >= 0 && v < rows_ && iperm[static_cast<std::size_t>(v)] < 0,
+                 "permuted_transposed: perm is not a bijection");
+    iperm[static_cast<std::size_t>(v)] = r;
   }
   Csr out(rows_, cols_);
   out.col_idx_.resize(col_idx_.size());
   out.vals_.resize(vals_.size());
-  std::vector<std::pair<Index, Real>> row;
-  Index q = 0;
+
+  // Counting sort by relabeled column: old column c becomes row iperm[c].
+  for (Index c : col_idx_) {
+    ++out.row_ptr_[static_cast<std::size_t>(iperm[static_cast<std::size_t>(c)]) +
+                   1];
+  }
+  for (Index i = 0; i < rows_; ++i) {
+    out.row_ptr_[static_cast<std::size_t>(i) + 1] +=
+        out.row_ptr_[static_cast<std::size_t>(i)];
+  }
+  std::vector<Index> cursor(out.row_ptr_.begin(), out.row_ptr_.end() - 1);
   for (Index r = 0; r < rows_; ++r) {
     const Index old = perm[static_cast<std::size_t>(r)];
-    row.clear();
     for (Index p = row_ptr_[old]; p < row_ptr_[old + 1]; ++p) {
-      row.push_back({iperm[static_cast<std::size_t>(
-                         col_idx_[static_cast<std::size_t>(p)])],
-                     vals_[static_cast<std::size_t>(p)]});
+      const Index q = cursor[static_cast<std::size_t>(
+          iperm[static_cast<std::size_t>(col_idx_[p])])]++;
+      out.col_idx_[static_cast<std::size_t>(q)] = r;
+      out.vals_[static_cast<std::size_t>(q)] = vals_[p];
     }
-    std::sort(row.begin(), row.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const auto& [c, v] : row) {
-      out.col_idx_[static_cast<std::size_t>(q)] = c;
-      out.vals_[static_cast<std::size_t>(q)] = v;
-      ++q;
-    }
-    out.row_ptr_[static_cast<std::size_t>(r) + 1] = q;
   }
+  // Relabeled rows were visited in increasing order, so columns are sorted.
   return out;
 }
 

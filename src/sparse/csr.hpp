@@ -70,11 +70,12 @@ class Csr {
   /// not alias this.
   void transposed_into(Csr& out, std::vector<Index>& scratch) const;
 
-  /// Symmetric relabeling of a square matrix: new(r, c) = old(perm[r],
-  /// perm[c]), where perm[r] is the old index at new position r (a
-  /// bijection). This is the partition-induced vertex permutation applied
-  /// to the adjacency; columns are re-sorted within each row.
-  Csr permuted(std::span<const Index> perm) const;
+  /// Transpose of the symmetric relabeling of a square matrix: new(r, c)
+  /// = old(perm[c], perm[r]), where perm[r] is the old index at new
+  /// position r (a bijection). One counting-sort pass (O(nnz + n)), equal
+  /// to relabeling and then transposing: the training-order A^T of a
+  /// partitioned problem, built without a relabeled copy of A.
+  Csr permuted_transposed(std::span<const Index> perm) const;
 
   /// Column compaction: new_col[c] gives each old column's new index, or
   /// -1 for columns guaranteed structurally empty. The map must be

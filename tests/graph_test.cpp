@@ -257,16 +257,18 @@ TEST(Partition, PermutedCsrMatchesRelabeledDense) {
   Rng prng(16);
   const Partition p = random_partition(40, 4, prng);
   const std::vector<Index> perm = partition_permutation(p);
-  const Csr permuted = a.permuted(std::span<const Index>(perm));
+  // The training-order A^T: the transpose of the relabeled A.
+  const Csr permuted_t = a.permuted_transposed(std::span<const Index>(perm));
   const Matrix d = a.to_dense();
-  const Matrix pd = permuted.to_dense();
+  const Matrix pd = permuted_t.to_dense();
   for (Index r = 0; r < 40; ++r) {
     for (Index c = 0; c < 40; ++c) {
-      EXPECT_EQ(pd(r, c), d(perm[static_cast<std::size_t>(r)],
-                            perm[static_cast<std::size_t>(c)]));
+      EXPECT_EQ(pd(r, c), d(perm[static_cast<std::size_t>(c)],
+                            perm[static_cast<std::size_t>(r)]));
     }
   }
   // Edge-cut statistics are invariant under the induced relabeling.
+  const Csr permuted = permuted_t.transposed();
   Partition sorted;
   sorted.parts = p.parts;
   sorted.owner.resize(40);
@@ -279,6 +281,59 @@ TEST(Partition, PermutedCsrMatchesRelabeledDense) {
   EXPECT_EQ(before.total_cut_edges, after.total_cut_edges);
   EXPECT_EQ(before.max_cut_edges_per_part, after.max_cut_edges_per_part);
   EXPECT_EQ(before.max_remote_rows_per_part, after.max_remote_rows_per_part);
+}
+
+/// edge_cut as first written: one hash set of remote rows per part.
+EdgeCutStats edge_cut_reference(const Csr& a, const Partition& partition) {
+  EdgeCutStats s;
+  std::vector<Index> cut(static_cast<std::size_t>(partition.parts), 0);
+  std::vector<std::set<Index>> remote(
+      static_cast<std::size_t>(partition.parts));
+  for (Index u = 0; u < a.rows(); ++u) {
+    const Index pu = partition.owner[static_cast<std::size_t>(u)];
+    for (Index q = a.row_ptr()[u]; q < a.row_ptr()[u + 1]; ++q) {
+      const Index v = a.col_idx()[q];
+      if (partition.owner[static_cast<std::size_t>(v)] == pu) continue;
+      ++s.total_cut_edges;
+      ++cut[static_cast<std::size_t>(pu)];
+      remote[static_cast<std::size_t>(pu)].insert(v);
+    }
+  }
+  for (int q = 0; q < partition.parts; ++q) {
+    s.max_cut_edges_per_part =
+        std::max(s.max_cut_edges_per_part, cut[static_cast<std::size_t>(q)]);
+    s.max_remote_rows_per_part = std::max(
+        s.max_remote_rows_per_part,
+        static_cast<Index>(remote[static_cast<std::size_t>(q)].size()));
+  }
+  return s;
+}
+
+TEST(Partition, EdgeCutMatchesHashSetReference) {
+  for (const Index n : {Index{203}, Index{256}}) {
+    Rng rng(static_cast<std::uint64_t>(n));
+    const std::vector<std::pair<std::string, Csr>> graphs = {
+        {"erdos-renyi", Csr::from_coo(erdos_renyi(n, 5, rng))},
+        {"planted", gcn_normalize(planted_partition(n, 7, 6, 1, rng, 0.02, 30),
+                                  /*symmetrize=*/true)}};
+    for (const auto& [graph, a] : graphs) {
+      for (const char* name : {"block", "random", "greedy-bfs"}) {
+        for (const int parts : {1, 3, 8}) {
+          const Partition p = find_partitioner(name)->make(a, parts, 17);
+          const EdgeCutStats got = edge_cut(a, p);
+          const EdgeCutStats want = edge_cut_reference(a, p);
+          const std::string label = graph + " n=" + std::to_string(n) + " " +
+                                    name + " parts=" + std::to_string(parts);
+          EXPECT_EQ(got.total_cut_edges, want.total_cut_edges) << label;
+          EXPECT_EQ(got.max_cut_edges_per_part, want.max_cut_edges_per_part)
+              << label;
+          EXPECT_EQ(got.max_remote_rows_per_part,
+                    want.max_remote_rows_per_part)
+              << label;
+        }
+      }
+    }
+  }
 }
 
 TEST(Partition, RemappedColumnsPreserveStructure) {

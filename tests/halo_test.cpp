@@ -59,18 +59,37 @@ struct HaloRun {
   Matrix output;          // gathered, un-permuted
   EpochStats stats;       // max-reduced, final epoch
   EpochStats setup;       // max-reduced meter delta of make_dist_trainer
+  /// Every rank's words and latency units per category, then its modeled
+  /// overlap seconds: block (epoch + 1) * p + rank, epoch -1 the set-up.
+  std::vector<double> rank_meters;
 };
 
 HaloRun run_trainer(const std::string& algebra, const DistProblem& problem,
                     const GnnConfig& config, int p, int epochs,
                     const RunConfig& mode) {
+  constexpr std::size_t kCats = CostMeter::kNumCategories;
+  constexpr std::size_t kBlock = 2 * kCats + 1;
   HaloRun run;
+  run.rank_meters.resize(static_cast<std::size_t>((epochs + 1) * p) *
+                         kBlock);
   std::mutex mutex;
   run_world(p, [&](Comm& world) {
+    const auto record = [&](int epoch, const EpochStats& stats) {
+      double* at = run.rank_meters.data() +
+                   static_cast<std::size_t>((epoch + 1) * p + world.rank()) *
+                       kBlock;
+      for (std::size_t c = 0; c < kCats; ++c) {
+        const auto cat = static_cast<CommCategory>(c);
+        at[2 * c] = stats.comm.words(cat);
+        at[2 * c + 1] = stats.comm.latency_units(cat);
+      }
+      at[2 * kCats] = stats.modeled_seconds_overlap(MachineModel::summit());
+    };
     EpochStats setup;
     auto trainer = build_metered(world, setup.comm, [&] {
       return make_dist_trainer(algebra, problem, config, world, mode);
     });
+    record(-1, setup);
     setup = EpochStats::reduce_max(setup, world);
     std::vector<Real> losses;
     std::vector<Real> accuracies;
@@ -78,6 +97,7 @@ HaloRun run_trainer(const std::string& algebra, const DistProblem& problem,
       const EpochResult r = trainer->train_epoch();
       losses.push_back(r.loss);
       accuracies.push_back(r.accuracy);
+      record(e, trainer->last_epoch_stats());
     }
     const EpochStats reduced = trainer->reduce_epoch_stats();
     Matrix out = trainer->gather_output();
@@ -449,23 +469,95 @@ TEST(PartitionedTraining, AllFamiliesMatchSerialUnderEveryPartitioner) {
   }
 }
 
-TEST(PartitionedTraining, BlockPartitionerIsBitwiseIdentity) {
-  // Preparing with the "block" partitioner must train bitwise identically
-  // to the unpartitioned prepare (offsets reproduce block_range exactly,
-  // no permutation).
-  const Graph g = community_graph(120, 6, 6, 3, 94);
+TEST(PartitionedTraining, BlockOrderKeepsEveryBlock) {
+  // The "block" partitioner orders each part for locality, so it trains
+  // on relabeled rows; but every block an algebra extracts keeps its
+  // vertex set, so every rank charges what the identity form charges,
+  // and training agrees with the serial oracle in original order.
   const GnnConfig config = GnnConfig::three_layer(6, 3, 5);
-  const DistProblem plain = DistProblem::prepare(g);
-  const DistProblem blocked = DistProblem::prepare(g, 4, "block");
-  EXPECT_TRUE(blocked.partitioned());
-  EXPECT_TRUE(blocked.perm.empty());
-
-  const HaloRun a = run_trainer("1d", plain, config, 4, 2, RunConfig{});
-  const HaloRun b = run_trainer("1d", blocked, config, 4, 2, RunConfig{});
-  for (std::size_t e = 0; e < a.losses.size(); ++e) {
-    EXPECT_EQ(a.losses[e], b.losses[e]);
+  const int epochs = 2;
+  for (const Index n : {Index{120}, Index{121}, Index{250}}) {
+    const Graph g = community_graph(n, 6, 6, 3, 94);
+    SerialTrainer serial(g, config);
+    std::vector<Real> serial_losses;
+    for (int e = 0; e < epochs; ++e) {
+      serial_losses.push_back(serial.train_epoch().loss);
+    }
+    const Matrix& serial_out = serial.activations().back();
+    const DistProblem plain = DistProblem::prepare(g);
+    for (const AlgebraSpec& spec : algebra_registry()) {
+      for (const int p : {1, 2, 4, 8}) {
+        if (!spec.accepts(p)) continue;
+        const DistProblem blocked = DistProblem::prepare(g, p, "block");
+        ASSERT_TRUE(blocked.partitioned());
+        ASSERT_EQ(blocked.perm.size(), static_cast<std::size_t>(n));
+        const std::string label =
+            spec.name + " p=" + std::to_string(p) + " n=" + std::to_string(n);
+        const HaloRun a =
+            run_trainer(spec.name, plain, config, p, epochs, RunConfig{});
+        const HaloRun b =
+            run_trainer(spec.name, blocked, config, p, epochs, RunConfig{});
+        EXPECT_EQ(a.rank_meters, b.rank_meters) << label;
+        for (int e = 0; e < epochs; ++e) {
+          EXPECT_NEAR(b.losses[static_cast<std::size_t>(e)],
+                      serial_losses[static_cast<std::size_t>(e)], kParityTol)
+              << label << " epoch " << e;
+        }
+        EXPECT_LE(Matrix::max_abs_diff(b.output, serial_out), kParityTol)
+            << label;
+        EXPECT_LE(Matrix::max_abs_diff(b.output, a.output), kParityTol)
+            << label;
+      }
+    }
   }
-  EXPECT_LE(Matrix::max_abs_diff(a.output, b.output), Real{0});
+}
+
+TEST(PartitionedTraining, LocalityOrderStaysInsideEveryPiece) {
+  // Every cut an algebra can make at P = parts or a divisor of it: the
+  // parts' boundaries, the even blocks of each divisor, and the 3D fine
+  // slabs of each q^2 l dividing parts. Each cut's prefix of the training
+  // order holds the vertices it holds without the in-piece order (the
+  // partition-sorted order).
+  for (const Index n : {Index{121}, Index{250}}) {
+    const Graph g = community_graph(n, 5, 4, 3, 97);
+    for (const char* name : {"block", "random", "greedy-bfs"}) {
+      for (const int parts : {1, 3, 4, 8}) {
+        const DistProblem problem = DistProblem::prepare(g, parts, name);
+        const std::vector<Index> sorted = partition_permutation(
+            find_partitioner(name)->make(g.adjacency, parts, 12345));
+        std::vector<Index> cuts = problem.part_offsets;
+        for (int k = 1; k <= parts; ++k) {
+          if (parts % k != 0) continue;
+          for (int i = 0; i < k; ++i) {
+            cuts.push_back(block_range(n, k, i).second);
+          }
+        }
+        for (int q = 1; q * q <= parts; ++q) {
+          for (int l = 1; q * q * l <= parts; ++l) {
+            if (parts % (q * q * l) != 0) continue;
+            for (int i = 0; i < q; ++i) {
+              for (int s = 0; s < l; ++s) {
+                cuts.push_back(fine_range(n, q, i, l, s).second);
+              }
+            }
+          }
+        }
+        const std::string label = std::string(name) + " n=" +
+                                   std::to_string(n) + " parts=" +
+                                   std::to_string(parts);
+        for (const Index cut : cuts) {
+          std::vector<Index> got(problem.perm.begin(),
+                                 problem.perm.begin() + cut);
+          std::vector<Index> want(sorted.begin(), sorted.begin() + cut);
+          std::sort(got.begin(), got.end());
+          std::sort(want.begin(), want.end());
+          EXPECT_EQ(got, want) << label << " cut " << cut;
+        }
+        EXPECT_EQ(DistProblem::prepare(g, parts, name).perm, problem.perm)
+            << label;
+      }
+    }
+  }
 }
 
 TEST(PartitionedTraining, RowRangeFollowsPartitionOffsetsWhenAligned) {

@@ -548,25 +548,29 @@ std::string pin_literal(const SampledPinCase& got) {
 // over the p4 epochs); at p2 each received row lost 4 int8 bytes, half a
 // word (31, 36 and 30 rows on rank 0). Losses and weights moved at
 // rounding level, since Z = Â^T (H W) rounds differently from (Â^T H) W.
+// The "p4 greedy-bfs" case was re-recorded again when prepare began
+// ordering the vertices inside each part for locality: its batches are
+// drawn over the new local order, as if under another seed. The
+// identity-form cases ("p2 int8", "p1") did not move.
 std::vector<SampledPinCase> sampled_pins() {
   return {
       {"p4 greedy-bfs", 4,
-       {{{0x1.1dd7a0d170b2p+0, 0x1.ddddddddddddep-2,
-          {48, 1008, 0, 0, 0, 0, 60, 2298, 0, 0, 52, 182},
-          {48, 1008, 0, 0, 0, 0, 60, 3229, 0, 0, 52, 318},
-          {0x1.4p+6, 0x1.3d3f5f0703d9ap-10, 0x1.3b63301dafddap-10},
-          0x1.8f05d120aab41p-17},
-         {0x1.1b8a01bac745ap+0, 0x1p-1,
-          {48, 1008, 0, 0, 0, 0, 60, 2198, 0, 0, 52, 174},
-          {48, 1008, 0, 0, 0, 0, 60, 3252, 0, 0, 52, 309},
-          {0x1.4p+6, 0x1.3d318c45ebe85p-10, 0x1.3b5e476bc58c9p-10},
-          0x1.879ff0050cf49p-17},
-         {0x1.187ad46e187a4p+0, 0x1.05b05b05b05bp-1,
-          {48, 1008, 0, 0, 0, 0, 60, 2229, 0, 0, 52, 173},
-          {48, 1008, 0, 0, 0, 0, 60, 3150, 0, 0, 52, 325},
-          {0x1.4p+6, 0x1.3d38327fd7ceep-10, 0x1.3b5fd28ba7896p-10},
-          0x1.8df6030165d6fp-17}}},
-       0xf6f104ea1b435878ull},
+       {{{0x1.230086fafe49p+0, 0x1.ddddddddddddep-2,
+          {48, 1008, 0, 0, 0, 0, 60, 2261, 0, 0, 52, 179},
+          {48, 1008, 0, 0, 0, 0, 60, 3015, 0, 0, 52, 296},
+          {0x1.4p+6, 0x1.3d3439f957d7bp-10, 0x1.3b5e274a26604p-10},
+          0x1.88bbbd3c23e8bp-17},
+         {0x1.1c9d98c05cf3ep+0, 0x1.fa4fa4fa4fa5p-2,
+          {48, 1008, 0, 0, 0, 0, 60, 2159, 0, 0, 52, 178},
+          {48, 1008, 0, 0, 0, 0, 60, 3112, 0, 0, 52, 299},
+          {0x1.4p+6, 0x1.3d1954a7e943cp-10, 0x1.3b5c7e2ccec47p-10},
+          0x1.7c6807267b089p-17},
+         {0x1.1ba352c294948p+0, 0x1p-1,
+          {48, 1008, 0, 0, 0, 0, 60, 2282, 0, 0, 52, 169},
+          {48, 1008, 0, 0, 0, 0, 60, 3062, 0, 0, 52, 303},
+          {0x1.4p+6, 0x1.3d32f8c8fecd2p-10, 0x1.3b5f496af505p-10},
+          0x1.89ebae379b3fbp-17}}},
+       0x1b60775507e1ec2full},
       {"p2 int8", 2,
        {{{0x1.5ee5ea7ac06bfp+0, 0x1.a666666666666p-2,
           {0, 0, 0, 0, 0, 0, 0, 0, 55, 373.75, 25, 180},

@@ -5,6 +5,7 @@ change checkout, run alternately, summarized per workload and metric.
 Usage:
   python3 tools/ab_pairs.py --parent DIR --change DIR --workloads W1,W2 \\
       --pairs N --seconds S --seed K [--raw FILE]
+  python3 tools/ab_pairs.py --aa DIR --workloads W1,W2 --pairs N ...
   python3 tools/ab_pairs.py --self-test
 
 Each pair runs `python3 perfbench/run.py --workload W --seed K --seconds S
@@ -25,7 +26,17 @@ direction; ties count for neither side) and a verdict:
               its median) is wider than the bound, and not every run of
               the change is better than every run of the parent;
   equal       every run on both sides read the same value;
+  gain        not worse, the change is better in at least 9 of every 10
+              pairs, and its median is better than the parent's by more
+              than the parent's Q3 - Q1: the rule a claimed gain must
+              meet;
   ok          otherwise.
+
+--aa DIR runs the one checkout DIR on both sides (an A/A run) and adds,
+for each workload and metric, how often each verdict fires on identical
+code: the share of the 2^N ways to label each pair's two runs as parent
+and change (up to 2^12 of them, drawn with a fixed seed past N = 12)
+under which the summary reads each verdict.
 
 perfbench/run.py configures its build only when
 .bench_build/perfbench/CMakeCache.txt is missing, so a checkout copied
@@ -41,8 +52,10 @@ checkouts. Nothing under perfbench/ is changed.
 """
 
 import argparse
+import itertools
 import json
 import math
+import random
 import statistics
 import subprocess
 import sys
@@ -75,6 +88,53 @@ def is_better(parent, change, better):
     return change < parent if better == "lower" else change > parent
 
 
+VERDICTS = ("worse", "unresolved", "equal", "gain", "ok")
+
+
+def verdict_of(pairs, better, bound):
+    """The verdict on `pairs`, a list of (parent, change) values of one
+    metric whose `better` direction and relative `bound` are given."""
+    parent = [p for p, _ in pairs]
+    change = [c for _, c in pairs]
+    p_q1, p_med, p_q3 = quartiles(parent)
+    c_med = quartiles(change)[1]
+    if len(set(parent) | set(change)) == 1:
+        return "equal"
+    worse = worse_by(p_med, c_med, better)
+    if worse > bound:
+        return "worse"
+    wins = sum(is_better(p, c, better) for p, c in pairs)
+    gap = p_med - c_med if better == "lower" else c_med - p_med
+    if 10 * wins >= 9 * len(pairs) and gap > p_q3 - p_q1:
+        return "gain"
+    spread = (p_q3 - p_q1) / abs(p_med) if p_med != 0 else 0.0
+    all_better = all(is_better(p, c, better)
+                     for p in parent for c in change)
+    if spread > bound and not all_better:
+        return "unresolved"
+    return "ok"
+
+
+def aa_rates(pairs, better, bound, limit=4096):
+    """{verdict: share} over relabelings of `pairs`, runs of identical
+    code: each pair's two runs swap sides or not, every way for up to
+    log2(limit) pairs, else `limit` draws with a fixed seed."""
+    n = len(pairs)
+    if 2 ** n <= limit:
+        flips = itertools.product((False, True), repeat=n)
+    else:
+        rng = random.Random(0)
+        flips = ([rng.random() < 0.5 for _ in range(n)]
+                 for _ in range(limit))
+    counts = dict.fromkeys(VERDICTS, 0)
+    total = 0
+    for flip in flips:
+        relabeled = [(c, p) if f else (p, c) for (p, c), f in zip(pairs, flip)]
+        counts[verdict_of(relabeled, better, bound)] += 1
+        total += 1
+    return {v: counts[v] / total for v in VERDICTS}
+
+
 def summarize(runs, specs):
     """Per-(workload, metric) rows from `runs`, a list of
     {side, workload, pair, result} records, and `specs`, BENCHMARK.json's
@@ -103,24 +163,30 @@ def summarize(runs, specs):
             c_q1, c_med, c_q3 = quartiles(change)
             wins = sum(is_better(p, c, better) for p, c in pairs)
             worse = worse_by(p_med, c_med, better)
-            spread = (p_q3 - p_q1) / abs(p_med) if p_med != 0 else 0.0
-            all_better = all(is_better(p, c, better)
-                             for p in parent for c in change)
-            if len(set(parent) | set(change)) == 1:
-                verdict = "equal"
-            elif worse > bound:
-                verdict = "worse"
-            elif spread > bound and not all_better:
-                verdict = "unresolved"
-            else:
-                verdict = "ok"
+            verdict = verdict_of(pairs, better, bound)
             rows.append({
                 "workload": workload, "metric": name, "pairs": len(pairs),
                 "parent": (p_med, p_q1, p_q3), "change": (c_med, c_q1, c_q3),
                 "wins": wins, "worse_by": worse, "bound": bound,
-                "verdict": verdict,
+                "verdict": verdict, "values": pairs,
             })
     return rows
+
+
+def print_aa(rows, specs):
+    """The A/A table: each metric's verdict rates on identical code."""
+    better = {s["name"]: (s["better"], s["bound"]) for s in specs}
+    print("\nA/A: share of side labelings reading each verdict")
+    last = None
+    for row in rows:
+        if row["workload"] != last:
+            last = row["workload"]
+            print(f"\n{last} ({row['pairs']} pairs)")
+            print(f"  {'metric':<16} " +
+                  " ".join(f"{v:>10}" for v in VERDICTS))
+        rates = aa_rates(row["values"], *better[row["metric"]])
+        print(f"  {row['metric']:<16} " +
+              " ".join(f"{rates[v]:>10.1%}" for v in VERDICTS))
 
 
 def print_summary(rows):
@@ -204,7 +270,10 @@ def run_pairs(args):
                     print(f"pair {pair} {workload} {side}: "
                           f"{'correct' if ok else 'NOT CORRECT'}",
                           file=sys.stderr, flush=True)
-    print_summary(summarize(runs, specs))
+    rows = summarize(runs, specs)
+    print_summary(rows)
+    if dirs["parent"] == dirs["change"]:
+        print_aa(rows, specs)
     print(f"\nraw results: {raw_path}")
     bad = [r for r in runs
            if r["result"] is None or not r["result"].get("correct")]
@@ -273,15 +342,42 @@ def self_test():
                         "metrics": {"t": {"value": v}}}}
             for i, (p, c) in enumerate([(1.0, 0.5), (3.0, 0.6), (5.0, 0.7)])
             for s, v in zip(SIDES, (p, c))]
-    if summarize(fast, specs[:1])[0]["verdict"] != "ok":
-        failures.append("a change better than every parent run is not ok")
+    if summarize(fast, specs[:1])[0]["verdict"] == "unresolved":
+        failures.append("a change better than every parent run is "
+                        "unresolved")
+    # The gain rule on ten pairs: parent 1.00..1.09, median 1.045 [1.0225,
+    # 1.0675]; a gap past that 0.045 spread in 10/10 pairs is a gain, one
+    # in only 8/10 pairs or a 10/10 gap inside the spread is not.
+    parent = [1.0 + 0.01 * i for i in range(10)]
+    gains = {"gain": [p - 0.2 for p in parent],
+             "ok (8/10 wins)": [p - 0.2 if i < 8 else p + 0.01
+                                for i, p in enumerate(parent)],
+             "ok (inside the spread)": [p - 0.001 for p in parent]}
+    for want, change in gains.items():
+        runs_g = [{"side": s, "workload": "g", "pair": i,
+                   "result": {"correct": True,
+                              "metrics": {"t": {"value": v}}}}
+                  for i, pc in enumerate(zip(parent, change))
+                  for s, v in zip(SIDES, pc)]
+        got = summarize(runs_g, specs[:1])[0]["verdict"]
+        if got != want.split(" ")[0]:
+            failures.append(f"gain rule, {want}: got {got}")
+    # A/A rates: runs equal everywhere read only `equal`; pairs whose two
+    # runs tie, but whose values spread past the bound, read `unresolved`
+    # under every labeling (no labeling wins a pair).
+    if aa_rates([(1.0, 1.0), (1.0, 1.0)], "lower", 0.25)["equal"] != 1.0:
+        failures.append("A/A rates on equal runs are not all equal")
+    if aa_rates([(1.0, 1.0), (2.0, 2.0)], "lower", 0.25)["unresolved"] != 1.0:
+        failures.append("A/A rates on tied, spread pairs are not all "
+                        "unresolved")
     failures += check_foreign_builds()
     for failure in failures:
         print(f"ab_pairs --self-test: {failure}")
     if failures:
         return 1
     print_summary(summarize(runs, specs))
-    print(f"\nab_pairs --self-test: OK ({len(expect) + 2} checks)")
+    print(f"\nab_pairs --self-test: OK ({len(expect) + len(gains) + 4} "
+          "checks)")
     return 0
 
 
@@ -332,13 +428,19 @@ def main(argv):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=15)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--aa")
     parser.add_argument("--raw")
     parser.add_argument("--self-test", action="store_true")
     args = parser.parse_args(argv)
     if args.self_test:
         return self_test()
+    if args.aa:
+        if args.parent or args.change:
+            parser.error("--aa runs one checkout: no --parent or --change")
+        args.parent = args.change = args.aa
     if not (args.parent and args.change and args.workloads):
-        parser.error("--parent, --change and --workloads are required")
+        parser.error("--parent, --change (or --aa) and --workloads are "
+                     "required")
     return run_pairs(args)
 
 

@@ -62,6 +62,15 @@ Each rule pins a convention the runtime's correctness story depends on
                    overlap region: it saves no modeled time and only
                    defers the release of its buffers, so it uses its
                    blocking form.
+  training-order   in src/ outside src/core/dist_common.{hpp,cpp}, a
+                   DistProblem's `graph` is read only for its shape
+                   (num_vertices(), feature_dim()). The graph stays in
+                   the caller's vertex order while the algebras' rows
+                   are in training order (DistProblem::perm), so reading
+                   its features, labels or adjacency pairs caller-order
+                   rows with training-order rows: silent label
+                   misalignment. Read DistProblem::labels,
+                   DistProblem::feature_rows or DistProblem::at instead.
 
 Run from the repo root (CI does):  python3 tools/lint_invariants.py
 Self-test (seeded violations, one per rule):  ... --self-test
@@ -586,6 +595,36 @@ def check_region_posts(root):
     return violations
 
 
+# ---- rule: training-order ---------------------------------------------
+
+# DistProblem's own files, which put the graph in training order.
+TRAINING_ORDER_OWNERS = {"src/core/dist_common.hpp",
+                         "src/core/dist_common.cpp"}
+# A `graph` member read, unless it only asks for a shape.
+GRAPH_READ_RE = re.compile(
+    r"(?:\.|->)\s*graph\b(?!\s*->\s*(?:num_vertices|feature_dim)\s*\()")
+
+
+def check_training_order(root):
+    violations = []
+    for path in sorted((root / "src").rglob("*")):
+        if path.suffix not in (".cpp", ".hpp"):
+            continue
+        rel = path.relative_to(root).as_posix()
+        if rel in TRAINING_ORDER_OWNERS:
+            continue
+        text = strip_comments(path.read_text())
+        for hit in GRAPH_READ_RE.finditer(text):
+            line = text.count("\n", 0, hit.start()) + 1
+            violations.append(
+                f"{rel}:{line}: training-order: DistProblem::graph read "
+                f"outside DistProblem: its features, labels and adjacency "
+                f"are in the caller's vertex order, the algebras' rows in "
+                f"training order — read DistProblem::labels, "
+                f"DistProblem::feature_rows or DistProblem::at")
+    return violations
+
+
 # ---- driver ------------------------------------------------------------
 
 RULES = [
@@ -599,6 +638,7 @@ RULES = [
     ("runconfig-knobs", check_runconfig_knobs),
     ("one-layer-loop", check_one_layer_loop),
     ("region-posts", check_region_posts),
+    ("training-order", check_training_order),
 ]
 
 
@@ -660,6 +700,12 @@ def build_seeded_tree(tmp):
         "  return c.ibroadcast_from(2);\n}\n")
     (tmp / "src/core/dist15d.cpp").write_text(
         "void spmm_a(Comm& c) { c.post_async(3); c.ibroadcast_from(3); }\n")
+    # training-order: a caller-order label read beside the allowed shape
+    # queries.
+    (tmp / "src/core/dist_engine.cpp").write_text(
+        "Index n = problem_.graph->num_vertices();\n"
+        "Index f = problem_.graph->feature_dim();\n"
+        "Index y = problem_.graph->labels[0];\n")
     cpp_parts = []
     for anchor in SEAM_ANCHORS["src/comm/comm.cpp"]:
         cpp_parts.append(f"{anchor}) {{ seam_event(x); }}\n")
@@ -735,6 +781,8 @@ def self_test():
              lambda: check_one_layer_loop(tmp)),
             ("region-posts", "dist15d.cpp:1: region-posts: `ibroadcast_from`",
              lambda: check_region_posts(tmp)),
+            ("training-order", "dist_engine.cpp:3: training-order",
+             lambda: check_training_order(tmp)),
         ]
         for name, marker, rule in expectations:
             found = [v for v in rule() if marker in v]
