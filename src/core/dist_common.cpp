@@ -23,17 +23,13 @@ Index count_labeled(std::span<const Index> labels) {
 
 /// Every row boundary at which an algebra running at P = parts or a
 /// divisor of it cuts the training order: the parts' own boundaries (the
-/// 1D/1.5D row blocks at a matching part count), the even blocks of
-/// every divisor k of `parts` (their fallback, and the 2D/3D coarse
-/// blocks), and the 3D fine slabs of every q^2 l dividing `parts`.
-/// Ascending, from 0 to n.
+/// 1D/1.5D row blocks at a matching part count, and n) and the 3D fine
+/// slabs of every q^2 l dividing `parts`. At q = 1 the slabs are the
+/// even blocks of every divisor l of `parts` (the 1D/1.5D fallback, and
+/// the 2D/3D coarse blocks). Ascending, from 0 to n.
 std::vector<Index> order_cuts(Index n, int parts,
                               const std::vector<Index>& part_offsets) {
   std::vector<Index> cuts = part_offsets;
-  for (int k = 1; k <= parts; ++k) {
-    if (parts % k != 0) continue;
-    for (int i = 0; i <= k; ++i) cuts.push_back(block_range(n, k, i).first);
-  }
   for (int q = 1; q * q <= parts; ++q) {
     for (int l = 1; q * q * l <= parts; ++l) {
       if (parts % (q * q * l) != 0) continue;

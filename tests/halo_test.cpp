@@ -473,7 +473,9 @@ TEST(PartitionedTraining, BlockOrderKeepsEveryBlock) {
   // The "block" partitioner orders each part for locality, so it trains
   // on relabeled rows; but every block an algebra extracts keeps its
   // vertex set, so every rank charges what the identity form charges,
-  // and training agrees with the serial oracle in original order.
+  // and training agrees with the serial oracle in original order. That
+  // holds at P = parts and at every divisor of parts: one problem
+  // prepared for 8 parts also runs at P = 1, 2 and 4.
   const GnnConfig config = GnnConfig::three_layer(6, 3, 5);
   const int epochs = 2;
   for (const Index n : {Index{120}, Index{121}, Index{250}}) {
@@ -485,6 +487,7 @@ TEST(PartitionedTraining, BlockOrderKeepsEveryBlock) {
     }
     const Matrix& serial_out = serial.activations().back();
     const DistProblem plain = DistProblem::prepare(g);
+    const DistProblem blocked8 = DistProblem::prepare(g, 8, "block");
     for (const AlgebraSpec& spec : algebra_registry()) {
       for (const int p : {1, 2, 4, 8}) {
         if (!spec.accepts(p)) continue;
@@ -507,6 +510,12 @@ TEST(PartitionedTraining, BlockOrderKeepsEveryBlock) {
             << label;
         EXPECT_LE(Matrix::max_abs_diff(b.output, a.output), kParityTol)
             << label;
+        if (p == 8) continue;
+        const HaloRun c =
+            run_trainer(spec.name, blocked8, config, p, epochs, RunConfig{});
+        EXPECT_EQ(a.rank_meters, c.rank_meters) << label << " of 8 parts";
+        EXPECT_LE(Matrix::max_abs_diff(c.output, serial_out), kParityTol)
+            << label << " of 8 parts";
       }
     }
   }
@@ -514,10 +523,11 @@ TEST(PartitionedTraining, BlockOrderKeepsEveryBlock) {
 
 TEST(PartitionedTraining, LocalityOrderStaysInsideEveryPiece) {
   // Every cut an algebra can make at P = parts or a divisor of it: the
-  // parts' boundaries, the even blocks of each divisor, and the 3D fine
-  // slabs of each q^2 l dividing parts. Each cut's prefix of the training
-  // order holds the vertices it holds without the in-piece order (the
-  // partition-sorted order).
+  // parts' boundaries and the 3D fine slabs of each q^2 l dividing parts
+  // (at q = 1, the even blocks of each divisor). Each cut's prefix of the
+  // training order holds the vertices it holds without the in-piece order
+  // (the partition-sorted order). The meters cannot check this under
+  // "block" alone: there every divisor's even blocks are part boundaries.
   for (const Index n : {Index{121}, Index{250}}) {
     const Graph g = community_graph(n, 5, 4, 3, 97);
     for (const char* name : {"block", "random", "greedy-bfs"}) {
@@ -526,12 +536,6 @@ TEST(PartitionedTraining, LocalityOrderStaysInsideEveryPiece) {
         const std::vector<Index> sorted = partition_permutation(
             find_partitioner(name)->make(g.adjacency, parts, 12345));
         std::vector<Index> cuts = problem.part_offsets;
-        for (int k = 1; k <= parts; ++k) {
-          if (parts % k != 0) continue;
-          for (int i = 0; i < k; ++i) {
-            cuts.push_back(block_range(n, k, i).second);
-          }
-        }
         for (int q = 1; q * q <= parts; ++q) {
           for (int l = 1; q * q * l <= parts; ++l) {
             if (parts % (q * q * l) != 0) continue;

@@ -336,15 +336,22 @@ def self_test():
                 failures.append(f"{metric}.{key}: got {got}, want {want}")
     if abs(rows["t"]["worse_by"] - 0.5 / 3.0) > 1e-12:
         failures.append(f"t.worse_by: got {rows['t']['worse_by']}")
-    # A change that beats every parent run is never unresolved.
-    fast = [{"side": s, "workload": "w", "pair": i,
-             "result": {"correct": True,
-                        "metrics": {"t": {"value": v}}}}
-            for i, (p, c) in enumerate([(1.0, 0.5), (3.0, 0.6), (5.0, 0.7)])
-            for s, v in zip(SIDES, (p, c))]
-    if summarize(fast, specs[:1])[0]["verdict"] == "unresolved":
-        failures.append("a change better than every parent run is "
-                        "unresolved")
+    # A change that beats every parent run is never unresolved, even when
+    # the parent spreads past the bound. Parent 1, 3, 5 against 0.5, 0.6,
+    # 0.7: a median gap of 2.4 past the spread of 2 is a gain. Parent 1.0,
+    # 1.1, 10.0: the gap of 0.5 is inside the spread of 4.5 (409% of the
+    # median), so only the all-better exemption keeps it `ok`.
+    fast_cases = (("gain", (1.0, 3.0, 5.0)), ("ok", (1.0, 1.1, 10.0)))
+    for want, parent in fast_cases:
+        fast = [{"side": s, "workload": "w", "pair": i,
+                 "result": {"correct": True,
+                            "metrics": {"t": {"value": v}}}}
+                for i, pc in enumerate(zip(parent, (0.5, 0.6, 0.7)))
+                for s, v in zip(SIDES, pc)]
+        got = summarize(fast, specs[:1])[0]["verdict"]
+        if got != want:
+            failures.append(f"a change better than every parent run of "
+                            f"{parent}: got {got}, want {want}")
     # The gain rule on ten pairs: parent 1.00..1.09, median 1.045 [1.0225,
     # 1.0675]; a gap past that 0.045 spread in 10/10 pairs is a gain, one
     # in only 8/10 pairs or a 10/10 gap inside the spread is not.
@@ -376,8 +383,8 @@ def self_test():
     if failures:
         return 1
     print_summary(summarize(runs, specs))
-    print(f"\nab_pairs --self-test: OK ({len(expect) + len(gains) + 4} "
-          "checks)")
+    checks = len(expect) + len(gains) + len(fast_cases) + 3
+    print(f"\nab_pairs --self-test: OK ({checks} checks)")
     return 0
 
 
