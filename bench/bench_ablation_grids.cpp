@@ -22,6 +22,7 @@ using namespace cagnet;
 
 static int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  args.reject_unread();
 
   std::printf("=== (a) rectangular 2D grids, forward-propagation words "
               "(closed form, P=64) ===\n\n");

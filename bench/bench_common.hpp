@@ -122,14 +122,24 @@ inline double default_denominator(const std::string& dataset) {
   return 256;                           // protein
 }
 
+/// The flags of load_scaled, read once up front: --scale-denominator (0,
+/// the default, picks default_denominator) and --seed.
+struct ScaleFlags {
+  explicit ScaleFlags(const CliArgs& args)
+      : denominator(args.get_double("scale-denominator", 0)),
+        seed(static_cast<std::uint64_t>(args.get_int("seed", 42))) {}
+  double denominator;
+  std::uint64_t seed;
+};
+
 inline ScaledDataset load_scaled(const std::string& dataset,
-                                 const CliArgs& args) {
+                                 const ScaleFlags& flags) {
   ScaledDataset out;
-  const double cli = args.get_double("scale-denominator", 0);
-  out.denominator = cli > 0 ? cli : default_denominator(dataset);
+  out.denominator = flags.denominator > 0 ? flags.denominator
+                                          : default_denominator(dataset);
   SyntheticOptions opt;
   opt.scale = 1.0 / out.denominator;
-  opt.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  opt.seed = flags.seed;
   out.graph = make_dataset(dataset, opt);
   return out;
 }

@@ -43,6 +43,7 @@ void closed_form_table(const DatasetSpec& spec) {
 
 static int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  args.reject_unread();
 
   std::printf("=== Sections IV & VI-d: communication scaling of the "
               "algorithm families ===\n");

@@ -34,7 +34,7 @@
 //   --communities C    planted communities (default n/48)
 //   --inter-frac X     planted fraction of degree crossing communities
 //                      (default 0.2; smaller = stronger locality)
-//   --compress M[,M]   lossy wire codecs to sweep (off/fp16/int8;
+//   --compress M[,M]   lossy wire codecs to sweep (off/int8;
 //                      default CAGNET_COMPRESS). compressed_words in the
 //                      JSON is the metered post-compression volume in
 //                      Real-sized words — the words-on-wire actually paid
@@ -258,6 +258,7 @@ int run(int argc, char** argv) {
   const Index communities =
       args.get_int("communities", std::max<Index>(n / 48, 2));
   const double inter_frac = args.get_double("inter-frac", 0.2);
+  args.reject_unread();
 
   const Graph graph =
       make_graph(topology, n, degree, f, classes, communities, inter_frac);

@@ -17,6 +17,8 @@ using namespace cagnet;
 static int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const int epochs = static_cast<int>(args.get_int("epochs", 1));
+  const bench::ScaleFlags scale(args);
+  args.reject_unread();
 
   std::printf("=== Fig. 2: epoch throughput of the 2D implementation ===\n");
   std::printf("(modeled = Summit alpha-beta + V100 kernel model, metered on\n"
@@ -32,7 +34,7 @@ static int run(int argc, char** argv) {
               "----------------\n");
 
   for (const char* name : {"amazon", "reddit", "protein"}) {
-    const bench::ScaledDataset g = bench::load_scaled(name, args);
+    const bench::ScaledDataset g = bench::load_scaled(name, scale);
     std::vector<bench::Fig2Point> points;
     for (long p : bench::paper_proc_list(name)) {
       points.push_back(bench::run_2d(g, static_cast<int>(p), epochs));

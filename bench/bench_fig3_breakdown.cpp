@@ -19,6 +19,8 @@ using namespace cagnet;
 static int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const int epochs = static_cast<int>(args.get_int("epochs", 1));
+  const bench::ScaleFlags scale(args);
+  args.reject_unread();
   const MachineModel summit = MachineModel::summit();
 
   std::printf("=== Fig. 3: per-epoch breakdown of the 2D implementation "
@@ -37,7 +39,7 @@ static int run(int argc, char** argv) {
               "---------------------------------------\n");
 
   for (const char* name : {"amazon", "reddit", "protein"}) {
-    const bench::ScaledDataset g = bench::load_scaled(name, args);
+    const bench::ScaledDataset g = bench::load_scaled(name, scale);
     std::vector<bench::Fig2Point> points;
     for (long p : bench::paper_proc_list(name)) {
       points.push_back(bench::run_2d(g, static_cast<int>(p), epochs));
@@ -97,7 +99,7 @@ static int run(int argc, char** argv) {
   std::printf("host-measured per-phase seconds (this machine's simulation;\n"
               "shape only, absolute values are not Summit-comparable):\n");
   {
-    const bench::ScaledDataset g = bench::load_scaled("reddit", args);
+    const bench::ScaledDataset g = bench::load_scaled("reddit", scale);
     for (long p : {4L, 16L}) {
       const bench::Fig2Point pt =
           bench::run_2d(g, static_cast<int>(p), epochs);

@@ -61,6 +61,16 @@ static int run(int argc, char** argv) {
   const Index n = args.get_int("vertices", 30000);
   const int parts = static_cast<int>(args.get_int("parts", 64));
   const Index communities = args.get_int("communities", 256);
+  const double intra_degree = args.get_double("intra-degree", 18);
+  const double inter_degree = args.get_double("inter-degree", 2);
+  const double hub_fraction = args.get_double("hub-fraction", 0.00025);
+  const double hub_degree = args.get_double("hub-degree", 15000);
+  const int epoch_parts = static_cast<int>(args.get_int("epoch-parts", 16));
+  const Index f = args.get_int("features", 16);
+  const Index hidden = args.get_int("hidden", 16);
+  const int epoch_reps =
+      std::max(1, static_cast<int>(args.get_int("epoch-reps", 5)));
+  args.reject_unread();
 
   std::printf("=== Section IV-A.8: partitioning quality vs the max-metric "
               "===\n\n");
@@ -70,11 +80,8 @@ static int run(int argc, char** argv) {
   // would gain little — the paper itself notes scale-free graphs partition
   // poorly (end of IV-A.8).
   Rng rng(7);
-  Coo coo = planted_partition(
-      n, communities, args.get_double("intra-degree", 18),
-      args.get_double("inter-degree", 2), rng,
-      args.get_double("hub-fraction", 0.00025),
-      args.get_double("hub-degree", 15000));
+  Coo coo = planted_partition(n, communities, intra_degree, inter_degree,
+                              rng, hub_fraction, hub_degree);
   coo.symmetrize();
   const Csr a = Csr::from_coo(coo);
   std::printf("community graph: %lld vertices, %lld edges, %lld planted "
@@ -120,9 +127,6 @@ static int run(int argc, char** argv) {
               "IV-A.8).\n");
 
   // ---- Closing the loop: real 1D epochs per partitioner ----
-  const int epoch_parts = static_cast<int>(args.get_int("epoch-parts", 16));
-  const Index f = args.get_int("features", 16);
-  const Index hidden = args.get_int("hidden", 16);
   const Index classes = 8;
 
   Graph g;
@@ -153,8 +157,6 @@ static int run(int argc, char** argv) {
   std::printf("%-12s %12s %14s %14s %9s %9s %9s %7s\n", "partitioner",
               "max_remote", "metered halo", "bcast dense", "reduction",
               "bcast eps", "halo eps", "judged");
-  const int epoch_reps =
-      std::max(1, static_cast<int>(args.get_int("epoch-reps", 5)));
   std::array<RunConfig, 2> modes;  // [0] broadcast, [1] halo
   modes[0] = modes[1] = RunConfig::from_env();
   modes[0].halo = false;

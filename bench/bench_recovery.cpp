@@ -105,6 +105,7 @@ int run(int argc, char** argv) {
        split_csv(args.get("compress", "off,int8"))) {
     compress_modes.push_back(parse_compress_mode(name));
   }
+  args.reject_unread();
 
   // One kill per lifecycle seam plus a poisoned payload: the three
   // distinct ways the transport backend can take a rank down. The N-th

@@ -12,6 +12,8 @@ using namespace cagnet;
 
 static int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  const bench::ScaleFlags scale(args);
+  args.reject_unread();
   std::printf("=== Table VI: datasets (paper values vs generated analogs) "
               "===\n\n");
   std::printf("%-9s | %12s %14s %9s %7s | %10s %12s %9s %9s %8s\n", "name",
@@ -20,7 +22,7 @@ static int run(int argc, char** argv) {
   std::printf("---------------------------------------------------------------"
               "----------------------------------------------\n");
   for (const DatasetSpec& spec : paper_datasets()) {
-    const Graph g = bench::load_scaled(spec.name, args).graph;
+    const Graph g = bench::load_scaled(spec.name, scale).graph;
     const DegreeStats s = degree_stats(g.adjacency);
     std::printf("%-9s | %12lld %14lld %9lld %7lld | %10lld %12lld %9lld %9lld "
                 "%8.1f\n",

@@ -31,6 +31,7 @@ static int run(int argc, char** argv) {
   const Index communities = args.get_int("communities", 4);
   const int procs = static_cast<int>(args.get_int("procs", 4));
   const int epochs = static_cast<int>(args.get_int("epochs", 60));
+  args.reject_unread();
 
   Rng rng(2024);
   Graph g;

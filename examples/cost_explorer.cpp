@@ -33,6 +33,10 @@ static int run(int argc, char** argv) {
   double f = args.get_double("features", 128);
   const int layers = static_cast<int>(args.get_int("layers", 3));
   const std::string dataset = args.get("dataset", "");
+  const auto procs = args.get_int_list("procs", {4, 16, 36, 64, 100, 256,
+                                                 1024, 4096});
+  const Index pn = args.get_int("preview-vertices", 20000);
+  args.reject_unread();
 
   if (!dataset.empty()) {
     const DatasetSpec& spec = dataset_spec(dataset);
@@ -44,8 +48,6 @@ static int run(int argc, char** argv) {
   }
   if (nnz <= 0) nnz = 16 * n;
 
-  const auto procs = args.get_int_list("procs", {4, 16, 36, 64, 100, 256,
-                                                 1024, 4096});
   const MachineModel summit = MachineModel::summit();
 
   std::printf("\nper-epoch communication (words per process, Section IV "
@@ -90,7 +92,6 @@ static int run(int argc, char** argv) {
               "(paper abstract / Section IV).\n");
 
   // ---- Measured edgecut: predictions beyond the n(P-1)/P bound ----
-  const Index pn = args.get_int("preview-vertices", 20000);
   if (pn > 0) {
     const double avg_degree = nnz / n;
     Rng rng(21);

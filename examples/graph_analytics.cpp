@@ -25,6 +25,7 @@ static int run(int argc, char** argv) {
   const Index n = args.get_int("vertices", 2000);
   const double degree = args.get_double("degree", 6.0);
   const Index source = args.get_int("source", 0);
+  args.reject_unread();
 
   Rng rng(77);
   Coo coo = erdos_renyi(n, degree, rng);

@@ -24,6 +24,7 @@ static int run(int argc, char** argv) {
   const int procs = static_cast<int>(args.get_int("procs", 36));
   const int epochs = static_cast<int>(args.get_int("epochs", 2));
   const Index hidden = args.get_int("hidden", 16);
+  args.reject_unread();
 
   if (exact_sqrt(procs) == 0) {
     std::fprintf(stderr, "--procs must be a perfect square for the 2D grid\n");

@@ -25,6 +25,7 @@ static int run(int argc, char** argv) {
   const Index classes = args.get_int("classes", 7);
   const int epochs = static_cast<int>(args.get_int("epochs", 20));
   const int procs = static_cast<int>(args.get_int("procs", 4));
+  args.reject_unread();
 
   // 1. Build a node-classification problem: R-MAT topology, GCN-normalized
   //    adjacency D^-1/2 (A+I) D^-1/2, random features and labels.

@@ -54,10 +54,12 @@ static int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const long denom = args.get_int("scale-denominator", 128);
   const int epochs = static_cast<int>(args.get_int("epochs", 2));
+  const Index max_features = args.get_int("max-features", 64);
+  args.reject_unread();
 
   SyntheticOptions opt;
   opt.scale = 1.0 / static_cast<double>(denom);
-  opt.max_features = args.get_int("max-features", 64);
+  opt.max_features = max_features;
   std::printf("generating reddit analog at 1/%ld scale (f capped at %lld)\n",
               denom, static_cast<long long>(opt.max_features));
   const Graph graph = make_dataset("reddit", opt);

@@ -254,11 +254,6 @@ void Comm::quiesce() const {
   }
 }
 
-void Comm::quiesce_op(std::uint64_t ticket) const {
-  check_valid("quiesce_op");
-  await_finished(ticket, {rank_, CommCategory::kControl, "quiesce_op"});
-}
-
 void Comm::await_finished(std::uint64_t ticket,
                           const detail::OpContext& ctx) const {
   auto& st = *state_;
@@ -375,7 +370,7 @@ void PendingOp::wait() {
   // wait: it completes passively (charge + bookkeeping) without awaiting
   // peers' posts, so stage roots never stall on stragglers. Its source —
   // like every op source — stays readable until the communicator's
-  // release point (quiesce / quiesce_op / a later blocking collective).
+  // release point (quiesce, or a later blocking collective's hold).
   // Per-source-drain alltoallvs likewise skip the aggregate await: their
   // completer awaits exactly the sources still undrained, so a rank that
   // drained or skipped every source never stalls on peers it needs
@@ -495,7 +490,7 @@ void Comm::reduce_compressed(std::span<const Real> contrib,
   PendingOp gather = post_allgatherv(std::span<const std::uint8_t>(buf.send),
                                      buf.recv, CommCategory::kCompressed,
                                      /*charged=*/false, op);
-  const std::uint64_t ticket = gather.ticket();
+  const std::uint64_t ticket = gather.ticket_;
   // Charged while the byte gather is still open, so the contract checker
   // attributes the charge to it. The bytes follow from p and the chunk
   // size alone: every gathered chunk is checked below to be exactly that.

@@ -22,10 +22,11 @@
 // waits may be out of order. Between post and wait a rank may compute and
 // may run other collectives on any communicator — this is what the SUMMA
 // double-buffering in src/core/ exploits. A blocking form is the same op
-// posted, waited, and held until every member has completed it
-// (quiesce_op), so it returns with every buffer free, exactly like torch's
-// blocking call = async op + wait(). See DESIGN.md, "Nonblocking runtime
-// and overlap accounting".
+// posted, waited, and held until every member has completed it, so it
+// returns with every buffer free, exactly like torch's blocking call =
+// async op + wait(); the overlap-region owners in src/core/ end the same
+// way, with a quiesce(). See DESIGN.md, "Nonblocking runtime and overlap
+// accounting".
 #pragma once
 
 #include <atomic>
@@ -421,11 +422,6 @@ class PendingOp {
   /// True between post and wait.
   bool pending() const { return state_ != nullptr; }
 
-  /// Posting-order index of this op on its communicator (valid while
-  /// pending). Record it before wait() to later release this op's
-  /// sources with Comm::quiesce_op.
-  std::uint64_t ticket() const { return ticket_; }
-
   /// Complete the op: block for all posts, move this rank's data, charge
   /// the meter, release the channel. No-op when not pending — but a
   /// second wait() on an already-completed handle is diagnosed as a
@@ -443,9 +439,9 @@ class PendingOp {
   /// blocking form's self-chunk exclusion), so draining every source sums
   /// bitwise to the blocking alltoallv_into charge. Call at most once per
   /// source; the view stays readable until this communicator's release
-  /// point for the op (quiesce / quiesce_op), exactly like any posted
-  /// source. Worlds wider than 64 ranks are diagnosed (the drain ledger
-  /// is a 64-bit mask).
+  /// point for the op (quiesce), exactly like any posted source. Worlds
+  /// wider than 64 ranks are diagnosed (the drain ledger is a 64-bit
+  /// mask).
   template <typename T>
   std::span<const T> await_source(int src) {
     CAGNET_CHECK(pending(), "await_source on a non-pending op");
@@ -621,19 +617,12 @@ class Comm {
   /// far on this communicator — the release point after which the source
   /// buffers of those ops may be modified or freed. Unlike barrier() this
   /// posts nothing: it costs a handful of atomic loads when peers have
-  /// already drained, and it charges nothing. The
-  /// double-buffered loops call it before reusing a broadcast source.
-  /// CAUTION: quiescing while an op that peers wait *later* is
-  /// outstanding deadlocks (e.g. a halo exchange whose drains run behind
-  /// later stages); use quiesce_op to release one specific op instead.
+  /// already drained, it charges nothing and it reports nothing at the
+  /// seam. The one release rule: each overlap-region owner (the stage
+  /// loops, the halo sweeps) calls it after its last wait, so it returns
+  /// with its sources released. CAUTION: quiescing while this rank still
+  /// holds an op that peers wait *later* deadlocks; wait every op first.
   void quiesce() const;
-
-  /// Block until every member has completed one specific op, identified
-  /// by the PendingOp::ticket() recorded at post time — the single-op
-  /// release form of quiesce. Waits only on that op's channel (channel
-  /// generations complete in order), so deliberately-still-pending ops
-  /// elsewhere cause no deadlock.
-  void quiesce_op(std::uint64_t ticket) const;
 
   /// Collective split into disjoint sub-communicators by color; ranks are
   /// ordered by (key, parent rank) within each color. Every member of this
@@ -645,9 +634,7 @@ class Comm {
   // form posts its channel op, waits it, and holds until every member has
   // completed it, so it returns with every buffer free; the i-prefixed
   // forms return the posted op, charged at its wait() exactly like the
-  // blocking form. `charged = false` suppresses the automatic charge for
-  // callers that account the traffic themselves (the compressed
-  // reductions charge their byte gather's actual wire bytes). ----
+  // blocking form. ----
 
   /// In-place broadcast from `root` to all members. Charges lg(P) latency
   /// units and data.size() words to every rank (nothing when P == 1).
@@ -678,10 +665,10 @@ class Comm {
   /// receives into `dst` at its own wait().
   template <typename T>
   PendingOp ibroadcast_from(std::span<const T> src, std::span<T> dst,
-                            int root, CommCategory cat, bool charged = true) {
+                            int root, CommCategory cat) {
     check_valid("ibroadcast_from");
     check_member(root);
-    return post_bcast(src, dst, root, cat, charged, "ibroadcast_from");
+    return post_bcast(src, dst, root, cat, true, "ibroadcast_from");
   }
 
   /// In-place elementwise sum over all members; every rank ends with the
@@ -795,10 +782,9 @@ class Comm {
   template <typename T>
   PendingOp ialltoallv_into(std::span<const T> send,
                             std::span<const std::size_t> send_offsets,
-                            Gathered<T>& out, CommCategory cat,
-                            bool charged = true) {
+                            Gathered<T>& out, CommCategory cat) {
     check_valid("ialltoallv_into");
-    return post_alltoallv(send, send_offsets, out, cat, charged,
+    return post_alltoallv(send, send_offsets, out, cat, true,
                           "ialltoallv_into");
   }
 
@@ -815,14 +801,14 @@ class Comm {
   template <typename T>
   PendingOp ialltoallv_post(std::span<const T> send,
                             std::span<const std::size_t> send_offsets,
-                            CommCategory cat, bool charged = true) {
+                            CommCategory cat) {
     check_valid("ialltoallv_post");
     check_offsets(send.size(), send_offsets, "ialltoallv_post");
     CAGNET_CHECK(size() <= 64,
                  "ialltoallv_post: per-source drain supports at most 64 "
                  "ranks; use ialltoallv_into");
     return post_async(detail::OpKind::kAlltoallv, "ialltoallv_post",
-                      send.data(), send.size(), /*root=*/0, cat, charged,
+                      send.data(), send.size(), /*root=*/0, cat, true,
                       &PendingOp::complete_drain_impl<T>, nullptr, 0,
                       send.size(), nullptr, send_offsets.data());
   }
@@ -907,9 +893,12 @@ class Comm {
 
   /// Claim the next ticket, publish this rank's slot on its channel, and
   /// hand back the armed PendingOp. `op` is the caller-facing name the
-  /// seam, aborts, and diagnostics report. Throws ContractViolation when
-  /// the channel still holds this rank's own unwaited op (waiting for its
-  /// recycling could never end). Out-of-line (comm.cpp).
+  /// seam, aborts, and diagnostics report; `charged = false` suppresses
+  /// the automatic charge (the barrier, and the compressed reductions'
+  /// byte gather, which charges its actual wire bytes itself). Throws
+  /// ContractViolation when the channel still holds this rank's own
+  /// unwaited op (waiting for its recycling could never end).
+  /// Out-of-line (comm.cpp).
   PendingOp post_async(detail::OpKind kind, const char* op,
                        const void* publish_ptr, std::size_t publish_len,
                        int root, CommCategory cat, bool charged,

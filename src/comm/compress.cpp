@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -13,64 +12,6 @@
 namespace cagnet {
 
 namespace {
-
-// ---------------------------------------------------------------------
-// fp16 scalar conversions (portable bit manipulation, RN-even).
-
-std::uint16_t encode_half(Real value) {
-  const float f = static_cast<float>(value);
-  const std::uint32_t x = std::bit_cast<std::uint32_t>(f);
-  const auto sign = static_cast<std::uint16_t>((x >> 16) & 0x8000u);
-  const std::uint32_t mag = x & 0x7fffffffu;
-  if (mag >= 0x7f800000u) {  // inf / nan
-    return sign | (mag > 0x7f800000u ? 0x7e00u : 0x7c00u);
-  }
-  if (mag >= 0x38800000u) {  // normal half range
-    // Round-to-nearest-even on the 13 dropped mantissa bits.
-    const std::uint32_t rounded = mag + 0xfffu + ((mag >> 13) & 1u);
-    if (rounded >= 0x47800000u) return sign | 0x7c00u;  // rounds to inf
-    return sign |
-           static_cast<std::uint16_t>((rounded - 0x38000000u) >> 13);
-  }
-  if (mag < 0x33000000u) return sign;  // underflows half subnormals
-  // Subnormal half: value = mant * 2^(exp-150); the half subnormal unit
-  // is 2^-24, so the quotient is mant >> (126 - exp), RN-even.
-  const std::uint32_t exp = mag >> 23;
-  const std::uint32_t mant = (mag & 0x7fffffu) | 0x800000u;
-  const std::uint32_t shift = 126u - exp;  // in [14, 24]
-  const std::uint32_t q = mant >> shift;
-  const std::uint32_t rem = mant & ((1u << shift) - 1u);
-  const std::uint32_t half_bit = 1u << (shift - 1);
-  std::uint32_t h = q;
-  if (rem > half_bit || (rem == half_bit && (q & 1u))) ++h;
-  return sign | static_cast<std::uint16_t>(h);  // may carry into normals
-}
-
-Real decode_half(std::uint16_t h) {
-  const std::uint32_t sign = static_cast<std::uint32_t>(h & 0x8000u) << 16;
-  const std::uint32_t exp = (h >> 10) & 0x1fu;
-  const std::uint32_t mant = h & 0x3ffu;
-  std::uint32_t x;
-  if (exp == 0) {
-    if (mant == 0) {
-      x = sign;
-    } else {
-      // Normalize the subnormal into a float with an explicit exponent.
-      std::uint32_t m = mant;
-      std::uint32_t e = 113;
-      while (!(m & 0x400u)) {
-        m <<= 1;
-        --e;
-      }
-      x = sign | (e << 23) | ((m & 0x3ffu) << 13);
-    }
-  } else if (exp == 31) {
-    x = sign | 0x7f800000u | (mant << 13);
-  } else {
-    x = sign | ((exp + 112u) << 23) | (mant << 13);
-  }
-  return static_cast<Real>(std::bit_cast<float>(x));
-}
 
 // ---------------------------------------------------------------------
 // Chunk layout helpers. Chunk c covers values [c*256, min(n, c*256+256)).
@@ -84,8 +25,6 @@ std::size_t num_chunks(std::size_t n) {
 std::size_t chunk_byte_offset(CompressMode mode, std::size_t c) {
   const std::size_t lo = c * kCompressChunk;
   switch (mode) {
-    case CompressMode::kFp16:
-      return 2 * lo;
     case CompressMode::kInt8:
       return lo + 4 * c;
     case CompressMode::kOff:
@@ -108,13 +47,6 @@ float load_f32(const std::uint8_t* src) {
 void encode_chunk(CompressMode mode, const Real* v, std::size_t len,
                   std::uint8_t* out) {
   switch (mode) {
-    case CompressMode::kFp16: {
-      for (std::size_t i = 0; i < len; ++i) {
-        const std::uint16_t h = encode_half(v[i]);
-        std::memcpy(out + 2 * i, &h, 2);
-      }
-      return;
-    }
     case CompressMode::kInt8: {
       Real amax = 0;
       for (std::size_t i = 0; i < len; ++i) {
@@ -144,14 +76,6 @@ void encode_chunk(CompressMode mode, const Real* v, std::size_t len,
 void decode_chunk(CompressMode mode, const std::uint8_t* in, std::size_t len,
                   Real* out) {
   switch (mode) {
-    case CompressMode::kFp16: {
-      for (std::size_t i = 0; i < len; ++i) {
-        std::uint16_t h;
-        std::memcpy(&h, in + 2 * i, 2);
-        out[i] = decode_half(h);
-      }
-      return;
-    }
     case CompressMode::kInt8: {
       const Real s = static_cast<Real>(load_f32(in));
       const auto* q = reinterpret_cast<const std::int8_t*>(in + 4);
@@ -172,8 +96,6 @@ const char* compress_mode_name(CompressMode mode) {
   switch (mode) {
     case CompressMode::kOff:
       return "off";
-    case CompressMode::kFp16:
-      return "fp16";
     case CompressMode::kInt8:
       return "int8";
   }
@@ -182,9 +104,8 @@ const char* compress_mode_name(CompressMode mode) {
 
 CompressMode parse_compress_mode(const std::string& name) {
   if (name == "off") return CompressMode::kOff;
-  if (name == "fp16") return CompressMode::kFp16;
   if (name == "int8") return CompressMode::kInt8;
-  knob::reject("CAGNET_COMPRESS", name, "off, fp16, int8");
+  knob::reject("CAGNET_COMPRESS", name, "off, int8");
 }
 
 bool reduce_scatter_compression_pays(CompressMode mode, std::size_t n,
@@ -203,8 +124,6 @@ std::size_t encoded_size_bytes(CompressMode mode, std::size_t n) {
   switch (mode) {
     case CompressMode::kOff:
       return sizeof(Real) * n;
-    case CompressMode::kFp16:
-      return 2 * n;
     case CompressMode::kInt8:
       return n + 4 * num_chunks(n);
   }

@@ -1,13 +1,10 @@
 // Lossy codecs for compressed communication (the PR's words-to-bits
 // multiplier on top of the overlap/halo word reductions).
 //
-// Two codecs, both operating on fixed 256-element chunks so the encoded
+// One codec, operating on fixed 256-element chunks so the encoded
 // layout — and therefore the decoded values — never depend on the thread
 // budget used to pack them:
 //
-//   fp16  2 bytes/value. IEEE half with round-to-nearest-even; values
-//         beyond half range saturate to +-inf (never happens for the
-//         gradients this repo moves). 4x over Real.
 //   int8  per chunk: [float scale = max|v|/127][int8 q_i], 4 + len bytes.
 //         q_i = round(v_i / scale) clamped to [-127, 127]. ~7.9x.
 //
@@ -35,11 +32,10 @@ namespace cagnet {
 /// Wire codecs (RunConfig::compress, the CAGNET_COMPRESS knob).
 enum class CompressMode : std::uint8_t {
   kOff = 0,  ///< exact Real payloads (today's paths, bitwise unchanged)
-  kFp16,     ///< IEEE half precision, 4x
   kInt8,     ///< per-chunk max-scaled int8, ~7.9x
 };
 
-/// Display/parse name: "off", "fp16", "int8".
+/// Display/parse name: "off", "int8".
 const char* compress_mode_name(CompressMode mode);
 
 /// Parse a CAGNET_COMPRESS value; throws Error on an unknown string.
@@ -52,10 +48,10 @@ constexpr std::size_t kCompressChunk = 256;
 /// True when the compressed reduce-scatter actually undercuts the exact
 /// op's wire bytes. Its transport is an all-gather of every rank's full
 /// encoded contribution (plus a u64 length header each), so the byte win
-/// is roughly (8/P) x the codec ratio: int8 pays up to P ~ 7, fp16
-/// never. Callers fall back to the exact reduce-scatter when
-/// compression would inflate the wire; the gate is a pure function of
-/// (mode, n, p), so it is rank-uniform.
+/// is roughly (8/P) x the codec ratio: int8 pays up to P ~ 7. Callers
+/// fall back to the exact reduce-scatter when compression would inflate
+/// the wire; the gate is a pure function of (mode, n, p), so it is
+/// rank-uniform.
 bool reduce_scatter_compression_pays(CompressMode mode, std::size_t n, int p);
 
 /// Encoded byte count for n values. kOff reports the uncompressed

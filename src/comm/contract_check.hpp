@@ -103,7 +103,7 @@ class Checker {
   /// open op: a posted-but-uncompleted one.
   void on_charge(int rank, const char* op, CommCategory cat);
 
-  /// A release request (quiesce_op) named `ticket`. The ticket must have
+  /// A release hold (a blocking form's) named `ticket`. The ticket must have
   /// been issued by a post on this communicator.
   void on_release(int rank, std::uint64_t ticket, const char* op);
 

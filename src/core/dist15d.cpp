@@ -123,9 +123,8 @@ void Algebra15D::spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) {
                              CommCategory::kHalo, machine(), stats, t);
   } else {
     // The next stripe stage's H panel is in flight while this stage's
-    // SpMM accumulates (H is stable for the whole epoch, so late peer
-    // reads of the final stage need no extra release point). A member
-    // whose stripe has no stage (t >= G) posts nothing.
+    // SpMM accumulates. A member whose stripe has no stage (t >= G) posts
+    // nothing.
     dist::overlapped_dense_stages(
         static_cast<int>(stages_.size()),
         [&](int s, dist::PendingDenseStage& dn, Matrix& recv) {
@@ -142,8 +141,7 @@ void Algebra15D::spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) {
           stats.work.add_spmm(machine(), static_cast<double>(a.nnz()),
                               static_cast<double>(f), dist::block_degree(a));
         },
-        hj_recv_, hj_recv2_, world_.meter(), stats.work, machine(),
-        stats.profiler);
+        hj_recv_, hj_recv2_, slice_, stats.work, machine(), stats.profiler);
   }
 
   // Team all-reduce completes the contraction and leaves T replicated
@@ -156,10 +154,8 @@ void Algebra15D::spmm_at(const Matrix& h, Matrix& t, EpochStats& stats) {
 void Algebra15D::release_setup_buffers() noexcept {
   hj_recv_ = Matrix();
   hj_recv2_ = Matrix();
-  for (dist::HaloPlan::PackBuf& buf : halo_.pack) {
-    buf.send_buf = Matrix();
-    buf.send_bytes = std::vector<std::uint8_t>();
-  }
+  halo_.pack.send_buf = Matrix();
+  halo_.pack.send_bytes = std::vector<std::uint8_t>();
   halo_.recv_decode = std::vector<Real>();
 }
 

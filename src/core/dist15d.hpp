@@ -96,9 +96,6 @@ class Algebra15D final : public DistSpmmAlgebra {
   void reduce_gradients(Index layer, Matrix& y_partial, Index f_in,
                         Index f_out, Matrix& y_full,
                         EpochStats& stats) override;
-  /// The slice carries the stage loops and halo exchanges; the team
-  /// posts only blocking collectives, so it holds nothing to release.
-  void drain() noexcept override { dist::drain_comm(slice_); }
   /// The stage receive buffers and the halo pack staging.
   void release_setup_buffers() noexcept override;
 

@@ -103,14 +103,6 @@ void Algebra3D::split3d_spmm(const SparseStages& sparse,
   const int q = grid_.q;
   const bool layered = grid_.l > 1;
   const Index w = my_dense.cols();
-  {
-    // Release point for the partial SUMMA's T panels: row peers may
-    // still read them after its stage loop returns, and this loop's
-    // output may be that T buffer. Readers drained a whole layer ago, so
-    // this is a handful of atomic loads.
-    ScopedPhase scope(stats.profiler, Phase::kDenseComm);
-    grid_.row.quiesce();
-  }
   // For l > 1 the SUMMA fills the pre-reduction partial: (n/q x f/q), the
   // P^(1/3)-replicated intermediate of Section IV-D.1. On one layer C_i is
   // this rank's own row block, so it accumulates straight into `out`.
@@ -148,7 +140,7 @@ void Algebra3D::split3d_spmm(const SparseStages& sparse,
           replay(sparse.payloads[static_cast<std::size_t>(s) + 1]);
         }
       },
-      ws_.stage_recv, ws_.stage_recv2, meter, stats.work, machine(),
+      ws_.stage_recv, ws_.stage_recv2, grid_.col, stats.work, machine(),
       stats.profiler);
   if (!layered) return;
 

@@ -109,10 +109,6 @@ class Algebra3D final : public DistSpmmAlgebra {
   /// paper's two transposes per epoch, run once at construction.
   void begin_backward(EpochStats& stats) override;
 
-  void drain() noexcept override {
-    dist::drain_comm(grid_.row);
-    dist::drain_comm(grid_.col);
-  }
   /// The SUMMA stage receive buffers and, for l > 1, the fiber partial.
   void release_setup_buffers() noexcept override {
     ws_.stage_recv = Matrix();

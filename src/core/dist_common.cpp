@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <exception>
 #include <string>
 #include <utility>
 
@@ -158,14 +159,38 @@ EpochStats EpochStats::reduce_max(const EpochStats& mine, Comm& comm) {
 
 namespace dist {
 
+namespace {
+
+/// quiesce() `comm` without propagating abort errors: an aborted world
+/// has released its peers already.
 void drain_comm(const Comm& comm) noexcept {
-  if (!comm.valid()) return;
   try {
     comm.quiesce();
   } catch (...) {
     // Aborted world: peers were released by the abort flag.
   }
 }
+
+/// Runs `release` when the frame that declares it unwinds, not when it
+/// returns. A region owner declares one before its pending handles, so
+/// the release runs after their destructors completed them.
+template <typename F>
+class OnUnwind {
+ public:
+  explicit OnUnwind(F release) : release_(std::move(release)) {}
+  ~OnUnwind() {
+    if (std::uncaught_exceptions() > uncaught_) release_();
+  }
+
+  OnUnwind(const OnUnwind&) = delete;
+  OnUnwind& operator=(const OnUnwind&) = delete;
+
+ private:
+  F release_;
+  int uncaught_ = std::uncaught_exceptions();
+};
+
+}  // namespace
 
 std::array<double, 2> loss_terms(const Matrix& log_probs,
                                  std::span<const Index> labels) {
@@ -233,16 +258,20 @@ void overlapped_dense_stages(
     int stages,
     const std::function<void(int, PendingDenseStage&, Matrix&)>& post_stage,
     const std::function<void(int, const Matrix*)>& compute_stage,
-    Matrix& recv0, Matrix& recv1, CostMeter& meter, const WorkMeter& work,
+    Matrix& recv0, Matrix& recv1, Comm& comm, const WorkMeter& work,
     const MachineModel& machine, Profiler& profiler) {
   if (stages == 0) return;
+  // Declared before the stages: an unwind drains `comm` after their
+  // destructors completed them, so no peer still reads a root's block
+  // when the caller's frame frees it.
+  const OnUnwind drain([&comm] { drain_comm(comm); });
   PendingDenseStage dn[2];
   Matrix* recv[2] = {&recv0, &recv1};
   {
     ScopedPhase scope(profiler, Phase::kDenseComm);
     post_stage(0, dn[0], *recv[0]);
   }
-  OverlapScope region(meter, work, machine);
+  OverlapScope region(comm.meter(), work, machine);
   for (int s = 0; s < stages; ++s) {
     const int cur = s & 1;
     const int nxt = 1 - cur;
@@ -260,6 +289,8 @@ void overlapped_dense_stages(
     compute_stage(s, block);
   }
   region.close();
+  ScopedPhase scope(profiler, Phase::kDenseComm);
+  comm.quiesce();  // every member read every stage: the blocks are free
 }
 
 void partial_summa_times_weight(const Matrix& t, const Matrix& w, int parts,
@@ -289,18 +320,15 @@ void partial_summa_times_weight(const Matrix& t, const Matrix& w, int parts,
   };
 
   // The stage-m+1 T panel is in flight while the stage-m GEMM
-  // accumulates. Source-release contract: peers may still be copying this
-  // rank's T panels after we return; the caller quiesces row_comm before
-  // T is next rewritten (the 2D/3D algebras do it at their stage-loop
-  // entry, where peers have long drained — off the critical path).
+  // accumulates.
   overlapped_dense_stages(
       parts,
       [&](int m, PendingDenseStage& dn, Matrix& recv) {
         dn.post(t, recv, local_rows, stage_cols(m), m, row_comm,
                 CommCategory::kDense);
       },
-      gemm_stage, ws.stage_recv, ws.stage_recv2, row_comm.meter(),
-      stats.work, machine, stats.profiler);
+      gemm_stage, ws.stage_recv, ws.stage_recv2, row_comm, stats.work,
+      machine, stats.profiler);
 }
 
 void reduce_times_weight(const Matrix& t, const Matrix& w, int parts,
@@ -433,11 +461,6 @@ void build_halo_plan(const std::function<const Csr*(int)>& block_of,
                       requested, CommCategory::kControl);
   plan.send_rows.assign(requested.data.begin(), requested.data.end());
   plan.send_row_offsets = requested.offsets;
-  for (HaloPlan::PackBuf& buf : plan.pack) {
-    buf.send_elem_offsets.assign(static_cast<std::size_t>(p) + 1, 0);
-    buf.has_release = false;
-  }
-  plan.next_pack = 0;
   plan.ready = true;
 }
 
@@ -568,8 +591,8 @@ void halo_accumulate_peer(HaloPlan& plan, int j, const Real* rows_j, Index f,
                       static_cast<double>(f), block_degree(a));
 }
 
-/// The fixed-interval skip epoch: no exchange at all — no pack-buffer
-/// claim, no quiesce, zero kHalo latency and words. Every remote stage
+/// The fixed-interval skip epoch: no exchange at all — no pack, no
+/// release, zero kHalo latency and words. Every remote stage
 /// replays the cached landed rows through the identical accumulation,
 /// crediting the avoided exact words to the meter; the self stage runs
 /// as usual. Allocation-free (the cache slots were sized by the last
@@ -616,7 +639,7 @@ void halo_stale_replay(const Matrix& h, const Csr* self_block, int self,
 /// pre-reduced row per distinct dest T row, Phase::kSpmm, metered as
 /// local work), per raw destination the plain row gather. The staged
 /// matrix then rides the ordinary halo_exchange_begin — iota pack rows —
-/// so double-buffering, compression, overlap, and charging stay in one
+/// so the pack staging, compression, overlap, and charging stay in one
 /// place.
 void build_preagg_stage(const Matrix& h, int self, HaloPlan& plan,
                         const MachineModel& machine, EpochStats& stats) {
@@ -793,18 +816,7 @@ PendingOp halo_exchange_begin(const Matrix& src, std::span<const Index> rows,
   CAGNET_CHECK(plan.ready, "halo_exchange_begin: plan not built");
   const Index f = src.cols();
   const int p = comm.size();
-  HaloPlan::PackBuf& buf =
-      plan.pack[static_cast<std::size_t>(plan.next_pack)];
-  plan.next_pack ^= 1;
-  if (buf.has_release) {
-    // Release point for the op that used this buffer: it is two exchanges
-    // stale, so peers drained it a whole layer ago — a handful of atomic
-    // loads, off the critical path (the reason the staging is
-    // double-buffered at all).
-    ScopedPhase scope(profiler, Phase::kDenseComm);
-    comm.quiesce_op(buf.release_ticket);
-    buf.has_release = false;
-  }
+  HaloPlan::PackBuf& buf = plan.pack;
   {
     ScopedPhase scope(profiler, Phase::kHaloPack);
     buf.send_buf.resize(static_cast<Index>(rows.size()), f);
@@ -849,18 +861,14 @@ PendingOp halo_exchange_begin(const Matrix& src, std::span<const Index> rows,
   // that consumes it runs, and wait()s the op once all stages are done.
   // Charges (applied per drain) sum bitwise to a one-shot alltoallv's.
   ScopedPhase scope(profiler, Phase::kDenseComm);
-  PendingOp op =
-      rmode != CompressMode::kOff
-          ? comm.ialltoallv_post(
-                std::span<const std::uint8_t>(buf.send_bytes),
-                std::span<const std::size_t>(buf.send_byte_offsets),
-                CommCategory::kCompressed)
-          : comm.ialltoallv_post(
-                std::span<const Real>(buf.send_buf.flat()),
-                std::span<const std::size_t>(buf.send_elem_offsets), cat);
-  buf.release_ticket = op.ticket();
-  buf.has_release = true;
-  return op;
+  return rmode != CompressMode::kOff
+             ? comm.ialltoallv_post(
+                   std::span<const std::uint8_t>(buf.send_bytes),
+                   std::span<const std::size_t>(buf.send_byte_offsets),
+                   CommCategory::kCompressed)
+             : comm.ialltoallv_post(
+                   std::span<const Real>(buf.send_buf.flat()),
+                   std::span<const std::size_t>(buf.send_elem_offsets), cat);
 }
 
 void halo_spmm_pipeline(const Matrix& h, const Csr* self_block, int self,
@@ -879,6 +887,9 @@ void halo_spmm_pipeline(const Matrix& h, const Csr* self_block, int self,
   } else {
     st.cur_slot = 0;
   }
+  // Declared before the exchange: an unwind drains `comm` after the op's
+  // destructor completed it, so no peer still reads the pack staging.
+  const OnUnwind drain([&comm] { drain_comm(comm); });
   PendingOp op;
   if (plan.preagg.active) {
     build_preagg_stage(h, self, plan, machine, stats);
@@ -965,6 +976,7 @@ void halo_spmm_pipeline(const Matrix& h, const Csr* self_block, int self,
   region.close();
   ScopedPhase scope(stats.profiler, Phase::kDenseComm);
   op.wait();  // every source drained; this just releases the channel
+  comm.quiesce();  // every peer drained this rank's pack: it is free
 }
 
 void halo_exchange_contributions(
@@ -974,6 +986,8 @@ void halo_exchange_contributions(
     std::span<const std::size_t> land_row_offsets, int self, Comm& comm,
     HaloPlan& plan, CommCategory cat, const MachineModel& machine,
     EpochStats& stats, Matrix& u) {
+  // Declared before the exchange, as in halo_spmm_pipeline.
+  const OnUnwind drain([&comm] { drain_comm(comm); });
   PendingOp op = halo_exchange_begin(partial, pack_rows, pack_row_offsets,
                                      comm, plan, cat, stats.profiler);
   const int p = comm.size();
@@ -992,6 +1006,7 @@ void halo_exchange_contributions(
       if (r != self) op.skip_source(r);
     }
     op.wait();
+    comm.quiesce();
     return;
   }
   {
@@ -1057,6 +1072,7 @@ void halo_exchange_contributions(
   region.close();
   ScopedPhase scope(stats.profiler, Phase::kDenseComm);
   op.wait();  // every source drained; this just releases the channel
+  comm.quiesce();  // every peer drained this rank's pack: it is free
 }
 
 Csr route_csr(const Csr& mine, int dest, Comm& comm, CommCategory cat) {

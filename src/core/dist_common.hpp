@@ -178,11 +178,6 @@ struct DistWorkspace {
   Gathered<Real> gathered;  ///< all-gather staging
 };
 
-/// quiesce() a communicator without propagating abort errors — the
-/// building block of DistSpmmAlgebra::drain overrides (no-op on invalid
-/// Comms, so never-initialized sub-communicators are safe to pass).
-void drain_comm(const Comm& comm) noexcept;
-
 /// Demand-driven halo exchange plan of the rows-whole (1D / 1.5D)
 /// families, built once per algebra from the local A^T sparsity and
 /// kept across epochs and layers (the analogue of the SUMMA's stage
@@ -205,10 +200,10 @@ void drain_comm(const Comm& comm) noexcept;
 ///      straight from the peer's pack buffer — exactly when the stage
 ///      that multiplies them runs (PendingOp::await_source), so the
 ///      self-block SpMM and every earlier stage execute while later
-///      peers' rows are still in flight. Pack staging is double-buffered:
-///      exchange k packs into buffer k % 2 after quiescing the op that
-///      used that buffer two exchanges ago (quiesce_op) — a release peers
-///      finished a whole layer earlier, off the critical path.
+///      peers' rows are still in flight. The sweep that posted the
+///      exchange returns only after every member completed it (it
+///      quiesces the communicator), so the next exchange rewrites the
+///      one pack staging at once.
 struct HaloPlan {
   bool ready = false;
   /// Forward receives: rows obtained from each source, ascending peer
@@ -222,25 +217,18 @@ struct HaloPlan {
   /// Column-compacted A^T blocks (self and absent peers left empty; the
   /// self stage multiplies the rank's own uncompacted block against H).
   std::vector<Csr> blocks;
-  /// One half of the double-buffered pack staging (see the release
-  /// discipline above). Peers read send_buf and send_elem_offsets at
-  /// their own drains, so a buffer may be rewritten only after its
-  /// recorded op is globally finished.
+  /// The pack staging. Peers read send_buf and send_elem_offsets at
+  /// their own drains, until the sweep that posted them returns.
   struct PackBuf {
     Matrix send_buf;
     std::vector<std::size_t> send_elem_offsets;  ///< P+1, rebuilt per use
     /// Compressed-payload staging (RunConfig::compress): the exact
     /// pack above is re-encoded per destination chunk into send_bytes,
     /// and the byte offsets replace the element offsets on the wire.
-    /// Same release discipline as send_buf (peers read it at their
-    /// drains).
     std::vector<std::uint8_t> send_bytes;
     std::vector<std::size_t> send_byte_offsets;  ///< P+1
-    std::uint64_t release_ticket = 0;
-    bool has_release = false;
   };
-  std::array<PackBuf, 2> pack;
-  int next_pack = 0;          ///< which PackBuf the next exchange claims
+  PackBuf pack;
   /// Codec of the row payloads (RunConfig::compress; kOff = exact
   /// rows), fixed by the plan's owner at construction.
   CompressMode codec = CompressMode::kOff;
@@ -346,13 +334,12 @@ void build_preagg_plan(const Csr& at,
 bool halo_backward_profitable(std::size_t landed_rows, double rs_rows,
                               Comm& comm);
 
-/// Begin one halo exchange: claim the plan's next pack buffer (quiescing
-/// the op that last used it — two exchanges stale, so the release has
-/// left the critical path), pack the rows of `src` listed in (`rows`,
-/// `row_offsets`) on the persistent pool (Phase::kHaloPack), and post
-/// them through ialltoallv_post. The returned pending op is the drain
-/// handle (per-source zero-copy views; the caller must wait() it after
-/// draining). Charges land on `cat` at the drains.
+/// Begin one halo exchange: pack the rows of `src` listed in (`rows`,
+/// `row_offsets`) into the plan's pack staging on the persistent pool
+/// (Phase::kHaloPack), and post them through ialltoallv_post. The
+/// returned pending op is the drain handle (per-source zero-copy views;
+/// the caller must wait() it after draining, then quiesce `comm`).
+/// Charges land on `cat` at the drains.
 PendingOp halo_exchange_begin(const Matrix& src, std::span<const Index> rows,
                               std::span<const std::size_t> row_offsets,
                               Comm& comm, HaloPlan& plan, CommCategory cat,
@@ -368,9 +355,12 @@ PendingOp halo_exchange_begin(const Matrix& src, std::span<const Index> rows,
 /// (zero-copy from the peer's staging, charges applied at the drain) and
 /// multiplies the plan's compacted block. Every drain is
 /// recorded as one CostMeter overlap region paired against the previous
-/// stage's SpMM, so halo mode reports nonzero overlap_regions. Shared by
-/// the 1D (comm = world) and 1.5D (comm = slice) forwards and the sampled
-/// batches' aggregations (comm = world, a per-batch plan).
+/// stage's SpMM, so halo mode reports nonzero overlap_regions. Returns
+/// with its sources released: after the last drain it quiesces `comm`
+/// (an unwind drains it, swallowing abort errors), so no peer reads the
+/// pack staging once it returns. Shared by the 1D (comm = world) and
+/// 1.5D (comm = slice) forwards and the sampled batches' aggregations
+/// (comm = world, a per-batch plan).
 void halo_spmm_pipeline(const Matrix& h, const Csr* self_block, int self,
                         Comm& comm, HaloPlan& plan, CommCategory cat,
                         const MachineModel& machine, EpochStats& stats,
@@ -386,8 +376,9 @@ void halo_spmm_pipeline(const Matrix& h, const Csr* self_block, int self,
 /// (chunked by `land_row_offsets`), threaded on the pool — rows within a
 /// peer are distinct, so chunked writes stay disjoint and deterministic.
 /// Drains per peer with the same chunk-drain overlap accounting as the
-/// forward. Shared by the 1D (full plan mirror) and
-/// 1.5D (stripe-stacked pack rows) backwards.
+/// forward, and returns with its sources released like
+/// halo_spmm_pipeline. Shared by the 1D (full plan mirror) and 1.5D
+/// (stripe-stacked pack rows) backwards.
 void halo_exchange_contributions(
     const Matrix& partial, std::span<const Index> pack_rows,
     std::span<const std::size_t> pack_row_offsets, bool self_partial,
@@ -420,7 +411,8 @@ double block_degree(const Csr& block);
 /// (rows x cols) block — the root's own `mine`, or `recv` (storage
 /// reused) everywhere else. Charges lg(P) latency and the block's words
 /// to `cat` at wait. `mine` (root) and `recv` (everyone else) must stay
-/// valid and unmodified until every rank of `comm` has waited.
+/// valid and unmodified until every rank of `comm` has waited, which
+/// overlapped_dense_stages holds before it returns.
 class PendingDenseStage {
  public:
   void post(const Matrix& mine, Matrix& recv, Index rows, Index cols,
@@ -477,15 +469,18 @@ class OverlapScope {
 /// recv)` must post stage s's broadcast on `dn` receiving into `recv`;
 /// `compute_stage(s, block)` consumes the stage, and whatever it charges
 /// lands in stage s's region (the SUMMA replays stage s+1's sparse
-/// payload there). `stages` may be 0 (a 1.5D member with no stripe
-/// stage): nothing posts. Keeping the close/post/open ordering in one
-/// place keeps the overlap accounting invariant from drifting between
-/// the loops.
+/// payload there). Every stage posts on `comm`, whose meter the regions
+/// record on. Returns with its sources released: after the last stage it
+/// quiesces `comm` (an unwind drains it, swallowing abort errors), so the
+/// caller may rewrite or free every stage root's block once it returns.
+/// `stages` may be 0 (a 1.5D member with no stripe stage): nothing
+/// posts. Keeping the close/post/open ordering in one place keeps the
+/// overlap accounting invariant from drifting between the loops.
 void overlapped_dense_stages(
     int stages,
     const std::function<void(int, PendingDenseStage&, Matrix&)>& post_stage,
     const std::function<void(int, const Matrix*)>& compute_stage,
-    Matrix& recv0, Matrix& recv1, CostMeter& meter, const WorkMeter& work,
+    Matrix& recv0, Matrix& recv1, Comm& comm, const WorkMeter& work,
     const MachineModel& machine, Profiler& profiler);
 
 /// Permutation-route a CSR block to `dest` (see Comm::route): the

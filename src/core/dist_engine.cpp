@@ -67,13 +67,7 @@ Matrix DistSpmmAlgebra::gather_output(const Matrix& output_rows, Index n) {
   return full;
 }
 
-DistEngine::~DistEngine() {
-  if (algebra_ == nullptr) return;
-  // Peers may still be reading the algebra's broadcast sources or the
-  // sampled runner's pack buffers; release both before the buffers die.
-  algebra_->drain();
-  dist::drain_comm(algebra_->world());
-}
+DistEngine::~DistEngine() = default;
 
 DistEngine::DistEngine(const DistProblem& problem, GnnConfig config,
                        std::unique_ptr<DistSpmmAlgebra> algebra)
@@ -96,7 +90,6 @@ DistEngine::DistEngine(const DistProblem& problem, GnnConfig config,
   gradients_.resize(weights_.size());
   const auto layers = static_cast<std::size_t>(config_.num_layers());
   h_.resize(layers + 1);
-  hw_.resize(layers + 1);
   z_.resize(layers + 1);
   const auto [f0, f1] = algebra_->feat_slice(config_.dims.front());
   h_[0] = problem_.feature_rows(algebra_->row_lo(), algebra_->local_rows(),
@@ -105,10 +98,6 @@ DistEngine::DistEngine(const DistProblem& problem, GnnConfig config,
   // first gather_output.
   if (!algebra_->run().sample) {
     aggregate_input();
-    // Peers may still read the X block (stage roots broadcast straight
-    // from it) and the set-up's staging; release both before they are
-    // freed.
-    algebra_->drain();
     algebra_->release_setup_buffers();
     h_[0] = Matrix();
   }
@@ -150,9 +139,8 @@ const Matrix& DistEngine::forward(Aggregation& agg) {
       input_ = &agg.input(stats_);
       algebra_->input_times_weight(*input_, w, z, stats_);
     } else if (f_out < f_in) {
-      auto& hw = hw_[static_cast<std::size_t>(l)];
-      algebra_->input_times_weight(h, w, hw, stats_);
-      agg.spmm_at(l, hw, z, stats_);
+      algebra_->input_times_weight(h, w, hw_buf_, stats_);
+      agg.spmm_at(l, hw_buf_, z, stats_);
     } else {
       agg.spmm_at(l, h, t_buf_, stats_);
       algebra_->times_weight(t_buf_, w, z, stats_);

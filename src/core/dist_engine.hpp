@@ -203,18 +203,12 @@ class DistSpmmAlgebra {
   /// once and every epoch replays. Purely local; a no-op by default.
   virtual void begin_backward(EpochStats& stats) { (void)stats; }
 
-  /// Release every nonblocking-collective source peers may still be
-  /// reading (quiesce this algebra's communicators, swallowing abort
-  /// errors). The engine destructor calls it before the activation
-  /// buffers those peers read from are freed; charges nothing.
-  virtual void drain() noexcept {}
-
   /// Free the receive and staging buffers the set-up's f_0-wide T^1 =
   /// A^T X sized. Matrix::resize keeps capacity, so they would otherwise
   /// stay X-panel sized for the whole run, though every epoch's panels
-  /// are narrower. The engine calls it once, after the set-up's drain();
-  /// the epochs regrow them at their own widths. Purely local; nothing to
-  /// free by default.
+  /// are narrower. The engine calls it once, after the set-up's SpMM
+  /// returned (with its sources released); the epochs regrow them at
+  /// their own widths. Purely local; nothing to free by default.
   virtual void release_setup_buffers() noexcept {}
 
  protected:
@@ -270,10 +264,7 @@ class DistEngine : public DistTrainer {
   /// before any epoch's window opens (see aggregate_input).
   DistEngine(const DistProblem& problem, GnnConfig config,
              std::unique_ptr<DistSpmmAlgebra> algebra);
-
-  /// Drains the algebra's pending nonblocking reads (see
-  /// DistSpmmAlgebra::drain) before the activation buffers are freed.
-  ~DistEngine() override;
+  ~DistEngine() override;  // out of line: SampledRunner is incomplete here
 
   /// One epoch: full batch (forward, loss, backward, SGD step), or, in a
   /// sampled run, the same steps per minibatch (dist::SampledRunner).
@@ -352,11 +343,6 @@ class DistEngine : public DistTrainer {
   /// sampled runs (the minibatch features); a full-batch run keeps T^1
   /// instead and frees X at set-up.
   std::vector<Matrix> h_;
-  /// H^(l-1) W^l of each narrowing layer l (f_l < f_(l-1)), the input of
-  /// its SpMM. One buffer per layer, like h_: the SpMM's stage roots
-  /// broadcast straight from it, and peers may read it until the epoch's
-  /// end.
-  std::vector<Matrix> hw_;
   std::vector<Matrix> z_;  ///< local blocks of Z^l, l = 1..L (as h_)
   Matrix t1_;              ///< T^1 = A^T X, layer 1's full-batch aggregate
   bool aggregated_ = false;  ///< t1_ holds T^1
@@ -369,6 +355,9 @@ class DistEngine : public DistTrainer {
   // the first epoch (Matrix::resize reuses storage).
   Matrix t_buf_;       ///< T = A^T H^(l-1), layers l >= 2 that keep or
                        ///< widen their width
+  Matrix hw_buf_;      ///< H^(l-1) W^l, the SpMM input of a narrowing
+                       ///< layer (f_l < f_(l-1)); no peer reads it once
+                       ///< spmm_at returns
   Matrix zrows_buf_;   ///< gathered full rows of Z^L
   Matrix u_buf_;       ///< U = A G^l, layers l >= 2
   Matrix u_rows_buf_;  ///< gathered full rows of U (G^1 at layer 1)
@@ -379,9 +368,7 @@ class DistEngine : public DistTrainer {
   Matrix w_rows_buf_;  ///< feat-sliced rows of W for the G recurrence
 
   /// Sampled minibatch state (dist::SampledRunner), constructed lazily on
-  /// the first sampled epoch. Declared after algebra_ so its exchanges
-  /// are quiesced (engine destructor drains the world) before its pack
-  /// buffers die.
+  /// the first sampled epoch.
   std::unique_ptr<dist::SampledRunner> sampler_;
   /// Absolute epoch counter (sampled RNG stream key; see set_start_epoch).
   int epoch_ = 0;

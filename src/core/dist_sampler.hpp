@@ -27,8 +27,9 @@
 // forward. Every aggregation, layer 1's included, runs the halo path's
 // pipeline (halo_spmm_pipeline): the exchange of the batch rows is posted,
 // and each peer's rows are drained as its stage multiplies them. Each
-// exchange completes inside its own call, so no op stays pending across
-// layers or batches, and the pack staging keeps its own release points.
+// exchange completes and is released inside its own call (the sweep
+// quiesces the world before it returns), so no op stays pending and no
+// peer reads the pack staging across layers or batches.
 // After the first minibatch the hot path is allocation-free (every vector
 // and matrix is resized in place).
 //

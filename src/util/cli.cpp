@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <exception>
 
+#include "src/util/error.hpp"
 #include "src/util/knob.hpp"
 
 namespace cagnet {
@@ -37,38 +38,52 @@ CliArgs::CliArgs(int argc, char** argv) {
   }
 }
 
+const std::string* CliArgs::find(const std::string& name) const {
+  read_.insert(name);
+  const auto it = values_.find(name);
+  return it == values_.end() ? nullptr : &it->second;
+}
+
 bool CliArgs::has(const std::string& name) const {
-  return values_.count(name) != 0;
+  return find(name) != nullptr;
 }
 
 std::string CliArgs::get(const std::string& name,
                          const std::string& fallback) const {
-  const auto it = values_.find(name);
-  return it == values_.end() ? fallback : it->second;
+  const std::string* value = find(name);
+  return value == nullptr ? fallback : *value;
 }
 
 long CliArgs::get_int(const std::string& name, long fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
+  const std::string* value = find(name);
+  if (value == nullptr) return fallback;
   static_assert(sizeof(long) == sizeof(std::int64_t));
-  return static_cast<long>(
-      knob::parse_int(("--" + name).c_str(), it->second));
+  return static_cast<long>(knob::parse_int(("--" + name).c_str(), *value));
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {
-  const auto it = values_.find(name);
-  return it == values_.end()
+  const std::string* value = find(name);
+  return value == nullptr
              ? fallback
-             : knob::parse_real(("--" + name).c_str(), it->second);
+             : knob::parse_real(("--" + name).c_str(), *value);
 }
 
 std::vector<long> CliArgs::get_int_list(
     const std::string& name, const std::vector<long>& fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
+  const std::string* value = find(name);
+  if (value == nullptr) return fallback;
   const std::vector<std::int64_t> items =
-      knob::parse_int_list(("--" + name).c_str(), it->second);
+      knob::parse_int_list(("--" + name).c_str(), *value);
   return std::vector<long>(items.begin(), items.end());
+}
+
+void CliArgs::reject_unread() const {
+  std::string unread;
+  for (const auto& [name, value] : values_) {
+    if (read_.count(name) != 0) continue;
+    unread += (unread.empty() ? "--" : ", --") + name;
+  }
+  if (!unread.empty()) throw Error("unknown flag(s): " + unread);
 }
 
 }  // namespace cagnet

@@ -3,10 +3,12 @@
 //
 // Supports `--name value` and `--name=value` forms plus boolean `--name`.
 // Numeric values follow the knob grammar (src/util/knob.hpp): a value
-// outside it throws an Error naming the flag.
+// outside it throws an Error naming the flag. A flag that nothing reads
+// is an Error too, once the program calls reject_unread().
 #pragma once
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -39,9 +41,18 @@ class CliArgs {
   /// Non-flag positional arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }
 
+  /// Throw an Error naming every --flag that no accessor above asked
+  /// for, so a typo'd or unsupported flag (--help included) ends the
+  /// program instead of running its defaults. Call after the last read.
+  void reject_unread() const;
+
  private:
+  /// The value of --name, or null when absent; marks the flag read.
+  const std::string* find(const std::string& name) const;
+
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
+  mutable std::set<std::string> read_;  ///< flags an accessor asked for
 };
 
 }  // namespace cagnet

@@ -922,16 +922,13 @@ TEST(Nonblocking, QuiesceReleasesSourcesForReuse) {
                            : std::span<const Real>{},
           comm.rank() == 0 ? std::span<Real>{} : std::span<Real>(dst), 0,
           CommCategory::kControl);
-      const std::uint64_t ticket = op.ticket();
       op.wait();
       if (comm.rank() != 0) {
         for (Real v : dst) ASSERT_DOUBLE_EQ(v, static_cast<Real>(round + 1));
       }
-      // Single-op release: equivalent to quiesce() here, but would not
-      // wait on deliberately-pending later ops.
-      comm.quiesce_op(ticket);
+      comm.quiesce();
     }
-    comm.quiesce();  // full drain is idempotent
+    comm.quiesce();  // a second release is idempotent
   });
 }
 

@@ -42,40 +42,23 @@ RunConfig mode_with(bool halo, CompressMode compress) {
 // ---- Codec units ----
 
 TEST(CompressCodec, NamesParseAndRoundTrip) {
-  for (CompressMode mode :
-       {CompressMode::kOff, CompressMode::kFp16, CompressMode::kInt8}) {
+  for (CompressMode mode : {CompressMode::kOff, CompressMode::kInt8}) {
     EXPECT_EQ(parse_compress_mode(compress_mode_name(mode)), mode);
   }
   EXPECT_THROW(parse_compress_mode("zstd"), Error);
+  EXPECT_THROW(parse_compress_mode("fp16"), Error);  // retired
 }
 
 TEST(CompressCodec, EncodedSizesAndRatios) {
   const std::size_t n = 1000;  // 4 codec chunks: 256 + 256 + 256 + 232
   EXPECT_EQ(encoded_size_bytes(CompressMode::kOff, n), 8 * n);
-  EXPECT_EQ(encoded_size_bytes(CompressMode::kFp16, n), 2 * n);
   EXPECT_EQ(encoded_size_bytes(CompressMode::kInt8, n), n + 4 * 4);
 
   const auto ratio = [n](CompressMode mode) {
     return static_cast<double>(encoded_size_bytes(CompressMode::kOff, n)) /
            static_cast<double>(encoded_size_bytes(mode, n));
   };
-  EXPECT_DOUBLE_EQ(ratio(CompressMode::kFp16), 4.0);
   EXPECT_GE(ratio(CompressMode::kInt8), 3.0);  // ~7.9x
-}
-
-TEST(CompressCodec, Fp16RoundTripWithinHalfPrecision) {
-  const std::size_t n = 700;
-  const std::vector<Real> src = wave(n, 3);
-  std::vector<std::uint8_t> enc(encoded_size_bytes(CompressMode::kFp16, n));
-  std::vector<Real> dec(n);
-  compress_encode(CompressMode::kFp16, src, enc.data(), nullptr);
-  compress_decode(CompressMode::kFp16, enc.data(), n, dec.data());
-  for (std::size_t i = 0; i < n; ++i) {
-    // Round-to-nearest-even half: relative error <= 2^-11 for normals.
-    EXPECT_LE(std::abs(dec[i] - src[i]),
-              std::max(std::abs(src[i]) * 0x1p-11, 1e-7))
-        << "i=" << i;
-  }
 }
 
 TEST(CompressCodec, Int8ErrorBoundedByChunkScale) {
@@ -105,19 +88,18 @@ TEST(CompressCodec, DecodeRangeMatchesFullDecodeBitwise) {
   const std::vector<Real> src = wave(n, 11);
   const std::vector<std::pair<std::size_t, std::size_t>> ranges = {
       {0, n}, {5, n}, {250, 262}, {256, 512}, {300, 300}, {599, 600}};
-  for (CompressMode mode : {CompressMode::kFp16, CompressMode::kInt8}) {
-    std::vector<std::uint8_t> enc(encoded_size_bytes(mode, n));
-    compress_encode(mode, src, enc.data(), nullptr);
-    std::vector<Real> full(n);
-    compress_decode(mode, enc.data(), n, full.data());
-    for (const auto& [lo, hi] : ranges) {
-      std::vector<Real> part(hi - lo, -999.0);
-      compress_decode_range(mode, enc.data(), n, lo, hi, part.data());
-      for (std::size_t i = lo; i < hi; ++i) {
-        EXPECT_EQ(part[i - lo], full[i])
-            << compress_mode_name(mode) << " [" << lo << "," << hi << ") i="
-            << i;
-      }
+  const CompressMode mode = CompressMode::kInt8;
+  std::vector<std::uint8_t> enc(encoded_size_bytes(mode, n));
+  compress_encode(mode, src, enc.data(), nullptr);
+  std::vector<Real> full(n);
+  compress_decode(mode, enc.data(), n, full.data());
+  for (const auto& [lo, hi] : ranges) {
+    std::vector<Real> part(hi - lo, -999.0);
+    compress_decode_range(mode, enc.data(), n, lo, hi, part.data());
+    for (std::size_t i = lo; i < hi; ++i) {
+      EXPECT_EQ(part[i - lo], full[i])
+          << compress_mode_name(mode) << " [" << lo << "," << hi << ") i="
+          << i;
     }
   }
 }
@@ -126,21 +108,20 @@ TEST(CompressCodec, BitwiseDeterministicAcrossThreadBudgets) {
   const int budget_before = thread_budget();
   const std::size_t n = 2048 + 130;
   const std::vector<Real> src = wave(n, 13);
-  for (CompressMode mode : {CompressMode::kFp16, CompressMode::kInt8}) {
-    std::vector<std::vector<std::uint8_t>> encs;
-    std::vector<std::vector<Real>> decs;
-    for (int budget : {1, 8}) {
-      override_thread_budget(budget);
-      std::vector<std::uint8_t> enc(encoded_size_bytes(mode, n));
-      compress_encode(mode, src, enc.data(), nullptr);
-      std::vector<Real> dec(n);
-      compress_decode(mode, enc.data(), n, dec.data());
-      encs.push_back(std::move(enc));
-      decs.push_back(std::move(dec));
-    }
-    EXPECT_EQ(encs[0], encs[1]) << compress_mode_name(mode);
-    EXPECT_EQ(decs[0], decs[1]) << compress_mode_name(mode);
+  const CompressMode mode = CompressMode::kInt8;
+  std::vector<std::vector<std::uint8_t>> encs;
+  std::vector<std::vector<Real>> decs;
+  for (int budget : {1, 8}) {
+    override_thread_budget(budget);
+    std::vector<std::uint8_t> enc(encoded_size_bytes(mode, n));
+    compress_encode(mode, src, enc.data(), nullptr);
+    std::vector<Real> dec(n);
+    compress_decode(mode, enc.data(), n, dec.data());
+    encs.push_back(std::move(enc));
+    decs.push_back(std::move(dec));
   }
+  EXPECT_EQ(encs[0], encs[1]) << compress_mode_name(mode);
+  EXPECT_EQ(decs[0], decs[1]) << compress_mode_name(mode);
   override_thread_budget(budget_before);
 }
 
@@ -186,39 +167,38 @@ TEST(CompressCodec, ErrorFeedbackTelescopes) {
 TEST(CompressedCollectives, AllreduceMatchesLocalDecodeSumAndMeter) {
   const std::size_t n = 1000;
   const int p = 4;
-  for (CompressMode mode : {CompressMode::kFp16, CompressMode::kInt8}) {
-    run_world(p, [&](Comm& world) {
-      // Oracle: decode every rank's encoded contribution and sum in
-      // ascending rank order — the documented deterministic element order.
-      const std::size_t enc_bytes = encoded_size_bytes(mode, n);
-      std::vector<std::uint8_t> enc(enc_bytes);
-      std::vector<Real> dec(n);
-      std::vector<Real> expect(n, 0);
-      for (int r = 0; r < p; ++r) {
-        const std::vector<Real> contrib = wave(n, r);
-        compress_encode(mode, contrib, enc.data(), nullptr);
-        compress_decode(mode, enc.data(), n, dec.data());
-        for (std::size_t i = 0; i < n; ++i) expect[i] += dec[i];
-      }
+  const CompressMode mode = CompressMode::kInt8;
+  run_world(p, [&](Comm& world) {
+    // Oracle: decode every rank's encoded contribution and sum in
+    // ascending rank order — the documented deterministic element order.
+    const std::size_t enc_bytes = encoded_size_bytes(mode, n);
+    std::vector<std::uint8_t> enc(enc_bytes);
+    std::vector<Real> dec(n);
+    std::vector<Real> expect(n, 0);
+    for (int r = 0; r < p; ++r) {
+      const std::vector<Real> contrib = wave(n, r);
+      compress_encode(mode, contrib, enc.data(), nullptr);
+      compress_decode(mode, enc.data(), n, dec.data());
+      for (std::size_t i = 0; i < n; ++i) expect[i] += dec[i];
+    }
 
-      std::vector<Real> mine = wave(n, world.rank());
-      CompressBuf buf;
-      const CostMeter before = world.meter();
-      world.allreduce_sum_compressed(std::span<Real>(mine), mode, buf);
-      CostMeter delta = world.meter();
-      delta.subtract(before);
+    std::vector<Real> mine = wave(n, world.rank());
+    CompressBuf buf;
+    const CostMeter before = world.meter();
+    world.allreduce_sum_compressed(std::span<Real>(mine), mode, buf);
+    CostMeter delta = world.meter();
+    delta.subtract(before);
 
-      EXPECT_EQ(mine, expect) << compress_mode_name(mode);
-      // 2 E (P-1)/P wire bytes in Real-sized words, 2 lg P latency.
-      EXPECT_DOUBLE_EQ(delta.words(CommCategory::kCompressed),
-                       2.0 * static_cast<double>(enc_bytes) * (p - 1) / p /
-                           sizeof(Real));
-      EXPECT_DOUBLE_EQ(delta.latency_units(CommCategory::kCompressed),
-                       2.0 * ceil_log2(p));
-      EXPECT_EQ(delta.words(CommCategory::kDense), 0.0);
-      EXPECT_EQ(delta.words(CommCategory::kHalo), 0.0);
-    });
-  }
+    EXPECT_EQ(mine, expect) << compress_mode_name(mode);
+    // 2 E (P-1)/P wire bytes in Real-sized words, 2 lg P latency.
+    EXPECT_DOUBLE_EQ(delta.words(CommCategory::kCompressed),
+                     2.0 * static_cast<double>(enc_bytes) * (p - 1) / p /
+                         sizeof(Real));
+    EXPECT_DOUBLE_EQ(delta.latency_units(CommCategory::kCompressed),
+                     2.0 * ceil_log2(p));
+    EXPECT_EQ(delta.words(CommCategory::kDense), 0.0);
+    EXPECT_EQ(delta.words(CommCategory::kHalo), 0.0);
+  });
 }
 
 TEST(CompressedCollectives, ReduceScatterMatchesOracleAndMeter) {
@@ -430,17 +410,16 @@ TEST(LossyTraining, LossyModesReachExactAccuracyWithinTolerance) {
   // comparison below is not vacuously satisfied at chance accuracy.
   ASSERT_GE(exact.accuracies.back(), 0.8);
 
-  for (CompressMode mode : {CompressMode::kFp16, CompressMode::kInt8}) {
-    const TrainRun lossy =
-        run_trainer("1d", problem, config, 4, epochs, mode_with(true, mode));
-    EXPECT_TRUE(std::isfinite(lossy.losses.back()))
-        << compress_mode_name(mode);
-    EXPECT_NEAR(lossy.losses.back(), exact.losses.back(),
-                0.1 * exact.losses.back() + 0.05)
-        << compress_mode_name(mode);
-    EXPECT_GE(lossy.accuracies.back(), exact.accuracies.back() - 0.05)
-        << compress_mode_name(mode);
-  }
+  const CompressMode mode = CompressMode::kInt8;
+  const TrainRun lossy =
+      run_trainer("1d", problem, config, 4, epochs, mode_with(true, mode));
+  EXPECT_TRUE(std::isfinite(lossy.losses.back()))
+      << compress_mode_name(mode);
+  EXPECT_NEAR(lossy.losses.back(), exact.losses.back(),
+              0.1 * exact.losses.back() + 0.05)
+      << compress_mode_name(mode);
+  EXPECT_GE(lossy.accuracies.back(), exact.accuracies.back() - 0.05)
+      << compress_mode_name(mode);
 }
 
 }  // namespace

@@ -83,25 +83,16 @@ TEST(Contract, MovedFromHandleIsNotADoubleWait) {
 TEST(Contract, TeardownWithUnwaitedOpDiagnosed) {
   ScopedChecker armed(1);
   // The leaked handle must outlive run_world for the teardown audit to
-  // have something to catch; a passive-root uncharged broadcast is the
-  // one op whose late completion (at destruction, below) touches no
-  // peer slots and no meter.
+  // have something to catch; a one-rank alltoallv of an empty send is an
+  // op whose late completion (at destruction, below) touches no peer
+  // slots and charges nothing (its only chunk is the self chunk).
   PendingOp leaked;
-  static std::vector<Real> src_storage;  // outlives the leaked handle
-  src_storage.assign(4, static_cast<Real>(3.0));
+  static const std::size_t offsets[2] = {0, 0};  // outlives the handle
   try {
-    run_world(3, [&](Comm& comm) {
-      std::vector<Real> dst;
-      if (comm.rank() != 0) dst.assign(4, Real{0});
-      PendingOp op = comm.ibroadcast_from(std::span<const Real>(src_storage),
-                                          std::span<Real>(dst), /*root=*/0,
-                                          CommCategory::kDense,
-                                          /*charged=*/false);
-      if (comm.rank() == 0) {
-        leaked = std::move(op);  // never waited inside the world
-      } else {
-        op.wait();
-      }
+    run_world(1, [&](Comm& comm) {
+      leaked = comm.ialltoallv_post(std::span<const Real>{},
+                                    std::span<const std::size_t>(offsets),
+                                    CommCategory::kHalo);
     });
     FAIL() << "teardown with a posted-but-unwaited op was not diagnosed";
   } catch (const ContractViolation& e) {
@@ -163,9 +154,9 @@ TEST(Contract, ReleaseOfNeverPostedOpDiagnosed) {
   contract::Checker checker(1);
   checker.on_post(0, 0, "allreduce_sum_compressed", CommCategory::kCompressed,
                   0, 0);
-  EXPECT_NO_THROW(checker.on_release(0, 0, "quiesce_op"));
+  EXPECT_NO_THROW(checker.on_release(0, 0, "allreduce_sum_compressed"));
   try {
-    checker.on_release(0, 7, "quiesce_op");
+    checker.on_release(0, 7, "allreduce_sum_compressed");
     FAIL() << "release of a never-posted ticket was not diagnosed";
   } catch (const ContractViolation& e) {
     EXPECT_NE(std::string(e.what()).find("never posted"), std::string::npos)
@@ -210,13 +201,12 @@ void mixed_workload(std::vector<Real>& out, std::vector<CostMeter>& meters) {
         PendingOp x = comm.ialltoallv_post(std::span<const Real>(send),
                                            std::span<const std::size_t>(offs),
                                            CommCategory::kHalo);
-        const std::uint64_t ticket = x.ticket();
         Real drained = 0;
         for (int s = 0; s < p; ++s) {
           for (Real v : x.await_source<Real>(s)) drained += v;
         }
         x.wait();
-        comm.quiesce_op(ticket);
+        comm.quiesce();
 
         for (std::size_t i = 0; i < total.size(); ++i) {
           out[r * 8 + i] = total[i] + drained;

@@ -6,16 +6,21 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
 
 #include "src/comm/fault.hpp"
 #include "src/core/algebra_registry.hpp"
+#include "src/core/dist_common.hpp"
 #include "src/core/recovery.hpp"
 #include "src/graph/graph.hpp"
 #include "src/sparse/generate.hpp"
@@ -409,6 +414,63 @@ TEST(FaultDelay, ResultsAndMetersStayBitwise) {
 }
 
 // ---- Poison: receiver-side integrity failure ----
+
+TEST(FaultAbort, StageLoopUnwindWaitsForPeersToReadItsBlock) {
+  // Rank 3 roots the last stage and throws while computing it, after it
+  // posted and waited every op: no pending handle is left to hold its
+  // unwind, only the stage loop's own release. Its peers are still in
+  // stage 2 when it throws, so they read its block afterwards; the rank
+  // frame's SlowUnwind keeps the error from run_world (and so the abort)
+  // for a while after the block is freed. Without the release the peers
+  // would copy freed memory in that window, which ASan reports and which
+  // corrupts the sums below.
+  constexpr int kRanks = 4;
+  constexpr Index kRows = 64;
+  constexpr Index kCols = 16;
+  std::array<Real, kRanks> last_stage_sum{};
+  try {
+    run_world(kRanks, [&](Comm& comm) {
+      struct SlowUnwind {
+        ~SlowUnwind() {
+          if (std::uncaught_exceptions() > 0) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+          }
+        }
+      } slow;  // destroyed after `mine`
+      Matrix mine(kRows, kCols);
+      mine.fill(static_cast<Real>(comm.rank() + 1));
+      Matrix recv0;
+      Matrix recv1;
+      EpochStats stats;
+      dist::overlapped_dense_stages(
+          kRanks,
+          [&](int s, dist::PendingDenseStage& dn, Matrix& recv) {
+            dn.post(mine, recv, kRows, kCols, /*root=*/s, comm,
+                    CommCategory::kDense);
+          },
+          [&](int s, const Matrix* block) {
+            const bool thrower = comm.rank() == kRanks - 1;
+            if (s == kRanks - 2 && !thrower) {
+              std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            }
+            if (s < kRanks - 1) return;
+            if (thrower) throw std::runtime_error("stage compute failed");
+            Real sum = 0;
+            for (Real v : block->flat()) sum += v;
+            last_stage_sum[static_cast<std::size_t>(comm.rank())] = sum;
+          },
+          recv0, recv1, comm, stats.work, MachineModel{}, stats.profiler);
+    });
+    FAIL() << "the throwing rank's error was not rethrown";
+  } catch (const std::exception& e) {
+    EXPECT_STREQ(e.what(), "stage compute failed");
+  }
+  for (int r = 0; r + 1 < kRanks; ++r) {
+    EXPECT_EQ(last_stage_sum[static_cast<std::size_t>(r)],
+              static_cast<Real>(kRanks * kRows * kCols))
+        << "rank " << r << " read rank 3's block after it was freed";
+  }
+}
 
 TEST(FaultPoison, PoisonedPayloadIsTypedAbort) {
   FaultPlanGuard guard(

@@ -1,7 +1,7 @@
 // The mode matrix: every legal RunConfig, in-process, on every registry
 // algebra and three small adversarial graphs.
 //
-// Full batch enumerates halo {off, on} x compress {off, fp16, int8} x
+// Full batch enumerates halo {off, on} x compress {off, int8} x
 // stale {off, 1, 4} x preagg {off, on}, with stale and preagg varied only
 // under halo (both ride the halo exchange). Sampled training
 // is 1D only: {capped, uncapped with a whole-graph batch} x compress
@@ -89,8 +89,7 @@ std::vector<Graph> adversarial_graphs() {
 
 /// Every legal full-batch config, the broadcast cell (RunConfig{}) first.
 std::vector<RunConfig> full_batch_configs() {
-  const CompressMode codecs[] = {CompressMode::kOff, CompressMode::kFp16,
-                                 CompressMode::kInt8};
+  const CompressMode codecs[] = {CompressMode::kOff, CompressMode::kInt8};
   std::vector<RunConfig> configs;
   for (bool halo : {false, true}) {
     for (CompressMode compress : codecs) {

@@ -96,8 +96,6 @@ TEST(RunConfigParse, AcceptsEverySpelling) {
     const RunConfig run = parse_env({{"CAGNET_HALO", off}});
     EXPECT_FALSE(run.halo) << off;
   }
-  EXPECT_EQ(parse_env({{"CAGNET_COMPRESS", "fp16"}}).compress,
-            CompressMode::kFp16);
   EXPECT_EQ(parse_env({{"CAGNET_COMPRESS", "int8"}}).compress,
             CompressMode::kInt8);
   for (const char* off : {"off", "OFF", "0"}) {
@@ -134,9 +132,11 @@ TEST(RunConfigParse, MalformedKnobsAreTypedErrors) {
                   "4,,2");
   expect_rejected({{"CAGNET_SAMPLE_BATCH", "+8"}}, "CAGNET_SAMPLE_BATCH",
                   "+8");
-  // Retired modes: the adaptive refresh policy and the 1-bit codec.
+  // Retired modes: the adaptive refresh policy and the 1-bit and fp16
+  // codecs.
   expect_rejected({{"CAGNET_STALE", "adaptive"}}, "CAGNET_STALE", "adaptive");
   expect_rejected({{"CAGNET_COMPRESS", "1bit"}}, "CAGNET_COMPRESS", "1bit");
+  expect_rejected({{"CAGNET_COMPRESS", "fp16"}}, "CAGNET_COMPRESS", "fp16");
 }
 
 TEST(RunConfigString, RoundTripsThroughTheEnvSpelling) {
@@ -360,7 +360,7 @@ TEST(KnobFuzz, RunConfigParseAcceptsOrThrowsError) {
   const std::vector<std::pair<std::string, std::vector<std::string>>>
       corpus = {
           {"CAGNET_HALO", {"1", "on", "TRUE", "0", "off"}},
-          {"CAGNET_COMPRESS", {"off", "fp16", "int8"}},
+          {"CAGNET_COMPRESS", {"off", "int8"}},
           {"CAGNET_STALE", {"off", "1", "4", "2147483647"}},
           {"CAGNET_PREAGG", {"1", "false"}},
           {"CAGNET_SAMPLE", {"1", "OFF"}},

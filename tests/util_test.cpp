@@ -221,6 +221,25 @@ TEST(Cli, MalformedNumbersThrowNamingTheFlag) {
   EXPECT_EQ(args.get_int("missing", 9), 9);
 }
 
+TEST(Cli, UnreadFlagsAreAnErrorNamingEachOne) {
+  // --help and a typo'd --epoch are read by nothing: both are named, the
+  // read --epochs and the bare --smoke that has() asked for are not.
+  const char* argv[] = {"prog", "--epochs", "3", "--help", "--epoch=4",
+                        "--smoke"};
+  CliArgs args(static_cast<int>(std::size(argv)), const_cast<char**>(argv));
+  EXPECT_EQ(args.get_int("epochs", 1), 3);
+  EXPECT_TRUE(args.has("smoke"));
+  const std::string what = error_of([&] { args.reject_unread(); });
+  EXPECT_NE(what.find("unknown flag(s): --epoch, --help"), std::string::npos)
+      << what;
+  EXPECT_EQ(what.find("--epochs"), std::string::npos) << what;
+  EXPECT_EQ(what.find("--smoke"), std::string::npos) << what;
+  // Reading the rest, even through a fallback, clears the error.
+  EXPECT_EQ(args.get_int("epoch", 0), 4);
+  EXPECT_EQ(args.get("help", "none"), "");
+  EXPECT_NO_THROW(args.reject_unread());
+}
+
 int throws_error(int argc, char** argv) {
   (void)argc;
   (void)argv;

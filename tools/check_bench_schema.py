@@ -63,7 +63,7 @@ SCHEMA_VERSIONS = {
 }
 
 # Values the "compress" field may take (the CAGNET_COMPRESS codec names).
-COMPRESS_MODES = {"off", "fp16", "int8"}
+COMPRESS_MODES = {"off", "int8"}
 
 
 def check_file(tracked: Path) -> list:

@@ -71,6 +71,15 @@ Each rule pins a convention the runtime's correctness story depends on
                    rows with training-order rows: silent label
                    misalignment. Read DistProblem::labels,
                    DistProblem::feature_rows or DistProblem::at instead.
+  release-at-return
+                   in src/ outside src/comm/, quiesce(, quiesce_op( and
+                   drain_comm( are called only inside the overlap-region
+                   owners overlapped_dense_stages, halo_spmm_pipeline and
+                   halo_exchange_contributions, and in drain_comm's own
+                   body (src/core/dist_common.cpp). Each owner returns
+                   with its sources released, so a release point anywhere
+                   else is a deferred release coming back: it makes a
+                   buffer's lifetime depend on which later op releases it.
 
 Run from the repo root (CI does):  python3 tools/lint_invariants.py
 Self-test (seeded violations, one per rule):  ... --self-test
@@ -625,6 +634,63 @@ def check_training_order(root):
     return violations
 
 
+# ---- rule: release-at-return -------------------------------------------
+
+# The functions that may release: the three overlap-region owners, each
+# quiescing the communicator it posted on before it returns (and draining
+# it if it unwinds), and drain_comm, the abort-swallowing quiesce.
+RELEASE_OWNERS = {
+    "src/core/dist_common.cpp": [
+        "void drain_comm(",
+        "void overlapped_dense_stages(",
+        "void halo_spmm_pipeline(",
+        "void halo_exchange_contributions(",
+    ],
+}
+RELEASE_CALL_RE = re.compile(r"\b(quiesce|quiesce_op|drain_comm)\s*\(")
+# A declaration or definition of the name, not a call.
+RELEASE_DECL_RE = re.compile(r"\bvoid\s+(?:\w+::)*$")
+
+
+def check_release_at_return(root):
+    violations = []
+    for rel in RELEASE_OWNERS:
+        if not (root / rel).is_file():
+            violations.append(f"{rel}: file missing (release-at-return "
+                              f"owners are stale; update RELEASE_OWNERS)")
+    for path in sorted((root / "src").rglob("*")):
+        if path.suffix not in (".cpp", ".hpp"):
+            continue
+        rel = path.relative_to(root).as_posix()
+        if rel.startswith("src/comm/"):
+            continue
+        text = strip_comments(path.read_text())
+        owned = []
+        for anchor in RELEASE_OWNERS.get(rel, []):
+            at = text.find(anchor)
+            body = function_body(text, at) if at >= 0 else None
+            if body is None:
+                violations.append(
+                    f"{rel}: release-at-return: `{anchor.rstrip('(')}` not "
+                    f"found (renamed? update RELEASE_OWNERS)")
+                continue
+            open_brace = text.find("{", at)
+            owned.append((open_brace, open_brace + len(body)))
+        for call in RELEASE_CALL_RE.finditer(text):
+            if any(lo <= call.start() < hi for lo, hi in owned):
+                continue
+            if RELEASE_DECL_RE.search(text, 0, call.start()):
+                continue
+            line = text.count("\n", 0, call.start()) + 1
+            violations.append(
+                f"{rel}:{line}: release-at-return: `{call.group(1)}(` "
+                f"outside the overlap-region owners (overlapped_dense_stages, "
+                f"halo_spmm_pipeline, halo_exchange_contributions): each "
+                f"owner returns with its sources released, so a release "
+                f"point elsewhere is a deferred release")
+    return violations
+
+
 # ---- driver ------------------------------------------------------------
 
 RULES = [
@@ -639,6 +705,7 @@ RULES = [
     ("one-layer-loop", check_one_layer_loop),
     ("region-posts", check_region_posts),
     ("training-order", check_training_order),
+    ("release-at-return", check_release_at_return),
 ]
 
 
@@ -693,11 +760,20 @@ def build_seeded_tree(tmp):
                      "  PendingOp ibroadcast_from(int x);\n private:\n"
                      "  PendingOp post_async(int x);\n};\n")
     (tmp / "src/comm/comm.hpp").write_text("\n".join(hpp_parts))
+    # release-at-return: the owners and drain_comm release (and declare
+    # drain_comm), a stage loop's caller releases too.
     (tmp / "src/core/dist_common.cpp").write_text(
         "void PendingDenseStage::post(Comm& c) {\n"
         "  op_ = c.ibroadcast_from(1);\n}\n"
         "PendingOp halo_exchange_begin(Comm& c) {\n"
-        "  return c.ibroadcast_from(2);\n}\n")
+        "  return c.ibroadcast_from(2);\n}\n"
+        "void drain_comm(const Comm& c) noexcept { c.quiesce(); }\n"
+        "void overlapped_dense_stages(Comm& c) { c.quiesce(); }\n"
+        "void halo_spmm_pipeline(Comm& c) {\n"
+        "  const OnUnwind d([&c] { drain_comm(c); });\n  c.quiesce();\n}\n"
+        "void halo_exchange_contributions(Comm& c) { c.quiesce(); }\n")
+    (tmp / "src/core/dist3d.cpp").write_text(
+        "void split3d_spmm(Comm& row) { row.quiesce(); }\n")
     (tmp / "src/core/dist15d.cpp").write_text(
         "void spmm_a(Comm& c) { c.post_async(3); c.ibroadcast_from(3); }\n")
     # training-order: a caller-order label read beside the allowed shape
@@ -783,6 +859,8 @@ def self_test():
              lambda: check_region_posts(tmp)),
             ("training-order", "dist_engine.cpp:3: training-order",
              lambda: check_training_order(tmp)),
+            ("release-at-return", "dist3d.cpp:1: release-at-return",
+             lambda: check_release_at_return(tmp)),
         ]
         for name, marker, rule in expectations:
             found = [v for v in rule() if marker in v]
